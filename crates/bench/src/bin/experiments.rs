@@ -4,18 +4,17 @@
 //! cargo run --release -p treelab-bench --bin experiments -- [--quick] [--threads N] [--exact]
 //!     [--approx] [--kdist-small] [--kdist-large] [--lower-bounds] [--universal] [--ablation]
 //!     [--timing] [--substrate] [--store [--check]] [--packed-native] [--forest] [--restart]
-//!     [--giant] [--layout] [--lanes] [--giant-smoke] [--chaos [--smoke]]
+//!     [--giant] [--layout] [--giant-smoke] [--chaos [--smoke]]
 //! ```
+//!
+//! Every flag is declared in [`FLAGS`]; any other argument prints the usage
+//! and exits 2, so a typo in a CI gate fails instead of selecting nothing.
 //!
 //! `--store --check` runs the store regression gate after printing E11: it
 //! exits nonzero unless the batch-speedup column parses for all six schemes,
-//! the packed/legacy bit-equality sweep holds, and the dispatching,
-//! scalar-oracle and ×4 lane-interleaved query paths are bit-equal (CI runs
+//! the packed/legacy bit-equality sweep holds, and the dispatching and
+//! scalar-oracle query paths (per pair and batched) are bit-equal (CI runs
 //! it in both the default and `simd` configurations).
-//!
-//! `--lanes` runs the E19 execution-mode A/B: the store batch pipeline at
-//! interleave widths 1 and 4 against the one-at-a-time entry, all six
-//! schemes.
 //!
 //! `--giant` runs the E15 scale table (n = 16M streamed, all six schemes,
 //! chunked builds with per-phase peak-RSS) and `--layout` the E15b clustered
@@ -40,44 +39,107 @@ use treelab_bench::chaos::chaos_smoke;
 use treelab_bench::experiments::{
     ablation_experiment, approximate_experiment, chaos_experiment, exact_experiment,
     forest_experiment, giant_experiment, giant_smoke, k_large_experiment, k_small_experiment,
-    lane_experiment, layout_experiment, lower_bound_experiment, packed_native_experiment,
-    restart_experiment, store_check, store_experiment, substrate_experiment, timing_experiment,
-    universal_experiment,
+    layout_experiment, lower_bound_experiment, packed_native_experiment, restart_experiment,
+    store_check, store_experiment, substrate_experiment, timing_experiment, universal_experiment,
 };
 use treelab_bench::workloads::Family;
 use treelab_core::substrate::Parallelism;
 
+/// Every flag the binary accepts: `(name, takes a value)`.
+const FLAGS: &[(&str, bool)] = &[
+    ("--quick", false),
+    ("--threads", true),
+    ("--check", false),
+    ("--smoke", false),
+    ("--exact", false),
+    ("--approx", false),
+    ("--kdist-small", false),
+    ("--kdist-large", false),
+    ("--lower-bounds", false),
+    ("--universal", false),
+    ("--ablation", false),
+    ("--timing", false),
+    ("--substrate", false),
+    ("--store", false),
+    ("--packed-native", false),
+    ("--forest", false),
+    ("--restart", false),
+    ("--giant", false),
+    ("--layout", false),
+    ("--giant-smoke", false),
+    ("--chaos", false),
+];
+
+/// The flags that modify a run rather than select an experiment.
+const MODIFIERS: &[&str] = &["--quick", "--threads", "--check", "--smoke"];
+
+/// Prints the usage to stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(|&(name, value)| {
+            if value {
+                format!("[{name} N]")
+            } else {
+                format!("[{name}]")
+            }
+        })
+        .collect();
+    eprintln!("experiments: {msg}\nusage: experiments {}", flags.join(" "));
+    std::process::exit(2);
+}
+
+/// Parses `args` against [`FLAGS`] into `(flag, value)` pairs.
+fn parse_args(args: &[String]) -> Vec<(&'static str, Option<&str>)> {
+    let mut parsed = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let Some(&(name, takes_value)) = FLAGS.iter().find(|(name, _)| name == arg) else {
+            usage_error(&format!("unknown argument `{arg}`"));
+        };
+        let value = if takes_value {
+            let v = it.next();
+            Some(
+                v.unwrap_or_else(|| usage_error(&format!("{name} expects a value")))
+                    .as_str(),
+            )
+        } else {
+            None
+        };
+        parsed.push((name, value));
+    }
+    parsed
+}
+
+/// Corrupt label data can legitimately panic a query kernel during the
+/// chaos runs; the fallible router contains each unwind, but the default
+/// hook would print every one.  Installed once, only for `--chaos`.
+fn silence_panic_hook() {
+    std::panic::set_hook(Box::new(|_| {}));
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let par = args
+    let parsed = parse_args(&args);
+    let has = |flag: &str| parsed.iter().any(|&(name, _)| name == flag);
+    let quick = has("--quick");
+    let check = has("--check");
+    let smoke = has("--smoke");
+    let par = parsed
         .iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            let n = args
-                .get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| panic!("--threads expects a number"));
+        .find(|&&(name, _)| name == "--threads")
+        .and_then(|&(_, value)| value)
+        .map(|v| {
+            let n = v
+                .parse::<usize>()
+                .unwrap_or_else(|_| usage_error("--threads expects a number"));
             Parallelism::from_thread_count(n)
         })
         .unwrap_or_default();
-    let mut skip_next = false;
-    let selected: Vec<&str> = args
+    let selected: Vec<&str> = parsed
         .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--threads" {
-                skip_next = true;
-                return false;
-            }
-            *a != "--quick" && *a != "--check" && *a != "--smoke"
-        })
-        .map(String::as_str)
+        .map(|&(name, _)| name)
+        .filter(|name| !MODIFIERS.contains(name))
         .collect();
     let run = |name: &str| selected.is_empty() || selected.contains(&name);
     let seed = 2017;
@@ -101,6 +163,7 @@ fn main() {
 
     if selected.contains(&"--chaos") && smoke {
         // The CI robustness gate: verdict + exit code, no tables.
+        silence_panic_hook();
         match chaos_smoke(quick) {
             Ok(report) => println!("{report}"),
             Err(e) => {
@@ -214,6 +277,7 @@ fn main() {
         println!("{}", giant_experiment(n, chunk, seed).to_markdown());
     }
     if run("--chaos") {
+        silence_panic_hook();
         let (trees, n_per_tree, rounds, batch) = if quick {
             (8, 1 << 9, 32, 256)
         } else {
@@ -223,10 +287,6 @@ fn main() {
             "{}",
             chaos_experiment(trees, n_per_tree, rounds, batch, seed).to_markdown()
         );
-    }
-    if run("--lanes") {
-        let n = if quick { 1 << 10 } else { 1 << 16 };
-        println!("{}", lane_experiment(n, seed).to_markdown());
     }
     if run("--layout") {
         let (sizes, chunk): (&[usize], usize) = if quick {

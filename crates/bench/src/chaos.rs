@@ -17,6 +17,8 @@
 //! and quarantined slots are repaired from the control's replica frames.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use treelab_core::forest::{
     ForestStore, QueryStatus, RouteScratch, ScrubOutcome, Scrubber, SlotHealth, ValidationPolicy,
 };
@@ -204,12 +206,6 @@ pub fn run_chaos_on(cfg: &ChaosConfig, control: ForestStore) -> ChaosReport {
     let mut ctrl_statuses: Vec<QueryStatus> = Vec::new();
     let mut report = ChaosReport::default();
 
-    // Corrupt label data can legitimately panic a query kernel; the fallible
-    // router contains each unwind per group, but the default panic hook
-    // would still spam stderr for every one.  Silence it for the run.
-    let saved_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
     for round in 0..cfg.rounds {
         report.rounds = round + 1;
 
@@ -321,11 +317,10 @@ pub fn run_chaos_on(cfg: &ChaosConfig, control: ForestStore) -> ChaosReport {
         // -- File-fault probes: truncation rejected, torn publish survived.
         if cfg.file_faults_every != 0 && round % cfg.file_faults_every == cfg.file_faults_every - 1
         {
-            file_fault_probes(&subject, cfg.seed, round, &mut report);
+            file_fault_probes(&subject, &mut report);
         }
     }
 
-    std::panic::set_hook(saved_hook);
     report.undetected_at_end = pending.len();
     report.words_scrubbed = scrubber.stats().words_scrubbed;
     report
@@ -362,12 +357,33 @@ fn chaos_batch(
         .collect()
 }
 
+/// A private scratch directory, `temp_dir()/treelab-chaos-<pid>-<n>/`,
+/// unique per call across threads and processes, removed with everything in
+/// it when dropped — so concurrent chaos runs never share a file.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("treelab-chaos-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create chaos scratch directory");
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// The file-level legs of the chaos schedule: a truncated frame must be
 /// rejected at open, and a publish over a stale torn `.tmp` (a simulated
 /// crashed publish) must round-trip the exact frame.
-fn file_fault_probes(subject: &ForestStore, seed: u64, round: usize, report: &mut ChaosReport) {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("treelab_chaos_{seed:x}_{round}.forest"));
+fn file_fault_probes(subject: &ForestStore, report: &mut ChaosReport) {
+    let dir = ScratchDir::new();
+    let path = dir.0.join("probe.forest");
     let bytes = subject.to_bytes();
 
     // Truncation: cut the frame mid-directory and at a word boundary.
@@ -392,7 +408,6 @@ fn file_fault_probes(subject: &ForestStore, seed: u64, round: usize, report: &mu
     if back.as_words() == subject.as_words() {
         report.torn_publishes_survived += 1;
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The ISSUE 8 acceptance scenario, end to end: corrupt `corrupt_fraction`
@@ -512,14 +527,13 @@ pub fn acceptance(
         .map_err(|e| format!("post-repair verify failed: {e}"))?;
 
     // The repaired forest publishes crash-safely and reopens eagerly.
-    let path = std::env::temp_dir().join(format!("treelab_chaos_accept_{seed:x}.forest"));
+    let dir = ScratchDir::new();
+    let path = dir.0.join("accept.forest");
     subject
         .publish(&path)
         .map_err(|e| format!("publish failed: {e}"))?;
     let reopened = ForestStore::open(&path).map_err(|e| format!("eager reopen failed: {e}"))?;
-    let ok = reopened.as_words() == subject.as_words();
-    let _ = std::fs::remove_file(&path);
-    if !ok {
+    if reopened.as_words() != subject.as_words() {
         return Err("published frame does not round-trip".into());
     }
 

@@ -545,120 +545,6 @@ fn batch_throughput<S: StoredScheme>(
     best
 }
 
-/// [`batch_throughput`] with the batch pipeline pinned to interleave width
-/// `L` (`distances_into_lanes`): the lane-width knob of E19.  `L = 1` is the
-/// planned SoA pipeline computing one pair at a time (the pre-interleave
-/// engine), `L = 4` the production interleaved path.
-fn batch_throughput_lanes<const L: usize, S: StoredScheme>(
-    store: &SchemeStore<S>,
-    pairs: &[(usize, usize)],
-    min_total: usize,
-) -> f64 {
-    let mut out = Vec::with_capacity(pairs.len());
-    store.distances_into_lanes::<L>(pairs, &mut out); // warm-up pass
-    let rounds = min_total.div_ceil(pairs.len()).max(1);
-    let mut best = 0f64;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            for chunk in pairs.chunks(1024) {
-                out.clear();
-                store.distances_into_lanes::<L>(chunk, &mut out);
-                std::hint::black_box(out.last().copied());
-            }
-        }
-        let qps = (rounds * pairs.len()) as f64 / t0.elapsed().as_secs_f64();
-        best = best.max(qps);
-    }
-    best
-}
-
-/// E19: execution modes of the store batch engine — the planned SoA batch
-/// pipeline at interleave widths 1 and 4 against the one-at-a-time store
-/// entry, for all six schemes on one random tree.
-///
-/// The lane-width A/B isolates what the ×4 lockstep interleave buys *on top
-/// of* the PR 9 pipeline (same planning, same prefetch schedule, same
-/// per-lane arithmetic — only the number of independent `read_lsb` chains in
-/// flight changes); the `x4 vs one-at-a-time` column is the full batch-path
-/// speedup the acceptance gate reads (geomean over schemes printed as the
-/// last row).  Run in both the scalar and `simd` configurations — the
-/// interleave attacks load latency, SIMD attacks per-phase arithmetic, so
-/// the two compose rather than compete.
-pub fn lane_experiment(n: usize, seed: u64) -> Table {
-    let mut table = Table::new(
-        format!(
-            "E19 — execution modes: lane-interleaved batch pipeline vs one-at-a-time \
-             (random tree, n = {n}) [kernel: {}]",
-            treelab_bits::simd::kernel_config()
-        ),
-        &[
-            "scheme",
-            "one-at-a-time (Mq/s)",
-            "lane-1 batch (Mq/s)",
-            "lane-4 batch (Mq/s)",
-            "x4 vs x1",
-            "x4 vs one-at-a-time",
-        ],
-    );
-    let queries = 200_000usize;
-    let tree = gen::random_tree(n, seed);
-    let sub = Substrate::new(&tree);
-    let pairs: Vec<(usize, usize)> = (0..65_536)
-        .map(|i| ((i * 7919 + 3) % tree.len(), (i * 104_729 + 11) % tree.len()))
-        .collect();
-
-    let mut ratios: Vec<f64> = Vec::new();
-    macro_rules! row {
-        ($ty:ty, $scheme:expr) => {{
-            let scheme = $scheme;
-            let store: &SchemeStore<$ty> = scheme.as_store();
-            let single = throughput(&pairs, queries, |u, v| store.distance(u, v));
-            let lane1 = batch_throughput_lanes::<1, _>(store, &pairs, queries);
-            let lane4 = batch_throughput_lanes::<4, _>(store, &pairs, queries);
-            ratios.push(lane4 / single);
-            table.push_row(vec![
-                <$ty as StoredScheme>::STORE_NAME.to_string(),
-                format!("{:.2}", single / 1e6),
-                format!("{:.2}", lane1 / 1e6),
-                format!("{:.2}", lane4 / 1e6),
-                format!("{:.2}x", lane4 / lane1),
-                format!("{:.2}x", lane4 / single),
-            ]);
-        }};
-    }
-
-    row!(NaiveScheme, NaiveScheme::build_with_substrate(&sub));
-    row!(
-        DistanceArrayScheme,
-        DistanceArrayScheme::build_with_substrate(&sub)
-    );
-    row!(OptimalScheme, OptimalScheme::build_with_substrate(&sub));
-    row!(
-        KDistanceScheme,
-        KDistanceScheme::build_with_substrate(&sub, 8)
-    );
-    row!(
-        ApproximateScheme,
-        ApproximateScheme::build_with_substrate(&sub, 0.25)
-    );
-    row!(
-        LevelAncestorScheme,
-        LevelAncestorScheme::build_with_substrate(&sub)
-    );
-
-    let geomean = (ratios.iter().map(|v| v.ln()).sum::<f64>() / ratios.len() as f64).exp();
-    table.push_row(vec![
-        "geomean".to_string(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        format!("{geomean:.2}x"),
-    ]);
-    table
-}
-
 /// E11: the zero-copy scheme store — store size, load time, and store-backed
 /// (batch) versus scheme-method query throughput for all six schemes.
 ///
@@ -1424,13 +1310,10 @@ pub fn packed_native_experiment(n: usize, seed: u64) -> Table {
 /// for **all six** schemes (geomean reported), (2) the packed/legacy
 /// bit-equality sweep holds on a seeded corpus: for every scheme and tree,
 /// the direct pack path and the historical struct-then-serialize pipeline
-/// produce the identical frame, (3) the dispatching query path is
+/// produce the identical frame, and (3) the dispatching query path is
 /// bit-equal to its always-scalar oracle (`distance_scalar`) on sampled
 /// pairs over the same corpus — under `--features simd` this is the CI
-/// enforcement that the vector kernels change nothing but the clock — and
-/// (4) the ×4 lane-interleaved entries and the lane-width-pinned batch
-/// pipeline are bit-equal to the one-pair path and the scalar oracle
-/// (lane width never changes an answer).
+/// enforcement that the vector kernels change nothing but the clock.
 ///
 /// # Errors
 ///
@@ -1611,85 +1494,6 @@ pub fn store_check(table: &Table) -> Result<(), String> {
         treelab_bits::simd::kernel_config()
     );
 
-    // 4. Interleave bit-equality sweep: the ×4 lane-interleaved entries
-    //    (the batch engine's main loop) and the lane-width-pinned batch
-    //    pipeline must answer bit-for-bit like the dispatching one-pair
-    //    path and its scalar oracle — lane width must never change an
-    //    answer, in either the scalar or `simd` configuration.
-    for (family, tree) in &corpus {
-        let sub = Substrate::new(tree);
-        let n = tree.len();
-        let pairs: Vec<(usize, usize)> = (0..1024)
-            .map(|i| ((i * 7919 + 3) % n, (i * 104_729 + 11) % n))
-            .collect();
-        fn interleave_check<S: StoredScheme>(
-            family: &str,
-            store: &SchemeStore<S>,
-            pairs: &[(usize, usize)],
-        ) -> Result<(), String> {
-            let mut expected = Vec::with_capacity(pairs.len());
-            store.distances_into_lanes::<1>(pairs, &mut expected);
-            let mut lane4 = Vec::with_capacity(pairs.len());
-            store.distances_into_lanes::<4>(pairs, &mut lane4);
-            if lane4 != expected {
-                return Err(format!(
-                    "{}/{family}: lane-4 batch pipeline diverges from lane-1",
-                    S::STORE_NAME
-                ));
-            }
-            for (g, group) in pairs.chunks_exact(4).enumerate() {
-                let u = [group[0].0, group[1].0, group[2].0, group[3].0];
-                let v = [group[0].1, group[1].1, group[2].1, group[3].1];
-                let got = store.distance_lanes::<4>(u, v);
-                let scalar = store.distance_lanes_scalar::<4>(u, v);
-                let want = &expected[g * 4..g * 4 + 4];
-                if got != want || scalar != want {
-                    return Err(format!(
-                        "{}/{family}: lane group {g} interleaved = {got:?}, \
-                         scalar lanes = {scalar:?}, one-pair = {want:?}",
-                        S::STORE_NAME
-                    ));
-                }
-            }
-            Ok(())
-        }
-        interleave_check(
-            family,
-            NaiveScheme::build_with_substrate(&sub).as_store(),
-            &pairs,
-        )?;
-        interleave_check(
-            family,
-            DistanceArrayScheme::build_with_substrate(&sub).as_store(),
-            &pairs,
-        )?;
-        interleave_check(
-            family,
-            OptimalScheme::build_with_substrate(&sub).as_store(),
-            &pairs,
-        )?;
-        interleave_check(
-            family,
-            KDistanceScheme::build_with_substrate(&sub, 8).as_store(),
-            &pairs,
-        )?;
-        interleave_check(
-            family,
-            ApproximateScheme::build_with_substrate(&sub, 0.25).as_store(),
-            &pairs,
-        )?;
-        interleave_check(
-            family,
-            LevelAncestorScheme::build_with_substrate(&sub).as_store(),
-            &pairs,
-        )?;
-    }
-    println!(
-        "store check: x4-interleaved/one-pair bit-equality holds for 6 schemes x {} trees \
-         [kernel: {}]",
-        corpus.len(),
-        treelab_bits::simd::kernel_config()
-    );
     Ok(())
 }
 

@@ -239,42 +239,6 @@ pub fn read_lsb_pair(words: &[u64], start_a: usize, start_b: usize, width: usize
     }
 }
 
-/// `L` same-width [`read_lsb`] fields from `L` independent cursors of the
-/// same buffer — the multi-cursor generalization of [`read_lsb_pair`] the
-/// lane-interleaved kernels use to decode one phase of `L` queries at once.
-/// All `2 L` word loads are issued before any lane's shift/mask completes,
-/// so `L` independent decode chains share the out-of-order window.
-///
-/// Same trusted-range contract as [`read_lsb`] per cursor.
-///
-/// # Panics
-///
-/// Panics if any `starts[i] / 64 + 1` is not a valid index into `words`.
-#[inline]
-pub fn read_lsb_multi<const L: usize>(words: &[u64], starts: [usize; L], width: usize) -> [u64; L] {
-    debug_assert!(width <= 64);
-    if width == 0 {
-        return [0; L];
-    }
-    let mut lo = [0u64; L];
-    let mut hi = [0u64; L];
-    for i in 0..L {
-        lo[i] = words[starts[i] >> 6];
-        hi[i] = words[(starts[i] >> 6) + 1];
-    }
-    let mask = if width < 64 {
-        (1u64 << width) - 1
-    } else {
-        u64::MAX
-    };
-    let mut out = [0u64; L];
-    for i in 0..L {
-        let off = (starts[i] & 63) as u32;
-        out[i] = ((lo[i] >> off) | ((hi[i] << 1) << (63 - off))) & mask;
-    }
-    out
-}
-
 /// Length of the longest common prefix of the bit ranges `[sa, sa + la)` of
 /// `a` and `[sb, sb + lb)` of `b`, over raw words: one XOR plus a
 /// trailing-zero count locates the first differing bit inside a chunk, so
@@ -656,12 +620,11 @@ mod tests {
         assert_eq!(s.get_bits_lsb(0, 65), None);
     }
 
-    /// The multi-cursor readers against the single-cursor primitive: a
-    /// seeded sweep over every width 1..=64 with cursor positions planted at
-    /// word-straddling offsets (63/64/65 boundaries included), for the pair
-    /// form and lane counts 2 and 4.
+    /// The pair reader against the single-cursor primitive: a seeded sweep
+    /// over every width 1..=64 with cursor positions planted at
+    /// word-straddling offsets (63/64/65 boundaries included).
     #[test]
-    fn read_lsb_pair_and_multi_match_the_single_cursor_reads() {
+    fn read_lsb_pair_matches_the_single_cursor_reads() {
         // 64 words of seeded xorshift64* noise + one zero guard word (the
         // trusted-range contract the packed stores uphold).
         let mut x = 0x0BAD_5EED_0BAD_5EEDu64;
@@ -697,17 +660,14 @@ mod tests {
                     next_start(round * 4 + 3),
                 ];
                 let expect: Vec<u64> = starts.iter().map(|&s| read_lsb(&words, s, width)).collect();
-                let (pa, pb) = read_lsb_pair(&words, starts[0], starts[1], width);
-                assert_eq!((pa, pb), (expect[0], expect[1]), "pair w={width}");
-                let m2 = read_lsb_multi::<2>(&words, [starts[2], starts[3]], width);
-                assert_eq!(m2, [expect[2], expect[3]], "multi2 w={width}");
-                let m4 = read_lsb_multi::<4>(&words, starts, width);
-                assert_eq!(m4[..], expect[..], "multi4 w={width}");
+                for (i, j) in [(0, 1), (2, 3), (1, 2)] {
+                    let got = read_lsb_pair(&words, starts[i], starts[j], width);
+                    assert_eq!(got, (expect[i], expect[j]), "pair w={width}");
+                }
             }
         }
         // Width 0 reads nothing from any cursor.
         assert_eq!(read_lsb_pair(&words, 17, 4000, 0), (0, 0));
-        assert_eq!(read_lsb_multi::<4>(&words, [1, 63, 64, 65], 0), [0; 4]);
     }
 
     #[test]

@@ -14,18 +14,20 @@
 /// next queries' label lines are already in flight.
 ///
 /// Out-of-range indices are ignored (a prefetch must never widen the
-/// touched footprint past the buffer).  Under the `simd` cargo feature on
-/// x86-64 this issues a real `prefetcht0` — no dependency, no stall, no
-/// architectural read; elsewhere it degrades to an early demand load
-/// (`black_box` keeps the optimizer from deleting it), which costs one
-/// issued load but still overlaps the miss with useful work.
+/// touched footprint past the buffer).  On every x86-64 build this issues a
+/// real `prefetcht0` — baseline SSE, so it needs no cargo feature and no
+/// runtime detection, and it is the same instruction with or without
+/// `simd`.  It adds no dependency, no stall and no architectural read.  On
+/// other architectures it degrades to an early demand load (`black_box`
+/// keeps the optimizer from deleting it), which costs one issued load but
+/// still overlaps the miss with useful work.
 #[inline(always)]
 #[allow(unsafe_code)] // audited: in-bounds pointer, PREFETCHT0 never faults
 pub fn prefetch_word(words: &[u64], idx: usize) {
     if idx >= words.len() {
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     // SAFETY: `idx` is in bounds, so the pointer is valid; `_mm_prefetch`
     // performs no architectural memory access and cannot fault.
     unsafe {
@@ -33,7 +35,7 @@ pub fn prefetch_word(words: &[u64], idx: usize) {
             words.as_ptr().add(idx) as *const i8,
         );
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         std::hint::black_box(words[idx]);
     }

@@ -283,20 +283,6 @@ impl StoredScheme for ApproximateScheme {
         kernel::distance_refs_scalar(a, b)
     }
 
-    fn distance_refs_lanes<const L: usize>(
-        a: [ApproximateLabelRef<'_>; L],
-        b: [ApproximateLabelRef<'_>; L],
-    ) -> [u64; L] {
-        kernel::distance_refs_lanes::<L, false>(a, b)
-    }
-
-    fn distance_refs_lanes_scalar<const L: usize>(
-        a: [ApproximateLabelRef<'_>; L],
-        b: [ApproximateLabelRef<'_>; L],
-    ) -> [u64; L] {
-        kernel::distance_refs_lanes::<L, true>(a, b)
-    }
-
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &ApproximateMeta) -> bool {
         kernel::check_label(slice, start, end, meta)
     }

@@ -153,20 +153,6 @@ impl StoredScheme for DistanceArrayScheme {
         psum::distance_refs_scalar(&a.0, &b.0)
     }
 
-    fn distance_refs_lanes<const L: usize>(
-        a: [DistanceArrayLabelRef<'_>; L],
-        b: [DistanceArrayLabelRef<'_>; L],
-    ) -> [u64; L] {
-        psum::distance_refs_lanes::<L, false>(a.map(|r| r.0), b.map(|r| r.0))
-    }
-
-    fn distance_refs_lanes_scalar<const L: usize>(
-        a: [DistanceArrayLabelRef<'_>; L],
-        b: [DistanceArrayLabelRef<'_>; L],
-    ) -> [u64; L] {
-        psum::distance_refs_lanes::<L, true>(a.map(|r| r.0), b.map(|r| r.0))
-    }
-
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &PsumMeta) -> bool {
         psum::check_label(slice, start, end, meta)
     }

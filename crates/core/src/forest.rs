@@ -1309,9 +1309,9 @@ pub struct RouteScratch {
     statuses: Vec<QueryStatus>,
     /// Structure-of-arrays planning buffers for the batch kernels, shared
     /// across every per-tree group of a routed batch (fixed-size arrays, so
-    /// sharing them is about cache reuse, not allocation).  Planned blocks
-    /// compute through the ×4 lane-interleaved kernel entries; the scratch
-    /// needs no extra state for that — lanes live in registers.
+    /// sharing them is about cache reuse, not allocation).  Planned pairs
+    /// compute one at a time through the one-pair kernels, so the plan is
+    /// the only per-batch state the store layer needs.
     plan: BatchPlan,
 }
 
@@ -1429,10 +1429,10 @@ fn prepare_route_try(
 /// Runs the grouped queries of directory slots `groups` through each tree's
 /// batch engine, writing answers (in grouped order) into `sorted`, whose
 /// first element corresponds to global grouped position `pos_base`.  Each
-/// group drains through the store's planned, ×4 lane-interleaved pipeline
+/// group drains through the store's planned, prefetching pipeline
 /// (`AnyStoreRef::distances_write_with`): the router contributes grouping
-/// and the shared plan buffers, the interleave itself lives in the store
-/// layer — no routing or format change was needed to pick it up.
+/// and the shared plan buffers, the pipeline itself lives in the store
+/// layer.
 #[allow(clippy::too_many_arguments)] // the flat argument list is what lets shards borrow disjoint slices
 fn run_group_range(
     words: &[u64],

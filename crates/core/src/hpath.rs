@@ -447,7 +447,7 @@ impl AuxDims {
 /// Every structural predicate of Lemma 2.1 (`same_node`, `dominates`,
 /// `is_ancestor`) is a pure function of these four values, so the query hot
 /// path loads them once per side instead of re-reading fields per predicate.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct AuxScalars {
     pub(crate) ld: usize,
     pub(crate) dom: u64,

@@ -422,20 +422,6 @@ impl StoredScheme for KDistanceScheme {
         kernel::distance_refs_scalar(&a, &b).unwrap_or(NO_DISTANCE)
     }
 
-    fn distance_refs_lanes<const L: usize>(
-        a: [KDistanceLabelRef<'_>; L],
-        b: [KDistanceLabelRef<'_>; L],
-    ) -> [u64; L] {
-        kernel::distance_refs_lanes::<L, false>(a, b).map(|d| d.unwrap_or(NO_DISTANCE))
-    }
-
-    fn distance_refs_lanes_scalar<const L: usize>(
-        a: [KDistanceLabelRef<'_>; L],
-        b: [KDistanceLabelRef<'_>; L],
-    ) -> [u64; L] {
-        kernel::distance_refs_lanes::<L, true>(a, b).map(|d| d.unwrap_or(NO_DISTANCE))
-    }
-
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &KDistanceMeta) -> bool {
         kernel::check_label(slice, start, end, meta)
     }

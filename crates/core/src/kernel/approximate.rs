@@ -214,57 +214,6 @@ pub(crate) fn distance_refs_scalar(a: ApproximateLabelRef<'_>, b: ApproximateLab
     distance_refs_impl::<true>(a, b)
 }
 
-/// Lane-interleaved [`distance_refs`]: `L` independent pairs advance in
-/// lockstep through the estimate's phases so their serial `read_lsb` chains
-/// overlap in the out-of-order window. Per-lane arithmetic is exactly
-/// [`distance_refs_impl`]'s, so the result is bit-equal to the one-pair path.
-pub(crate) fn distance_refs_lanes<const L: usize, const SCALAR: bool>(
-    a: [ApproximateLabelRef<'_>; L],
-    b: [ApproximateLabelRef<'_>; L],
-) -> [u64; L] {
-    // Phase 1: header decode, one planned load pair per lane.
-    let mut ha = [(0u64, 0usize, 0usize); L];
-    let mut hb = [(0u64, 0usize, 0usize); L];
-    for i in 0..L {
-        (ha[i], hb[i]) = ApproximateLabelRef::header_pair(&a[i], &b[i]);
-    }
-    // Phase 2: aux scalar decode, one planned load pair per lane.
-    let aa = core::array::from_fn::<_, L, _>(|i| a[i].aux(ha[i].1));
-    let ab = core::array::from_fn::<_, L, _>(|i| b[i].aux(hb[i].1));
-    let mut anc = [false; L];
-    let mut sc = [(AuxScalars::default(), AuxScalars::default()); L];
-    for i in 0..L {
-        sc[i] = HpathRef::scalars_pair(&aa[i], &ab[i]);
-        let (sa, sb) = (&sc[i].0, &sc[i].1);
-        anc[i] = AuxScalars::is_ancestor(sa, sb) || AuxScalars::is_ancestor(sb, sa);
-    }
-    // Phase 3: codeword LCP + common light depth per lane (safe for every
-    // lane — ancestor pairs have well-formed codeword regions too, their
-    // divergence point is simply unused).
-    let mut jl = [(0usize, 0usize); L];
-    for i in 0..L {
-        let (sa, sb) = (&sc[i].0, &sc[i].1);
-        let (cwl_a, cwl_b) = (ha[i].2, hb[i].2);
-        jl[i] = if SCALAR {
-            HpathRef::common_light_depth_lcp_scalar(&aa[i], sa, cwl_a, &ab[i], sb, cwl_b)
-        } else {
-            HpathRef::common_light_depth_lcp(&aa[i], sa, cwl_a, &ab[i], sb, cwl_b)
-        };
-    }
-    // Phase 4: branch-side select + exponent rounding per lane.
-    let mut out = [0u64; L];
-    for i in 0..L {
-        out[i] = if anc[i] {
-            ha[i].0.abs_diff(hb[i].0)
-        } else {
-            estimate_from_lcp(
-                &a[i], &b[i], ha[i].0, hb[i].0, &aa[i], &sc[i].0, &sc[i].1, jl[i].0, jl[i].1,
-            )
-        };
-    }
-    out
-}
-
 fn distance_refs_impl<const SCALAR: bool>(
     a: ApproximateLabelRef<'_>,
     b: ApproximateLabelRef<'_>,
@@ -282,24 +231,6 @@ fn distance_refs_impl<const SCALAR: bool>(
     } else {
         HpathRef::common_light_depth_lcp(&aa, &sa, cwl_a, &ab, &sb, cwl_b)
     };
-    estimate_from_lcp(&a, &b, rd_a, rd_b, &aa, &sa, &sb, j, lcp)
-}
-
-/// The branch-side select + exponent-rounding tail of the Theorem 1.4
-/// estimate, shared by the one-pair and lane-interleaved entries.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn estimate_from_lcp(
-    a: &ApproximateLabelRef<'_>,
-    b: &ApproximateLabelRef<'_>,
-    rd_a: u64,
-    rd_b: u64,
-    aa: &HpathRef<'_>,
-    sa: &AuxScalars,
-    sb: &AuxScalars,
-    j: usize,
-    lcp: usize,
-) -> u64 {
     let a_branches = sa.ld > j;
     let b_branches = sb.ld > j;
     let use_a = match (a_branches, b_branches) {
@@ -315,9 +246,9 @@ fn estimate_from_lcp(
         }
     };
     let (x, x_ld, x_rd) = if use_a {
-        (a, sa.ld, rd_a)
+        (&a, sa.ld, rd_a)
     } else {
-        (b, sb.ld, rd_b)
+        (&b, sb.ld, rd_b)
     };
     let y_rd = if use_a { rd_b } else { rd_a };
     let idx = x_ld - j; // ≥ 1

@@ -219,7 +219,7 @@ pub struct KDistanceLabelRef<'a> {
 
 /// Derived bit offsets of one packed `k`-distance label (computed once per
 /// query side).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct KdLayout {
     sc: usize,
     uc: usize,
@@ -436,53 +436,6 @@ pub(crate) fn distance_refs_scalar(
     distance_refs_impl::<true>(a, b)
 }
 
-/// Lane-interleaved [`distance_refs`]: `L` independent pairs advance in
-/// lockstep through the protocol's phases so their serial `read_lsb` chains
-/// overlap in the out-of-order window. Per-lane arithmetic is exactly
-/// [`distance_refs_impl`]'s, so the result is bit-equal to the one-pair path.
-pub(crate) fn distance_refs_lanes<const L: usize, const SCALAR: bool>(
-    a: [KDistanceLabelRef<'_>; L],
-    b: [KDistanceLabelRef<'_>; L],
-) -> [Option<u64>; L] {
-    // Phase 1: header decode, one planned load pair per lane.
-    let mut la = [KdLayout::default(); L];
-    let mut lb = [KdLayout::default(); L];
-    for i in 0..L {
-        (la[i], lb[i]) = KDistanceLabelRef::layout_pair(&a[i], &b[i]);
-    }
-    // Phase 2: aux scalar decode, one planned load pair per lane.
-    let aa = core::array::from_fn::<_, L, _>(|i| a[i].aux(&la[i]));
-    let ab = core::array::from_fn::<_, L, _>(|i| b[i].aux(&lb[i]));
-    let mut same = [false; L];
-    let mut sc = [(AuxScalars::default(), AuxScalars::default()); L];
-    for i in 0..L {
-        sc[i] = HpathRef::scalars_pair(&aa[i], &ab[i]);
-        same[i] = AuxScalars::same_node(&sc[i].0, &sc[i].1);
-    }
-    // Phase 3: codeword LCP + common light depth per lane (safe for every
-    // lane — same-node pairs have well-formed codeword regions too, their
-    // common light depth is simply unused).
-    let mut jl = [0usize; L];
-    for i in 0..L {
-        let (sa, sb) = (&sc[i].0, &sc[i].1);
-        jl[i] = if SCALAR {
-            HpathRef::common_light_depth_scalar(&aa[i], sa, la[i].cwl, &ab[i], sb, lb[i].cwl)
-        } else {
-            HpathRef::common_light_depth(&aa[i], sa, la[i].cwl, &ab[i], sb, lb[i].cwl)
-        };
-    }
-    // Phase 4: ancestor lookup + along-the-path arithmetic per lane.
-    let mut out = [None; L];
-    for i in 0..L {
-        out[i] = if same[i] {
-            Some(0)
-        } else {
-            bounded_distance_from_j(&a[i], &b[i], &la[i], &lb[i], &sc[i].0, &sc[i].1, jl[i])
-        };
-    }
-    out
-}
-
 fn distance_refs_impl<const SCALAR: bool>(
     a: &KDistanceLabelRef<'_>,
     b: &KDistanceLabelRef<'_>,
@@ -499,20 +452,6 @@ fn distance_refs_impl<const SCALAR: bool>(
     } else {
         HpathRef::common_light_depth(&aa, &sa, la.cwl, &ab, &sb, lb.cwl)
     };
-    bounded_distance_from_j(a, b, &la, &lb, &sa, &sb, j)
-}
-
-/// The ancestor-lookup + along-the-path phase of the Theorem 1.3 protocol,
-/// shared by the one-pair and lane-interleaved entries.
-fn bounded_distance_from_j(
-    a: &KDistanceLabelRef<'_>,
-    b: &KDistanceLabelRef<'_>,
-    la: &KdLayout,
-    lb: &KdLayout,
-    sa: &AuxScalars,
-    sb: &AuxScalars,
-    j: usize,
-) -> Option<u64> {
     let k = a.m.k;
     // Index of each side's deepest ancestor on the NCA's heavy path.
     let ia = sa.ld - j;
@@ -521,9 +460,9 @@ fn bounded_distance_from_j(
         // The walk to the common heavy path alone exceeds k.
         return None;
     }
-    let du = a.dist(la, ia);
-    let dv = b.dist(lb, ib);
-    let along = match (a.path_offset(la, ia), b.path_offset(lb, ib)) {
+    let du = a.dist(&la, ia);
+    let dv = b.dist(&lb, ib);
+    let along = match (a.path_offset(&la, ia), b.path_offset(&lb, ib)) {
         (PathOffset::Exact(x), PathOffset::Exact(y)) => x.abs_diff(y),
         (PathOffset::CappedLarge, PathOffset::Exact(e))
         | (PathOffset::Exact(e), PathOffset::CappedLarge) => {
@@ -533,10 +472,10 @@ fn bounded_distance_from_j(
             if e <= k {
                 return None;
             }
-            lemma_4_5(a, la, sa.pre, ia, b, lb, sb.pre, ib)?
+            lemma_4_5(a, &la, sa.pre, ia, b, &lb, sb.pre, ib)?
         }
         (PathOffset::CappedLarge, PathOffset::CappedLarge) => {
-            lemma_4_5(a, la, sa.pre, ia, b, lb, sb.pre, ib)?
+            lemma_4_5(a, &la, sa.pre, ia, b, &lb, sb.pre, ib)?
         }
     };
     let total = du + dv + along;

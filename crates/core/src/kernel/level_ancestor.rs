@@ -311,20 +311,10 @@ fn distance_refs_impl<const SCALAR: bool>(
 ) -> u64 {
     // Both headers decode as one planned load pair — the two sides' field
     // chains are independent, so their loads overlap.
-    let (ha, hb) = LevelAncestorLabelRef::header_pair(&a, &b);
-    let lcp = codeword_lcp::<SCALAR>(&a, ha.3, &b, hb.3);
-    scan_and_finish(&a, &b, ha, hb, lcp)
-}
-
-/// The codeword-LCP phase: the kernel's only SIMD-touched step.
-#[inline]
-fn codeword_lcp<const SCALAR: bool>(
-    a: &LevelAncestorLabelRef<'_>,
-    cwl_a: usize,
-    b: &LevelAncestorLabelRef<'_>,
-    cwl_b: usize,
-) -> usize {
-    if SCALAR {
+    let ((depth_a, ho_a, lda, cwl_a), (depth_b, ho_b, ldb, cwl_b)) =
+        LevelAncestorLabelRef::header_pair(&a, &b);
+    // The codeword LCP is this kernel's only SIMD-touched step.
+    let lcp = if SCALAR {
         treelab_bits::bitslice::common_prefix_len_raw_scalar(
             a.s.words(),
             a.cw_base(),
@@ -342,19 +332,7 @@ fn codeword_lcp<const SCALAR: bool>(
             b.cw_base(),
             cwl_b,
         )
-    }
-}
-
-/// The record-scan + distance-arithmetic phase, shared by the one-pair and
-/// lane-interleaved entries.
-#[inline]
-fn scan_and_finish(
-    a: &LevelAncestorLabelRef<'_>,
-    b: &LevelAncestorLabelRef<'_>,
-    (depth_a, ho_a, lda, cwl_a): (u64, u64, usize, usize),
-    (depth_b, ho_b, ldb, cwl_b): (u64, u64, usize, usize),
-    lcp: usize,
-) -> u64 {
+    };
     let rec_base_a = a.cw_base() + cwl_a;
     let (j, head_depth, bsum_a_j) = a.scan_records(lda, rec_base_a, lcp);
     // Both sides share the first j light edges, so depth_sum[j − 1] is
@@ -371,34 +349,6 @@ fn scan_and_finish(
     };
     let nca_depth = head_depth + exit_a.min(exit_b);
     depth_a + depth_b - 2 * nca_depth
-}
-
-/// The lane-interleaved §3.6 protocol: `L` independent queries advance in
-/// lockstep through the kernel's phases (fused header decode → codeword LCP
-/// → record scan + arithmetic), so the lanes' serial `read_lsb` chains share
-/// the out-of-order window.  Per lane the arithmetic is exactly
-/// [`distance_refs_impl`] — bit-identical answers for every lane width.
-pub(crate) fn distance_refs_lanes<const L: usize, const SCALAR: bool>(
-    a: [LevelAncestorLabelRef<'_>; L],
-    b: [LevelAncestorLabelRef<'_>; L],
-) -> [u64; L] {
-    // Phase 1: header decode, one planned load pair per lane.
-    let mut ha = [(0u64, 0u64, 0usize, 0usize); L];
-    let mut hb = [(0u64, 0u64, 0usize, 0usize); L];
-    for i in 0..L {
-        (ha[i], hb[i]) = LevelAncestorLabelRef::header_pair(&a[i], &b[i]);
-    }
-    // Phase 2: codeword LCP per lane.
-    let mut lcp = [0usize; L];
-    for i in 0..L {
-        lcp[i] = codeword_lcp::<SCALAR>(&a[i], ha[i].3, &b[i], hb[i].3);
-    }
-    // Phase 3: record scan + distance arithmetic per lane.
-    let mut out = [0u64; L];
-    for i in 0..L {
-        out[i] = scan_and_finish(&a[i], &b[i], ha[i], hb[i], lcp[i]);
-    }
-    out
 }
 
 /// Load-time extent check of the level-ancestor scheme's packed labels.

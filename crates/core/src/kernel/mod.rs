@@ -68,20 +68,14 @@
 //!    of the query 8 positions ahead, keeping several label fetches in
 //!    flight — the batch path's throughput edge over the per-pair entry
 //!    points is exactly this memory-level parallelism.
-//! 3. **Interleave.** The compute loop advances **four pairs in lockstep**
-//!    through the kernel's phases (header decode → aux scalars → codeword
-//!    LCP → record scan / distance arithmetic) via each scheme's
-//!    `distance_refs_x4` entry, with the `< 4` block tail draining through
-//!    the one-pair path.  A single query is a serial chain of dependent
-//!    `read_lsb` loads — decode a count, then scan records whose addresses
-//!    depend on it — so one pair cannot saturate the load ports; four
-//!    independent chains share the out-of-order window and hide each
-//!    other's latency.  Within a phase the two sides' fused reads are also
-//!    issued as one planned load *pair* (`read_lsb_pair`), and the short
-//!    record scans of the [`psum`] and [`level_ancestor`] kernels run with
-//!    a data-independent trip count (a count of qualifying end positions
-//!    instead of an early-exit branch) so the interleaved lanes do not
-//!    serialize on mispredicted exits.
+//! 3. **Compute.** Each planned pair runs through the scheme's one-pair
+//!    `distance_refs` — the same kernel the per-pair entry points call, so
+//!    batch and per-pair answers cannot diverge.  Within a query the two
+//!    sides' fused reads are issued as one planned load *pair*
+//!    (`read_lsb_pair`), and the short record scans of the [`psum`] and
+//!    [`level_ancestor`] kernels run with a data-independent trip count (a
+//!    count of qualifying end positions instead of an early-exit branch), so
+//!    random pairs do not pay for mispredicted exits.
 //! 4. **Vector step (optional).** Under the off-by-default `simd` cargo
 //!    feature the two data-parallel primitives inside a query — the codeword
 //!    LCP and the [`psum`] record scan — run as AVX2 `u64x4` kernels
@@ -90,20 +84,13 @@
 //!
 //! # Execution modes
 //!
-//! Every kernel exposes the same protocol at three widths, all bit-equal by
+//! Every kernel exposes the same protocol in two modes, bit-equal by
 //! construction and held together by the equivalence suites:
 //!
 //! | Mode | Entry points | Role |
 //! |------|--------------|------|
-//! | **Scalar oracle** | `distance_refs_scalar`, `distance_refs_lanes_scalar` | always-compiled, SIMD-free; the bit-equality oracle `tests/kernel_equivalence.rs` and the `--store --check` CI gate hold every other mode to |
-//! | **Dispatching one-pair** | `distance_refs` | the per-pair entry (`StoreRef::distance`); uses the AVX2 primitives when the `simd` feature and the host allow |
-//! | **Lane-interleaved** | `distance_refs_lanes::<L>` / `distance_refs_x4` | `L` pairs in lockstep per phase; `L = 4` is the batch engine's main loop, `L = 1` degenerates to the one-pair path (the experiment baseline) |
-//!
-//! Per-lane arithmetic in the interleaved entries is textually the one-pair
-//! implementation (the phases share helpers, not copies), so lane width can
-//! never change an answer — `tests/kernel_equivalence.rs` enforces this for
-//! lane widths 1, 2 and 4 across all six schemes in both the scalar and
-//! `simd` configurations.
+//! | **Scalar oracle** | `distance_refs_scalar` | always-compiled, SIMD-free; the bit-equality oracle `tests/kernel_equivalence.rs` and the `--store --check` CI gate hold the dispatching mode to |
+//! | **Dispatching one-pair** | `distance_refs` | the per-pair entry (`StoreRef::distance`) and the batch engine's compute step; uses the AVX2 primitives when the `simd` feature and the host allow |
 
 pub mod approximate;
 pub mod kdistance;

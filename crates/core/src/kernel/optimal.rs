@@ -359,55 +359,6 @@ pub(crate) fn distance_refs_scalar(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_
     distance_refs_impl::<true>(a, b)
 }
 
-/// Lane-interleaved [`distance_refs`]: `L` independent pairs advance in
-/// lockstep through the protocol's phases so their serial `read_lsb` chains
-/// overlap in the out-of-order window. Per-lane arithmetic is exactly
-/// [`distance_refs_impl`]'s, so the result is bit-equal to the one-pair path.
-pub(crate) fn distance_refs_lanes<const L: usize, const SCALAR: bool>(
-    a: [OptimalLabelRef<'_>; L],
-    b: [OptimalLabelRef<'_>; L],
-) -> [u64; L] {
-    // Phase 1: header decode, one planned load pair per lane.
-    let mut ha = [(0u64, 0usize, 0usize, 0usize); L];
-    let mut hb = [(0u64, 0usize, 0usize, 0usize); L];
-    for i in 0..L {
-        (ha[i], hb[i]) = OptimalLabelRef::header_pair(&a[i], &b[i]);
-    }
-    // Phase 2: aux scalar decode, one planned load pair per lane.
-    let aa = core::array::from_fn::<_, L, _>(|i| a[i].aux());
-    let ab = core::array::from_fn::<_, L, _>(|i| b[i].aux());
-    let mut anc = [false; L];
-    let mut sc = [(AuxScalars::default(), AuxScalars::default()); L];
-    for i in 0..L {
-        sc[i] = AuxCoreRef::scalars_pair(&aa[i], &ab[i]);
-        let (sa, sb) = (&sc[i].0, &sc[i].1);
-        anc[i] = AuxScalars::is_ancestor(sa, sb) || AuxScalars::is_ancestor(sb, sa);
-    }
-    // Phase 3: codeword LCP per lane (safe for every lane — ancestor pairs
-    // have well-formed codeword regions too, their LCP is simply unused).
-    let mut lcp = [0usize; L];
-    for i in 0..L {
-        let (cwl_a, cwl_b) = (ha[i].3, hb[i].3);
-        lcp[i] = if SCALAR {
-            AuxCoreRef::codeword_lcp_scalar(&aa[i], cwl_a, &ab[i], cwl_b)
-        } else {
-            AuxCoreRef::codeword_lcp(&aa[i], cwl_a, &ab[i], cwl_b)
-        };
-    }
-    // Phase 4: record scan + pushed-bits + distance arithmetic per lane.
-    let mut out = [0u64; L];
-    for i in 0..L {
-        out[i] = if anc[i] {
-            ha[i].0.abs_diff(hb[i].0)
-        } else {
-            scan_and_finish(
-                &a[i], &b[i], ha[i], hb[i], &aa[i], &ab[i], &sc[i].0, &sc[i].1, lcp[i],
-            )
-        };
-    }
-    out
-}
-
 fn distance_refs_impl<const SCALAR: bool>(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u64 {
     // Both headers and both aux scalar blocks decode as planned load pairs.
     let ((rd_a, lda, fca, cwl_a), (rd_b, ldb, fcb, cwl_b)) = OptimalLabelRef::header_pair(&a, &b);
@@ -422,39 +373,11 @@ fn distance_refs_impl<const SCALAR: bool>(a: OptimalLabelRef<'_>, b: OptimalLabe
     } else {
         AuxCoreRef::codeword_lcp(&aa, cwl_a, &ab, cwl_b)
     };
-    scan_and_finish(
-        &a,
-        &b,
-        (rd_a, lda, fca, cwl_a),
-        (rd_b, ldb, fcb, cwl_b),
-        &aa,
-        &ab,
-        &sa,
-        &sb,
-        lcp,
-    )
-}
-
-/// The record-scan + pushed-bits + distance-arithmetic phase of the Theorem
-/// 1.1 protocol, shared by the one-pair and lane-interleaved entries.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn scan_and_finish(
-    a: &OptimalLabelRef<'_>,
-    b: &OptimalLabelRef<'_>,
-    (rd_a, lda, fca, cwl_a): (u64, usize, usize, usize),
-    (rd_b, ldb, fcb, cwl_b): (u64, usize, usize, usize),
-    aa: &AuxCoreRef<'_>,
-    ab: &AuxCoreRef<'_>,
-    sa: &AuxScalars,
-    sb: &AuxScalars,
-    lcp: usize,
-) -> u64 {
     // Bit pushing is asymmetric: the dominating side holds the kept bits,
     // the dominated side the pushed bits, so the domination test stays —
     // but as an index select rather than a 50/50 mispredicted branch.
-    let di = usize::from(!AuxScalars::dominates(sa, sb));
-    let refs = [a, b];
+    let di = usize::from(!AuxScalars::dominates(&sa, &sb));
+    let refs = [&a, &b];
     let lds = [lda, ldb];
     let fcs = [fca, fcb];
     let frag_bases = [

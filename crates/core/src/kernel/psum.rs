@@ -376,59 +376,6 @@ fn distance_refs_impl<const SCALAR: bool>(a: &PsumRef<'_>, b: &PsumRef<'_>) -> u
     rd_a + rd_b - 2 * branch_a.min(branch_b)
 }
 
-/// The lane-interleaved prefix-sum protocol: `L` independent queries advance
-/// in lockstep through the kernel's phases — fused header decode, aux scalar
-/// decode, codeword LCP, record scan + distance arithmetic — so the lanes'
-/// serial `read_lsb` chains share the out-of-order window instead of
-/// executing back to back.  Per lane the arithmetic is exactly
-/// [`distance_refs_impl`], so every lane's answer is bit-identical to the
-/// one-pair kernel (the equivalence suites enforce this for L ∈ {1, 2, 4}).
-pub(crate) fn distance_refs_lanes<const L: usize, const SCALAR: bool>(
-    a: [PsumRef<'_>; L],
-    b: [PsumRef<'_>; L],
-) -> [u64; L] {
-    // Phase 1: header decode, one planned load pair per lane.
-    let mut ha = [(0u64, 0usize, 0usize); L];
-    let mut hb = [(0u64, 0usize, 0usize); L];
-    for i in 0..L {
-        (ha[i], hb[i]) = PsumRef::header_pair(&a[i], &b[i]);
-    }
-    // Phase 2: aux scalar decode, one planned load pair per lane.
-    let aa = core::array::from_fn::<_, L, _>(|i| a[i].aux());
-    let ab = core::array::from_fn::<_, L, _>(|i| b[i].aux());
-    let mut anc = [false; L];
-    let mut sc = [(AuxScalars::default(), AuxScalars::default()); L];
-    for i in 0..L {
-        sc[i] = AuxCoreRef::scalars_pair(&aa[i], &ab[i]);
-        let (sa, sb) = (&sc[i].0, &sc[i].1);
-        anc[i] = AuxScalars::is_ancestor(sa, sb) || AuxScalars::is_ancestor(sb, sa);
-    }
-    // Phase 3: codeword LCP per lane (safe for every lane — ancestor pairs
-    // have well-formed codeword regions too, their LCP is simply unused).
-    let mut lcp = [0usize; L];
-    for i in 0..L {
-        let (cwl_a, cwl_b) = (ha[i].2, hb[i].2);
-        lcp[i] = if SCALAR {
-            AuxCoreRef::codeword_lcp_scalar(&aa[i], cwl_a, &ab[i], cwl_b)
-        } else {
-            AuxCoreRef::codeword_lcp(&aa[i], cwl_a, &ab[i], cwl_b)
-        };
-    }
-    // Phase 4: record scan + distance arithmetic per lane.
-    let mut out = [0u64; L];
-    for i in 0..L {
-        let ((rd_a, lda, cwl_a), (rd_b, _, cwl_b)) = (ha[i], hb[i]);
-        out[i] = if anc[i] {
-            rd_a.abs_diff(rd_b)
-        } else {
-            let (j, branch_a) = a[i].scan_records::<SCALAR>(lda, aa[i].core_bits(cwl_a), lcp[i]);
-            let branch_b = b[i].branch_rd_at(ab[i].core_bits(cwl_b), j);
-            rd_a + rd_b - 2 * branch_a.min(branch_b)
-        };
-    }
-    out
-}
-
 /// Shared load-time extent check of the two prefix-sum schemes: the header's
 /// counts must describe exactly the label's offset-index extent.
 pub(crate) fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &PsumMeta) -> bool {

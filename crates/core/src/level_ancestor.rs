@@ -449,20 +449,6 @@ impl StoredScheme for LevelAncestorScheme {
         kernel::distance_refs_scalar(a, b)
     }
 
-    fn distance_refs_lanes<const L: usize>(
-        a: [LevelAncestorLabelRef<'_>; L],
-        b: [LevelAncestorLabelRef<'_>; L],
-    ) -> [u64; L] {
-        kernel::distance_refs_lanes::<L, false>(a, b)
-    }
-
-    fn distance_refs_lanes_scalar<const L: usize>(
-        a: [LevelAncestorLabelRef<'_>; L],
-        b: [LevelAncestorLabelRef<'_>; L],
-    ) -> [u64; L] {
-        kernel::distance_refs_lanes::<L, true>(a, b)
-    }
-
     fn check_label(
         slice: BitSlice<'_>,
         start: usize,

@@ -269,20 +269,6 @@ impl StoredScheme for NaiveScheme {
     fn distance_refs_scalar(a: NaiveLabelRef<'_>, b: NaiveLabelRef<'_>) -> u64 {
         psum::distance_refs_scalar(&a.0, &b.0)
     }
-
-    fn distance_refs_lanes<const L: usize>(
-        a: [NaiveLabelRef<'_>; L],
-        b: [NaiveLabelRef<'_>; L],
-    ) -> [u64; L] {
-        psum::distance_refs_lanes::<L, false>(a.map(|r| r.0), b.map(|r| r.0))
-    }
-
-    fn distance_refs_lanes_scalar<const L: usize>(
-        a: [NaiveLabelRef<'_>; L],
-        b: [NaiveLabelRef<'_>; L],
-    ) -> [u64; L] {
-        psum::distance_refs_lanes::<L, true>(a.map(|r| r.0), b.map(|r| r.0))
-    }
 }
 
 // ---------------------------------------------------------------------------

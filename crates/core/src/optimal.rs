@@ -574,20 +574,6 @@ impl StoredScheme for OptimalScheme {
         kernel::distance_refs_scalar(a, b)
     }
 
-    fn distance_refs_lanes<const L: usize>(
-        a: [OptimalLabelRef<'_>; L],
-        b: [OptimalLabelRef<'_>; L],
-    ) -> [u64; L] {
-        kernel::distance_refs_lanes::<L, false>(a, b)
-    }
-
-    fn distance_refs_lanes_scalar<const L: usize>(
-        a: [OptimalLabelRef<'_>; L],
-        b: [OptimalLabelRef<'_>; L],
-    ) -> [u64; L] {
-        kernel::distance_refs_lanes::<L, true>(a, b)
-    }
-
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &OptimalMeta) -> bool {
         kernel::check_label(slice, start, end, meta)
     }

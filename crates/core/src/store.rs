@@ -550,43 +550,6 @@ pub trait StoredScheme: Sized {
     fn distance_refs_scalar(a: Self::Ref<'_>, b: Self::Ref<'_>) -> u64 {
         Self::distance_refs(a, b)
     }
-
-    /// Lane-interleaved batch entry point: answers `L` independent queries,
-    /// advancing all lanes in lockstep through the kernel's phases (header
-    /// decode → codeword LCP → record scan → distance arithmetic) so the
-    /// lanes' serial `read_lsb` chains share the out-of-order window.  Every
-    /// scheme overrides this with its kernel's interleaved implementation;
-    /// the default is the per-lane loop (correct, but with none of the
-    /// instruction-level parallelism the override exists for).
-    ///
-    /// Lane `i`'s answer must be bit-identical to
-    /// `Self::distance_refs(a[i], b[i])` — the equivalence suites and the
-    /// `--store --check` CI gate enforce this for `L ∈ {1, 2, 4}` in both
-    /// kernel configurations.
-    fn distance_refs_lanes<const L: usize>(
-        a: [Self::Ref<'_>; L],
-        b: [Self::Ref<'_>; L],
-    ) -> [u64; L] {
-        core::array::from_fn(|i| Self::distance_refs(a[i], b[i]))
-    }
-
-    /// The all-scalar twin of [`StoredScheme::distance_refs_lanes`] — the
-    /// bit-equality oracle of the interleaved path under `--features simd`.
-    fn distance_refs_lanes_scalar<const L: usize>(
-        a: [Self::Ref<'_>; L],
-        b: [Self::Ref<'_>; L],
-    ) -> [u64; L] {
-        core::array::from_fn(|i| Self::distance_refs_scalar(a[i], b[i]))
-    }
-
-    /// The ×4 lane form the store's batch engine drains planned blocks
-    /// through — [`StoredScheme::distance_refs_lanes`] at the lane width the
-    /// hot loop uses (wide enough to fill the out-of-order window, narrow
-    /// enough to keep every lane's label lines resident).
-    #[inline]
-    fn distance_refs_x4(a: [Self::Ref<'_>; 4], b: [Self::Ref<'_>; 4]) -> [u64; 4] {
-        Self::distance_refs_lanes::<4>(a, b)
-    }
 }
 
 /// Validates a frame held in `words` and returns its parsed description.
@@ -1325,55 +1288,6 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
         )
     }
 
-    /// `L` independent distance queries advanced in lockstep through the
-    /// scheme's lane-interleaved kernel — the entry the batch engine's main
-    /// loop uses at `L = 4`, exposed so the equivalence suites and the
-    /// `--store --check` gate can hold every lane width to the scalar
-    /// oracle.  Bit-equal to `L` calls of [`StoreRef::distance`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn distance_lanes<const L: usize>(&self, u: [usize; L], v: [usize; L]) -> [u64; L] {
-        let n = self.raw.n;
-        for i in 0..L {
-            assert!(
-                u[i] < n && v[i] < n,
-                "pair ({}, {}) out of range (n = {n})",
-                u[i],
-                v[i]
-            );
-        }
-        let slice = self.label_slice();
-        S::distance_refs_lanes::<L>(
-            u.map(|x| S::label_ref(slice, self.raw.offset(self.words, x), &self.meta)),
-            v.map(|x| S::label_ref(slice, self.raw.offset(self.words, x), &self.meta)),
-        )
-    }
-
-    /// [`StoreRef::distance_lanes`] through the always-compiled scalar
-    /// kernels — the lane-width counterpart of [`StoreRef::distance_scalar`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn distance_lanes_scalar<const L: usize>(&self, u: [usize; L], v: [usize; L]) -> [u64; L] {
-        let n = self.raw.n;
-        for i in 0..L {
-            assert!(
-                u[i] < n && v[i] < n,
-                "pair ({}, {}) out of range (n = {n})",
-                u[i],
-                v[i]
-            );
-        }
-        let slice = self.label_slice();
-        S::distance_refs_lanes_scalar::<L>(
-            u.map(|x| S::label_ref(slice, self.raw.offset(self.words, x), &self.meta)),
-            v.map(|x| S::label_ref(slice, self.raw.offset(self.words, x), &self.meta)),
-        )
-    }
-
     /// Batch query: the distance of every pair, in order.
     ///
     /// One output allocation for the whole batch; see
@@ -1408,30 +1322,6 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
         self.distances_write(pairs, &mut out[base..]);
     }
 
-    /// [`StoreRef::distances_into`] at an explicit interleave width `L` —
-    /// the lane-width knob of the execution-mode experiments (E19): `L = 1`
-    /// runs the planned pipeline one pair at a time, `L = 4` is the
-    /// production interleaved engine [`StoreRef::distances_into`] uses.
-    /// Every width produces bit-identical output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn distances_into_lanes<const L: usize>(
-        &self,
-        pairs: &[(usize, usize)],
-        out: &mut Vec<u64>,
-    ) {
-        let n = self.raw.n;
-        if let Some(&(u, v)) = pairs.iter().find(|&&(u, v)| u >= n || v >= n) {
-            panic!("pair ({u}, {v}) out of range (n = {n})");
-        }
-        let base = out.len();
-        out.resize(base + pairs.len(), 0);
-        let mut plan = BatchPlan::default();
-        self.distances_write_with_lanes::<L>(pairs, &mut plan, &mut out[base..]);
-    }
-
     /// The batch hot loop: writes `pairs[i]`'s distance to `out[i]`.
     /// Indices must already be validated (callers panic on bad input first).
     ///
@@ -1448,28 +1338,16 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     }
 
     /// [`StoreRef::distances_write`] with a caller-owned [`BatchPlan`] (the
-    /// forest router shares one across all groups of a batch).  Computes
-    /// through the ×4 lane-interleaved entry ([`StoredScheme::distance_refs_x4`]);
-    /// see [`StoreRef::distances_write_with_lanes`] for the lane-width knob.
+    /// forest router shares one across all groups of a batch).  Every
+    /// planned pair computes through the one-pair kernel
+    /// ([`StoredScheme::distance_refs`]), so batch and per-pair answers come
+    /// from the same code.
     pub(crate) fn distances_write_with(
         &self,
         pairs: &[(usize, usize)],
         plan: &mut BatchPlan,
         out: &mut [u64],
     ) {
-        self.distances_write_with_lanes::<4>(pairs, plan, out);
-    }
-
-    /// The batch pipeline at an explicit interleave width `L` — the
-    /// lane-width knob of the execution-mode experiments (`L = 1` is the
-    /// one-pair-at-a-time engine, `L = 4` the production interleaved path).
-    pub(crate) fn distances_write_with_lanes<const L: usize>(
-        &self,
-        pairs: &[(usize, usize)],
-        plan: &mut BatchPlan,
-        out: &mut [u64],
-    ) {
-        const { assert!(L >= 1 && L <= PIPE) };
         debug_assert_eq!(pairs.len(), out.len());
         if pairs.is_empty() {
             return;
@@ -1488,7 +1366,7 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
             }
             let base = k * PLAN_BLOCK;
             let len = (pairs.len() - base).min(PLAN_BLOCK);
-            self.compute_block::<L>(cur, &mut out[base..base + len]);
+            self.compute_block(cur, &mut out[base..base + len]);
         }
     }
 
@@ -1511,48 +1389,16 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
         }
     }
 
-    /// Stage 2 of the batch pipeline: computes one planned block at
-    /// interleave width `L`, keeping [`PIPE`] queries in flight — before a
-    /// lane group runs, the group [`PIPE`] pairs ahead gets its labels'
-    /// straddle lines touched (the planner fetched first lines only;
+    /// Stage 2 of the batch pipeline: computes one planned block one pair
+    /// at a time through [`StoredScheme::distance_refs`], keeping [`PIPE`]
+    /// queries in flight — before pair `j` runs, pair `j + PIPE` gets its
+    /// labels' straddle lines touched (the planner fetched first lines only;
     /// multi-line labels would otherwise stall on their second line).
-    ///
-    /// The main loop advances `L` pairs in lockstep through the scheme's
-    /// lane-interleaved kernel (the ×4 entry is
-    /// [`StoredScheme::distance_refs_x4`]) so their serial bit-read chains
-    /// overlap in the out-of-order window; the `< L` tail of each block
-    /// drains through the one-pair path.
     #[inline]
-    fn compute_block<const L: usize>(&self, blk: &PlanBlock, out: &mut [u64]) {
+    fn compute_block(&self, blk: &PlanBlock, out: &mut [u64]) {
         let slice = self.label_slice();
         let label_words = slice.words();
-        let full = out.len() / L * L;
-        let mut j = 0;
-        while j < full {
-            for t in j + PIPE..(j + PIPE + L).min(out.len()) {
-                treelab_bits::wordram::prefetch_word(label_words, blk.sa[t] / 64 + 1);
-                treelab_bits::wordram::prefetch_word(label_words, blk.sb[t] / 64 + 1);
-            }
-            if L == 4 {
-                let a = core::array::from_fn::<_, 4, _>(|t| {
-                    S::label_ref(slice, blk.sa[j + t], &self.meta)
-                });
-                let b = core::array::from_fn::<_, 4, _>(|t| {
-                    S::label_ref(slice, blk.sb[j + t], &self.meta)
-                });
-                out[j..j + 4].copy_from_slice(&S::distance_refs_x4(a, b));
-            } else {
-                let a = core::array::from_fn::<_, L, _>(|t| {
-                    S::label_ref(slice, blk.sa[j + t], &self.meta)
-                });
-                let b = core::array::from_fn::<_, L, _>(|t| {
-                    S::label_ref(slice, blk.sb[j + t], &self.meta)
-                });
-                out[j..j + L].copy_from_slice(&S::distance_refs_lanes::<L>(a, b));
-            }
-            j += L;
-        }
-        for j in full..out.len() {
+        for j in 0..out.len() {
             if j + PIPE < out.len() {
                 treelab_bits::wordram::prefetch_word(label_words, blk.sa[j + PIPE] / 64 + 1);
                 treelab_bits::wordram::prefetch_word(label_words, blk.sb[j + PIPE] / 64 + 1);
@@ -1870,26 +1716,6 @@ impl<S: StoredScheme> SchemeStore<S> {
         self.as_store_ref().distance_scalar(u, v)
     }
 
-    /// `L` distance queries in lockstep through the lane-interleaved kernel
-    /// (see [`StoreRef::distance_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn distance_lanes<const L: usize>(&self, u: [usize; L], v: [usize; L]) -> [u64; L] {
-        self.as_store_ref().distance_lanes::<L>(u, v)
-    }
-
-    /// [`SchemeStore::distance_lanes`] through the always-compiled scalar
-    /// kernels (see [`StoreRef::distance_lanes_scalar`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn distance_lanes_scalar<const L: usize>(&self, u: [usize; L], v: [usize; L]) -> [u64; L] {
-        self.as_store_ref().distance_lanes_scalar::<L>(u, v)
-    }
-
     /// Batch query: the distance of every pair, in order
     /// (see [`StoreRef::distances`]).
     ///
@@ -1908,20 +1734,6 @@ impl<S: StoredScheme> SchemeStore<S> {
     /// Panics if any index is out of range.
     pub fn distances_into(&self, pairs: &[(usize, usize)], out: &mut Vec<u64>) {
         self.as_store_ref().distances_into(pairs, out);
-    }
-
-    /// [`SchemeStore::distances_into`] at an explicit interleave width `L`
-    /// (see [`StoreRef::distances_into_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn distances_into_lanes<const L: usize>(
-        &self,
-        pairs: &[(usize, usize)],
-        out: &mut Vec<u64>,
-    ) {
-        self.as_store_ref().distances_into_lanes::<L>(pairs, out);
     }
 
     /// Lazy iterator form of [`SchemeStore::distances`].

@@ -8,13 +8,12 @@
 //! routed batch (same batch size, different query mix) must leave the
 //! allocation counter untouched.  The scratch embeds the batch kernels'
 //! structure-of-arrays planning buffers (`BatchPlan`, shared across every
-//! per-tree group of a batch), and each group now computes through the ×4
-//! lane-interleaved kernel entries (whose lane state is registers and stack
-//! arrays), so the zero-allocation proof covers the SoA planning stage *and*
-//! the interleaved compute loop in every configuration (`default` and
-//! `--features simd` CI legs both run this suite) — as must hammering
-//! `tree(id)`/`try_tree`
-//! on a lazily-opened forest whose trees have all been touched once.  (This
+//! per-tree group of a batch), and each group computes pair by pair through
+//! the one-pair kernels, so the zero-allocation proof covers the SoA
+//! planning stage *and* the compute loop in every configuration (`default`
+//! and `--features simd` CI legs both run this suite) — as must hammering
+//! `tree(id)`/`try_tree` on a lazily-opened forest whose trees have all been
+//! touched once.  (This
 //! file holds a single test on purpose: the counter is process-global, and
 //! a second test running on another thread would pollute it.)
 

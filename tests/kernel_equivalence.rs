@@ -57,9 +57,7 @@ fn corpus() -> Vec<(String, Tree)> {
 }
 
 /// Per-store equivalence sweep: the dispatching per-pair path, the scalar
-/// oracle, the (×4 lane-interleaved) batch engine, the batch pipeline at
-/// lane widths 1 and 4, and the direct lane entries at widths 1, 2 and 4
-/// (dispatching and scalar) must all agree on every sampled pair; when a
+/// oracle and the batch engine must all agree on every sampled pair; when a
 /// ground truth is supplied (the exact schemes), all of them must match it.
 fn check_store<S: StoredScheme>(
     name: &str,
@@ -68,12 +66,6 @@ fn check_store<S: StoredScheme>(
     truth: Option<&dyn Fn(usize, usize) -> u64>,
 ) {
     let batch = store.distances(pairs);
-    let mut lanes1 = Vec::new();
-    store.distances_into_lanes::<1>(pairs, &mut lanes1);
-    let mut lanes4 = Vec::new();
-    store.distances_into_lanes::<4>(pairs, &mut lanes4);
-    assert_eq!(batch, lanes1, "{name}: lane-1 batch diverges");
-    assert_eq!(batch, lanes4, "{name}: lane-4 batch diverges");
     for (i, &(u, v)) in pairs.iter().enumerate() {
         let d = store.distance(u, v);
         let oracle = store.distance_scalar(u, v);
@@ -89,41 +81,59 @@ fn check_store<S: StoredScheme>(
             assert_eq!(d, truth(u, v), "{name}: pair ({u}, {v}) is wrong");
         }
     }
-    check_lanes::<S, 1>(name, store, pairs, &batch);
-    check_lanes::<S, 2>(name, store, pairs, &batch);
-    check_lanes::<S, 4>(name, store, pairs, &batch);
 }
 
-/// Direct lane-entry sweep at one width: `distance_lanes::<L>` and its
-/// scalar twin must reproduce the pinned per-pair answers on lane groups
-/// drawn from the sampled pairs (including groups whose lanes repeat a
-/// pair — lanes must be independent).
-fn check_lanes<S: StoredScheme, const L: usize>(
+/// Batch-length sweep: every prefix length `0..=pairs.len()` of the batch
+/// must answer exactly like the per-pair path.
+fn check_batch_lengths<S: StoredScheme>(
     name: &str,
     store: &SchemeStore<S>,
     pairs: &[(usize, usize)],
-    expected: &[u64],
 ) {
-    for (g, group) in pairs.chunks_exact(L).enumerate() {
-        let u: [usize; L] = std::array::from_fn(|i| group[i].0);
-        let v: [usize; L] = std::array::from_fn(|i| group[i].1);
-        let got = store.distance_lanes::<L>(u, v);
-        let got_scalar = store.distance_lanes_scalar::<L>(u, v);
-        let want = &expected[g * L..g * L + L];
-        assert_eq!(got, want, "{name}: lane-{L} group {g} diverges");
+    let single: Vec<u64> = pairs.iter().map(|&(u, v)| store.distance(u, v)).collect();
+    for len in 0..=pairs.len() {
         assert_eq!(
-            got_scalar, want,
-            "{name}: scalar lane-{L} group {g} diverges"
+            store.distances(&pairs[..len]),
+            single[..len],
+            "{name}: batch of {len} pairs diverges from per-pair answers"
         );
     }
-    // All lanes of one group carrying the same pair must each see the
-    // one-pair answer.
-    if let Some(&(u, v)) = pairs.first() {
-        let d = store.distance(u, v);
-        assert_eq!(
-            store.distance_lanes::<L>([u; L], [v; L]),
-            [d; L],
-            "{name}: repeated-pair lane-{L} group diverges"
+}
+
+/// Batches of every length 0..=130 cross the batch engine's edges: the
+/// 8-pair straddle-prefetch window and the 64-pair plan blocks (63/64/65,
+/// 128/129), for all six schemes on a shallow and a deep tree.
+#[test]
+fn every_batch_length_matches_the_per_pair_answers() {
+    for tree in [gen::random_tree(1200, 11), gen::comb(300)] {
+        let n = tree.len();
+        let pairs = sample_pairs(n, 130, 0xBA7C4 ^ n as u64);
+        let tag = |scheme: &str| format!("n={n}/{scheme}");
+        check_batch_lengths(&tag("naive"), NaiveScheme::build(&tree).as_store(), &pairs);
+        check_batch_lengths(
+            &tag("distance-array"),
+            DistanceArrayScheme::build(&tree).as_store(),
+            &pairs,
+        );
+        check_batch_lengths(
+            &tag("optimal"),
+            OptimalScheme::build(&tree).as_store(),
+            &pairs,
+        );
+        check_batch_lengths(
+            &tag("k-distance"),
+            KDistanceScheme::build(&tree, 8).as_store(),
+            &pairs,
+        );
+        check_batch_lengths(
+            &tag("approximate"),
+            ApproximateScheme::build(&tree, 0.25).as_store(),
+            &pairs,
+        );
+        check_batch_lengths(
+            &tag("level-ancestor"),
+            LevelAncestorScheme::build(&tree).as_store(),
+            &pairs,
         );
     }
 }

@@ -101,38 +101,11 @@ fn storm<S: StoredScheme>(name: &str, store: &SchemeStore<S>, pairs: &[(usize, u
             acc = acc.wrapping_add(store.distance_scalar(u, v));
         }
         std::hint::black_box(acc);
-        // …and the lane-interleaved entries (the batch engine's ×4 main
-        // loop and the ×2 width the equivalence suites sweep): lane state
-        // lives entirely in registers / stack arrays, so interleaving must
-        // be as allocation-free as the one-pair path.
-        let mut acc = 0u64;
-        for group in pairs[..256].chunks_exact(4) {
-            let u = [group[0].0, group[1].0, group[2].0, group[3].0];
-            let v = [group[0].1, group[1].1, group[2].1, group[3].1];
-            for d in store.distance_lanes::<4>(u, v) {
-                acc = acc.wrapping_add(d);
-            }
-        }
-        for group in pairs[..64].chunks_exact(2) {
-            let u = [group[0].0, group[1].0];
-            let v = [group[0].1, group[1].1];
-            for d in store.distance_lanes_scalar::<2>(u, v) {
-                acc = acc.wrapping_add(d);
-            }
-        }
-        std::hint::black_box(acc);
         // …and the batch engine into a pre-reserved buffer.  This is the
-        // structure-of-arrays pipeline (computing through the ×4
-        // lane-interleaved kernels): its planning buffers (`BatchPlan`)
-        // are fixed-size stack arrays and the lanes are registers, so the
-        // counter staying at zero here proves the interleaved SoA plan
-        // heap-allocates nothing in any configuration.
+        // structure-of-arrays pipeline: its planning buffers (`BatchPlan`)
+        // are fixed-size stack arrays, so the counter staying at zero here
+        // proves the SoA plan heap-allocates nothing in any configuration.
         store.distances_into(pairs, &mut out);
-        // …and the same pipeline pinned to lane width 1 (the experiment
-        // baseline must not allocate either, or the lane A/B would be
-        // confounded).
-        out.clear();
-        store.distances_into_lanes::<1>(pairs, &mut out);
         // …and the lazy iterator form.
         let sum: u64 = store
             .distances_iter(pairs.iter().copied())
