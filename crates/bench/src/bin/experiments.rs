@@ -11,10 +11,8 @@
 //! and exits 2, so a typo in a CI gate fails instead of selecting nothing.
 //!
 //! `--store --check` runs the store regression gate after printing E11: it
-//! exits nonzero unless the batch-speedup column parses for all six schemes,
-//! the packed/legacy bit-equality sweep holds, and the dispatching and
-//! scalar-oracle query paths (per pair and batched) are bit-equal (CI runs
-//! it in both the default and `simd` configurations).
+//! exits nonzero unless the batch-speedup column parses for all six schemes
+//! and the packed/legacy bit-equality sweep holds.
 //!
 //! `--giant` runs the E15 scale table (n = 16M streamed, all six schemes,
 //! chunked builds with per-phase peak-RSS) and `--layout` the E15b clustered

@@ -17,8 +17,6 @@
 //! and quarantined slots are repaired from the control's replica frames.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use treelab_core::forest::{
     ForestStore, QueryStatus, RouteScratch, ScrubOutcome, Scrubber, SlotHealth, ValidationPolicy,
 };
@@ -27,6 +25,7 @@ use treelab_tree::gen;
 use treelab_tree::rng::SplitMix64;
 
 use crate::workloads::{build_mixed_forest, forest_corpus, skewed_forest_queries};
+use crate::ScratchDir;
 
 /// Everything that determines a chaos run, bit for bit.
 #[derive(Debug, Clone, Copy)]
@@ -357,33 +356,12 @@ fn chaos_batch(
         .collect()
 }
 
-/// A private scratch directory, `temp_dir()/treelab-chaos-<pid>-<n>/`,
-/// unique per call across threads and processes, removed with everything in
-/// it when dropped — so concurrent chaos runs never share a file.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new() -> Self {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("treelab-chaos-{}-{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create chaos scratch directory");
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// The file-level legs of the chaos schedule: a truncated frame must be
 /// rejected at open, and a publish over a stale torn `.tmp` (a simulated
 /// crashed publish) must round-trip the exact frame.
 fn file_fault_probes(subject: &ForestStore, report: &mut ChaosReport) {
-    let dir = ScratchDir::new();
-    let path = dir.0.join("probe.forest");
+    let dir = ScratchDir::new("chaos");
+    let path = dir.join("probe.forest");
     let bytes = subject.to_bytes();
 
     // Truncation: cut the frame mid-directory and at a word boundary.
@@ -527,8 +505,8 @@ pub fn acceptance(
         .map_err(|e| format!("post-repair verify failed: {e}"))?;
 
     // The repaired forest publishes crash-safely and reopens eagerly.
-    let dir = ScratchDir::new();
-    let path = dir.0.join("accept.forest");
+    let dir = ScratchDir::new("chaos");
+    let path = dir.join("accept.forest");
     subject
         .publish(&path)
         .map_err(|e| format!("publish failed: {e}"))?;

@@ -798,7 +798,8 @@ pub fn restart_experiment(trees: usize, nodes_per_tree: usize, seed: u64) -> Tab
     );
     let corpus = forest_corpus(trees, nodes_per_tree, seed);
     let forest = build_mixed_forest(&corpus);
-    let path = std::env::temp_dir().join(format!("treelab-e14-{trees}x{nodes_per_tree}.bin"));
+    let dir = crate::ScratchDir::new("e14");
+    let path = dir.join("forest.bin");
     forest.publish(&path).expect("forest publishes");
     let mib = forest.size_bytes() as f64 / (1024.0 * 1024.0);
     let want = forest.tree(0).expect("tree 0").distance(0, 1);
@@ -840,7 +841,6 @@ pub fn restart_experiment(trees: usize, nodes_per_tree: usize, seed: u64) -> Tab
         "—".to_string(),
     );
 
-    let _ = std::fs::remove_file(&path);
     table.push_row(vec![
         trees.to_string(),
         nodes_per_tree.to_string(),
@@ -1310,10 +1310,7 @@ pub fn packed_native_experiment(n: usize, seed: u64) -> Table {
 /// for **all six** schemes (geomean reported), (2) the packed/legacy
 /// bit-equality sweep holds on a seeded corpus: for every scheme and tree,
 /// the direct pack path and the historical struct-then-serialize pipeline
-/// produce the identical frame, and (3) the dispatching query path is
-/// bit-equal to its always-scalar oracle (`distance_scalar`) on sampled
-/// pairs over the same corpus — under `--features simd` this is the CI
-/// enforcement that the vector kernels change nothing but the clock.
+/// produce the identical frame.
 ///
 /// # Errors
 ///
@@ -1423,75 +1420,6 @@ pub fn store_check(table: &Table) -> Result<(), String> {
     println!(
         "store check: packed/legacy bit-equality holds for 6 schemes x {} trees",
         corpus.len()
-    );
-
-    // 3. Dispatch/scalar-oracle bit-equality sweep: the configured query
-    //    path (vectorized under `--features simd`, otherwise the identical
-    //    scalar code) must answer bit-for-bit like the always-scalar twin,
-    //    per pair and through the batch engine.
-    for (family, tree) in &corpus {
-        let sub = Substrate::new(tree);
-        let n = tree.len();
-        let pairs: Vec<(usize, usize)> = (0..1024)
-            .map(|i| ((i * 7919 + 3) % n, (i * 104_729 + 11) % n))
-            .collect();
-        fn oracle_check<S: StoredScheme>(
-            family: &str,
-            store: &SchemeStore<S>,
-            pairs: &[(usize, usize)],
-        ) -> Result<(), String> {
-            let mut batch = Vec::with_capacity(pairs.len());
-            store.distances_into(pairs, &mut batch);
-            for (i, &(u, v)) in pairs.iter().enumerate() {
-                let got = store.distance(u, v);
-                let want = store.distance_scalar(u, v);
-                if got != want || batch[i] != want {
-                    return Err(format!(
-                        "{}/{family}: ({u}, {v}) dispatch = {got}, batch = {}, \
-                         scalar oracle = {want}",
-                        S::STORE_NAME,
-                        batch[i]
-                    ));
-                }
-            }
-            Ok(())
-        }
-        oracle_check(
-            family,
-            NaiveScheme::build_with_substrate(&sub).as_store(),
-            &pairs,
-        )?;
-        oracle_check(
-            family,
-            DistanceArrayScheme::build_with_substrate(&sub).as_store(),
-            &pairs,
-        )?;
-        oracle_check(
-            family,
-            OptimalScheme::build_with_substrate(&sub).as_store(),
-            &pairs,
-        )?;
-        oracle_check(
-            family,
-            KDistanceScheme::build_with_substrate(&sub, 8).as_store(),
-            &pairs,
-        )?;
-        oracle_check(
-            family,
-            ApproximateScheme::build_with_substrate(&sub, 0.25).as_store(),
-            &pairs,
-        )?;
-        oracle_check(
-            family,
-            LevelAncestorScheme::build_with_substrate(&sub).as_store(),
-            &pairs,
-        )?;
-    }
-    println!(
-        "store check: dispatch/scalar-oracle bit-equality holds for 6 schemes x {} trees \
-         [kernel: {}]",
-        corpus.len(),
-        treelab_bits::simd::kernel_config()
     );
 
     Ok(())

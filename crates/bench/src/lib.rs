@@ -22,6 +22,42 @@ pub mod experiments;
 pub mod rss;
 pub mod workloads;
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A private scratch directory, `temp_dir()/treelab-<tag>-<pid>-<n>/`,
+/// unique per call across threads and processes, removed with everything in
+/// it when dropped — so concurrent runs of tests, examples and experiments
+/// never share a file and leave nothing behind.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates a fresh directory; `tag` names its user in the path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directory cannot be created.
+    pub fn new(tag: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("treelab-{tag}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch directory");
+        ScratchDir(dir)
+    }
+
+    /// The path of the entry `name` inside the directory.
+    pub fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A printable table: a title, column headers and rows of cells.
 #[derive(Debug, Clone)]
 pub struct Table {

@@ -245,12 +245,6 @@ pub fn read_lsb_pair(words: &[u64], start_a: usize, start_b: usize, width: usize
 /// comparing two packed codeword strings costs a couple of word operations
 /// instead of a per-field loop.  Trusted-range ([`read_lsb`]) addressing.
 ///
-/// Under the `simd` cargo feature on an AVX2 machine the loop beyond the
-/// first chunk runs 256 bits per step (two overlapping unaligned loads per
-/// side, aligned with per-lane shifts, one XOR + test); the scalar loop is
-/// kept compiled as [`common_prefix_len_raw_scalar`], the bit-equality
-/// oracle, and answers are identical bit for bit in every configuration.
-///
 /// # Panics
 ///
 /// Panics if either range's words lie outside its buffer.
@@ -275,43 +269,7 @@ pub fn common_prefix_len_raw(
     if max <= 64 {
         return max;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    return simd_impl::lcp_tail(a, sa, b, sb, max, 64);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    lcp_tail_scalar(a, sa, b, sb, max, 64)
-}
-
-/// The all-scalar twin of [`common_prefix_len_raw`], compiled in every
-/// configuration: the bit-equality oracle the `simd` equivalence suites (and
-/// the `--store --check` CI gate) hold the dispatching path to.
-///
-/// # Panics
-///
-/// Panics if either range's words lie outside its buffer.
-#[inline]
-pub fn common_prefix_len_raw_scalar(
-    a: &[u64],
-    sa: usize,
-    la: usize,
-    b: &[u64],
-    sb: usize,
-    lb: usize,
-) -> usize {
-    let max = la.min(lb);
-    let w = max.min(64);
-    let diff = read_lsb(a, sa, w) ^ read_lsb(b, sb, w);
-    if diff != 0 {
-        return diff.trailing_zeros() as usize;
-    }
-    if max <= 64 {
-        return max;
-    }
-    lcp_tail_scalar(a, sa, b, sb, max, 64)
-}
-
-/// The 64-bit-chunk LCP loop beyond a first chunk already known equal.
-#[inline]
-fn lcp_tail_scalar(a: &[u64], sa: usize, b: &[u64], sb: usize, max: usize, mut i: usize) -> usize {
+    let mut i = 64;
     while i < max {
         let w = (max - i).min(64);
         let diff = read_lsb(a, sa + i, w) ^ read_lsb(b, sb + i, w);
@@ -333,10 +291,7 @@ fn lcp_tail_scalar(a: &[u64], sa: usize, b: &[u64], sb: usize, max: usize, mut i
 /// This is the record-scan primitive of the prefix-sum distance kernels
 /// (`treelab-core`): their per-level records fuse a codeword end position
 /// with a branch distance, and the level of the NCA is the first end
-/// position past the codeword LCP.  Under the `simd` cargo feature on an
-/// AVX2 machine the scan runs four records per step (`u64x4` lanes: one
-/// gather per straddle half, per-lane shift/mask, one compare + movemask);
-/// [`scan_records_gt_scalar`] is the always-compiled bit-equality oracle.
+/// position past the codeword LCP.
 ///
 /// # Panics
 ///
@@ -345,28 +300,6 @@ fn lcp_tail_scalar(a: &[u64], sa: usize, b: &[u64], sb: usize, max: usize, mut i
 /// after the record region, as the scheme store's frame pad does.
 #[inline]
 pub fn scan_records_gt(
-    words: &[u64],
-    base: usize,
-    width: usize,
-    end_mask: u64,
-    threshold: u64,
-    start: usize,
-    count: usize,
-) -> Option<(usize, u64)> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    return simd_impl::scan_gt(words, base, width, end_mask, threshold, start, count);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    scan_records_gt_scalar(words, base, width, end_mask, threshold, start, count)
-}
-
-/// The all-scalar twin of [`scan_records_gt`], compiled in every
-/// configuration: the bit-equality oracle of the `simd` equivalence suites.
-///
-/// # Panics
-///
-/// Same contract as [`scan_records_gt`].
-#[inline]
-pub fn scan_records_gt_scalar(
     words: &[u64],
     base: usize,
     width: usize,
@@ -384,177 +317,6 @@ pub fn scan_records_gt_scalar(
         i += 1;
     }
     None
-}
-
-/// The AVX2 bodies of [`common_prefix_len_raw`] and [`scan_records_gt`],
-/// compiled only under `--features simd` on x86-64 and entered through safe
-/// wrappers that check CPU support at runtime (falling back to the scalar
-/// twins otherwise).  The whole module carries the crate's audited
-/// `#[allow(unsafe_code)]`: intrinsics are the one thing a vector kernel
-/// cannot do in safe Rust, and every load here is bounds-guarded before the
-/// pointer is formed.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd_impl {
-    use std::arch::x86_64::*;
-
-    /// Safe entry for the LCP tail: AVX2 when the CPU has it, scalar
-    /// otherwise.  Same contract as [`super::common_prefix_len_raw`].
-    #[inline]
-    pub(super) fn lcp_tail(
-        a: &[u64],
-        sa: usize,
-        b: &[u64],
-        sb: usize,
-        max: usize,
-        i: usize,
-    ) -> usize {
-        if crate::simd::avx2_available() {
-            // SAFETY: AVX2 presence was just checked.
-            unsafe { lcp_tail_avx2(a, sa, b, sb, max, i) }
-        } else {
-            super::lcp_tail_scalar(a, sa, b, sb, max, i)
-        }
-    }
-
-    /// Safe entry for the record scan: AVX2 when the CPU has it and the
-    /// compared values fit a signed lane (they are bit positions, so in
-    /// practice always), scalar otherwise.
-    #[inline]
-    pub(super) fn scan_gt(
-        words: &[u64],
-        base: usize,
-        width: usize,
-        end_mask: u64,
-        threshold: u64,
-        start: usize,
-        count: usize,
-    ) -> Option<(usize, u64)> {
-        if end_mask < 1 << 62 && threshold < 1 << 62 && crate::simd::avx2_available() {
-            // SAFETY: AVX2 presence was just checked.
-            unsafe { scan_gt_avx2(words, base, width, end_mask, threshold, start, count) }
-        } else {
-            super::scan_records_gt_scalar(words, base, width, end_mask, threshold, start, count)
-        }
-    }
-
-    /// Loads 256 bits starting at bit offset `off` of the four words at `p`
-    /// (plus the straddle word): `(lo >> off) | (hi << (64 - off))` per lane.
-    /// The `sll`/`srl` register-count shifts yield 0 at count 64, so
-    /// `off == 0` is handled branchlessly.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available and `p..p + 5` must be readable words.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn load_bits(p: *const u64, off: i32) -> __m256i {
-        let lo = _mm256_loadu_si256(p.cast());
-        let hi = _mm256_loadu_si256(p.add(1).cast());
-        _mm256_or_si256(
-            _mm256_srl_epi64(lo, _mm_cvtsi32_si128(off)),
-            _mm256_sll_epi64(hi, _mm_cvtsi32_si128(64 - off)),
-        )
-    }
-
-    /// The 256-bit-per-step LCP tail.  Bounds are re-checked per step (the
-    /// caller's guard pad covers most of the overshoot; the last partial
-    /// chunk falls back to the scalar loop).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available.
-    #[target_feature(enable = "avx2")]
-    unsafe fn lcp_tail_avx2(
-        a: &[u64],
-        sa: usize,
-        b: &[u64],
-        sb: usize,
-        max: usize,
-        mut i: usize,
-    ) -> usize {
-        while i + 256 <= max {
-            let (pa, pb) = (sa + i, sb + i);
-            let (wa, wb) = (pa >> 6, pb >> 6);
-            if wa + 5 > a.len() || wb + 5 > b.len() {
-                break;
-            }
-            let va = load_bits(a.as_ptr().add(wa), (pa & 63) as i32);
-            let vb = load_bits(b.as_ptr().add(wb), (pb & 63) as i32);
-            let x = _mm256_xor_si256(va, vb);
-            if _mm256_testz_si256(x, x) == 0 {
-                let mut lanes = [0u64; 4];
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), x);
-                for (k, &lane) in lanes.iter().enumerate() {
-                    if lane != 0 {
-                        return i + 64 * k + lane.trailing_zeros() as usize;
-                    }
-                }
-            }
-            i += 256;
-        }
-        super::lcp_tail_scalar(a, sa, b, sb, max, i)
-    }
-
-    /// The four-records-per-step scan: one gather per straddle half, the
-    /// per-lane branchless straddle of [`super::read_lsb`], one masked
-    /// compare, and a movemask to name the first hit lane.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; `end_mask` and `threshold` must be below
-    /// 2⁶² (the compare is signed); record addressing follows the
-    /// [`super::scan_records_gt`] contract.
-    #[target_feature(enable = "avx2")]
-    unsafe fn scan_gt_avx2(
-        words: &[u64],
-        base: usize,
-        width: usize,
-        end_mask: u64,
-        threshold: u64,
-        start: usize,
-        count: usize,
-    ) -> Option<(usize, u64)> {
-        let ptr = words.as_ptr() as *const i64;
-        let rec_mask = if width < 64 {
-            (1u64 << width) - 1
-        } else {
-            u64::MAX
-        };
-        let v_rec_mask = _mm256_set1_epi64x(rec_mask as i64);
-        let v_end_mask = _mm256_set1_epi64x(end_mask as i64);
-        let v_thresh = _mm256_set1_epi64x(threshold as i64);
-        let v63 = _mm256_set1_epi64x(63);
-        let v64 = _mm256_set1_epi64x(64);
-        let w = width as i64;
-        let mut i = start;
-        while i + 4 <= count {
-            // Every scanned record is in bounds by the caller's contract, so
-            // both gathers read words `read_lsb` would have read.
-            let p0 = (base + i * width) as i64;
-            let pos = _mm256_set_epi64x(p0 + 3 * w, p0 + 2 * w, p0 + w, p0);
-            let widx = _mm256_srli_epi64::<6>(pos);
-            let off = _mm256_and_si256(pos, v63);
-            let lo = _mm256_i64gather_epi64::<8>(ptr, widx);
-            let hi = _mm256_i64gather_epi64::<8>(ptr.add(1), widx);
-            let raw = _mm256_or_si256(
-                _mm256_srlv_epi64(lo, off),
-                _mm256_sllv_epi64(hi, _mm256_sub_epi64(v64, off)),
-            );
-            let rec = _mm256_and_si256(raw, v_rec_mask);
-            let end = _mm256_and_si256(rec, v_end_mask);
-            let gt = _mm256_cmpgt_epi64(end, v_thresh);
-            let hits = _mm256_movemask_pd(_mm256_castsi256_pd(gt));
-            if hits != 0 {
-                let lane = hits.trailing_zeros() as usize;
-                let mut recs = [0u64; 4];
-                _mm256_storeu_si256(recs.as_mut_ptr().cast(), rec);
-                return Some((i + lane, recs[lane]));
-            }
-            i += 4;
-        }
-        super::scan_records_gt_scalar(words, base, width, end_mask, threshold, i, count)
-    }
 }
 
 #[cfg(test)]
@@ -710,11 +472,9 @@ mod tests {
     }
 
     /// Planted long common prefixes at assorted misalignments: exercises the
-    /// multi-chunk tail (the AVX2 256-bit path under `--features simd`, the
-    /// scalar loop otherwise) and holds the dispatching entry to the scalar
-    /// oracle bit for bit.
+    /// multi-chunk tail against a bitwise reference.
     #[test]
-    fn common_prefix_len_raw_long_prefixes_match_the_scalar_oracle() {
+    fn common_prefix_len_raw_long_prefixes_match_bitwise_reference() {
         let mut bv = BitVec::new();
         // 4096 deterministic pseudo-random bits.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -725,8 +485,8 @@ mod tests {
             bv.push_bits_lsb(x, 64);
         }
         let n = bv.len();
-        // A displaced copy of the same stream, with a guard-word tail so the
-        // 5-word vector loads near the end stay in bounds.
+        // A displaced copy of the same stream, with a guard-word tail for the
+        // unconditional straddle loads near the end.
         let mut shifted = BitVec::new();
         shifted.push_bits_lsb(0b101, 3);
         for i in 0..n {
@@ -748,31 +508,25 @@ mod tests {
             (0, 4, 600, 600),       // disagreement at bit 0 region
         ] {
             let got = common_prefix_len_raw(a, sa, la, b, sb, lb);
-            let oracle = common_prefix_len_raw_scalar(a, sa, la, b, sb, lb);
-            assert_eq!(got, oracle, "({sa},{la}) vs ({sb},{lb})");
             let max = la.min(lb);
             let expect = (0..max)
                 .position(|i| padded.get(sa + i) != shifted.get(sb + i))
                 .unwrap_or(max);
             assert_eq!(got, expect, "({sa},{la}) vs ({sb},{lb}) vs bitwise");
         }
-        // Planted first-difference positions all over the 256-bit lanes.
+        // Planted first-difference positions across several 64-bit chunks.
         for plant in [64usize, 65, 127, 128, 191, 255, 256, 300, 511, 512, 1000] {
             let mut c = padded.clone();
             c.set(7 + plant, !c.get(7 + plant).unwrap());
             let got = common_prefix_len_raw(c.words(), 7, 2048, a, 7, 2048);
             assert_eq!(got, plant, "planted diff at {plant}");
-            assert_eq!(
-                got,
-                common_prefix_len_raw_scalar(c.words(), 7, 2048, a, 7, 2048)
-            );
         }
     }
 
-    /// The packed-record scan primitive against a brute-force reference and
-    /// its scalar oracle, across straddling widths and thresholds.
+    /// The packed-record scan primitive against a brute-force reference,
+    /// across straddling widths and thresholds.
     #[test]
-    fn scan_records_gt_matches_oracle_and_reference() {
+    fn scan_records_gt_matches_reference() {
         for &(width, count, base) in &[
             (11usize, 40usize, 0usize),
             (23, 17, 5),
@@ -814,11 +568,7 @@ mod tests {
                         .map(|(i, &r)| (i, r));
                     let got =
                         scan_records_gt(words, base, width, end_mask, threshold, start, count);
-                    let oracle = scan_records_gt_scalar(
-                        words, base, width, end_mask, threshold, start, count,
-                    );
                     assert_eq!(got, expect, "w={width} t={threshold} s={start}");
-                    assert_eq!(got, oracle, "w={width} t={threshold} s={start}");
                 }
             }
         }

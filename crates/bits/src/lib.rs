@@ -49,12 +49,11 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the two audited casts in [`frame`] and the
-// feature-gated vector kernels in [`bitslice`]/[`wordram`] carry scoped
-// `#[allow]`s (reinterpreting aligned bytes as words and issuing `std::arch`
-// intrinsics are the two things the zero-copy load path and the `simd`
-// kernels cannot do in safe Rust); everything else in the crate remains safe
-// code.
+// `deny` rather than `forbid`: the audited casts in [`frame`] and
+// `wordram::prefetch_word` carry scoped `#[allow]`s (reinterpreting aligned
+// bytes as words and issuing the `prefetcht0` intrinsic are the two things
+// the zero-copy load path and the batch planner cannot do in safe Rust);
+// everything else in the crate remains safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,47 +1,13 @@
-//! Runtime CPU-feature dispatch for the off-by-default `simd` cargo feature.
+//! Name of the query-kernel configuration, for fingerprinting results.
 //!
-//! The vector kernels (the AVX2 codeword-LCP tail in
-//! [`crate::bitslice::common_prefix_len_raw`] and the prefix-sum record scan
-//! in `treelab-core`) are compiled only under `--features simd` on x86-64 and
-//! selected at runtime with [`avx2_available`]; everywhere else the
-//! always-compiled scalar kernels run.  The scalar kernels are never removed
-//! — they are the bit-equality oracle the `simd` configuration is tested
-//! against (same pattern as the `legacy-labels` wire-format oracle).
-//!
-//! Nothing here changes any on-disk format: SIMD is a reader-side concern
-//! only, and a frame written by any configuration loads in every other.
+//! Every query kernel is the scalar word-RAM procedure of the paper (a few
+//! `msb`/LCP/shift operations per level), so there is exactly one
+//! configuration.  Experiment tables and benchmark reports still print it so
+//! recorded numbers state what produced them.
 
-/// `true` when the `simd` feature is compiled in **and** the running CPU
-/// reports AVX2.  The detection macro caches its CPUID result, so calling
-/// this in a hot loop costs one predictable load-and-test.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-pub fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Always `false`: the `simd` feature is off or the target is not x86-64,
-/// so only the scalar kernels exist.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline(always)]
-pub fn avx2_available() -> bool {
-    false
-}
-
-/// Human-readable name of the kernel configuration actually executing:
-/// `"simd+avx2"`, `"simd (scalar fallback)"` (feature on, CPU without AVX2),
-/// or `"scalar"`.  The experiment tables print it so recorded numbers state
-/// their configuration.
+/// Human-readable name of the kernel configuration: always `"scalar"`.
 pub fn kernel_config() -> &'static str {
-    if cfg!(all(feature = "simd", target_arch = "x86_64")) {
-        if avx2_available() {
-            "simd+avx2"
-        } else {
-            "simd (scalar fallback)"
-        }
-    } else {
-        "scalar"
-    }
+    "scalar"
 }
 
 #[cfg(test)]
@@ -49,13 +15,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_config_matches_feature_and_cpu() {
-        let c = kernel_config();
-        if cfg!(all(feature = "simd", target_arch = "x86_64")) {
-            assert_eq!(avx2_available(), c == "simd+avx2");
-        } else {
-            assert!(!avx2_available());
-            assert_eq!(c, "scalar");
-        }
+    fn kernel_config_names_the_one_configuration() {
+        assert_eq!(kernel_config(), "scalar");
     }
 }

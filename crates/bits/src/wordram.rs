@@ -16,8 +16,8 @@
 /// Out-of-range indices are ignored (a prefetch must never widen the
 /// touched footprint past the buffer).  On every x86-64 build this issues a
 /// real `prefetcht0` — baseline SSE, so it needs no cargo feature and no
-/// runtime detection, and it is the same instruction with or without
-/// `simd`.  It adds no dependency, no stall and no architectural read.  On
+/// runtime detection.  It adds no dependency, no stall and no architectural
+/// read.  On
 /// other architectures it degrades to an early demand load (`black_box`
 /// keeps the optimizer from deleting it), which costs one issued load but
 /// still overlaps the miss with useful work.

@@ -279,10 +279,6 @@ impl StoredScheme for ApproximateScheme {
         kernel::distance_refs(a, b)
     }
 
-    fn distance_refs_scalar(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'_>) -> u64 {
-        kernel::distance_refs_scalar(a, b)
-    }
-
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &ApproximateMeta) -> bool {
         kernel::check_label(slice, start, end, meta)
     }

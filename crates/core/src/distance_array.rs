@@ -149,10 +149,6 @@ impl StoredScheme for DistanceArrayScheme {
         psum::distance_refs(&a.0, &b.0)
     }
 
-    fn distance_refs_scalar(a: DistanceArrayLabelRef<'_>, b: DistanceArrayLabelRef<'_>) -> u64 {
-        psum::distance_refs_scalar(&a.0, &b.0)
-    }
-
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &PsumMeta) -> bool {
         psum::check_label(slice, start, end, meta)
     }

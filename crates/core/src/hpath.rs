@@ -621,19 +621,6 @@ impl<'a> HpathRef<'a> {
         Self::common_light_depth_lcp(a, sa, la, b, sb, lb).0
     }
 
-    /// The all-scalar twin of [`HpathRef::common_light_depth`] (see
-    /// [`HpathRef::common_light_depth_lcp_scalar`]).
-    pub(crate) fn common_light_depth_scalar(
-        a: &Self,
-        sa: &AuxScalars,
-        la: usize,
-        b: &Self,
-        sb: &AuxScalars,
-        lb: usize,
-    ) -> usize {
-        Self::common_light_depth_lcp_scalar(a, sa, la, b, sb, lb).0
-    }
-
     /// [`HpathRef::common_light_depth`] that also hands back the bit position
     /// of the codeword-string divergence (callers that need the branch order
     /// at level `j` can read the single differing bit instead of running a
@@ -647,54 +634,18 @@ impl<'a> HpathRef<'a> {
         sb: &AuxScalars,
         lb: usize,
     ) -> (usize, usize) {
-        Self::common_light_depth_lcp_impl::<false>(a, sa, la, b, sb, lb)
-    }
-
-    /// The all-scalar twin of [`HpathRef::common_light_depth_lcp`] — the
-    /// bit-equality oracle of the `simd` configuration's equivalence suites
-    /// (the LCP is the only SIMD-touched step).
-    pub(crate) fn common_light_depth_lcp_scalar(
-        a: &Self,
-        sa: &AuxScalars,
-        la: usize,
-        b: &Self,
-        sb: &AuxScalars,
-        lb: usize,
-    ) -> (usize, usize) {
-        Self::common_light_depth_lcp_impl::<true>(a, sa, la, b, sb, lb)
-    }
-
-    fn common_light_depth_lcp_impl<const SCALAR: bool>(
-        a: &Self,
-        sa: &AuxScalars,
-        la: usize,
-        b: &Self,
-        sb: &AuxScalars,
-        lb: usize,
-    ) -> (usize, usize) {
         let max = sa.ld.min(sb.ld);
         if max == 0 {
             return (0, 0);
         }
-        let lcp = if SCALAR {
-            treelab_bits::bitslice::common_prefix_len_raw_scalar(
-                a.s.words(),
-                a.cw_base(sa.ld),
-                la,
-                b.s.words(),
-                b.cw_base(sb.ld),
-                lb,
-            )
-        } else {
-            common_prefix_len_raw(
-                a.s.words(),
-                a.cw_base(sa.ld),
-                la,
-                b.s.words(),
-                b.cw_base(sb.ld),
-                lb,
-            )
-        };
+        let lcp = common_prefix_len_raw(
+            a.s.words(),
+            a.cw_base(sa.ld),
+            la,
+            b.s.words(),
+            b.cw_base(sb.ld),
+            lb,
+        );
         // Branchless over the first three levels (out-of-range lanes are
         // masked by `i < max`; the reads stay inside the end/codeword
         // regions), with a tail loop for deeper common paths.
@@ -773,20 +724,6 @@ impl<'a> AuxCoreRef<'a> {
     #[inline]
     pub(crate) fn codeword_lcp(a: &Self, cwl_a: usize, b: &Self, cwl_b: usize) -> usize {
         common_prefix_len_raw(
-            a.s.words(),
-            a.cw_base(),
-            cwl_a,
-            b.s.words(),
-            b.cw_base(),
-            cwl_b,
-        )
-    }
-
-    /// The all-scalar twin of [`AuxCoreRef::codeword_lcp`] — the bit-equality
-    /// oracle of the `simd` configuration's equivalence suites.
-    #[inline]
-    pub(crate) fn codeword_lcp_scalar(a: &Self, cwl_a: usize, b: &Self, cwl_b: usize) -> usize {
-        treelab_bits::bitslice::common_prefix_len_raw_scalar(
             a.s.words(),
             a.cw_base(),
             cwl_a,

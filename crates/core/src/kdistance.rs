@@ -418,10 +418,6 @@ impl StoredScheme for KDistanceScheme {
         kernel::distance_refs(&a, &b).unwrap_or(NO_DISTANCE)
     }
 
-    fn distance_refs_scalar(a: KDistanceLabelRef<'_>, b: KDistanceLabelRef<'_>) -> u64 {
-        kernel::distance_refs_scalar(&a, &b).unwrap_or(NO_DISTANCE)
-    }
-
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &KDistanceMeta) -> bool {
         kernel::check_label(slice, start, end, meta)
     }

@@ -204,20 +204,6 @@ impl<'a> ApproximateLabelRef<'a> {
 /// The Theorem 1.4 estimate protocol over packed views: an estimate `d̃` with
 /// `d(u,v) ≤ d̃ ≤ (1+ε)·d(u,v) + 2`, same ε and same rounding as the build.
 pub(crate) fn distance_refs(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'_>) -> u64 {
-    distance_refs_impl::<false>(a, b)
-}
-
-/// The all-scalar twin of [`distance_refs`] (the codeword LCP inside
-/// [`HpathRef::common_light_depth_lcp`] is this kernel's only SIMD-touched
-/// step): the bit-equality oracle of the `simd` equivalence suites.
-pub(crate) fn distance_refs_scalar(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'_>) -> u64 {
-    distance_refs_impl::<true>(a, b)
-}
-
-fn distance_refs_impl<const SCALAR: bool>(
-    a: ApproximateLabelRef<'_>,
-    b: ApproximateLabelRef<'_>,
-) -> u64 {
     // Both headers and both aux scalar blocks decode as planned load pairs.
     let ((rd_a, ca, cwl_a), (rd_b, cb, cwl_b)) = ApproximateLabelRef::header_pair(&a, &b);
     let (aa, ab) = (a.aux(ca), b.aux(cb));
@@ -226,11 +212,7 @@ fn distance_refs_impl<const SCALAR: bool>(
     if AuxScalars::is_ancestor(&sa, &sb) || AuxScalars::is_ancestor(&sb, &sa) {
         return rd_a.abs_diff(rd_b);
     }
-    let (j, lcp) = if SCALAR {
-        HpathRef::common_light_depth_lcp_scalar(&aa, &sa, cwl_a, &ab, &sb, cwl_b)
-    } else {
-        HpathRef::common_light_depth_lcp(&aa, &sa, cwl_a, &ab, &sb, cwl_b)
-    };
+    let (j, lcp) = HpathRef::common_light_depth_lcp(&aa, &sa, cwl_a, &ab, &sb, cwl_b);
     let a_branches = sa.ld > j;
     let b_branches = sb.ld > j;
     let use_a = match (a_branches, b_branches) {

@@ -423,23 +423,6 @@ fn lemma_4_5(
 /// The Theorem 1.3 bounded-distance protocol over packed views:
 /// `Some(d(u,v))` when the distance is at most `k`, `None` otherwise.
 pub(crate) fn distance_refs(a: &KDistanceLabelRef<'_>, b: &KDistanceLabelRef<'_>) -> Option<u64> {
-    distance_refs_impl::<false>(a, b)
-}
-
-/// The all-scalar twin of [`distance_refs`] (the codeword LCP inside
-/// [`HpathRef::common_light_depth`] is this kernel's only SIMD-touched
-/// step): the bit-equality oracle of the `simd` equivalence suites.
-pub(crate) fn distance_refs_scalar(
-    a: &KDistanceLabelRef<'_>,
-    b: &KDistanceLabelRef<'_>,
-) -> Option<u64> {
-    distance_refs_impl::<true>(a, b)
-}
-
-fn distance_refs_impl<const SCALAR: bool>(
-    a: &KDistanceLabelRef<'_>,
-    b: &KDistanceLabelRef<'_>,
-) -> Option<u64> {
     // Both headers and both aux scalar blocks decode as planned load pairs.
     let (la, lb) = KDistanceLabelRef::layout_pair(a, b);
     let (aa, ab) = (a.aux(&la), b.aux(&lb));
@@ -447,11 +430,7 @@ fn distance_refs_impl<const SCALAR: bool>(
     if AuxScalars::same_node(&sa, &sb) {
         return Some(0);
     }
-    let j = if SCALAR {
-        HpathRef::common_light_depth_scalar(&aa, &sa, la.cwl, &ab, &sb, lb.cwl)
-    } else {
-        HpathRef::common_light_depth(&aa, &sa, la.cwl, &ab, &sb, lb.cwl)
-    };
+    let j = HpathRef::common_light_depth(&aa, &sa, la.cwl, &ab, &sb, lb.cwl);
     let k = a.m.k;
     // Index of each side's deepest ancestor on the NCA's heavy path.
     let ia = sa.ld - j;

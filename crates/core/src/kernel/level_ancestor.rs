@@ -292,47 +292,18 @@ impl<'a> LevelAncestorLabelRef<'a> {
 /// record scan on side `a`, one indexed read on side `b` (the shared
 /// `depth_sum[j − 1]` makes the exits symmetric).
 pub(crate) fn distance_refs(a: LevelAncestorLabelRef<'_>, b: LevelAncestorLabelRef<'_>) -> u64 {
-    distance_refs_impl::<false>(a, b)
-}
-
-/// The all-scalar twin of [`distance_refs`] (the codeword LCP is this
-/// kernel's only SIMD-touched step): the bit-equality oracle of the `simd`
-/// configuration's equivalence suites.
-pub(crate) fn distance_refs_scalar(
-    a: LevelAncestorLabelRef<'_>,
-    b: LevelAncestorLabelRef<'_>,
-) -> u64 {
-    distance_refs_impl::<true>(a, b)
-}
-
-fn distance_refs_impl<const SCALAR: bool>(
-    a: LevelAncestorLabelRef<'_>,
-    b: LevelAncestorLabelRef<'_>,
-) -> u64 {
     // Both headers decode as one planned load pair — the two sides' field
     // chains are independent, so their loads overlap.
     let ((depth_a, ho_a, lda, cwl_a), (depth_b, ho_b, ldb, cwl_b)) =
         LevelAncestorLabelRef::header_pair(&a, &b);
-    // The codeword LCP is this kernel's only SIMD-touched step.
-    let lcp = if SCALAR {
-        treelab_bits::bitslice::common_prefix_len_raw_scalar(
-            a.s.words(),
-            a.cw_base(),
-            cwl_a,
-            b.s.words(),
-            b.cw_base(),
-            cwl_b,
-        )
-    } else {
-        treelab_bits::bitslice::common_prefix_len_raw(
-            a.s.words(),
-            a.cw_base(),
-            cwl_a,
-            b.s.words(),
-            b.cw_base(),
-            cwl_b,
-        )
-    };
+    let lcp = treelab_bits::bitslice::common_prefix_len_raw(
+        a.s.words(),
+        a.cw_base(),
+        cwl_a,
+        b.s.words(),
+        b.cw_base(),
+        cwl_b,
+    );
     let rec_base_a = a.cw_base() + cwl_a;
     let (j, head_depth, bsum_a_j) = a.scan_records(lda, rec_base_a, lcp);
     // Both sides share the first j light edges, so depth_sum[j − 1] is

@@ -76,21 +76,15 @@
 //!    [`level_ancestor`] kernels run with a data-independent trip count (a
 //!    count of qualifying end positions instead of an early-exit branch), so
 //!    random pairs do not pay for mispredicted exits.
-//! 4. **Vector step (optional).** Under the off-by-default `simd` cargo
-//!    feature the two data-parallel primitives inside a query — the codeword
-//!    LCP and the [`psum`] record scan — run as AVX2 `u64x4` kernels
-//!    (runtime-detected, scalar fallback; see `treelab_bits::simd`).  SIMD
-//!    is reader-side only: no wire format changes in any configuration.
 //!
-//! # Execution modes
+//! # Execution mode
 //!
-//! Every kernel exposes the same protocol in two modes, bit-equal by
-//! construction and held together by the equivalence suites:
+//! Every kernel has exactly one query path — the paper's word-RAM procedure,
+//! a few `msb`/LCP/shift operations per level — shared by every entry point:
 //!
 //! | Mode | Entry points | Role |
 //! |------|--------------|------|
-//! | **Scalar oracle** | `distance_refs_scalar` | always-compiled, SIMD-free; the bit-equality oracle `tests/kernel_equivalence.rs` and the `--store --check` CI gate hold the dispatching mode to |
-//! | **Dispatching one-pair** | `distance_refs` | the per-pair entry (`StoreRef::distance`) and the batch engine's compute step; uses the AVX2 primitives when the `simd` feature and the host allow |
+//! | **One-pair** | `distance_refs` | the per-pair entry (`StoreRef::distance`) and the batch engine's compute step; `tests/kernel_equivalence.rs` holds it to ground-truth distances |
 
 pub mod approximate;
 pub mod kdistance;

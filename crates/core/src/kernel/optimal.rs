@@ -349,17 +349,6 @@ impl<'a> OptimalLabelRef<'a> {
 /// dominating side, and — only when bits were pushed — two reads into the
 /// dominated side's records and accumulator region.
 pub(crate) fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u64 {
-    distance_refs_impl::<false>(a, b)
-}
-
-/// The all-scalar twin of [`distance_refs`] (the codeword LCP is this
-/// kernel's only SIMD-touched step): the bit-equality oracle of the `simd`
-/// configuration's equivalence suites.
-pub(crate) fn distance_refs_scalar(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u64 {
-    distance_refs_impl::<true>(a, b)
-}
-
-fn distance_refs_impl<const SCALAR: bool>(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u64 {
     // Both headers and both aux scalar blocks decode as planned load pairs.
     let ((rd_a, lda, fca, cwl_a), (rd_b, ldb, fcb, cwl_b)) = OptimalLabelRef::header_pair(&a, &b);
     let (aa, ab) = (a.aux(), b.aux());
@@ -368,11 +357,7 @@ fn distance_refs_impl<const SCALAR: bool>(a: OptimalLabelRef<'_>, b: OptimalLabe
     if AuxScalars::is_ancestor(&sa, &sb) || AuxScalars::is_ancestor(&sb, &sa) {
         return rd_a.abs_diff(rd_b);
     }
-    let lcp = if SCALAR {
-        AuxCoreRef::codeword_lcp_scalar(&aa, cwl_a, &ab, cwl_b)
-    } else {
-        AuxCoreRef::codeword_lcp(&aa, cwl_a, &ab, cwl_b)
-    };
+    let lcp = AuxCoreRef::codeword_lcp(&aa, cwl_a, &ab, cwl_b);
     // Bit pushing is asymmetric: the dominating side holds the kept bits,
     // the dominated side the pushed bits, so the domination test stays —
     // but as an index select rather than a 50/50 mispredicted branch.

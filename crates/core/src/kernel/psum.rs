@@ -175,7 +175,7 @@ impl PsumMeasure {
 
 /// Record counts at or below this bound scan branchlessly (fixed-trip
 /// mask-accumulate over the label's own records); deeper labels keep the
-/// 3-record cascade + vectorizable tail scan.
+/// 3-record cascade + tail record scan.
 const SCAN_SHORT: usize = 8;
 
 /// Borrowed view of one packed prefix-sum label inside a store buffer.
@@ -238,18 +238,8 @@ impl<'a> PsumRef<'a> {
     /// Scans this side's records for the first end position past `lcp`,
     /// returning `(level, branch_rd)` of that record — `level` is
     /// `lightdepth(NCA)` and `branch_rd` is this side's branch-node distance.
-    ///
-    /// `SCALAR` forces the always-compiled scalar record scan; `false` uses
-    /// the dispatching [`treelab_bits::bitslice::scan_records_gt`] (AVX2
-    /// `u64x4` lanes under the `simd` feature, the same scalar loop
-    /// otherwise).
     #[inline]
-    fn scan_records<const SCALAR: bool>(
-        &self,
-        ld: usize,
-        aux_bits: usize,
-        lcp: usize,
-    ) -> (usize, u64) {
+    fn scan_records(&self, ld: usize, aux_bits: usize, lcp: usize) -> (usize, u64) {
         let m = self.m;
         let base = m.hdr_total + aux_bits;
         if m.rec_fused {
@@ -287,29 +277,17 @@ impl<'a> PsumRef<'a> {
                 return (j, r >> m.ps_sh);
             }
             // Deep common paths: the tail scan over records 3.. is the
-            // vectorized primitive (the store's guard pad covers the last
-            // straddle word either way).
-            let found = if SCALAR {
-                treelab_bits::bitslice::scan_records_gt_scalar(
-                    self.s.words(),
-                    self.start + base,
-                    m.rec_w,
-                    m.end_mask,
-                    lcp as u64,
-                    3,
-                    ld,
-                )
-            } else {
-                treelab_bits::bitslice::scan_records_gt(
-                    self.s.words(),
-                    self.start + base,
-                    m.rec_w,
-                    m.end_mask,
-                    lcp as u64,
-                    3,
-                    ld,
-                )
-            };
+            // record-scan primitive (the store's guard pad covers the last
+            // straddle word).
+            let found = treelab_bits::bitslice::scan_records_gt(
+                self.s.words(),
+                self.start + base,
+                m.rec_w,
+                m.end_mask,
+                lcp as u64,
+                3,
+                ld,
+            );
             if let Some((i, raw)) = found {
                 return (i, raw >> m.ps_sh);
             }
@@ -340,17 +318,6 @@ impl<'a> PsumRef<'a> {
 /// The prefix-sum distance protocol over packed label views: the shared
 /// `distance_refs` of the two prefix-sum schemes (Lemma 3.1, made symmetric).
 pub(crate) fn distance_refs(a: &PsumRef<'_>, b: &PsumRef<'_>) -> u64 {
-    distance_refs_impl::<false>(a, b)
-}
-
-/// The all-scalar twin of [`distance_refs`], compiled in every configuration:
-/// the bit-equality oracle the equivalence suites and the `--store --check`
-/// CI gate hold the dispatching (possibly SIMD) path to.
-pub(crate) fn distance_refs_scalar(a: &PsumRef<'_>, b: &PsumRef<'_>) -> u64 {
-    distance_refs_impl::<true>(a, b)
-}
-
-fn distance_refs_impl<const SCALAR: bool>(a: &PsumRef<'_>, b: &PsumRef<'_>) -> u64 {
     // Both headers and both aux scalar blocks decode as planned load pairs:
     // the two sides' field chains are independent, so issuing their loads
     // together overlaps what used to be two serial decodes.
@@ -366,12 +333,8 @@ fn distance_refs_impl<const SCALAR: bool>(a: &PsumRef<'_>, b: &PsumRef<'_>) -> u
     // two-sided comparison; one record scan turns it into lightdepth(NCA)
     // plus this side's branch distance, and a single indexed read fetches the
     // other side's.  min() of the two is rd(NCA) — no domination branch.
-    let lcp = if SCALAR {
-        AuxCoreRef::codeword_lcp_scalar(&aa, cwl_a, &ab, cwl_b)
-    } else {
-        AuxCoreRef::codeword_lcp(&aa, cwl_a, &ab, cwl_b)
-    };
-    let (j, branch_a) = a.scan_records::<SCALAR>(lda, aa.core_bits(cwl_a), lcp);
+    let lcp = AuxCoreRef::codeword_lcp(&aa, cwl_a, &ab, cwl_b);
+    let (j, branch_a) = a.scan_records(lda, aa.core_bits(cwl_a), lcp);
     let branch_b = b.branch_rd_at(ab.core_bits(cwl_b), j);
     rd_a + rd_b - 2 * branch_a.min(branch_b)
 }

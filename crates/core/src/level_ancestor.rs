@@ -445,10 +445,6 @@ impl StoredScheme for LevelAncestorScheme {
         kernel::distance_refs(a, b)
     }
 
-    fn distance_refs_scalar(a: LevelAncestorLabelRef<'_>, b: LevelAncestorLabelRef<'_>) -> u64 {
-        kernel::distance_refs_scalar(a, b)
-    }
-
     fn check_label(
         slice: BitSlice<'_>,
         start: usize,

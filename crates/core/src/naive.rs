@@ -265,10 +265,6 @@ impl StoredScheme for NaiveScheme {
     fn distance_refs(a: NaiveLabelRef<'_>, b: NaiveLabelRef<'_>) -> u64 {
         psum::distance_refs(&a.0, &b.0)
     }
-
-    fn distance_refs_scalar(a: NaiveLabelRef<'_>, b: NaiveLabelRef<'_>) -> u64 {
-        psum::distance_refs_scalar(&a.0, &b.0)
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -570,10 +570,6 @@ impl StoredScheme for OptimalScheme {
         kernel::distance_refs(a, b)
     }
 
-    fn distance_refs_scalar(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u64 {
-        kernel::distance_refs_scalar(a, b)
-    }
-
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &OptimalMeta) -> bool {
         kernel::check_label(slice, start, end, meta)
     }

@@ -541,15 +541,6 @@ pub trait StoredScheme: Sized {
     /// path, one [`crate::kernel`] call.  Schemes whose query can decline to
     /// answer (the `k`-distance scheme) return [`NO_DISTANCE`].
     fn distance_refs(a: Self::Ref<'_>, b: Self::Ref<'_>) -> u64;
-
-    /// The all-scalar twin of [`StoredScheme::distance_refs`]: every scheme
-    /// whose kernel has a vectorized step under the `simd` cargo feature
-    /// overrides this with a scalar-forced body; the equivalence suites and
-    /// the `--store --check` CI gate hold `distance_refs` to this oracle bit
-    /// for bit.  The default (no vectorized step) is the same function.
-    fn distance_refs_scalar(a: Self::Ref<'_>, b: Self::Ref<'_>) -> u64 {
-        Self::distance_refs(a, b)
-    }
 }
 
 /// Validates a frame held in `words` and returns its parsed description.
@@ -1267,27 +1258,6 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
         )
     }
 
-    /// [`StoreRef::distance`] through the always-compiled scalar kernels —
-    /// the bit-equality oracle the `simd` configuration's equivalence suites
-    /// (and the `--store --check` CI gate) hold [`StoreRef::distance`] to.
-    /// In a scalar build the two are the same code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn distance_scalar(&self, u: usize, v: usize) -> u64 {
-        assert!(
-            u < self.raw.n && v < self.raw.n,
-            "pair ({u}, {v}) out of range (n = {})",
-            self.raw.n
-        );
-        let slice = self.label_slice();
-        S::distance_refs_scalar(
-            S::label_ref(slice, self.raw.offset(self.words, u), &self.meta),
-            S::label_ref(slice, self.raw.offset(self.words, v), &self.meta),
-        )
-    }
-
     /// Batch query: the distance of every pair, in order.
     ///
     /// One output allocation for the whole batch; see
@@ -1705,17 +1675,6 @@ impl<S: StoredScheme> SchemeStore<S> {
         self.as_store_ref().distance(u, v)
     }
 
-    /// [`SchemeStore::distance`] through the always-compiled scalar kernels
-    /// (see [`StoreRef::distance_scalar`]) — the `simd` configuration's
-    /// bit-equality oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn distance_scalar(&self, u: usize, v: usize) -> u64 {
-        self.as_store_ref().distance_scalar(u, v)
-    }
-
     /// Batch query: the distance of every pair, in order
     /// (see [`StoreRef::distances`]).
     ///
@@ -1972,17 +1931,6 @@ impl<'a> AnyStoreRef<'a> {
     #[inline]
     pub fn distance(&self, u: usize, v: usize) -> u64 {
         any_dispatch!(self, r => r.distance(u, v))
-    }
-
-    /// [`AnyStoreRef::distance`] through the always-compiled scalar kernels
-    /// (see [`StoreRef::distance_scalar`]) — the `simd` configuration's
-    /// bit-equality oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn distance_scalar(&self, u: usize, v: usize) -> u64 {
-        any_dispatch!(self, r => r.distance_scalar(u, v))
     }
 
     /// Batch query: the distance of every pair, in order (one dispatch for

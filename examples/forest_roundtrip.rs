@@ -23,6 +23,7 @@ use treelab::{
     gen, DistanceArrayScheme, DistanceScheme, ForestRef, ForestStore, NaiveScheme, OptimalScheme,
     Parallelism, RouteScratch, Substrate, Tree, ValidationPolicy,
 };
+use treelab_bench::ScratchDir;
 
 const TREES: usize = 12;
 const NODES_PER_TREE: usize = 2048;
@@ -51,7 +52,8 @@ fn main() {
     }
     // Assemble and persist in one step: the builder's write_to returns the
     // store it wrote, so the building process can keep serving from it.
-    let path = std::env::temp_dir().join("treelab-forest.bin");
+    let dir = ScratchDir::new("forest-example");
+    let path = dir.join("forest.bin");
     let forest = b.write_to(&path).expect("forest builds and writes");
     println!(
         "built   {:>9} bytes in {:.1} ms ({} trees: {})",
@@ -106,7 +108,7 @@ fn main() {
         pin.generation(),
         mutated.generation(),
     );
-    let _ = std::fs::remove_file(&path);
+    drop(dir);
 
     // Borrow path: validate once over the owner's aligned words, copy nothing.
     let t2 = Instant::now();

@@ -18,6 +18,7 @@ use treelab::{
     gen, DistanceArrayScheme, DistanceScheme, NaiveScheme, OptimalScheme, SchemeStore,
     StoredScheme, Substrate, Tree, NO_DISTANCE,
 };
+use treelab_bench::ScratchDir;
 
 fn pairs(n: usize, count: usize) -> Vec<(usize, usize)> {
     (0..count)
@@ -32,10 +33,10 @@ fn roundtrip<S: StoredScheme>(tree: &Tree, scheme: &S, expected: impl Fn(usize, 
     let bytes = SchemeStore::serialize(scheme);
     let serialize_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let path = std::env::temp_dir().join(format!("treelab-store-{}.bin", S::TAG));
+    let dir = ScratchDir::new("store-example");
+    let path = dir.join("store.bin");
     std::fs::write(&path, &bytes).expect("write store");
     let read_back = std::fs::read(&path).expect("read store");
-    let _ = std::fs::remove_file(&path);
 
     let t1 = Instant::now();
     let store = SchemeStore::<S>::from_bytes(&read_back).expect("valid store");

@@ -10,12 +10,11 @@
 //! structure-of-arrays planning buffers (`BatchPlan`, shared across every
 //! per-tree group of a batch), and each group computes pair by pair through
 //! the one-pair kernels, so the zero-allocation proof covers the SoA
-//! planning stage *and* the compute loop in every configuration (`default`
-//! and `--features simd` CI legs both run this suite) — as must hammering
+//! planning stage *and* the compute loop — as must hammering
 //! `tree(id)`/`try_tree` on a lazily-opened forest whose trees have all been
-//! touched once.  (This
-//! file holds a single test on purpose: the counter is process-global, and
-//! a second test running on another thread would pollute it.)
+//! touched once.  (This file holds a single test on purpose: the counter is
+//! process-global, and a second test running on another thread would
+//! pollute it.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,6 +15,7 @@ use treelab::{
     ForestError, ForestFileError, ForestStore, ScrubOutcome, Scrubber, SlotHealth,
     ValidationPolicy, VerifyCursor,
 };
+use treelab_bench::ScratchDir;
 
 const POLICIES: [ValidationPolicy; 2] = [ValidationPolicy::Eager, ValidationPolicy::Lazy];
 
@@ -109,11 +110,9 @@ fn bit_flips_across_header_and_directory_are_caught_under_both_policies() {
 /// [`ForestStore::publish`] must clear it and land the new frame atomically.
 #[test]
 fn a_crash_between_temp_write_and_rename_leaves_a_recoverable_state() {
-    let dir = std::env::temp_dir();
-    let path = dir.join("treelab-faults-publish.bin");
-    let tmp = dir.join("treelab-faults-publish.bin.tmp");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&tmp);
+    let dir = ScratchDir::new("faults");
+    let path = dir.join("publish.bin");
+    let tmp = dir.join("publish.bin.tmp");
 
     // Crash before the first publish ever renamed: a garbage temp exists,
     // the real file does not.  The open reports the missing file as plain
@@ -156,7 +155,6 @@ fn a_crash_between_temp_write_and_rename_leaves_a_recoverable_state() {
         assert_eq!(re.as_words(), newer.as_words());
         assert!(re.is_tombstoned(1));
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The lazy adversary: one inner frame is corrupt.  An eager open fails with
@@ -312,8 +310,8 @@ mod mapped {
 
     #[test]
     fn mapped_forest_serves_and_rejects_the_same_faults() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("treelab-faults-mmap.bin");
+        let dir = ScratchDir::new("faults");
+        let path = dir.join("mmap.bin");
         let forest = small_forest();
         forest.publish(&path).expect("publish");
 
@@ -363,7 +361,6 @@ mod mapped {
                 );
             }
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// The scrubber over a lazily-mapped file reaches the same verdicts as
@@ -371,8 +368,8 @@ mod mapped {
     /// equivalence sweep.
     #[test]
     fn a_budgeted_scrub_over_a_mapped_forest_matches_the_eager_verdict() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("treelab-faults-mmap-scrub.bin");
+        let dir = ScratchDir::new("faults");
+        let path = dir.join("mmap-scrub.bin");
         let forest = small_forest();
         for victim in [1u64, 5, 9] {
             std::fs::write(
@@ -412,6 +409,5 @@ mod mapped {
                 );
             }
         }
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -18,6 +18,7 @@ use treelab::{
     gen, DistanceScheme, ForestError, ForestPin, ForestStore, NaiveScheme, QueryStatus, Tree,
     ValidationPolicy,
 };
+use treelab_bench::ScratchDir;
 
 const POLICIES: [ValidationPolicy; 2] = [ValidationPolicy::Eager, ValidationPolicy::Lazy];
 
@@ -154,7 +155,8 @@ fn routing_tracks_tombstones_appends_and_pinned_generations() {
 fn random_mutation_interleavings_respect_generations_pins_and_tombstones() {
     for seed in [1u64, 42, 2026] {
         let mut rng = SplitMix64::seed_from_u64(seed);
-        let path = std::env::temp_dir().join(format!("treelab-generation-{seed}.bin"));
+        let dir = ScratchDir::new("generation");
+        let path = dir.join("forest.bin");
 
         // Seed forest: four trees, ids 0..4; the model maps live id → tree.
         let mut b = ForestStore::builder();
@@ -292,6 +294,5 @@ fn random_mutation_interleavings_respect_generations_pins_and_tombstones() {
                 assert_eq!(pin.as_words(), &words[..]);
             }
         }
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,26 +1,21 @@
-//! Cross-configuration kernel equivalence: the dispatching query path (which
-//! under `--features simd` runs the AVX2 codeword-LCP and record-scan
-//! kernels) must agree **bit for bit** with the always-compiled scalar
-//! oracle (`distance_scalar`), across all six schemes, a seeded corpus of
-//! tree families and sizes, the per-pair / batch / routed entry points —
-//! and adversarial corrupt-frame inputs, whose fault and quarantine
-//! verdicts must not diverge by configuration either.
-//!
-//! CI runs this suite in the default (scalar) configuration and again under
-//! `--features simd`: in the scalar build the two paths are the same code
-//! (a cheap self-check), in the simd build the comparison is a real
-//! oracle test of the vector kernels.
+//! Kernel equivalence against ground truth: every query entry point — per
+//! pair, batch, routed and sharded — must answer exactly what the tree's
+//! [`DistanceOracle`] says, across all six schemes and a seeded corpus of
+//! tree families and sizes.  Exact schemes are held to the true distance,
+//! the bounded scheme to its `≤ k` window, the approximate scheme to its
+//! `d ≤ d̃ ≤ (1+ε)·d + 2` guarantee.  Adversarial corrupt-frame inputs must
+//! quarantine exactly the rotted tree while every healthy answer stays true.
 
 use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
-    gen, DistanceArrayScheme, DistanceScheme, ForestStore, NaiveScheme, OptimalScheme, Parallelism,
-    QueryStatus, RouteScratch, SchemeStore, StoredScheme, Tree, ValidationPolicy, NO_DISTANCE,
+    gen, DistanceArrayScheme, DistanceOracle, DistanceScheme, ForestStore, NaiveScheme,
+    OptimalScheme, Parallelism, QueryStatus, RouteScratch, SchemeStore, StoredScheme, Tree,
+    ValidationPolicy, NO_DISTANCE,
 };
 
-/// Deterministic pair sampler (xorshift64*), so the sweep is reproducible
-/// in every configuration.
+/// Deterministic pair sampler (xorshift64*), so the sweep is reproducible.
 fn sample_pairs(n: usize, count: usize, seed: u64) -> Vec<(usize, usize)> {
     let mut state = seed | 1;
     let mut next = move || {
@@ -36,9 +31,9 @@ fn sample_pairs(n: usize, count: usize, seed: u64) -> Vec<(usize, usize)> {
 
 /// The seeded corpus: every tree family the kernels see in practice, sized
 /// to hit every scan regime — shallow light depths (the branchless 3-record
-/// cascade), deep light depths (the vectorized tail scan), short codeword
-/// strings (the single-chunk LCP fast path) and long ones (the vector LCP
-/// tail).
+/// cascade), deep light depths (the tail record scan), short codeword
+/// strings (the single-chunk LCP fast path) and long ones (the multi-chunk
+/// LCP tail).
 fn corpus() -> Vec<(String, Tree)> {
     let mut trees: Vec<(String, Tree)> = vec![
         ("path-64".into(), gen::path(64)),
@@ -56,30 +51,23 @@ fn corpus() -> Vec<(String, Tree)> {
     trees
 }
 
-/// Per-store equivalence sweep: the dispatching per-pair path, the scalar
-/// oracle and the batch engine must all agree on every sampled pair; when a
-/// ground truth is supplied (the exact schemes), all of them must match it.
+/// Per-store equivalence sweep: the per-pair path and the batch engine must
+/// agree on every sampled pair, and `ok(u, v, d)` — the scheme's guarantee
+/// over the oracle distance — must accept the answer.
 fn check_store<S: StoredScheme>(
     name: &str,
     store: &SchemeStore<S>,
     pairs: &[(usize, usize)],
-    truth: Option<&dyn Fn(usize, usize) -> u64>,
+    ok: &dyn Fn(usize, usize, u64) -> bool,
 ) {
     let batch = store.distances(pairs);
     for (i, &(u, v)) in pairs.iter().enumerate() {
         let d = store.distance(u, v);
-        let oracle = store.distance_scalar(u, v);
-        assert_eq!(
-            d, oracle,
-            "{name}: pair ({u}, {v}) diverges from the scalar oracle"
-        );
         assert_eq!(
             d, batch[i],
             "{name}: pair ({u}, {v}) diverges between per-pair and batch"
         );
-        if let Some(truth) = truth {
-            assert_eq!(d, truth(u, v), "{name}: pair ({u}, {v}) is wrong");
-        }
+        assert!(ok(u, v, d), "{name}: pair ({u}, {v}) answered {d}");
     }
 }
 
@@ -139,85 +127,68 @@ fn every_batch_length_matches_the_per_pair_answers() {
 }
 
 /// The full corpus sweep across all six schemes.  Exact schemes are held to
-/// the tree's naive distance oracle; the bounded scheme to its `≤ k` window
+/// the tree's [`DistanceOracle`]; the bounded scheme to its `≤ k` window
 /// over the same oracle; the approximate scheme to its `(1+ε)` guarantee —
-/// and all of them to scalar/batch bit-equality.
+/// and all of them to per-pair/batch equality.
 #[test]
-fn all_six_schemes_match_the_scalar_oracle_across_the_corpus() {
+fn all_six_schemes_match_the_distance_oracle_across_the_corpus() {
     for (family, tree) in corpus() {
         let n = tree.len();
         let count = if n <= 16 { n * n } else { 600 };
         let pairs = sample_pairs(n, count, 0xC0FFEE ^ n as u64);
-        let truth = |u: usize, v: usize| tree.distance_naive(tree.node(u), tree.node(v));
+        let oracle = DistanceOracle::new(&tree);
+        let truth = |u: usize, v: usize| oracle.distance(tree.node(u), tree.node(v));
+        let exact = |u: usize, v: usize, d: u64| d == truth(u, v);
 
         let naive = NaiveScheme::build(&tree);
-        check_store(
-            &format!("{family}/naive"),
-            naive.as_store(),
-            &pairs,
-            Some(&truth),
-        );
+        check_store(&format!("{family}/naive"), naive.as_store(), &pairs, &exact);
         let da = DistanceArrayScheme::build(&tree);
         check_store(
             &format!("{family}/distance-array"),
             da.as_store(),
             &pairs,
-            Some(&truth),
+            &exact,
         );
         let opt = OptimalScheme::build(&tree);
-        check_store(
-            &format!("{family}/optimal"),
-            opt.as_store(),
-            &pairs,
-            Some(&truth),
-        );
+        check_store(&format!("{family}/optimal"), opt.as_store(), &pairs, &exact);
         let la = LevelAncestorScheme::build(&tree);
         check_store(
             &format!("{family}/level-ancestor"),
             la.as_store(),
             &pairs,
-            Some(&truth),
+            &exact,
         );
 
         let k = 8;
         let kd = KDistanceScheme::build(&tree, k);
-        let kd_truth = |u: usize, v: usize| {
+        let within_k = |u: usize, v: usize, got: u64| {
             let d = truth(u, v);
-            if d <= k {
-                d
-            } else {
-                NO_DISTANCE
-            }
+            got == if d <= k { d } else { NO_DISTANCE }
         };
         check_store(
             &format!("{family}/k-distance"),
             kd.as_store(),
             &pairs,
-            Some(&kd_truth),
+            &within_k,
         );
 
         let eps = 0.25;
         let approx = ApproximateScheme::build(&tree, eps);
+        let within_eps = |u: usize, v: usize, est: u64| {
+            let d = truth(u, v);
+            est >= d && est as f64 <= (1.0 + eps) * d as f64 + 2.0
+        };
         check_store(
             &format!("{family}/approximate"),
             approx.as_store(),
             &pairs,
-            None,
+            &within_eps,
         );
-        for &(u, v) in &pairs {
-            let d = truth(u, v);
-            let est = approx.as_store().distance(u, v);
-            assert!(
-                est >= d && est as f64 <= (1.0 + eps) * d as f64 + 2.0,
-                "{family}/approximate: estimate {est} breaks the (1+ε) bound for d = {d}"
-            );
-        }
     }
 }
 
 /// Routed and sharded forest serving must agree with the per-tree stores
-/// (and therefore with the scalar oracle, which the store sweep pins) in
-/// every configuration.
+/// and with the distance oracle of each tree.
 #[test]
 fn routed_and_sharded_forest_answers_match_the_per_tree_stores() {
     let trees: Vec<(u64, Tree)> = vec![
@@ -244,14 +215,17 @@ fn routed_and_sharded_forest_answers_match_the_per_tree_stores() {
         })
         .collect();
 
+    let oracles: Vec<DistanceOracle> = trees.iter().map(|(_, t)| DistanceOracle::new(t)).collect();
     let routed = forest.route_distances(&queries);
     for (i, &(id, u, v)) in queries.iter().enumerate() {
         let view = forest.tree(id).expect("live tree");
         assert_eq!(routed[i], view.distance(u, v), "query {i} diverges");
+        let t = trees.iter().position(|&(tid, _)| tid == id).unwrap();
+        let tree = &trees[t].1;
         assert_eq!(
             routed[i],
-            view.distance_scalar(u, v),
-            "query {i} diverges from the scalar oracle"
+            oracles[t].distance(tree.node(u), tree.node(v)),
+            "query {i} is wrong"
         );
     }
     for threads in [1usize, 2, 4] {
@@ -278,11 +252,10 @@ fn record_of(words: &[u64], id: u64) -> (usize, usize, usize) {
 }
 
 /// Adversarial corrupt-frame inputs: rot one tree's inner frame, open the
-/// forest lazily, and run the fallible router.  The fault verdicts (which
-/// queries come back `CorruptTree`) and every healthy answer must be
-/// identical in every configuration — the vector kernels never see the
-/// quarantined tree, and the healthy trees answer bit-identically to the
-/// pristine forest.
+/// forest lazily, and run the fallible router.  Exactly the queries to the
+/// rotted tree come back `CorruptTree`, the kernels never see the
+/// quarantined tree, and the healthy tree answers like the pristine forest
+/// and the distance oracle.
 #[test]
 fn corrupt_frame_verdicts_do_not_diverge_by_configuration() {
     let t_ok = gen::random_tree(200, 41);
@@ -314,6 +287,7 @@ fn corrupt_frame_verdicts_do_not_diverge_by_configuration() {
     assert_eq!(outcome.ok, queries.len() - outcome.corrupt);
 
     let healthy = pristine.tree(1).expect("live tree");
+    let oracle = DistanceOracle::new(&t_ok);
     for (i, &(id, u, v)) in queries.iter().enumerate() {
         match (id, statuses[i]) {
             (6, QueryStatus::CorruptTree) => {}
@@ -321,8 +295,8 @@ fn corrupt_frame_verdicts_do_not_diverge_by_configuration() {
                 assert_eq!(d, healthy.distance(u, v), "healthy answer {i} diverges");
                 assert_eq!(
                     d,
-                    healthy.distance_scalar(u, v),
-                    "healthy answer {i} diverges from the scalar oracle"
+                    oracle.distance(t_ok.node(u), t_ok.node(v)),
+                    "healthy answer {i} is wrong"
                 );
             }
             other => panic!("query {i} got an unexpected verdict: {other:?}"),
@@ -332,69 +306,4 @@ fn corrupt_frame_verdicts_do_not_diverge_by_configuration() {
     // The sharded fallible router reaches the same verdicts.
     let sharded = lazy.try_route_distances_sharded(&queries, Parallelism::Auto);
     assert_eq!(statuses, sharded);
-}
-
-/// Direct primitive-level oracle checks, only meaningful under the `simd`
-/// feature (in a scalar build both names resolve to the same loop): the
-/// dispatching LCP and record scan must match their scalar twins on
-/// synthetic buffers with planted divergences around every lane boundary.
-#[cfg(feature = "simd")]
-mod simd_primitives {
-    use treelab::bits::bitslice::{
-        common_prefix_len_raw, common_prefix_len_raw_scalar, scan_records_gt,
-        scan_records_gt_scalar,
-    };
-
-    #[test]
-    fn lcp_and_record_scan_match_their_scalar_twins() {
-        // A 4096-bit pseudo-random stream and a copy displaced by 5 bits,
-        // with a diff planted at every interesting position.
-        let mut words = vec![0u64; 80];
-        let mut s = 0x9E37_79B9_7F4A_7C15u64;
-        for w in words.iter_mut() {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            *w = s;
-        }
-        let base = words.clone();
-        for &diff_at in &[0usize, 63, 64, 65, 255, 256, 257, 511, 1000, 2048, 4000] {
-            let mut b = base.clone();
-            b[diff_at / 64] ^= 1u64 << (diff_at % 64);
-            for &(sa, sb) in &[(0usize, 0usize), (3, 3), (0, 5), (7, 64)] {
-                let la = 4096 - sa.max(sb);
-                let got = common_prefix_len_raw(&base, sa, la, &b, sa, la);
-                let want = common_prefix_len_raw_scalar(&base, sa, la, &b, sa, la);
-                assert_eq!(got, want, "lcp diverges (diff {diff_at}, start {sa}/{sb})");
-                let _ = sb;
-            }
-        }
-
-        // Packed records at several widths, thresholds around each record's
-        // end value, scan starts crossing the 4-lane blocks.
-        for &width in &[11usize, 23, 37, 48, 64] {
-            let end_mask = if width >= 16 {
-                (1u64 << 12) - 1
-            } else {
-                (1u64 << 6) - 1
-            };
-            let count = 61;
-            for &base_bit in &[0usize, 17, 63] {
-                for &start in &[0usize, 3, 4, 7, 60] {
-                    for &threshold in &[0u64, 5, 40, end_mask] {
-                        let got = scan_records_gt(
-                            &base, base_bit, width, end_mask, threshold, start, count,
-                        );
-                        let want = scan_records_gt_scalar(
-                            &base, base_bit, width, end_mask, threshold, start, count,
-                        );
-                        assert_eq!(
-                            got, want,
-                            "scan diverges (w {width}, base {base_bit}, start {start}, t {threshold})"
-                        );
-                    }
-                }
-            }
-        }
-    }
 }

@@ -93,18 +93,10 @@ fn storm<S: StoredScheme>(name: &str, store: &SchemeStore<S>, pairs: &[(usize, u
             acc = acc.wrapping_add(S::distance_refs(store.label_ref(u), store.label_ref(v)));
         }
         std::hint::black_box(acc);
-        // …and the scalar-oracle twin (the `simd` configuration's
-        // bit-equality reference must be as allocation-free as the
-        // dispatching path it checks)…
-        let mut acc = 0u64;
-        for &(u, v) in &pairs[..64] {
-            acc = acc.wrapping_add(store.distance_scalar(u, v));
-        }
-        std::hint::black_box(acc);
         // …and the batch engine into a pre-reserved buffer.  This is the
         // structure-of-arrays pipeline: its planning buffers (`BatchPlan`)
         // are fixed-size stack arrays, so the counter staying at zero here
-        // proves the SoA plan heap-allocates nothing in any configuration.
+        // proves the SoA plan heap-allocates nothing.
         store.distances_into(pairs, &mut out);
         // …and the lazy iterator form.
         let sum: u64 = store
