@@ -76,16 +76,24 @@
 //! # The routed batch engine
 //!
 //! [`ForestRef::route_distances`] takes a batch of `(tree, u, v)` queries in
-//! *arrival order*, groups them by tree (a stable counting sort), drives each
-//! group through the scheme's allocation-free batch path (one runtime
-//! dispatch per *group*, not per query, and each tree's frame stays
-//! cache-resident for its whole group), and scatters the answers back to
-//! arrival order — the output is deterministic and independent of grouping.
+//! *arrival order*, resolves each id by binary search over a dense id array,
+//! groups the queries by tree, drives each group through the scheme's
+//! allocation-free batch path (one runtime dispatch per *group*, not per
+//! query, and each tree's frame stays cache-resident for its whole group),
+//! and scatters the answers back to arrival order — the output is
+//! deterministic and independent of grouping.  Grouping is a stable counting
+//! sort over only the directory slots the batch touches (collected, sorted,
+//! and their counters re-zeroed afterwards), so a batch of q queries over G
+//! distinct trees costs O(q log T + G log G) for T trees: the directory size
+//! enters only through the id search, never through a pass over all slots.
+//! Before the groups run, one look-ahead pass prefetches the first label
+//! line of each group's first query, so when groups hold about one query
+//! each their label misses overlap instead of running one after another.
 //! [`ForestRef::route_distances_into`] reuses a [`RouteScratch`] so a serving
 //! loop allocates nothing per batch; [`ForestRef::route_distances_sharded`]
 //! fans independent tree groups out over [`std::thread::scope`] workers
-//! behind the same [`Parallelism`] knob the builders use, with bit-identical
-//! output for every thread count.
+//! (never more workers than groups) behind the same [`Parallelism`] knob the
+//! builders use, with bit-identical output for every thread count.
 //!
 //! # Self-healing: fallible routing, quarantine, repair, scrubbing
 //!
@@ -379,6 +387,10 @@ struct ForestState {
     policy: ValidationPolicy,
     live: usize,
     slots: Vec<TreeSlot>,
+    /// `slots[i].entry.id` for every slot, densely: the id→slot binary
+    /// search probes 8-byte keys instead of kilobyte-sized slots.  Only
+    /// `parse_forest` and `append_frame` change the id set.
+    ids: Vec<u64>,
 }
 
 impl ForestState {
@@ -413,22 +425,26 @@ fn check_inner(words: &[u64], e: DirEntry) -> Result<AnyParts, StoreError> {
 }
 
 /// Validates the inner frame of `slot` on first call and caches the verdict;
-/// every later call replays the cached `Copy` result without allocating.  A
-/// quarantined slot (rot found by the scrubber after validation) fails here
-/// too, so no read path — `tree`, `try_tree`, routing, `verify` — can serve
-/// a tree the scrubber has condemned.
-fn validate_slot(words: &[u64], slot: &TreeSlot) -> Result<AnyParts, ForestError> {
+/// every later call borrows the cached result without allocating or
+/// copying.  A quarantined slot (rot found by the scrubber after validation)
+/// fails here too, so no read path — `tree`, `try_tree`, routing, `verify` —
+/// can serve a tree the scrubber has condemned.
+fn validate_slot<'s>(words: &[u64], slot: &'s TreeSlot) -> Result<&'s AnyParts, ForestError> {
     let e = slot.entry;
     if let Some(&error) = slot.quarantine.get() {
         return Err(ForestError::Tree { id: e.id, error });
     }
-    let verdict = slot.state.get_or_init(|| check_inner(words, e));
-    verdict.map_err(|error| ForestError::Tree { id: e.id, error })
+    match slot.state.get_or_init(|| check_inner(words, e)) {
+        Ok(parts) => Ok(parts),
+        &Err(error) => Err(ForestError::Tree { id: e.id, error }),
+    }
 }
 
-/// Directory position of `id`, tombstoned or not.
-fn lookup_slot(state: &ForestState, id: u64) -> Option<usize> {
-    state.slots.binary_search_by_key(&id, |s| s.entry.id).ok()
+/// Directory position of `id`, tombstoned or not — or, as `Err`, the
+/// position an append of `id` would take.  Every id→slot search goes
+/// through here, over the dense id array.
+fn lookup_slot(state: &ForestState, id: u64) -> Result<usize, usize> {
+    state.ids.binary_search(&id)
 }
 
 /// The borrowed store view of live tree `id`, validating its frame on first
@@ -439,10 +455,11 @@ fn try_view<'a>(
     id: u64,
 ) -> Result<AnyStoreRef<'a>, ForestError> {
     let slot = lookup_slot(state, id)
+        .ok()
         .filter(|&s| state.slots[s].entry.tag != 0)
         .ok_or(ForestError::UnknownTree { id })?;
     let slot = &state.slots[slot];
-    let parts = validate_slot(words, slot)?;
+    let parts = *validate_slot(words, slot)?;
     let e = slot.entry;
     Ok(AnyStoreRef::from_parts(&words[e.off..e.off + e.len], parts))
 }
@@ -617,6 +634,7 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
         });
     }
 
+    let ids = slots.iter().map(|s| s.entry.id).collect();
     let state = ForestState {
         version,
         capacity,
@@ -624,6 +642,7 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
         policy,
         live,
         slots,
+        ids,
     };
     if policy == ValidationPolicy::Eager {
         for slot in &state.slots {
@@ -1291,14 +1310,25 @@ impl ForestBuilder {
 /// Reusable scratch for the routed batch engine: the per-batch group state
 /// ([`ForestRef::route_distances_into`] allocates only into these buffers, so
 /// a serving loop that reuses one scratch allocates nothing per batch once
-/// the buffers have grown to the working size).
+/// the buffers have grown to the working size).  Every buffer is sized by
+/// the batch except `counts`, which grows once to the directory size and is
+/// touched only at the slots a batch names — so a batch costs the same
+/// against four trees or four thousand.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
     /// Per-query tree slot (directory position), or [`DEAD_SLOT`] for a
     /// query that already failed resolution.
     slots: Vec<u32>,
-    /// Per-slot group *end* position after the counting sort.
-    bounds: Vec<usize>,
+    /// Per-directory-slot query count, then scatter cursor, while a batch is
+    /// grouped; all zero between batches (grouping re-zeroes exactly the
+    /// entries it touched).  Grown on demand to the directory size.
+    counts: Vec<u32>,
+    /// The directory slots the batch touches, ascending: one group per
+    /// distinct healthy tree, run in slot order.
+    groups: Vec<u32>,
+    /// Per-group *end* position in `order` (a group starts where the
+    /// previous one ends).
+    bounds: Vec<u32>,
     /// Healthy-query indices, stably grouped by slot.
     order: Vec<u32>,
     /// Per-group `(u, v)` staging for the batch engine.
@@ -1323,8 +1353,8 @@ impl RouteScratch {
 }
 
 /// The slot sentinel marking a query that failed resolution (unknown tree,
-/// out-of-range node, corrupt tree) in [`RouteScratch::slots`]: the counting
-/// sort skips it, so failed queries never reach a query kernel.
+/// out-of-range node, corrupt tree) in [`RouteScratch::slots`]: grouping
+/// skips it, so failed queries never reach a query kernel.
 const DEAD_SLOT: u32 = u32::MAX;
 
 /// One memoized id resolution: the slot index and node count of a healthy
@@ -1335,15 +1365,20 @@ type SlotResolution = Result<(u32, usize), QueryStatus>;
 /// under the lazy policy — each touched tree's inner frame, first touch
 /// only), records each query's preliminary [`QueryStatus`] in arrival order
 /// (healthy queries get an `Ok(0)` placeholder for the scatter to fill), and
-/// groups the healthy query indices by slot with a stable counting sort.
-/// Never panics on query input: failed queries park under [`DEAD_SLOT`].
+/// groups the healthy query indices by slot, stably: the touched slots are
+/// collected and sorted, and a counting sort runs over them alone.
+/// Grouping costs O(q + G log G) for q queries over G distinct trees,
+/// whatever the directory size; resolution adds one binary search over the
+/// dense id array per run of equal ids.  Never panics on query input: failed
+/// queries park under [`DEAD_SLOT`].
 fn prepare_route_try(
     words: &[u64],
-    slots: &[TreeSlot],
+    state: &ForestState,
     queries: &[(u64, usize, usize)],
     scratch: &mut RouteScratch,
     statuses: &mut Vec<QueryStatus>,
 ) {
+    let slots = &state.slots;
     // The scratch stores slot and query indices in 32 bits (halving the
     // routing tables); make the truncating casts below unreachable rather
     // than silently wrong for pathological inputs.  Internal capacity
@@ -1356,8 +1391,16 @@ fn prepare_route_try(
         queries.len() <= u32::MAX as usize,
         "routed batch exceeds 2³² queries; split it into sub-batches"
     );
+    if scratch.counts.len() < slots.len() {
+        scratch.counts.resize(slots.len(), 0);
+    }
     scratch.slots.clear();
     scratch.slots.reserve(queries.len());
+    // G ≤ q: sized by the batch, so a warm scratch never grows on a new mix.
+    scratch.groups.clear();
+    scratch.groups.reserve(queries.len());
+    scratch.bounds.clear();
+    scratch.bounds.reserve(queries.len());
     statuses.reserve(queries.len());
     // Same-id runs replay the memoized resolution — including its failure.
     let mut last: Option<(u64, SlotResolution)> = None;
@@ -1365,8 +1408,7 @@ fn prepare_route_try(
         let resolved = match last {
             Some((lid, r)) if lid == id => r,
             _ => {
-                let r = match slots
-                    .binary_search_by_key(&id, |t| t.entry.id)
+                let r = match lookup_slot(state, id)
                     .ok()
                     .filter(|&s| slots[s].entry.tag != 0)
                 {
@@ -1382,6 +1424,11 @@ fn prepare_route_try(
         };
         let status = match resolved {
             Ok((slot, n)) if u < n && v < n => {
+                let count = &mut scratch.counts[slot as usize];
+                if *count == 0 {
+                    scratch.groups.push(slot);
+                }
+                *count += 1;
                 scratch.slots.push(slot);
                 QueryStatus::Ok(0)
             }
@@ -1396,40 +1443,94 @@ fn prepare_route_try(
         };
         statuses.push(status);
     }
-    // Stable counting sort of the healthy query indices by slot: counts →
-    // start cursors → scatter (cursors advance to the group ends, kept in
-    // `bounds`).  Dead queries are simply absent from the grouped order.
-    scratch.bounds.clear();
-    scratch.bounds.resize(slots.len(), 0);
-    let mut healthy = 0usize;
-    for &s in &scratch.slots {
-        if s != DEAD_SLOT {
-            scratch.bounds[s as usize] += 1;
-            healthy += 1;
-        }
-    }
-    let mut acc = 0usize;
-    for b in scratch.bounds.iter_mut() {
-        let count = *b;
-        *b = acc;
-        acc += count;
+    // Counting sort over the touched slots only: counts → start cursors (in
+    // slot order) → scatter, which advances each cursor to its group end.
+    // Dead queries are simply absent from the grouped order.
+    scratch.groups.sort_unstable();
+    let mut acc = 0u32;
+    for &s in &scratch.groups {
+        let cursor = &mut scratch.counts[s as usize];
+        let start = acc;
+        acc += *cursor;
+        *cursor = start;
+        scratch.bounds.push(acc);
     }
     scratch.order.clear();
-    scratch.order.resize(healthy, 0);
+    scratch.order.resize(acc as usize, 0);
     for (i, &s) in scratch.slots.iter().enumerate() {
         if s == DEAD_SLOT {
             continue;
         }
-        let cursor = &mut scratch.bounds[s as usize];
-        scratch.order[*cursor] = i as u32;
+        let cursor = &mut scratch.counts[s as usize];
+        scratch.order[*cursor as usize] = i as u32;
         *cursor += 1;
+    }
+    for &s in &scratch.groups {
+        scratch.counts[s as usize] = 0;
     }
 }
 
-/// Runs the grouped queries of directory slots `groups` through each tree's
-/// batch engine, writing answers (in grouped order) into `sorted`, whose
-/// first element corresponds to global grouped position `pos_base`.  Each
-/// group drains through the store's planned, prefetching pipeline
+/// A prepared batch's grouping, borrowed from its [`RouteScratch`].
+#[derive(Clone, Copy)]
+struct Grouping<'a> {
+    /// Directory slot of each group, ascending.
+    slots: &'a [u32],
+    /// Per-group end position in `order`.
+    bounds: &'a [u32],
+    /// Healthy-query indices in grouped order.
+    order: &'a [u32],
+}
+
+impl Grouping<'_> {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Grouped-order positions of group `g`.
+    fn span(&self, g: usize) -> Range<usize> {
+        let start = if g == 0 {
+            0
+        } else {
+            self.bounds[g - 1] as usize
+        };
+        start..self.bounds[g] as usize
+    }
+}
+
+/// The cached parts of a slot that `prepare_route_try` routed to.
+fn routed_parts(slot: &TreeSlot) -> &AnyParts {
+    match slot.state.get() {
+        Some(Ok(parts)) => parts,
+        _ => panic!("routed groups are validated in prepare_route_try"),
+    }
+}
+
+/// Cross-group look-ahead: prefetches the first line of both labels of the
+/// first query of every group in `groups`.  The store pipeline overlaps
+/// label misses only *within* a group; with about one query per group, this
+/// pass is what keeps consecutive groups' misses in flight together.
+fn prefetch_group_heads(
+    words: &[u64],
+    slots: &[TreeSlot],
+    queries: &[(u64, usize, usize)],
+    grouping: Grouping<'_>,
+    groups: Range<usize>,
+) {
+    for g in groups {
+        let (_, u, v) = queries[grouping.order[grouping.span(g).start] as usize];
+        let slot = &slots[grouping.slots[g] as usize];
+        let e = slot.entry;
+        let frame = &words[e.off..e.off + e.len];
+        let raw = &routed_parts(slot).raw;
+        raw.prefetch_label(frame, u);
+        raw.prefetch_label(frame, v);
+    }
+}
+
+/// Runs the queries of groups `groups` through each tree's batch engine,
+/// writing answers (in grouped order) into `sorted`, whose first element
+/// corresponds to global grouped position `pos_base`.  Each group drains
+/// through the store's planned, prefetching pipeline
 /// (`AnyStoreRef::distances_write_with`): the router contributes grouping
 /// and the shared plan buffers, the pipeline itself lives in the store
 /// layer.
@@ -1438,35 +1539,95 @@ fn run_group_range(
     words: &[u64],
     slots: &[TreeSlot],
     queries: &[(u64, usize, usize)],
-    order: &[u32],
-    bounds: &[usize],
+    grouping: Grouping<'_>,
     groups: Range<usize>,
     pos_base: usize,
     pairs: &mut Vec<(usize, usize)>,
     plan: &mut BatchPlan,
     sorted: &mut [u64],
 ) {
-    for t in groups {
-        let gstart = if t == 0 { 0 } else { bounds[t - 1] };
-        let gend = bounds[t];
-        if gend == gstart {
-            continue;
-        }
+    for g in groups {
+        let span = grouping.span(g);
         pairs.clear();
-        pairs.extend(order[gstart..gend].iter().map(|&qi| {
+        pairs.extend(grouping.order[span.clone()].iter().map(|&qi| {
             let (_, u, v) = queries[qi as usize];
             (u, v)
         }));
-        let e = slots[t].entry;
-        let parts = slots[t]
-            .state
-            .get()
-            .copied()
-            .expect("routed groups are validated in prepare_route")
-            .expect("routed groups are validated in prepare_route");
-        let view = AnyStoreRef::from_parts(&words[e.off..e.off + e.len], parts);
-        view.distances_write_with(pairs, plan, &mut sorted[gstart - pos_base..gend - pos_base]);
+        let slot = &slots[grouping.slots[g] as usize];
+        let e = slot.entry;
+        let view = AnyStoreRef::from_parts(&words[e.off..e.off + e.len], *routed_parts(slot));
+        view.distances_write_with(
+            pairs,
+            plan,
+            &mut sorted[span.start - pos_base..span.end - pos_base],
+        );
     }
+}
+
+/// Writes the grouped answers back to arrival order: every still-`Ok`
+/// status of `statuses` (query 0 first) takes its distance from `sorted`.
+fn scatter(order: &[u32], sorted: &[u64], statuses: &mut [QueryStatus]) {
+    for (&qi, &d) in order.iter().zip(sorted) {
+        let status = &mut statuses[qi as usize];
+        if matches!(status, QueryStatus::Ok(_)) {
+            *status = QueryStatus::Ok(d);
+        }
+    }
+}
+
+/// Runs every group of a prepared batch on the calling thread — the
+/// look-ahead pass first, then each group's kernel under its own
+/// [`std::panic::catch_unwind`] — and scatters the answers into `statuses`
+/// (query 0 first).
+fn run_prepared_serial(
+    words: &[u64],
+    slots: &[TreeSlot],
+    queries: &[(u64, usize, usize)],
+    scratch: &mut RouteScratch,
+    statuses: &mut [QueryStatus],
+) {
+    let RouteScratch {
+        ref groups,
+        ref bounds,
+        ref order,
+        ref mut pairs,
+        ref mut sorted,
+        ref mut plan,
+        ..
+    } = *scratch;
+    let grouping = Grouping {
+        slots: groups,
+        bounds,
+        order,
+    };
+    sorted.clear();
+    sorted.resize(order.len(), 0);
+    // Rotted index words can panic the offset walk; the group's own guarded
+    // run below reports that group, so a failed look-ahead is just skipped.
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        prefetch_group_heads(words, slots, queries, grouping, 0..grouping.len());
+    }));
+    for g in 0..grouping.len() {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_group_range(
+                words,
+                slots,
+                queries,
+                grouping,
+                g..g + 1,
+                0,
+                pairs,
+                plan,
+                sorted,
+            );
+        }));
+        if run.is_err() {
+            for &qi in &order[grouping.span(g)] {
+                statuses[qi as usize] = QueryStatus::CorruptTree;
+            }
+        }
+    }
+    scatter(order, sorted, statuses);
 }
 
 /// The serial fallible routed engine body shared by every forest view:
@@ -1478,55 +1639,14 @@ fn run_group_range(
 /// unwinding through the serving loop.
 fn try_route_into(
     words: &[u64],
-    slots: &[TreeSlot],
+    state: &ForestState,
     queries: &[(u64, usize, usize)],
     scratch: &mut RouteScratch,
     statuses: &mut Vec<QueryStatus>,
 ) -> RouteOutcome {
     let base = statuses.len();
-    prepare_route_try(words, slots, queries, scratch, statuses);
-    scratch.sorted.clear();
-    scratch.sorted.resize(scratch.order.len(), 0);
-    let RouteScratch {
-        bounds,
-        order,
-        pairs,
-        sorted,
-        plan,
-        ..
-    } = scratch;
-    for t in 0..slots.len() {
-        let gstart = if t == 0 { 0 } else { bounds[t - 1] };
-        let gend = bounds[t];
-        if gend == gstart {
-            continue;
-        }
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_group_range(
-                words,
-                slots,
-                queries,
-                order,
-                bounds,
-                t..t + 1,
-                0,
-                pairs,
-                plan,
-                sorted,
-            );
-        }));
-        if run.is_err() {
-            for &qi in &order[gstart..gend] {
-                statuses[base + qi as usize] = QueryStatus::CorruptTree;
-            }
-        }
-    }
-    for (pos, &qi) in order.iter().enumerate() {
-        let status = &mut statuses[base + qi as usize];
-        if matches!(status, QueryStatus::Ok(_)) {
-            *status = QueryStatus::Ok(sorted[pos]);
-        }
-    }
+    prepare_route_try(words, state, queries, scratch, statuses);
+    run_prepared_serial(words, &state.slots, queries, scratch, &mut statuses[base..]);
     let mut outcome = RouteOutcome::default();
     for &s in &statuses[base..] {
         outcome.count(s);
@@ -1541,32 +1661,24 @@ fn try_route_into(
 #[cold]
 fn panic_bad_query(
     words: &[u64],
-    slots: &[TreeSlot],
+    state: &ForestState,
     query: (u64, usize, usize),
     status: QueryStatus,
 ) -> ! {
     let (id, u, v) = query;
+    let slot = lookup_slot(state, id).ok().map(|s| &state.slots[s]);
     match status {
         QueryStatus::UnknownTree => panic!("no tree with id {id} in the forest"),
         QueryStatus::NodeOutOfRange => {
-            let n = slots
-                .binary_search_by_key(&id, |t| t.entry.id)
-                .map(|s| slots[s].entry.n)
-                .unwrap_or(0);
+            let n = slot.map_or(0, |s| s.entry.n);
             panic!("pair ({u}, {v}) out of range for tree {id} (n = {n})")
         }
-        _ => {
-            let verdict = slots
-                .binary_search_by_key(&id, |t| t.entry.id)
-                .ok()
-                .map(|s| validate_slot(words, &slots[s]));
-            match verdict {
-                Some(Err(e)) => panic!("tree {id} failed validation: {e}"),
-                _ => panic!(
-                    "tree {id} failed validation: its query kernel panicked on corrupt label data"
-                ),
-            }
-        }
+        _ => match slot.map(|s| validate_slot(words, s)) {
+            Some(Err(e)) => panic!("tree {id} failed validation: {e}"),
+            _ => panic!(
+                "tree {id} failed validation: its query kernel panicked on corrupt label data"
+            ),
+        },
     }
 }
 
@@ -1575,27 +1687,28 @@ fn panic_bad_query(
 /// `route_distances` contract bit for bit.
 fn route_into(
     words: &[u64],
-    slots: &[TreeSlot],
+    state: &ForestState,
     queries: &[(u64, usize, usize)],
     scratch: &mut RouteScratch,
     out: &mut Vec<u64>,
 ) {
     let mut statuses = std::mem::take(&mut scratch.statuses);
     statuses.clear();
-    try_route_into(words, slots, queries, scratch, &mut statuses);
+    try_route_into(words, state, queries, scratch, &mut statuses);
     out.reserve(queries.len());
     for (i, &s) in statuses.iter().enumerate() {
         match s {
             QueryStatus::Ok(d) => out.push(d),
-            bad => panic_bad_query(words, slots, queries[i], bad),
+            bad => panic_bad_query(words, state, queries[i], bad),
         }
     }
     scratch.statuses = statuses;
 }
 
 /// The sharded fallible routed engine body: tree groups are partitioned into
-/// contiguous shards of roughly equal healthy-query count, each shard
-/// answers into its disjoint slice of the grouped output under a per-shard
+/// contiguous shards of roughly equal healthy-query count (never more shards
+/// than groups), each shard runs its look-ahead pass and answers into its
+/// disjoint slice of the grouped output under a per-shard
 /// [`std::panic::catch_unwind`], and one serial scatter restores arrival
 /// order — so the result is bit-identical to the serial engine for every
 /// thread count, except that a kernel panic (corrupt label data slipping
@@ -1603,43 +1716,45 @@ fn route_into(
 /// granularity.
 fn try_route_sharded(
     words: &[u64],
-    slots: &[TreeSlot],
+    state: &ForestState,
     queries: &[(u64, usize, usize)],
     par: Parallelism,
 ) -> Vec<QueryStatus> {
-    let q = queries.len();
+    let slots = &state.slots;
     let mut scratch = RouteScratch::new();
-    let mut statuses = Vec::with_capacity(q);
-    let threads = par.thread_count().min(slots.len()).max(1);
-    if threads <= 1 || q == 0 {
-        try_route_into(words, slots, queries, &mut scratch, &mut statuses);
+    let mut statuses = Vec::with_capacity(queries.len());
+    prepare_route_try(words, state, queries, &mut scratch, &mut statuses);
+    let threads = par.thread_count().min(scratch.groups.len());
+    if threads <= 1 {
+        run_prepared_serial(words, slots, queries, &mut scratch, &mut statuses);
         return statuses;
     }
-    prepare_route_try(words, slots, queries, &mut scratch, &mut statuses);
-    let healthy = scratch.order.len();
-    scratch.sorted.clear();
-    scratch.sorted.resize(healthy, 0);
+    let grouping = Grouping {
+        slots: &scratch.groups,
+        bounds: &scratch.bounds,
+        order: &scratch.order,
+    };
+    let healthy = grouping.order.len();
+    let mut sorted = vec![0u64; healthy];
 
-    // Greedy contiguous partition of the tree groups into `threads` shards
-    // of roughly healthy / threads queries each: (groups, grouped-position
+    // Greedy contiguous partition of the groups into `threads` shards of
+    // roughly healthy / threads queries each: (groups, grouped-position
     // range).
     let target = healthy.div_ceil(threads).max(1);
     let mut shards: Vec<(Range<usize>, Range<usize>)> = Vec::with_capacity(threads);
     let (mut group_lo, mut pos_lo) = (0usize, 0usize);
-    for t in 0..slots.len() {
-        let end = scratch.bounds[t];
-        let last = t + 1 == slots.len();
-        if end - pos_lo >= target || (last && end > pos_lo) {
-            shards.push((group_lo..t + 1, pos_lo..end));
-            group_lo = t + 1;
+    for g in 0..grouping.len() {
+        let end = grouping.span(g).end;
+        if end - pos_lo >= target || g + 1 == grouping.len() {
+            shards.push((group_lo..g + 1, pos_lo..end));
+            group_lo = g + 1;
             pos_lo = end;
         }
     }
 
-    let (order, bounds) = (&scratch.order, &scratch.bounds);
     let poisoned: Vec<Range<usize>> = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(shards.len());
-        let mut rest: &mut [u64] = &mut scratch.sorted;
+        let mut rest: &mut [u64] = &mut sorted;
         let mut consumed = 0usize;
         for (groups, pos) in &shards {
             let (chunk, tail) = rest.split_at_mut(pos.end - consumed);
@@ -1650,9 +1765,10 @@ fn try_route_sharded(
                 let mut pairs: Vec<(usize, usize)> = Vec::new();
                 let mut plan = BatchPlan::default();
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    prefetch_group_heads(words, slots, queries, grouping, groups.clone());
                     run_group_range(
-                        words, slots, queries, order, bounds, groups, pos.start, &mut pairs,
-                        &mut plan, chunk,
+                        words, slots, queries, grouping, groups, pos.start, &mut pairs, &mut plan,
+                        chunk,
                     );
                 }))
                 .is_err()
@@ -1670,14 +1786,9 @@ fn try_route_sharded(
             .collect()
     });
 
-    for (pos, &qi) in scratch.order.iter().enumerate() {
-        let status = &mut statuses[qi as usize];
-        if matches!(status, QueryStatus::Ok(_)) {
-            *status = QueryStatus::Ok(scratch.sorted[pos]);
-        }
-    }
+    scatter(grouping.order, &sorted, &mut statuses);
     for pos_range in poisoned {
-        for &qi in &scratch.order[pos_range] {
+        for &qi in &grouping.order[pos_range] {
             statuses[qi as usize] = QueryStatus::CorruptTree;
         }
     }
@@ -1688,16 +1799,16 @@ fn try_route_sharded(
 /// [`try_route_sharded`] preserving the historical contract.
 fn route_sharded(
     words: &[u64],
-    slots: &[TreeSlot],
+    state: &ForestState,
     queries: &[(u64, usize, usize)],
     par: Parallelism,
 ) -> Vec<u64> {
-    let statuses = try_route_sharded(words, slots, queries, par);
+    let statuses = try_route_sharded(words, state, queries, par);
     let mut out = Vec::with_capacity(queries.len());
     for (i, &s) in statuses.iter().enumerate() {
         match s {
             QueryStatus::Ok(d) => out.push(d),
-            bad => panic_bad_query(words, slots, queries[i], bad),
+            bad => panic_bad_query(words, state, queries[i], bad),
         }
     }
     out
@@ -1743,7 +1854,7 @@ macro_rules! forest_read_api {
         /// `true` when the directory holds a tombstone for `id` (the id was
         /// served once and then retired — distinct from never present).
         pub fn is_tombstoned(&self, id: u64) -> bool {
-            matches!(lookup_slot(&self.state, id), Some(s) if self.state.slots[s].entry.tag == 0)
+            matches!(lookup_slot(&self.state, id), Ok(s) if self.state.slots[s].entry.tag == 0)
         }
 
         /// The directory generation word: 0 for a freshly built (or v1)
@@ -1835,7 +1946,7 @@ macro_rules! forest_read_api {
             scratch: &mut RouteScratch,
             out: &mut Vec<u64>,
         ) {
-            route_into(self.frame_words(), &self.state.slots, queries, scratch, out);
+            route_into(self.frame_words(), &self.state, queries, scratch, out);
         }
 
         /// The sharded routed batch query: tree groups fan out over
@@ -1852,7 +1963,7 @@ macro_rules! forest_read_api {
             queries: &[(u64, usize, usize)],
             par: Parallelism,
         ) -> Vec<u64> {
-            route_sharded(self.frame_words(), &self.state.slots, queries, par)
+            route_sharded(self.frame_words(), &self.state, queries, par)
         }
 
         /// Fallible routed batch query: one [`QueryStatus`] per `(tree, u,
@@ -1879,7 +1990,7 @@ macro_rules! forest_read_api {
             scratch: &mut RouteScratch,
             out: &mut Vec<QueryStatus>,
         ) -> RouteOutcome {
-            try_route_into(self.frame_words(), &self.state.slots, queries, scratch, out)
+            try_route_into(self.frame_words(), &self.state, queries, scratch, out)
         }
 
         /// The sharded fallible routed batch query: tree groups fan out over
@@ -1893,7 +2004,7 @@ macro_rules! forest_read_api {
             queries: &[(u64, usize, usize)],
             par: Parallelism,
         ) -> Vec<QueryStatus> {
-            try_route_sharded(self.frame_words(), &self.state.slots, queries, par)
+            try_route_sharded(self.frame_words(), &self.state, queries, par)
         }
 
         /// A point-in-time health snapshot of every directory slot —
@@ -1907,7 +2018,7 @@ macro_rules! forest_read_api {
         /// The [`SlotHealth`] of tree `id`, or `None` when the directory has
         /// no slot for it.
         pub fn slot_health(&self, id: u64) -> Option<SlotHealth> {
-            lookup_slot(&self.state, id).map(|s| slot_health_of(&self.state.slots[s]))
+            lookup_slot(&self.state, id).ok().map(|s| slot_health_of(&self.state.slots[s]))
         }
 
         /// The word range of `id`'s inner frame within [`Self::as_words`]
@@ -1915,7 +2026,7 @@ macro_rules! forest_read_api {
         /// region), or `None` for an unknown id.  This is the targeting
         /// hook for fault injection via [`ForestStore::corrupt_word`].
         pub fn frame_extent(&self, id: u64) -> Option<Range<usize>> {
-            lookup_slot(&self.state, id).map(|s| {
+            lookup_slot(&self.state, id).ok().map(|s| {
                 let e = self.state.slots[s].entry;
                 e.off..e.off + e.len
             })
@@ -2005,6 +2116,54 @@ impl<'a> ForestRef<'a> {
     }
 
     forest_read_api!();
+}
+
+/// Bytes per read of [`read_words`].
+const READ_CHUNK_BYTES: usize = 64 * 1024;
+
+/// Reads the file at `path` straight into little-endian words through one
+/// fixed [`READ_CHUNK_BYTES`] buffer, so loading holds one file-sized buffer
+/// instead of two (the bytes plus their widened copy).  Short reads are
+/// carried over, and the file is read to EOF.
+///
+/// # Errors
+///
+/// [`ForestFileError::Io`] when reading fails, and the same
+/// [`StoreError::Malformed`] as [`frame::words_from_bytes`] when the length
+/// is not a multiple of 8.
+fn read_words(path: &std::path::Path) -> Result<Vec<u64>, ForestFileError> {
+    use std::io::Read;
+    let mut file = std::fs::File::open(path)?;
+    let hint = file
+        .metadata()
+        .map_or(0, |m| usize::try_from(m.len()).unwrap_or(0));
+    let mut words = Vec::with_capacity(hint / 8);
+    let mut buf = vec![0u8; READ_CHUNK_BYTES];
+    // `buf[..fill]` holds bytes read but not yet widened (fewer than 8
+    // between reads); `len` counts every byte read.
+    let (mut fill, mut len) = (0usize, 0usize);
+    loop {
+        let got = match file.read(&mut buf[fill..]) {
+            Ok(0) => break,
+            Ok(got) => got,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        fill += got;
+        len += got;
+        let whole = fill - fill % 8;
+        words.extend(
+            buf[..whole]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8"))),
+        );
+        buf.copy_within(whole..fill, 0);
+        fill -= whole;
+    }
+    if fill != 0 {
+        return Err(ForestError::from(frame::CastError::Length { len }).into());
+    }
+    Ok(words)
 }
 
 /// A whole forest as one owned, checksummed word buffer — the owning,
@@ -2107,8 +2266,8 @@ impl ForestStore {
         path: impl AsRef<std::path::Path>,
         policy: ValidationPolicy,
     ) -> Result<Self, ForestFileError> {
-        let bytes = std::fs::read(path)?;
-        Ok(Self::from_bytes_with(&bytes, policy)?)
+        let words = read_words(path.as_ref())?;
+        Ok(Self::from_words_with(words, policy)?)
     }
 
     /// Maps the file at `path` read-only via the raw `mmap(2)` wrapper and
@@ -2293,18 +2452,13 @@ impl ForestStore {
         }
         let (tag, n) = (view.tag(), view.node_count() as u32);
         let parts = view.parts();
-        if lookup_slot(&self.state, id).is_some() {
+        let Err(p) = lookup_slot(&self.state, id) else {
             return Err(ForestError::DuplicateTree { id });
-        }
+        };
         self.ensure_v2();
         if self.state.slots.len() == self.state.capacity {
             self.grow_capacity(self.state.capacity.max(1));
         }
-        let p = self
-            .state
-            .slots
-            .binary_search_by_key(&id, |s| s.entry.id)
-            .unwrap_err();
         let t = self.state.slots.len();
         let generation = self.state.generation + 1;
         let flen = frame_words.len();
@@ -2345,6 +2499,7 @@ impl ForestStore {
                 quarantine: OnceLock::new(),
             },
         );
+        self.state.ids.insert(p, id);
         Ok(())
     }
 
@@ -2361,6 +2516,7 @@ impl ForestStore {
     /// tombstoned.
     pub fn tombstone(&mut self, id: u64) -> Result<(), ForestError> {
         let slot = lookup_slot(&self.state, id)
+            .ok()
             .filter(|&s| self.state.slots[s].entry.tag != 0)
             .ok_or(ForestError::UnknownTree { id })?;
         self.ensure_v2();
@@ -2441,6 +2597,7 @@ impl ForestStore {
         let (tag, n) = (view.tag(), view.node_count() as u32);
         let parts = view.parts();
         let slot_pos = lookup_slot(&self.state, id)
+            .ok()
             .filter(|&s| self.state.slots[s].entry.tag != 0)
             .ok_or(ForestError::UnknownTree { id })?;
         self.ensure_v2();
@@ -2886,6 +3043,42 @@ mod tests {
             ForestStore::open(&path),
             Err(ForestFileError::Io(_))
         ));
+    }
+
+    #[test]
+    fn open_reads_whole_chunks_and_ragged_tails() {
+        // Big enough to span several read chunks, with a ragged last chunk.
+        let mut b = ForestStore::builder();
+        for id in 0..32u64 {
+            let tree = gen::random_tree(900 + id as usize, id);
+            b.push_scheme(id, &NaiveScheme::build(&tree)).unwrap();
+        }
+        let forest = b.finish().unwrap();
+        let bytes = forest.to_bytes();
+        assert!(
+            bytes.len() > 2 * READ_CHUNK_BYTES && !bytes.len().is_multiple_of(READ_CHUNK_BYTES)
+        );
+        let path =
+            std::env::temp_dir().join(format!("treelab-forest-read-{}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).expect("write");
+        let opened = ForestStore::open(&path).expect("open");
+        assert_eq!(opened.as_words(), forest.as_words());
+
+        // A length that is not a multiple of 8 — straddling a chunk border,
+        // or not — keeps the error the copying byte path reports.
+        for len in [bytes.len() - 3, READ_CHUNK_BYTES + 5, 13] {
+            std::fs::write(&path, &bytes[..len]).expect("rewrite");
+            let want = ForestStore::from_bytes(&bytes[..len]).unwrap_err();
+            assert!(matches!(
+                want,
+                ForestError::Frame(StoreError::Malformed { .. })
+            ));
+            match ForestStore::open(&path) {
+                Err(ForestFileError::Forest(got)) => assert_eq!(got, want, "len {len}"),
+                other => panic!("len {len}: {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -423,6 +423,14 @@ impl RawParts {
         self.offset_at(words, self.pos(words, u))
     }
 
+    /// Prefetches the first cache line of node `u`'s label — the forest
+    /// router's cross-group look-ahead, issued before the group that reads
+    /// the label is planned.
+    #[inline]
+    pub(crate) fn prefetch_label(&self, words: &[u64], u: usize) {
+        treelab_bits::wordram::prefetch_word(words, self.label_base + self.offset(words, u) / 64);
+    }
+
     /// Start and end bit offsets of node `u`'s label.
     #[inline]
     fn extent(&self, words: &[u64], u: usize) -> (usize, usize) {

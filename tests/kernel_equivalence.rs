@@ -6,13 +6,14 @@
 //! `d ≤ d̃ ≤ (1+ε)·d + 2` guarantee.  Adversarial corrupt-frame inputs must
 //! quarantine exactly the rotted tree while every healthy answer stays true.
 
+use std::collections::HashMap;
 use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
-    gen, DistanceArrayScheme, DistanceOracle, DistanceScheme, ForestStore, NaiveScheme,
-    OptimalScheme, Parallelism, QueryStatus, RouteScratch, SchemeStore, StoredScheme, Tree,
-    ValidationPolicy, NO_DISTANCE,
+    gen, DistanceArrayScheme, DistanceOracle, DistanceScheme, ForestError, ForestStore,
+    NaiveScheme, OptimalScheme, Parallelism, QueryStatus, RouteScratch, SchemeStore, StoredScheme,
+    Tree, ValidationPolicy, NO_DISTANCE,
 };
 
 /// Deterministic pair sampler (xorshift64*), so the sweep is reproducible.
@@ -306,4 +307,225 @@ fn corrupt_frame_verdicts_do_not_diverge_by_configuration() {
     // The sharded fallible router reaches the same verdicts.
     let sharded = lazy.try_route_distances_sharded(&queries, Parallelism::Auto);
     assert_eq!(statuses, sharded);
+}
+
+/// What a forest tree's answers are held to: its oracle distance, exactly or
+/// under the scheme's guarantee.
+#[derive(Clone, Copy)]
+enum Guarantee {
+    Exact,
+    WithinK(u64),
+    WithinEps(f64),
+}
+
+/// The ground truth behind one forest tree.
+struct TruthTree {
+    tree: Tree,
+    oracle: DistanceOracle,
+    guarantee: Guarantee,
+}
+
+impl TruthTree {
+    fn accepts(&self, u: usize, v: usize, got: u64) -> bool {
+        let d = self.oracle.distance(self.tree.node(u), self.tree.node(v));
+        match self.guarantee {
+            Guarantee::Exact => got == d,
+            Guarantee::WithinK(k) => got == if d <= k { d } else { NO_DISTANCE },
+            Guarantee::WithinEps(eps) => got >= d && got as f64 <= (1.0 + eps) * d as f64 + 2.0,
+        }
+    }
+}
+
+/// A scheme's native frame, as a forest push or append takes it.
+fn frame_of<S: StoredScheme>(scheme: &S) -> Vec<u64> {
+    scheme.as_store().as_words().to_vec()
+}
+
+/// Tree `i` of the sparse forest: a small tree under scheme `i % 6`.
+fn sparse_tree(i: usize) -> (TruthTree, Vec<u64>) {
+    let tree = gen::random_tree(12 + (i * 37) % 50, 0x5EED ^ i as u64);
+    let (frame, guarantee) = match i % 6 {
+        0 => (frame_of(&NaiveScheme::build(&tree)), Guarantee::Exact),
+        1 => (
+            frame_of(&DistanceArrayScheme::build(&tree)),
+            Guarantee::Exact,
+        ),
+        2 => (frame_of(&OptimalScheme::build(&tree)), Guarantee::Exact),
+        3 => (
+            frame_of(&KDistanceScheme::build(&tree, 6)),
+            Guarantee::WithinK(6),
+        ),
+        4 => (
+            frame_of(&ApproximateScheme::build(&tree, 0.25)),
+            Guarantee::WithinEps(0.25),
+        ),
+        _ => (
+            frame_of(&LevelAncestorScheme::build(&tree)),
+            Guarantee::Exact,
+        ),
+    };
+    let oracle = DistanceOracle::new(&tree);
+    let truth = TruthTree {
+        tree,
+        oracle,
+        guarantee,
+    };
+    (truth, frame)
+}
+
+/// The status the router owes query `q`, derived from the per-tree read
+/// path alone.
+fn expected_status(forest: &ForestStore, (id, u, v): (u64, usize, usize)) -> QueryStatus {
+    match forest.try_tree(id) {
+        Err(ForestError::UnknownTree { .. }) => QueryStatus::UnknownTree,
+        Err(_) => QueryStatus::CorruptTree,
+        Ok(view) if u >= view.node_count() || v >= view.node_count() => QueryStatus::NodeOutOfRange,
+        Ok(view) => QueryStatus::Ok(view.distance(u, v)),
+    }
+}
+
+/// Routes `queries` through the reused `scratch` and holds every status to
+/// `try_tree` + `distance`, every answer to the oracle, and the sharded
+/// router at 1, 2 and 4 threads to the serial one.
+fn check_routed(
+    what: &str,
+    forest: &ForestStore,
+    truth: &HashMap<u64, TruthTree>,
+    queries: &[(u64, usize, usize)],
+    scratch: &mut RouteScratch,
+) {
+    let mut statuses = Vec::new();
+    let outcome = forest.try_route_distances_into(queries, scratch, &mut statuses);
+    assert_eq!(outcome.total(), queries.len(), "{what}");
+    assert_eq!(
+        outcome.ok,
+        statuses.iter().filter(|s| s.is_ok()).count(),
+        "{what}"
+    );
+    for (i, (&q, &status)) in queries.iter().zip(&statuses).enumerate() {
+        assert_eq!(
+            status,
+            expected_status(forest, q),
+            "{what}: query {i} {q:?}"
+        );
+        if let QueryStatus::Ok(d) = status {
+            let (id, u, v) = q;
+            assert!(
+                truth[&id].accepts(u, v, d),
+                "{what}: query {i} {q:?} answered {d}"
+            );
+        }
+    }
+    for threads in [1usize, 2, 4] {
+        assert_eq!(
+            forest.try_route_distances_sharded(queries, Parallelism::from_thread_count(threads)),
+            statuses,
+            "{what}: sharded at {threads} threads"
+        );
+    }
+}
+
+/// A batch over `focus` plus `1 + salt % 8` ids drawn from `ids`, with
+/// repeated ids, unknown ids and out-of-range nodes mixed in.
+fn sparse_batch(
+    ids: &[u64],
+    focus: Option<u64>,
+    truth: &HashMap<u64, TruthTree>,
+    salt: u64,
+) -> Vec<(u64, usize, usize)> {
+    let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D) as usize
+    };
+    let touched: Vec<u64> = (0..1 + salt as usize % 8)
+        .map(|_| ids[next() % ids.len()])
+        .chain(focus)
+        .collect();
+    let len = 1 + next() % 48;
+    (0..len)
+        .map(|i| {
+            let id = touched[next() % touched.len()];
+            let n = truth.get(&id).map_or(1, |t| t.tree.len());
+            match (i + salt as usize) % 11 {
+                // A neighbouring id (absent unless it is the appended
+                // one) and an id past the end.
+                3 => (id + 1, 0, 0),
+                7 => (u64::MAX - 2, 0, 0),
+                // A node index one past the tree.
+                5 => (id, next() % n, n),
+                _ => (id, next() % n, next() % n),
+            }
+        })
+        .collect()
+}
+
+/// The routed engine groups over the slots a batch touches, on a reused
+/// scratch whose per-slot counters must come back to zero after every
+/// batch: non-dense ids across all six schemes, a tombstone, an append that
+/// grows the directory mid-stream, a lazily opened forest with one rotted
+/// tree, and a switch to a small forest and back — every status equal to the
+/// per-tree read path and the oracle, sharded equal to serial.
+#[test]
+fn sparse_routing_over_touched_slots_matches_the_per_tree_path() {
+    const TREES: usize = 300;
+    let id_of = |i: usize| 7 * i as u64 + 3;
+    let mut truth: HashMap<u64, TruthTree> = HashMap::new();
+    let mut b = ForestStore::builder();
+    for i in 0..TREES {
+        let (t, frame) = sparse_tree(i);
+        b.push_frame(id_of(i), frame).unwrap();
+        truth.insert(id_of(i), t);
+    }
+    let mut forest = b.finish().expect("forest builds");
+    let mut ids: Vec<u64> = (0..TREES).map(id_of).collect();
+    let mut scratch = RouteScratch::new();
+    let mut salt = 0u64;
+    let mut batches =
+        |what: &str, forest: &ForestStore, focus, ids: &[u64], truth: &HashMap<_, _>| {
+            for _ in 0..24 {
+                salt += 1;
+                let queries = sparse_batch(ids, focus, truth, salt);
+                check_routed(what, forest, truth, &queries, &mut scratch);
+            }
+        };
+    batches("fresh", &forest, None, &ids, &truth);
+
+    // A tombstoned tree answers UnknownTree; the batches still name it.
+    forest.tombstone(id_of(5)).unwrap();
+    batches("tombstone", &forest, Some(id_of(5)), &ids, &truth);
+
+    // An append mid-directory shifts every later slot and grows the count.
+    let (t, frame) = sparse_tree(TREES);
+    let mid = id_of(TREES / 2) + 1;
+    forest.append_frame(mid, frame).unwrap();
+    truth.insert(mid, t);
+    ids.push(mid);
+    batches("append", &forest, Some(mid), &ids, &truth);
+
+    // A lazy open with one rotted tree: its queries come back CorruptTree.
+    let mut lazy = ForestStore::from_bytes_with(&forest.to_bytes(), ValidationPolicy::Lazy)
+        .expect("directory is intact, lazy open succeeds");
+    let rotted = id_of(8);
+    let extent = lazy.frame_extent(rotted).unwrap();
+    lazy.corrupt_word(extent.start + extent.len() / 2, 1 << 29);
+    batches("lazy+rot", &lazy, Some(rotted), &ids, &truth);
+    assert_eq!(
+        lazy.try_route_distances(&[(rotted, 0, 0)]),
+        [QueryStatus::CorruptTree]
+    );
+
+    // A 4-tree forest on the same scratch, then back to the big one.
+    let mut small_truth: HashMap<u64, TruthTree> = HashMap::new();
+    let mut b = ForestStore::builder();
+    for i in 0..4 {
+        let (t, frame) = sparse_tree(i + 1);
+        b.push_frame(i as u64, frame).unwrap();
+        small_truth.insert(i as u64, t);
+    }
+    let small = b.finish().expect("small forest builds");
+    batches("small", &small, None, &[0, 1, 2, 3], &small_truth);
+    batches("back", &forest, None, &ids, &truth);
 }
