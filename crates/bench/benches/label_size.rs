@@ -1,15 +1,11 @@
 //! Criterion bench: serialization throughput — the store frame handoff of
 //! the packed-native representation (whole-scheme serialize + validated
-//! reload) next to the legacy per-label wire encode/decode (the cost of
-//! shipping individual labels in a distributed deployment; the bench crate
-//! enables the `legacy-labels` feature).
+//! reload).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use treelab_bench::workloads::Family;
-use treelab_bits::{BitReader, BitWriter};
-use treelab_core::kdistance::{KDistanceLabel, KDistanceScheme};
-use treelab_core::optimal::{OptimalLabel, OptimalScheme};
+use treelab_core::optimal::OptimalScheme;
 use treelab_core::{DistanceScheme, SchemeStore};
 
 fn bench_serialization(c: &mut Criterion) {
@@ -19,9 +15,7 @@ fn bench_serialization(c: &mut Criterion) {
     group.sample_size(20);
     for &n in &[1usize << 12, 1 << 15] {
         let tree = Family::Comb.build(n, 5);
-        // Setup via the shared substrate: one decomposition for both schemes.
-        let sub = treelab_core::substrate::Substrate::new(&tree);
-        let opt = OptimalScheme::build_with_substrate(&sub);
+        let opt = OptimalScheme::build(&tree);
 
         // The native path: whole-scheme frame handoff + validated reload.
         group.bench_with_input(
@@ -38,66 +32,6 @@ fn bench_serialization(c: &mut Criterion) {
                     SchemeStore::<OptimalScheme>::from_bytes(bytes)
                         .unwrap()
                         .node_count()
-                })
-            },
-        );
-
-        // The legacy per-label wire path.
-        let opt_label = OptimalScheme::legacy_labels(&sub)
-            .pop()
-            .expect("non-empty tree");
-        let kd_label = KDistanceScheme::legacy_labels(&sub, 8)
-            .pop()
-            .expect("non-empty tree");
-
-        group.bench_with_input(BenchmarkId::new("optimal_encode", n), &opt_label, |b, l| {
-            b.iter(|| {
-                let mut w = BitWriter::new();
-                l.encode(&mut w);
-                w.len()
-            })
-        });
-        let encoded_opt = {
-            let mut w = BitWriter::new();
-            opt_label.encode(&mut w);
-            w.into_bitvec()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("optimal_decode", n),
-            &encoded_opt,
-            |b, bits| {
-                b.iter(|| {
-                    OptimalLabel::decode(&mut BitReader::new(bits))
-                        .unwrap()
-                        .bit_len()
-                })
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("kdistance_encode", n),
-            &kd_label,
-            |b, l| {
-                b.iter(|| {
-                    let mut w = BitWriter::new();
-                    l.encode(&mut w);
-                    w.len()
-                })
-            },
-        );
-        let encoded_kd = {
-            let mut w = BitWriter::new();
-            kd_label.encode(&mut w);
-            w.into_bitvec()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("kdistance_decode", n),
-            &encoded_kd,
-            |b, bits| {
-                b.iter(|| {
-                    KDistanceLabel::decode(&mut BitReader::new(bits))
-                        .unwrap()
-                        .bit_len()
                 })
             },
         );

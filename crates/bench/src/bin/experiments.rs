@@ -3,8 +3,8 @@
 //! ```text
 //! cargo run --release -p treelab-bench --bin experiments -- [--quick] [--threads N] [--exact]
 //!     [--approx] [--kdist-small] [--kdist-large] [--lower-bounds] [--universal] [--ablation]
-//!     [--timing] [--substrate] [--store [--check]] [--packed-native] [--forest] [--restart]
-//!     [--giant] [--layout] [--giant-smoke] [--chaos [--smoke]]
+//!     [--timing] [--substrate] [--store [--check]] [--forest] [--restart] [--giant]
+//!     [--layout] [--giant-smoke] [--chaos [--smoke]]
 //! ```
 //!
 //! Every flag is declared in [`FLAGS`]; any other argument prints the usage
@@ -12,7 +12,7 @@
 //!
 //! `--store --check` runs the store regression gate after printing E11: it
 //! exits nonzero unless the batch-speedup column parses for all six schemes
-//! and the packed/legacy bit-equality sweep holds.
+//! and every golden frame (`treelab_bench::golden`) is rebuilt unchanged.
 //!
 //! `--giant` runs the E15 scale table (n = 16M streamed, all six schemes,
 //! chunked builds with per-phase peak-RSS) and `--layout` the E15b clustered
@@ -37,8 +37,8 @@ use treelab_bench::chaos::chaos_smoke;
 use treelab_bench::experiments::{
     ablation_experiment, approximate_experiment, chaos_experiment, exact_experiment,
     forest_experiment, giant_experiment, giant_smoke, k_large_experiment, k_small_experiment,
-    layout_experiment, lower_bound_experiment, packed_native_experiment, restart_experiment,
-    store_check, store_experiment, substrate_experiment, timing_experiment, universal_experiment,
+    layout_experiment, lower_bound_experiment, restart_experiment, store_check, store_experiment,
+    substrate_experiment, timing_experiment, universal_experiment,
 };
 use treelab_bench::workloads::Family;
 use treelab_core::substrate::Parallelism;
@@ -59,7 +59,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--timing", false),
     ("--substrate", false),
     ("--store", false),
-    ("--packed-native", false),
     ("--forest", false),
     ("--restart", false),
     ("--giant", false),
@@ -234,17 +233,13 @@ fn main() {
         println!("{}", table.to_markdown());
         if check {
             // Regression gate: speedup data for all six schemes + the
-            // packed/legacy bit-equality sweep.  Nonzero exit on failure.
+            // golden frames.  Nonzero exit on failure.
             if let Err(e) = store_check(&table) {
                 eprintln!("store check FAILED: {e}");
                 std::process::exit(1);
             }
             println!("store check passed");
         }
-    }
-    if run("--packed-native") {
-        let n = if quick { 1 << 10 } else { 1 << 14 };
-        println!("{}", packed_native_experiment(n, seed).to_markdown());
     }
     if run("--forest") {
         // The sharded rows sweep worker-thread counts (0 = Auto = all

@@ -4,6 +4,7 @@
 //! (see DESIGN.md §5 for the experiment index) and returns a [`Table`] that the
 //! binary prints and `EXPERIMENTS.md` records.
 
+use crate::golden;
 use crate::rss;
 use crate::workloads::{build_mixed_forest, forest_corpus, skewed_forest_queries, Family};
 use crate::Table;
@@ -1192,125 +1193,12 @@ pub fn giant_smoke(n: usize, chunk: usize, seed: u64) -> Result<String, String> 
     }
 }
 
-/// E13: the packed-native build path — per-scheme construction time of the
-/// historical struct-then-serialize pipeline (`legacy_labels` →
-/// `store_from_legacy`) versus the direct pack path (`build_with_substrate`,
-/// which *is* the frame), plus single-query latency through the scheme's own
-/// `distance` entry point and through the owned store view (both run the same
-/// kernel, so the two columns must agree within noise — and must match the
-/// E11 store rows).
-///
-/// Both sides share one precomputed [`Substrate`], so the columns isolate
-/// label construction + packing; the produced frames are asserted bit-equal
-/// before anything is timed.
-pub fn packed_native_experiment(n: usize, seed: u64) -> Table {
-    let mut table = Table::new(
-        format!("E13 — packed-native build: direct pack vs legacy struct-then-serialize (random tree, n = {n})"),
-        &[
-            "scheme",
-            "legacy build+serialize (ms)",
-            "packed-native build (ms)",
-            "build ratio",
-            "scheme query (ns)",
-            "store query (ns)",
-        ],
-    );
-    let tree = gen::random_tree(n, seed);
-    let sub = Substrate::new(&tree);
-    sub.precompute();
-    let pairs: Vec<(usize, usize)> = (0..65_536)
-        .map(|i| ((i * 7919 + 3) % tree.len(), (i * 104_729 + 11) % tree.len()))
-        .collect();
-    let queries = 200_000usize;
-
-    macro_rules! row {
-        ($name:expr, $legacy:expr, $direct:expr, $query:expr) => {{
-            // Warm-up + bit-equality assertion outside the timed region.
-            let direct_scheme = $direct;
-            let legacy_store = $legacy;
-            assert_eq!(
-                direct_scheme.as_store().as_words(),
-                legacy_store.as_words(),
-                "{}: packed/legacy frames must be bit-equal",
-                $name
-            );
-            let mut legacy_ms = f64::MAX;
-            let mut direct_ms = f64::MAX;
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                std::hint::black_box($legacy.to_bytes());
-                legacy_ms = legacy_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-                let t1 = Instant::now();
-                std::hint::black_box(SchemeStore::serialize(&$direct));
-                direct_ms = direct_ms.min(t1.elapsed().as_secs_f64() * 1e3);
-            }
-            let query = $query;
-            let scheme_qps = throughput(&pairs, queries, |u, v| query(&direct_scheme, u, v));
-            let store = direct_scheme.as_store();
-            let store_qps = throughput(&pairs, queries, |u, v| store.distance(u, v));
-            table.push_row(vec![
-                $name.to_string(),
-                format!("{legacy_ms:.1}"),
-                format!("{direct_ms:.1}"),
-                format!("{:.2}x", direct_ms / legacy_ms),
-                format!("{:.0}", 1e9 / scheme_qps),
-                format!("{:.0}", 1e9 / store_qps),
-            ]);
-        }};
-    }
-
-    row!(
-        "naive-fixed-width",
-        NaiveScheme::store_from_legacy(&NaiveScheme::legacy_labels(&sub)),
-        NaiveScheme::build_with_substrate(&sub),
-        |s: &NaiveScheme, u: usize, v: usize| s.distance(tree.node(u), tree.node(v))
-    );
-    row!(
-        "distance-array",
-        DistanceArrayScheme::store_from_legacy(&DistanceArrayScheme::legacy_labels(&sub)),
-        DistanceArrayScheme::build_with_substrate(&sub),
-        |s: &DistanceArrayScheme, u: usize, v: usize| s.distance(tree.node(u), tree.node(v))
-    );
-    row!(
-        "optimal-quarter",
-        OptimalScheme::store_from_legacy(&OptimalScheme::legacy_labels(&sub)),
-        OptimalScheme::build_with_substrate(&sub),
-        |s: &OptimalScheme, u: usize, v: usize| s.distance(tree.node(u), tree.node(v))
-    );
-    row!(
-        "k-distance",
-        KDistanceScheme::store_from_legacy(&KDistanceScheme::legacy_labels(&sub, 8)),
-        KDistanceScheme::build_with_substrate(&sub, 8),
-        |s: &KDistanceScheme, u: usize, v: usize| s
-            .distance(tree.node(u), tree.node(v))
-            .unwrap_or(NO_DISTANCE)
-    );
-    row!(
-        "approximate",
-        ApproximateScheme::store_from_legacy(&ApproximateScheme::legacy_labels(&sub, 0.25), 0.25),
-        ApproximateScheme::build_with_substrate(&sub, 0.25),
-        |s: &ApproximateScheme, u: usize, v: usize| s.distance(tree.node(u), tree.node(v))
-    );
-    row!(
-        "level-ancestor",
-        LevelAncestorScheme::store_from_legacy(&LevelAncestorScheme::legacy_labels(&sub)),
-        LevelAncestorScheme::build_with_substrate(&sub),
-        |s: &LevelAncestorScheme, u: usize, v: usize| DistanceScheme::distance(
-            s,
-            tree.node(u),
-            tree.node(v)
-        )
-    );
-    table
-}
-
 /// The `--store --check` regression gate.
 ///
 /// Validates that (1) the E11 table carries a parseable batch-speedup figure
-/// for **all six** schemes (geomean reported), (2) the packed/legacy
-/// bit-equality sweep holds on a seeded corpus: for every scheme and tree,
-/// the direct pack path and the historical struct-then-serialize pipeline
-/// produce the identical frame.
+/// for **all six** schemes (geomean reported), (2) every scheme × tree of the
+/// golden corpus still builds its golden frame: the CRC-64 trailer word,
+/// `Σ label_bits` and `max_label_bits` equal [`golden::GOLDEN_FRAMES`].
 ///
 /// # Errors
 ///
@@ -1352,74 +1240,11 @@ pub fn store_check(table: &Table) -> Result<(), String> {
         seen.len()
     );
 
-    // 2. Packed/legacy bit-equality sweep.
-    let corpus: Vec<(&str, Tree)> = vec![
-        ("random", gen::random_tree(700, 41)),
-        ("comb", gen::comb(600)),
-        ("caterpillar", gen::caterpillar(150, 3)),
-    ];
-    for (family, tree) in &corpus {
-        let sub = Substrate::new(tree);
-        let check = |name: &str, direct: &[u64], legacy: &[u64]| -> Result<(), String> {
-            if direct != legacy {
-                return Err(format!(
-                    "{name}/{family}: direct pack frame differs from struct-then-serialize"
-                ));
-            }
-            Ok(())
-        };
-        check(
-            "naive",
-            NaiveScheme::build_with_substrate(&sub)
-                .as_store()
-                .as_words(),
-            NaiveScheme::store_from_legacy(&NaiveScheme::legacy_labels(&sub)).as_words(),
-        )?;
-        check(
-            "distance-array",
-            DistanceArrayScheme::build_with_substrate(&sub)
-                .as_store()
-                .as_words(),
-            DistanceArrayScheme::store_from_legacy(&DistanceArrayScheme::legacy_labels(&sub))
-                .as_words(),
-        )?;
-        check(
-            "optimal",
-            OptimalScheme::build_with_substrate(&sub)
-                .as_store()
-                .as_words(),
-            OptimalScheme::store_from_legacy(&OptimalScheme::legacy_labels(&sub)).as_words(),
-        )?;
-        check(
-            "k-distance",
-            KDistanceScheme::build_with_substrate(&sub, 8)
-                .as_store()
-                .as_words(),
-            KDistanceScheme::store_from_legacy(&KDistanceScheme::legacy_labels(&sub, 8)).as_words(),
-        )?;
-        check(
-            "approximate",
-            ApproximateScheme::build_with_substrate(&sub, 0.25)
-                .as_store()
-                .as_words(),
-            ApproximateScheme::store_from_legacy(
-                &ApproximateScheme::legacy_labels(&sub, 0.25),
-                0.25,
-            )
-            .as_words(),
-        )?;
-        check(
-            "level-ancestor",
-            LevelAncestorScheme::build_with_substrate(&sub)
-                .as_store()
-                .as_words(),
-            LevelAncestorScheme::store_from_legacy(&LevelAncestorScheme::legacy_labels(&sub))
-                .as_words(),
-        )?;
-    }
+    // 2. Golden frames.
+    golden::compare(&golden::measure_corpus(), golden::GOLDEN_FRAMES)?;
     println!(
-        "store check: packed/legacy bit-equality holds for 6 schemes x {} trees",
-        corpus.len()
+        "store check: {} golden frames match (CRC-64 trailer, Σ label_bits, max)",
+        golden::GOLDEN_FRAMES.len()
     );
 
     Ok(())

@@ -11,6 +11,8 @@
 //! * [`experiments`] — functions that measure label sizes / query behaviour and
 //!   return printable tables (used by the `experiments` binary, whose output is
 //!   recorded in `EXPERIMENTS.md`);
+//! * [`golden`] — the golden-frame table pinning every scheme's packed frame
+//!   (CRC-64 trailer word) and wire sizes over a seeded corpus;
 //! * the Criterion benches under `benches/` measure construction time, query
 //!   time, serialization and the bit-level substrate.
 
@@ -19,6 +21,7 @@
 
 pub mod chaos;
 pub mod experiments;
+pub mod golden;
 pub mod rss;
 pub mod workloads;
 

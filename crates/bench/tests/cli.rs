@@ -13,7 +13,13 @@ fn experiments(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_flags_exit_nonzero_with_the_usage() {
-    for bad in [&["--lanes"][..], &["--bogus"], &["--quick", "--bogus"]] {
+    // `--lanes` and `--packed-native` name retired experiments.
+    for bad in [
+        &["--lanes"][..],
+        &["--packed-native"],
+        &["--bogus"],
+        &["--quick", "--bogus"],
+    ] {
         let out = experiments(bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);

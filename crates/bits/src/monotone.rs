@@ -111,7 +111,7 @@ impl MonotoneSeq {
     /// The encoded size depends only on `(len, last)`: the header codes, the
     /// `len + (last >> low_width)` high bits and the `len · low_width` low
     /// bits.  The label builders use this for their wire-size accounting;
-    /// the feature-gated legacy tests assert it against the real encoders
+    /// their test-only encoders assert it against [`MonotoneSeq::encode`]
     /// bit for bit.
     pub fn encoded_len_parts(len: usize, last: u64) -> usize {
         let mut total = codes::gamma_nz_len(len as u64);
@@ -455,6 +455,29 @@ mod tests {
             let mut r = BitReader::new(&truncated);
             assert!(MonotoneSeq::decode(&mut r).is_err(), "cut at {cut}");
         }
+    }
+
+    /// Streams whose headers announce far more elements than the input holds
+    /// used to crash with a capacity overflow (`Vec::with_capacity` of a
+    /// corrupt count) — they must produce a `DecodeError` instead.
+    #[test]
+    fn decode_rejects_absurd_counts_before_allocating() {
+        let encoded = |f: &dyn Fn(&mut BitWriter)| {
+            let mut w = BitWriter::new();
+            f(&mut w);
+            w.into_bitvec()
+        };
+        // A sequence claiming 2^40 elements.
+        let huge_len = encoded(&|w| codes::write_gamma_nz(w, 1 << 40));
+        assert!(MonotoneSeq::decode(&mut BitReader::new(&huge_len)).is_err());
+
+        // A plausible length but a 2^40-bit high part.
+        let huge_high = encoded(&|w| {
+            codes::write_gamma_nz(w, 4); // len
+            codes::write_gamma_nz(w, 0); // low width
+            codes::write_gamma_nz(w, 1 << 40); // high part length
+        });
+        assert!(MonotoneSeq::decode(&mut BitReader::new(&huge_high)).is_err());
     }
 
     #[test]

@@ -28,23 +28,6 @@ use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitWriter};
 use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::{NodeId, Tree};
 
-/// Writes the self-delimiting wire encoding of one label (the format
-/// [`ApproximateLabel::decode`] reads).  ε is a scheme-wide parameter,
-/// carried as the integer `⌈1/ε⌉` so the wire label is self-contained.
-#[cfg(feature = "legacy-labels")]
-pub(crate) fn wire_encode(
-    w: &mut BitWriter,
-    epsilon: f64,
-    root_distance: u64,
-    aux: &HpathLabel,
-    exponents: &[u64],
-) {
-    codes::write_gamma_nz(w, (1.0 / epsilon).ceil() as u64);
-    codes::write_delta_nz(w, root_distance);
-    aux.encode(w);
-    MonotoneSeq::new(exponents).encode(w);
-}
-
 /// One node's build-time row.
 struct ApproxRow<'a> {
     rd: u64,
@@ -81,21 +64,13 @@ impl ApproximateScheme {
     ///
     /// Panics unless `0 < ε ≤ 1` (the regime of Theorem 1.4).
     pub fn build_with_substrate(sub: &Substrate<'_>, epsilon: f64) -> Self {
-        let src = ApproxSource::new(sub, epsilon, true);
+        let src = ApproxSource::new(sub, epsilon);
         let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
         ApproximateScheme {
             epsilon,
             store,
             wire_bits: plan.wire_bits,
         }
-    }
-
-    /// Builds every row in memory (the legacy struct-label pipeline; the
-    /// packed build streams rows through [`ApproxSource`] instead).
-    #[cfg(feature = "legacy-labels")]
-    fn build_rows<'s>(sub: &'s Substrate<'_>, epsilon: f64, with_wire: bool) -> Vec<ApproxRow<'s>> {
-        let src = ApproxSource::new(sub, epsilon, with_wire);
-        crate::substrate::build_vec(sub.parallelism(), sub.tree().len(), |i| src.make_row(i))
     }
 
     /// The ε this scheme was built with.
@@ -134,11 +109,10 @@ struct ApproxSource<'s> {
     rd: &'s [u64],
     epsilon: f64,
     half: f64,
-    with_wire: bool,
 }
 
 impl<'s> ApproxSource<'s> {
-    fn new(sub: &'s Substrate<'_>, epsilon: f64, with_wire: bool) -> Self {
+    fn new(sub: &'s Substrate<'_>, epsilon: f64) -> Self {
         assert!(
             epsilon > 0.0 && epsilon <= 1.0,
             "epsilon must lie in (0, 1], got {epsilon}"
@@ -152,8 +126,13 @@ impl<'s> ApproxSource<'s> {
             // Internal rounding uses ε/2 so the final estimate is
             // (1+ε)-accurate.
             half: epsilon / 2.0,
-            with_wire,
         }
+    }
+
+    /// `⌈1/ε⌉`: the wire form of the scheme-wide ε, which keeps each wire
+    /// label self-contained.
+    fn inv_epsilon(&self) -> u64 {
+        (1.0 / self.epsilon).ceil() as u64
     }
 }
 
@@ -206,14 +185,12 @@ impl<'s> PackSource<ApproximateScheme> for ApproxSource<'s> {
             exponents,
             wire_bits: 0,
         };
-        if self.with_wire {
-            // Closed-form wire size (no encoding pass; the feature-gated
-            // legacy tests pin it to the real encoder bit for bit).
-            row.wire_bits = (codes::gamma_nz_len((1.0 / self.epsilon).ceil() as u64)
-                + codes::delta_nz_len(row.rd)
-                + row.aux.bit_len()
-                + MonotoneSeq::encoded_len(&row.exponents)) as u32;
-        }
+        // Closed-form wire size (no encoding pass; the test-only encoder
+        // pins it to the real encoding bit for bit).
+        row.wire_bits = (codes::gamma_nz_len(self.inv_epsilon())
+            + codes::delta_nz_len(row.rd)
+            + row.aux.bit_len()
+            + MonotoneSeq::encoded_len(&row.exponents)) as u32;
         row
     }
 
@@ -281,155 +258,6 @@ impl StoredScheme for ApproximateScheme {
 
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &ApproximateMeta) -> bool {
         kernel::check_label(slice, start, end, meta)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy wire-format labels (feature-gated)
-// ---------------------------------------------------------------------------
-
-/// Label of the `(1+ε)`-approximate scheme in its historical struct form —
-/// kept for the self-delimiting wire format and its decode adversaries.
-#[cfg(feature = "legacy-labels")]
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApproximateLabel {
-    /// The ε the scheme was built with.
-    epsilon: f64,
-    /// Weighted distance from the root.
-    root_distance: u64,
-    /// Heavy-path auxiliary label.
-    aux: HpathLabel,
-    /// Rounding exponents of `d(v, vᵢ)` for the significant ancestors
-    /// `v₁, …, v_k` (deepest first).
-    exponents: Vec<u64>,
-}
-
-#[cfg(feature = "legacy-labels")]
-impl ApproximateLabel {
-    /// Weighted distance from the root.
-    pub fn root_distance(&self) -> u64 {
-        self.root_distance
-    }
-
-    /// The rounding exponents.
-    pub fn exponents(&self) -> &[u64] {
-        &self.exponents
-    }
-
-    /// Serializes the label.
-    pub fn encode(&self, w: &mut BitWriter) {
-        wire_encode(
-            w,
-            self.epsilon,
-            self.root_distance,
-            &self.aux,
-            &self.exponents,
-        );
-    }
-
-    /// Deserializes a label written by [`ApproximateLabel::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`treelab_bits::DecodeError`] on truncated or malformed
-    /// input.
-    pub fn decode(r: &mut treelab_bits::BitReader<'_>) -> Result<Self, treelab_bits::DecodeError> {
-        use treelab_bits::DecodeError;
-        let inv_eps = codes::read_gamma_nz(r)?;
-        if inv_eps == 0 {
-            return Err(DecodeError::Malformed {
-                what: "epsilon reciprocal is zero",
-            });
-        }
-        let root_distance = codes::read_delta_nz(r)?;
-        let aux = HpathLabel::decode(r)?;
-        let exponents = MonotoneSeq::decode(r)?.to_vec();
-        Ok(ApproximateLabel {
-            epsilon: 1.0 / inv_eps as f64,
-            root_distance,
-            aux,
-            exponents,
-        })
-    }
-
-    /// Size of the serialized label in bits.
-    pub fn bit_len(&self) -> usize {
-        let mut w = BitWriter::new();
-        self.encode(&mut w);
-        w.len()
-    }
-}
-
-#[cfg(feature = "legacy-labels")]
-impl ApproximateScheme {
-    /// Builds the historical struct labels from a shared substrate.
-    ///
-    /// Note: the wire format rounds ε to `1/⌈1/ε⌉`, so labels decoded from
-    /// the wire carry the rounded ε (exactly as the historical decoder did).
-    pub fn legacy_labels(sub: &Substrate<'_>, epsilon: f64) -> Vec<ApproximateLabel> {
-        Self::build_rows(sub, epsilon, false)
-            .into_iter()
-            .map(|row| ApproximateLabel {
-                epsilon,
-                root_distance: row.rd,
-                aux: row.aux.clone(),
-                exponents: row.exponents,
-            })
-            .collect()
-    }
-
-    /// The historical struct-then-serialize pipeline (bit-for-bit identical
-    /// to the direct pack path; asserted by the equivalence tests).
-    pub fn store_from_legacy(
-        labels: &[ApproximateLabel],
-        epsilon: f64,
-    ) -> SchemeStore<ApproximateScheme> {
-        struct LegacySource<'a> {
-            labels: &'a [ApproximateLabel],
-            epsilon: f64,
-        }
-        impl PackSource<ApproximateScheme> for LegacySource<'_> {
-            type Row = usize;
-            type Plan = ();
-            fn node_count(&self) -> usize {
-                self.labels.len()
-            }
-            fn store_param(&self) -> u64 {
-                self.epsilon.to_bits()
-            }
-            fn make_row(&self, u: usize) -> usize {
-                u
-            }
-            fn plan_row(&self, (): &mut (), _u: usize, _row: &usize) {}
-            fn meta_words(&self, (): &()) -> Vec<u64> {
-                let (mut w_rd, mut w_ec, mut w_e) = (0u8, 0u8, 0u8);
-                let mut aux_w = AuxWidths::default();
-                let w = |x: u64| codes::bit_len(x) as u8;
-                for l in self.labels {
-                    w_rd = w_rd.max(w(l.root_distance));
-                    w_ec = w_ec.max(w(l.exponents.len() as u64));
-                    w_e = w_e.max(w(l.exponents.last().copied().unwrap_or(0)));
-                    aux_w.observe(&l.aux);
-                }
-                aux_w.dom = 0;
-                ApproximateMeta::with_widths(w_rd, w_ec, w_e, aux_w, self.epsilon).words()
-            }
-            fn packed_label_bits(&self, meta: &ApproximateMeta, &u: &usize) -> usize {
-                let l = &self.labels[u];
-                meta.hdr_total + l.exponents.len() * meta.e_w + meta.aux_w.packed_bits(&l.aux)
-            }
-            fn pack_label(&self, meta: &ApproximateMeta, &u: &usize, w: &mut BitWriter) {
-                let l = &self.labels[u];
-                w.write_bits_lsb(l.root_distance, usize::from(meta.w_rd));
-                w.write_bits_lsb(l.exponents.len() as u64, usize::from(meta.w_ec));
-                w.write_bits_lsb(l.aux.codewords_len() as u64, usize::from(meta.aux_w.end));
-                for &e in &l.exponents {
-                    w.write_bits_lsb(e, usize::from(meta.w_e));
-                }
-                meta.aux_w.pack(&l.aux, w);
-            }
-        }
-        SchemeStore::from_source(&LegacySource { labels, epsilon })
     }
 }
 
@@ -526,23 +354,30 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "legacy-labels")]
+    /// The self-delimiting wire encoding of one label: `⌈1/ε⌉`, the root
+    /// distance, the auxiliary label and the rounding exponents.
+    fn wire_encode(w: &mut BitWriter, src: &ApproxSource<'_>, row: &ApproxRow<'_>) {
+        codes::write_gamma_nz(w, src.inv_epsilon());
+        codes::write_delta_nz(w, row.rd);
+        row.aux.encode(w);
+        MonotoneSeq::new(&row.exponents).encode(w);
+    }
+
     #[test]
-    fn legacy_labels_roundtrip() {
-        use treelab_bits::BitReader;
-        let tree = gen::random_tree(120, 3);
-        let sub = Substrate::new(&tree);
-        let scheme = ApproximateScheme::build_with_substrate(&sub, 0.25);
-        let labels = ApproximateScheme::legacy_labels(&sub, 0.25);
-        for (i, label) in labels.iter().enumerate() {
-            let mut w = BitWriter::new();
-            label.encode(&mut w);
-            let bits = w.into_bitvec();
-            assert_eq!(bits.len(), label.bit_len());
-            assert_eq!(bits.len(), scheme.label_bits(tree.node(i)));
-            let back = ApproximateLabel::decode(&mut BitReader::new(&bits)).unwrap();
-            assert_eq!(back.root_distance, label.root_distance);
-            assert_eq!(back.exponents, label.exponents);
+    fn label_bits_is_the_wire_encoding_length() {
+        let weighted = gen::hm_tree_random(4, 9, 2);
+        for tree in [Tree::singleton(), gen::random_tree(120, 3), weighted] {
+            let sub = Substrate::new(&tree);
+            for eps in [1.0, 0.25, 0.03] {
+                let scheme = ApproximateScheme::build_with_substrate(&sub, eps);
+                let src = ApproxSource::new(&sub, eps);
+                for u in tree.nodes() {
+                    let row = src.make_row(u.index());
+                    let mut w = BitWriter::new();
+                    wire_encode(&mut w, &src, &row);
+                    assert_eq!(w.len(), scheme.label_bits(u), "eps={eps}: node {u}");
+                }
+            }
         }
     }
 

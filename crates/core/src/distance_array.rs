@@ -13,44 +13,20 @@
 //! the hanging-subtree sizes at least halve with every light edge,
 //! `Σᵢ log d(ℓᵢ(u)) ≤ Σᵢ log(n/2^{i-1}) = ½·log²n + O(log n)`, which is where
 //! the `½` comes from — [`DistanceArrayScheme::label_bits`] reports exactly
-//! this wire size, while the *native* representation is the packed store
+//! this wire size in closed form (a test-only encoder over the build rows pins
+//! it bit for bit), while the *native* representation is the packed store
 //! frame shared with [`crate::naive`] (the prefix-sum kernel,
 //! [`crate::kernel::psum`]).  The optimal scheme ([`crate::optimal`]) halves
 //! the wire cost again by splitting each entry between the label of the node
 //! itself and the labels of the nodes it dominates.
 
-#[cfg(feature = "legacy-labels")]
-use crate::hpath::HpathLabel;
 use crate::kernel::psum::{self, PsumMeta, PsumRef};
-#[cfg(feature = "legacy-labels")]
-use crate::naive::build_psum_rows;
 use crate::naive::{PsumRow, PsumSource};
 use crate::store::{SchemeStore, StoreError, StoredScheme};
 use crate::substrate::Substrate;
 use crate::DistanceScheme;
-#[cfg(feature = "legacy-labels")]
-use treelab_bits::BitWriter;
 use treelab_bits::{codes, BitSlice};
 use treelab_tree::{NodeId, Tree};
-
-/// Writes the δ-coded wire encoding of one label (the format
-/// [`DistanceArrayLabel::decode`] reads).
-#[cfg(feature = "legacy-labels")]
-pub(crate) fn wire_encode(
-    w: &mut BitWriter,
-    root_distance: u64,
-    aux: &HpathLabel,
-    entries: impl Iterator<Item = (u64, bool)>,
-    count: usize,
-) {
-    codes::write_delta_nz(w, root_distance);
-    aux.encode(w);
-    codes::write_gamma_nz(w, count as u64);
-    for (d, t) in entries {
-        codes::write_delta_nz(w, d);
-        w.write_bit(t);
-    }
-}
 
 /// The distance-array (½·log²n + O(log n·log log n)) exact scheme, a thin
 /// owner of its packed [`SchemeStore`] frame.
@@ -82,8 +58,8 @@ impl DistanceScheme for DistanceArrayScheme {
     }
 
     fn build_with_substrate(sub: &Substrate<'_>) -> Self {
-        // Closed-form wire size (no encoding pass; the feature-gated legacy
-        // tests pin it to the real encoder bit for bit).
+        // Closed-form wire size (no encoding pass; the test-only encoder
+        // pins it to the real encoding bit for bit).
         let src = PsumSource::new(
             sub,
             |row: &PsumRow<'_>| {
@@ -154,175 +130,13 @@ impl StoredScheme for DistanceArrayScheme {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy wire-format labels (feature-gated)
-// ---------------------------------------------------------------------------
-
-/// Label of the distance-array (½·log²n) scheme in its historical struct
-/// form — kept for the self-delimiting wire format and its decode
-/// adversaries.
-#[cfg(feature = "legacy-labels")]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistanceArrayLabel {
-    root_distance: u64,
-    aux: HpathLabel,
-    /// `d(ℓᵢ(u))` per light edge, top-down.
-    entries: Vec<u64>,
-    /// Weight of each light edge (0 or 1 in the binarized tree).
-    weights: Vec<u8>,
-}
-
-#[cfg(feature = "legacy-labels")]
-impl DistanceArrayLabel {
-    /// Root distance stored in the label.
-    pub fn root_distance(&self) -> u64 {
-        self.root_distance
-    }
-
-    /// The embedded heavy-path auxiliary label.
-    pub fn aux(&self) -> &HpathLabel {
-        &self.aux
-    }
-
-    /// The distance array `D(u)`.
-    pub fn entries(&self) -> &[u64] {
-        &self.entries
-    }
-
-    /// Serializes the label (variable-length, self-delimiting entries).
-    pub fn encode(&self, w: &mut BitWriter) {
-        wire_encode(
-            w,
-            self.root_distance,
-            &self.aux,
-            self.entries
-                .iter()
-                .zip(&self.weights)
-                .map(|(&d, &t)| (d, t == 1)),
-            self.entries.len(),
-        );
-    }
-
-    /// Deserializes a label written by [`DistanceArrayLabel::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`treelab_bits::DecodeError`] on truncated or malformed
-    /// input.
-    pub fn decode(r: &mut treelab_bits::BitReader<'_>) -> Result<Self, treelab_bits::DecodeError> {
-        use treelab_bits::DecodeError;
-        let root_distance = codes::read_delta_nz(r)?;
-        let aux = HpathLabel::decode(r)?;
-        let count = codes::read_gamma_nz(r)? as usize;
-        // Each entry is self-delimiting but at least 2 bits; reject counts the
-        // remaining input cannot hold before allocating (corrupt counts used
-        // to abort with a capacity overflow instead of returning an error).
-        if count > r.remaining() {
-            return Err(DecodeError::Malformed {
-                what: "entry count exceeds remaining input",
-            });
-        }
-        let mut entries = Vec::with_capacity(count);
-        let mut weights = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(codes::read_delta_nz(r)?);
-            weights.push(u8::from(r.read_bit()?));
-        }
-        Ok(DistanceArrayLabel {
-            root_distance,
-            aux,
-            entries,
-            weights,
-        })
-    }
-
-    /// Size of the serialized label in bits.
-    pub fn bit_len(&self) -> usize {
-        let mut w = BitWriter::new();
-        self.encode(&mut w);
-        w.len()
-    }
-
-    /// The struct-side distance protocol of the historical implementation.
-    pub fn legacy_distance(a: &DistanceArrayLabel, b: &DistanceArrayLabel) -> u64 {
-        crate::naive::legacy_psum_distance(
-            a.root_distance,
-            &a.aux,
-            b.root_distance,
-            &b.aux,
-            |side, j| {
-                let l = if side == 0 { a } else { b };
-                (l.entries[j], u64::from(l.weights[j]))
-            },
-        )
-    }
-}
-
-#[cfg(feature = "legacy-labels")]
-impl DistanceArrayScheme {
-    /// Builds the historical struct labels from a shared substrate.
-    pub fn legacy_labels(sub: &Substrate<'_>) -> Vec<DistanceArrayLabel> {
-        build_psum_rows(sub, |_| 0)
-            .into_iter()
-            .map(|row| DistanceArrayLabel {
-                root_distance: row.rd,
-                aux: row.aux.clone(),
-                entries: row.entries().map(|(d, _)| d).collect(),
-                weights: row.entries().map(|(_, t)| t as u8).collect(),
-            })
-            .collect()
-    }
-
-    /// The historical struct-then-serialize pipeline (bit-for-bit identical
-    /// to the direct pack path; asserted by the equivalence tests).
-    pub fn store_from_legacy(labels: &[DistanceArrayLabel]) -> SchemeStore<DistanceArrayScheme> {
-        use crate::substrate::PackSource;
-        struct LegacySource<'a>(&'a [DistanceArrayLabel]);
-        impl PackSource<DistanceArrayScheme> for LegacySource<'_> {
-            // The labels already exist in memory; rows are just indices.
-            type Row = usize;
-            type Plan = ();
-            fn node_count(&self) -> usize {
-                self.0.len()
-            }
-            fn make_row(&self, u: usize) -> usize {
-                u
-            }
-            fn plan_row(&self, _plan: &mut (), _u: usize, _row: &usize) {}
-            fn meta_words(&self, _plan: &()) -> Vec<u64> {
-                PsumMeta::measure(
-                    self.0
-                        .iter()
-                        .map(|l| (l.root_distance, l.entries.iter().sum(), &l.aux)),
-                )
-                .words()
-            }
-            fn packed_label_bits(&self, meta: &PsumMeta, &u: &usize) -> usize {
-                let l = &self.0[u];
-                meta.label_bits(l.entries.len(), &l.aux)
-            }
-            fn pack_label(&self, meta: &PsumMeta, &u: &usize, w: &mut BitWriter) {
-                let l = &self.0[u];
-                meta.pack(
-                    l.root_distance,
-                    &l.aux,
-                    l.entries
-                        .iter()
-                        .zip(&l.weights)
-                        .map(|(&d, &t)| (d, u64::from(t))),
-                    w,
-                );
-            }
-        }
-        SchemeStore::from_source(&LegacySource(labels))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::NaiveScheme;
+    use crate::substrate::PackSource;
     use crate::test_support::check_exact_scheme;
+    use treelab_bits::BitWriter;
     use treelab_tree::gen;
 
     #[test]
@@ -393,28 +207,30 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "legacy-labels")]
-    #[test]
-    fn labels_roundtrip_and_decode_rejects_truncation() {
-        use treelab_bits::BitReader;
-        let tree = gen::random_tree(130, 4);
-        let sub = Substrate::new(&tree);
-        let scheme = DistanceArrayScheme::build_with_substrate(&sub);
-        let labels = DistanceArrayScheme::legacy_labels(&sub);
-        for (i, label) in labels.iter().enumerate() {
-            let mut w = BitWriter::new();
-            label.encode(&mut w);
-            let bits = w.into_bitvec();
-            assert_eq!(bits.len(), label.bit_len());
-            assert_eq!(bits.len(), scheme.label_bits(tree.node(i)));
-            let back = DistanceArrayLabel::decode(&mut BitReader::new(&bits)).unwrap();
-            assert_eq!(&back, label);
+    /// The δ-coded wire encoding of one label: root distance, the auxiliary
+    /// label, then `count` self-delimiting `(dᵢ, tᵢ)` entries.
+    fn wire_encode(w: &mut BitWriter, row: &PsumRow<'_>) {
+        codes::write_delta_nz(w, row.rd);
+        row.aux.encode(w);
+        codes::write_gamma_nz(w, row.edges.len() as u64);
+        for (d, t) in row.entries() {
+            codes::write_delta_nz(w, d);
+            w.write_bit(t == 1);
         }
-        let label = &labels[129];
-        let mut w = BitWriter::new();
-        label.encode(&mut w);
-        let bits = w.into_bitvec();
-        let truncated = bits.slice(0, bits.len() - 2).unwrap();
-        assert!(DistanceArrayLabel::decode(&mut BitReader::new(&truncated)).is_err());
+    }
+
+    #[test]
+    fn label_bits_is_the_wire_encoding_length() {
+        for tree in [Tree::singleton(), gen::random_tree(130, 4), gen::comb(300)] {
+            let sub = Substrate::new(&tree);
+            let scheme = DistanceArrayScheme::build_with_substrate(&sub);
+            let src = PsumSource::new(&sub, |_: &PsumRow<'_>| 0, false);
+            for u in tree.nodes() {
+                let row = PackSource::<DistanceArrayScheme>::make_row(&src, u.index());
+                let mut w = BitWriter::new();
+                wire_encode(&mut w, &row);
+                assert_eq!(w.len(), scheme.label_bits(u), "node {u}");
+            }
+        }
     }
 }

@@ -28,9 +28,7 @@ use crate::Tree;
 use std::cmp::Ordering;
 use treelab_bits::alphabetic::AlphabeticCode;
 use treelab_bits::bitslice::{common_prefix_len_raw, read_lsb};
-use treelab_bits::{
-    codes, monotone::MonotoneSeq, BitReader, BitSlice, BitVec, BitWriter, DecodeError,
-};
+use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitVec, BitWriter, DecodeError};
 use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::NodeId;
 
@@ -189,51 +187,8 @@ impl HpathLabel {
         w.write_bitvec(&self.codewords);
     }
 
-    /// Deserializes a label written by [`HpathLabel::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncated or malformed input.
-    pub fn decode(r: &mut BitReader<'_>) -> Result<Self, DecodeError> {
-        let light_depth = codes::read_gamma_nz(r)? as usize;
-        let dom_order = codes::read_delta_nz(r)?;
-        let pre = codes::read_delta_nz(r)?;
-        let subtree_size = codes::read_delta_nz(r)?;
-        let ends_seq = MonotoneSeq::decode(r)?;
-        if ends_seq.len() != light_depth {
-            return Err(DecodeError::Malformed {
-                what: "codeword end count does not match light depth",
-            });
-        }
-        let ends = decode_codeword_ends(&ends_seq)?;
-        let cw_len = codes::read_gamma_nz(r)? as usize;
-        if ends.last().map(|&e| e as usize).unwrap_or(0) != cw_len {
-            return Err(DecodeError::Malformed {
-                what: "codeword length does not match last end position",
-            });
-        }
-        if cw_len > r.remaining() {
-            return Err(DecodeError::Malformed {
-                what: "codeword payload exceeds remaining input",
-            });
-        }
-        let mut codewords = BitVec::with_capacity(cw_len);
-        for _ in 0..cw_len {
-            codewords.push(r.read_bit()?);
-        }
-        Ok(HpathLabel {
-            light_depth,
-            codewords,
-            ends,
-            dom_order,
-            pre,
-            subtree_size,
-        })
-    }
-
     /// Size of the serialized label in bits — closed form, no encoding pass
-    /// (the encode/decode round-trip tests pin it to [`HpathLabel::encode`]'s
-    /// actual output).
+    /// (a unit test pins it to [`HpathLabel::encode`]'s actual output).
     pub fn bit_len(&self) -> usize {
         codes::gamma_nz_len(self.light_depth as u64)
             + codes::delta_nz_len(self.dom_order)
@@ -1037,36 +992,14 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
+    fn bit_len_is_the_encoding_length() {
         let tree = gen::random_tree(150, 9);
         let labeling = HpathLabeling::build(&tree);
         for u in tree.nodes() {
             let label = labeling.label(u);
             let mut w = BitWriter::new();
             label.encode(&mut w);
-            // Trailing noise must not confuse the decoder.
-            w.write_bits(0b11, 2);
-            let bits = w.into_bitvec();
-            let mut r = BitReader::new(&bits);
-            let back = HpathLabel::decode(&mut r).expect("roundtrip");
-            assert_eq!(&back, label);
-            assert_eq!(r.remaining(), 2);
-            assert_eq!(label.bit_len(), bits.len() - 2);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let tree = gen::random_tree(80, 5);
-        let labeling = HpathLabeling::build(&tree);
-        let label = labeling.label(tree.node(79));
-        let mut w = BitWriter::new();
-        label.encode(&mut w);
-        let bits = w.into_bitvec();
-        for cut in [0, 1, bits.len() / 3, bits.len() - 1] {
-            let t = bits.slice(0, cut).unwrap();
-            let mut r = BitReader::new(&t);
-            assert!(HpathLabel::decode(&mut r).is_err(), "cut={cut}");
+            assert_eq!(label.bit_len(), w.len());
         }
     }
 

@@ -49,38 +49,6 @@ use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitWriter};
 use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::{NodeId, Tree};
 
-/// Writes the self-delimiting wire encoding of one label (the format
-/// [`KDistanceLabel::decode`] reads).  Shared by the legacy encoder and the
-/// build-time wire-size accounting.
-#[allow(clippy::too_many_arguments)]
-#[cfg(feature = "legacy-labels")]
-pub(crate) fn wire_encode(
-    w: &mut BitWriter,
-    k: u64,
-    width: u32,
-    pre: u64,
-    aux: &HpathLabel,
-    heights: &[u64],
-    dists: &[u64],
-    alpha: u64,
-    alpha_exact: bool,
-    top_pos_mod: u64,
-    up_exps: &[u64],
-    down_exps: &[u64],
-) {
-    codes::write_gamma_nz(w, k);
-    codes::write_gamma_nz(w, u64::from(width));
-    codes::write_delta_nz(w, pre);
-    aux.encode(w);
-    MonotoneSeq::new(heights).encode(w);
-    MonotoneSeq::new(dists).encode(w);
-    codes::write_delta_nz(w, alpha);
-    w.write_bit(alpha_exact);
-    codes::write_gamma_nz(w, top_pos_mod);
-    MonotoneSeq::new(up_exps).encode(w);
-    MonotoneSeq::new(down_exps).encode(w);
-}
-
 /// One node's build-time row: the per-node sequences of Theorem 1.3,
 /// borrowing the substrate's auxiliary label.
 struct KdRow<'a> {
@@ -122,7 +90,7 @@ impl KDistanceScheme {
     ///
     /// Panics if `k == 0` or the tree is weighted.
     pub fn build_with_substrate(sub: &Substrate<'_>, k: u64) -> Self {
-        let src = KdSource::new(sub, k, true);
+        let src = KdSource::new(sub, k);
         let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
         KDistanceScheme {
             k,
@@ -133,14 +101,6 @@ impl KDistanceScheme {
 
     fn pre_width(sub: &Substrate<'_>) -> u32 {
         codes::bit_len(sub.tree().len().saturating_sub(1) as u64) as u32
-    }
-
-    /// Builds every row in memory (the legacy struct-label pipeline; the
-    /// packed build streams rows through [`KdSource`] instead).
-    #[cfg(feature = "legacy-labels")]
-    fn build_rows<'s>(sub: &'s Substrate<'_>, k: u64, with_wire: bool) -> Vec<KdRow<'s>> {
-        let src = KdSource::new(sub, k, with_wire);
-        crate::substrate::build_vec(sub.parallelism(), sub.tree().len(), |i| src.make_row(i))
     }
 
     /// The distance bound `k`.
@@ -195,11 +155,10 @@ struct KdSource<'s> {
     k: u64,
     width: u32,
     small_k: bool,
-    with_wire: bool,
 }
 
 impl<'s> KdSource<'s> {
-    fn new(sub: &'s Substrate<'_>, k: u64, with_wire: bool) -> Self {
+    fn new(sub: &'s Substrate<'_>, k: u64) -> Self {
         let tree = sub.tree();
         assert!(k >= 1, "k must be at least 1");
         assert!(
@@ -214,7 +173,6 @@ impl<'s> KdSource<'s> {
             k,
             width: KDistanceScheme::pre_width(sub),
             small_k: (k as f64) < (tree.len() as f64).log2().max(1.0),
-            with_wire,
         }
     }
 }
@@ -310,21 +268,19 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
             down_exps,
             wire_bits: 0,
         };
-        if self.with_wire {
-            // Closed-form wire size (no encoding pass; the feature-gated
-            // legacy tests pin it to the real encoder bit for bit).
-            row.wire_bits = (codes::gamma_nz_len(k)
-                + codes::gamma_nz_len(u64::from(width))
-                + codes::delta_nz_len(hp.pre(u) as u64)
-                + row.aux.bit_len()
-                + MonotoneSeq::encoded_len(&row.heights)
-                + MonotoneSeq::encoded_len(&row.dists)
-                + codes::delta_nz_len(row.alpha)
-                + 1
-                + codes::gamma_nz_len(row.top_pos_mod)
-                + MonotoneSeq::encoded_len(&row.up_exps)
-                + MonotoneSeq::encoded_len(&row.down_exps)) as u32;
-        }
+        // Closed-form wire size (no encoding pass; the test-only encoder
+        // pins it to the real encoding bit for bit).
+        row.wire_bits = (codes::gamma_nz_len(k)
+            + codes::gamma_nz_len(u64::from(width))
+            + codes::delta_nz_len(hp.pre(u) as u64)
+            + row.aux.bit_len()
+            + MonotoneSeq::encoded_len(&row.heights)
+            + MonotoneSeq::encoded_len(&row.dists)
+            + codes::delta_nz_len(row.alpha)
+            + 1
+            + codes::gamma_nz_len(row.top_pos_mod)
+            + MonotoneSeq::encoded_len(&row.up_exps)
+            + MonotoneSeq::encoded_len(&row.down_exps)) as u32;
         row
     }
 
@@ -432,231 +388,6 @@ impl SchemeStore<KDistanceScheme> {
     /// Panics if either index is out of range.
     pub fn distance_within_k(&self, u: usize, v: usize) -> Option<u64> {
         kernel::distance_refs(&self.label_ref(u), &self.label_ref(v))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy wire-format labels (feature-gated)
-// ---------------------------------------------------------------------------
-
-/// Label of the `k`-distance scheme in its historical struct form — kept for
-/// the self-delimiting wire format and its decode adversaries.
-#[cfg(feature = "legacy-labels")]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KDistanceLabel {
-    /// The distance bound `k` the scheme was built for.
-    k: u64,
-    /// Bit width of the preorder universe (`⌈log₂ n⌉`), needed to reconstruct
-    /// range identifiers.
-    width: u32,
-    /// Preorder number of the node.
-    pre: u64,
-    /// Heavy-path auxiliary label.
-    aux: HpathLabel,
-    /// `height(L_{uᵢ})` for the stored significant ancestors `u₀ … u_r`.
-    heights: Vec<u64>,
-    /// `d(u, uᵢ)` for `i = 0 … r` (non-decreasing, all `≤ k`).
-    dists: Vec<u64>,
-    /// Offset of the top significant ancestor within its heavy path, capped at
-    /// `2k+1` in the small-`k` regime.
-    alpha: u64,
-    /// `true` if `alpha` is exact (large-`k` regime or small value).
-    alpha_exact: bool,
-    /// Position of the top significant ancestor on its heavy path, mod `k+1`.
-    top_pos_mod: u64,
-    /// Exponents of `⌊id(L_{q_{i+t}}) − id(L_{q_i})⌋₂` for `t = 1, …`
-    /// (small-`k` regime only).
-    up_exps: Vec<u64>,
-    /// Exponents of `⌊id(L_{q_i}) − id(L_{q_{i−t}})⌋₂` for `t = 1, …`
-    /// (small-`k` regime only).
-    down_exps: Vec<u64>,
-}
-
-#[cfg(feature = "legacy-labels")]
-impl KDistanceLabel {
-    /// The distance bound `k`.
-    pub fn k(&self) -> u64 {
-        self.k
-    }
-
-    /// Serializes the label.
-    pub fn encode(&self, w: &mut BitWriter) {
-        wire_encode(
-            w,
-            self.k,
-            self.width,
-            self.pre,
-            &self.aux,
-            &self.heights,
-            &self.dists,
-            self.alpha,
-            self.alpha_exact,
-            self.top_pos_mod,
-            &self.up_exps,
-            &self.down_exps,
-        );
-    }
-
-    /// Deserializes a label written by [`KDistanceLabel::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`treelab_bits::DecodeError`] on truncated or malformed
-    /// input.
-    pub fn decode(r: &mut treelab_bits::BitReader<'_>) -> Result<Self, treelab_bits::DecodeError> {
-        use treelab_bits::DecodeError;
-        let k = codes::read_gamma_nz(r)?;
-        let width = codes::read_gamma_nz(r)? as u32;
-        if width > 63 {
-            return Err(DecodeError::Malformed {
-                what: "preorder width exceeds 63 bits",
-            });
-        }
-        let pre = codes::read_delta_nz(r)?;
-        let aux = HpathLabel::decode(r)?;
-        let heights = MonotoneSeq::decode(r)?.to_vec();
-        let dists = MonotoneSeq::decode(r)?.to_vec();
-        if heights.len() != dists.len() {
-            return Err(DecodeError::Malformed {
-                what: "height and distance sequences disagree in length",
-            });
-        }
-        let alpha = codes::read_delta_nz(r)?;
-        let alpha_exact = r.read_bit()?;
-        let top_pos_mod = codes::read_gamma_nz(r)?;
-        let up_exps = MonotoneSeq::decode(r)?.to_vec();
-        let down_exps = MonotoneSeq::decode(r)?.to_vec();
-        Ok(KDistanceLabel {
-            k,
-            width,
-            pre,
-            aux,
-            heights,
-            dists,
-            alpha,
-            alpha_exact,
-            top_pos_mod,
-            up_exps,
-            down_exps,
-        })
-    }
-
-    /// Size of the serialized label in bits.
-    pub fn bit_len(&self) -> usize {
-        let mut w = BitWriter::new();
-        self.encode(&mut w);
-        w.len()
-    }
-}
-
-#[cfg(feature = "legacy-labels")]
-impl KDistanceScheme {
-    /// Builds the historical struct labels from a shared substrate.
-    pub fn legacy_labels(sub: &Substrate<'_>, k: u64) -> Vec<KDistanceLabel> {
-        let width = Self::pre_width(sub);
-        let hp = sub.heavy_paths();
-        let tree = sub.tree();
-        Self::build_rows(sub, k, false)
-            .into_iter()
-            .enumerate()
-            .map(|(i, row)| KDistanceLabel {
-                k,
-                width,
-                pre: hp.pre(tree.node(i)) as u64,
-                aux: row.aux.clone(),
-                heights: row.heights,
-                dists: row.dists,
-                alpha: row.alpha,
-                alpha_exact: row.alpha_exact,
-                top_pos_mod: row.top_pos_mod,
-                up_exps: row.up_exps,
-                down_exps: row.down_exps,
-            })
-            .collect()
-    }
-
-    /// The historical struct-then-serialize pipeline (bit-for-bit identical
-    /// to the direct pack path; asserted by the equivalence tests).
-    pub fn store_from_legacy(labels: &[KDistanceLabel]) -> SchemeStore<KDistanceScheme> {
-        struct LegacySource<'a>(&'a [KDistanceLabel]);
-        impl PackSource<KDistanceScheme> for LegacySource<'_> {
-            type Row = usize;
-            type Plan = ();
-            fn node_count(&self) -> usize {
-                self.0.len()
-            }
-            fn store_param(&self) -> u64 {
-                self.0.first().map_or(1, |l| l.k)
-            }
-            fn make_row(&self, u: usize) -> usize {
-                u
-            }
-            fn plan_row(&self, (): &mut (), _u: usize, _row: &usize) {}
-            fn meta_words(&self, (): &()) -> Vec<u64> {
-                let k = <Self as PackSource<KDistanceScheme>>::store_param(self);
-                let width = self.0.first().map_or(0, |l| l.width);
-                let (mut w_sc, mut w_d, mut w_h, mut w_al, mut w_tpm) = (0u8, 0u8, 0u8, 0u8, 0u8);
-                let (mut w_ue, mut w_de, mut w_uc, mut w_dc) = (0u8, 0u8, 0u8, 0u8);
-                let mut aux_w = AuxWidths::default();
-                let w = |x: u64| codes::bit_len(x) as u8;
-                for l in self.0 {
-                    debug_assert_eq!(l.k, k, "labels of one scheme share k");
-                    w_sc = w_sc.max(w(l.dists.len() as u64));
-                    w_d = w_d.max(w(l.dists.last().copied().unwrap_or(0)));
-                    w_h = w_h.max(w(l.heights.last().copied().unwrap_or(0)));
-                    w_al = w_al.max(w(l.alpha));
-                    w_tpm = w_tpm.max(w(l.top_pos_mod));
-                    w_uc = w_uc.max(w(l.up_exps.len() as u64));
-                    w_dc = w_dc.max(w(l.down_exps.len() as u64));
-                    w_ue = w_ue.max(w(l.up_exps.last().copied().unwrap_or(0)));
-                    w_de = w_de.max(w(l.down_exps.last().copied().unwrap_or(0)));
-                    aux_w.observe(&l.aux);
-                }
-                aux_w.dom = 0;
-                aux_w.sub = 0;
-                KDistanceMeta::with_widths(
-                    k, width, w_sc, w_d, w_h, w_al, w_tpm, w_ue, w_de, w_uc, w_dc, aux_w,
-                )
-                .words()
-            }
-            fn packed_label_bits(&self, meta: &KDistanceMeta, &u: &usize) -> usize {
-                let l = &self.0[u];
-                meta.hdr_total
-                    + l.dists.len() * (meta.d_w + meta.h_w)
-                    + l.up_exps.len() * meta.ue_w
-                    + l.down_exps.len() * meta.de_w
-                    + meta.aux_w.packed_bits(&l.aux)
-            }
-            fn pack_label(&self, meta: &KDistanceMeta, &u: &usize, w: &mut BitWriter) {
-                let l = &self.0[u];
-                debug_assert_eq!(
-                    l.pre,
-                    l.aux.pre(),
-                    "the label's preorder equals the aux label's"
-                );
-                w.write_bits_lsb(l.dists.len() as u64, usize::from(meta.w_sc));
-                w.write_bits_lsb(l.up_exps.len() as u64, usize::from(meta.w_uc));
-                w.write_bits_lsb(l.down_exps.len() as u64, usize::from(meta.w_dc));
-                w.write_bits_lsb(l.alpha, usize::from(meta.w_al));
-                w.write_bit(l.alpha_exact);
-                w.write_bits_lsb(l.top_pos_mod, usize::from(meta.w_tpm));
-                w.write_bits_lsb(l.aux.codewords_len() as u64, usize::from(meta.aux_w.end));
-                for &d in &l.dists {
-                    w.write_bits_lsb(d, usize::from(meta.w_d));
-                }
-                for &h in &l.heights {
-                    w.write_bits_lsb(h, usize::from(meta.w_h));
-                }
-                for &e in &l.up_exps {
-                    w.write_bits_lsb(e, usize::from(meta.w_ue));
-                }
-                for &e in &l.down_exps {
-                    w.write_bits_lsb(e, usize::from(meta.w_de));
-                }
-                meta.aux_w.pack(&l.aux, w);
-            }
-        }
-        SchemeStore::from_source(&LegacySource(labels))
     }
 }
 
@@ -781,22 +512,44 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "legacy-labels")]
+    /// The self-delimiting wire encoding of one label: `k`, the preorder
+    /// width, `pre(u)`, the auxiliary label, the height and distance
+    /// sequences, `α` with its exactness flag, the position mod `k+1` and the
+    /// two Lemma 4.5 exponent tables.
+    fn wire_encode(w: &mut BitWriter, src: &KdSource<'_>, pre: u64, row: &KdRow<'_>) {
+        codes::write_gamma_nz(w, src.k);
+        codes::write_gamma_nz(w, u64::from(src.width));
+        codes::write_delta_nz(w, pre);
+        row.aux.encode(w);
+        MonotoneSeq::new(&row.heights).encode(w);
+        MonotoneSeq::new(&row.dists).encode(w);
+        codes::write_delta_nz(w, row.alpha);
+        w.write_bit(row.alpha_exact);
+        codes::write_gamma_nz(w, row.top_pos_mod);
+        MonotoneSeq::new(&row.up_exps).encode(w);
+        MonotoneSeq::new(&row.down_exps).encode(w);
+    }
+
     #[test]
-    fn legacy_labels_roundtrip() {
-        use treelab_bits::BitReader;
-        let tree = gen::caterpillar(60, 2);
-        let sub = Substrate::new(&tree);
-        let scheme = KDistanceScheme::build_with_substrate(&sub, 5);
-        let labels = KDistanceScheme::legacy_labels(&sub, 5);
-        for (i, label) in labels.iter().enumerate() {
-            let mut w = BitWriter::new();
-            label.encode(&mut w);
-            let bits = w.into_bitvec();
-            assert_eq!(bits.len(), label.bit_len());
-            assert_eq!(bits.len(), scheme.label_bits(tree.node(i)));
-            let back = KDistanceLabel::decode(&mut BitReader::new(&bits)).unwrap();
-            assert_eq!(&back, label);
+    fn label_bits_is_the_wire_encoding_length() {
+        // Small k (capped α, Lemma 4.5 tables) and large k (exact α, no
+        // tables) on a deep caterpillar and a random tree.
+        for tree in [
+            Tree::singleton(),
+            gen::caterpillar(60, 2),
+            gen::random_tree(150, 4),
+        ] {
+            let sub = Substrate::new(&tree);
+            for k in [1u64, 5, 64] {
+                let scheme = KDistanceScheme::build_with_substrate(&sub, k);
+                let src = KdSource::new(&sub, k);
+                for u in tree.nodes() {
+                    let row = src.make_row(u.index());
+                    let mut w = BitWriter::new();
+                    wire_encode(&mut w, &src, sub.heavy_paths().pre(u) as u64, &row);
+                    assert_eq!(w.len(), scheme.label_bits(u), "k={k}: node {u}");
+                }
+            }
         }
     }
 

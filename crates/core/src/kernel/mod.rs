@@ -12,9 +12,7 @@
 //! store views ([`StoreRef`](crate::store::StoreRef),
 //! [`AnyStoreRef`](crate::store::AnyStoreRef)) and the forest serving layer
 //! ([`crate::forest`]) all route their `distance` / `distance_refs` / batch
-//! calls through these kernels.  (The historical struct-backed query paths
-//! survive only behind the off-by-default `legacy-labels` cargo feature, for
-//! the wire-format decoders and their corruption adversaries.)
+//! calls through these kernels.
 //!
 //! # Kernel ↔ paper labeling map
 //!

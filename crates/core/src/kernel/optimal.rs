@@ -431,7 +431,7 @@ pub(crate) fn check_label(
     // Range-check every record's `pushed` field (7 packed bits can claim up
     // to 127): the query shifts by `64 − pushed` and reads `pushed` bits, so
     // an inflated count in a CRC-consistent crafted frame must be rejected
-    // at load time — exactly as the legacy wire decoder rejects it.
+    // at load time.
     for i in 0..ld {
         let pos = rec_base + i * meta.rec_w;
         let raw = if meta.rec_fused {

@@ -5,7 +5,7 @@
 //!
 //! Both schemes store, per light edge `i` on the root path, the head-to-head
 //! distance `d_i` and the light-edge weight `t_i`; they differ only in their
-//! (legacy) wire encodings.  Packed, they share one layout
+//! wire encodings (and so in `label_bits`).  Packed, they share one layout
 //!
 //! ```text
 //! [root_distance | count | codeword length][aux scalars | codewords]
@@ -70,20 +70,6 @@ impl PsumMeta {
         }
     }
 
-    /// Pack-time width planning: scans `(root_distance, Σ entries, aux)` per
-    /// node for the maximum field widths.
-    #[cfg_attr(not(feature = "legacy-labels"), allow(dead_code))]
-    pub(crate) fn measure<'x, I>(labels: I) -> Self
-    where
-        I: Iterator<Item = (u64, u64, &'x HpathLabel)>,
-    {
-        let mut m = PsumMeasure::default();
-        for (rd, entry_total, aux) in labels {
-            m.observe(rd, entry_total, aux);
-        }
-        m.finish()
-    }
-
     pub(crate) fn words(self) -> Vec<u64> {
         vec![
             u64::from(self.w_rd) | u64::from(self.w_ps) << 8,
@@ -145,9 +131,9 @@ impl PsumMeta {
     }
 }
 
-/// Incremental form of [`PsumMeta::measure`]: the fold the chunk-streaming
-/// build accumulates row by row (field-width maxima are associative, so the
-/// chunked fold and the one-shot scan produce identical meta words).
+/// Pack-time width planning: the fold over `(root_distance, Σ entries, aux)`
+/// that the chunk-streaming build accumulates row by row (field-width maxima
+/// are associative, so every chunking produces identical meta words).
 #[derive(Debug, Default)]
 pub(crate) struct PsumMeasure {
     w_rd: u8,

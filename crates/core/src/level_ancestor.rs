@@ -180,9 +180,9 @@ impl LevelAncestorScheme {
 
     /// Materializes the walkable label of node `u` from the packed frame.
     ///
-    /// The result is exactly the historical struct label (same codewords,
-    /// ends, branch offsets), so [`LevelAncestorLabel::to_bits`] interning
-    /// and [`LevelAncestorScheme::parent`] chains behave identically.
+    /// The result carries the node's codewords, ends and branch offsets, so
+    /// [`LevelAncestorLabel::to_bits`] interning and
+    /// [`LevelAncestorScheme::parent`] chains work on it directly.
     ///
     /// # Panics
     ///
@@ -452,66 +452,6 @@ impl StoredScheme for LevelAncestorScheme {
         meta: &LevelAncestorMeta,
     ) -> bool {
         kernel::check_label(slice, start, end, meta)
-    }
-}
-
-#[cfg(feature = "legacy-labels")]
-impl LevelAncestorScheme {
-    /// The historical struct labels (identical to materializing
-    /// [`LevelAncestorScheme::label`] for every node).
-    pub fn legacy_labels(sub: &Substrate<'_>) -> Vec<LevelAncestorLabel> {
-        let scheme = Self::build_with_substrate(sub);
-        sub.tree().nodes().map(|u| scheme.label(u)).collect()
-    }
-
-    /// The historical struct-then-serialize pipeline (bit-for-bit identical
-    /// to the direct pack path; asserted by the equivalence tests).
-    pub fn store_from_legacy(labels: &[LevelAncestorLabel]) -> SchemeStore<LevelAncestorScheme> {
-        struct LegacySource<'a>(&'a [LevelAncestorLabel]);
-        impl PackSource<LevelAncestorScheme> for LegacySource<'_> {
-            type Row = usize;
-            type Plan = ();
-            fn node_count(&self) -> usize {
-                self.0.len()
-            }
-            fn make_row(&self, u: usize) -> usize {
-                u
-            }
-            fn plan_row(&self, (): &mut (), _u: usize, _row: &usize) {}
-            fn meta_words(&self, (): &()) -> Vec<u64> {
-                let (mut w_d, mut w_ho, mut w_ld, mut w_end, mut w_bs) = (0u8, 0u8, 0u8, 0u8, 0u8);
-                let w = |x: u64| codes::bit_len(x) as u8;
-                for l in self.0 {
-                    w_d = w_d.max(w(l.depth));
-                    w_ho = w_ho.max(w(l.head_offset));
-                    w_ld = w_ld.max(w(l.branch_offsets.len() as u64));
-                    w_end = w_end.max(w(l.codewords.len() as u64));
-                    let depth_sum: u64 = l.branch_offsets.iter().map(|&o| o + 1).sum();
-                    w_bs = w_bs.max(w(depth_sum));
-                }
-                LevelAncestorMeta::with_widths(w_d, w_ho, w_ld, w_end, w_bs).words()
-            }
-            fn packed_label_bits(&self, meta: &LevelAncestorMeta, &u: &usize) -> usize {
-                let l = &self.0[u];
-                meta.hdr_total + l.codewords.len() + l.branch_offsets.len() * meta.rec_w
-            }
-            fn pack_label(&self, meta: &LevelAncestorMeta, &u: &usize, w: &mut BitWriter) {
-                let l = &self.0[u];
-                debug_assert_eq!(l.ends.len(), l.branch_offsets.len());
-                w.write_bits_lsb(l.depth, usize::from(meta.w_d));
-                w.write_bits_lsb(l.head_offset, usize::from(meta.w_ho));
-                w.write_bits_lsb(l.branch_offsets.len() as u64, usize::from(meta.w_ld));
-                w.write_bits_lsb(l.codewords.len() as u64, usize::from(meta.w_end));
-                w.write_bitvec(&l.codewords);
-                let mut depth_sum = 0u64;
-                for (i, &o) in l.branch_offsets.iter().enumerate() {
-                    depth_sum += o + 1;
-                    w.write_bits_lsb(u64::from(l.ends[i]), usize::from(meta.w_end));
-                    w.write_bits_lsb(depth_sum, usize::from(meta.w_bs));
-                }
-            }
-        }
-        SchemeStore::from_source(&LegacySource(labels))
     }
 }
 

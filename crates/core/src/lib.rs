@@ -33,11 +33,11 @@
 //! [`SchemeStore`], serialization is a copy-free frame handoff, and every
 //! `distance` entry point — scheme method, borrowed [`StoreRef`], runtime
 //! [`AnyStoreRef`], forest routing — runs through one shared query kernel
-//! per scheme family ([`kernel`]), with zero per-query allocation.  The
-//! historical self-delimiting wire encodings (`*Label` structs with
-//! `encode`/`decode`) survive behind the off-by-default `legacy-labels`
-//! cargo feature; [`DistanceScheme::label_bits`] still reports their sizes,
-//! which are the quantities the paper's bounds are about.
+//! per scheme family ([`kernel`]), with zero per-query allocation.
+//! [`DistanceScheme::label_bits`] reports the size of each scheme's
+//! self-delimiting *wire* encoding — the quantity the paper's bounds are
+//! about — in closed form at build time; test-only encoders over the build
+//! rows pin every formula to a real encoding bit for bit.
 //!
 //! All schemes offer a `build_with_substrate` constructor next to `build`:
 //! create one [`Substrate`] per tree and every scheme built from it shares a

@@ -15,9 +15,9 @@
 //! The native representation is the packed store frame: `build` packs every
 //! label straight into a `TLSTOR01` frame and queries run through the shared
 //! prefix-sum kernel ([`crate::kernel::psum`]).  [`NaiveScheme::label_bits`]
-//! still reports the size of the historical self-delimiting *wire* encoding —
-//! the quantity the paper's `Θ(log²n)` analysis is about — whose
-//! encoder/decoder pair survives behind the `legacy-labels` feature.
+//! reports the size of the self-delimiting fixed-width *wire* encoding — the
+//! quantity the paper's `Θ(log²n)` analysis is about — in closed form; a
+//! test-only encoder over the build rows pins it bit for bit.
 
 use crate::hpath::{HpathLabel, HpathLabeling};
 use crate::kernel::psum::{self, PsumMeasure, PsumMeta, PsumRef};
@@ -28,31 +28,6 @@ use treelab_bits::{codes, BitSlice, BitWriter};
 use treelab_tree::binarize::Binarized;
 use treelab_tree::heavy::{HeavyPaths, LightEdge};
 use treelab_tree::{NodeId, Tree};
-
-/// Writes the fixed-width wire encoding of one label (the format
-/// [`NaiveLabel::decode`] reads): root distance, the entry field width, the
-/// auxiliary label, then `count` fixed-width `(dᵢ, tᵢ)` entries.
-///
-/// Shared by the legacy encoder and the build-time wire-size accounting, so
-/// the two can never drift apart.
-#[cfg(feature = "legacy-labels")]
-pub(crate) fn wire_encode(
-    w: &mut BitWriter,
-    root_distance: u64,
-    width: u8,
-    aux: &HpathLabel,
-    entries: impl Iterator<Item = (u64, bool)>,
-    count: usize,
-) {
-    codes::write_delta_nz(w, root_distance);
-    w.write_bits(u64::from(width), 8);
-    aux.encode(w);
-    codes::write_gamma_nz(w, count as u64);
-    for (d, t) in entries {
-        w.write_bits(d, usize::from(width));
-        w.write_bit(t);
-    }
-}
 
 /// One node's build-time row: everything the packer needs, borrowing the
 /// substrate's auxiliary label instead of cloning it.
@@ -79,21 +54,6 @@ impl PsumRow<'_> {
             .map(|e| e.branch_offset + e.edge_weight)
             .sum()
     }
-}
-
-/// Builds the per-node rows of the two prefix-sum schemes over the shared
-/// substrate, computing each node's wire size with `wire_len` (the legacy
-/// struct-label pipeline; the packed build streams rows through
-/// [`PsumSource`] instead).
-#[cfg(feature = "legacy-labels")]
-pub(crate) fn build_psum_rows<'s>(
-    sub: &'s Substrate<'_>,
-    wire_len: impl Fn(&PsumRow<'s>) -> usize + Sync,
-) -> Vec<PsumRow<'s>> {
-    let src = PsumSource::new(sub, wire_len, false);
-    crate::substrate::build_vec(sub.parallelism(), sub.tree().len(), |i| {
-        PackSource::<NaiveScheme>::make_row(&src, i)
-    })
 }
 
 /// The pack source shared by the two prefix-sum schemes (they differ only in
@@ -202,8 +162,8 @@ impl DistanceScheme for NaiveScheme {
 
     fn build_with_substrate(sub: &Substrate<'_>) -> Self {
         let width = wire_width(sub);
-        // Closed-form wire size (no encoding pass; the feature-gated legacy
-        // tests pin it to the real encoder bit for bit).
+        // Closed-form wire size (no encoding pass; the test-only encoder
+        // pins it to the real encoding bit for bit).
         let src = PsumSource::new(
             sub,
             move |row: &PsumRow<'_>| {
@@ -264,211 +224,6 @@ impl StoredScheme for NaiveScheme {
 
     fn distance_refs(a: NaiveLabelRef<'_>, b: NaiveLabelRef<'_>) -> u64 {
         psum::distance_refs(&a.0, &b.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy wire-format labels (feature-gated)
-// ---------------------------------------------------------------------------
-
-/// Label of the fixed-width baseline scheme in its historical struct form —
-/// kept for the self-delimiting wire format and its decode adversaries.
-#[cfg(feature = "legacy-labels")]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NaiveLabel {
-    /// Distance from the root (of the binarized tree, which equals the
-    /// distance in the original tree).
-    root_distance: u64,
-    /// Heavy-path auxiliary label (of the proxy leaf in the binarized tree).
-    aux: HpathLabel,
-    /// Fixed field width used for the entries (⌈log₂ n⌉ of the binarized tree).
-    width: u8,
-    /// Per light edge `i` (top-down): `d_i = branch_offset + edge_weight`.
-    entries: Vec<u64>,
-    /// Per light edge `i`: the weight (0 or 1) of the light edge itself.
-    weights: Vec<u8>,
-}
-
-#[cfg(feature = "legacy-labels")]
-impl NaiveLabel {
-    /// Root distance stored in the label.
-    pub fn root_distance(&self) -> u64 {
-        self.root_distance
-    }
-
-    /// The embedded heavy-path auxiliary label.
-    pub fn aux(&self) -> &HpathLabel {
-        &self.aux
-    }
-
-    /// Serializes the label.
-    pub fn encode(&self, w: &mut BitWriter) {
-        wire_encode(
-            w,
-            self.root_distance,
-            self.width,
-            &self.aux,
-            self.entries
-                .iter()
-                .zip(&self.weights)
-                .map(|(&d, &t)| (d, t == 1)),
-            self.entries.len(),
-        );
-    }
-
-    /// Deserializes a label written by [`NaiveLabel::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`treelab_bits::DecodeError`] on truncated or malformed
-    /// input.
-    pub fn decode(r: &mut treelab_bits::BitReader<'_>) -> Result<Self, treelab_bits::DecodeError> {
-        use treelab_bits::DecodeError;
-        let root_distance = codes::read_delta_nz(r)?;
-        let width = r.read_bits(8)? as u8;
-        if width > 64 {
-            return Err(DecodeError::Malformed {
-                what: "entry width exceeds 64 bits",
-            });
-        }
-        let aux = HpathLabel::decode(r)?;
-        let count = codes::read_gamma_nz(r)? as usize;
-        // Each entry consumes width + 1 bits; reject counts the remaining
-        // input cannot hold before allocating (corrupt counts used to abort
-        // with a capacity overflow instead of returning an error).
-        if count > r.remaining() {
-            return Err(DecodeError::Malformed {
-                what: "entry count exceeds remaining input",
-            });
-        }
-        let mut entries = Vec::with_capacity(count);
-        let mut weights = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(r.read_bits(usize::from(width))?);
-            weights.push(u8::from(r.read_bit()?));
-        }
-        Ok(NaiveLabel {
-            root_distance,
-            aux,
-            width,
-            entries,
-            weights,
-        })
-    }
-
-    /// Size of the serialized label in bits.
-    pub fn bit_len(&self) -> usize {
-        let mut w = BitWriter::new();
-        self.encode(&mut w);
-        w.len()
-    }
-
-    /// The struct-side distance protocol of the historical implementation
-    /// (the packed-native kernel in [`crate::kernel::psum`] replaces it;
-    /// kept so the feature-gated equivalence tests can cross-check).
-    pub fn legacy_distance(a: &NaiveLabel, b: &NaiveLabel) -> u64 {
-        legacy_psum_distance(
-            a.root_distance,
-            &a.aux,
-            b.root_distance,
-            &b.aux,
-            |side, j| {
-                let l = if side == 0 { a } else { b };
-                (l.entries[j], u64::from(l.weights[j]))
-            },
-        )
-    }
-}
-
-/// Shared query logic of the legacy struct-backed prefix-sum labels
-/// (Lemma 3.1's domination argument): if `u` dominates `v` and
-/// `j = lightdepth(NCA)`, the NCA is the branch point of `u`'s `(j+1)`-st
-/// light edge, so its root distance is `Σ_{i ≤ j+1} dᵢ(u) − t_{j+1}(u)`.
-#[cfg(feature = "legacy-labels")]
-pub(crate) fn legacy_psum_distance(
-    rd_a: u64,
-    aux_a: &HpathLabel,
-    rd_b: u64,
-    aux_b: &HpathLabel,
-    entry: impl Fn(usize, usize) -> (u64, u64),
-) -> u64 {
-    if HpathLabel::same_node(aux_a, aux_b) {
-        return 0;
-    }
-    if HpathLabel::is_ancestor(aux_a, aux_b) || HpathLabel::is_ancestor(aux_b, aux_a) {
-        return rd_a.abs_diff(rd_b);
-    }
-    let j = HpathLabel::common_light_depth(aux_a, aux_b);
-    let side = usize::from(!HpathLabel::dominates(aux_a, aux_b));
-    let mut sum = 0u64;
-    for i in 0..=j {
-        sum += entry(side, i).0;
-    }
-    let t = entry(side, j).1;
-    let rd_nca = sum - t;
-    rd_a + rd_b - 2 * rd_nca
-}
-
-#[cfg(feature = "legacy-labels")]
-impl NaiveScheme {
-    /// Builds the historical struct labels (the wire-format view of this
-    /// scheme) from a shared substrate.
-    pub fn legacy_labels(sub: &Substrate<'_>) -> Vec<NaiveLabel> {
-        let width = wire_width(sub);
-        build_psum_rows(sub, |_| 0)
-            .into_iter()
-            .map(|row| NaiveLabel {
-                root_distance: row.rd,
-                aux: row.aux.clone(),
-                width,
-                entries: row.entries().map(|(d, _)| d).collect(),
-                weights: row.entries().map(|(_, t)| t as u8).collect(),
-            })
-            .collect()
-    }
-
-    /// The historical struct-then-serialize pipeline: packs legacy labels
-    /// into a store frame.  Bit-for-bit identical to the direct pack path of
-    /// [`DistanceScheme::build`] (asserted by the equivalence tests).
-    pub fn store_from_legacy(labels: &[NaiveLabel]) -> SchemeStore<NaiveScheme> {
-        struct LegacySource<'a>(&'a [NaiveLabel]);
-        impl PackSource<NaiveScheme> for LegacySource<'_> {
-            // The labels already exist in memory; rows are just indices.
-            type Row = usize;
-            type Plan = ();
-            fn node_count(&self) -> usize {
-                self.0.len()
-            }
-            fn make_row(&self, u: usize) -> usize {
-                u
-            }
-            fn plan_row(&self, _plan: &mut (), _u: usize, _row: &usize) {}
-            fn meta_words(&self, _plan: &()) -> Vec<u64> {
-                PsumMeta::measure(
-                    self.0
-                        .iter()
-                        .map(|l| (l.root_distance, l.entries.iter().sum(), &l.aux)),
-                )
-                .words()
-            }
-            fn packed_label_bits(&self, meta: &PsumMeta, &u: &usize) -> usize {
-                let l = &self.0[u];
-                meta.label_bits(l.entries.len(), &l.aux)
-            }
-            fn pack_label(&self, meta: &PsumMeta, &u: &usize, w: &mut BitWriter) {
-                let l = &self.0[u];
-                meta.pack(
-                    l.root_distance,
-                    &l.aux,
-                    l.entries
-                        .iter()
-                        .zip(&l.weights)
-                        .map(|(&d, &t)| (d, u64::from(t))),
-                    w,
-                );
-            }
-        }
-        SchemeStore::from_source(&LegacySource(labels))
     }
 }
 
@@ -536,30 +291,32 @@ mod tests {
         assert!(scheme.as_store().label_region_bits() > 0);
     }
 
-    #[cfg(feature = "legacy-labels")]
-    #[test]
-    fn labels_roundtrip() {
-        use treelab_bits::BitReader;
-        let tree = gen::random_tree(120, 8);
-        let scheme = NaiveScheme::build(&tree);
-        let labels = NaiveScheme::legacy_labels(&Substrate::new(&tree));
-        for (i, label) in labels.iter().enumerate() {
-            let mut w = BitWriter::new();
-            label.encode(&mut w);
-            let bits = w.into_bitvec();
-            assert_eq!(bits.len(), label.bit_len());
-            // The build-time wire accounting matches the legacy encoder.
-            assert_eq!(bits.len(), scheme.label_bits(tree.node(i)));
-            let mut r = BitReader::new(&bits);
-            let back = NaiveLabel::decode(&mut r).unwrap();
-            assert_eq!(&back, label);
+    /// The fixed-width wire encoding of one label: root distance, the entry
+    /// field width, the auxiliary label, then `count` fixed-width `(dᵢ, tᵢ)`
+    /// entries.
+    fn wire_encode(w: &mut BitWriter, row: &PsumRow<'_>, width: u8) {
+        codes::write_delta_nz(w, row.rd);
+        w.write_bits(u64::from(width), 8);
+        row.aux.encode(w);
+        codes::write_gamma_nz(w, row.edges.len() as u64);
+        for (d, t) in row.entries() {
+            w.write_bits(d, usize::from(width));
+            w.write_bit(t == 1);
         }
-        // Decoded labels answer queries identically to the packed kernel.
-        let (u, v) = (tree.node(5), tree.node(100));
-        assert_eq!(
-            NaiveLabel::legacy_distance(&labels[5], &labels[100]),
-            scheme.distance(u, v)
-        );
-        assert_eq!(scheme.distance(u, v), tree.distance_naive(u, v));
+    }
+
+    #[test]
+    fn label_bits_is_the_wire_encoding_length() {
+        for tree in [Tree::singleton(), gen::random_tree(120, 8), gen::comb(300)] {
+            let sub = Substrate::new(&tree);
+            let scheme = NaiveScheme::build_with_substrate(&sub);
+            let src = PsumSource::new(&sub, |_: &PsumRow<'_>| 0, false);
+            for u in tree.nodes() {
+                let row = PackSource::<NaiveScheme>::make_row(&src, u.index());
+                let mut w = BitWriter::new();
+                wire_encode(&mut w, &row, wire_width(&sub));
+                assert_eq!(w.len(), scheme.label_bits(u), "node {u}");
+            }
+        }
     }
 }

@@ -35,9 +35,9 @@
 //! The scheme operates on the §2 binarized tree and labels the proxy leaf of
 //! every original node; [`OptimalScheme::build`] hides the reduction.  The
 //! native representation is the packed store frame ([`crate::kernel::optimal`]
-//! is the query kernel); [`OptimalScheme::label_bits`] reports the historical
-//! self-delimiting wire size — the quantity Theorem 1.1 bounds — whose
-//! encoder/decoder pair survives behind the `legacy-labels` feature.
+//! is the query kernel); [`OptimalScheme::label_bits`] reports the
+//! self-delimiting wire size — the quantity Theorem 1.1 bounds — in closed
+//! form, and a test-only encoder over the build rows pins it bit for bit.
 
 use crate::hpath::{AuxWidths, HpathLabel, HpathLabeling};
 use crate::kernel::optimal::{self as kernel, OptimalLabelRef, OptimalMeta, W_PUSHED};
@@ -97,47 +97,6 @@ impl Default for OptimalConfig {
     }
 }
 
-/// Writes the self-delimiting wire encoding of one label (the format
-/// [`OptimalLabel::decode`] reads).  The build-time wire-size accounting uses
-/// the closed-form lengths of the same codes; the feature-gated legacy tests
-/// pin the two to each other bit for bit.
-#[cfg(feature = "legacy-labels")]
-pub(crate) fn wire_encode<'x>(
-    w: &mut BitWriter,
-    root_distance: u64,
-    aux: &HpathLabel,
-    fragments: &[u64],
-    entries: impl Iterator<Item = &'x OptimalEntry>,
-    count: usize,
-    accumulators: impl Iterator<Item = &'x BitVec>,
-) {
-    codes::write_delta_nz(w, root_distance);
-    aux.encode(w);
-    MonotoneSeq::new(fragments).encode(w);
-    codes::write_gamma_nz(w, count as u64);
-    for entry in entries {
-        match entry {
-            OptimalEntry::Exceptional => w.write_bit(true),
-            OptimalEntry::Regular {
-                weight,
-                frag_idx,
-                pushed,
-                kept,
-            } => {
-                w.write_bit(false);
-                w.write_bit(*weight == 1);
-                codes::write_gamma_nz(w, u64::from(*frag_idx));
-                codes::write_gamma_nz(w, u64::from(*pushed));
-                codes::write_delta_nz(w, *kept);
-            }
-        }
-    }
-    for acc in accumulators {
-        codes::write_gamma_nz(w, acc.len() as u64);
-        w.write_bitvec(acc);
-    }
-}
-
 /// One node's build-time row: the root distance, the borrowed aux label, the
 /// fragment distance array and the node's chain of non-root collapsed paths
 /// (whose entries and accumulators live in the shared per-path table).
@@ -176,17 +135,7 @@ impl OptimalScheme {
 
     /// [`OptimalScheme::build_with_config`] on a shared [`Substrate`].
     pub fn build_with_substrate_config(sub: &Substrate<'_>, config: OptimalConfig) -> Self {
-        let bs = sub.binarized_expect();
-        // The per-path table is O(paths) ≤ O(n) small words plus the pushed
-        // bits — it stays resident for the whole build even when rows stream.
-        let info = Self::build_path_info(bs.binarized().tree(), bs.heavy_paths(), config);
-        let src = OptimalSource {
-            tree: sub.tree(),
-            bin: bs.binarized(),
-            hp: bs.heavy_paths(),
-            aux: bs.aux_labels(),
-            info,
-        };
+        let src = OptimalSource::new(sub, config);
         let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
         OptimalScheme {
             store,
@@ -341,6 +290,22 @@ struct OptimalSource<'s> {
     info: Vec<PathInfo>,
 }
 
+impl<'s> OptimalSource<'s> {
+    fn new(sub: &'s Substrate<'_>, config: OptimalConfig) -> Self {
+        let bs = sub.binarized_expect();
+        // The per-path table is O(paths) ≤ O(n) small words plus the pushed
+        // bits — it stays resident for the whole build even when rows stream.
+        let info = OptimalScheme::build_path_info(bs.binarized().tree(), bs.heavy_paths(), config);
+        OptimalSource {
+            tree: sub.tree(),
+            bin: bs.binarized(),
+            hp: bs.heavy_paths(),
+            aux: bs.aux_labels(),
+            info,
+        }
+    }
+}
+
 /// Plan of the optimal pack: the per-row width maxima (the per-path maxima
 /// come from the source's table) plus the per-node size accounting the
 /// scheme reports, folded in node-id order.
@@ -388,8 +353,8 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
         let row_aux = self.aux.label(leaf);
         // One pass over the chain computes the accumulator total, the
         // payload bits and the closed-form wire size (no encoding pass;
-        // the feature-gated legacy tests pin the latter to the real
-        // encoder bit for bit).
+        // the test-only encoder pins the latter to the real encoding bit
+        // for bit).
         let mut acc_bits = 0usize;
         let mut payload = 0usize;
         let mut entry_wire = 0usize;
@@ -575,329 +540,6 @@ impl StoredScheme for OptimalScheme {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy wire-format labels (feature-gated)
-// ---------------------------------------------------------------------------
-
-/// Label of the optimal (¼·log²n) scheme in its historical struct form —
-/// kept for the self-delimiting wire format and its decode adversaries.
-#[cfg(feature = "legacy-labels")]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptimalLabel {
-    /// Distance from the root.
-    root_distance: u64,
-    /// Heavy-path auxiliary label of the proxy leaf.
-    aux: HpathLabel,
-    /// Fragment distance array `F(u)`: root distances of the fragment heads on
-    /// the root-to-node path in the collapsed tree (non-decreasing).
-    fragments: Vec<u64>,
-    /// Modified distance array, one entry per light edge (top-down).
-    entries: Vec<OptimalEntry>,
-    /// Accumulators, one per light edge level: the pushed bits of all fat
-    /// sibling subtrees to the left at that level, concatenated in sibling
-    /// order.
-    accumulators: Vec<BitVec>,
-}
-
-#[cfg(feature = "legacy-labels")]
-impl OptimalLabel {
-    /// Root distance stored in the label.
-    pub fn root_distance(&self) -> u64 {
-        self.root_distance
-    }
-
-    /// The fragment distance array `F(u)`.
-    pub fn fragments(&self) -> &[u64] {
-        &self.fragments
-    }
-
-    /// The modified distance array.
-    pub fn entries(&self) -> &[OptimalEntry] {
-        &self.entries
-    }
-
-    /// Total number of accumulator bits carried by this label.
-    pub fn accumulator_bits(&self) -> usize {
-        self.accumulators.iter().map(BitVec::len).sum()
-    }
-
-    /// Serializes the label.
-    pub fn encode(&self, w: &mut BitWriter) {
-        wire_encode(
-            w,
-            self.root_distance,
-            &self.aux,
-            &self.fragments,
-            self.entries.iter(),
-            self.entries.len(),
-            self.accumulators.iter(),
-        );
-    }
-
-    /// Deserializes a label written by [`OptimalLabel::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`treelab_bits::DecodeError`] on truncated or malformed
-    /// input.
-    pub fn decode(r: &mut treelab_bits::BitReader<'_>) -> Result<Self, treelab_bits::DecodeError> {
-        use treelab_bits::DecodeError;
-        let root_distance = codes::read_delta_nz(r)?;
-        let aux = HpathLabel::decode(r)?;
-        let fragments = MonotoneSeq::decode(r)?.to_vec();
-        let count = codes::read_gamma_nz(r)? as usize;
-        // Every entry consumes at least one flag bit; reject counts the
-        // remaining input cannot hold before allocating (corrupt counts used
-        // to abort with a capacity overflow instead of returning an error).
-        if count > r.remaining() {
-            return Err(DecodeError::Malformed {
-                what: "entry count exceeds remaining input",
-            });
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            if r.read_bit()? {
-                entries.push(OptimalEntry::Exceptional);
-            } else {
-                let weight = u8::from(r.read_bit()?);
-                let frag_idx = codes::read_gamma_nz(r)? as u32;
-                let pushed = codes::read_gamma_nz(r)? as u32;
-                if pushed > 64 {
-                    return Err(DecodeError::Malformed {
-                        what: "pushed bit count exceeds 64",
-                    });
-                }
-                let kept = codes::read_delta_nz(r)?;
-                entries.push(OptimalEntry::Regular {
-                    weight,
-                    frag_idx,
-                    pushed,
-                    kept,
-                });
-            }
-        }
-        let mut accumulators = Vec::with_capacity(count);
-        for _ in 0..count {
-            let len = codes::read_gamma_nz(r)? as usize;
-            if len > r.remaining() {
-                return Err(DecodeError::Malformed {
-                    what: "accumulator length exceeds remaining input",
-                });
-            }
-            let mut acc = BitVec::with_capacity(len);
-            for _ in 0..len {
-                acc.push(r.read_bit()?);
-            }
-            accumulators.push(acc);
-        }
-        Ok(OptimalLabel {
-            root_distance,
-            aux,
-            fragments,
-            entries,
-            accumulators,
-        })
-    }
-
-    /// Size of the serialized label in bits.
-    pub fn bit_len(&self) -> usize {
-        let mut w = BitWriter::new();
-        self.encode(&mut w);
-        w.len()
-    }
-
-    /// The struct-side distance protocol of the historical implementation
-    /// (the packed-native kernel replaces it; kept for cross-checks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the labels were produced by different scheme builds.
-    pub fn legacy_distance(a: &OptimalLabel, b: &OptimalLabel) -> u64 {
-        let (la, lb) = (&a.aux, &b.aux);
-        if HpathLabel::same_node(la, lb) {
-            return 0;
-        }
-        if HpathLabel::is_ancestor(la, lb) || HpathLabel::is_ancestor(lb, la) {
-            return a.root_distance.abs_diff(b.root_distance);
-        }
-        let j = HpathLabel::common_light_depth(la, lb);
-        let (dom, other) = if HpathLabel::dominates(la, lb) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let entry = dom
-            .entries
-            .get(j)
-            .expect("dominating label leaves the common heavy path");
-        let OptimalEntry::Regular {
-            weight,
-            frag_idx,
-            pushed,
-            kept,
-        } = entry
-        else {
-            panic!("dominating side's entry is never exceptional for labels of one tree");
-        };
-        let pushed_value = if *pushed > 0 {
-            let offset = dom.accumulators[j].len();
-            other.accumulators[j]
-                .get_bits(offset, *pushed as usize)
-                .expect("dominated label carries the pushed bits")
-        } else {
-            0
-        };
-        let value = (kept << pushed) | pushed_value;
-        let head_rd = dom.fragments[*frag_idx as usize] + value;
-        let rd_nca = head_rd - u64::from(*weight);
-        a.root_distance + b.root_distance - 2 * rd_nca
-    }
-}
-
-#[cfg(feature = "legacy-labels")]
-impl OptimalScheme {
-    /// Builds the historical struct labels (default configuration) from a
-    /// shared substrate.
-    pub fn legacy_labels(sub: &Substrate<'_>) -> Vec<OptimalLabel> {
-        Self::legacy_labels_with_config(sub, OptimalConfig::default())
-    }
-
-    /// Builds the historical struct labels with explicit knobs.
-    pub fn legacy_labels_with_config(
-        sub: &Substrate<'_>,
-        config: OptimalConfig,
-    ) -> Vec<OptimalLabel> {
-        let bs = sub.binarized_expect();
-        let (bin, hp, aux) = (bs.binarized(), bs.heavy_paths(), bs.aux_labels());
-        let info = Self::build_path_info(bin.tree(), hp, config);
-        let tree = sub.tree();
-        crate::substrate::build_vec(sub.parallelism(), tree.len(), |i| {
-            let leaf = bin.proxy(tree.node(i));
-            let mut chain = Vec::new();
-            let mut p = hp.path_of(leaf);
-            loop {
-                chain.push(p);
-                match hp.collapsed_parent(p) {
-                    Some(parent) => p = parent,
-                    None => break,
-                }
-            }
-            chain.reverse();
-            OptimalLabel {
-                root_distance: hp.root_distance(leaf),
-                aux: aux.label(leaf).clone(),
-                fragments: chain
-                    .iter()
-                    .filter(|&&p| info[p].is_fragment_head)
-                    .map(|&p| info[p].head_root_distance)
-                    .collect(),
-                entries: chain[1..]
-                    .iter()
-                    .map(|&p| {
-                        info[p]
-                            .entry
-                            .clone()
-                            .expect("non-root paths carry an entry")
-                    })
-                    .collect(),
-                accumulators: chain[1..]
-                    .iter()
-                    .map(|&p| info[p].accumulator.clone())
-                    .collect(),
-            }
-        })
-    }
-
-    /// The historical struct-then-serialize pipeline (bit-for-bit identical
-    /// to the direct pack path; asserted by the equivalence tests).
-    pub fn store_from_legacy(labels: &[OptimalLabel]) -> SchemeStore<OptimalScheme> {
-        struct LegacySource<'a>(&'a [OptimalLabel]);
-        impl PackSource<OptimalScheme> for LegacySource<'_> {
-            // The labels already exist in memory; rows are just indices.
-            type Row = usize;
-            type Plan = ();
-            fn node_count(&self) -> usize {
-                self.0.len()
-            }
-            fn make_row(&self, u: usize) -> usize {
-                u
-            }
-            fn plan_row(&self, _plan: &mut (), _u: usize, _row: &usize) {}
-            fn meta_words(&self, _plan: &()) -> Vec<u64> {
-                let w = |x: u64| codes::bit_len(x) as u8;
-                let (mut w_rd, mut w_fc, mut w_frag, mut w_fi, mut w_kept, mut w_ae) =
-                    (0u8, 0u8, 0u8, 0u8, 0u8, 0u8);
-                let mut aux_w = AuxWidths::default();
-                for l in self.0 {
-                    w_rd = w_rd.max(w(l.root_distance));
-                    w_fc = w_fc.max(w(l.fragments.len() as u64));
-                    w_frag = w_frag.max(w(l.fragments.last().copied().unwrap_or(0)));
-                    for e in &l.entries {
-                        if let OptimalEntry::Regular { frag_idx, kept, .. } = e {
-                            w_fi = w_fi.max(w(u64::from(*frag_idx)));
-                            w_kept = w_kept.max(w(*kept));
-                        }
-                    }
-                    w_ae = w_ae.max(w(l.accumulator_bits() as u64));
-                    aux_w.observe(&l.aux);
-                }
-                OptimalMeta::with_widths(w_rd, w_fc, w_frag, w_fi, w_kept, w_ae, aux_w).words()
-            }
-            fn packed_label_bits(&self, meta: &OptimalMeta, &u: &usize) -> usize {
-                let l = &self.0[u];
-                meta.hdr_total
-                    + meta.aux_w.packed_bits_core(&l.aux)
-                    + l.fragments.len() * meta.frag_w
-                    + l.entries.len() * meta.rec_w
-                    + l.accumulator_bits()
-            }
-            fn pack_label(&self, meta: &OptimalMeta, &u: &usize, w: &mut BitWriter) {
-                let l = &self.0[u];
-                w.write_bits_lsb(l.root_distance, usize::from(meta.w_rd));
-                w.write_bits_lsb(l.entries.len() as u64, usize::from(meta.aux_w.ld));
-                w.write_bits_lsb(l.fragments.len() as u64, usize::from(meta.w_fc));
-                w.write_bits_lsb(l.aux.codewords_len() as u64, usize::from(meta.aux_w.end));
-                meta.aux_w.pack_core(&l.aux, w);
-                for &f in &l.fragments {
-                    w.write_bits_lsb(f, usize::from(meta.w_frag));
-                }
-                let ends = l.aux.end_positions();
-                let mut acc_end = 0u64;
-                for (i, e) in l.entries.iter().enumerate() {
-                    acc_end += l.accumulators[i].len() as u64;
-                    w.write_bits_lsb(u64::from(ends[i]), usize::from(meta.aux_w.end));
-                    match e {
-                        OptimalEntry::Exceptional => {
-                            w.write_bit(true);
-                            w.write_bit(false);
-                            w.write_bits_lsb(0, usize::from(meta.w_fi));
-                            w.write_bits_lsb(0, W_PUSHED);
-                            w.write_bits_lsb(0, usize::from(meta.w_kept));
-                        }
-                        OptimalEntry::Regular {
-                            weight,
-                            frag_idx,
-                            pushed,
-                            kept,
-                        } => {
-                            w.write_bit(false);
-                            w.write_bit(*weight == 1);
-                            w.write_bits_lsb(u64::from(*frag_idx), usize::from(meta.w_fi));
-                            w.write_bits_lsb(u64::from(*pushed), W_PUSHED);
-                            w.write_bits_lsb(*kept, usize::from(meta.w_kept));
-                        }
-                    }
-                    w.write_bits_lsb(acc_end, usize::from(meta.w_ae));
-                }
-                for acc in &l.accumulators {
-                    w.write_bitvec(acc);
-                }
-            }
-        }
-        SchemeStore::from_source(&LegacySource(labels))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1074,34 +716,55 @@ mod tests {
         assert!(payload(&no_push) >= payload(&default));
     }
 
-    #[cfg(feature = "legacy-labels")]
-    #[test]
-    fn legacy_labels_roundtrip_and_agree_with_the_kernel() {
-        use treelab_bits::{BitReader, BitWriter};
-        let tree = gen::comb(500);
-        let sub = Substrate::new(&tree);
-        let scheme = OptimalScheme::build_with_substrate(&sub);
-        let labels = OptimalScheme::legacy_labels(&sub);
-        let n = tree.len();
-        let mut decoded = Vec::new();
-        for (i, label) in labels.iter().enumerate() {
-            let mut w = BitWriter::new();
-            label.encode(&mut w);
-            let bits = w.into_bitvec();
-            assert_eq!(bits.len(), label.bit_len());
-            assert_eq!(bits.len(), scheme.label_bits(tree.node(i)));
-            let back = OptimalLabel::decode(&mut BitReader::new(&bits)).unwrap();
-            assert_eq!(&back, label);
-            decoded.push(back);
+    /// The self-delimiting wire encoding of one label: root distance, the
+    /// auxiliary label, the fragment array `F(u)`, one flagged entry per light
+    /// edge, then the length-prefixed accumulators.
+    fn wire_encode(w: &mut BitWriter, src: &OptimalSource<'_>, row: &OptimalRow<'_>) {
+        codes::write_delta_nz(w, row.rd);
+        row.aux.encode(w);
+        MonotoneSeq::new(&row.fragments).encode(w);
+        codes::write_gamma_nz(w, row.chain.len() as u64);
+        for &p in &row.chain {
+            match src.info[p].entry.as_ref().expect("non-root path entry") {
+                OptimalEntry::Exceptional => w.write_bit(true),
+                OptimalEntry::Regular {
+                    weight,
+                    frag_idx,
+                    pushed,
+                    kept,
+                } => {
+                    w.write_bit(false);
+                    w.write_bit(*weight == 1);
+                    codes::write_gamma_nz(w, u64::from(*frag_idx));
+                    codes::write_gamma_nz(w, u64::from(*pushed));
+                    codes::write_delta_nz(w, *kept);
+                }
+            }
         }
-        for i in (0..n).step_by(17) {
-            for jj in (0..n).step_by(29) {
-                let expect = tree.distance_naive(tree.node(i), tree.node(jj));
-                assert_eq!(
-                    OptimalLabel::legacy_distance(&decoded[i], &decoded[jj]),
-                    expect
-                );
-                assert_eq!(scheme.distance(tree.node(i), tree.node(jj)), expect);
+        for &p in &row.chain {
+            let acc = &src.info[p].accumulator;
+            codes::write_gamma_nz(w, acc.len() as u64);
+            w.write_bitvec(acc);
+        }
+    }
+
+    #[test]
+    fn label_bits_is_the_wire_encoding_length() {
+        let no_pushing = OptimalConfig {
+            enable_pushing: false,
+            ..Default::default()
+        };
+        for tree in [Tree::singleton(), gen::comb(500), gen::random_tree(200, 3)] {
+            let sub = Substrate::new(&tree);
+            for config in [OptimalConfig::default(), no_pushing] {
+                let scheme = OptimalScheme::build_with_substrate_config(&sub, config);
+                let src = OptimalSource::new(&sub, config);
+                for u in tree.nodes() {
+                    let row = src.make_row(u.index());
+                    let mut w = BitWriter::new();
+                    wire_encode(&mut w, &src, &row);
+                    assert_eq!(w.len(), scheme.label_bits(u), "{config:?}: node {u}");
+                }
             }
         }
     }

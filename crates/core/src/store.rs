@@ -1437,21 +1437,12 @@ impl<S: StoredScheme> Clone for SchemeStore<S> {
 }
 
 impl<S: StoredScheme> SchemeStore<S> {
-    /// Packs a [`PackSource`] directly into a fresh frame — the serial,
-    /// whole-tree, id-order build (the historical path; used by the legacy
-    /// conversion constructors).  The offset-index width is chosen
-    /// automatically (u32 whenever the label region fits, which halves the
-    /// index footprint; see [`IndexWidth`]).
-    #[cfg_attr(not(feature = "legacy-labels"), allow(dead_code))]
-    pub(crate) fn from_source<P: PackSource<S>>(src: &P) -> Self {
-        Self::from_source_with(src, &PackConfig::default()).0
-    }
-
-    /// [`SchemeStore::from_source`] with an explicit [`PackConfig`] —
-    /// parallelism fan-out, chunk-streaming row materialization, and the
-    /// optional clustered label layout.  Returns the plan the source
-    /// accumulated over the id-order planning pass (wire-size side tables
-    /// the schemes harvest), so streaming builds need not keep rows around.
+    /// Packs a [`PackSource`] directly into a fresh frame under a
+    /// [`PackConfig`] — parallelism fan-out, chunk-streaming row
+    /// materialization, and the optional clustered label layout.  Returns
+    /// the plan the source accumulated over the id-order planning pass
+    /// (wire-size side tables the schemes harvest), so streaming builds need
+    /// not keep rows around.
     ///
     /// The frame is bit-identical at every chunk size, thread count and
     /// (for the same layout) build path.
@@ -2210,8 +2201,7 @@ mod tests {
         // The optimal scheme's packed `pushed` field occupies 7 bits (values
         // up to 127), but the query protocol shifts by `64 − pushed`: a
         // CRC-consistent crafted frame claiming pushed > 64 must be rejected
-        // by the load-time per-label checks, exactly as the legacy wire
-        // decoder rejects it.
+        // by the load-time per-label checks.
         use crate::optimal::OptimalScheme;
         use crate::DistanceScheme;
         let tree = gen::comb(300);

@@ -71,10 +71,9 @@ use treelab_tree::Tree;
 /// therefore keep `make_row` deterministic and free of shared mutable state;
 /// everything order-sensitive belongs in [`PackSource::Plan`].
 ///
-/// No intermediate per-node label structs exist on this path; the historical
-/// struct-then-serialize pipeline survives only behind the `legacy-labels`
-/// feature (and is bit-for-bit equivalent, which the feature-gated
-/// equivalence tests assert).
+/// No intermediate per-node label structs exist on this path: rows are
+/// packed straight into the frame, and golden frames (the CRC-64 trailer
+/// words recorded in `treelab_bench::golden`) pin the result.
 pub(crate) trait PackSource<S: StoredScheme>: Sync {
     /// Per-node intermediate data: everything needed to size and pack one
     /// node's label once the meta words exist.

@@ -4,11 +4,14 @@
 //!
 //! Two layers are attacked:
 //!
-//! * the **store/forest frames** (the native representation; always tested);
-//! * the **legacy wire-format label decoders** (`*Label::decode`), compiled
-//!   behind the `legacy-labels` feature — run with
-//!   `cargo test --features legacy-labels`.
+//! * the **store/forest frames** (the native representation);
+//! * the level-ancestor wire decoder, [`LevelAncestorLabel::decode`]
+//!   (level-ancestor labels are materialized from the frame and walked as
+//!   opaque bit strings by the Lemma 3.6 conversion).
 
+use treelab::bits::{codes, BitReader, BitVec, BitWriter, MonotoneSeq};
+use treelab::core::level_ancestor::{LevelAncestorLabel, LevelAncestorScheme};
+use treelab::tree::rng::SplitMix64;
 use treelab::{gen, DistanceScheme, NaiveScheme, OptimalScheme};
 use treelab::{ForestError, ForestStore, SchemeStore, StoreError};
 
@@ -268,181 +271,60 @@ fn corrupt_forest_frames_are_rejected() {
     ));
 }
 
-/// The legacy wire-format decoders (`*Label::decode`), behind the
-/// `legacy-labels` feature: truncation, bit-flip and crafted-count
-/// adversaries against every label type.
-#[cfg(feature = "legacy-labels")]
-mod legacy {
-    use treelab::bits::{codes, BitReader, BitVec, BitWriter, MonotoneSeq};
-    use treelab::core::approximate::{ApproximateLabel, ApproximateScheme};
-    use treelab::core::distance_array::{DistanceArrayLabel, DistanceArrayScheme};
-    use treelab::core::hpath::{HpathLabel, HpathLabeling};
-    use treelab::core::kdistance::{KDistanceLabel, KDistanceScheme};
-    use treelab::core::level_ancestor::{LevelAncestorLabel, LevelAncestorScheme};
-    use treelab::core::naive::NaiveLabel;
-    use treelab::core::optimal::{OptimalLabel, OptimalScheme};
-    use treelab::tree::rng::SplitMix64;
-    use treelab::{gen, NaiveScheme, Substrate};
+/// Truncation, bit-flip and noise adversaries against
+/// [`LevelAncestorLabel::decode`], fed the encodings of labels materialized
+/// by [`LevelAncestorScheme::label`].
+#[test]
+fn level_ancestor_labels_reject_corrupt_input_without_panicking() {
+    for (tree, idx) in [(gen::random_tree(180, 42), 171usize), (gen::comb(300), 233)] {
+        let scheme = LevelAncestorScheme::build(&tree);
+        let label = scheme.label(tree.node(idx));
+        let bits = label.to_bits();
 
-    /// Runs the truncation + bit-flip adversaries against one decoder.
-    fn check_decoder<T, D>(name: &str, encoded: &BitVec, decode: D)
-    where
-        D: Fn(&mut BitReader<'_>) -> Result<T, treelab::bits::DecodeError>,
-    {
         // A full decode of the untouched encoding must succeed.
-        let mut r = BitReader::new(encoded);
-        assert!(decode(&mut r).is_ok(), "{name}: valid input must decode");
-        assert_eq!(r.remaining(), 0, "{name}: decoder must consume the label");
+        let mut r = BitReader::new(&bits);
+        assert_eq!(LevelAncestorLabel::decode(&mut r).as_ref(), Ok(&label));
+        assert_eq!(r.remaining(), 0, "the decoder must consume the label");
 
         // 1. Truncations: every cut near the ends, strided cuts in the middle.
-        let n = encoded.len();
+        let n = bits.len();
         let cuts: Vec<usize> = (0..n.min(16))
             .chain((16..n.saturating_sub(16)).step_by(7))
             .chain(n.saturating_sub(16)..n)
             .collect();
         for cut in cuts {
-            let t = encoded.slice(0, cut).expect("prefix in range");
-            let mut r = BitReader::new(&t);
-            assert!(decode(&mut r).is_err(), "{name}: truncation at {cut} bits");
+            let t = bits.slice(0, cut).expect("prefix in range");
+            assert!(
+                LevelAncestorLabel::decode(&mut BitReader::new(&t)).is_err(),
+                "node {idx}: truncation at {cut} bits"
+            );
         }
 
         // 2. Bit flips: decoding may succeed or fail, but must never panic and
         //    must never read past the input.
         for pos in (0..n).step_by(3) {
-            let mut flipped = encoded.clone();
+            let mut flipped = bits.clone();
             flipped.set(pos, !flipped.get(pos).unwrap());
             let mut r = BitReader::new(&flipped);
-            let _ = decode(&mut r);
-            assert!(r.position() <= flipped.len(), "{name}: flip at {pos}");
+            let _ = LevelAncestorLabel::decode(&mut r);
+            assert!(r.position() <= flipped.len(), "node {idx}: flip at {pos}");
         }
 
         // 3. Random noise of assorted lengths (seeded, reproducible).
         let mut rng = SplitMix64::seed_from_u64(0x5eed ^ n as u64);
         for len in [0usize, 1, 7, 64, 257, 1024] {
             let noise = BitVec::from_bools((0..len).map(|_| rng.next_u64() % 2 == 1));
-            let _ = decode(&mut BitReader::new(&noise));
+            let _ = LevelAncestorLabel::decode(&mut BitReader::new(&noise));
         }
     }
 
-    fn encoded<F: Fn(&mut BitWriter)>(f: F) -> BitVec {
-        let mut w = BitWriter::new();
-        f(&mut w);
-        w.into_bitvec()
-    }
-
-    #[test]
-    fn every_label_decoder_rejects_corrupt_input_without_panicking() {
-        let tree = gen::random_tree(180, 42);
-        let deep = gen::comb(300);
-        let sub = Substrate::new(&tree);
-        let deep_sub = Substrate::new(&deep);
-
-        let naive = NaiveScheme::legacy_labels(&sub);
-        check_decoder(
-            "naive",
-            &encoded(|w| naive[171].encode(w)),
-            NaiveLabel::decode,
-        );
-
-        let da = DistanceArrayScheme::legacy_labels(&sub);
-        check_decoder(
-            "distance-array",
-            &encoded(|w| da[171].encode(w)),
-            DistanceArrayLabel::decode,
-        );
-
-        let opt = OptimalScheme::legacy_labels(&deep_sub);
-        check_decoder(
-            "optimal",
-            &encoded(|w| opt[233].encode(w)),
-            OptimalLabel::decode,
-        );
-
-        let aux = HpathLabeling::build(&tree);
-        check_decoder(
-            "hpath",
-            &encoded(|w| aux.label(tree.node(171)).encode(w)),
-            HpathLabel::decode,
-        );
-
-        let kd = KDistanceScheme::legacy_labels(&deep_sub, 6);
-        check_decoder(
-            "k-distance",
-            &encoded(|w| kd[233].encode(w)),
-            KDistanceLabel::decode,
-        );
-
-        let la = LevelAncestorScheme::legacy_labels(&sub);
-        check_decoder(
-            "level-ancestor",
-            &encoded(|w| la[171].encode(w)),
-            LevelAncestorLabel::decode,
-        );
-
-        let approx = ApproximateScheme::legacy_labels(&sub, 0.25);
-        check_decoder(
-            "approximate",
-            &encoded(|w| approx[171].encode(w)),
-            ApproximateLabel::decode,
-        );
-    }
-
-    /// Streams whose headers announce far more elements than the input holds
-    /// used to crash with a capacity overflow (`Vec::with_capacity` of a
-    /// corrupt count) — they must produce a `DecodeError` instead.
-    #[test]
-    fn absurd_counts_are_rejected_before_allocation() {
-        // MonotoneSeq claiming 2^40 elements.
-        let huge_monotone = encoded(|w| codes::write_gamma_nz(w, 1 << 40));
-        assert!(MonotoneSeq::decode(&mut BitReader::new(&huge_monotone)).is_err());
-
-        // MonotoneSeq with a plausible length but a huge high-part claim.
-        let huge_high = encoded(|w| {
-            codes::write_gamma_nz(w, 4); // len
-            codes::write_gamma_nz(w, 0); // low width
-            codes::write_gamma_nz(w, 1 << 40); // high part length
-        });
-        assert!(MonotoneSeq::decode(&mut BitReader::new(&huge_high)).is_err());
-
-        // A naive label whose entry count claims 2^40 entries.  Reuse a valid
-        // label prefix (root distance, width, aux label) and splice the count.
-        let tree = gen::random_tree(60, 7);
-        let aux = HpathLabeling::build(&tree);
-        let huge_naive = encoded(|w| {
-            codes::write_delta_nz(w, 3); // root distance
-            w.write_bits(8, 8); // width
-            aux.label(tree.node(59)).encode(w); // valid aux label
-            codes::write_gamma_nz(w, 1 << 40); // entry count
-        });
-        assert!(NaiveLabel::decode(&mut BitReader::new(&huge_naive)).is_err());
-
-        // Same corruption against the distance-array decoder.
-        let huge_da = encoded(|w| {
-            codes::write_delta_nz(w, 3);
-            aux.label(tree.node(59)).encode(w);
-            codes::write_gamma_nz(w, 1 << 40);
-        });
-        assert!(DistanceArrayLabel::decode(&mut BitReader::new(&huge_da)).is_err());
-
-        // An optimal label with an absurd entry count after an empty fragment
-        // array.
-        let huge_opt = encoded(|w| {
-            codes::write_delta_nz(w, 3);
-            aux.label(tree.node(59)).encode(w);
-            MonotoneSeq::new(&[]).encode(w); // fragments
-            codes::write_gamma_nz(w, 1 << 40); // entry count
-        });
-        assert!(OptimalLabel::decode(&mut BitReader::new(&huge_opt)).is_err());
-
-        // An hpath label announcing a gigantic codeword payload.
-        let huge_hpath = encoded(|w| {
-            codes::write_gamma_nz(w, 1); // light depth
-            codes::write_delta_nz(w, 1); // dom order
-            codes::write_delta_nz(w, 2); // pre
-            codes::write_delta_nz(w, 1); // subtree size
-            MonotoneSeq::new(&[1 << 40]).encode(w); // one absurd end position
-            codes::write_gamma_nz(w, 1 << 40); // codeword length
-        });
-        assert!(HpathLabel::decode(&mut BitReader::new(&huge_hpath)).is_err());
-    }
+    // A crafted label announcing a 2^40-bit codeword payload is rejected
+    // before anything is allocated.
+    let mut w = BitWriter::new();
+    codes::write_delta_nz(&mut w, 3); // depth
+    codes::write_delta_nz(&mut w, 1); // head offset
+    MonotoneSeq::new(&[1 << 40]).encode(&mut w); // one absurd end position
+    codes::write_gamma_nz(&mut w, 1 << 40); // codeword length
+    let huge = w.into_bitvec();
+    assert!(LevelAncestorLabel::decode(&mut BitReader::new(&huge)).is_err());
 }

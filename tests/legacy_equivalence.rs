@@ -1,144 +1,20 @@
-//! Packed-native ⇔ legacy equivalence (feature `legacy-labels`): for every
-//! scheme, over the seeded corpus,
+//! Golden frames: for every scheme over the seeded corpus, the packed frame
+//! and the wire-size accounting equal the values recorded while the direct
+//! pack path was still asserted bit-equal to the historical
+//! struct-then-serialize pipeline.
 //!
-//! 1. the frame the direct pack path produces (`build` — no intermediate
-//!    label structs) is **bit-for-bit identical** to the frame of the
-//!    historical struct-then-serialize pipeline (`legacy_labels` →
-//!    `store_from_legacy`);
-//! 2. the build-time wire-size accounting (`label_bits`) matches the legacy
-//!    encoders' `bit_len` exactly;
-//! 3. the legacy struct query protocols agree with the packed kernels.
-#![cfg(feature = "legacy-labels")]
+//! Each scheme × tree is pinned by its frame's CRC-64 trailer word (every
+//! header, index and label bit), `Σ label_bits` and `max_label_bits` — the
+//! table in `treelab_bench::golden`, which `experiments -- --store --check`
+//! reads too.
 
-use treelab::core::approximate::ApproximateScheme;
-use treelab::core::kdistance::KDistanceScheme;
-use treelab::core::level_ancestor::LevelAncestorScheme;
-use treelab::core::naive::NaiveLabel;
-use treelab::core::optimal::OptimalLabel;
-use treelab::{
-    gen, DistanceArrayScheme, DistanceScheme, NaiveScheme, OptimalScheme, StoredScheme, Substrate,
-    Tree,
-};
-
-/// The seeded corpus: adversarial shapes plus random trees and the singleton.
-fn corpus() -> Vec<(&'static str, Tree)> {
-    vec![
-        ("singleton", Tree::singleton()),
-        ("path", gen::path(180)),
-        ("star", gen::star(180)),
-        ("caterpillar", gen::caterpillar(60, 3)),
-        ("comb", gen::comb(420)),
-        ("complete-binary", gen::complete_kary(2, 7)),
-        ("random-1", gen::random_tree(350, 1)),
-        ("random-2", gen::random_tree(351, 2)),
-        ("random-binary", gen::random_binary(300, 3)),
-    ]
-}
+use treelab_bench::golden::{compare, measure_corpus, GOLDEN_FRAMES};
 
 #[test]
-fn packed_frames_equal_struct_then_serialize_frames() {
-    for (family, tree) in corpus() {
-        let sub = Substrate::new(&tree);
-
-        let naive = NaiveScheme::build_with_substrate(&sub);
-        let legacy = NaiveScheme::store_from_legacy(&NaiveScheme::legacy_labels(&sub));
-        assert_eq!(
-            naive.as_store().as_words(),
-            legacy.as_words(),
-            "naive/{family}"
-        );
-
-        let da = DistanceArrayScheme::build_with_substrate(&sub);
-        let legacy =
-            DistanceArrayScheme::store_from_legacy(&DistanceArrayScheme::legacy_labels(&sub));
-        assert_eq!(
-            da.as_store().as_words(),
-            legacy.as_words(),
-            "distance-array/{family}"
-        );
-
-        let opt = OptimalScheme::build_with_substrate(&sub);
-        let legacy = OptimalScheme::store_from_legacy(&OptimalScheme::legacy_labels(&sub));
-        assert_eq!(
-            opt.as_store().as_words(),
-            legacy.as_words(),
-            "optimal/{family}"
-        );
-
-        let kd = KDistanceScheme::build_with_substrate(&sub, 6);
-        let legacy = KDistanceScheme::store_from_legacy(&KDistanceScheme::legacy_labels(&sub, 6));
-        assert_eq!(
-            kd.as_store().as_words(),
-            legacy.as_words(),
-            "k-distance/{family}"
-        );
-
-        let approx = ApproximateScheme::build_with_substrate(&sub, 0.25);
-        let legacy = ApproximateScheme::store_from_legacy(
-            &ApproximateScheme::legacy_labels(&sub, 0.25),
-            0.25,
-        );
-        assert_eq!(
-            approx.as_store().as_words(),
-            legacy.as_words(),
-            "approximate/{family}"
-        );
-
-        let la = LevelAncestorScheme::build_with_substrate(&sub);
-        let legacy =
-            LevelAncestorScheme::store_from_legacy(&LevelAncestorScheme::legacy_labels(&sub));
-        assert_eq!(
-            la.as_store().as_words(),
-            legacy.as_words(),
-            "level-ancestor/{family}"
-        );
-    }
-}
-
-#[test]
-fn wire_size_accounting_matches_legacy_encoders() {
-    for (family, tree) in corpus() {
-        let sub = Substrate::new(&tree);
-        let naive = NaiveScheme::build_with_substrate(&sub);
-        let naive_labels = NaiveScheme::legacy_labels(&sub);
-        let opt = OptimalScheme::build_with_substrate(&sub);
-        let opt_labels = OptimalScheme::legacy_labels(&sub);
-        for u in tree.nodes() {
-            assert_eq!(
-                naive.label_bits(u),
-                naive_labels[u.index()].bit_len(),
-                "naive/{family}: node {u}"
-            );
-            assert_eq!(
-                opt.label_bits(u),
-                opt_labels[u.index()].bit_len(),
-                "optimal/{family}: node {u}"
-            );
-        }
-    }
-}
-
-#[test]
-fn legacy_struct_queries_agree_with_the_kernels() {
-    let tree = gen::random_tree(400, 9);
-    let sub = Substrate::new(&tree);
-    let naive = NaiveScheme::build_with_substrate(&sub);
-    let naive_labels = NaiveScheme::legacy_labels(&sub);
-    let opt = OptimalScheme::build_with_substrate(&sub);
-    let opt_labels = OptimalScheme::legacy_labels(&sub);
-    let n = tree.len();
-    for i in 0..600 {
-        let (a, b) = ((i * 29) % n, (i * 83 + 17) % n);
-        let (u, v) = (tree.node(a), tree.node(b));
-        assert_eq!(
-            NaiveLabel::legacy_distance(&naive_labels[a], &naive_labels[b]),
-            naive.distance(u, v),
-            "naive ({a},{b})"
-        );
-        assert_eq!(
-            OptimalLabel::legacy_distance(&opt_labels[a], &opt_labels[b]),
-            opt.distance(u, v),
-            "optimal ({a},{b})"
-        );
+fn every_frame_and_wire_size_matches_the_golden_table() {
+    let measured = measure_corpus();
+    assert_eq!(measured.len(), 6 * 9, "six schemes x nine corpus trees");
+    if let Err(e) = compare(&measured, GOLDEN_FRAMES) {
+        panic!("golden frame drift: {e}");
     }
 }

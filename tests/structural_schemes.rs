@@ -5,8 +5,6 @@
 //! so `proptest` is not available).
 
 use std::collections::HashMap;
-#[cfg(feature = "legacy-labels")]
-use treelab::bits::{BitReader, BitWriter};
 use treelab::core::hpath::{HpathLabel, HpathLabeling};
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::core::universal::{universal_from_parent_labels, universal_tree, verify_universal};
@@ -135,72 +133,6 @@ fn hpath_labels_agree_with_oracle_structure() {
     }
 }
 
-#[cfg(feature = "legacy-labels")]
-#[test]
-fn every_label_type_survives_a_serialization_roundtrip() {
-    use treelab::core::approximate::{ApproximateLabel, ApproximateScheme};
-    use treelab::core::distance_array::{DistanceArrayLabel, DistanceArrayScheme};
-    use treelab::core::kdistance::{KDistanceLabel, KDistanceScheme};
-    use treelab::core::naive::NaiveLabel;
-    use treelab::core::optimal::{OptimalLabel, OptimalScheme};
-    use treelab::{NaiveScheme, Substrate};
-
-    let tree = gen::random_tree(200, 77);
-    let sub = Substrate::new(&tree);
-    let sample: Vec<usize> = (0..tree.len()).step_by(13).collect();
-
-    let naive = NaiveScheme::legacy_labels(&sub);
-    let da = DistanceArrayScheme::legacy_labels(&sub);
-    let opt = OptimalScheme::legacy_labels(&sub);
-    let kd = KDistanceScheme::legacy_labels(&sub, 5);
-    let approx = ApproximateScheme::legacy_labels(&sub, 0.25);
-
-    for &u in &sample {
-        macro_rules! roundtrip {
-            ($label:expr, $ty:ty) => {{
-                let mut w = BitWriter::new();
-                $label.encode(&mut w);
-                let bits = w.into_bitvec();
-                assert_eq!(bits.len(), $label.bit_len());
-                let back = <$ty>::decode(&mut BitReader::new(&bits)).expect("roundtrip decode");
-                back
-            }};
-        }
-        let _: NaiveLabel = roundtrip!(&naive[u], NaiveLabel);
-        let _: DistanceArrayLabel = roundtrip!(&da[u], DistanceArrayLabel);
-        let o: OptimalLabel = roundtrip!(&opt[u], OptimalLabel);
-        let _: KDistanceLabel = roundtrip!(&kd[u], KDistanceLabel);
-        let _: ApproximateLabel = roundtrip!(&approx[u], ApproximateLabel);
-        // Decoded labels still answer queries correctly through the legacy
-        // struct protocol.
-        let v = tree.len() - 1;
-        let oracle_d = tree.distance_naive(tree.node(u), tree.node(v));
-        assert_eq!(OptimalLabel::legacy_distance(&o, &opt[v]), oracle_d);
-    }
-}
-
-#[cfg(feature = "legacy-labels")]
-#[test]
-fn truncated_labels_fail_to_decode_rather_than_panicking_or_lying() {
-    use treelab::core::optimal::{OptimalLabel, OptimalScheme};
-    use treelab::Substrate;
-    let tree = gen::comb(300);
-    let sub = Substrate::new(&tree);
-    let opt = OptimalScheme::legacy_labels(&sub);
-    for idx in [0usize, 100, 299] {
-        let label = &opt[idx];
-        let mut w = BitWriter::new();
-        label.encode(&mut w);
-        let bits = w.into_bitvec();
-        for cut in [1usize, bits.len() / 4, bits.len() / 2, bits.len() - 1] {
-            let truncated = bits.slice(0, cut).unwrap();
-            assert!(OptimalLabel::decode(&mut BitReader::new(&truncated)).is_err());
-        }
-    }
-}
-
-/// Parent chains derived from labels alone always terminate at the root in
-/// exactly depth(u) steps, on random trees.
 #[test]
 fn prop_parent_chain_has_depth_length() {
     let mut rng = SplitMix64::seed_from_u64(0x57A1);
