@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use treelab_bench::workloads::{build_mixed_forest, forest_corpus, skewed_forest_queries};
-use treelab_core::forest::{ForestStore, RouteScratch};
+use treelab_core::forest::{ForestStore, QueryStatus, RouteScratch};
 use treelab_core::substrate::Parallelism;
 
 fn bench_forest(c: &mut Criterion) {
@@ -29,11 +29,14 @@ fn bench_forest(c: &mut Criterion) {
         let param = format!("{trees}x{n_per_tree}");
 
         // Sanity once per size: the three serving strategies agree.
-        let routed = forest.route_distances(&batch);
-        let sharded = forest.route_distances_sharded(&batch, Parallelism::Auto);
+        let (mut routed, mut sharded) = (Vec::new(), Vec::new());
+        forest.try_route_distances_into(&batch, &mut RouteScratch::new(), &mut routed);
+        let mut auto = RouteScratch::with_parallelism(Parallelism::Auto);
+        forest.try_route_distances_into(&batch, &mut auto, &mut sharded);
         assert_eq!(routed, sharded, "sharded must equal routed");
         for (i, &(id, u, v)) in batch.iter().enumerate() {
-            assert_eq!(routed[i], forest.tree(id).unwrap().distance(u, v));
+            let want = forest.tree(id).unwrap().distance(u, v);
+            assert_eq!(routed[i], QueryStatus::Ok(want));
         }
 
         // The naive per-query serving loop (arrival order, one dispatch and
@@ -48,31 +51,24 @@ fn bench_forest(c: &mut Criterion) {
             })
         });
 
-        // The routed engine, scratch and output reused across iterations.
-        group.bench_with_input(BenchmarkId::new("routed_4k", &param), &batch, |b, batch| {
-            let mut scratch = RouteScratch::new();
-            let mut out: Vec<u64> = Vec::with_capacity(batch.len());
-            forest.route_distances_into(batch, &mut scratch, &mut out);
-            b.iter(|| {
-                out.clear();
-                forest.route_distances_into(batch, &mut scratch, &mut out);
-                out.last().copied()
-            })
-        });
-
-        // The sharded driver (equals routed on a single-core host).
-        group.bench_with_input(
-            BenchmarkId::new("sharded_4k", &param),
-            &batch,
-            |b, batch| {
+        // The routed engine, serial then sharded over every core, scratch
+        // and output reused across iterations (sharded equals routed on a
+        // single-core host).
+        for (name, par) in [
+            ("routed_4k", Parallelism::Serial),
+            ("sharded_4k", Parallelism::Auto),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, &param), &batch, |b, batch| {
+                let mut scratch = RouteScratch::with_parallelism(par);
+                let mut out = Vec::with_capacity(batch.len());
+                forest.try_route_distances_into(batch, &mut scratch, &mut out);
                 b.iter(|| {
-                    forest
-                        .route_distances_sharded(batch, Parallelism::Auto)
-                        .last()
-                        .copied()
+                    out.clear();
+                    forest.try_route_distances_into(batch, &mut scratch, &mut out);
+                    out.last().copied()
                 })
-            },
-        );
+            });
+        }
 
         // Forest load, copy path (validates every inner frame once).
         group.bench_with_input(BenchmarkId::new("load", &param), &bytes, |b, bytes| {

@@ -430,8 +430,16 @@ pub fn acceptance(
         queries.push((*id, 0, tree.len() - 1));
     }
 
-    let control_answers = control.route_distances(&queries);
-    let statuses = subject.try_route_distances(&queries);
+    let mut scratch = RouteScratch::new();
+    let mut control_answers = Vec::new();
+    if !control
+        .try_route_distances_into(&queries, &mut scratch, &mut control_answers)
+        .all_ok()
+    {
+        return Err("the pristine control left queries unanswered".into());
+    }
+    let mut statuses = Vec::new();
+    subject.try_route_distances_into(&queries, &mut scratch, &mut statuses);
     let (mut healthy_ok, mut corrupt_seen) = (0usize, 0usize);
     for (i, (&status, &(id, u, v))) in statuses.iter().zip(&queries).enumerate() {
         if corrupted.contains(&id) {
@@ -443,10 +451,10 @@ pub fn acceptance(
             }
             corrupt_seen += 1;
         } else {
-            if status != QueryStatus::Ok(control_answers[i]) {
+            if status != control_answers[i] {
                 return Err(format!(
                     "query {i} ({id},{u},{v}) to a healthy tree answered {status:?}, \
-                     want Ok({})",
+                     want {:?}",
                     control_answers[i]
                 ));
             }
@@ -491,11 +499,12 @@ pub fn acceptance(
     if !subject.health().all_serving() {
         return Err("slots remain quarantined after repair".into());
     }
-    let rerun = subject.try_route_distances(&queries);
+    let mut rerun = Vec::new();
+    subject.try_route_distances_into(&queries, &mut scratch, &mut rerun);
     for (i, &status) in rerun.iter().enumerate() {
-        if status != QueryStatus::Ok(control_answers[i]) {
+        if status != control_answers[i] {
             return Err(format!(
-                "post-repair query {i} answered {status:?}, want Ok({})",
+                "post-repair query {i} answered {status:?}, want {:?}",
                 control_answers[i]
             ));
         }

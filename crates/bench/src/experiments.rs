@@ -654,11 +654,12 @@ pub fn store_experiment(sizes: &[usize], seed: u64) -> Table {
 /// * **loop** — the naive per-query serving loop
 ///   (`forest.tree(id).distance(u, v)`: one id lookup, one runtime dispatch
 ///   and one cold label access per query, hopping trees in arrival order);
-/// * **routed** — [`ForestStore::route_distances_into`]: group by tree, drive
-///   each group through the scheme's allocation-free batch engine, scatter
-///   back to arrival order (single thread);
-/// * **sharded** — the same engine with tree groups fanned out over scoped
-///   worker threads, one row per entry of the `threads` sweep (`0` =
+/// * **routed** — [`ForestStore::try_route_distances_into`] on a serial
+///   [`RouteScratch`]: group by tree, drive each group through the scheme's
+///   allocation-free batch engine, scatter back to arrival order;
+/// * **sharded** — the same engine on a reused
+///   [`RouteScratch::with_parallelism`] scratch, tree groups fanned out over
+///   scoped worker threads, one row per entry of the `threads` sweep (`0` =
 ///   [`Parallelism::Auto`], i.e. all available cores).
 ///
 /// This is the number the ISSUE-4 acceptance criterion is about: sharded
@@ -721,13 +722,14 @@ pub fn forest_experiment(
 
     // Routed engine, single thread, scratch + output reused across rounds.
     let mut scratch = RouteScratch::new();
-    let mut out: Vec<u64> = Vec::with_capacity(batch.len());
-    forest.route_distances_into(&batch, &mut scratch, &mut out); // warm-up
+    let mut out = Vec::with_capacity(batch.len());
+    let warm = forest.try_route_distances_into(&batch, &mut scratch, &mut out);
+    assert!(warm.all_ok(), "E12 traffic names only live trees and nodes");
     let mut best_routed = 0f64;
     for _ in 0..REPS {
         out.clear();
         let t0 = Instant::now();
-        forest.route_distances_into(&batch, &mut scratch, &mut out);
+        forest.try_route_distances_into(&batch, &mut scratch, &mut out);
         best_routed = best_routed.max(batch.len() as f64 / t0.elapsed().as_secs_f64());
         std::hint::black_box(out.last().copied());
     }
@@ -736,13 +738,16 @@ pub fn forest_experiment(
     // cores; on a single-core host every setting degenerates to the routed
     // engine minus partitioning overhead).
     for &t in threads {
-        let par = Parallelism::from_thread_count(t);
+        let mut scratch = RouteScratch::with_parallelism(Parallelism::from_thread_count(t));
+        out.clear();
+        forest.try_route_distances_into(&batch, &mut scratch, &mut out); // warm-up
         let mut best_sharded = 0f64;
         for _ in 0..REPS {
+            out.clear();
             let t0 = Instant::now();
-            let d = forest.route_distances_sharded(&batch, par);
+            forest.try_route_distances_into(&batch, &mut scratch, &mut out);
             best_sharded = best_sharded.max(batch.len() as f64 / t0.elapsed().as_secs_f64());
-            std::hint::black_box(d.last().copied());
+            std::hint::black_box(out.last().copied());
         }
         table.push_row(vec![
             trees.to_string(),

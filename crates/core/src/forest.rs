@@ -75,12 +75,13 @@
 //!
 //! # The routed batch engine
 //!
-//! [`ForestRef::route_distances`] takes a batch of `(tree, u, v)` queries in
-//! *arrival order*, resolves each id by binary search over a dense id array,
-//! groups the queries by tree, drives each group through the scheme's
-//! allocation-free batch path (one runtime dispatch per *group*, not per
-//! query, and each tree's frame stays cache-resident for its whole group),
-//! and scatters the answers back to arrival order — the output is
+//! [`ForestRef::try_route_distances_into`] is the one routed engine.  It
+//! takes a batch of `(tree, u, v)` queries in *arrival order*, resolves each
+//! id by binary search over a dense id array, groups the queries by tree,
+//! drives each group through the scheme's allocation-free batch path (one
+//! runtime dispatch per *group*, not per query, and each tree's frame stays
+//! cache-resident for its whole group), and scatters the answers back to
+//! arrival order as one [`QueryStatus`] per query — the output is
 //! deterministic and independent of grouping.  Grouping is a stable counting
 //! sort over only the directory slots the batch touches (collected, sorted,
 //! and their counters re-zeroed afterwards), so a batch of q queries over G
@@ -89,24 +90,26 @@
 //! Before the groups run, one look-ahead pass prefetches the first label
 //! line of each group's first query, so when groups hold about one query
 //! each their label misses overlap instead of running one after another.
-//! [`ForestRef::route_distances_into`] reuses a [`RouteScratch`] so a serving
-//! loop allocates nothing per batch; [`ForestRef::route_distances_sharded`]
-//! fans independent tree groups out over [`std::thread::scope`] workers
-//! (never more workers than groups) behind the same [`Parallelism`] knob the
-//! builders use, with bit-identical output for every thread count.
+//!
+//! The caller's [`RouteScratch`] holds all of that state across batches, so
+//! a serving loop allocates nothing per batch, and it picks the path:
+//! [`RouteScratch::new`] routes on the calling thread, while
+//! [`RouteScratch::with_parallelism`] fans independent tree groups out over
+//! [`std::thread::scope`] workers (never more workers than groups) behind
+//! the same [`Parallelism`] knob the builders use, with bit-identical output
+//! for every thread count.  [`ForestRef::try_route_distances_sharded`] is
+//! the one-shot form over a fresh scratch.
 //!
 //! # Self-healing: fallible routing, quarantine, repair, scrubbing
 //!
-//! The strict `route_distances` family treats a bad query as a caller bug
-//! and panics — the right contract for trusted in-process callers, and the
-//! wrong one under a socket.  The **fallible** family is the serving front
-//! door: [`ForestRef::try_route_distances`] (and its `_into` / `_sharded`
-//! variants) returns one [`QueryStatus`] per query in arrival order —
-//! `Ok(distance)`, `UnknownTree`, `NodeOutOfRange`, or `CorruptTree` — and
-//! never panics on query input or corrupt tree data.  Healthy tree groups
-//! complete even when others fail, each group (serial) or shard (sharded)
-//! runs its query kernel under [`std::panic::catch_unwind`], and the
-//! answered distances are bit-identical to the strict engine's.
+//! The engine is fallible by design — a socket-facing serving loop cannot
+//! treat a bad query as a caller bug.  Each query's [`QueryStatus`] is
+//! `Ok(distance)`, `UnknownTree`, `NodeOutOfRange`, or `CorruptTree`, and
+//! nothing on query input or corrupt tree data panics.  Healthy tree groups
+//! complete even when others fail: each group (serial) or shard (sharded)
+//! runs its query kernel under [`std::panic::catch_unwind`], so a kernel
+//! that trips over rotted label data degrades only its own group or shard
+//! to `CorruptTree`.
 //!
 //! Damage found at runtime is **quarantined**, not just reported: a failed
 //! first-touch validation or a scrubber-detected fault condemns the slot, so
@@ -127,12 +130,9 @@
 //! Everything reachable from **untrusted input** — file bytes, query
 //! arguments — reports typed errors or statuses: every open/parse path
 //! returns [`ForestError`], per-tree reads go through
-//! [`ForestRef::try_tree`], and routed serving goes through the
-//! `try_route_distances` family.  The panics that remain are, by policy:
+//! [`ForestRef::try_tree`], and routed serving reports a [`QueryStatus`] per
+//! query.  The panics that remain are, by policy:
 //!
-//! * the strict `route_distances` family — a documented caller contract for
-//!   trusted batches (panic messages are contract-tested), implemented as a
-//!   thin wrapper over the fallible engine;
 //! * internal invariants that cannot be reached through validated state
 //!   (e.g. a routed group whose verdict vanished, a mapped frame whose
 //!   alignment was proven at open);
@@ -142,7 +142,7 @@
 //! # Example
 //!
 //! ```
-//! use treelab_core::forest::{ForestStore, ValidationPolicy};
+//! use treelab_core::forest::{ForestStore, QueryStatus, RouteScratch, ValidationPolicy};
 //! use treelab_core::naive::NaiveScheme;
 //! use treelab_core::level_ancestor::LevelAncestorScheme;
 //! use treelab_core::DistanceScheme;
@@ -156,11 +156,16 @@
 //! b.push_scheme(9, &LevelAncestorScheme::build(&t1)).unwrap();
 //! let mut forest = b.finish().unwrap();
 //!
-//! // Routed batch: tree ids in arrival order, answers in arrival order.
-//! let d = forest.route_distances(&[(9, 3, 70), (7, 0, 119), (9, 0, 0)]);
-//! assert_eq!(d[0], forest.tree(9).unwrap().distance(3, 70));
-//! assert_eq!(d[1], forest.tree(7).unwrap().distance(0, 119));
-//! assert_eq!(d[2], 0);
+//! // Routed batch: tree ids in arrival order, statuses in arrival order.
+//! let mut scratch = RouteScratch::new(); // reuse it across batches
+//! let mut d = Vec::new();
+//! let queries = [(9, 3, 70), (7, 0, 119), (9, 0, 0), (8, 0, 0)];
+//! let outcome = forest.try_route_distances_into(&queries, &mut scratch, &mut d);
+//! assert_eq!(d[0], QueryStatus::Ok(forest.tree(9).unwrap().distance(3, 70)));
+//! assert_eq!(d[1], QueryStatus::Ok(forest.tree(7).unwrap().distance(0, 119)));
+//! assert_eq!(d[2], QueryStatus::Ok(0));
+//! assert_eq!(d[3], QueryStatus::UnknownTree);
+//! assert_eq!(outcome.degraded(), 1);
 //!
 //! // Mutate while serving: a pin keeps the pre-mutation view alive.
 //! let pin = forest.pin();
@@ -763,12 +768,9 @@ fn verify_chunked_impl(
     Ok(true)
 }
 
-/// The per-query verdict of the fallible routed engine
-/// ([`ForestRef::try_route_distances`] and friends), in arrival order.
-///
-/// Exactly the three panic conditions of the strict
-/// [`route_distances`](ForestRef::route_distances) contract, demoted to
-/// data — plus the answer.
+/// The per-query verdict of the routed engine
+/// ([`ForestRef::try_route_distances_into`]), in arrival order: the answer,
+/// or why there is none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryStatus {
     /// The routed distance.
@@ -778,8 +780,8 @@ pub enum QueryStatus {
     /// A node index is `>= n` for the queried tree.
     NodeOutOfRange,
     /// The queried tree's frame failed validation — at first touch, under
-    /// quarantine after a scrub found rot, or (sharded engine) because its
-    /// shard's query kernel panicked on corrupt label data.
+    /// quarantine after a scrub found rot, or because the query kernel of
+    /// its group (serial) or shard (sharded) panicked on corrupt label data.
     CorruptTree,
 }
 
@@ -1307,15 +1309,31 @@ impl ForestBuilder {
     }
 }
 
-/// Reusable scratch for the routed batch engine: the per-batch group state
-/// ([`ForestRef::route_distances_into`] allocates only into these buffers, so
-/// a serving loop that reuses one scratch allocates nothing per batch once
-/// the buffers have grown to the working size).  Every buffer is sized by
-/// the batch except `counts`, which grows once to the directory size and is
-/// touched only at the slots a batch names — so a batch costs the same
-/// against four trees or four thousand.
-#[derive(Debug, Default)]
+/// Reusable state of the routed batch engine
+/// ([`ForestRef::try_route_distances_into`]): the per-batch group buffers,
+/// the per-shard kernel state, and the thread count that picks the serial or
+/// the sharded path.
+///
+/// [`RouteScratch::new`] routes serially on the calling thread;
+/// [`RouteScratch::with_parallelism`] fans each batch's tree groups out over
+/// scoped worker threads, as many as the [`Parallelism`] resolves to but
+/// never more than the batch has groups.  The answers are bit-identical
+/// either way.
+///
+/// The engine allocates only into these buffers, so a serving loop that
+/// reuses one scratch allocates nothing per batch once they have grown to the
+/// working size — except, on the sharded path, the thread spawns themselves.
+/// Every group buffer is sized by the batch except `counts`, which grows once
+/// to the directory size and is touched only at the slots a batch names, so
+/// a batch costs the same against four trees or four thousand.  The shard
+/// table and one `pairs` buffer and batch plan per shard are kept too: a
+/// batch with fewer groups than threads simply leaves the extra shard state
+/// idle until a later batch needs it.
+#[derive(Debug)]
 pub struct RouteScratch {
+    /// Worker threads a batch may fan out over, resolved once from the
+    /// [`Parallelism`] at construction; 1 routes on the calling thread.
+    threads: usize,
     /// Per-query tree slot (directory position), or [`DEAD_SLOT`] for a
     /// query that already failed resolution.
     slots: Vec<u32>,
@@ -1331,24 +1349,58 @@ pub struct RouteScratch {
     bounds: Vec<u32>,
     /// Healthy-query indices, stably grouped by slot.
     order: Vec<u32>,
+    /// Answers in grouped order, before the scatter back to arrival order;
+    /// each shard writes its own contiguous slice.
+    sorted: Vec<u64>,
+    /// The sharded path's partition of the batch: per shard, its group range
+    /// and its grouped-position range.
+    shards: Vec<(Range<usize>, Range<usize>)>,
+    /// Kernel state per shard; the serial path uses the first.
+    workers: Vec<ShardState>,
+}
+
+/// The kernel state one shard (or the serial path) owns.
+#[derive(Debug, Default)]
+struct ShardState {
     /// Per-group `(u, v)` staging for the batch engine.
     pairs: Vec<(usize, usize)>,
-    /// Answers in grouped order, before the scatter back to arrival order.
-    sorted: Vec<u64>,
-    /// Per-query status staging for the strict (panicking) wrappers.
-    statuses: Vec<QueryStatus>,
     /// Structure-of-arrays planning buffers for the batch kernels, shared
-    /// across every per-tree group of a routed batch (fixed-size arrays, so
-    /// sharing them is about cache reuse, not allocation).  Planned pairs
-    /// compute one at a time through the one-pair kernels, so the plan is
-    /// the only per-batch state the store layer needs.
+    /// across every group the shard runs (fixed-size arrays, so sharing them
+    /// is about cache reuse, not allocation).  Planned pairs compute one at a
+    /// time through the one-pair kernels, so the plan is the only per-batch
+    /// state the store layer needs.
     plan: BatchPlan,
+    /// Set when the shard's query kernel panicked on the last batch.
+    poisoned: bool,
 }
 
 impl RouteScratch {
-    /// An empty scratch (buffers grow on first use).
+    /// An empty scratch that routes serially (buffers grow on first use).
     pub fn new() -> Self {
-        Self::default()
+        Self::with_parallelism(Parallelism::Serial)
+    }
+
+    /// An empty scratch that shards each batch over `par` worker threads.
+    /// [`Parallelism::Auto`] asks the OS for its thread count here, once.
+    pub fn with_parallelism(par: Parallelism) -> Self {
+        RouteScratch {
+            threads: par.thread_count(),
+            slots: Vec::new(),
+            counts: Vec::new(),
+            groups: Vec::new(),
+            bounds: Vec::new(),
+            order: Vec::new(),
+            sorted: Vec::new(),
+            shards: Vec::new(),
+            workers: Vec::new(),
+        }
+    }
+}
+
+/// Serial, like [`RouteScratch::new`] — not [`Parallelism::default`].
+impl Default for RouteScratch {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -1371,7 +1423,7 @@ type SlotResolution = Result<(u32, usize), QueryStatus>;
 /// whatever the directory size; resolution adds one binary search over the
 /// dense id array per run of equal ids.  Never panics on query input: failed
 /// queries park under [`DEAD_SLOT`].
-fn prepare_route_try(
+fn prepare_route(
     words: &[u64],
     state: &ForestState,
     queries: &[(u64, usize, usize)],
@@ -1497,11 +1549,11 @@ impl Grouping<'_> {
     }
 }
 
-/// The cached parts of a slot that `prepare_route_try` routed to.
+/// The cached parts of a slot that `prepare_route` routed to.
 fn routed_parts(slot: &TreeSlot) -> &AnyParts {
     match slot.state.get() {
         Some(Ok(parts)) => parts,
-        _ => panic!("routed groups are validated in prepare_route_try"),
+        _ => panic!("routed groups are validated in prepare_route"),
     }
 }
 
@@ -1575,10 +1627,43 @@ fn scatter(order: &[u32], sorted: &[u64], statuses: &mut [QueryStatus]) {
     }
 }
 
+/// The routed engine body shared by every forest view: appends one
+/// [`QueryStatus`] per query to `statuses` in arrival order and returns the
+/// batch tally.  Healthy groups run even when other queries name unknown,
+/// out-of-range, or corrupt targets, on the calling thread or — when the
+/// scratch allows more than one thread and the batch has more than one
+/// group — sharded over scoped workers.
+fn route_batch(
+    words: &[u64],
+    state: &ForestState,
+    queries: &[(u64, usize, usize)],
+    scratch: &mut RouteScratch,
+    statuses: &mut Vec<QueryStatus>,
+) -> RouteOutcome {
+    let base = statuses.len();
+    prepare_route(words, state, queries, scratch, statuses);
+    let statuses = &mut statuses[base..];
+    let threads = scratch.threads.min(scratch.groups.len()).max(1);
+    if scratch.workers.len() < threads {
+        scratch.workers.resize_with(threads, ShardState::default);
+    }
+    if threads == 1 {
+        run_prepared_serial(words, &state.slots, queries, scratch, statuses);
+    } else {
+        run_prepared_sharded(words, &state.slots, queries, scratch, threads, statuses);
+    }
+    let mut outcome = RouteOutcome::default();
+    for &s in statuses.iter() {
+        outcome.count(s);
+    }
+    outcome
+}
+
 /// Runs every group of a prepared batch on the calling thread — the
 /// look-ahead pass first, then each group's kernel under its own
-/// [`std::panic::catch_unwind`] — and scatters the answers into `statuses`
-/// (query 0 first).
+/// [`std::panic::catch_unwind`], so label rot that slips past a cached
+/// validation verdict degrades that one group to `CorruptTree` — and
+/// scatters the answers into `statuses` (query 0 first).
 fn run_prepared_serial(
     words: &[u64],
     slots: &[TreeSlot],
@@ -1590,11 +1675,11 @@ fn run_prepared_serial(
         ref groups,
         ref bounds,
         ref order,
-        ref mut pairs,
         ref mut sorted,
-        ref mut plan,
+        ref mut workers,
         ..
     } = *scratch;
+    let ShardState { pairs, plan, .. } = &mut workers[0];
     let grouping = Grouping {
         slots: groups,
         bounds,
@@ -1630,118 +1715,44 @@ fn run_prepared_serial(
     scatter(order, sorted, statuses);
 }
 
-/// The serial fallible routed engine body shared by every forest view:
-/// appends one [`QueryStatus`] per query to `statuses` in arrival order and
-/// returns the batch tally.  Healthy groups run even when other queries name
-/// unknown, out-of-range, or corrupt targets; each group's kernel runs under
-/// [`std::panic::catch_unwind`], so label rot that slips past a cached
-/// validation verdict degrades that one group to `CorruptTree` instead of
-/// unwinding through the serving loop.
-fn try_route_into(
+/// Runs a prepared batch sharded over `threads` (≥ 2, at most the group
+/// count) scoped workers: the groups are partitioned into contiguous shards
+/// of roughly equal healthy-query count, each shard runs its look-ahead pass
+/// and answers into its disjoint slice of the grouped output under a
+/// per-shard [`std::panic::catch_unwind`], and one serial scatter restores
+/// arrival order — so the result is bit-identical to the serial path, except
+/// that a kernel panic (corrupt label data slipping past a cached verdict)
+/// degrades at shard granularity rather than group granularity.
+fn run_prepared_sharded(
     words: &[u64],
-    state: &ForestState,
+    slots: &[TreeSlot],
     queries: &[(u64, usize, usize)],
     scratch: &mut RouteScratch,
-    statuses: &mut Vec<QueryStatus>,
-) -> RouteOutcome {
-    let base = statuses.len();
-    prepare_route_try(words, state, queries, scratch, statuses);
-    run_prepared_serial(words, &state.slots, queries, scratch, &mut statuses[base..]);
-    let mut outcome = RouteOutcome::default();
-    for &s in &statuses[base..] {
-        outcome.count(s);
-    }
-    outcome
-}
-
-/// Reconstructs the historical strict-contract panic for the first failed
-/// query of a batch — the panicking `route_distances` family is a thin
-/// wrapper over the fallible engine, and these messages are its documented
-/// (and contract-tested) caller interface.
-#[cold]
-fn panic_bad_query(
-    words: &[u64],
-    state: &ForestState,
-    query: (u64, usize, usize),
-    status: QueryStatus,
-) -> ! {
-    let (id, u, v) = query;
-    let slot = lookup_slot(state, id).ok().map(|s| &state.slots[s]);
-    match status {
-        QueryStatus::UnknownTree => panic!("no tree with id {id} in the forest"),
-        QueryStatus::NodeOutOfRange => {
-            let n = slot.map_or(0, |s| s.entry.n);
-            panic!("pair ({u}, {v}) out of range for tree {id} (n = {n})")
-        }
-        _ => match slot.map(|s| validate_slot(words, s)) {
-            Some(Err(e)) => panic!("tree {id} failed validation: {e}"),
-            _ => panic!(
-                "tree {id} failed validation: its query kernel panicked on corrupt label data"
-            ),
-        },
-    }
-}
-
-/// The strict (panicking) serial routed engine body: the fallible engine
-/// plus a panic on the first non-`Ok` status, preserving the historical
-/// `route_distances` contract bit for bit.
-fn route_into(
-    words: &[u64],
-    state: &ForestState,
-    queries: &[(u64, usize, usize)],
-    scratch: &mut RouteScratch,
-    out: &mut Vec<u64>,
+    threads: usize,
+    statuses: &mut [QueryStatus],
 ) {
-    let mut statuses = std::mem::take(&mut scratch.statuses);
-    statuses.clear();
-    try_route_into(words, state, queries, scratch, &mut statuses);
-    out.reserve(queries.len());
-    for (i, &s) in statuses.iter().enumerate() {
-        match s {
-            QueryStatus::Ok(d) => out.push(d),
-            bad => panic_bad_query(words, state, queries[i], bad),
-        }
-    }
-    scratch.statuses = statuses;
-}
-
-/// The sharded fallible routed engine body: tree groups are partitioned into
-/// contiguous shards of roughly equal healthy-query count (never more shards
-/// than groups), each shard runs its look-ahead pass and answers into its
-/// disjoint slice of the grouped output under a per-shard
-/// [`std::panic::catch_unwind`], and one serial scatter restores arrival
-/// order — so the result is bit-identical to the serial engine for every
-/// thread count, except that a kernel panic (corrupt label data slipping
-/// past a cached verdict) degrades at shard granularity rather than group
-/// granularity.
-fn try_route_sharded(
-    words: &[u64],
-    state: &ForestState,
-    queries: &[(u64, usize, usize)],
-    par: Parallelism,
-) -> Vec<QueryStatus> {
-    let slots = &state.slots;
-    let mut scratch = RouteScratch::new();
-    let mut statuses = Vec::with_capacity(queries.len());
-    prepare_route_try(words, state, queries, &mut scratch, &mut statuses);
-    let threads = par.thread_count().min(scratch.groups.len());
-    if threads <= 1 {
-        run_prepared_serial(words, slots, queries, &mut scratch, &mut statuses);
-        return statuses;
-    }
+    let RouteScratch {
+        ref groups,
+        ref bounds,
+        ref order,
+        ref mut sorted,
+        ref mut shards,
+        ref mut workers,
+        ..
+    } = *scratch;
     let grouping = Grouping {
-        slots: &scratch.groups,
-        bounds: &scratch.bounds,
-        order: &scratch.order,
+        slots: groups,
+        bounds,
+        order,
     };
-    let healthy = grouping.order.len();
-    let mut sorted = vec![0u64; healthy];
+    let healthy = order.len();
+    sorted.clear();
+    sorted.resize(healthy, 0);
 
-    // Greedy contiguous partition of the groups into `threads` shards of
-    // roughly healthy / threads queries each: (groups, grouped-position
-    // range).
+    // Greedy contiguous partition of the groups into at most `threads`
+    // shards of roughly healthy / threads queries each.
     let target = healthy.div_ceil(threads).max(1);
-    let mut shards: Vec<(Range<usize>, Range<usize>)> = Vec::with_capacity(threads);
+    shards.clear();
     let (mut group_lo, mut pos_lo) = (0usize, 0usize);
     for g in 0..grouping.len() {
         let end = grouping.span(g).end;
@@ -1752,66 +1763,39 @@ fn try_route_sharded(
         }
     }
 
-    let poisoned: Vec<Range<usize>> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(shards.len());
-        let mut rest: &mut [u64] = &mut sorted;
-        let mut consumed = 0usize;
-        for (groups, pos) in &shards {
-            let (chunk, tail) = rest.split_at_mut(pos.end - consumed);
-            consumed = pos.end;
+    std::thread::scope(|s| {
+        let mut rest: &mut [u64] = sorted;
+        for ((groups, pos), worker) in shards.iter().zip(workers.iter_mut()) {
+            let (chunk, tail) = rest.split_at_mut(pos.len());
             rest = tail;
-            let (groups, pos) = (groups.clone(), pos.clone());
-            let handle = s.spawn(move || {
-                let mut pairs: Vec<(usize, usize)> = Vec::new();
-                let mut plan = BatchPlan::default();
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (groups, pos_base) = (groups.clone(), pos.start);
+            // The closure catches its own unwinds, so the scope's implicit
+            // join never sees a panicked worker.
+            s.spawn(move || {
+                let ShardState {
+                    pairs,
+                    plan,
+                    poisoned,
+                } = worker;
+                *poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     prefetch_group_heads(words, slots, queries, grouping, groups.clone());
                     run_group_range(
-                        words, slots, queries, grouping, groups, pos.start, &mut pairs, &mut plan,
-                        chunk,
+                        words, slots, queries, grouping, groups, pos_base, pairs, plan, chunk,
                     );
                 }))
-                .is_err()
+                .is_err();
             });
-            handles.push((pos, handle));
         }
-        handles
-            .into_iter()
-            .filter_map(|(pos, h)| match h.join() {
-                Ok(false) => None,
-                // `Err` is unreachable (the closure catches its own
-                // unwinds), but mapping it to "poisoned" is the safe side.
-                Ok(true) | Err(_) => Some(pos),
-            })
-            .collect()
     });
 
-    scatter(grouping.order, &sorted, &mut statuses);
-    for pos_range in poisoned {
-        for &qi in &grouping.order[pos_range] {
-            statuses[qi as usize] = QueryStatus::CorruptTree;
+    scatter(order, sorted, statuses);
+    for ((_, pos), worker) in shards.iter().zip(workers.iter()) {
+        if worker.poisoned {
+            for &qi in &order[pos.clone()] {
+                statuses[qi as usize] = QueryStatus::CorruptTree;
+            }
         }
     }
-    statuses
-}
-
-/// The strict (panicking) sharded routed engine body — a thin wrapper over
-/// [`try_route_sharded`] preserving the historical contract.
-fn route_sharded(
-    words: &[u64],
-    state: &ForestState,
-    queries: &[(u64, usize, usize)],
-    par: Parallelism,
-) -> Vec<u64> {
-    let statuses = try_route_sharded(words, state, queries, par);
-    let mut out = Vec::with_capacity(queries.len());
-    for (i, &s) in statuses.iter().enumerate() {
-        match s {
-            QueryStatus::Ok(d) => out.push(d),
-            bad => panic_bad_query(words, state, queries[i], bad),
-        }
-    }
-    out
 }
 
 /// Shared read-side API of every forest view ([`ForestRef`], [`ForestStore`],
@@ -1917,94 +1901,41 @@ macro_rules! forest_read_api {
             verify_chunked_impl(self.frame_words(), &self.state, budget_words, cursor)
         }
 
-        /// Routed batch query: the distance of every `(tree, u, v)` query,
-        /// in arrival order.  Queries are grouped by tree internally and each
-        /// group runs through the scheme's allocation-free batch engine; see
-        /// [`RouteScratch`] to amortize the group state across batches.
+        /// The routed batch engine: appends one [`QueryStatus`] per `(tree,
+        /// u, v)` query to `out`, in arrival order, and returns the batch
+        /// [`RouteOutcome`] tally.  Every query the forest can answer comes
+        /// back `Ok(distance)`, the rest `UnknownTree` / `NodeOutOfRange` /
+        /// `CorruptTree`; healthy tree groups complete even when other
+        /// queries fail, and nothing on query input or corrupt tree data
+        /// panics.
         ///
-        /// # Panics
-        ///
-        /// Panics on an unknown or tombstoned tree id, an out-of-range node
-        /// index, or a tree whose lazily-deferred validation fails.
-        pub fn route_distances(&self, queries: &[(u64, usize, usize)]) -> Vec<u64> {
-            let mut out = Vec::with_capacity(queries.len());
-            self.route_distances_into(queries, &mut RouteScratch::new(), &mut out);
-            out
-        }
-
-        /// Appends the routed answers to `out` in arrival order, reusing
-        /// `scratch` — allocation-free once the scratch and `out` have grown
-        /// to the batch working size (and every touched tree is validated).
-        ///
-        /// # Panics
-        ///
-        /// Panics on an unknown or tombstoned tree id, an out-of-range node
-        /// index, or a tree whose lazily-deferred validation fails.
-        pub fn route_distances_into(
-            &self,
-            queries: &[(u64, usize, usize)],
-            scratch: &mut RouteScratch,
-            out: &mut Vec<u64>,
-        ) {
-            route_into(self.frame_words(), &self.state, queries, scratch, out);
-        }
-
-        /// The sharded routed batch query: tree groups fan out over
-        /// [`std::thread::scope`] workers according to `par`, and the output
-        /// is bit-identical to [`Self::route_distances`] for every thread
-        /// count (including [`Parallelism::Serial`]).
-        ///
-        /// # Panics
-        ///
-        /// Panics on an unknown or tombstoned tree id, an out-of-range node
-        /// index, or a tree whose lazily-deferred validation fails.
-        pub fn route_distances_sharded(
-            &self,
-            queries: &[(u64, usize, usize)],
-            par: Parallelism,
-        ) -> Vec<u64> {
-            route_sharded(self.frame_words(), &self.state, queries, par)
-        }
-
-        /// Fallible routed batch query: one [`QueryStatus`] per `(tree, u,
-        /// v)` query, in arrival order — `Ok(distance)` for every query the
-        /// forest can answer, and `UnknownTree` / `NodeOutOfRange` /
-        /// `CorruptTree` for the rest.  Healthy tree groups complete even
-        /// when other queries fail; answered distances are bit-identical to
-        /// what [`Self::route_distances`] returns for an all-healthy batch.
-        /// This is the serving front door: it never panics on query input or
-        /// on corrupt tree data.
-        pub fn try_route_distances(&self, queries: &[(u64, usize, usize)]) -> Vec<QueryStatus> {
-            let mut out = Vec::with_capacity(queries.len());
-            self.try_route_distances_into(queries, &mut RouteScratch::new(), &mut out);
-            out
-        }
-
-        /// Appends one [`QueryStatus`] per query to `out` in arrival order,
-        /// reusing `scratch`, and returns the batch [`RouteOutcome`] tally —
-        /// allocation-free once the scratch and `out` have grown to the
-        /// batch working size (and every touched tree is validated).
+        /// `scratch` carries the group state across batches and decides the
+        /// path: serial for [`RouteScratch::new`], sharded over scoped
+        /// workers for [`RouteScratch::with_parallelism`], with bit-identical
+        /// statuses either way.  Allocation-free once the scratch and `out`
+        /// have grown to the batch working size (and every touched tree is
+        /// validated), apart from the sharded path's thread spawns.
         pub fn try_route_distances_into(
             &self,
             queries: &[(u64, usize, usize)],
             scratch: &mut RouteScratch,
             out: &mut Vec<QueryStatus>,
         ) -> RouteOutcome {
-            try_route_into(self.frame_words(), &self.state, queries, scratch, out)
+            route_batch(self.frame_words(), &self.state, queries, scratch, out)
         }
 
-        /// The sharded fallible routed batch query: tree groups fan out over
-        /// [`std::thread::scope`] workers according to `par`, each shard
-        /// isolated by [`std::panic::catch_unwind`], so one poisoned shard
-        /// surfaces as `CorruptTree` statuses — never a process abort.
-        /// Answered distances are bit-identical to
-        /// [`Self::try_route_distances`] for every thread count.
+        /// [`Self::try_route_distances_into`] on a fresh
+        /// [`RouteScratch::with_parallelism`]`(par)`, collecting the
+        /// statuses.  A serving loop should keep its scratch instead.
         pub fn try_route_distances_sharded(
             &self,
             queries: &[(u64, usize, usize)],
             par: Parallelism,
         ) -> Vec<QueryStatus> {
-            try_route_sharded(self.frame_words(), &self.state, queries, par)
+            let mut out = Vec::with_capacity(queries.len());
+            let mut scratch = RouteScratch::with_parallelism(par);
+            self.try_route_distances_into(queries, &mut scratch, &mut out);
+            out
         }
 
         /// A point-in-time health snapshot of every directory slot —
@@ -2764,6 +2695,21 @@ mod tests {
             .collect()
     }
 
+    /// Routes `queries` on a fresh serial scratch.
+    fn route(forest: &ForestStore, queries: &[(u64, usize, usize)]) -> Vec<QueryStatus> {
+        let mut out = Vec::new();
+        forest.try_route_distances_into(queries, &mut RouteScratch::new(), &mut out);
+        out
+    }
+
+    /// [`route`], requiring every query to be answered.
+    fn distances(forest: &ForestStore, queries: &[(u64, usize, usize)]) -> Vec<u64> {
+        route(forest, queries)
+            .into_iter()
+            .map(|s| s.ok().expect("every query is answered"))
+            .collect()
+    }
+
     #[test]
     fn forest_round_trips_and_routes() {
         let (trees, forest) = sample_forest();
@@ -2787,12 +2733,17 @@ mod tests {
         assert!(std::ptr::eq(view.as_words(), forest.as_words()));
 
         let queries = sample_queries(&trees, 400);
-        let routed = forest.route_distances(&queries);
-        let via_ref = view.route_distances(&queries);
+        let routed = route(&forest, &queries);
+        let mut via_ref = Vec::new();
+        view.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut via_ref);
         assert_eq!(routed, via_ref);
         for (i, &(id, u, v)) in queries.iter().enumerate() {
             let expect = forest.tree(id).unwrap().distance(u, v);
-            assert_eq!(routed[i], expect, "query {i}: tree {id} ({u},{v})");
+            assert_eq!(
+                routed[i],
+                QueryStatus::Ok(expect),
+                "query {i}: tree {id} ({u},{v})"
+            );
         }
     }
 
@@ -2805,10 +2756,7 @@ mod tests {
         assert_eq!(lazy.as_words(), forest.as_words());
         assert_eq!(lazy.tree_ids().collect::<Vec<_>>(), vec![3, 11, 42]);
         let queries = sample_queries(&trees, 300);
-        assert_eq!(
-            lazy.route_distances(&queries),
-            forest.route_distances(&queries)
-        );
+        assert_eq!(distances(&lazy, &queries), distances(&forest, &queries));
         // Full verification retrofits eager coverage on the lazy view.
         lazy.verify().unwrap();
         // Chunked verification converges to the same answer.
@@ -2963,7 +2911,8 @@ mod tests {
     fn sharded_routing_is_deterministic_for_every_thread_count() {
         let (trees, forest) = sample_forest();
         let queries = sample_queries(&trees, 777);
-        let serial = forest.route_distances(&queries);
+        let serial = route(&forest, &queries);
+        assert!(serial.iter().all(|s| s.is_ok()));
         for par in [
             Parallelism::Serial,
             Parallelism::Auto,
@@ -2972,16 +2921,37 @@ mod tests {
             Parallelism::from_thread_count(9),
         ] {
             assert_eq!(
-                forest.route_distances_sharded(&queries, par),
+                forest.try_route_distances_sharded(&queries, par),
                 serial,
                 "{par:?}"
             );
         }
         // Empty batches are fine everywhere.
-        assert!(forest.route_distances(&[]).is_empty());
+        assert!(route(&forest, &[]).is_empty());
         assert!(forest
-            .route_distances_sharded(&[], Parallelism::Auto)
+            .try_route_distances_sharded(&[], Parallelism::Auto)
             .is_empty());
+    }
+
+    #[test]
+    fn new_and_default_scratches_route_serially() {
+        // `Parallelism::default()` is `Auto`; the scratch must not inherit it.
+        let (trees, forest) = sample_forest();
+        let queries = sample_queries(&trees, 300);
+        for mut scratch in [RouteScratch::new(), RouteScratch::default()] {
+            assert_eq!(scratch.threads, 1);
+            forest.try_route_distances_into(&queries, &mut scratch, &mut Vec::new());
+            assert_eq!(scratch.groups.len(), 3);
+            assert!(scratch.shards.is_empty() && scratch.workers.len() == 1);
+        }
+        // Three groups over three threads do shard, and `Auto` resolves once.
+        let mut sharded = RouteScratch::with_parallelism(Parallelism::from_thread_count(3));
+        forest.try_route_distances_into(&queries, &mut sharded, &mut Vec::new());
+        assert!(sharded.shards.len() > 1 && sharded.workers.len() == 3);
+        assert_eq!(
+            RouteScratch::with_parallelism(Parallelism::Auto).threads,
+            Parallelism::Auto.thread_count()
+        );
     }
 
     #[test]
@@ -2991,11 +2961,11 @@ mod tests {
         let q2 = sample_queries(&trees, 57);
         let mut scratch = RouteScratch::new();
         let mut out = Vec::new();
-        forest.route_distances_into(&q1, &mut scratch, &mut out);
-        forest.route_distances_into(&q2, &mut scratch, &mut out);
+        forest.try_route_distances_into(&q1, &mut scratch, &mut out);
+        forest.try_route_distances_into(&q2, &mut scratch, &mut out);
         assert_eq!(out.len(), q1.len() + q2.len());
-        assert_eq!(out[..q1.len()], forest.route_distances(&q1)[..]);
-        assert_eq!(out[q1.len()..], forest.route_distances(&q2)[..]);
+        assert_eq!(out[..q1.len()], route(&forest, &q1)[..]);
+        assert_eq!(out[q1.len()..], route(&forest, &q2)[..]);
     }
 
     #[test]
@@ -3012,14 +2982,8 @@ mod tests {
         let lazy = ForestStore::open_with(&path, ValidationPolicy::Lazy).expect("lazy open");
         assert_eq!(lazy.as_words(), forest.as_words());
         let queries = sample_queries(&trees, 120);
-        assert_eq!(
-            opened.route_distances(&queries),
-            forest.route_distances(&queries)
-        );
-        assert_eq!(
-            lazy.route_distances(&queries),
-            forest.route_distances(&queries)
-        );
+        assert_eq!(distances(&opened, &queries), distances(&forest, &queries));
+        assert_eq!(distances(&lazy, &queries), distances(&forest, &queries));
 
         // Builder-side write_to returns the store it persisted.
         let mut b = ForestStore::builder();
@@ -3121,45 +3085,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no tree with id")]
-    fn routing_rejects_unknown_tree_ids() {
-        let (_, forest) = sample_forest();
-        forest.route_distances(&[(3, 0, 1), (999, 0, 0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "no tree with id")]
-    fn routing_rejects_tombstoned_tree_ids() {
-        let (_, mut forest) = sample_forest();
-        forest.tombstone(11).unwrap();
-        forest.route_distances(&[(11, 0, 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn routing_rejects_out_of_range_nodes() {
-        let (_, forest) = sample_forest();
-        forest.route_distances(&[(3, 0, 10_000)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "failed validation")]
-    fn routing_panics_on_a_corrupt_tree_under_the_strict_contract() {
-        let (_, forest) = sample_forest();
-        let mut lazy =
-            ForestStore::from_bytes_with(&forest.to_bytes(), ValidationPolicy::Lazy).unwrap();
-        let extent = lazy.frame_extent(11).unwrap();
-        lazy.corrupt_word(extent.start + extent.len() / 2, 1 << 13);
-        lazy.route_distances(&[(11, 0, 1)]);
-    }
-
-    #[test]
     fn try_route_reports_statuses_in_arrival_order() {
-        let (trees, forest) = sample_forest();
+        let (_, forest) = sample_forest();
         let mut lazy =
             ForestStore::from_bytes_with(&forest.to_bytes(), ValidationPolicy::Lazy).unwrap();
         let extent = lazy.frame_extent(11).unwrap();
         lazy.corrupt_word(extent.start + extent.len() / 2, 1 << 7);
+        lazy.append_scheme(50, &NaiveScheme::build(&gen::random_tree(40, 9)))
+            .unwrap();
+        lazy.tombstone(50).unwrap();
 
         let queries = [
             (3u64, 0usize, 149usize), // healthy
@@ -3168,6 +3102,7 @@ mod tests {
             (42, 0, 119),             // healthy
             (3, 0, 10_000),           // out of range
             (11, 2, 3),               // corrupt again (memoized run)
+            (50, 0, 1),               // tombstoned
         ];
         let mut scratch = RouteScratch::new();
         let mut statuses = Vec::new();
@@ -3181,24 +3116,23 @@ mod tests {
                 QueryStatus::Ok(forest.tree(42).unwrap().distance(0, 119)),
                 QueryStatus::NodeOutOfRange,
                 QueryStatus::CorruptTree,
+                QueryStatus::UnknownTree,
             ]
         );
         assert_eq!(
             outcome,
             RouteOutcome {
                 ok: 2,
-                unknown_tree: 1,
+                unknown_tree: 2,
                 out_of_range: 1,
                 corrupt: 2,
             }
         );
-        assert_eq!(outcome.total(), 6);
-        assert_eq!(outcome.degraded(), 4);
+        assert_eq!(outcome.total(), 7);
+        assert_eq!(outcome.degraded(), 5);
         assert!(!outcome.all_ok());
 
-        // The convenience and sharded entry points agree status for status,
-        // for every thread count.
-        assert_eq!(lazy.try_route_distances(&queries), statuses);
+        // The sharded path agrees status for status, for every thread count.
         for threads in [1, 2, 3, 8] {
             assert_eq!(
                 lazy.try_route_distances_sharded(&queries, Parallelism::from_thread_count(threads)),
@@ -3206,15 +3140,6 @@ mod tests {
                 "threads = {threads}"
             );
         }
-
-        // An all-healthy batch is bit-identical to the strict engine.
-        let healthy = sample_queries(&trees, 200);
-        let strict = forest.route_distances(&healthy);
-        let fallible = forest.try_route_distances(&healthy);
-        assert!(fallible
-            .iter()
-            .zip(&strict)
-            .all(|(s, &d)| *s == QueryStatus::Ok(d)));
     }
 
     #[test]
@@ -3287,13 +3212,10 @@ mod tests {
             Err(ForestError::Tree { id: 11, .. })
         ));
         assert!(lazy.verify().is_err());
-        assert_eq!(
-            lazy.try_route_distances(&[(11, 0, 1)]),
-            vec![QueryStatus::CorruptTree]
-        );
+        assert_eq!(route(&lazy, &[(11, 0, 1)]), vec![QueryStatus::CorruptTree]);
         // Healthy trees keep serving through it all.
         assert_eq!(
-            lazy.try_route_distances(&[(3, 0, 1)]),
+            route(&lazy, &[(3, 0, 1)]),
             vec![QueryStatus::Ok(forest.tree(3).unwrap().distance(0, 1))]
         );
 
@@ -3329,10 +3251,7 @@ mod tests {
         assert_eq!(subject.slot_health(11), Some(SlotHealth::Valid));
         assert!(subject.health().all_serving());
         let queries = sample_queries(&trees, 120);
-        assert_eq!(
-            subject.route_distances(&queries),
-            forest.route_distances(&queries)
-        );
+        assert_eq!(distances(&subject, &queries), distances(&forest, &queries));
         // The repaired frame round-trips through an eager reload.
         let reload = ForestStore::from_bytes(&subject.to_bytes()).unwrap();
         assert_eq!(reload.generation(), generation + 1);

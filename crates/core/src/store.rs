@@ -1094,8 +1094,8 @@ impl Default for PlanBlock {
 ///
 /// The buffers are fixed-size and heap-free (2 KiB of plain arrays), so the
 /// batch path is allocation-free by construction: [`StoreRef`] plants one on
-/// the stack per call, and the forest router embeds one in its
-/// `RouteScratch` and shares it across every group of every batch.
+/// the stack per call, and the forest router keeps one per shard in its
+/// `RouteScratch` and shares it across every group that shard runs.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BatchPlan {
     blocks: [PlanBlock; 2],

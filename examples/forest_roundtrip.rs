@@ -21,7 +21,7 @@ use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::tree::rng::SplitMix64;
 use treelab::{
     gen, DistanceArrayScheme, DistanceScheme, ForestRef, ForestStore, NaiveScheme, OptimalScheme,
-    Parallelism, RouteScratch, Substrate, Tree, ValidationPolicy,
+    Parallelism, QueryStatus, RouteScratch, Substrate, Tree, ValidationPolicy,
 };
 use treelab_bench::ScratchDir;
 
@@ -141,20 +141,25 @@ fn main() {
     let t3 = Instant::now();
     let mut naive_loop = Vec::with_capacity(queries.len());
     for &(id, u, v) in &queries {
-        naive_loop.push(owned.tree(id).expect("known tree").distance(u, v));
+        let d = owned.tree(id).expect("known tree").distance(u, v);
+        naive_loop.push(QueryStatus::Ok(d));
     }
     let loop_ns = t3.elapsed().as_nanos() as f64 / queries.len() as f64;
 
     let mut scratch = RouteScratch::new();
     let mut routed = Vec::with_capacity(queries.len());
-    borrowed.route_distances_into(&queries, &mut scratch, &mut routed); // warm
+    borrowed.try_route_distances_into(&queries, &mut scratch, &mut routed); // warm
     routed.clear();
     let t4 = Instant::now();
-    borrowed.route_distances_into(&queries, &mut scratch, &mut routed);
+    borrowed.try_route_distances_into(&queries, &mut scratch, &mut routed);
     let routed_ns = t4.elapsed().as_nanos() as f64 / queries.len() as f64;
 
+    let mut scratch = RouteScratch::with_parallelism(Parallelism::Auto);
+    let mut sharded = Vec::with_capacity(queries.len());
+    owned.try_route_distances_into(&queries, &mut scratch, &mut sharded); // warm
+    sharded.clear();
     let t5 = Instant::now();
-    let sharded = owned.route_distances_sharded(&queries, Parallelism::Auto);
+    owned.try_route_distances_into(&queries, &mut scratch, &mut sharded);
     let sharded_ns = t5.elapsed().as_nanos() as f64 / queries.len() as f64;
 
     assert_eq!(naive_loop, routed, "routed engine disagrees with the loop");

@@ -13,7 +13,7 @@ use treelab::bits::{codes, BitReader, BitVec, BitWriter, MonotoneSeq};
 use treelab::core::level_ancestor::{LevelAncestorLabel, LevelAncestorScheme};
 use treelab::tree::rng::SplitMix64;
 use treelab::{gen, DistanceScheme, NaiveScheme, OptimalScheme};
-use treelab::{ForestError, ForestStore, SchemeStore, StoreError};
+use treelab::{ForestError, ForestStore, QueryStatus, RouteScratch, SchemeStore, StoreError};
 
 /// The whole-scheme store frame must reject bad magic, truncation (including
 /// a truncated offset index) and bit rot with a [`StoreError`], never a panic
@@ -164,9 +164,11 @@ fn corrupt_forest_frames_are_rejected() {
 
     // Pristine frame loads and routes.
     let loaded = ForestStore::from_bytes(&bytes).expect("pristine frame");
+    let mut statuses = Vec::new();
+    loaded.try_route_distances_into(&[(9, 3, 80)], &mut RouteScratch::new(), &mut statuses);
     assert_eq!(
-        loaded.route_distances(&[(9, 3, 80)])[0],
-        loaded.tree(9).unwrap().distance(3, 80)
+        statuses,
+        [QueryStatus::Ok(loaded.tree(9).unwrap().distance(3, 80))]
     );
 
     // Re-checksum helper: fixes the *outer* CRC — which on a v2 frame covers

@@ -1,10 +1,11 @@
 //! Proof that the forest's routed batch engine allocates nothing per query
 //! once its one-time group scratch has grown to the batch working size —
-//! the forest-side mirror of `tests/store_alloc.rs` — and that the lazy
-//! `tree(id)` path is allocation-free after a tree's first-touch validation.
+//! the forest-side mirror of `tests/store_alloc.rs` — that on the sharded
+//! path only the thread spawns allocate, and that the lazy `tree(id)` path
+//! is allocation-free after a tree's first-touch validation.
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
-//! batch has sized the [`RouteScratch`] and the output buffer, repeating the
+//! batch has sized the [`RouteScratch`] and the status buffer, repeating the
 //! routed batch (same batch size, different query mix) must leave the
 //! allocation counter untouched.  The scratch embeds the batch kernels'
 //! structure-of-arrays planning buffers (`BatchPlan`, shared across every
@@ -22,8 +23,8 @@ use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
-    gen, DistanceArrayScheme, DistanceScheme, ForestStore, NaiveScheme, OptimalScheme, QueryStatus,
-    RouteScratch, Tree, ValidationPolicy,
+    gen, DistanceArrayScheme, DistanceScheme, ForestStore, NaiveScheme, OptimalScheme, Parallelism,
+    QueryStatus, RouteScratch, Tree, ValidationPolicy,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -94,16 +95,23 @@ fn routed_batches_do_not_allocate_after_the_scratch_warms_up() {
 
     // Warm up (and sanity-check) outside the counted region: grows the
     // scratch and the output buffer to the batch working size.
+    let route = |queries: &[(u64, usize, usize)]| {
+        let mut out = Vec::new();
+        forest.try_route_distances_into(queries, &mut RouteScratch::new(), &mut out);
+        out
+    };
     let mut scratch = RouteScratch::new();
-    let mut out: Vec<u64> = Vec::new();
-    forest.route_distances_into(&warmup, &mut scratch, &mut out);
-    let expect1 = forest.route_distances(&storm1);
+    let mut out: Vec<QueryStatus> = Vec::new();
+    assert!(forest
+        .try_route_distances_into(&warmup, &mut scratch, &mut out)
+        .all_ok());
+    let expect1 = route(&storm1);
     out.clear();
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    forest.route_distances_into(&storm1, &mut scratch, &mut out);
+    forest.try_route_distances_into(&storm1, &mut scratch, &mut out);
     out.clear();
-    forest.route_distances_into(&storm2, &mut scratch, &mut out);
+    forest.try_route_distances_into(&storm2, &mut scratch, &mut out);
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
@@ -111,17 +119,58 @@ fn routed_batches_do_not_allocate_after_the_scratch_warms_up() {
         "the routed batch engine allocated {} times after warm-up",
         after - before
     );
-    assert_eq!(out, forest.route_distances(&storm2));
+    assert_eq!(out, route(&storm2));
     assert_eq!(expect1, {
         let mut again = Vec::with_capacity(storm1.len());
-        forest.route_distances_into(&storm1, &mut scratch, &mut again);
+        forest.try_route_distances_into(&storm1, &mut scratch, &mut again);
         again
     });
 
-    // The fallible router shares the same scratch discipline: once the
-    // status buffer has grown to the batch size, try-routing a mixed batch
-    // (healthy queries, unknown ids, out-of-range nodes — no allocation
-    // even for the failure statuses) leaves the counter untouched.
+    // The sharded path keeps its shard table, per-shard pairs and plans and
+    // the grouped answers in the scratch too: once warm, only spawning the
+    // workers allocates — exactly what two bare scoped spawns cost, for a
+    // 1,024- and a 4,096-query batch alike — and a one-thread scratch
+    // allocates nothing at all.  Two equal tree groups make two shards.
+    let halves = |count: usize| -> Vec<(u64, usize, usize)> {
+        (0..count)
+            .map(|i| {
+                let (id, tree) = &trees[i % 2];
+                (*id, (i * 31) % tree.len(), (i * 87 + 5) % tree.len())
+            })
+            .collect()
+    };
+    let (small, large) = (halves(1024), halves(4096));
+    let expect = route(&large);
+    let spawn_two = || std::thread::scope(|s| [(); 2].map(|()| s.spawn(|| ())).map(|h| h.join()));
+    let _ = spawn_two();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let _ = spawn_two();
+    let spawns = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert!(spawns > 0, "spawns must show in the count");
+    for threads in [1usize, 2] {
+        let mut sharded = RouteScratch::with_parallelism(Parallelism::from_thread_count(threads));
+        for queries in [&small, &large] {
+            out.clear();
+            forest.try_route_distances_into(queries, &mut sharded, &mut out);
+        }
+        let per_call = [&small, &large].map(|queries| {
+            out.clear();
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            forest.try_route_distances_into(queries, &mut sharded, &mut out);
+            ALLOCATIONS.load(Ordering::SeqCst) - before
+        });
+        assert_eq!(out, expect, "{threads} threads");
+        let want = if threads == 1 { 0 } else { spawns };
+        assert_eq!(
+            per_call,
+            [want, want],
+            "allocations per call at {threads} threads (1,024 and 4,096 queries)"
+        );
+    }
+
+    // Failure statuses cost nothing either: once the status buffer has grown
+    // to the batch size, routing a mixed batch (healthy queries, unknown
+    // ids, out-of-range nodes) leaves the counter untouched.
     let mut mixed = batch(&trees, 4096, 23);
     mixed[7] = (999, 0, 0); // UnknownTree
     mixed[19] = (2, 100_000, 0); // NodeOutOfRange

@@ -228,19 +228,6 @@ fn a_scheme_tag_lie_is_caught_by_the_directory_cross_check() {
     assert_eq!(lazy.try_tree(1).unwrap_err(), eager_err);
 }
 
-/// Routing a batch across a tree whose deferred validation fails is a caller
-/// bug (the routed engine's contract is validated trees); it must die with a
-/// message naming the tree, not a wrong answer.
-#[test]
-#[should_panic(expected = "failed validation")]
-fn routing_over_a_corrupt_tree_under_lazy_panics_with_context() {
-    let forest = small_forest();
-    let lazy =
-        ForestStore::from_words_with(flip_inner(forest.as_words(), 5), ValidationPolicy::Lazy)
-            .expect("directory is intact");
-    let _ = lazy.route_distances(&[(1, 0, 3), (5, 0, 1)]);
-}
-
 /// Scrubber/lazy equivalence on the corruption sweep: for every choice of
 /// victim tree, a budgeted scrub driven to pass completion must reach
 /// *exactly* the verdict an eager open reports — the same
@@ -307,6 +294,7 @@ fn a_full_budgeted_scrub_reaches_the_eager_verdict_for_every_slot() {
 #[cfg(all(feature = "mmap", unix))]
 mod mapped {
     use super::*;
+    use treelab::{QueryStatus, RouteScratch};
 
     #[test]
     fn mapped_forest_serves_and_rejects_the_same_faults() {
@@ -324,9 +312,12 @@ mod mapped {
                 mapped.tree(5).expect("live tree").distance(1, 40),
                 forest.tree(5).unwrap().distance(1, 40)
             );
+            let queries = [(9, 0, 4), (1, 2, 3)];
+            let mut routed = Vec::new();
+            mapped.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut routed);
             assert_eq!(
-                mapped.route_distances(&[(9, 0, 4), (1, 2, 3)]),
-                forest.route_distances(&[(9, 0, 4), (1, 2, 3)])
+                routed,
+                queries.map(|(id, u, v)| QueryStatus::Ok(forest.tree(id).unwrap().distance(u, v)))
             );
             mapped.verify().expect("pristine frame verifies");
         }

@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 use treelab::tree::rng::SplitMix64;
 use treelab::{
-    gen, DistanceScheme, ForestError, ForestPin, ForestStore, NaiveScheme, QueryStatus, Tree,
-    ValidationPolicy,
+    gen, DistanceScheme, ForestError, ForestPin, ForestStore, NaiveScheme, QueryStatus,
+    RouteScratch, Tree, ValidationPolicy,
 };
 use treelab_bench::ScratchDir;
 
@@ -78,9 +78,8 @@ fn v1_frames_still_load_and_upgrade_on_first_mutation() {
 }
 
 /// Routing across mid-lifetime mutations: a tombstoned id vanishes from the
-/// router (panic under the strict contract, `UnknownTree` under the fallible
-/// one), an appended id becomes routable in the same batch as old ids, and a
-/// pin taken before the mutations keeps routing the *pre-mutation* forest —
+/// router (`UnknownTree`), an appended id becomes routable in the same batch
+/// as old ids, and a pin taken before the mutations keeps routing the *pre-mutation* forest —
 /// including the since-tombstoned tree.
 #[test]
 fn routing_tracks_tombstones_appends_and_pinned_generations() {
@@ -97,7 +96,10 @@ fn routing_tracks_tombstones_appends_and_pinned_generations() {
     let queries: Vec<(u64, usize, usize)> = (0..3u64)
         .map(|id| (id, 1, trees[id as usize].len() - 1))
         .collect();
-    let before = forest.route_distances(&queries);
+    let mut scratch = RouteScratch::new();
+    let mut before = Vec::new();
+    forest.try_route_distances_into(&queries, &mut scratch, &mut before);
+    assert!(before.iter().all(|s| s.is_ok()));
     let pin = forest.pin();
 
     // Tombstone tree 1, append tree 3.
@@ -108,36 +110,32 @@ fn routing_tracks_tombstones_appends_and_pinned_generations() {
         .expect("fresh id appends");
 
     // Tombstone-then-route: id 1 is gone from the router's directory view.
-    let statuses = forest.try_route_distances(&queries);
-    assert_eq!(statuses[0], QueryStatus::Ok(before[0]));
-    assert_eq!(statuses[1], QueryStatus::UnknownTree);
-    assert_eq!(statuses[2], QueryStatus::Ok(before[2]));
+    let mut statuses = Vec::new();
+    forest.try_route_distances_into(&queries, &mut scratch, &mut statuses);
+    assert_eq!(statuses, [before[0], QueryStatus::UnknownTree, before[2]]);
 
     // Append-then-route: the new id routes in the same batch as old ids,
     // with the answer a freshly built scheme gives.
     let scheme3 = NaiveScheme::build(&t3);
     let mixed = vec![(0u64, 1usize, trees[0].len() - 1), (3, 2, t3.len() - 1)];
+    let mut appended = Vec::new();
+    forest.try_route_distances_into(&mixed, &mut scratch, &mut appended);
     assert_eq!(
-        forest.route_distances(&mixed),
-        vec![
+        appended,
+        [
             before[0],
-            scheme3.distance(t3.node(2), t3.node(t3.len() - 1))
+            QueryStatus::Ok(scheme3.distance(t3.node(2), t3.node(t3.len() - 1)))
         ]
     );
 
     // The pinned generation still routes the pre-mutation forest: tree 1
     // answers, tree 3 does not exist there.
-    assert_eq!(pin.route_distances(&queries), before);
-    assert_eq!(
-        pin.try_route_distances(&mixed),
-        vec![QueryStatus::Ok(before[0]), QueryStatus::UnknownTree]
-    );
-
-    // Strict contract on the mutated store: the tombstoned id panics.
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        forest.route_distances(&queries)
-    }));
-    assert!(panicked.is_err(), "strict routing must panic on a dead id");
+    let mut pinned = Vec::new();
+    pin.try_route_distances_into(&queries, &mut scratch, &mut pinned);
+    assert_eq!(pinned, before);
+    pinned.clear();
+    pin.try_route_distances_into(&mixed, &mut scratch, &mut pinned);
+    assert_eq!(pinned, [before[0], QueryStatus::UnknownTree]);
 
     // And the sharded driver agrees with the serial one on the mutated view.
     for threads in [1usize, 2, 4] {

@@ -217,21 +217,26 @@ fn routed_and_sharded_forest_answers_match_the_per_tree_stores() {
         .collect();
 
     let oracles: Vec<DistanceOracle> = trees.iter().map(|(_, t)| DistanceOracle::new(t)).collect();
-    let routed = forest.route_distances(&queries);
+    let mut routed = Vec::new();
+    forest.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut routed);
     for (i, &(id, u, v)) in queries.iter().enumerate() {
         let view = forest.tree(id).expect("live tree");
-        assert_eq!(routed[i], view.distance(u, v), "query {i} diverges");
+        assert_eq!(
+            routed[i],
+            QueryStatus::Ok(view.distance(u, v)),
+            "query {i} diverges"
+        );
         let t = trees.iter().position(|&(tid, _)| tid == id).unwrap();
         let tree = &trees[t].1;
         assert_eq!(
             routed[i],
-            oracles[t].distance(tree.node(u), tree.node(v)),
+            QueryStatus::Ok(oracles[t].distance(tree.node(u), tree.node(v))),
             "query {i} is wrong"
         );
     }
     for threads in [1usize, 2, 4] {
         let sharded =
-            forest.route_distances_sharded(&queries, Parallelism::from_thread_count(threads));
+            forest.try_route_distances_sharded(&queries, Parallelism::from_thread_count(threads));
         assert_eq!(
             routed, sharded,
             "sharded answers diverge at {threads} threads"
@@ -384,15 +389,16 @@ fn expected_status(forest: &ForestStore, (id, u, v): (u64, usize, usize)) -> Que
     }
 }
 
-/// Routes `queries` through the reused `scratch` and holds every status to
-/// `try_tree` + `distance`, every answer to the oracle, and the sharded
-/// router at 1, 2 and 4 threads to the serial one.
+/// Routes `queries` through the reused serial `scratch` and holds every
+/// status to `try_tree` + `distance`, every answer to the oracle, and each
+/// reused sharded scratch to the serial one.
 fn check_routed(
     what: &str,
     forest: &ForestStore,
     truth: &HashMap<u64, TruthTree>,
     queries: &[(u64, usize, usize)],
     scratch: &mut RouteScratch,
+    sharded: &mut [(Parallelism, RouteScratch)],
 ) {
     let mut statuses = Vec::new();
     let outcome = forest.try_route_distances_into(queries, scratch, &mut statuses);
@@ -416,12 +422,10 @@ fn check_routed(
             );
         }
     }
-    for threads in [1usize, 2, 4] {
-        assert_eq!(
-            forest.try_route_distances_sharded(queries, Parallelism::from_thread_count(threads)),
-            statuses,
-            "{what}: sharded at {threads} threads"
-        );
+    for (par, scratch) in sharded {
+        let mut got = Vec::new();
+        forest.try_route_distances_into(queries, scratch, &mut got);
+        assert_eq!(got, statuses, "{what}: sharded at {par:?}");
     }
 }
 
@@ -482,13 +486,19 @@ fn sparse_routing_over_touched_slots_matches_the_per_tree_path() {
     let mut forest = b.finish().expect("forest builds");
     let mut ids: Vec<u64> = (0..TREES).map(id_of).collect();
     let mut scratch = RouteScratch::new();
+    // One sharded scratch per thread count, reused across every batch and
+    // forest below, so shard state grows and shrinks with the group count.
+    let mut sharded = [1, 2, 4, 0].map(|threads| {
+        let par = Parallelism::from_thread_count(threads);
+        (par, RouteScratch::with_parallelism(par))
+    });
     let mut salt = 0u64;
     let mut batches =
         |what: &str, forest: &ForestStore, focus, ids: &[u64], truth: &HashMap<_, _>| {
             for _ in 0..24 {
                 salt += 1;
                 let queries = sparse_batch(ids, focus, truth, salt);
-                check_routed(what, forest, truth, &queries, &mut scratch);
+                check_routed(what, forest, truth, &queries, &mut scratch, &mut sharded);
             }
         };
     batches("fresh", &forest, None, &ids, &truth);
@@ -512,10 +522,9 @@ fn sparse_routing_over_touched_slots_matches_the_per_tree_path() {
     let extent = lazy.frame_extent(rotted).unwrap();
     lazy.corrupt_word(extent.start + extent.len() / 2, 1 << 29);
     batches("lazy+rot", &lazy, Some(rotted), &ids, &truth);
-    assert_eq!(
-        lazy.try_route_distances(&[(rotted, 0, 0)]),
-        [QueryStatus::CorruptTree]
-    );
+    let mut statuses = Vec::new();
+    lazy.try_route_distances_into(&[(rotted, 0, 0)], &mut RouteScratch::new(), &mut statuses);
+    assert_eq!(statuses, [QueryStatus::CorruptTree]);
 
     // A 4-tree forest on the same scratch, then back to the big one.
     let mut small_truth: HashMap<u64, TruthTree> = HashMap::new();

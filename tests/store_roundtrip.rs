@@ -10,8 +10,8 @@ use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
     gen, AnyStoreRef, DistanceArrayScheme, DistanceScheme, ForestRef, ForestStore, IndexWidth,
-    NaiveScheme, OptimalScheme, Parallelism, RouteScratch, SchemeStore, StoreError, StoreRef,
-    StoredScheme, Substrate, Tree, NO_DISTANCE,
+    NaiveScheme, OptimalScheme, Parallelism, QueryStatus, RouteScratch, SchemeStore, StoreError,
+    StoreRef, StoredScheme, Substrate, Tree, NO_DISTANCE,
 };
 
 /// The seeded tree corpus every scheme round-trips over: the adversarial
@@ -224,18 +224,18 @@ fn forest_of_all_six_schemes_round_trips() {
             (*id, (i * 31) % n, (i * 87 + 5) % n)
         })
         .collect();
-    let routed = owned.route_distances(&queries);
-    let mut scratch = RouteScratch::new();
-    let mut via_ref = Vec::new();
-    borrowed.route_distances_into(&queries, &mut scratch, &mut via_ref);
-    let sharded = owned.route_distances_sharded(&queries, Parallelism::from_thread_count(3));
+    let (mut routed, mut via_ref, mut sharded) = (Vec::new(), Vec::new(), Vec::new());
+    owned.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut routed);
+    borrowed.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut via_ref);
+    let mut sharded_scratch = RouteScratch::with_parallelism(Parallelism::from_thread_count(3));
+    owned.try_route_distances_into(&queries, &mut sharded_scratch, &mut sharded);
     for (i, &(id, u, v)) in queries.iter().enumerate() {
-        let want = expected(id, u, v);
+        let want = QueryStatus::Ok(expected(id, u, v));
         assert_eq!(routed[i], want, "routed: tree {id} ({u},{v})");
         assert_eq!(via_ref[i], want, "borrowed: tree {id} ({u},{v})");
         assert_eq!(sharded[i], want, "sharded: tree {id} ({u},{v})");
         assert_eq!(
-            owned.tree(id).unwrap().distance(u, v),
+            QueryStatus::Ok(owned.tree(id).unwrap().distance(u, v)),
             want,
             "tree(): tree {id} ({u},{v})"
         );
