@@ -1325,10 +1325,13 @@ impl ForestBuilder {
 /// working size — except, on the sharded path, the thread spawns themselves.
 /// Every group buffer is sized by the batch except `counts`, which grows once
 /// to the directory size and is touched only at the slots a batch names, so
-/// a batch costs the same against four trees or four thousand.  The shard
-/// table and one `pairs` buffer and batch plan per shard are kept too: a
-/// batch with fewer groups than threads simply leaves the extra shard state
-/// idle until a later batch needs it.
+/// a batch costs the same against four trees or four thousand.  The serial
+/// path's `pairs` buffer and batch plan live inline in the scratch, so a
+/// serial scratch holds its plan wherever the caller keeps the scratch and
+/// never touches the shard state.  The sharded path keeps the shard table
+/// and one `pairs` buffer and batch plan per shard: a batch with fewer
+/// groups than threads simply leaves the extra shard state idle until a
+/// later batch needs it.
 #[derive(Debug)]
 pub struct RouteScratch {
     /// Worker threads a batch may fan out over, resolved once from the
@@ -1352,14 +1355,16 @@ pub struct RouteScratch {
     /// Answers in grouped order, before the scatter back to arrival order;
     /// each shard writes its own contiguous slice.
     sorted: Vec<u64>,
+    /// The serial path's kernel state.
+    serial: ShardState,
     /// The sharded path's partition of the batch: per shard, its group range
     /// and its grouped-position range.
     shards: Vec<(Range<usize>, Range<usize>)>,
-    /// Kernel state per shard; the serial path uses the first.
+    /// Kernel state per shard, grown to the largest shard count routed.
     workers: Vec<ShardState>,
 }
 
-/// The kernel state one shard (or the serial path) owns.
+/// The kernel state the serial path, or one shard, owns.
 #[derive(Debug, Default)]
 struct ShardState {
     /// Per-group `(u, v)` staging for the batch engine.
@@ -1391,6 +1396,7 @@ impl RouteScratch {
             bounds: Vec::new(),
             order: Vec::new(),
             sorted: Vec::new(),
+            serial: ShardState::default(),
             shards: Vec::new(),
             workers: Vec::new(),
         }
@@ -1644,9 +1650,6 @@ fn route_batch(
     prepare_route(words, state, queries, scratch, statuses);
     let statuses = &mut statuses[base..];
     let threads = scratch.threads.min(scratch.groups.len()).max(1);
-    if scratch.workers.len() < threads {
-        scratch.workers.resize_with(threads, ShardState::default);
-    }
     if threads == 1 {
         run_prepared_serial(words, &state.slots, queries, scratch, statuses);
     } else {
@@ -1676,10 +1679,10 @@ fn run_prepared_serial(
         ref bounds,
         ref order,
         ref mut sorted,
-        ref mut workers,
+        ref mut serial,
         ..
     } = *scratch;
-    let ShardState { pairs, plan, .. } = &mut workers[0];
+    let ShardState { pairs, plan, .. } = serial;
     let grouping = Grouping {
         slots: groups,
         bounds,
@@ -1748,6 +1751,9 @@ fn run_prepared_sharded(
     let healthy = order.len();
     sorted.clear();
     sorted.resize(healthy, 0);
+    if workers.len() < threads {
+        workers.resize_with(threads, ShardState::default);
+    }
 
     // Greedy contiguous partition of the groups into at most `threads`
     // shards of roughly healthy / threads queries each.
@@ -2942,7 +2948,7 @@ mod tests {
             assert_eq!(scratch.threads, 1);
             forest.try_route_distances_into(&queries, &mut scratch, &mut Vec::new());
             assert_eq!(scratch.groups.len(), 3);
-            assert!(scratch.shards.is_empty() && scratch.workers.len() == 1);
+            assert!(scratch.shards.is_empty() && scratch.workers.is_empty());
         }
         // Three groups over three threads do shard, and `Auto` resolves once.
         let mut sharded = RouteScratch::with_parallelism(Parallelism::from_thread_count(3));
