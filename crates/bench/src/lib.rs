@@ -29,7 +29,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A private scratch directory, `temp_dir()/treelab-<tag>-<pid>-<n>/`,
-/// unique per call across threads and processes, removed with everything in
+/// unique per call across threads and processes (created with `create_dir`,
+/// which fails if the path already exists), removed with everything in
 /// it when dropped — so concurrent runs of tests, examples and experiments
 /// never share a file and leave nothing behind.
 #[derive(Debug)]
@@ -45,7 +46,7 @@ impl ScratchDir {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("treelab-{tag}-{}-{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch directory");
+        std::fs::create_dir(&dir).expect("create scratch directory");
         ScratchDir(dir)
     }
 

@@ -44,29 +44,9 @@ impl AlphabeticCode {
         let mut codewords = Vec::with_capacity(weights.len());
         let mut prefix_sum: u64 = 0;
         for &w in weights {
-            // Midpoint of this symbol's probability interval, as the exact
-            // fraction numerator / (2 * total).
-            let numerator: u128 = 2 * u128::from(prefix_sum) + u128::from(w);
-            let denominator: u128 = 2 * u128::from(total);
-            // Codeword length: ceil(log2(total / w)) + 1.
-            let mut len = 1usize;
-            let mut pow = 1u128;
-            while pow * u128::from(w) < u128::from(total) {
-                pow <<= 1;
-                len += 1;
-            }
-            // First `len` bits of the binary expansion of numerator/denominator.
+            let (value, len) = gilbert_moore_codeword(prefix_sum, w, total);
             let mut cw = BitVec::with_capacity(len);
-            let mut num = numerator;
-            for _ in 0..len {
-                num *= 2;
-                if num >= denominator {
-                    cw.push(true);
-                    num -= denominator;
-                } else {
-                    cw.push(false);
-                }
-            }
+            cw.push_bits(value, len);
             codewords.push(cw);
             prefix_sum += w;
         }
@@ -114,6 +94,29 @@ impl AlphabeticCode {
         }
         None
     }
+}
+
+/// One Gilbert–Moore codeword in closed form: the symbol of weight `w` whose
+/// predecessors weigh `prefix` in total, in a code of total weight `total`.
+///
+/// Returns `(value, len)`: `len = ⌈log₂(total / w)⌉ + 1`, and `value` holds
+/// the first `len` bits of the binary expansion of the cumulative midpoint
+/// `(2·prefix + w) / (2·total)`, MSB-first — that is,
+/// `⌊(2·prefix + w)·2^len / (2·total)⌋` — exactly the bits
+/// [`AlphabeticCode::new`] assigns (append them with
+/// [`BitVec::push_bits`]).  Requires `0 < w`, `prefix + w ≤ total ≤ 2^62`.
+pub fn gilbert_moore_codeword(prefix: u64, w: u64, total: u64) -> (u64, usize) {
+    debug_assert!(w > 0 && prefix + w <= total && total <= 1 << 62);
+    // Codeword length: ceil(log2(total / w)) + 1.
+    let mut len = 1usize;
+    let mut pow = 1u128;
+    while pow * u128::from(w) < u128::from(total) {
+        pow <<= 1;
+        len += 1;
+    }
+    let numerator = 2 * u128::from(prefix) + u128::from(w);
+    let value = (numerator << len) / (2 * u128::from(total));
+    (value as u64, len)
 }
 
 /// Convenience wrapper: just the codewords for the given weights.
@@ -249,6 +252,35 @@ mod tests {
         assert_eq!(cws.len(), code.len());
         for (i, cw) in cws.iter().enumerate() {
             assert_eq!(cw, code.codeword(i));
+        }
+    }
+
+    #[test]
+    fn closed_form_codewords_match_the_binary_expansion() {
+        // Reference: emit the midpoint's binary expansion bit by bit.
+        for weights in [
+            vec![1u64],
+            vec![3, 1, 4, 1, 5, 9, 2, 6],
+            vec![1, 1000, 1, 1],
+            vec![1 << 40, 1, 1 << 20],
+        ] {
+            let total: u64 = weights.iter().sum();
+            let mut prefix = 0;
+            for &w in &weights {
+                let (value, len) = gilbert_moore_codeword(prefix, w, total);
+                let ceil_log = 64 - ((total - 1) / w).leading_zeros() as usize;
+                assert_eq!(len, ceil_log + 1, "w={w}");
+                let (mut num, den) = (
+                    2 * u128::from(prefix) + u128::from(w),
+                    2 * u128::from(total),
+                );
+                for j in (0..len).rev() {
+                    num *= 2;
+                    assert_eq!(value >> j & 1 == 1, num >= den, "w={w} bit {j}");
+                    num %= den;
+                }
+                prefix += w;
+            }
         }
     }
 

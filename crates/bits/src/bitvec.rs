@@ -432,6 +432,18 @@ impl BitWriter {
         self.bits.extend_from(bv);
     }
 
+    /// Appends all bits of a borrowed [`BitSlice`](crate::BitSlice), 64 at a
+    /// time.
+    pub fn write_bitslice(&mut self, s: crate::BitSlice<'_>) {
+        let mut i = 0;
+        while i < s.len() {
+            let w = (s.len() - i).min(64);
+            let chunk = s.get_bits_lsb(i, w).expect("chunk lies inside the slice");
+            self.bits.push_bits_lsb(chunk, w);
+            i += w;
+        }
+    }
+
     /// Appends the `width` low bits of `value` in stream order (LSB first);
     /// see [`BitVec::push_bits_lsb`].
     ///

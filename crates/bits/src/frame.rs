@@ -338,8 +338,18 @@ mod tests {
         let words: Vec<u64> = (0..257u64)
             .map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D))
             .collect();
-        let path =
-            std::env::temp_dir().join(format!("treelab-mmap-test-{}.bin", std::process::id()));
+        // A private directory: `create_dir` fails if it already exists, and
+        // the guard removes it with its contents on drop.
+        struct TestDir(std::path::PathBuf);
+        impl Drop for TestDir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir =
+            TestDir(std::env::temp_dir().join(format!("treelab-mmap-test-{}", std::process::id())));
+        std::fs::create_dir(&dir.0).expect("create a private test directory");
+        let path = dir.0.join("words.bin");
         std::fs::write(&path, words_to_bytes(&words)).expect("write");
 
         let file = std::fs::File::open(&path).expect("open");
@@ -364,6 +374,5 @@ mod tests {
         std::fs::write(&path, []).expect("write empty");
         let file = std::fs::File::open(&path).expect("open empty");
         assert!(Mmap::map_file(&file).is_err());
-        let _ = std::fs::remove_file(&path);
     }
 }

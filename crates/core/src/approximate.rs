@@ -31,7 +31,7 @@ use treelab_tree::{NodeId, Tree};
 /// One node's build-time row.
 struct ApproxRow<'a> {
     rd: u64,
-    aux: &'a HpathLabel,
+    aux: HpathLabel<'a>,
     exponents: Vec<u64>,
     wire_bits: u32,
 }

@@ -2673,6 +2673,24 @@ mod tests {
     use crate::DistanceScheme;
     use treelab_tree::gen;
 
+    /// A private directory for one test: created with `create_dir`, which
+    /// fails if it already exists, and removed with its contents on drop.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("treelab-{tag}-{}", std::process::id()));
+            std::fs::create_dir(&dir).expect("create a private test directory");
+            TestDir(dir)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     fn sample_forest() -> (Vec<(u64, treelab_tree::Tree)>, ForestStore) {
         let trees = vec![
             (3u64, gen::random_tree(150, 1)),
@@ -2977,8 +2995,8 @@ mod tests {
     #[test]
     fn file_round_trip_through_open_publish_and_write_to() {
         let (trees, forest) = sample_forest();
-        let path =
-            std::env::temp_dir().join(format!("treelab-forest-test-{}.bin", std::process::id()));
+        let dir = TestDir::new("forest-test");
+        let path = dir.0.join("forest.bin");
 
         // Store-side publish, file-side read: identical words, identical
         // routes — under both policies.
@@ -3028,8 +3046,8 @@ mod tests {
         assert!(
             bytes.len() > 2 * READ_CHUNK_BYTES && !bytes.len().is_multiple_of(READ_CHUNK_BYTES)
         );
-        let path =
-            std::env::temp_dir().join(format!("treelab-forest-read-{}.bin", std::process::id()));
+        let dir = TestDir::new("forest-read");
+        let path = dir.0.join("forest.bin");
         std::fs::write(&path, &bytes).expect("write");
         let opened = ForestStore::open(&path).expect("open");
         assert_eq!(opened.as_words(), forest.as_words());
@@ -3048,7 +3066,6 @@ mod tests {
                 other => panic!("len {len}: {other:?}"),
             }
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

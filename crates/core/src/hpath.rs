@@ -22,27 +22,34 @@
 //! prefix-by-prefix recovers `lightdepth(NCA)`, lexicographic comparison of the
 //! first differing codeword recovers branch order, and an explicitly stored
 //! preorder/subtree-size pair gives ancestry.
+//!
+//! # Arena plus views
+//!
+//! All nodes of a heavy path share its codeword string, so [`HpathLabeling`]
+//! stores it once per path, in one word arena plus one `u32` arena of end
+//! positions, filled in a single forward pass over path ids (parents come
+//! first; a path's prefix is its parent's plus one closed-form codeword).
+//! [`HpathLabeling::label`] returns a `Copy` view into the arenas.
 
 use crate::store::StoreError;
 use crate::Tree;
 use std::cmp::Ordering;
-use treelab_bits::alphabetic::AlphabeticCode;
+use treelab_bits::alphabetic::gilbert_moore_codeword;
 use treelab_bits::bitslice::{common_prefix_len_raw, read_lsb};
-use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitVec, BitWriter, DecodeError};
-use treelab_tree::heavy::HeavyPaths;
+use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitWriter, DecodeError};
+use treelab_tree::heavy::{HeavyPaths, PathId};
 use treelab_tree::NodeId;
 
-/// Heavy-path auxiliary label of a single node.
+/// Heavy-path auxiliary label of a single node: a `Copy` view into an
+/// [`HpathLabeling`]'s arenas.
 ///
 /// See the module documentation for what it encodes and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HpathLabel {
-    /// Number of light edges on the root-to-node path.
-    light_depth: usize,
+#[derive(Debug, Clone, Copy)]
+pub struct HpathLabel<'a> {
     /// Concatenated light-edge codewords (one per light edge, root side first).
-    codewords: BitVec,
+    codewords: BitSlice<'a>,
     /// `ends[i]` = end position (exclusive) of the `i`-th codeword in `codewords`.
-    ends: Vec<u32>,
+    ends: &'a [u32],
     /// Domination order of the node's heavy path (post-order of `C(T)`;
     /// smaller dominates).
     dom_order: u64,
@@ -52,10 +59,10 @@ pub struct HpathLabel {
     subtree_size: u64,
 }
 
-impl HpathLabel {
+impl<'a> HpathLabel<'a> {
     /// Number of light edges on the root-to-node path.
     pub fn light_depth(&self) -> usize {
-        self.light_depth
+        self.ends.len()
     }
 
     /// Preorder number of the node.
@@ -74,8 +81,8 @@ impl HpathLabel {
     }
 
     /// End positions of the codewords (for the store packers).
-    pub(crate) fn end_positions(&self) -> &[u32] {
-        &self.ends
+    pub(crate) fn end_positions(&self) -> &'a [u32] {
+        self.ends
     }
 
     /// Total codeword length in bits (for the store packers).
@@ -89,58 +96,33 @@ impl HpathLabel {
         (start, self.ends[i] as usize)
     }
 
-    /// Returns the `i`-th codeword (0-based), or `None` if `i >= light_depth`.
-    pub fn codeword(&self, i: usize) -> Option<BitVec> {
-        if i >= self.light_depth {
-            return None;
-        }
-        let (s, e) = self.codeword_span(i);
-        self.codewords.slice(s, e - s)
-    }
-
     /// Number of leading codewords shared by `a` and `b`: the light depth of
     /// their nearest common ancestor (Lemma 2.1's `lightdepth(u, v)`).
-    pub fn common_light_depth(a: &HpathLabel, b: &HpathLabel) -> usize {
-        let max = a.light_depth.min(b.light_depth);
+    pub fn common_light_depth(a: HpathLabel<'_>, b: HpathLabel<'_>) -> usize {
+        let max = a.light_depth().min(b.light_depth());
         for i in 0..max {
             let (sa, ea) = a.codeword_span(i);
             let (sb, eb) = b.codeword_span(i);
-            if ea - sa != eb - sb || !Self::span_eq(a, sa, b, sb, ea - sa) {
+            if ea - sa != eb - sb || !a.codewords.eq_range(sa, &b.codewords, sb, ea - sa) {
                 return i;
             }
         }
         max
     }
 
-    /// Compares `len` codeword bits of `a` (from `sa`) and `b` (from `sb`)
-    /// without allocating, 64 bits at a time.  Query-path hot spot: the old
-    /// [`BitVec::slice`]-based comparison allocated two vectors per light
-    /// depth per query.
-    fn span_eq(a: &HpathLabel, sa: usize, b: &HpathLabel, sb: usize, len: usize) -> bool {
-        let mut i = 0;
-        while i < len {
-            let w = (len - i).min(64);
-            if a.codewords.get_bits(sa + i, w) != b.codewords.get_bits(sb + i, w) {
-                return false;
-            }
-            i += w;
-        }
-        true
-    }
-
     /// Returns `true` if `a` dominates `b` (Observation (1)/(2) of §2).
-    pub fn dominates(a: &HpathLabel, b: &HpathLabel) -> bool {
+    pub fn dominates(a: HpathLabel<'_>, b: HpathLabel<'_>) -> bool {
         a.dom_order < b.dom_order
     }
 
     /// Returns `true` if `a` labels an ancestor of (or the same node as) the
     /// node labelled by `b`.
-    pub fn is_ancestor(a: &HpathLabel, b: &HpathLabel) -> bool {
+    pub fn is_ancestor(a: HpathLabel<'_>, b: HpathLabel<'_>) -> bool {
         a.pre <= b.pre && b.pre < a.pre + a.subtree_size
     }
 
     /// Returns `true` if the two labels belong to the same node.
-    pub fn same_node(a: &HpathLabel, b: &HpathLabel) -> bool {
+    pub fn same_node(a: HpathLabel<'_>, b: HpathLabel<'_>) -> bool {
         a.pre == b.pre
     }
 
@@ -152,8 +134,8 @@ impl HpathLabel {
     /// branch node through an earlier light edge).
     ///
     /// Returns `None` if either label has fewer than `i + 1` codewords.
-    pub fn branch_cmp(a: &HpathLabel, b: &HpathLabel, i: usize) -> Option<Ordering> {
-        if i >= a.light_depth || i >= b.light_depth {
+    pub fn branch_cmp(a: HpathLabel<'_>, b: HpathLabel<'_>, i: usize) -> Option<Ordering> {
+        if i >= a.light_depth() || i >= b.light_depth() {
             return None;
         }
         let (sa, ea) = a.codeword_span(i);
@@ -177,20 +159,20 @@ impl HpathLabel {
 
     /// Serializes the label.
     pub fn encode(&self, w: &mut BitWriter) {
-        codes::write_gamma_nz(w, self.light_depth as u64);
+        codes::write_gamma_nz(w, self.light_depth() as u64);
         codes::write_delta_nz(w, self.dom_order);
         codes::write_delta_nz(w, self.pre);
         codes::write_delta_nz(w, self.subtree_size);
         let ends: Vec<u64> = self.ends.iter().map(|&e| e as u64).collect();
         MonotoneSeq::new(&ends).encode(w);
         codes::write_gamma_nz(w, self.codewords.len() as u64);
-        w.write_bitvec(&self.codewords);
+        w.write_bitslice(self.codewords);
     }
 
     /// Size of the serialized label in bits — closed form, no encoding pass
     /// (a unit test pins it to [`HpathLabel::encode`]'s actual output).
     pub fn bit_len(&self) -> usize {
-        codes::gamma_nz_len(self.light_depth as u64)
+        codes::gamma_nz_len(self.light_depth() as u64)
             + codes::delta_nz_len(self.dom_order)
             + codes::delta_nz_len(self.pre)
             + codes::delta_nz_len(self.subtree_size)
@@ -246,9 +228,9 @@ pub(crate) struct AuxWidths {
 
 impl AuxWidths {
     /// Grows the widths to accommodate `label`.
-    pub(crate) fn observe(&mut self, label: &HpathLabel) {
+    pub(crate) fn observe(&mut self, label: HpathLabel<'_>) {
         let w = |x: u64| codes::bit_len(x) as u8;
-        self.ld = self.ld.max(w(label.light_depth as u64));
+        self.ld = self.ld.max(w(label.light_depth() as u64));
         self.dom = self.dom.max(w(label.dom_order));
         self.pre = self.pre.max(w(label.pre));
         self.sub = self.sub.max(w(label.subtree_size));
@@ -292,13 +274,13 @@ impl AuxWidths {
     }
 
     /// Packed size of `label` in bits under these widths.
-    pub(crate) fn packed_bits(self, label: &HpathLabel) -> usize {
-        self.scalar_bits() + label.light_depth * usize::from(self.end) + label.codewords.len()
+    pub(crate) fn packed_bits(self, label: HpathLabel<'_>) -> usize {
+        self.scalar_bits() + label.light_depth() * usize::from(self.end) + label.codewords.len()
     }
 
     /// Packed size of the *core* form (scalars + codeword bits, no end
     /// positions) of `label` in bits.
-    pub(crate) fn packed_bits_core(self, label: &HpathLabel) -> usize {
+    pub(crate) fn packed_bits_core(self, label: HpathLabel<'_>) -> usize {
         self.scalar_bits() + label.codewords.len()
     }
 
@@ -318,25 +300,25 @@ impl AuxWidths {
     /// codeword bits.  Schemes that keep the per-level end positions in their
     /// own fused records (and the total codeword length in their header) use
     /// this instead of [`AuxWidths::pack`].
-    pub(crate) fn pack_core(self, label: &HpathLabel, w: &mut BitWriter) {
-        Self::put(w, label.light_depth as u64, self.ld);
+    pub(crate) fn pack_core(self, label: HpathLabel<'_>, w: &mut BitWriter) {
+        Self::put(w, label.light_depth() as u64, self.ld);
         Self::put(w, label.dom_order, self.dom);
         Self::put(w, label.pre, self.pre);
         Self::put(w, label.subtree_size, self.sub);
-        w.write_bitvec(&label.codewords);
+        w.write_bitslice(label.codewords);
     }
 
     /// Appends the packed form of `label` (LSB-first fields, so reads skip
     /// the bit reversal; the codeword bits are copied verbatim).
-    pub(crate) fn pack(self, label: &HpathLabel, w: &mut BitWriter) {
-        Self::put(w, label.light_depth as u64, self.ld);
+    pub(crate) fn pack(self, label: HpathLabel<'_>, w: &mut BitWriter) {
+        Self::put(w, label.light_depth() as u64, self.ld);
         Self::put(w, label.dom_order, self.dom);
         Self::put(w, label.pre, self.pre);
         Self::put(w, label.subtree_size, self.sub);
-        for &e in &label.ends {
+        for &e in label.ends {
             w.write_bits_lsb(u64::from(e), usize::from(self.end));
         }
-        w.write_bitvec(&label.codewords);
+        w.write_bitslice(label.codewords);
     }
 }
 
@@ -689,146 +671,117 @@ impl<'a> AuxCoreRef<'a> {
     }
 }
 
-/// Per-heavy-path codeword prefixes: for every path of the collapsed tree, the
-/// concatenated light-edge codewords on the way down to it, their end
-/// positions, and (optionally) the branch offsets of those light edges.
-///
-/// This is the still-per-*path* (not per-node) stage of label construction.
-/// It is computed level by level over the collapsed tree — level `d + 1`
-/// depends only on level `d` — with the paths of one level fanned out over
-/// [`build_vec`] workers, so the stage parallelizes on wide trees while
-/// producing bit-for-bit identical output for every thread count.
-///
-/// [`build_vec`]: crate::substrate::build_vec
-#[derive(Debug)]
-pub(crate) struct PathPrefixes {
-    /// Concatenated codewords per path.
-    pub(crate) bits: Vec<BitVec>,
-    /// End positions of each codeword per path.
-    pub(crate) ends: Vec<Vec<u32>>,
-    /// Branch offsets per path (empty unless requested).
-    pub(crate) branches: Vec<Vec<u64>>,
+/// Per-node scalars of an [`HpathLabeling`].
+#[derive(Debug, Clone, Copy)]
+struct NodeAux {
+    path: u32,
+    pre: u32,
+    sub: u32,
 }
 
-/// Builds the per-path codeword prefixes of `hp`, parallelizing over
-/// collapsed-tree levels according to `par`.
-pub(crate) fn build_path_prefixes(
-    hp: &HeavyPaths,
-    par: crate::substrate::Parallelism,
-    with_branches: bool,
-) -> PathPrefixes {
-    let path_count = hp.path_count();
-    // Group paths by collapsed depth (parents always precede children by
-    // construction, so one forward pass suffices).
-    let mut depth = vec![0usize; path_count];
-    let mut levels: Vec<Vec<usize>> = Vec::new();
-    for p in 0..path_count {
-        let d = match hp.collapsed_parent(p) {
-            None => 0,
-            Some(parent) => depth[parent] + 1,
-        };
-        depth[p] = d;
-        if levels.len() <= d {
-            levels.push(Vec::new());
-        }
-        levels[d].push(p);
-    }
+/// Per-path arena offsets of an [`HpathLabeling`]: path `p`'s prefix is
+/// `bits[paths[p].bits_at..paths[p + 1].bits_at]` and its codeword ends
+/// `ends[paths[p].ends_at..paths[p + 1].ends_at]` (one sentinel entry closes
+/// the last path).
+#[derive(Debug, Clone, Copy)]
+struct PathAux {
+    bits_at: u32,
+    ends_at: u32,
+    dom: u32,
+}
 
-    let mut bits: Vec<BitVec> = vec![BitVec::new(); path_count];
-    let mut ends: Vec<Vec<u32>> = vec![Vec::new(); path_count];
-    let mut branches: Vec<Vec<u64>> = vec![Vec::new(); path_count];
-    for level in &levels {
-        let parents: Vec<usize> = level
-            .iter()
-            .copied()
-            .filter(|&p| !hp.collapsed_children(p).is_empty())
-            .collect();
-        if parents.is_empty() {
-            continue;
-        }
-        // All reads are against levels ≤ d (already final); writes land after
-        // the fan-out completes, so every thread count produces the same data.
-        let produced = crate::substrate::build_vec(par, parents.len(), |pi| {
-            let p = parents[pi];
-            let children = hp.collapsed_children(p);
-            let weights: Vec<u64> = children
-                .iter()
-                .map(|&c| hp.instance_size(c) as u64)
-                .collect();
-            let code = AlphabeticCode::new(&weights);
-            children
-                .iter()
-                .enumerate()
-                .map(|(ci, &c)| {
-                    let mut b = bits[p].clone();
-                    b.extend_from(code.codeword(ci));
-                    let mut e = ends[p].clone();
-                    e.push(b.len() as u32);
-                    let br = if with_branches {
-                        let mut v = branches[p].clone();
-                        v.push(
-                            hp.head_offset(hp.branch_node(c).expect("child path has branch node")),
-                        );
-                        v
-                    } else {
-                        Vec::new()
-                    };
-                    (c, b, e, br)
-                })
-                .collect::<Vec<_>>()
-        });
-        for group in produced {
-            for (c, b, e, br) in group {
-                bits[c] = b;
-                ends[c] = e;
-                branches[c] = br;
-            }
-        }
+/// An arena offset as `u32`, checked: release builds would wrap silently.
+fn arena_offset(x: usize) -> u32 {
+    u32::try_from(x).expect("auxiliary-label arena exceeds u32 offsets")
+}
+
+/// ORs the `len` low bits of `value`, MSB-first (the `BitVec::push_bits`
+/// order), into bit `at` of the zero-tailed, word-aligned region of `words`
+/// that starts at word `base`, growing it by the word the bits spill into.
+fn append_bits(words: &mut Vec<u64>, base: usize, at: usize, value: u64, len: usize) {
+    let rev = value.reverse_bits() >> (64 - len);
+    let (word, off) = (base + at / 64, at % 64);
+    if word == words.len() {
+        words.push(0);
     }
-    PathPrefixes {
-        bits,
-        ends,
-        branches,
+    words[word] |= rev << off;
+    if off + len > 64 {
+        words.push(rev >> (64 - off));
     }
 }
 
-/// Heavy-path auxiliary labels for every node of a tree.
+/// Heavy-path auxiliary labels for every node of a tree, stored once per
+/// heavy path (see the module documentation's "Arena plus views").
 #[derive(Debug, Clone)]
 pub struct HpathLabeling {
-    labels: Vec<HpathLabel>,
+    nodes: Vec<NodeAux>,
+    paths: Vec<PathAux>,
+    /// Every path's codeword prefix, word-aligned, bits past its end zero.
+    bits: Vec<u64>,
+    /// Every path's codeword end positions.
+    ends: Vec<u32>,
 }
 
 impl HpathLabeling {
-    /// Builds the labels using an existing heavy-path decomposition.
+    /// Builds the labels using an existing heavy-path decomposition: one
+    /// serial forward pass over path ids, each path's prefix being its
+    /// parent's plus its own Gilbert–Moore codeword.
     pub fn with_heavy_paths(tree: &Tree, hp: &HeavyPaths) -> Self {
-        Self::with_heavy_paths_par(tree, hp, crate::substrate::Parallelism::Serial)
-    }
-
-    /// Builds the labels using an existing decomposition, fanning the per-node
-    /// work out according to `par` (bit-for-bit identical for every setting).
-    pub fn with_heavy_paths_par(
-        tree: &Tree,
-        hp: &HeavyPaths,
-        par: crate::substrate::Parallelism,
-    ) -> Self {
-        // Per heavy path: the accumulated codeword prefix (shared by all nodes
-        // of the path) and its end positions, built level-parallel over the
-        // collapsed tree.
-        let prefixes = build_path_prefixes(hp, par, false);
-
-        let labels = crate::substrate::build_vec(par, tree.len(), |i| {
-            let u = tree.node(i);
-            let p = hp.path_of(u);
-            HpathLabel {
-                light_depth: hp.light_depth(u),
-                codewords: prefixes.bits[p].clone(),
-                ends: prefixes.ends[p].clone(),
-                dom_order: hp.domination_order(u) as u64,
-                pre: hp.pre(u) as u64,
-                subtree_size: hp.subtree_size(u) as u64,
+        let path_count = hp.path_count();
+        // Each path's codeword (value, length) in its parent's code, written
+        // when the parent is visited; parents precede children.
+        let mut codeword = vec![(0u64, 0usize); path_count];
+        let edge_total: usize = (0..path_count).map(|p| hp.path_light_depth(p)).sum();
+        let mut paths = Vec::with_capacity(path_count + 1);
+        let mut bits: Vec<u64> = Vec::with_capacity(path_count);
+        let mut ends: Vec<u32> = Vec::with_capacity(edge_total);
+        for p in 0..path_count {
+            let base = bits.len();
+            paths.push(PathAux {
+                bits_at: arena_offset(base),
+                ends_at: arena_offset(ends.len()),
+                dom: hp.domination_order(hp.head(p)) as u32,
+            });
+            if let Some(q) = hp.collapsed_parent(p) {
+                let (from, to) = (paths[q], paths[q + 1]);
+                bits.extend_from_within(from.bits_at as usize..to.bits_at as usize);
+                ends.extend_from_within(from.ends_at as usize..to.ends_at as usize);
+                let at = ends[paths[p].ends_at as usize..]
+                    .last()
+                    .map_or(0, |&e| e as usize);
+                let (value, len) = codeword[p];
+                append_bits(&mut bits, base, at, value, len);
+                ends.push(arena_offset(at + len));
             }
+            let children = hp.collapsed_children(p);
+            let total: u64 = children.iter().map(|&c| hp.instance_size(c) as u64).sum();
+            let mut before = 0u64;
+            for &c in children {
+                let w = hp.instance_size(c) as u64;
+                codeword[c] = gilbert_moore_codeword(before, w, total);
+                before += w;
+            }
+        }
+        paths.push(PathAux {
+            bits_at: arena_offset(bits.len()),
+            ends_at: arena_offset(ends.len()),
+            dom: 0,
         });
-        HpathLabeling { labels }
+        // `HeavyPaths::new` caps n at `u32::MAX`: these casts cannot truncate.
+        let nodes = tree
+            .nodes()
+            .map(|u| NodeAux {
+                path: hp.path_of(u) as u32,
+                pre: hp.pre(u) as u32,
+                sub: hp.subtree_size(u) as u32,
+            })
+            .collect();
+        HpathLabeling {
+            nodes,
+            paths,
+            bits,
+            ends,
+        }
     }
 
     /// Builds the labels for `tree` (computing a heavy-path decomposition
@@ -838,22 +791,45 @@ impl HpathLabeling {
         Self::with_heavy_paths(tree, &hp)
     }
 
-    /// Builds a fresh labeling from a shared [`Substrate`] (its decomposition
-    /// and parallelism setting), without recomputing the decomposition.
+    /// Builds a fresh labeling from a shared [`Substrate`]'s decomposition,
+    /// without recomputing it.
     ///
     /// [`Substrate`]: crate::substrate::Substrate
     pub fn build_with_substrate(sub: &crate::substrate::Substrate<'_>) -> Self {
-        Self::with_heavy_paths_par(sub.tree(), sub.heavy_paths(), sub.parallelism())
+        Self::with_heavy_paths(sub.tree(), sub.heavy_paths())
     }
 
-    /// Label of node `u`.
-    pub fn label(&self, u: NodeId) -> &HpathLabel {
-        &self.labels[u.index()]
+    /// Heavy path `p`'s codeword string and codeword end positions.
+    pub(crate) fn path_prefix(&self, p: PathId) -> (BitSlice<'_>, &[u32]) {
+        let ends = &self.ends[self.edge_range(p)];
+        let words = &self.bits[self.paths[p].bits_at as usize..self.paths[p + 1].bits_at as usize];
+        let len = ends.last().map_or(0, |&e| e as usize);
+        (BitSlice::new(words, len), ends)
+    }
+
+    /// The range of path `p`'s codeword ends in the ends arena, one entry per
+    /// light edge on the way down to `p`: the index space of per-edge side
+    /// tables.
+    pub(crate) fn edge_range(&self, p: PathId) -> std::ops::Range<usize> {
+        self.paths[p].ends_at as usize..self.paths[p + 1].ends_at as usize
+    }
+
+    /// Label of node `u`: a view into the arenas, built without allocation.
+    pub fn label(&self, u: NodeId) -> HpathLabel<'_> {
+        let node = self.nodes[u.index()];
+        let (codewords, ends) = self.path_prefix(node.path as usize);
+        HpathLabel {
+            codewords,
+            ends,
+            dom_order: u64::from(self.paths[node.path as usize].dom),
+            pre: u64::from(node.pre),
+            subtree_size: u64::from(node.sub),
+        }
     }
 
     /// Number of labelled nodes.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.nodes.len()
     }
 
     /// Always `false` (trees are non-empty).
@@ -863,9 +839,8 @@ impl HpathLabeling {
 
     /// Maximum serialized label size in bits.
     pub fn max_label_bits(&self) -> usize {
-        self.labels
-            .iter()
-            .map(HpathLabel::bit_len)
+        (0..self.len())
+            .map(|i| self.label(NodeId(i)).bit_len())
             .max()
             .unwrap_or(0)
     }

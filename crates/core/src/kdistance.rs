@@ -52,7 +52,7 @@ use treelab_tree::{NodeId, Tree};
 /// One node's build-time row: the per-node sequences of Theorem 1.3,
 /// borrowing the substrate's auxiliary label.
 struct KdRow<'a> {
-    aux: &'a HpathLabel,
+    aux: HpathLabel<'a>,
     heights: Vec<u64>,
     dists: Vec<u64>,
     alpha: u64,

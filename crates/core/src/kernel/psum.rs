@@ -93,7 +93,7 @@ impl PsumMeta {
     }
 
     /// Exact packed size in bits of a label with `entries_len` light edges.
-    pub(crate) fn label_bits(&self, entries_len: usize, aux: &HpathLabel) -> usize {
+    pub(crate) fn label_bits(&self, entries_len: usize, aux: HpathLabel<'_>) -> usize {
         self.hdr_total + self.aux_w.packed_bits_core(aux) + entries_len * self.rec_w
     }
 
@@ -109,7 +109,7 @@ impl PsumMeta {
 
     /// Packs one label: header, core aux block, then one fused record per
     /// light edge from the `(d_i, t_i)` sequence.
-    pub(crate) fn pack<I>(&self, rd: u64, aux: &HpathLabel, entries: I, w: &mut BitWriter)
+    pub(crate) fn pack<I>(&self, rd: u64, aux: HpathLabel<'_>, entries: I, w: &mut BitWriter)
     where
         I: Iterator<Item = (u64, u64)>,
     {
@@ -143,7 +143,7 @@ pub(crate) struct PsumMeasure {
 
 impl PsumMeasure {
     /// Grows the widths to accommodate one node.
-    pub(crate) fn observe(&mut self, rd: u64, entry_total: u64, aux: &HpathLabel) {
+    pub(crate) fn observe(&mut self, rd: u64, entry_total: u64, aux: HpathLabel<'_>) {
         self.w_rd = self.w_rd.max(codes::bit_len(rd) as u8);
         self.w_ps = self.w_ps.max(codes::bit_len(entry_total) as u8);
         self.aux_w.observe(aux);

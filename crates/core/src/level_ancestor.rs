@@ -26,6 +26,7 @@
 //! This scheme works directly on the original (unweighted) tree; no
 //! binarization is involved.
 
+use crate::hpath::HpathLabeling;
 use crate::kernel::level_ancestor::{self as kernel, LevelAncestorLabelRef, LevelAncestorMeta};
 use crate::store::{SchemeStore, StoreError, StoredScheme};
 use crate::substrate::{PackSource, Substrate};
@@ -33,7 +34,7 @@ use crate::DistanceScheme;
 use treelab_bits::{
     codes, monotone::MonotoneSeq, BitReader, BitSlice, BitVec, BitWriter, DecodeError,
 };
-use treelab_tree::heavy::HeavyPaths;
+use treelab_tree::heavy::{HeavyPaths, PathId};
 use treelab_tree::{NodeId, Tree};
 
 /// Label of the level-ancestor scheme.
@@ -271,13 +272,17 @@ impl LevelAncestorScheme {
 
 /// The pack source of the level-ancestor scheme: per-node `(depth,
 /// head_offset, path)` rows built on demand over the shared per-path
-/// prefixes (which stay resident — they are `O(total codeword bits)`,
-/// not `O(n·label)`).
+/// codeword prefixes of the substrate's auxiliary labels (which stay
+/// resident — they are `O(total codeword bits)`, not `O(n·label)`).
 struct LaSource<'s> {
     tree: &'s Tree,
     hp: &'s HeavyPaths,
     depths: &'s [usize],
-    prefixes: crate::hpath::PathPrefixes,
+    aux: &'s HpathLabeling,
+    /// Branch offset of every light edge on the way down to each path,
+    /// aligned with the auxiliary labels' codeword ends
+    /// ([`HpathLabeling::edge_range`]).
+    branches: Vec<u64>,
 }
 
 impl<'s> LaSource<'s> {
@@ -288,16 +293,30 @@ impl<'s> LaSource<'s> {
             "level-ancestor labeling expects an unweighted tree"
         );
         let hp = sub.heavy_paths();
-        // Per-path codeword prefixes (with branch offsets), level-parallel
-        // over the collapsed tree — the same prefix stage the heavy-path
-        // auxiliary labels use.
-        let prefixes = crate::hpath::build_path_prefixes(hp, sub.parallelism(), true);
+        let aux = sub.aux_labels();
+        // A path's branch offsets are its parent's plus its own light edge's
+        // (parents have smaller ids, so one forward pass fills the table).
+        let mut branches = vec![0u64; aux.edge_range(hp.path_count() - 1).end];
+        for p in 1..hp.path_count() {
+            let parent = hp.collapsed_parent(p).expect("child path has a parent");
+            let (from, to) = (aux.edge_range(parent), aux.edge_range(p));
+            branches.copy_within(from, to.start);
+            branches[to.end - 1] =
+                hp.head_offset(hp.branch_node(p).expect("child path has branch node"));
+        }
         LaSource {
             tree,
             hp,
             depths: sub.depths(),
-            prefixes,
+            aux,
+            branches,
         }
+    }
+
+    /// Path `p`'s codeword string, codeword ends and branch offsets.
+    fn path(&self, p: PathId) -> (BitSlice<'s>, &'s [u32], &[u64]) {
+        let (bits, ends) = self.aux.path_prefix(p);
+        (bits, ends, &self.branches[self.aux.edge_range(p)])
     }
 }
 
@@ -327,8 +346,8 @@ impl PackSource<LevelAncestorScheme> for LaSource<'_> {
         let row = (self.depths[u.index()] as u64, self.hp.head_offset(u), p);
         // Closed-form wire size (no encoding pass; the encode/decode
         // round-trip test pins it to the real encoder bit for bit).
-        let cwl = self.prefixes.bits[p].len();
-        let ends = &self.prefixes.ends[p];
+        let (bits, ends, branches) = self.path(p);
+        let cwl = bits.len();
         let wire = codes::delta_nz_len(row.0)
             + codes::delta_nz_len(row.1)
             + MonotoneSeq::encoded_len_parts(
@@ -337,7 +356,7 @@ impl PackSource<LevelAncestorScheme> for LaSource<'_> {
             )
             + codes::gamma_nz_len(cwl as u64)
             + cwl
-            + self.prefixes.branches[p]
+            + branches
                 .iter()
                 .map(|&b| codes::delta_nz_len(b))
                 .sum::<usize>();
@@ -348,9 +367,9 @@ impl PackSource<LevelAncestorScheme> for LaSource<'_> {
         let w = |x: u64| codes::bit_len(x) as u8;
         plan.w_d = plan.w_d.max(w(depth));
         plan.w_ho = plan.w_ho.max(w(ho));
-        let branches = &self.prefixes.branches[p];
+        let (bits, _, branches) = self.path(p);
         plan.w_ld = plan.w_ld.max(w(branches.len() as u64));
-        plan.w_end = plan.w_end.max(w(self.prefixes.bits[p].len() as u64));
+        plan.w_end = plan.w_end.max(w(bits.len() as u64));
         let depth_sum: u64 = branches.iter().map(|&o| o + 1).sum();
         plan.w_bs = plan.w_bs.max(w(depth_sum));
         plan.wire_bits.push(wire);
@@ -362,22 +381,19 @@ impl PackSource<LevelAncestorScheme> for LaSource<'_> {
     }
 
     fn packed_label_bits(&self, meta: &LevelAncestorMeta, &((_, _, p), _): &(LaRow, u32)) -> usize {
-        meta.hdr_total + self.prefixes.bits[p].len() + self.prefixes.branches[p].len() * meta.rec_w
+        let (bits, _, branches) = self.path(p);
+        meta.hdr_total + bits.len() + branches.len() * meta.rec_w
     }
 
     fn pack_label(&self, meta: &LevelAncestorMeta, row: &(LaRow, u32), w: &mut BitWriter) {
         let ((depth, ho, p), _) = *row;
-        let (bits, ends, branches) = (
-            &self.prefixes.bits[p],
-            &self.prefixes.ends[p],
-            &self.prefixes.branches[p],
-        );
+        let (bits, ends, branches) = self.path(p);
         debug_assert_eq!(ends.len(), branches.len());
         w.write_bits_lsb(depth, usize::from(meta.w_d));
         w.write_bits_lsb(ho, usize::from(meta.w_ho));
         w.write_bits_lsb(branches.len() as u64, usize::from(meta.w_ld));
         w.write_bits_lsb(bits.len() as u64, usize::from(meta.w_end));
-        w.write_bitvec(bits);
+        w.write_bitslice(bits);
         let mut depth_sum = 0u64;
         for (i, &o) in branches.iter().enumerate() {
             depth_sum += o + 1;

@@ -20,7 +20,7 @@
 //! | [`universal`] | universal rooted trees and the Lemma 3.6 conversion (§3.5) | — |
 //! | [`bounds`] | closed-form upper/lower bound formulas (the §1 table) | — |
 //! | [`stats`] | label-size accounting used by the experiment harness | — |
-//! | [`substrate`] | shared build substrate + parallel label construction + pack-time width planning | — |
+//! | [`substrate`] | shared build substrate + parallel pack rows + pack-time width planning | — |
 //! | [`kernel`] | the shared packed-label query kernels (one per scheme family) | — |
 //! | [`store`] | zero-copy scheme store: the native `TLSTOR01` frame, borrowed views, batch queries | — |
 //! | [`forest`] | forest store: many trees behind one frame, with routed, shardable batch queries | — |

@@ -34,7 +34,7 @@ use treelab_tree::{NodeId, Tree};
 pub(crate) struct PsumRow<'a> {
     pub(crate) rd: u64,
     pub(crate) edges: Vec<LightEdge>,
-    pub(crate) aux: &'a HpathLabel,
+    pub(crate) aux: HpathLabel<'a>,
     /// Size in bits of the node's self-delimiting wire encoding.
     pub(crate) wire_bits: u32,
 }

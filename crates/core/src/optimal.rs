@@ -102,7 +102,7 @@ impl Default for OptimalConfig {
 /// (whose entries and accumulators live in the shared per-path table).
 struct OptimalRow<'a> {
     rd: u64,
-    aux: &'a HpathLabel,
+    aux: HpathLabel<'a>,
     fragments: Vec<u64>,
     /// Non-root paths on the root-to-node chain, top-down (one per light
     /// edge, so `chain.len() == aux.light_depth()`).

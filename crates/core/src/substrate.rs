@@ -1,13 +1,12 @@
 //! Shared build substrate: compute the tree decompositions once, build every
-//! scheme from them, optionally in parallel.
+//! scheme from them.
 //!
 //! Every labeling scheme in this crate needs the same preprocessing before the
 //! first label bit is produced: the §2 heavy-path decomposition
 //! ([`HeavyPaths`]), the Lemma 2.1 auxiliary labels ([`HpathLabeling`]) and —
 //! for the exact schemes — the §2 binarization ([`Binarized`]) with its own
 //! decomposition and auxiliary labels.  Building six schemes over one tree the
-//! naive way therefore repeats the identical substrate work six times; at
-//! `n = 16k` the substrate is roughly half of each scheme's construction time.
+//! naive way would repeat the identical substrate work six times.
 //!
 //! [`Substrate`] computes each component **once, on first use** (components are
 //! cached in [`OnceLock`]s, so a scheme that never binarizes never pays for the
@@ -15,12 +14,12 @@
 //! next to its plain `build`.  The plain `build`s are now thin wrappers that
 //! create a private substrate, so single-scheme callers are unaffected.
 //!
-//! On top of the sharing, label construction — embarrassingly parallel over
-//! nodes once the per-path data exists — fans out over worker threads behind
-//! the [`Parallelism`] knob ([`std::thread::scope`]; no external dependencies).
-//! Work is split into contiguous node ranges, so the produced labels are
-//! **bit-for-bit identical** for every thread count, including
-//! [`Parallelism::Serial`].
+//! The components are built serially, each with a constant number of
+//! allocations (per-path data lives in flat arenas).  Only the pack's
+//! per-node rows fan out over worker threads ([`build_vec`], behind the
+//! [`Parallelism`] knob), and only for trees of at least 1,024 nodes.  Rows
+//! are split into contiguous ranges, so the frames are **bit-for-bit
+//! identical** for every thread count, including [`Parallelism::Serial`].
 //!
 //! # Example
 //!
@@ -141,12 +140,15 @@ impl Default for PackConfig<'_> {
     }
 }
 
-/// How many worker threads label construction may use.
+/// How many worker threads the pack's row materialization may use.
 ///
-/// The default ([`Parallelism::Auto`]) uses all available cores.  Every
-/// setting produces bit-for-bit identical labels; [`Parallelism::Serial`]
-/// exists so determinism tests and benchmarks can pin the single-threaded
-/// path explicitly.
+/// It is the only fan-out in a build: the substrate components are serial,
+/// and rows fan out only for trees of at least 1,024 nodes (smaller ones
+/// stay on the calling thread whatever the setting, without resolving the
+/// thread count).  The default ([`Parallelism::Auto`]) uses all available
+/// cores.  Every setting produces bit-for-bit identical frames;
+/// [`Parallelism::Serial`] exists so determinism tests and benchmarks can
+/// pin the single-threaded path explicitly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Build labels on the calling thread only.
@@ -198,8 +200,14 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = par.thread_count().min(n.max(1));
-    if threads <= 1 || n < MIN_PARALLEL_ITEMS {
+    // `n` first: resolving `Auto` asks the OS, which costs more than a small
+    // tree's rows.
+    let threads = if n < MIN_PARALLEL_ITEMS {
+        1
+    } else {
+        par.thread_count().min(n)
+    };
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
     let chunk = n.div_ceil(threads);
@@ -261,7 +269,7 @@ impl BinarizedSubstrate {
 ///
 /// See the [module documentation](self) for the motivation; components are
 /// computed at most once per substrate, on first access, and are safe to use
-/// from the worker threads of [`build_vec`].
+/// from the pack's worker threads.
 #[derive(Debug)]
 pub struct Substrate<'t> {
     tree: &'t Tree,
@@ -306,7 +314,8 @@ impl<'t> Substrate<'t> {
         self.tree
     }
 
-    /// The parallelism setting every `build_with_substrate` constructor uses.
+    /// The parallelism setting every `build_with_substrate` constructor's pack
+    /// uses.
     pub fn parallelism(&self) -> Parallelism {
         self.par
     }
@@ -368,9 +377,8 @@ impl<'t> Substrate<'t> {
 
     /// Lemma 2.1 auxiliary labels of the original tree (computed once).
     pub fn aux_labels(&self) -> &HpathLabeling {
-        self.aux.get_or_init(|| {
-            HpathLabeling::with_heavy_paths_par(self.tree, self.heavy_paths(), self.par)
-        })
+        self.aux
+            .get_or_init(|| HpathLabeling::with_heavy_paths(self.tree, self.heavy_paths()))
     }
 
     /// Ground-truth LCA/distance oracle of the original tree (computed once).
@@ -403,7 +411,7 @@ impl<'t> Substrate<'t> {
             .get_or_init(|| {
                 Binarized::try_new(self.tree).map(|bin| {
                     let heavy = HeavyPaths::new(bin.tree());
-                    let aux = HpathLabeling::with_heavy_paths_par(bin.tree(), &heavy, self.par);
+                    let aux = HpathLabeling::with_heavy_paths(bin.tree(), &heavy);
                     BinarizedSubstrate { bin, heavy, aux }
                 })
             })

@@ -81,135 +81,142 @@ pub struct HeavyPaths {
     pre: Vec<usize>,
     root_distance: Vec<u64>,
     // ---- per heavy path / collapsed node ---------------------------------
-    paths: Vec<Vec<NodeId>>,
-    cparent: Vec<Option<PathId>>,
-    cchildren: Vec<Vec<PathId>>,
-    branch_node: Vec<Option<NodeId>>,
-    incoming_weight: Vec<u64>,
-    exceptional: Vec<bool>,
-    corder: Vec<usize>,
+    // CSR: path `p`'s nodes are `path_nodes[paths[p].start..]` and its
+    // collapsed children `cchildren[paths[p].cstart..]`, each up to the next
+    // path's offset (or the arena's end for the last path).
+    paths: Vec<PathRec>,
+    path_nodes: Vec<NodeId>,
+    cchildren: Vec<PathId>,
+}
+
+/// Per-path record of [`HeavyPaths`], `u32`-packed (n ≤ `u32::MAX`); the
+/// root path (id 0) has no parent, so its `parent`/`branch` are unused.
+#[derive(Debug, Clone, Copy)]
+struct PathRec {
+    start: u32,
+    cstart: u32,
+    parent: u32,
+    branch: u32,
+    corder: u32,
+    exceptional: bool,
+    incoming_weight: u64,
 }
 
 impl HeavyPaths {
     /// Builds the decomposition in O(n log n) time (O(n) plus sorting of light
-    /// children per path).
+    /// children per path), with a constant number of growing arrays: no
+    /// per-path allocation.
     pub fn new(tree: &Tree) -> Self {
         let n = tree.len();
-        let subtree_size = tree.subtree_sizes();
-        let root_distance = tree.root_distances();
-
+        assert!(u32::try_from(n).is_ok(), "heavy paths need n ≤ u32::MAX");
         let mut hp = HeavyPaths {
-            subtree_size,
+            subtree_size: tree.subtree_sizes(),
             heavy_child: vec![None; n],
             path_of: vec![usize::MAX; n],
             pos_in_path: vec![0; n],
             head_offset: vec![0; n],
             light_depth: vec![0; n],
             pre: vec![0; n],
-            root_distance,
+            root_distance: tree.root_distances(),
             paths: Vec::new(),
-            cparent: Vec::new(),
+            path_nodes: Vec::with_capacity(n),
             cchildren: Vec::new(),
-            branch_node: Vec::new(),
-            incoming_weight: Vec::new(),
-            exceptional: Vec::new(),
-            corder: Vec::new(),
         };
-
-        hp.build_instance(tree, tree.root(), None, 0);
+        hp.decompose(tree);
         hp.assign_preorder(tree);
         hp.assign_corder();
         hp
     }
 
-    /// Builds the heavy path of the instance rooted at `root` and recurses into
-    /// the hanging subtrees.  Returns the new path id.
-    fn build_instance(
-        &mut self,
-        tree: &Tree,
-        root: NodeId,
-        parent: Option<(PathId, NodeId, u64)>,
-        light_depth: usize,
-    ) -> PathId {
-        let path_id = self.paths.len();
-        self.paths.push(Vec::new());
-        self.cparent.push(parent.map(|(p, _, _)| p));
-        self.cchildren.push(Vec::new());
-        self.branch_node.push(parent.map(|(_, w, _)| w));
-        self.incoming_weight
-            .push(parent.map(|(_, _, w)| w).unwrap_or(0));
-        self.exceptional.push(false);
-
-        let instance_size = self.subtree_size[root.index()];
-
-        // Walk the heavy path: descend while some child has subtree size >=
-        // instance_size / 2 (such a child is unique).
-        let mut cur = root;
-        let mut offset = 0u64;
-        let mut pos = 0usize;
-        loop {
-            self.path_of[cur.index()] = path_id;
-            self.pos_in_path[cur.index()] = pos;
-            self.head_offset[cur.index()] = offset;
-            self.light_depth[cur.index()] = light_depth;
-            self.paths[path_id].push(cur);
-
-            let heavy = tree
-                .children(cur)
-                .iter()
-                .copied()
-                .find(|c| 2 * self.subtree_size[c.index()] >= instance_size);
-            match heavy {
-                Some(c) => {
-                    self.heavy_child[cur.index()] = Some(c);
-                    offset += tree.parent_weight(c);
-                    pos += 1;
-                    cur = c;
+    /// Builds every heavy path, instance by instance in DFS preorder of the
+    /// collapsed tree (path ids number parents before children, siblings in
+    /// child order).
+    fn decompose(&mut self, tree: &Tree) {
+        // Pending instances: (head, exceptional, slot in the parent's
+        // children); the light edge into `head` ends the parent's path.
+        let mut stack = vec![(tree.root(), false, usize::MAX)];
+        // (branch pos, size key, branch node, child), reused across paths.
+        let mut light: Vec<(usize, usize, NodeId, NodeId)> = Vec::new();
+        while let Some((root, exceptional, slot)) = stack.pop() {
+            let path_id = self.paths.len();
+            let (branch, parent, light_depth) = match tree.parent(root) {
+                Some(w) => {
+                    self.cchildren[slot] = path_id;
+                    (w, self.path_of[w.index()], self.light_depth[w.index()] + 1)
                 }
-                None => break,
-            }
-        }
+                None => (root, 0, 0),
+            };
+            let start = self.path_nodes.len();
+            let instance_size = self.subtree_size[root.index()];
 
-        // Collect light subtrees in the collapsed-tree child order: primarily
-        // by branch position (top first); among children of the *last* path
-        // node, the largest subtree goes last (its edge is exceptional).
-        let path_nodes: Vec<NodeId> = self.paths[path_id].clone();
-        let last = *path_nodes.last().expect("a path has at least one node");
-        let mut light: Vec<(usize, usize, NodeId, NodeId)> = Vec::new(); // (branch pos, size key, branch node, child)
-        for (i, &w) in path_nodes.iter().enumerate() {
-            for &c in tree.children(w) {
-                if self.heavy_child[w.index()] == Some(c) {
-                    continue;
+            // Walk the heavy path: descend while some child has subtree size
+            // >= instance_size / 2 (such a child is unique).
+            let mut cur = root;
+            let mut offset = 0u64;
+            loop {
+                self.path_of[cur.index()] = path_id;
+                self.pos_in_path[cur.index()] = self.path_nodes.len() - start;
+                self.head_offset[cur.index()] = offset;
+                self.light_depth[cur.index()] = light_depth;
+                self.path_nodes.push(cur);
+
+                let heavy = tree
+                    .children(cur)
+                    .iter()
+                    .copied()
+                    .find(|c| 2 * self.subtree_size[c.index()] >= instance_size);
+                match heavy {
+                    Some(c) => {
+                        self.heavy_child[cur.index()] = Some(c);
+                        offset += tree.parent_weight(c);
+                        cur = c;
+                    }
+                    None => break,
                 }
-                // Among children of the last node, order by increasing size so
-                // the largest is rightmost; elsewhere keep the original order
-                // (encoded by a constant key — the sort is stable).
-                let key = if w == last {
-                    self.subtree_size[c.index()]
-                } else {
-                    0
-                };
-                light.push((i, key, w, c));
             }
-        }
-        light.sort_by_key(|&(pos, key, _, _)| (pos, key));
 
-        let count = light.len();
-        for (idx, (_, _, w, c)) in light.into_iter().enumerate() {
-            let child_path = self.build_instance(
-                tree,
-                c,
-                Some((path_id, w, tree.parent_weight(c))),
-                light_depth + 1,
-            );
-            self.cchildren[path_id].push(child_path);
-            // The rightmost child is exceptional iff it branches from the last
-            // node of the path.
-            if idx + 1 == count && w == last {
-                self.exceptional[child_path] = true;
+            // Collect light subtrees in the collapsed-tree child order:
+            // primarily by branch position (top first); among children of the
+            // *last* path node, the largest subtree goes last (its edge is
+            // exceptional).
+            light.clear();
+            for (i, &w) in self.path_nodes[start..].iter().enumerate() {
+                for &c in tree.children(w) {
+                    if self.heavy_child[w.index()] == Some(c) {
+                        continue;
+                    }
+                    // Among children of the last node, order by increasing
+                    // size so the largest is rightmost; elsewhere keep the
+                    // original order (a constant key — the sort is stable).
+                    let key = if w == cur {
+                        self.subtree_size[c.index()]
+                    } else {
+                        0
+                    };
+                    light.push((i, key, w, c));
+                }
+            }
+            light.sort_by_key(|&(pos, key, _, _)| (pos, key));
+
+            let cstart = self.cchildren.len();
+            self.cchildren.resize(cstart + light.len(), 0);
+            self.paths.push(PathRec {
+                start: start as u32,
+                cstart: cstart as u32,
+                parent: parent as u32,
+                branch: branch.index() as u32,
+                corder: 0,
+                exceptional,
+                incoming_weight: tree.parent_weight(root),
+            });
+            // Pushed in reverse so the first child pops (and is numbered)
+            // first.  The rightmost child is exceptional iff it branches from
+            // the last node of the path.
+            let count = light.len();
+            for (idx, &(_, _, w, c)) in light.iter().enumerate().rev() {
+                stack.push((c, idx + 1 == count && w == cur, cstart + idx));
             }
         }
-        path_id
     }
 
     /// DFS preorder with the heavy child visited last, so that each light range
@@ -237,21 +244,27 @@ impl HeavyPaths {
     /// Post-order numbering of the collapsed tree: this is the *domination
     /// order* — smaller number dominates (see module docs).
     fn assign_corder(&mut self) {
-        self.corder = vec![0; self.paths.len()];
         let mut counter = 0usize;
         // Iterative post-order from the root path (id 0).
         let mut stack: Vec<(PathId, usize)> = vec![(0, 0)];
         while let Some(&mut (p, ref mut ci)) = stack.last_mut() {
-            if *ci < self.cchildren[p].len() {
-                let child = self.cchildren[p][*ci];
+            let children = self.collapsed_children(p);
+            if *ci < children.len() {
+                let child = children[*ci];
                 *ci += 1;
                 stack.push((child, 0));
             } else {
-                self.corder[p] = counter;
+                self.paths[p].corder = counter as u32;
                 counter += 1;
                 stack.pop();
             }
         }
+    }
+
+    /// Range of path `p`'s entries in a CSR arena whose per-path starts are
+    /// `start(rec)`.
+    fn csr(&self, p: PathId, len: usize, start: fn(&PathRec) -> u32) -> std::ops::Range<usize> {
+        start(&self.paths[p]) as usize..self.paths.get(p + 1).map_or(len, |r| start(r) as usize)
     }
 
     // ---- per-node accessors ----------------------------------------------
@@ -324,9 +337,9 @@ impl HeavyPaths {
     pub fn significant_ancestors(&self, u: NodeId) -> Vec<NodeId> {
         let mut out = vec![u];
         let mut path = self.path_of(u);
-        while let Some(parent) = self.cparent[path] {
-            out.push(self.branch_node[path].expect("non-root path has a branch node"));
-            path = parent;
+        while path != 0 {
+            out.push(NodeId(self.paths[path].branch as usize));
+            path = self.paths[path].parent as usize;
         }
         out
     }
@@ -337,19 +350,20 @@ impl HeavyPaths {
         let mut rev = Vec::with_capacity(self.light_depth(u));
         let mut path = self.path_of(u);
         let mut depth = self.light_depth(u);
-        while let Some(parent) = self.cparent[path] {
-            let branch = self.branch_node[path].expect("non-root path has branch node");
+        while path != 0 {
+            let rec = self.paths[path];
+            let branch = NodeId(rec.branch as usize);
             rev.push(LightEdge {
                 depth,
-                parent_path: parent,
+                parent_path: rec.parent as usize,
                 child_path: path,
                 branch_node: branch,
                 branch_offset: self.head_offset(branch),
-                edge_weight: self.incoming_weight[path],
+                edge_weight: rec.incoming_weight,
                 child_head: self.head(path),
-                exceptional: self.exceptional[path],
+                exceptional: rec.exceptional,
             });
-            path = parent;
+            path = rec.parent as usize;
             depth -= 1;
         }
         rev.reverse();
@@ -359,12 +373,12 @@ impl HeavyPaths {
     /// Returns `true` if `u` dominates `v`: `u`'s heavy path precedes `v`'s in
     /// the domination (post-)order of the collapsed tree.
     pub fn dominates(&self, u: NodeId, v: NodeId) -> bool {
-        self.corder[self.path_of(u)] < self.corder[self.path_of(v)]
+        self.domination_order(u) < self.domination_order(v)
     }
 
     /// Domination order of `u`'s heavy path (smaller dominates).
     pub fn domination_order(&self, u: NodeId) -> usize {
-        self.corder[self.path_of(u)]
+        self.paths[self.path_of(u)].corder as usize
     }
 
     // ---- per-path accessors ------------------------------------------------
@@ -376,43 +390,43 @@ impl HeavyPaths {
 
     /// The nodes of a heavy path, head first.
     pub fn path_nodes(&self, p: PathId) -> &[NodeId] {
-        &self.paths[p]
+        &self.path_nodes[self.csr(p, self.path_nodes.len(), |r| r.start)]
     }
 
     /// Head (topmost node) of a heavy path.
     pub fn head(&self, p: PathId) -> NodeId {
-        self.paths[p][0]
+        self.path_nodes[self.paths[p].start as usize]
     }
 
     /// Last (deepest) node of a heavy path.
     pub fn last_node(&self, p: PathId) -> NodeId {
-        *self.paths[p].last().expect("paths are non-empty")
+        *self.path_nodes(p).last().expect("paths are non-empty")
     }
 
     /// Parent of a collapsed node, or `None` for the root path.
     pub fn collapsed_parent(&self, p: PathId) -> Option<PathId> {
-        self.cparent[p]
+        (p != 0).then(|| self.paths[p].parent as usize)
     }
 
     /// Ordered children of a collapsed node.
     pub fn collapsed_children(&self, p: PathId) -> &[PathId] {
-        &self.cchildren[p]
+        &self.cchildren[self.csr(p, self.cchildren.len(), |r| r.cstart)]
     }
 
     /// The node of the parent path from which path `p` branches.
     pub fn branch_node(&self, p: PathId) -> Option<NodeId> {
-        self.branch_node[p]
+        (p != 0).then(|| NodeId(self.paths[p].branch as usize))
     }
 
     /// Weight of the light edge leading into path `p` (0 for the root path).
     pub fn incoming_weight(&self, p: PathId) -> u64 {
-        self.incoming_weight[p]
+        self.paths[p].incoming_weight
     }
 
     /// Whether the light edge leading into `p` is the exceptional edge of its
     /// parent path.
     pub fn is_exceptional(&self, p: PathId) -> bool {
-        self.exceptional[p]
+        self.paths[p].exceptional
     }
 
     /// Size of the instance that produced path `p` (= subtree size of its head).
