@@ -4,11 +4,13 @@
 //! than 0.01 allocations per node.
 //!
 //! A counting global allocator wraps the system allocator and counts every
-//! `alloc` and `realloc` inside the measured constructor.  (This file holds a
+//! `alloc` and `realloc` the measured constructor makes on the calling
+//! thread (the constructors are serial).  (This file holds a
 //! single test on purpose: the counter is process-global, and a second test
 //! running on another thread would pollute it.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use treelab::core::hpath::HpathLabeling;
 use treelab::tree::binarize::Binarized;
@@ -16,13 +18,23 @@ use treelab::{gen, HeavyPaths, Tree};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set only on the thread under measurement: the code under test runs on
+    /// it alone, and the test harness's own threads allocate at times of
+    /// their choosing (a harness allocation landing inside a counted region
+    /// used to fail this test under CPU contention).
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 struct CountingAlloc;
 
 // SAFETY: defers every operation to the system allocator unchanged; the
 // counter is a side effect only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.get() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
@@ -31,7 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.get() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,9 +55,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Runs `build` and returns its result with the allocations it made.
 fn counted<T>(build: impl FnOnce() -> T) -> (T, u64) {
+    COUNTING.set(true);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let out = build();
-    (out, ALLOCATIONS.load(Ordering::SeqCst) - before)
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.set(false);
+    (out, after - before)
 }
 
 fn assert_per_node_below(what: &str, tree: &Tree, allocations: u64) {
