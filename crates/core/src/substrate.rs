@@ -14,8 +14,8 @@
 //! next to its plain `build`.  The plain `build`s are now thin wrappers that
 //! create a private substrate, so single-scheme callers are unaffected.
 //!
-//! The components are built serially, each with a constant number of
-//! allocations (per-path data lives in flat arenas).  Only the pack's
+//! The components are built serially, each into a few flat arrays (no
+//! per-node allocation; per-path data lives in arenas).  Only the pack's
 //! per-node rows fan out over worker threads ([`build_vec`], behind the
 //! [`Parallelism`] knob), and only for trees of at least 1,024 nodes.  Rows
 //! are split into contiguous ranges, so the frames are **bit-for-bit
