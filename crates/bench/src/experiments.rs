@@ -778,10 +778,10 @@ pub fn forest_experiment(
 /// * **lazy** — [`ForestStore::open_with`] under [`ValidationPolicy::Lazy`]:
 ///   read the whole file but validate only the header + directory; the
 ///   queried tree validates on first touch;
-/// * **mmap lazy** — `ForestStore::open_mmap` (behind the off-by-default
-///   `mmap` feature): map the file in place, touch only the header +
-///   directory pages at open, and fault in one tree's pages on the first
-///   query — no read, no copy, no whole-file validation.
+/// * **mmap lazy** — `ForestStore::open_mmap` (64-bit Unix only): map the
+///   file in place, touch only the header + directory pages at open, and
+///   fault in one tree's pages on the first query — no read, no copy, no
+///   whole-file validation.
 ///
 /// This is the ISSUE-6 acceptance number: on the largest recorded forest the
 /// mapped lazy open must reach its first answer ≥ 100× sooner than the eager
@@ -833,7 +833,7 @@ pub fn restart_experiment(trees: usize, nodes_per_tree: usize, seed: u64) -> Tab
         let f = ForestStore::open_with(&path, ValidationPolicy::Lazy).expect("valid directory");
         f.tree(0).expect("tree 0").distance(0, 1)
     });
-    #[cfg(all(feature = "mmap", unix))]
+    #[cfg(all(unix, target_pointer_width = "64"))]
     let (mmap_ms, mmap_gain) = {
         let ms = time_to_first(&mut || {
             let f = ForestStore::open_mmap(&path, ValidationPolicy::Lazy).expect("valid map");
@@ -841,11 +841,8 @@ pub fn restart_experiment(trees: usize, nodes_per_tree: usize, seed: u64) -> Tab
         });
         (format!("{ms:.3}"), format!("{:.0}x", eager / ms))
     };
-    #[cfg(not(all(feature = "mmap", unix)))]
-    let (mmap_ms, mmap_gain) = (
-        "n/a (build with --features mmap)".to_string(),
-        "—".to_string(),
-    );
+    #[cfg(not(all(unix, target_pointer_width = "64")))]
+    let (mmap_ms, mmap_gain) = ("n/a (64-bit Unix only)".to_string(), "—".to_string());
 
     table.push_row(vec![
         trees.to_string(),
@@ -1420,7 +1417,7 @@ mod tests {
             assert!(ms > 0.0, "column {col}: {ms}");
         }
         assert!(t.rows[0][5].ends_with('x'));
-        #[cfg(all(feature = "mmap", unix))]
+        #[cfg(all(unix, target_pointer_width = "64"))]
         {
             let ms: f64 = t.rows[0][6].parse().unwrap();
             assert!(ms > 0.0);

@@ -18,12 +18,11 @@
 //! [`words_to_bytes`] is the inverse of the copy path (explicit little-endian
 //! encode), used by the stores' `to_bytes`.
 //!
-//! With the off-by-default `mmap` cargo feature (Unix only), this module also
-//! provides the third way in: `Mmap` maps a file read-only through the raw
-//! `mmap(2)` syscall (no external crate — the workspace dependency graph
-//! stays empty) and hands out the page-aligned byte/word views the borrow
-//! path wants, so a multi-gigabyte frame is servable without reading a single
-//! label byte up front.
+//! On 64-bit Unix this module also provides the third way in: `Mmap` maps a
+//! file read-only through the raw `mmap(2)` syscall (no external crate — the
+//! workspace dependency graph stays empty) and hands out the page-aligned
+//! byte/word views the borrow path wants, so a multi-gigabyte frame is
+//! servable without reading a single label byte up front.
 
 /// Why a byte slice could not be borrowed as frame words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,13 +162,18 @@ pub fn cast_bytes(words: &[u64]) -> &[u8] {
 ///
 /// Dropping the map unmaps it (`munmap(2)`).  The struct is `Send + Sync`:
 /// the mapping is immutable for its whole lifetime.
-#[cfg(all(feature = "mmap", unix))]
+///
+/// Only 64-bit Unix builds have it: the binding below passes a 64-bit file
+/// offset to the plain `mmap` symbol, whose `off_t` is 64 bits on every
+/// 64-bit Unix but 32 bits on 32-bit glibc, musl and Android targets, where
+/// the same call would pass its arguments in the wrong layout.
+#[cfg(all(unix, target_pointer_width = "64"))]
 pub struct Mmap {
     ptr: *mut core::ffi::c_void,
     len: usize,
 }
 
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(all(unix, target_pointer_width = "64"))]
 #[allow(unsafe_code)]
 mod mmap_impl {
     use core::ffi::c_void;
@@ -332,7 +336,7 @@ mod tests {
         assert!(CastError::Length { len: 15 }.to_string().contains("15"));
     }
 
-    #[cfg(all(feature = "mmap", unix))]
+    #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn mmap_round_trips_and_refuses_empty_files() {
         let words: Vec<u64> = (0..257u64)

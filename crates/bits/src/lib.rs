@@ -28,8 +28,8 @@
 //!   structures.
 //! * [`frame`] — alignment-checked casts and explicit copies between byte
 //!   buffers and little-endian word frames (the borrow path behind
-//!   mmap-style store loading), plus — behind the off-by-default `mmap`
-//!   feature — a raw-syscall read-only file mapping (`frame::Mmap`).
+//!   mmap-style store loading), plus — on 64-bit Unix — a raw-syscall
+//!   read-only file mapping (`frame::Mmap`).
 //!
 //! # Example
 //!

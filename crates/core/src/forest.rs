@@ -30,8 +30,9 @@
 //!               inner frames carry their own checksums
 //! ```
 //!
-//! Format v1 (three header words, C = T, no generation, whole-frame CRC) is
-//! still read; `FORMAT.md` at the repository root specifies both bit for bit.
+//! This is the only directory version; the retired v1 (three header words,
+//! whole-frame CRC) is rejected with `UnsupportedVersion`.  `FORMAT.md` at
+//! the repository root specifies the format bit for bit.
 //!
 //! # Validation policy: eager or lazy
 //!
@@ -39,18 +40,18 @@
 //! the only behavior before the policy knob existed) validates the outer
 //! frame, the directory, and every inner frame up front, so a successful
 //! open proves the whole file.  **Lazy** validates only the header and
-//! directory (including the directory checksum on v2 frames) and defers each
-//! inner frame to its first `tree(id)` touch: a forest with one corrupt tree
-//! still opens and serves every other tree, and the corrupt one fails on
-//! first touch with the *same* [`ForestError::Tree`] the eager open would
-//! have reported.  The per-tree validation verdict is cached, so every touch
-//! after the first is O(1) and allocation-free, and [`ForestRef::verify`] /
+//! directory (including the directory checksum) and defers each inner frame
+//! to its first `tree(id)` touch: a forest with one corrupt tree still opens
+//! and serves every other tree, and the corrupt one fails on first touch
+//! with the *same* [`ForestError::Tree`] the eager open would have reported.
+//! The per-tree validation verdict is cached, so every touch after the first
+//! is O(1) and allocation-free, and [`ForestRef::verify`] /
 //! [`ForestRef::verify_chunked`] can retrofit full eager coverage (e.g. from
 //! a background thread, a budgeted chunk at a time) without reopening.
 //!
 //! Lazy opens are what make restart latency O(directory) instead of O(file):
 //! experiment E14 (`cargo run --release -p treelab-bench --bin experiments
-//! --features mmap -- --restart`) measures the gap.
+//! -- --restart`) measures the gap.
 //!
 //! # Hot mutation and generations
 //!
@@ -68,10 +69,10 @@
 //! frame and a crash leaves at worst a stale temp file that the next publish
 //! removes.
 //!
-//! With the off-by-default `mmap` feature, `ForestStore::open_mmap` serves
-//! a published file in place through a raw-syscall `frame::Mmap` — combined
-//! with [`ValidationPolicy::Lazy`], a restart touches only the directory
-//! pages before the first query.
+//! On 64-bit Unix, `ForestStore::open_mmap` serves a published file in place
+//! through a raw-syscall `frame::Mmap` — combined with
+//! [`ValidationPolicy::Lazy`], a restart touches only the directory pages
+//! before the first query.
 //!
 //! # The routed batch engine
 //!
@@ -191,33 +192,25 @@ use crate::substrate::Parallelism;
 /// `b"TLFRST01"` as a little-endian word.
 const FOREST_MAGIC: u64 = u64::from_le_bytes(*b"TLFRST01");
 
-/// The original forest format: 3 header words, capacity = tree count, no
-/// generation, whole-frame CRC.
-const FOREST_VERSION_V1: u32 = 1;
+/// The forest format: 5 header words (capacity + generation), tombstones,
+/// spare slots, header+directory CRC.  Version 1 is retired and rejected.
+const FOREST_VERSION: u32 = 2;
 
-/// The current forest format: 5 header words (capacity + generation),
-/// tombstones, spare slots, header+directory CRC.
-const FOREST_VERSION_V2: u32 = 2;
-
-/// Words before the directory in a v1 frame.
-const V1_HEADER_WORDS: usize = 3;
-
-/// Words before the directory in a v2 frame.
-const V2_HEADER_WORDS: usize = 5;
+/// Words before the directory.
+const HEADER_WORDS: usize = 5;
 
 /// Words per directory record.
 const DIR_ENTRY_WORDS: usize = 4;
 
 /// How much of a forest frame an open path proves before returning.
 ///
-/// The header and directory (including, on v2 frames, the directory
-/// checksum) are **always** validated eagerly — the policy only governs the
-/// inner per-tree frames.
+/// The header and directory (including the directory checksum) are
+/// **always** validated eagerly — the policy only governs the inner
+/// per-tree frames.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ValidationPolicy {
     /// Validate every inner frame at open: a successful open proves the
-    /// whole file (v1 frames additionally get their whole-frame CRC
-    /// checked).  This is the default and the historical behavior.
+    /// whole file.  This is the default and the historical behavior.
     #[default]
     Eager,
     /// Defer each inner frame to its first `tree(id)` touch; the verdict is
@@ -333,7 +326,7 @@ impl From<ForestError> for ForestFileError {
     }
 }
 
-/// One decoded directory record.  `tag == 0` marks a tombstone (v2 only):
+/// One decoded directory record.  `tag == 0` marks a tombstone:
 /// the extent still tiles the frame region, but the tree is gone.
 #[derive(Debug, Clone, Copy)]
 struct DirEntry {
@@ -386,7 +379,6 @@ impl TreeSlot {
 /// fields, the policy it was opened under, and the per-tree state table.
 #[derive(Debug, Clone)]
 struct ForestState {
-    version: u32,
     capacity: usize,
     generation: u64,
     policy: ValidationPolicy,
@@ -399,18 +391,10 @@ struct ForestState {
 }
 
 impl ForestState {
-    fn header_words(&self) -> usize {
-        if self.version == FOREST_VERSION_V1 {
-            V1_HEADER_WORDS
-        } else {
-            V2_HEADER_WORDS
-        }
-    }
-
     /// First word past the directory — also the end of the outer-checksum
-    /// coverage on v2 frames.
+    /// coverage.
     fn dir_end(&self) -> usize {
-        self.header_words() + DIR_ENTRY_WORDS * self.capacity
+        HEADER_WORDS + DIR_ENTRY_WORDS * self.capacity
     }
 }
 
@@ -469,10 +453,10 @@ fn try_view<'a>(
     Ok(AnyStoreRef::from_parts(&words[e.off..e.off + e.len], parts))
 }
 
-/// Validates an assembled forest frame (v1 or v2) under `policy` and decodes
-/// its directory into a [`ForestState`].
+/// Validates an assembled forest frame under `policy` and decodes its
+/// directory into a [`ForestState`].
 fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, ForestError> {
-    let min_words = V1_HEADER_WORDS + DIR_ENTRY_WORDS + 2;
+    let min_words = HEADER_WORDS + DIR_ENTRY_WORDS + 2;
     if words.len() < min_words {
         return Err(ForestError::Frame(StoreError::Truncated {
             expected: min_words * 8,
@@ -483,61 +467,30 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
         return Err(ForestError::Frame(StoreError::BadMagic));
     }
     let version = (words[1] >> 32) as u32;
-    if version != FOREST_VERSION_V1 && version != FOREST_VERSION_V2 {
+    if version != FOREST_VERSION {
         return Err(ForestError::Frame(StoreError::UnsupportedVersion {
             found: version,
         }));
     }
-    if words[1] as u32 != 0 {
+    if words[1] as u32 != 0 || words[3] as u32 != 0 {
         return Err(ForestError::Directory {
             what: "reserved header field is not zero",
         });
     }
-    // v1 is checksummed whole-frame: the eager path proves it before looking
-    // at the directory (the historical order).  The lazy path skips it — use
-    // `verify`/`verify_chunked` to retrofit — because paying a full-file
-    // scan up front is exactly what the lazy policy exists to avoid.
-    if version == FOREST_VERSION_V1 && policy == ValidationPolicy::Eager {
-        let (body, checksum) = words.split_at(words.len() - 1);
-        if crc::crc64_words(body) != checksum[0] {
-            return Err(ForestError::Frame(StoreError::ChecksumMismatch));
-        }
-    }
-    let header_words = if version == FOREST_VERSION_V1 {
-        V1_HEADER_WORDS
-    } else {
-        let v2_min = V2_HEADER_WORDS + DIR_ENTRY_WORDS + 2;
-        if words.len() < v2_min {
-            return Err(ForestError::Frame(StoreError::Truncated {
-                expected: v2_min * 8,
-                found: words.len() * 8,
-            }));
-        }
-        V2_HEADER_WORDS
-    };
     let t = words[2];
     if t == 0 {
         return Err(ForestError::Directory {
             what: "forest holds no trees",
         });
     }
-    let (capacity, generation) = if version == FOREST_VERSION_V1 {
-        (t, 0)
-    } else {
-        if words[3] as u32 != 0 {
-            return Err(ForestError::Directory {
-                what: "reserved header field is not zero",
-            });
-        }
-        let capacity = words[3] >> 32;
-        if t > capacity {
-            return Err(ForestError::Directory {
-                what: "directory uses more slots than its capacity",
-            });
-        }
-        (capacity, words[4])
-    };
-    let dir_end = (header_words as u64)
+    let capacity = words[3] >> 32;
+    if t > capacity {
+        return Err(ForestError::Directory {
+            what: "directory uses more slots than its capacity",
+        });
+    }
+    let generation = words[4];
+    let dir_end = (HEADER_WORDS as u64)
         .checked_add(capacity.checked_mul(DIR_ENTRY_WORDS as u64).ok_or(
             ForestError::Directory {
                 what: "tree count overflows the directory size",
@@ -550,24 +503,18 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
     let t = t as usize;
     let capacity = capacity as usize;
 
-    // The v2 checksum covers exactly the header + directory, and is checked
+    // The checksum covers exactly the header + directory, and is checked
     // under *both* policies: lazy opens still prove the routing metadata
     // (the inner frames carry their own CRCs).
-    if version == FOREST_VERSION_V2 && crc::crc64_words(&words[..dir_end]) != words[words.len() - 1]
-    {
+    if crc::crc64_words(&words[..dir_end]) != words[words.len() - 1] {
         return Err(ForestError::Frame(StoreError::ChecksumMismatch));
     }
 
-    let mut slots: Vec<TreeSlot> = Vec::with_capacity(t);
-    let mut live = 0usize;
-    // v2 extents tile in file-offset order, which after appends differs from
-    // slot (id) order; collect and sort to check.  v1 requires slot order.
-    let mut extents: Vec<(usize, usize)> = Vec::new();
-    let mut expected_off = dir_end;
+    let mut entries: Vec<DirEntry> = Vec::with_capacity(t);
     for rec in 0..t {
-        let base = header_words + rec * DIR_ENTRY_WORDS;
+        let base = HEADER_WORDS + rec * DIR_ENTRY_WORDS;
         let id = words[base];
-        if rec > 0 && slots[rec - 1].entry.id >= id {
+        if rec > 0 && entries[rec - 1].id >= id {
             return Err(ForestError::Directory {
                 what: "tree ids are not strictly increasing (duplicate or unsorted)",
             });
@@ -582,56 +529,35 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
                 what: "a frame extent runs past the end of the buffer",
             });
         }
-        let tag = (words[base + 3] >> 32) as u32;
-        let n = words[base + 3] as u32;
-        if tag == 0 {
-            if version == FOREST_VERSION_V1 {
-                return Err(ForestError::Directory {
-                    what: "tombstones require directory format v2",
-                });
-            }
-        } else {
-            live += 1;
-        }
-        let (off, len) = (off as usize, len as usize);
-        if version == FOREST_VERSION_V1 {
-            if off != expected_off {
-                return Err(ForestError::Directory {
-                    what: "a frame extent does not start where the previous one ended \
-                           (overlapping, out-of-order or gapped directory)",
-                });
-            }
-            expected_off = off + len;
-        } else {
-            extents.push((off, len));
-        }
-        slots.push(TreeSlot::new(DirEntry {
+        entries.push(DirEntry {
             id,
-            off,
-            len,
-            tag,
-            n,
-        }));
+            off: off as usize,
+            len: len as usize,
+            tag: (words[base + 3] >> 32) as u32,
+            n: words[base + 3] as u32,
+        });
     }
-    if version == FOREST_VERSION_V2 {
-        for rec in t..capacity {
-            let base = header_words + rec * DIR_ENTRY_WORDS;
-            if words[base..base + DIR_ENTRY_WORDS].iter().any(|&w| w != 0) {
-                return Err(ForestError::Directory {
-                    what: "a spare directory slot is not zeroed",
-                });
-            }
+    if words[HEADER_WORDS + DIR_ENTRY_WORDS * t..dir_end]
+        .iter()
+        .any(|&w| w != 0)
+    {
+        return Err(ForestError::Directory {
+            what: "a spare directory slot is not zeroed",
+        });
+    }
+    // Extents tile in file-offset order, which after appends differs from
+    // slot (id) order; sort a copy to check.
+    let mut extents: Vec<(usize, usize)> = entries.iter().map(|e| (e.off, e.len)).collect();
+    extents.sort_unstable();
+    let mut expected_off = dir_end;
+    for &(off, len) in &extents {
+        if off != expected_off {
+            return Err(ForestError::Directory {
+                what: "a frame extent does not start where the previous one ended \
+                       (overlapping, out-of-order or gapped directory)",
+            });
         }
-        extents.sort_unstable();
-        for &(off, len) in &extents {
-            if off != expected_off {
-                return Err(ForestError::Directory {
-                    what: "a frame extent does not start where the previous one ended \
-                           (overlapping, out-of-order or gapped directory)",
-                });
-            }
-            expected_off = off + len;
-        }
+        expected_off = off + len;
     }
     if expected_off != words.len() - 1 {
         return Err(ForestError::Directory {
@@ -639,9 +565,12 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
         });
     }
 
-    let ids = slots.iter().map(|s| s.entry.id).collect();
+    let live = entries.iter().filter(|e| e.tag != 0).count();
+    let ids = entries.iter().map(|e| e.id).collect();
+    // A slot is over a kilobyte (it caches the inner frame's parse), so the
+    // table is filled in one pass rather than pushed slot by slot.
+    let slots = entries.into_iter().map(TreeSlot::new).collect();
     let state = ForestState {
-        version,
         capacity,
         generation,
         policy,
@@ -660,16 +589,10 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
 }
 
 /// Full verification of a view, whatever policy it was opened under: the
-/// outer checksum (whole frame on v1, header + directory on v2) plus every
-/// live inner frame — forcing and caching any validation the lazy policy
-/// deferred.
+/// outer header + directory checksum plus every live inner frame — forcing
+/// and caching any validation the lazy policy deferred.
 fn verify_impl(words: &[u64], state: &ForestState) -> Result<(), ForestError> {
-    let crc_end = if state.version == FOREST_VERSION_V1 {
-        words.len() - 1
-    } else {
-        state.dir_end()
-    };
-    if crc::crc64_words(&words[..crc_end]) != words[words.len() - 1] {
+    if crc::crc64_words(&words[..state.dir_end()]) != words[words.len() - 1] {
         return Err(ForestError::Frame(StoreError::ChecksumMismatch));
     }
     for slot in &state.slots {
@@ -731,11 +654,7 @@ fn verify_chunked_impl(
         return Ok(true);
     }
     let mut budget = budget_words.max(1);
-    let crc_end = if state.version == FOREST_VERSION_V1 {
-        words.len() - 1
-    } else {
-        state.dir_end()
-    };
+    let crc_end = state.dir_end();
     while cursor.pos < crc_end && budget > 0 {
         let take = budget.min(crc_end - cursor.pos);
         cursor
@@ -1027,11 +946,7 @@ fn scrub_impl(
     }
     let cursor = &mut scrubber.cursor;
     let mut budget = budget_words.max(1);
-    let crc_end = if state.version == FOREST_VERSION_V1 {
-        words.len() - 1
-    } else {
-        state.dir_end()
-    };
+    let crc_end = state.dir_end();
     while cursor.pos < crc_end && budget > 0 {
         let take = budget.min(crc_end - cursor.pos);
         cursor
@@ -1094,23 +1009,19 @@ fn scrub_impl(
 }
 
 /// Assembles a forest frame from id-sorted, pre-validated `(id, frame)`
-/// pairs: header, directory (with `spare` zeroed slots on v2), the inner
-/// frames tiled back to back, and the outer checksum.
-fn assemble(trees: &[(u64, Vec<u64>)], version: u32, spare: usize, generation: u64) -> Vec<u64> {
+/// pairs: header, directory (with `spare` zeroed slots), the inner frames
+/// tiled back to back, and the outer checksum.
+fn assemble(trees: &[(u64, Vec<u64>)], spare: usize, generation: u64) -> Vec<u64> {
     let t = trees.len();
-    let v1 = version == FOREST_VERSION_V1;
-    let header_words = if v1 { V1_HEADER_WORDS } else { V2_HEADER_WORDS };
-    let capacity = t + if v1 { 0 } else { spare };
-    let dir_end = header_words + DIR_ENTRY_WORDS * capacity;
+    let capacity = t + spare;
+    let dir_end = HEADER_WORDS + DIR_ENTRY_WORDS * capacity;
     let frames_len: usize = trees.iter().map(|(_, f)| f.len()).sum();
     let mut words = Vec::with_capacity(dir_end + frames_len + 1);
     words.push(FOREST_MAGIC);
-    words.push(u64::from(version) << 32);
+    words.push(u64::from(FOREST_VERSION) << 32);
     words.push(t as u64);
-    if !v1 {
-        words.push((capacity as u64) << 32);
-        words.push(generation);
-    }
+    words.push((capacity as u64) << 32);
+    words.push(generation);
     let mut off = dir_end;
     for (id, frame_words) in trees {
         // Tag and label count mirror the (validated) inner frame header.
@@ -1132,12 +1043,7 @@ fn assemble(trees: &[(u64, Vec<u64>)], version: u32, spare: usize, generation: u
     for (_, frame_words) in trees {
         words.extend_from_slice(frame_words);
     }
-    let checksum = if v1 {
-        crc::crc64_words(&words)
-    } else {
-        crc::crc64_words(&words[..dir_end])
-    };
-    words.push(checksum);
+    words.push(crc::crc64_words(&words[..dir_end]));
     words
 }
 
@@ -1152,7 +1058,6 @@ pub struct ForestBuilder {
     trees: Vec<(u64, Vec<u64>)>,
     ids: std::collections::BTreeSet<u64>,
     spare: usize,
-    v1: bool,
 }
 
 impl ForestBuilder {
@@ -1233,19 +1138,11 @@ impl ForestBuilder {
         Ok(self)
     }
 
-    /// Reserves `extra` spare (zeroed) directory slots in the assembled v2
+    /// Reserves `extra` spare (zeroed) directory slots in the assembled
     /// frame, so that many later [`ForestStore::append_scheme`] calls mutate
     /// the directory in place instead of growing it.
     pub fn reserve_slots(&mut self, extra: usize) -> &mut Self {
         self.spare += extra;
-        self
-    }
-
-    /// Emits the legacy v1 layout (whole-frame checksum, no generation word,
-    /// no spare slots) instead of v2 — for producing frames that pre-v2
-    /// readers can load.  Incompatible with [`ForestBuilder::reserve_slots`].
-    pub fn emit_v1(&mut self) -> &mut Self {
-        self.v1 = true;
         self
     }
 
@@ -1285,8 +1182,7 @@ impl ForestBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ForestError::Directory`] for an empty builder or for
-    /// [`ForestBuilder::emit_v1`] combined with reserved slots.
+    /// Returns [`ForestError::Directory`] for an empty builder.
     pub fn finish(self) -> Result<ForestStore, ForestError> {
         let mut trees = self.trees;
         if trees.is_empty() {
@@ -1294,18 +1190,8 @@ impl ForestBuilder {
                 what: "forest holds no trees",
             });
         }
-        if self.v1 && self.spare > 0 {
-            return Err(ForestError::Directory {
-                what: "format v1 has no spare directory slots",
-            });
-        }
         trees.sort_by_key(|&(id, _)| id);
-        let version = if self.v1 {
-            FOREST_VERSION_V1
-        } else {
-            FOREST_VERSION_V2
-        };
-        ForestStore::from_words(assemble(&trees, version, self.spare, 0))
+        ForestStore::from_words(assemble(&trees, self.spare, 0))
     }
 }
 
@@ -1805,7 +1691,7 @@ fn run_prepared_sharded(
 }
 
 /// Shared read-side API of every forest view ([`ForestRef`], [`ForestStore`],
-/// [`ForestPin`], and the `mmap`-gated `MappedForest`), implemented once over
+/// [`ForestPin`], and, on 64-bit Unix, `MappedForest`), implemented once over
 /// `(frame_words, state)`.
 macro_rules! forest_read_api {
     () => {
@@ -1847,8 +1733,8 @@ macro_rules! forest_read_api {
             matches!(lookup_slot(&self.state, id), Ok(s) if self.state.slots[s].entry.tag == 0)
         }
 
-        /// The directory generation word: 0 for a freshly built (or v1)
-        /// frame, incremented by every mutation on the owning store.  A
+        /// The directory generation word: 0 for a freshly built frame,
+        /// incremented by every mutation on the owning store.  A
         /// [`ForestPin`] keeps answering for the generation it pinned.
         pub fn generation(&self) -> u64 {
             self.state.generation
@@ -1876,9 +1762,9 @@ macro_rules! forest_read_api {
         }
 
         /// Full verification, whatever policy the view was opened under:
-        /// re-checks the outer checksum (whole frame on v1, header +
-        /// directory on v2) and validates every live inner frame, caching
-        /// any verdicts the lazy policy had deferred.
+        /// re-checks the outer header + directory checksum and validates
+        /// every live inner frame, caching any verdicts the lazy policy had
+        /// deferred.
         ///
         /// # Errors
         ///
@@ -2219,7 +2105,7 @@ impl ForestStore {
     /// [`ForestFileError::Forest`] when validation fails (a misaligned or
     /// odd-length mapping reports [`StoreError::Misaligned`] /
     /// [`StoreError::Malformed`] wrapped in [`ForestError::Frame`]).
-    #[cfg(all(feature = "mmap", unix))]
+    #[cfg(all(unix, target_pointer_width = "64"))]
     pub fn open_mmap(
         path: impl AsRef<std::path::Path>,
         policy: ValidationPolicy,
@@ -2295,44 +2181,6 @@ impl ForestStore {
         Arc::try_unwrap(self.words).unwrap_or_else(|arc| (*arc).clone())
     }
 
-    /// Rewrites a v1 frame as v2 in place (same trees, generation 0) so the
-    /// in-place mutation paths below have a generation word and tombstone
-    /// encoding to work with.  No-op on v2.  Cached validation verdicts
-    /// survive: the parts are relative to each inner frame, which moves as
-    /// a unit.
-    fn ensure_v2(&mut self) {
-        if self.state.version == FOREST_VERSION_V2 {
-            return;
-        }
-        let old: &[u64] = &self.words;
-        let t = self.state.slots.len();
-        let old_dir_end = V1_HEADER_WORDS + DIR_ENTRY_WORDS * t;
-        let shift = V2_HEADER_WORDS - V1_HEADER_WORDS;
-        let mut words = Vec::with_capacity(old.len() + shift);
-        words.push(FOREST_MAGIC);
-        words.push(u64::from(FOREST_VERSION_V2) << 32);
-        words.push(t as u64);
-        words.push((t as u64) << 32);
-        words.push(0);
-        for slot in &self.state.slots {
-            let e = slot.entry;
-            words.push(e.id);
-            words.push((e.off + shift) as u64);
-            words.push(e.len as u64);
-            words.push(u64::from(e.tag) << 32 | u64::from(e.n));
-        }
-        words.extend_from_slice(&old[old_dir_end..old.len() - 1]);
-        let dir_end = V2_HEADER_WORDS + DIR_ENTRY_WORDS * t;
-        words.push(crc::crc64_words(&words[..dir_end]));
-        for slot in &mut self.state.slots {
-            slot.entry.off += shift;
-        }
-        self.state.version = FOREST_VERSION_V2;
-        self.state.capacity = t;
-        self.state.generation = 0;
-        self.words = Arc::new(words);
-    }
-
     /// Splices `extra` zeroed directory slots in (shifting every frame
     /// extent up) so the next appends are in-place again.  The caller
     /// refreshes generation + checksum.
@@ -2342,7 +2190,7 @@ impl ForestStore {
         let words = Arc::make_mut(&mut self.words);
         words.splice(dir_end..dir_end, std::iter::repeat_n(0u64, shift));
         for rec in 0..self.state.slots.len() {
-            words[V2_HEADER_WORDS + DIR_ENTRY_WORDS * rec + 1] += shift as u64;
+            words[HEADER_WORDS + DIR_ENTRY_WORDS * rec + 1] += shift as u64;
         }
         self.state.capacity += extra;
         words[3] = (self.state.capacity as u64) << 32;
@@ -2355,8 +2203,7 @@ impl ForestStore {
     /// any existing frame**: the new frame lands at the end of the frame
     /// region, its directory record splices into id order (consuming a
     /// [spare slot](ForestBuilder::reserve_slots) when one is free, growing
-    /// the directory otherwise), and the generation word increments.  A v1
-    /// store silently upgrades its frame to v2 first.
+    /// the directory otherwise), and the generation word increments.
     ///
     /// # Errors
     ///
@@ -2392,7 +2239,6 @@ impl ForestStore {
         let Err(p) = lookup_slot(&self.state, id) else {
             return Err(ForestError::DuplicateTree { id });
         };
-        self.ensure_v2();
         if self.state.slots.len() == self.state.capacity {
             self.grow_capacity(self.state.capacity.max(1));
         }
@@ -2408,8 +2254,8 @@ impl ForestStore {
         words.push(0); // checksum, recomputed below
                        // Open directory slot p: shift used records [p, t) up one record
                        // into the spare slot, then write the new record.
-        let start = V2_HEADER_WORDS + DIR_ENTRY_WORDS * p;
-        let end = V2_HEADER_WORDS + DIR_ENTRY_WORDS * t;
+        let start = HEADER_WORDS + DIR_ENTRY_WORDS * p;
+        let end = HEADER_WORDS + DIR_ENTRY_WORDS * t;
         words.copy_within(start..end, start + DIR_ENTRY_WORDS);
         words[start] = id;
         words[start + 1] = off as u64;
@@ -2443,9 +2289,8 @@ impl ForestStore {
     /// Retires live tree `id` **in place**: its directory record's scheme
     /// tag is zeroed (the frame bytes stay, still tiling the region — no
     /// rewrite, no compaction), the generation word increments, and every
-    /// later lookup of `id` reports [`ForestError::UnknownTree`].  A v1
-    /// store silently upgrades its frame to v2 first.  Reclaim the bytes
-    /// with [`ForestStore::compact`].
+    /// later lookup of `id` reports [`ForestError::UnknownTree`].  Reclaim
+    /// the bytes with [`ForestStore::compact`].
     ///
     /// # Errors
     ///
@@ -2456,11 +2301,10 @@ impl ForestStore {
             .ok()
             .filter(|&s| self.state.slots[s].entry.tag != 0)
             .ok_or(ForestError::UnknownTree { id })?;
-        self.ensure_v2();
         let generation = self.state.generation + 1;
         let dir_end = self.state.dir_end();
         let words = Arc::make_mut(&mut self.words);
-        words[V2_HEADER_WORDS + DIR_ENTRY_WORDS * slot + 3] &= 0xFFFF_FFFF;
+        words[HEADER_WORDS + DIR_ENTRY_WORDS * slot + 3] &= 0xFFFF_FFFF;
         words[4] = generation;
         let last = words.len() - 1;
         words[last] = crc::crc64_words(&words[..dir_end]);
@@ -2496,7 +2340,7 @@ impl ForestStore {
             })
             .collect();
         let generation = self.state.generation + 1;
-        let words = assemble(&trees, FOREST_VERSION_V2, 0, generation);
+        let words = assemble(&trees, 0, generation);
         let state = parse_forest(&words, self.state.policy)?;
         self.words = Arc::new(words);
         self.state = state;
@@ -2537,7 +2381,6 @@ impl ForestStore {
             .ok()
             .filter(|&s| self.state.slots[s].entry.tag != 0)
             .ok_or(ForestError::UnknownTree { id })?;
-        self.ensure_v2();
         let old = self.state.slots[slot_pos].entry;
         let flen = frame_words.len();
         let generation = self.state.generation + 1;
@@ -2563,7 +2406,7 @@ impl ForestStore {
         // Rewrite the whole directory from the slot table (offsets may have
         // shifted for any record) and refresh generation + checksum.
         for (rec, slot) in self.state.slots.iter().enumerate() {
-            let base = V2_HEADER_WORDS + DIR_ENTRY_WORDS * rec;
+            let base = HEADER_WORDS + DIR_ENTRY_WORDS * rec;
             let e = slot.entry;
             words[base] = e.id;
             words[base + 1] = e.off as u64;
@@ -2639,21 +2482,21 @@ impl ForestPin {
 }
 
 /// A forest served **in place from a read-only memory map** — the product of
-/// [`ForestStore::open_mmap`], behind the off-by-default `mmap` feature.
+/// [`ForestStore::open_mmap`], on 64-bit Unix (see [`frame::Mmap`]).
 ///
 /// The mapping (a raw-syscall [`frame::Mmap`], no crate dependency) lives
 /// exactly as long as this value; combined with [`ValidationPolicy::Lazy`],
 /// opening touches only the header and directory pages, and each tree's
 /// pages fault in on its first query.  Exposes the full read API; to mutate,
 /// load an owned [`ForestStore`] instead.
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(all(unix, target_pointer_width = "64"))]
 #[derive(Debug)]
 pub struct MappedForest {
     map: frame::Mmap,
     state: ForestState,
 }
 
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(all(unix, target_pointer_width = "64"))]
 impl MappedForest {
     fn frame_words(&self) -> &[u64] {
         self.map
@@ -2889,45 +2732,6 @@ mod tests {
         assert_eq!(
             reload.tree(99).unwrap().distance(0, 29),
             frame.distance(treelab_tree::NodeId(0), treelab_tree::NodeId(29))
-        );
-    }
-
-    #[test]
-    fn v1_frames_load_and_upgrade_on_first_mutation() {
-        let t0 = gen::random_tree(80, 3);
-        let t1 = gen::random_tree(50, 4);
-        let mut b = ForestStore::builder();
-        b.push_scheme(1, &NaiveScheme::build(&t0)).unwrap();
-        b.push_scheme(2, &OptimalScheme::build(&t1)).unwrap();
-        b.emit_v1();
-        let mut forest = b.finish().unwrap();
-        assert_eq!(forest.generation(), 0);
-        assert_eq!(forest.spare_slots(), 0);
-        // Both policies load the v1 frame.
-        let bytes = forest.to_bytes();
-        for policy in [ValidationPolicy::Eager, ValidationPolicy::Lazy] {
-            let loaded = ForestStore::from_bytes_with(&bytes, policy).unwrap();
-            assert_eq!(
-                loaded.tree(1).unwrap().distance(0, 79),
-                forest.tree(1).unwrap().distance(0, 79),
-                "{policy:?}"
-            );
-            loaded.verify().unwrap();
-        }
-        // emit_v1 + reserve_slots is contradictory.
-        let mut b = ForestStore::builder();
-        b.push_scheme(1, &NaiveScheme::build(&t1)).unwrap();
-        b.reserve_slots(1).emit_v1();
-        assert!(matches!(b.finish(), Err(ForestError::Directory { .. })));
-        // Mutating the v1 store transparently upgrades the frame to v2.
-        forest.tombstone(2).unwrap();
-        assert_eq!(forest.generation(), 1);
-        let reload = ForestStore::from_bytes(&forest.to_bytes()).unwrap();
-        assert_eq!(reload.tree_ids().collect::<Vec<_>>(), vec![1]);
-        assert!(reload.is_tombstoned(2));
-        assert_eq!(
-            reload.tree(1).unwrap().distance(0, 79),
-            forest.tree(1).unwrap().distance(0, 79)
         );
     }
 

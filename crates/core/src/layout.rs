@@ -22,7 +22,7 @@ use treelab_tree::Tree;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LabelLayout {
     /// Label `u` at region position `u` — the historical layout, and the
-    /// only one legacy (v1/v2) frames can express.
+    /// only one a version-2 (u32-index) frame can express.
     #[default]
     IdOrder,
     /// Labels ordered by a heavy-child-first preorder of the tree: each

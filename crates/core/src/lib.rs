@@ -79,7 +79,7 @@ pub mod store;
 pub mod substrate;
 pub mod universal;
 
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(all(unix, target_pointer_width = "64"))]
 pub use forest::MappedForest;
 pub use forest::{
     ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore, RouteScratch,

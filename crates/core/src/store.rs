@@ -49,18 +49,18 @@
 //! word 4      m — number of scheme meta words
 //! 5 .. 5+m    scheme meta (field widths chosen at serialize time)
 //! ..          offset index: bit offset of each label in the label region
-//!             (entry n is the total bit length).  Version 1 stores one u64
-//!             per entry; version 2 packs two u32 entries per word (emitted
-//!             whenever the label region is under 2³² bits — readers accept
-//!             both, version-1-only readers reject version 2 cleanly).
-//!             Version 3 is the *succinct* index: an Elias–Fano split of the
-//!             monotone offset sequence (dense low bits + a unary bucket
-//!             bitvector with select samples, ~log(L/n)+3 bits per entry)
-//!             plus an optional node→position permutation for frames whose
-//!             label region is laid out in heavy-path order instead of node
-//!             id order.  It is emitted automatically whenever the label
-//!             region outgrows the u32 index or a clustered layout is
-//!             requested, so giant trees never hit a width ceiling.
+//!             (entry n is the total bit length).  Version 2 packs two u32
+//!             entries per word (emitted whenever the label region is under
+//!             2³² bits); the retired version 1 (one u64 per entry) is
+//!             rejected with `UnsupportedVersion`.  Version 3 is the
+//!             *succinct* index: an Elias–Fano split of the monotone offset
+//!             sequence (dense low bits + a unary bucket bitvector with
+//!             select samples, ~log(L/n)+3 bits per entry) plus an optional
+//!             node→position permutation for frames whose label region is
+//!             laid out in heavy-path order instead of node id order.  It
+//!             is emitted automatically whenever the label region outgrows
+//!             the u32 index or a clustered layout is requested, so giant
+//!             trees never hit a width ceiling.
 //! ..          label region: the packed labels, fixed-width fields,
 //!             plus four zero guard words (for branchless straddle reads)
 //! last word   CRC-64/XZ of every preceding word
@@ -122,10 +122,6 @@ pub const NO_DISTANCE: u64 = u64::MAX;
 
 /// `b"TLSTOR01"` as a little-endian word.
 const MAGIC: u64 = u64::from_le_bytes(*b"TLSTOR01");
-
-/// Frame format version with a u64-per-entry offset index (the original
-/// layout; still emitted when the label region is 2³² bits or larger).
-const VERSION_WIDE: u32 = 1;
 
 /// Frame format version with two u32 offset entries packed per word — half
 /// the index footprint, emitted whenever the label region fits.
@@ -283,14 +279,12 @@ impl From<frame::CastError> for StoreError {
 /// under 2³² bits (two entries per word — half the index footprint and memory
 /// traffic) and switches to [`IndexWidth::Succinct`] when it isn't, or when
 /// the frame carries a clustered label layout;
-/// [`SchemeStore::build_with_index_width`] pins the width explicitly, e.g. to
-/// emit frames for version-1-only readers.
+/// [`SchemeStore::with_index_width`] re-frames a store with either width.
+/// Frame version 1 (one u64 per entry) is rejected as unsupported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexWidth {
     /// Two u32 entries packed per word (frame version 2).
     U32,
-    /// One u64 entry per word (frame version 1, the original layout).
-    U64,
     /// Elias–Fano split of the monotone offset sequence (frame version 3):
     /// `⌊log(L/(n+1))⌋` dense low bits per entry plus a unary bucket
     /// bitvector with one select sample per 64 entries — about
@@ -303,7 +297,6 @@ pub enum IndexWidth {
 fn version_of(width: IndexWidth) -> u32 {
     match width {
         IndexWidth::U32 => VERSION_NARROW,
-        IndexWidth::U64 => VERSION_WIDE,
         IndexWidth::Succinct => VERSION_SUCCINCT,
     }
 }
@@ -313,11 +306,6 @@ fn version_of(width: IndexWidth) -> u32 {
 /// single query path regardless of frame version.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OffsetIndex {
-    /// One u64 entry per word starting at `base` (version 1).
-    U64 {
-        /// First word of the entry array.
-        base: usize,
-    },
     /// Two packed u32 entries per word starting at `base` (version 2).
     U32 {
         /// First word of the entry array.
@@ -342,7 +330,6 @@ impl OffsetIndex {
     /// The public width tag of this index.
     pub(crate) fn width(&self) -> IndexWidth {
         match self {
-            OffsetIndex::U64 { .. } => IndexWidth::U64,
             OffsetIndex::U32 { .. } => IndexWidth::U32,
             OffsetIndex::Ef { .. } => IndexWidth::Succinct,
         }
@@ -389,7 +376,6 @@ impl RawParts {
     #[inline(always)]
     fn offset_at(&self, words: &[u64], p: usize) -> usize {
         match self.index {
-            OffsetIndex::U64 { base } => words[base + p] as usize,
             OffsetIndex::U32 { base } => ((words[base + p / 2] >> ((p & 1) * 32)) as u32) as usize,
             OffsetIndex::Ef {
                 low_base,
@@ -461,7 +447,6 @@ fn index_layout(
     base: usize,
 ) -> (OffsetIndex, usize, usize) {
     match width {
-        IndexWidth::U64 => (OffsetIndex::U64 { base }, 0, base + n + 1),
         IndexWidth::U32 => (OffsetIndex::U32 { base }, 0, base + (n + 2) / 2),
         IndexWidth::Succinct => {
             let l = ef_low_width(n, label_bits) as usize;
@@ -571,7 +556,7 @@ fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), St
     }
     let version = (words[1] >> 32) as u32;
     let tag = words[1] as u32;
-    if !matches!(version, VERSION_WIDE | VERSION_NARROW | VERSION_SUCCINCT) {
+    if !matches!(version, VERSION_NARROW | VERSION_SUCCINCT) {
         return Err(StoreError::UnsupportedVersion { found: version });
     }
     if tag != S::TAG {
@@ -608,28 +593,21 @@ fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), St
     let raw = if version == VERSION_SUCCINCT {
         parse_succinct_index(words, n64, meta_end)?
     } else {
-        let index_words = if version == VERSION_WIDE {
-            n64.checked_add(1)
-        } else {
-            n64.checked_add(2).map(|x| x / 2)
-        };
-        let label_base = index_words
+        let label_base = n64
+            .checked_add(2)
+            .map(|x| x / 2)
             .and_then(|x| meta_end.checked_add(x))
             .filter(|&x| x < wlen)
             .ok_or(malformed)?;
         let n = n64 as usize;
-        let base = meta_end as usize;
-        let index = if version == VERSION_WIDE {
-            OffsetIndex::U64 { base }
-        } else {
-            OffsetIndex::U32 { base }
-        };
         let raw = RawParts {
             n,
             param: words[3],
             label_base: label_base as usize,
             label_bits: 0, // patched below once the index is readable
-            index,
+            index: OffsetIndex::U32 {
+                base: meta_end as usize,
+            },
             perm_base: 0,
             perm_w: 0,
         };
@@ -872,7 +850,6 @@ fn emit_index(
     pos_of: Option<&dyn Fn(usize) -> u64>,
 ) {
     match width {
-        IndexWidth::U64 => out.extend((0..=n).map(offset_at)),
         IndexWidth::U32 => {
             let mut p = 0;
             while p <= n {
@@ -1191,8 +1168,7 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     }
 
     /// Width of the frame's offset-index entries (version 2 packs two u32
-    /// entries per word; version 1 stores one u64 each; version 3 is the
-    /// succinct Elias–Fano index).
+    /// entries per word; version 3 is the succinct Elias–Fano index).
     pub fn index_width(&self) -> IndexWidth {
         self.raw.index.width()
     }
@@ -1461,21 +1437,6 @@ impl<S: StoredScheme> SchemeStore<S> {
     /// with [`SchemeStore::into_words`].
     pub fn build(scheme: &S) -> Self {
         scheme.as_store().clone()
-    }
-
-    /// [`SchemeStore::build`] with the offset-index width pinned — e.g.
-    /// [`IndexWidth::U64`] to emit a version-1 frame for readers that predate
-    /// the packed index.  Only the header and offset index are re-framed;
-    /// the packed label region is copied verbatim.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::IndexOverflow`] if [`IndexWidth::U32`] is requested but
-    /// the label region does not fit in 2³² bits, and
-    /// [`StoreError::Malformed`] if a clustered-layout frame is asked for a
-    /// width that cannot carry its permutation (only the succinct index can).
-    pub fn build_with_index_width(scheme: &S, width: IndexWidth) -> Result<Self, StoreError> {
-        scheme.as_store().with_index_width(width)
     }
 
     /// Re-frames this store with the given offset-index width (a clone when
@@ -2000,43 +1961,15 @@ mod tests {
     }
 
     #[test]
-    fn narrow_and_wide_index_frames_agree() {
-        let (tree, scheme, auto) = sample_store();
-        // Small stores choose the packed u32 index automatically (version 2).
-        assert_eq!(auto.index_width(), IndexWidth::U32);
-        let narrow = SchemeStore::build_with_index_width(&scheme, IndexWidth::U32).unwrap();
-        let wide = SchemeStore::build_with_index_width(&scheme, IndexWidth::U64).unwrap();
-        assert_eq!(auto.as_words(), narrow.as_words());
-        assert_eq!(wide.index_width(), IndexWidth::U64);
-        assert!(wide.size_bytes() > narrow.size_bytes());
-        // Both round-trip through bytes, and answer identically.
-        // Re-framing ties `with_index_width` to `build_frame` in both
-        // directions: widening the narrow frame must reproduce the directly
-        // built wide frame word for word, and narrowing it back must
-        // reproduce the narrow frame — so the two assemblers cannot drift.
-        assert_eq!(
-            narrow.with_index_width(IndexWidth::U64).unwrap().as_words(),
-            wide.as_words()
-        );
-        assert_eq!(
-            wide.with_index_width(IndexWidth::U32).unwrap().as_words(),
-            narrow.as_words()
-        );
-        let narrow2 = SchemeStore::<NaiveScheme>::from_bytes(&narrow.to_bytes()).unwrap();
-        let wide2 = SchemeStore::<NaiveScheme>::from_bytes(&wide.to_bytes()).unwrap();
-        let n = tree.len();
-        for i in 0..200usize {
-            let (u, v) = ((i * 31) % n, (i * 87 + 5) % n);
-            let expect = scheme.distance(tree.node(u), tree.node(v));
-            assert_eq!(narrow2.distance(u, v), expect, "narrow ({u},{v})");
-            assert_eq!(wide2.distance(u, v), expect, "wide ({u},{v})");
-            assert_eq!(narrow2.label_bits(u), wide2.label_bits(u));
-        }
-    }
-
-    #[test]
     fn succinct_index_frames_agree_with_narrow() {
         let (tree, _scheme, narrow) = sample_store();
+        // Small stores choose the packed u32 index automatically (version 2),
+        // and pinning the width a frame already has is a plain clone.
+        assert_eq!(narrow.index_width(), IndexWidth::U32);
+        assert_eq!(
+            narrow.with_index_width(IndexWidth::U32).unwrap().as_words(),
+            narrow.as_words()
+        );
         let succ = narrow.with_index_width(IndexWidth::Succinct).unwrap();
         assert_eq!(succ.index_width(), IndexWidth::Succinct);
         // Version-3 frames round-trip through bytes bit-exactly...
@@ -2056,9 +1989,8 @@ mod tests {
             back.with_index_width(IndexWidth::U32).unwrap().as_words(),
             narrow.as_words()
         );
-        // The succinct index undercuts the wide index on real frames.
-        let wide = narrow.with_index_width(IndexWidth::U64).unwrap();
-        assert!(succ.size_bytes() < wide.size_bytes());
+        // The succinct index undercuts the packed u32 index on real frames.
+        assert!(succ.size_bytes() < narrow.size_bytes());
         // Runtime dispatch serves version-3 frames too.
         let any = AnyStoreRef::from_words(succ.as_words()).unwrap();
         assert_eq!(any.distance(3, 119), narrow.distance(3, 119));
@@ -2069,9 +2001,9 @@ mod tests {
         // The u32 index caps the label region at 2³² bits; the width lift
         // turned the historical assert into a typed, recoverable error.
         let (_, _, store) = sample_store();
-        let mut wide = store.with_index_width(IndexWidth::U64).unwrap();
-        wide.raw.label_bits = u32::MAX as usize + 1;
-        let err = wide.with_index_width(IndexWidth::U32).unwrap_err();
+        let mut succ = store.with_index_width(IndexWidth::Succinct).unwrap();
+        succ.raw.label_bits = u32::MAX as usize + 1;
+        let err = succ.with_index_width(IndexWidth::U32).unwrap_err();
         assert_eq!(
             err,
             StoreError::IndexOverflow {

@@ -40,7 +40,7 @@ pub use treelab_tree as tree;
 
 pub use treelab_core::approximate::ApproximateScheme;
 pub use treelab_core::distance_array::DistanceArrayScheme;
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(all(unix, target_pointer_width = "64"))]
 pub use treelab_core::forest::MappedForest;
 pub use treelab_core::forest::{
     ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore, HealthCounts,

@@ -9,11 +9,14 @@
 //!   (level-ancestor labels are materialized from the frame and walked as
 //!   opaque bit strings by the Lemma 3.6 conversion).
 
-use treelab::bits::{codes, BitReader, BitVec, BitWriter, MonotoneSeq};
+use treelab::bits::{codes, crc, frame, BitReader, BitVec, BitWriter, MonotoneSeq};
 use treelab::core::level_ancestor::{LevelAncestorLabel, LevelAncestorScheme};
 use treelab::tree::rng::SplitMix64;
 use treelab::{gen, DistanceScheme, NaiveScheme, OptimalScheme};
-use treelab::{ForestError, ForestStore, QueryStatus, RouteScratch, SchemeStore, StoreError};
+use treelab::{
+    AnyStoreRef, ForestError, ForestStore, QueryStatus, RouteScratch, SchemeStore, StoreError,
+    StoreRef,
+};
 
 /// The whole-scheme store frame must reject bad magic, truncation (including
 /// a truncated offset index) and bit rot with a [`StoreError`], never a panic
@@ -68,14 +71,30 @@ fn corrupt_scheme_stores_are_rejected() {
     }
 
     // A flipped bit in the version/tag word is reported as the specific
-    // mismatch (those fields are checked before the CRC).  Versions 1–3 are
-    // all valid now, so flip a high bit to land on an unsupported one.
+    // mismatch (those fields are checked before the CRC).  Versions 2 and 3
+    // are valid, so flip a high bit to land on an unsupported one.
     let mut vflip = bytes.clone();
     vflip[12] ^= 0x04; // a high bit of the version half (2 -> 6)
     assert!(matches!(
         SchemeStore::<OptimalScheme>::from_bytes(&vflip),
         Err(StoreError::UnsupportedVersion { .. })
     ));
+    // The retired version 1 is refused even in a CRC-valid frame, through
+    // the owning, the borrowed and the runtime-dispatched paths.
+    let mut v1 = frame::words_from_bytes(&bytes).unwrap();
+    v1[1] = 1 << 32 | (v1[1] & 0xFFFF_FFFF);
+    let last = v1.len() - 1;
+    v1[last] = crc::crc64_words(&v1[..last]);
+    let retired = StoreError::UnsupportedVersion { found: 1 };
+    assert_eq!(
+        StoreRef::<OptimalScheme>::from_words(&v1).unwrap_err(),
+        retired
+    );
+    assert_eq!(AnyStoreRef::from_words(&v1).unwrap_err(), retired);
+    assert_eq!(
+        SchemeStore::<OptimalScheme>::from_words(v1).unwrap_err(),
+        retired
+    );
     let mut tflip = bytes.clone();
     tflip[8] ^= 0x02; // a tag bit
     assert!(matches!(

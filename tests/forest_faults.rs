@@ -8,7 +8,7 @@
 //!
 //! The sweeps run under both [`ValidationPolicy`] values; the mmap-backed
 //! module at the bottom repeats the key cases through
-//! [`ForestStore::open_mmap`] when the `mmap` feature is on.
+//! [`ForestStore::open_mmap`] on 64-bit Unix.
 
 use treelab::{gen, DistanceArrayScheme, DistanceScheme, NaiveScheme, OptimalScheme};
 use treelab::{
@@ -45,7 +45,7 @@ fn record_of(words: &[u64], id: u64) -> (usize, usize, usize) {
 
 /// Re-serializes a word frame the way `to_bytes` would (only the mapped
 /// module needs to put corrupted words back on disk).
-#[cfg_attr(not(all(feature = "mmap", unix)), allow(dead_code))]
+#[cfg_attr(not(all(unix, target_pointer_width = "64")), allow(dead_code))]
 fn words_to_bytes(words: &[u64]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
@@ -291,7 +291,7 @@ fn a_full_budgeted_scrub_reaches_the_eager_verdict_for_every_slot() {
 
 /// The same faults through the zero-copy mapped path: `open_mmap` must agree
 /// with the copying opens on both the happy path and every rejection.
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(all(unix, target_pointer_width = "64"))]
 mod mapped {
     use super::*;
     use treelab::{QueryStatus, RouteScratch};

@@ -9,14 +9,14 @@
 //! * a crash-safe publish + reopen reproduces the live frame under both
 //!   validation policies,
 //!
-//! plus the v1 compatibility story: legacy frames still load, and the first
-//! in-place mutation upgrades them to v2.
+//! plus the retired directory version 1, which every open path rejects.
 
 use std::collections::BTreeMap;
+use treelab::bits::crc;
 use treelab::tree::rng::SplitMix64;
 use treelab::{
-    gen, DistanceScheme, ForestError, ForestPin, ForestStore, NaiveScheme, QueryStatus,
-    RouteScratch, Tree, ValidationPolicy,
+    gen, DistanceScheme, ForestError, ForestPin, ForestRef, ForestStore, NaiveScheme, QueryStatus,
+    RouteScratch, StoreError, StoredScheme, Tree, ValidationPolicy,
 };
 use treelab_bench::ScratchDir;
 
@@ -32,49 +32,64 @@ fn check_tree(forest_distance: u64, tree: &Tree) {
     );
 }
 
+/// A CRC-valid version-1 directory (3 header words, records tiled in slot
+/// order, whole-frame CRC) is refused with `UnsupportedVersion { found: 1 }`
+/// by every open path: owned and borrowed, eager and lazy, and mapped.
 #[test]
-fn v1_frames_still_load_and_upgrade_on_first_mutation() {
-    let t3 = gen::random_tree(50, 7);
-    let t8 = gen::random_tree(40, 8);
-    let mut b = ForestStore::builder();
-    b.emit_v1();
-    b.push_scheme(3, &NaiveScheme::build(&t3)).unwrap();
-    b.push_scheme(8, &NaiveScheme::build(&t8)).unwrap();
-    let v1 = b.finish().expect("v1 forest builds");
-    assert_eq!(v1.as_words()[1] >> 32, 1, "header says format v1");
-    assert_eq!(v1.generation(), 0);
-    assert_eq!(v1.spare_slots(), 0);
+fn v1_frames_are_rejected_with_unsupported_version() {
+    let frames = [
+        (3u64, NaiveScheme::build(&gen::random_tree(50, 7))),
+        (8, NaiveScheme::build(&gen::random_tree(40, 8))),
+    ];
+    let dir_end = 3 + 4 * frames.len();
+    let mut words = vec![
+        u64::from_le_bytes(*b"TLFRST01"),
+        1 << 32,
+        frames.len() as u64,
+    ];
+    let mut off = dir_end;
+    for (id, scheme) in &frames {
+        let inner = scheme.as_store().as_words();
+        // Record: id, offset, length, scheme tag (low half of the inner
+        // frame's word 1) << 32 | label count.
+        words.extend([
+            *id,
+            off as u64,
+            inner.len() as u64,
+            inner[1] << 32 | inner[2],
+        ]);
+        off += inner.len();
+    }
+    for (_, scheme) in &frames {
+        words.extend_from_slice(scheme.as_store().as_words());
+    }
+    words.push(crc::crc64_words(&words));
+    let unsupported = ForestError::Frame(StoreError::UnsupportedVersion { found: 1 });
 
-    let bytes = v1.to_bytes();
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     for policy in POLICIES {
-        let loaded = ForestStore::from_bytes_with(&bytes, policy).expect("v1 loads");
-        assert_eq!(loaded.generation(), 0);
         assert_eq!(
-            loaded.tree(3).expect("live tree").distance(1, 2),
-            v1.tree(3).unwrap().distance(1, 2)
+            ForestStore::from_bytes_with(&bytes, policy).unwrap_err(),
+            unsupported,
+            "{policy:?}"
         );
-        loaded.verify().expect("v1 frame verifies in full");
     }
+    assert_eq!(ForestRef::from_words(&words).unwrap_err(), unsupported);
 
-    // The first in-place mutation upgrades the layout: v2 header words,
-    // generation 1, and the tombstone representable at all.
-    let mut upgraded = v1.clone();
-    upgraded.tombstone(8).expect("live tree retires");
-    assert_eq!(upgraded.as_words()[1] >> 32, 2, "upgraded to format v2");
-    assert_eq!(upgraded.generation(), 1);
-    assert!(upgraded.is_tombstoned(8));
-    for policy in POLICIES {
-        let re = ForestStore::from_bytes_with(&upgraded.to_bytes(), policy).expect("v2 round-trip");
-        assert!(re.is_tombstoned(8));
-        assert!(re.tree(3).is_some());
-        assert_eq!(re.generation(), 1);
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    {
+        let dir = ScratchDir::new("generation-v1");
+        let path = dir.join("v1.bin");
+        std::fs::write(&path, &bytes).unwrap();
+        for policy in POLICIES {
+            match ForestStore::open_mmap(&path, policy) {
+                Err(treelab::ForestFileError::Forest(e)) => {
+                    assert_eq!(e, unsupported, "{policy:?}")
+                }
+                other => panic!("mapped v1 frame must be rejected, got {other:?}"),
+            }
+        }
     }
-
-    // v1 emission cannot host spare slots — a structured refusal, at finish.
-    let mut b = ForestStore::builder();
-    b.reserve_slots(2).emit_v1();
-    b.push_scheme(1, &NaiveScheme::build(&t3)).unwrap();
-    assert!(matches!(b.finish(), Err(ForestError::Directory { .. })));
 }
 
 /// Routing across mid-lifetime mutations: a tombstoned id vanishes from the

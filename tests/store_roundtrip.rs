@@ -1,17 +1,17 @@
 //! Store round-trips for all six schemes: `serialize` → `from_bytes` →
 //! `distance` (through packed refs) must equal the in-memory `distance`, and
 //! re-serializing a loaded store must reproduce the byte frame exactly —
-//! through the owning path, the borrowed [`StoreRef`] path (both frame
-//! versions), and a mixed-scheme [`ForestStore`].
+//! through the owning path, the borrowed [`StoreRef`] path, and a
+//! mixed-scheme [`ForestStore`].
 
 use treelab::bits::frame;
 use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
-    gen, AnyStoreRef, DistanceArrayScheme, DistanceScheme, ForestRef, ForestStore, IndexWidth,
-    NaiveScheme, OptimalScheme, Parallelism, QueryStatus, RouteScratch, SchemeStore, StoreError,
-    StoreRef, StoredScheme, Substrate, Tree, NO_DISTANCE,
+    gen, AnyStoreRef, DistanceArrayScheme, DistanceScheme, ForestRef, ForestStore, NaiveScheme,
+    OptimalScheme, Parallelism, QueryStatus, RouteScratch, SchemeStore, StoreError, StoreRef,
+    StoredScheme, Substrate, Tree, NO_DISTANCE,
 };
 
 /// The seeded tree corpus every scheme round-trips over: the adversarial
@@ -68,10 +68,6 @@ fn check_store<S: StoredScheme>(
     let any = AnyStoreRef::from_words(loaded.as_words())
         .unwrap_or_else(|e| panic!("{name}: AnyStoreRef::from_words failed: {e}"));
     assert_eq!(any.tag(), S::TAG, "{name}: dispatched tag");
-    // Both frame versions answer identically (v1 = u64 index, v2 = u32).
-    let wide = SchemeStore::build_with_index_width(scheme, IndexWidth::U64)
-        .unwrap_or_else(|e| panic!("{name}: v1 re-frame failed: {e}"));
-    assert_eq!((wide.as_words()[1] >> 32) as u32, 1, "{name}: v1 version");
     for (i, &(u, v)) in pairs.iter().enumerate() {
         let want = expected(u, v);
         assert_eq!(
@@ -82,7 +78,6 @@ fn check_store<S: StoredScheme>(
         assert_eq!(batch[i], want, "{name}: batch query ({u},{v})");
         assert_eq!(view.distance(u, v), want, "{name}: StoreRef ({u},{v})");
         assert_eq!(any.distance(u, v), want, "{name}: AnyStoreRef ({u},{v})");
-        assert_eq!(wide.distance(u, v), want, "{name}: v1 frame ({u},{v})");
     }
     // Per-label sizes are consistent with the region.
     let total: usize = (0..tree.len()).map(|u| loaded.label_bits(u)).sum();
@@ -281,40 +276,6 @@ fn borrow_path_refuses_misaligned_bytes_copy_path_accepts_them() {
     // An odd *length* is rejected on both paths (it cannot be whole words).
     assert!(SchemeStore::<OptimalScheme>::from_bytes(&padded).is_err());
     assert!(StoreRef::<OptimalScheme>::from_bytes(&padded).is_err());
-}
-
-/// A frame too large for a u32 index cannot be forced narrow, and the
-/// automatic choice stays valid across the 2³² boundary logic (exercised via
-/// the explicit width knob, since a real > 2³²-bit region would need gigabytes).
-#[test]
-fn index_width_is_recorded_and_round_trips_both_ways() {
-    let tree = gen::random_tree(400, 33);
-    let scheme = NaiveScheme::build(&tree);
-    let narrow = SchemeStore::build_with_index_width(&scheme, IndexWidth::U32).unwrap();
-    let wide = SchemeStore::build_with_index_width(&scheme, IndexWidth::U64).unwrap();
-    assert_eq!(narrow.index_width(), IndexWidth::U32);
-    assert_eq!(wide.index_width(), IndexWidth::U64);
-    // The version word separates the formats: v2 readers accept both, and a
-    // v1-only reader (which required version == 1) rejects v2 frames cleanly
-    // as UnsupportedVersion before touching anything else.
-    assert_eq!((narrow.as_words()[1] >> 32) as u32, 2);
-    assert_eq!((wide.as_words()[1] >> 32) as u32, 1);
-    let narrow2 = SchemeStore::<NaiveScheme>::from_bytes(&narrow.to_bytes()).unwrap();
-    let wide2 = SchemeStore::<NaiveScheme>::from_bytes(&wide.to_bytes()).unwrap();
-    assert_eq!(narrow2.as_words(), narrow.as_words());
-    assert_eq!(wide2.as_words(), wide.as_words());
-    let n = tree.len();
-    for i in 0..400usize {
-        let (u, v) = ((i * 13) % n, (i * 57 + 3) % n);
-        assert_eq!(narrow2.distance(u, v), wide2.distance(u, v), "({u},{v})");
-    }
-    // The narrow index halves the index region: the frame shrinks by
-    // ⌊(n+1)/2⌋ words exactly.
-    assert_eq!(
-        wide.size_bytes() - narrow.size_bytes(),
-        n.div_ceil(2) * 8,
-        "index savings"
-    );
 }
 
 #[test]
