@@ -4,22 +4,21 @@
 //! (see DESIGN.md §5 for the experiment index) and returns a [`Table`] that the
 //! binary prints and `EXPERIMENTS.md` records.
 
-use crate::golden;
 use crate::rss;
-use crate::workloads::{build_mixed_forest, forest_corpus, skewed_forest_queries, Family};
+use crate::workloads::{build_mixed_forest, forest_corpus, Family};
 use crate::Table;
 use std::time::Instant;
 use treelab_core::approximate::ApproximateScheme;
 use treelab_core::bounds;
 use treelab_core::distance_array::DistanceArrayScheme;
-use treelab_core::forest::{ForestStore, RouteScratch, ValidationPolicy};
+use treelab_core::forest::{ForestStore, ValidationPolicy};
 use treelab_core::kdistance::KDistanceScheme;
 use treelab_core::level_ancestor::LevelAncestorScheme;
 use treelab_core::naive::NaiveScheme;
 use treelab_core::optimal::OptimalScheme;
 use treelab_core::stats::LabelStats;
 use treelab_core::store::{SchemeStore, StoredScheme, NO_DISTANCE};
-use treelab_core::substrate::{Parallelism, Substrate};
+use treelab_core::substrate::Substrate;
 use treelab_core::universal::{universal_from_parent_labels, universal_tree_size};
 use treelab_core::{DistanceScheme, LabelLayout};
 use treelab_tree::{gen, Tree};
@@ -352,172 +351,10 @@ pub fn ablation_experiment(n: usize, seed: u64) -> Table {
     table
 }
 
-/// E7/E8: wall-clock construction and query times (complementing the Criterion
-/// benches with a single easily-recorded table).
-pub fn timing_experiment(sizes: &[usize], seed: u64) -> Table {
-    let mut table = Table::new(
-        "E7/E8 — construction time and per-query time (random trees)",
-        &["n", "scheme", "build (ms)", "query (ns, mean over 100k)"],
-    );
-    for &n in sizes {
-        let tree = gen::random_tree(n, seed);
-        macro_rules! measure {
-            ($name:expr, $build:expr, $query:expr) => {{
-                let t0 = Instant::now();
-                let scheme = $build;
-                let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-                let query = $query;
-                let t1 = Instant::now();
-                let mut acc = 0u64;
-                let q = 100_000usize;
-                for i in 0..q {
-                    let a = tree.node((i * 7919) % tree.len());
-                    let b = tree.node((i * 104_729 + 1) % tree.len());
-                    acc = acc.wrapping_add(query(&scheme, a, b));
-                }
-                let per_query = t1.elapsed().as_nanos() as f64 / q as f64;
-                std::hint::black_box(acc);
-                table.push_row(vec![
-                    n.to_string(),
-                    $name.to_string(),
-                    format!("{build_ms:.1}"),
-                    format!("{per_query:.0}"),
-                ]);
-            }};
-        }
-        measure!(
-            "naive",
-            NaiveScheme::build(&tree),
-            |s: &NaiveScheme, a, b| { s.distance(a, b) }
-        );
-        measure!(
-            "distance-array",
-            DistanceArrayScheme::build(&tree),
-            |s: &DistanceArrayScheme, a, b| s.distance(a, b)
-        );
-        measure!(
-            "optimal",
-            OptimalScheme::build(&tree),
-            |s: &OptimalScheme, a, b| { s.distance(a, b) }
-        );
-        measure!(
-            "k-distance (k=8)",
-            KDistanceScheme::build(&tree, 8),
-            |s: &KDistanceScheme, a, b| s.distance(a, b).unwrap_or(0)
-        );
-        measure!(
-            "approximate (ε=0.25)",
-            ApproximateScheme::build(&tree, 0.25),
-            |s: &ApproximateScheme, a, b| s.distance(a, b)
-        );
-    }
-    table
-}
-
-/// E10: the shared-substrate construction sweep — total wall-clock time to
-/// build **all six** per-tree schemes (the exact trio, k-distance,
-/// approximate, level-ancestor) with isolated `build` calls versus one shared
-/// [`Substrate`], at the given [`Parallelism`].
-///
-/// The shared side removes five of the six heavy-path decompositions,
-/// auxiliary labelings and binarizations; how much that saves depends on
-/// what the substrate costs (E10 records ≥ 30% at `n = 16k` with the
-/// original per-node substrate and about 25% with the arena-based one).
-pub fn substrate_experiment(sizes: &[usize], seed: u64, par: Parallelism) -> Table {
-    let mut table = Table::new(
-        format!(
-            "E10 — shared build substrate: per-tree construction of all 6 schemes \
-             (random trees, {} thread(s))",
-            par.thread_count()
-        ),
-        &[
-            "n",
-            "isolated builds (ms)",
-            "shared substrate (ms)",
-            "of which substrate (ms)",
-            "reduction",
-        ],
-    );
-    for &n in sizes {
-        let tree = gen::random_tree(n, seed);
-
-        // Warm-up pass so first-touch allocator effects hit neither side.
-        std::hint::black_box(NaiveScheme::build(&tree));
-
-        // Isolated side: a fresh (unshared) substrate per scheme, pinned to
-        // the same parallelism as the shared side so the two columns differ
-        // only in sharing, not in thread count.
-        let isolated = || Substrate::with_parallelism(&tree, par);
-        let t0 = Instant::now();
-        std::hint::black_box(NaiveScheme::build_with_substrate(&isolated()));
-        std::hint::black_box(DistanceArrayScheme::build_with_substrate(&isolated()));
-        std::hint::black_box(OptimalScheme::build_with_substrate(&isolated()));
-        std::hint::black_box(KDistanceScheme::build_with_substrate(&isolated(), 8));
-        std::hint::black_box(ApproximateScheme::build_with_substrate(&isolated(), 0.25));
-        std::hint::black_box(LevelAncestorScheme::build_with_substrate(&isolated()));
-        let isolated_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let t1 = Instant::now();
-        let sub = Substrate::with_parallelism(&tree, par);
-        // Only the components the schemes consume (the oracle is a
-        // validation-side structure; charging it here would be unfair to the
-        // shared path).
-        sub.heavy_paths();
-        sub.aux_labels();
-        sub.depths();
-        sub.root_distances();
-        sub.binarized();
-        let substrate_ms = t1.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(NaiveScheme::build_with_substrate(&sub));
-        std::hint::black_box(DistanceArrayScheme::build_with_substrate(&sub));
-        std::hint::black_box(OptimalScheme::build_with_substrate(&sub));
-        std::hint::black_box(KDistanceScheme::build_with_substrate(&sub, 8));
-        std::hint::black_box(ApproximateScheme::build_with_substrate(&sub, 0.25));
-        std::hint::black_box(LevelAncestorScheme::build_with_substrate(&sub));
-        let shared_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        table.push_row(vec![
-            tree.len().to_string(),
-            format!("{isolated_ms:.1}"),
-            format!("{shared_ms:.1}"),
-            format!("{substrate_ms:.1}"),
-            format!("{:.0}%", 100.0 * (1.0 - shared_ms / isolated_ms)),
-        ]);
-    }
-    table
-}
-
 /// Timed repetitions per throughput measurement; the best one is reported
 /// for *both* sides of every comparison, so scheduler noise on a shared
 /// machine cannot bias the ratio either way.
 const REPS: usize = 3;
-
-/// Queries per second of `query` over `pairs`: best of [`REPS`] timed rounds,
-/// each issuing at least `min_total` queries (an untimed pass warms caches).
-fn throughput(
-    pairs: &[(usize, usize)],
-    min_total: usize,
-    mut query: impl FnMut(usize, usize) -> u64,
-) -> f64 {
-    let mut acc = 0u64;
-    for &(u, v) in pairs {
-        acc = acc.wrapping_add(query(u, v));
-    }
-    let rounds = min_total.div_ceil(pairs.len()).max(1);
-    let mut best = 0f64;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            for &(u, v) in pairs {
-                acc = acc.wrapping_add(query(u, v));
-            }
-        }
-        let qps = (rounds * pairs.len()) as f64 / t0.elapsed().as_secs_f64();
-        best = best.max(qps);
-    }
-    std::hint::black_box(acc);
-    best
-}
 
 /// Batch queries per second of a store over `pairs`, chunked like a serving
 /// loop would (one `distances_into` call per chunk, output buffer reused);
@@ -544,229 +381,6 @@ fn batch_throughput<S: StoredScheme>(
         best = best.max(qps);
     }
     best
-}
-
-/// E11: the zero-copy scheme store — store size, load time, and store-backed
-/// (batch) versus scheme-method query throughput for all six schemes.
-///
-/// Since the packed-native refactor the "scheme" column goes through the same
-/// kernels as the store columns (the scheme *is* a store); the batch speedup
-/// isolates what the amortized bounds checks + prefetch of the batch engine
-/// buy over one-at-a-time queries.
-pub fn store_experiment(sizes: &[usize], seed: u64) -> Table {
-    let mut table = Table::new(
-        format!(
-            "E11 — zero-copy scheme store: size, load time, and batch query throughput \
-             (random trees) [kernel: {}]",
-            treelab_bits::simd::kernel_config()
-        ),
-        &[
-            "n",
-            "scheme",
-            "store (KiB)",
-            "load (µs)",
-            "scheme (Mq/s)",
-            "store (Mq/s)",
-            "store batch (Mq/s)",
-            "batch speedup",
-        ],
-    );
-    let queries = 200_000usize;
-    for &n in sizes {
-        let tree = gen::random_tree(n, seed);
-        let sub = Substrate::new(&tree);
-        let pairs: Vec<(usize, usize)> = (0..65_536)
-            .map(|i| ((i * 7919 + 3) % tree.len(), (i * 104_729 + 11) % tree.len()))
-            .collect();
-
-        macro_rules! row {
-            ($ty:ty, $scheme:expr, $struct_query:expr) => {{
-                let scheme = $scheme;
-                let bytes = SchemeStore::<$ty>::serialize(&scheme);
-                // Load time: median of 5 validated reloads.
-                let mut loads: Vec<f64> = (0..5)
-                    .map(|_| {
-                        let t = Instant::now();
-                        std::hint::black_box(
-                            SchemeStore::<$ty>::from_bytes(&bytes).expect("valid store"),
-                        );
-                        t.elapsed().as_secs_f64() * 1e6
-                    })
-                    .collect();
-                loads.sort_by(f64::total_cmp);
-                let store = SchemeStore::<$ty>::from_bytes(&bytes).expect("valid store");
-                let struct_query = $struct_query;
-                let struct_qps = throughput(&pairs, queries, |u, v| struct_query(&scheme, u, v));
-                let store_qps = throughput(&pairs, queries, |u, v| store.distance(u, v));
-                let batch_qps = batch_throughput(&store, &pairs, queries);
-                table.push_row(vec![
-                    tree.len().to_string(),
-                    <$ty as StoredScheme>::STORE_NAME.to_string(),
-                    format!("{:.0}", bytes.len() as f64 / 1024.0),
-                    format!("{:.0}", loads[2]),
-                    format!("{:.2}", struct_qps / 1e6),
-                    format!("{:.2}", store_qps / 1e6),
-                    format!("{:.2}", batch_qps / 1e6),
-                    format!("{:.2}x", batch_qps / struct_qps),
-                ]);
-            }};
-        }
-
-        row!(
-            NaiveScheme,
-            NaiveScheme::build_with_substrate(&sub),
-            |s: &NaiveScheme, u, v| s.distance(tree.node(u), tree.node(v))
-        );
-        row!(
-            DistanceArrayScheme,
-            DistanceArrayScheme::build_with_substrate(&sub),
-            |s: &DistanceArrayScheme, u, v| s.distance(tree.node(u), tree.node(v))
-        );
-        row!(
-            OptimalScheme,
-            OptimalScheme::build_with_substrate(&sub),
-            |s: &OptimalScheme, u, v| s.distance(tree.node(u), tree.node(v))
-        );
-        row!(
-            KDistanceScheme,
-            KDistanceScheme::build_with_substrate(&sub, 8),
-            |s: &KDistanceScheme, u, v| s
-                .distance(tree.node(u), tree.node(v))
-                .unwrap_or(NO_DISTANCE)
-        );
-        row!(
-            ApproximateScheme,
-            ApproximateScheme::build_with_substrate(&sub, 0.25),
-            |s: &ApproximateScheme, u, v| s.distance(tree.node(u), tree.node(v))
-        );
-        row!(
-            LevelAncestorScheme,
-            LevelAncestorScheme::build_with_substrate(&sub),
-            |s: &LevelAncestorScheme, u, v| DistanceScheme::distance(s, tree.node(u), tree.node(v))
-        );
-    }
-    table
-}
-
-/// E12: the forest serving layer — one mixed-scheme frame over the seeded
-/// corpus, Zipf-skewed routed traffic, and three serving strategies:
-///
-/// * **loop** — the naive per-query serving loop
-///   (`forest.tree(id).distance(u, v)`: one id lookup, one runtime dispatch
-///   and one cold label access per query, hopping trees in arrival order);
-/// * **routed** — [`ForestStore::try_route_distances_into`] on a serial
-///   [`RouteScratch`]: group by tree, drive each group through the scheme's
-///   allocation-free batch engine, scatter back to arrival order;
-/// * **sharded** — the same engine on a reused
-///   [`RouteScratch::with_parallelism`] scratch, tree groups fanned out over
-///   scoped worker threads, one row per entry of the `threads` sweep (`0` =
-///   [`Parallelism::Auto`], i.e. all available cores).
-///
-/// This is the number the ISSUE-4 acceptance criterion is about: sharded
-/// routed throughput ≥ 1.5× the single-thread per-tree loop at
-/// `64 trees × 16k nodes`.  The loop and routed figures are measured once
-/// and repeated on every row so each sharded setting reads as a complete
-/// comparison.
-pub fn forest_experiment(
-    trees: usize,
-    nodes_per_tree: usize,
-    queries: usize,
-    seed: u64,
-    threads: &[usize],
-) -> Table {
-    let mut table = Table::new(
-        format!(
-            "E12 — forest serving layer: routed + sharded batch throughput vs the per-query \
-             loop (mixed-scheme corpus, Zipf(1.0) tree popularity) [kernel: {}]",
-            treelab_bits::simd::kernel_config()
-        ),
-        &[
-            "trees",
-            "n/tree",
-            "frame (MiB)",
-            "load (ms)",
-            "threads",
-            "loop (Mq/s)",
-            "routed (Mq/s)",
-            "sharded (Mq/s)",
-            "routed/loop",
-            "sharded/loop",
-        ],
-    );
-    let corpus = forest_corpus(trees, nodes_per_tree, seed);
-    let forest = build_mixed_forest(&corpus);
-    let bytes = forest.to_bytes();
-    // Load time: median of 5 validated reloads (copy path, whole forest).
-    let mut loads: Vec<f64> = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(ForestStore::from_bytes(&bytes).expect("valid forest"));
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    loads.sort_by(f64::total_cmp);
-
-    let batch = skewed_forest_queries(&corpus, queries, 1.0, seed ^ 0x0f0e);
-
-    // Per-query loop: tree lookup + dispatch + single query, arrival order.
-    let mut acc = 0u64;
-    let mut best_loop = 0f64;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        for &(id, u, v) in &batch {
-            acc = acc.wrapping_add(forest.tree(id).expect("known tree").distance(u, v));
-        }
-        best_loop = best_loop.max(batch.len() as f64 / t0.elapsed().as_secs_f64());
-    }
-    std::hint::black_box(acc);
-
-    // Routed engine, single thread, scratch + output reused across rounds.
-    let mut scratch = RouteScratch::new();
-    let mut out = Vec::with_capacity(batch.len());
-    let warm = forest.try_route_distances_into(&batch, &mut scratch, &mut out);
-    assert!(warm.all_ok(), "E12 traffic names only live trees and nodes");
-    let mut best_routed = 0f64;
-    for _ in 0..REPS {
-        out.clear();
-        let t0 = Instant::now();
-        forest.try_route_distances_into(&batch, &mut scratch, &mut out);
-        best_routed = best_routed.max(batch.len() as f64 / t0.elapsed().as_secs_f64());
-        std::hint::black_box(out.last().copied());
-    }
-
-    // Sharded engine, one row per thread setting (`0` = Auto = all available
-    // cores; on a single-core host every setting degenerates to the routed
-    // engine minus partitioning overhead).
-    for &t in threads {
-        let mut scratch = RouteScratch::with_parallelism(Parallelism::from_thread_count(t));
-        out.clear();
-        forest.try_route_distances_into(&batch, &mut scratch, &mut out); // warm-up
-        let mut best_sharded = 0f64;
-        for _ in 0..REPS {
-            out.clear();
-            let t0 = Instant::now();
-            forest.try_route_distances_into(&batch, &mut scratch, &mut out);
-            best_sharded = best_sharded.max(batch.len() as f64 / t0.elapsed().as_secs_f64());
-            std::hint::black_box(out.last().copied());
-        }
-        table.push_row(vec![
-            trees.to_string(),
-            nodes_per_tree.to_string(),
-            format!("{:.1}", bytes.len() as f64 / (1024.0 * 1024.0)),
-            format!("{:.1}", loads[2]),
-            if t == 0 {
-                "auto".to_string()
-            } else {
-                t.to_string()
-            },
-            format!("{:.2}", best_loop / 1e6),
-            format!("{:.2}", best_routed / 1e6),
-            format!("{:.2}", best_sharded / 1e6),
-            format!("{:.2}x", best_routed / best_loop),
-            format!("{:.2}x", best_sharded / best_loop),
-        ]);
-    }
-    table
 }
 
 /// E14: restart latency — the time from "a serving process starts" to "its
@@ -873,17 +487,17 @@ fn giant_substrate(tree: &Tree, chunk: usize) -> Substrate<'_> {
     sub
 }
 
-/// Deterministic query pairs over `0..n` (the same congruential sampling the
-/// E11 store experiment uses, so throughputs stay comparable across tables).
+/// Deterministic query pairs over `0..n` (one congruential sampling, so the
+/// E15 and E15b throughputs stay comparable).
 fn sample_pairs(n: usize, count: usize) -> Vec<(usize, usize)> {
     (0..count)
         .map(|i| ((i * 7919 + 3) % n, (i * 104_729 + 11) % n))
         .collect()
 }
 
-/// E15: the giant-tree scale run — E1's label sizes, E7's build times and
-/// E11's batch throughput extended to `n = 16M` through the chunk-streaming
-/// build path, with the *transient* pack memory of every scheme measured
+/// E15: the giant-tree scale run — label sizes (as in E1), build times and
+/// batch throughput at `n = 16M` through the chunk-streaming build path,
+/// with the *transient* pack memory of every scheme measured
 /// (peak RSS above the post-substrate baseline, isolated per phase via
 /// [`rss::measure_peak`]).
 ///
@@ -1195,63 +809,6 @@ pub fn giant_smoke(n: usize, chunk: usize, seed: u64) -> Result<String, String> 
     }
 }
 
-/// The `--store --check` regression gate.
-///
-/// Validates that (1) the E11 table carries a parseable batch-speedup figure
-/// for **all six** schemes (geomean reported), (2) every scheme × tree of the
-/// golden corpus still builds its golden frame: the CRC-64 trailer word,
-/// `Σ label_bits` and `max_label_bits` equal [`golden::GOLDEN_FRAMES`].
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first failed check (the
-/// binary exits nonzero on it).
-pub fn store_check(table: &Table) -> Result<(), String> {
-    // 1. Speedup data present for all six schemes.
-    let scheme_col = 1usize;
-    let speedup_col = table.headers.len() - 1;
-    let mut seen = std::collections::BTreeMap::new();
-    for row in &table.rows {
-        let cell = &row[speedup_col];
-        let value: f64 = cell
-            .strip_suffix('x')
-            .ok_or_else(|| format!("speedup cell `{cell}` is not of the form `<ratio>x`"))?
-            .parse()
-            .map_err(|e| format!("speedup cell `{cell}` does not parse: {e}"))?;
-        if !(value.is_finite() && value > 0.0) {
-            return Err(format!("speedup `{cell}` is not a positive finite ratio"));
-        }
-        seen.insert(row[scheme_col].clone(), value);
-    }
-    let expected = [
-        "naive-fixed-width",
-        "distance-array",
-        "optimal-quarter",
-        "k-distance",
-        "approximate",
-        "level-ancestor",
-    ];
-    for name in expected {
-        if !seen.contains_key(name) {
-            return Err(format!("store table has no speedup row for `{name}`"));
-        }
-    }
-    let geomean = (seen.values().map(|v| v.ln()).sum::<f64>() / seen.len() as f64).exp();
-    println!(
-        "store check: batch-vs-single speedup geomean over {} schemes = {geomean:.2}x",
-        seen.len()
-    );
-
-    // 2. Golden frames.
-    golden::compare(&golden::measure_corpus(), golden::GOLDEN_FRAMES)?;
-    println!(
-        "store check: {} golden frames match (CRC-64 trailer, Σ label_bits, max)",
-        golden::GOLDEN_FRAMES.len()
-    );
-
-    Ok(())
-}
-
 /// E17: serving availability and fault-detection latency under the seeded
 /// chaos schedule of [`crate::chaos`], with and without the budgeted
 /// scrubber + repair loop.
@@ -1381,31 +938,6 @@ mod tests {
                 .unwrap()
         };
         assert!(payload_of("paper defaults") <= payload_of("no bit pushing"));
-    }
-
-    #[test]
-    fn substrate_experiment_reports_a_reduction() {
-        let t = substrate_experiment(&[512], 3, Parallelism::Serial);
-        assert_eq!(t.rows.len(), 1);
-        let shared: f64 = t.rows[0][2].parse().unwrap();
-        let isolated: f64 = t.rows[0][1].parse().unwrap();
-        assert!(shared > 0.0 && isolated > 0.0);
-        assert!(t.rows[0][4].ends_with('%'));
-    }
-
-    #[test]
-    fn forest_experiment_reports_throughputs() {
-        let t = forest_experiment(6, 96, 4000, 5, &[1, 0]);
-        assert_eq!(t.rows.len(), 2, "one row per thread setting");
-        assert_eq!(t.rows[0][4], "1");
-        assert_eq!(t.rows[1][4], "auto");
-        for row in &t.rows {
-            for (col, cell) in row.iter().enumerate().take(8).skip(5) {
-                let qps: f64 = cell.parse().unwrap();
-                assert!(qps > 0.0, "column {col}: {qps}");
-            }
-            assert!(row[8].ends_with('x') && row[9].ends_with('x'));
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! recorded when the direct pack path was still asserted bit-equal to the
 //! historical struct-then-serialize pipeline, and [`compare`] holds any
 //! measurement to them.  The golden-frame test (`tests/legacy_equivalence.rs`)
-//! and check 2 of `experiments -- --store --check` both read this one table.
+//! reads this table, in both the debug and the release profile.
 //!
 //! A change that moves a frame bit or a wire size on purpose must re-record
 //! the table (print [`measure_corpus`]) and say why in the change log.

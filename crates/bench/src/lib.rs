@@ -12,9 +12,10 @@
 //!   return printable tables (used by the `experiments` binary, whose output is
 //!   recorded in `EXPERIMENTS.md`);
 //! * [`golden`] — the golden-frame table pinning every scheme's packed frame
-//!   (CRC-64 trailer word) and wire sizes over a seeded corpus;
-//! * the Criterion benches under `benches/` measure construction time, query
-//!   time, serialization and the bit-level substrate.
+//!   (CRC-64 trailer word) and wire sizes over a seeded corpus.
+//!
+//! Query, store, router and build timings are measured by the serving
+//! benchmark in `treebench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

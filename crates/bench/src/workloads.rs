@@ -1,4 +1,4 @@
-//! The named tree families every experiment and bench sweeps over, plus the
+//! The named tree families every experiment sweeps over, plus the
 //! forest workload family: a seeded corpus of many trees, the mixed-scheme
 //! forest built over it, and a skewed (Zipf-popularity) routed query mix.
 
@@ -107,7 +107,7 @@ const FOREST_FAMILIES: &[Family] = &[
 /// ids `0..trees`, shapes cycling through the unweighted families.
 ///
 /// Deterministic given `(trees, nodes_per_tree, seed)` — the substrate of
-/// the forest bench and the E12 experiment.
+/// the chaos harness, the E14 restart experiment and treebench's forest.
 pub fn forest_corpus(trees: usize, nodes_per_tree: usize, seed: u64) -> Vec<(u64, Tree)> {
     (0..trees as u64)
         .map(|id| {
@@ -123,7 +123,7 @@ pub fn forest_corpus(trees: usize, nodes_per_tree: usize, seed: u64) -> Vec<(u64
 /// Builds the mixed-scheme forest over a corpus: tree `i` gets the
 /// `i mod 6`-th scheme (paper-default parameters: `k = 8`, `ε = 0.25`), so
 /// the routed engine exercises every scheme's `Ref` path.  Shared by the
-/// E12 experiment and the forest bench, so both measure the same forest.
+/// chaos harness and E14; treebench's tests prove its forest is this one.
 pub fn build_mixed_forest(corpus: &[(u64, Tree)]) -> ForestStore {
     let mut b = ForestStore::builder();
     for (i, (id, tree)) in corpus.iter().enumerate() {

@@ -13,12 +13,19 @@ fn experiments(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_flags_exit_nonzero_with_the_usage() {
-    // `--lanes` and `--packed-native` name retired experiments.
+    // `--lanes`, `--packed-native`, `--timing`, `--substrate`, `--store`,
+    // `--check`, `--forest` and `--threads` name retired experiments and
+    // modifiers.
     for bad in [
         &["--lanes"][..],
         &["--packed-native"],
         &["--bogus"],
         &["--quick", "--bogus"],
+        &["--quick", "--timing"],
+        &["--quick", "--substrate"],
+        &["--quick", "--store", "--check"],
+        &["--quick", "--forest"],
+        &["--threads", "1"],
     ] {
         let out = experiments(bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2");
@@ -32,12 +39,6 @@ fn unknown_flags_exit_nonzero_with_the_usage() {
             "{bad:?} printed tables before failing"
         );
     }
-}
-
-#[test]
-fn a_value_flag_without_its_value_exits_nonzero() {
-    assert_eq!(experiments(&["--threads"]).status.code(), Some(2));
-    assert_eq!(experiments(&["--threads", "many"]).status.code(), Some(2));
 }
 
 #[test]

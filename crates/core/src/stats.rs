@@ -1,4 +1,4 @@
-//! Label-size accounting used by the experiment harness and the benches.
+//! Label-size accounting used by the experiment tables.
 
 use std::fmt;
 

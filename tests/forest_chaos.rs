@@ -2,9 +2,9 @@
 //! driven end to end through the `treelab-bench` fault injector.
 //!
 //! The default run exercises the acceptance invariants at a scale CI can
-//! afford; set `TREELAB_CHAOS_FULL=1` to replay it at the full E12 shape
-//! (64 trees × 16k nodes — the configuration recorded in EXPERIMENTS.md as
-//! E17's companion gate).
+//! afford; set `TREELAB_CHAOS_FULL=1` to replay it at the full serving shape
+//! (64 trees × 16k nodes, treebench's routed-zipf forest — the configuration
+//! recorded in EXPERIMENTS.md as E17's companion gate).
 
 use treelab_bench::chaos::{acceptance, chaos_smoke, run_chaos, ChaosConfig};
 
@@ -16,7 +16,7 @@ use treelab_bench::chaos::{acceptance, chaos_smoke, run_chaos, ChaosConfig};
 #[test]
 fn acceptance_holds_with_five_percent_of_frames_corrupted() {
     let (trees, nodes_per_tree, queries) = if std::env::var_os("TREELAB_CHAOS_FULL").is_some() {
-        (64, 16384, 8192) // the E12 forest shape
+        (64, 16384, 8192) // the routed-zipf forest shape
     } else {
         (24, 768, 4096)
     };

@@ -5,8 +5,8 @@
 //!
 //! Each scheme × tree is pinned by its frame's CRC-64 trailer word (every
 //! header, index and label bit), `Σ label_bits` and `max_label_bits` — the
-//! table in `treelab_bench::golden`, which `experiments -- --store --check`
-//! reads too.
+//! table in `treelab_bench::golden`.  CI runs this test under the release
+//! profile too.
 
 use treelab_bench::golden::{compare, measure_corpus, GOLDEN_FRAMES};
 
