@@ -5,8 +5,9 @@
 //! # Why
 //!
 //! A production labeling service rarely serves *one* tree: it serves a corpus
-//! — thousands of trees, each built once into a [`SchemeStore`] frame — and
-//! answers routed queries of the form *(tree, u, v)*.  The forest store packs
+//! — thousands of trees, each built once into a
+//! [`SchemeStore`](crate::store::SchemeStore) frame — and answers routed
+//! queries of the form *(tree, u, v)*.  The forest store packs
 //! any mix of per-tree frames (the schemes may differ tree to tree) into one
 //! contiguous `TLFRST01` super-frame.  The current directory format (v2):
 //!
@@ -34,6 +35,21 @@
 //! whole-frame CRC) is rejected with `UnsupportedVersion`.  `FORMAT.md` at
 //! the repository root specifies the format bit for bit.
 //!
+//! # One read API, four backings
+//!
+//! [`Forest<W>`](Forest) is the one forest type: the decoded directory plus
+//! the frame words, held by `W` ([`FrameWords`]).  Its read API — per-tree
+//! views, routing, health, verification, scrubbing — is one generic impl,
+//! and each backing is an alias with its own constructors:
+//!
+//! * [`ForestRef`] `= Forest<&[u64]>` borrows caller-held words;
+//! * [`ForestStore`] `= Forest<Arc<Vec<u64>>>` owns the buffer and is the
+//!   only backing that mutates;
+//! * [`ForestPin`] `= Forest<Pinned>` is a read-only snapshot of one
+//!   [`ForestStore`] generation;
+//! * `MappedForest` `= Forest<frame::Mmap>` serves a published file from a
+//!   read-only memory map (64-bit Unix).
+//!
 //! # Validation policy: eager or lazy
 //!
 //! Every open path takes a [`ValidationPolicy`].  **Eager** (the default, and
@@ -45,8 +61,8 @@
 //! and serves every other tree, and the corrupt one fails on first touch
 //! with the *same* [`ForestError::Tree`] the eager open would have reported.
 //! The per-tree validation verdict is cached, so every touch after the first
-//! is O(1) and allocation-free, and [`ForestRef::verify`] /
-//! [`ForestRef::verify_chunked`] can retrofit full eager coverage (e.g. from
+//! is O(1) and allocation-free, and [`Forest::verify`] /
+//! [`Forest::verify_chunked`] can retrofit full eager coverage (e.g. from
 //! a background thread, a budgeted chunk at a time) without reopening.
 //!
 //! Lazy opens are what make restart latency O(directory) instead of O(file):
@@ -61,9 +77,10 @@
 //! [`ForestStore::tombstone`] retires one by zeroing its record's scheme tag
 //! — both in place, without rewriting any other frame, and both bump the
 //! directory **generation word**.  Readers that need a stable view across
-//! mutations take a [`ForestPin`]: an O(1) snapshot (buffer sharing via
-//! [`Arc`], copy-on-write only if a mutation lands while pins are out) that
-//! keeps answering from its generation forever.  [`ForestStore::publish`]
+//! mutations take a [`ForestPin`]: a snapshot that shares the frame buffer
+//! via [`Arc`] and copies the O(T) slot table (copy-on-write of the buffer
+//! only if a mutation lands while pins are out), and keeps answering from
+//! its generation forever.  [`ForestStore::publish`]
 //! persists crash-safely: write to a `.tmp` sibling, fsync, then atomically
 //! rename over the destination, so a reader never observes a half-written
 //! frame and a crash leaves at worst a stale temp file that the next publish
@@ -76,7 +93,7 @@
 //!
 //! # The routed batch engine
 //!
-//! [`ForestRef::try_route_distances_into`] is the one routed engine.  It
+//! [`Forest::try_route_distances_into`] is the one routed engine.  It
 //! takes a batch of `(tree, u, v)` queries in *arrival order*, resolves each
 //! id by binary search over a dense id array, groups the queries by tree,
 //! drives each group through the scheme's allocation-free batch path (one
@@ -98,7 +115,7 @@
 //! [`RouteScratch::with_parallelism`] fans independent tree groups out over
 //! [`std::thread::scope`] workers (never more workers than groups) behind
 //! the same [`Parallelism`] knob the builders use, with bit-identical output
-//! for every thread count.  [`ForestRef::try_route_distances_sharded`] is
+//! for every thread count.  [`Forest::try_route_distances_sharded`] is
 //! the one-shot form over a fresh scratch.
 //!
 //! # Self-healing: fallible routing, quarantine, repair, scrubbing
@@ -118,10 +135,10 @@
 //! `CorruptTree` status until [`ForestStore::repair_frame`] /
 //! [`ForestStore::repair_scheme`] splices a caller-supplied replacement
 //! frame (a rebuild or a replica) over the damaged extent under a fresh
-//! generation.  [`ForestRef::health`] reports every slot's state machine
+//! generation.  [`Forest::health`] reports every slot's state machine
 //! position (`Unvalidated → Valid | Quarantined → Valid`, any `→
 //! Tombstoned`; also specified in `FORMAT.md`), and a [`Scrubber`] driven
-//! from the serving loop ([`ForestRef::scrub`], a words-per-call budget)
+//! from the serving loop ([`Forest::scrub`], a words-per-call budget)
 //! re-validates every live frame from its bytes pass after pass — settling
 //! lazily-deferred slots before queries touch them and catching rot that
 //! lands *after* a slot validated, which `verify`'s cached verdicts cannot.
@@ -131,7 +148,7 @@
 //! Everything reachable from **untrusted input** — file bytes, query
 //! arguments — reports typed errors or statuses: every open/parse path
 //! returns [`ForestError`], per-tree reads go through
-//! [`ForestRef::try_tree`], and routed serving reports a [`QueryStatus`] per
+//! [`Forest::try_tree`], and routed serving reports a [`QueryStatus`] per
 //! query.  The panics that remain are, by policy:
 //!
 //! * internal invariants that cannot be reached through validated state
@@ -186,7 +203,7 @@ use std::sync::{Arc, OnceLock};
 use treelab_bits::crc::{self, Crc64};
 use treelab_bits::frame;
 
-use crate::store::{AnyParts, AnyStoreRef, BatchPlan, SchemeStore, StoreError, StoredScheme};
+use crate::store::{AnyParts, AnyStoreRef, BatchPlan, StoreError, StoredScheme};
 use crate::substrate::Parallelism;
 
 /// `b"TLFRST01"` as a little-endian word.
@@ -413,6 +430,17 @@ fn check_inner(words: &[u64], e: DirEntry) -> Result<AnyParts, StoreError> {
     Ok(view.parts())
 }
 
+/// Validates a caller-supplied frame for tree `id` and returns what its
+/// directory record holds: the scheme tag, the label count (which must fit
+/// the record's 32 bits) and the cached parse.
+fn frame_record(id: u64, words: &[u64]) -> Result<(u32, u32, AnyParts), ForestError> {
+    let view = AnyStoreRef::from_words(words).map_err(|error| ForestError::Tree { id, error })?;
+    let n = u32::try_from(view.node_count()).map_err(|_| ForestError::Directory {
+        what: "a directory record stores the label count in 32 bits",
+    })?;
+    Ok((view.tag(), n, view.parts()))
+}
+
 /// Validates the inner frame of `slot` on first call and caches the verdict;
 /// every later call borrows the cached result without allocating or
 /// copying.  A quarantined slot (rot found by the scrubber after validation)
@@ -588,22 +616,7 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
     Ok(state)
 }
 
-/// Full verification of a view, whatever policy it was opened under: the
-/// outer header + directory checksum plus every live inner frame — forcing
-/// and caching any validation the lazy policy deferred.
-fn verify_impl(words: &[u64], state: &ForestState) -> Result<(), ForestError> {
-    if crc::crc64_words(&words[..state.dir_end()]) != words[words.len() - 1] {
-        return Err(ForestError::Frame(StoreError::ChecksumMismatch));
-    }
-    for slot in &state.slots {
-        if slot.entry.tag != 0 {
-            validate_slot(words, slot)?;
-        }
-    }
-    Ok(())
-}
-
-/// Resumable progress through a [`verify_chunked`](ForestRef::verify_chunked)
+/// Resumable progress through a [`verify_chunked`](Forest::verify_chunked)
 /// pass: the streaming outer-checksum state, then a cursor over the live
 /// directory slots.  One cursor belongs to one frame snapshot — start a
 /// fresh cursor after any mutation (a pinned view is the natural target).
@@ -688,7 +701,7 @@ fn verify_chunked_impl(
 }
 
 /// The per-query verdict of the routed engine
-/// ([`ForestRef::try_route_distances_into`]), in arrival order: the answer,
+/// ([`Forest::try_route_distances_into`]), in arrival order: the answer,
 /// or why there is none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryStatus {
@@ -762,7 +775,7 @@ impl RouteOutcome {
 }
 
 /// The serving state of one directory slot, as reported by
-/// [`ForestRef::health`](ForestRef::health) / `slot_health`.
+/// [`Forest::health`] / `slot_health`.
 ///
 /// The lifecycle (also in `FORMAT.md`):
 /// `Unvalidated → Valid | Quarantined`, `Valid → Quarantined` (scrub finds
@@ -851,16 +864,6 @@ fn slot_health_of(slot: &TreeSlot) -> SlotHealth {
     }
 }
 
-fn health_impl(state: &ForestState) -> HealthReport {
-    HealthReport {
-        slots: state
-            .slots
-            .iter()
-            .map(|s| (s.entry.id, slot_health_of(s)))
-            .collect(),
-    }
-}
-
 /// Lifetime counters of a [`Scrubber`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubStats {
@@ -878,7 +881,7 @@ pub struct ScrubStats {
     pub restarts: u64,
 }
 
-/// What one [`scrub`](ForestRef::scrub) call accomplished.
+/// What one [`scrub`](Forest::scrub) call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScrubOutcome {
     /// The budget ran out mid-pass; call again to continue.
@@ -900,7 +903,7 @@ pub enum ScrubOutcome {
 /// A budgeted background scrubber: resumable progress through repeated full
 /// passes over one forest view, re-reading every frame word fresh each pass.
 ///
-/// Where [`verify_chunked`](ForestRef::verify_chunked) *settles* each slot
+/// Where [`verify_chunked`](Forest::verify_chunked) *settles* each slot
 /// once (replaying cached verdicts thereafter), the scrubber **re-validates
 /// every live inner frame from its bytes on every pass** — so label rot that
 /// lands *after* a slot validated is still found, quarantined, and kept away
@@ -1073,15 +1076,6 @@ impl ForestBuilder {
         Ok(())
     }
 
-    fn claim_directory_record(&mut self, id: u64, n: usize) -> Result<(), ForestError> {
-        if n as u64 > u64::from(u32::MAX) {
-            return Err(ForestError::Directory {
-                what: "a directory record stores the label count in 32 bits",
-            });
-        }
-        self.claim_id(id)
-    }
-
     /// Adds `scheme`'s native frame as tree `id` — a frame handoff (one
     /// buffer memcpy, nothing re-packed: the scheme already *is* a frame).
     ///
@@ -1095,25 +1089,13 @@ impl ForestBuilder {
         id: u64,
         scheme: &S,
     ) -> Result<&mut Self, ForestError> {
-        self.claim_directory_record(id, scheme.as_store().node_count())?;
+        if scheme.as_store().node_count() as u64 > u64::from(u32::MAX) {
+            return Err(ForestError::Directory {
+                what: "a directory record stores the label count in 32 bits",
+            });
+        }
+        self.claim_id(id)?;
         self.trees.push((id, scheme.as_store().as_words().to_vec()));
-        Ok(self)
-    }
-
-    /// Adds an already-built store as tree `id`, consuming it (no copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ForestError::Directory`] when the store's label count
-    /// cannot be indexed by a directory record (n ≥ 2³²), and
-    /// [`ForestError::DuplicateTree`] when `id` was already pushed.
-    pub fn push_store<S: StoredScheme>(
-        &mut self,
-        id: u64,
-        store: SchemeStore<S>,
-    ) -> Result<&mut Self, ForestError> {
-        self.claim_directory_record(id, store.node_count())?;
-        self.trees.push((id, store.into_words()));
         Ok(self)
     }
 
@@ -1126,13 +1108,7 @@ impl ForestBuilder {
     /// by a directory record (n ≥ 2³²), and
     /// [`ForestError::DuplicateTree`] when `id` was already pushed.
     pub fn push_frame(&mut self, id: u64, words: Vec<u64>) -> Result<&mut Self, ForestError> {
-        let view =
-            AnyStoreRef::from_words(&words).map_err(|error| ForestError::Tree { id, error })?;
-        if view.node_count() as u64 > u64::from(u32::MAX) {
-            return Err(ForestError::Directory {
-                what: "a directory record stores the label count in 32 bits",
-            });
-        }
+        frame_record(id, &words)?;
         self.claim_id(id)?;
         self.trees.push((id, words));
         Ok(self)
@@ -1196,7 +1172,7 @@ impl ForestBuilder {
 }
 
 /// Reusable state of the routed batch engine
-/// ([`ForestRef::try_route_distances_into`]): the per-batch group buffers,
+/// ([`Forest::try_route_distances_into`]): the per-batch group buffers,
 /// the per-shard kernel state, and the thread count that picks the serial or
 /// the sharded path.
 ///
@@ -1690,200 +1666,290 @@ fn run_prepared_sharded(
     }
 }
 
-/// Shared read-side API of every forest view ([`ForestRef`], [`ForestStore`],
-/// [`ForestPin`], and, on 64-bit Unix, `MappedForest`), implemented once over
-/// `(frame_words, state)`.
-macro_rules! forest_read_api {
-    () => {
-        /// Number of live (non-tombstoned) trees in the forest.
-        pub fn tree_count(&self) -> usize {
-            self.state.live
-        }
+/// Where a [`Forest`]'s frame words live — the one thing its read API
+/// needs from the backing.  Only this module builds a [`Forest`], so the
+/// words behind every backing were validated as one forest frame first.
+pub trait FrameWords {
+    /// The whole forest frame.
+    fn frame_words(&self) -> &[u64];
+}
 
-        /// The live tree ids, in directory (ascending) order.
-        pub fn tree_ids(&self) -> impl Iterator<Item = u64> + '_ {
-            self.state
-                .slots
-                .iter()
-                .filter(|s| s.entry.tag != 0)
-                .map(|s| s.entry.id)
-        }
+impl FrameWords for &[u64] {
+    fn frame_words(&self) -> &[u64] {
+        self
+    }
+}
 
-        /// The borrowed store view of tree `id`, or `None` when the forest
-        /// holds no such live tree — absent, tombstoned, or (under
-        /// [`ValidationPolicy::Lazy`]) failing its first-touch validation;
-        /// use [`Self::try_tree`] to tell those apart.  O(log T) lookup; once
-        /// a tree is validated, every call is O(1) with no re-validation.
-        pub fn tree(&self, id: u64) -> Option<AnyStoreRef<'_>> {
-            self.try_tree(id).ok()
-        }
+impl FrameWords for Arc<Vec<u64>> {
+    fn frame_words(&self) -> &[u64] {
+        self
+    }
+}
 
-        /// The borrowed store view of tree `id`, or the precise reason there
-        /// is none: [`ForestError::UnknownTree`] for an absent or tombstoned
-        /// id, [`ForestError::Tree`] when the inner frame fails its deferred
-        /// validation — the *same* error an eager open would have reported,
-        /// cached and replayed allocation-free on every later touch.
-        pub fn try_tree(&self, id: u64) -> Result<AnyStoreRef<'_>, ForestError> {
-            try_view(self.frame_words(), &self.state, id)
-        }
+impl FrameWords for Pinned {
+    fn frame_words(&self) -> &[u64] {
+        &self.0
+    }
+}
 
-        /// `true` when the directory holds a tombstone for `id` (the id was
-        /// served once and then retired — distinct from never present).
-        pub fn is_tombstoned(&self, id: u64) -> bool {
-            matches!(lookup_slot(&self.state, id), Ok(s) if self.state.slots[s].entry.tag == 0)
-        }
+#[cfg(all(unix, target_pointer_width = "64"))]
+impl FrameWords for frame::Mmap {
+    fn frame_words(&self) -> &[u64] {
+        self.words()
+            .expect("alignment and length were validated when the map was opened")
+    }
+}
 
-        /// The directory generation word: 0 for a freshly built frame,
-        /// incremented by every mutation on the owning store.  A
-        /// [`ForestPin`] keeps answering for the generation it pinned.
-        pub fn generation(&self) -> u64 {
-            self.state.generation
-        }
-
-        /// The [`ValidationPolicy`] this view was opened under.
-        pub fn validation_policy(&self) -> ValidationPolicy {
-            self.state.policy
-        }
-
-        /// Reserved directory slots not yet holding a record — appends use
-        /// these before the directory has to grow.
-        pub fn spare_slots(&self) -> usize {
-            self.state.capacity - self.state.slots.len()
-        }
-
-        /// Total frame size in bytes.
-        pub fn size_bytes(&self) -> usize {
-            self.frame_words().len() * 8
-        }
-
-        /// The raw frame words.
-        pub fn as_words(&self) -> &[u64] {
-            self.frame_words()
-        }
-
-        /// Full verification, whatever policy the view was opened under:
-        /// re-checks the outer header + directory checksum and validates
-        /// every live inner frame, caching any verdicts the lazy policy had
-        /// deferred.
-        ///
-        /// # Errors
-        ///
-        /// The first [`ForestError`] encountered, in directory order.
-        pub fn verify(&self) -> Result<(), ForestError> {
-            verify_impl(self.frame_words(), &self.state)
-        }
-
-        /// Incremental [`Self::verify`]: performs about `budget_words` words
-        /// of checksum streaming and/or inner-frame validation per call
-        /// (always making progress, even with a zero budget), resuming from
-        /// `cursor`.  Returns `Ok(true)` once the whole frame is covered —
-        /// the background-thread alternative to paying an eager open.
-        ///
-        /// The cursor is bound to this frame snapshot; start a fresh one
-        /// after any mutation.
-        ///
-        /// # Errors
-        ///
-        /// The first [`ForestError`] the covered region reveals.
-        pub fn verify_chunked(
-            &self,
-            budget_words: usize,
-            cursor: &mut VerifyCursor,
-        ) -> Result<bool, ForestError> {
-            verify_chunked_impl(self.frame_words(), &self.state, budget_words, cursor)
-        }
-
-        /// The routed batch engine: appends one [`QueryStatus`] per `(tree,
-        /// u, v)` query to `out`, in arrival order, and returns the batch
-        /// [`RouteOutcome`] tally.  Every query the forest can answer comes
-        /// back `Ok(distance)`, the rest `UnknownTree` / `NodeOutOfRange` /
-        /// `CorruptTree`; healthy tree groups complete even when other
-        /// queries fail, and nothing on query input or corrupt tree data
-        /// panics.
-        ///
-        /// `scratch` carries the group state across batches and decides the
-        /// path: serial for [`RouteScratch::new`], sharded over scoped
-        /// workers for [`RouteScratch::with_parallelism`], with bit-identical
-        /// statuses either way.  Allocation-free once the scratch and `out`
-        /// have grown to the batch working size (and every touched tree is
-        /// validated), apart from the sharded path's thread spawns.
-        pub fn try_route_distances_into(
-            &self,
-            queries: &[(u64, usize, usize)],
-            scratch: &mut RouteScratch,
-            out: &mut Vec<QueryStatus>,
-        ) -> RouteOutcome {
-            route_batch(self.frame_words(), &self.state, queries, scratch, out)
-        }
-
-        /// [`Self::try_route_distances_into`] on a fresh
-        /// [`RouteScratch::with_parallelism`]`(par)`, collecting the
-        /// statuses.  A serving loop should keep its scratch instead.
-        pub fn try_route_distances_sharded(
-            &self,
-            queries: &[(u64, usize, usize)],
-            par: Parallelism,
-        ) -> Vec<QueryStatus> {
-            let mut out = Vec::with_capacity(queries.len());
-            let mut scratch = RouteScratch::with_parallelism(par);
-            self.try_route_distances_into(queries, &mut scratch, &mut out);
-            out
-        }
-
-        /// A point-in-time health snapshot of every directory slot —
-        /// unvalidated / valid / quarantined (with the condemning error) /
-        /// tombstoned.  The quarantined ids are the repair worklist for
-        /// [`ForestStore::repair_frame`].
-        pub fn health(&self) -> HealthReport {
-            health_impl(&self.state)
-        }
-
-        /// The [`SlotHealth`] of tree `id`, or `None` when the directory has
-        /// no slot for it.
-        pub fn slot_health(&self, id: u64) -> Option<SlotHealth> {
-            lookup_slot(&self.state, id).ok().map(|s| slot_health_of(&self.state.slots[s]))
-        }
-
-        /// The word range of `id`'s inner frame within [`Self::as_words`]
-        /// (tombstoned slots included — their bytes still tile the frame
-        /// region), or `None` for an unknown id.  This is the targeting
-        /// hook for fault injection via [`ForestStore::corrupt_word`].
-        pub fn frame_extent(&self, id: u64) -> Option<Range<usize>> {
-            lookup_slot(&self.state, id).ok().map(|s| {
-                let e = self.state.slots[s].entry;
-                e.off..e.off + e.len
-            })
-        }
-
-        /// One budgeted scrub step (about `budget_words` words of checksum
-        /// streaming and fresh inner-frame re-validation; always makes
-        /// progress).  See [`Scrubber`] for the contract: repeated passes,
-        /// every live frame re-read from its bytes each pass, deferred lazy
-        /// slots settled, and faults quarantined so no query serves them.
-        ///
-        /// # Errors
-        ///
-        /// [`ForestError::Frame`] when the outer (header + directory)
-        /// checksum fails — corruption no per-slot quarantine can contain.
-        pub fn scrub(
-            &self,
-            budget_words: usize,
-            scrubber: &mut Scrubber,
-        ) -> Result<ScrubOutcome, ForestError> {
-            scrub_impl(self.frame_words(), &self.state, budget_words, scrubber)
-        }
-    };
+/// A validated forest frame whose words are held by `W` — the one forest
+/// type.  Its read API is one generic impl; each backing is an alias with
+/// its own constructors ([`ForestRef`], [`ForestStore`], [`ForestPin`],
+/// `MappedForest`), and only [`ForestStore`] mutates.
+///
+/// See the [module documentation](self) for the frame layout and the routed
+/// engine.
+#[derive(Debug, Clone)]
+pub struct Forest<W> {
+    words: W,
+    state: ForestState,
 }
 
 /// A borrowed, validated view of a forest frame — "validate once, borrow
-/// forever" over caller-held words (e.g. a memory map).
+/// forever" over caller-held words.  Built with [`ForestRef::from_words`].
+pub type ForestRef<'a> = Forest<&'a [u64]>;
+
+/// A whole forest as one owned, checksummed word buffer — the
+/// **mutable-while-serving** backing, built with [`ForestBuilder`].
 ///
-/// See the [module documentation](self) for the frame layout and the routed
-/// engine; [`ForestStore`] is the owning counterpart.
-#[derive(Debug)]
-pub struct ForestRef<'a> {
-    words: &'a [u64],
-    state: ForestState,
+/// The buffer is held behind an [`Arc`]: [`ForestStore::pin`] shares it
+/// with a [`ForestPin`], and a mutation that lands while pins are out
+/// transparently copies (copy-on-write) so every pin keeps its generation's
+/// exact bytes.
+pub type ForestStore = Forest<Arc<Vec<u64>>>;
+
+/// A pinned generation of a [`ForestStore`], taken with
+/// [`ForestStore::pin`]: it shares the frame buffer, holds its own copy of
+/// the O(T) slot table, and keeps serving its generation's exact bytes no
+/// matter what the owning store does next (mutations copy-on-write around
+/// live pins).  Exposes the full read API but no mutation.
+pub type ForestPin = Forest<Pinned>;
+
+/// A forest served **in place from a read-only memory map** — the product of
+/// [`ForestStore::open_mmap`], on 64-bit Unix (see [`frame::Mmap`]).
+///
+/// The mapping (a raw-syscall [`frame::Mmap`], no crate dependency) lives
+/// exactly as long as this value; combined with [`ValidationPolicy::Lazy`],
+/// opening touches only the header and directory pages, and each tree's
+/// pages fault in on its first query.  Exposes the full read API; to mutate,
+/// load an owned [`ForestStore`] instead.
+#[cfg(all(unix, target_pointer_width = "64"))]
+pub type MappedForest = Forest<frame::Mmap>;
+
+/// The frame buffer of a [`ForestPin`]: the [`ForestStore`]'s shared buffer
+/// behind a read-only handle, so a pin cannot reach the store's mutations.
+#[derive(Debug, Clone)]
+pub struct Pinned(Arc<Vec<u64>>);
+
+impl<W: FrameWords> Forest<W> {
+    /// Number of live (non-tombstoned) trees in the forest.
+    pub fn tree_count(&self) -> usize {
+        self.state.live
+    }
+
+    /// The live tree ids, in directory (ascending) order.
+    pub fn tree_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.state
+            .slots
+            .iter()
+            .filter(|s| s.entry.tag != 0)
+            .map(|s| s.entry.id)
+    }
+
+    /// The borrowed store view of tree `id`, or `None` when the forest
+    /// holds no such live tree — absent, tombstoned, or (under
+    /// [`ValidationPolicy::Lazy`]) failing its first-touch validation;
+    /// use [`Self::try_tree`] to tell those apart.  O(log T) lookup; once
+    /// a tree is validated, every call is O(1) with no re-validation.
+    pub fn tree(&self, id: u64) -> Option<AnyStoreRef<'_>> {
+        self.try_tree(id).ok()
+    }
+
+    /// The borrowed store view of tree `id`, or the precise reason there
+    /// is none: [`ForestError::UnknownTree`] for an absent or tombstoned
+    /// id, [`ForestError::Tree`] when the inner frame fails its deferred
+    /// validation — the *same* error an eager open would have reported,
+    /// cached and replayed allocation-free on every later touch.
+    pub fn try_tree(&self, id: u64) -> Result<AnyStoreRef<'_>, ForestError> {
+        try_view(self.words.frame_words(), &self.state, id)
+    }
+
+    /// `true` when the directory holds a tombstone for `id` (the id was
+    /// served once and then retired — distinct from never present).
+    pub fn is_tombstoned(&self, id: u64) -> bool {
+        matches!(lookup_slot(&self.state, id), Ok(s) if self.state.slots[s].entry.tag == 0)
+    }
+
+    /// The directory generation word: 0 for a freshly built frame,
+    /// incremented by every mutation on the owning store.  A
+    /// [`ForestPin`] keeps answering for the generation it pinned.
+    pub fn generation(&self) -> u64 {
+        self.state.generation
+    }
+
+    /// The [`ValidationPolicy`] this view was opened under.
+    pub fn validation_policy(&self) -> ValidationPolicy {
+        self.state.policy
+    }
+
+    /// Reserved directory slots not yet holding a record — appends use
+    /// these before the directory has to grow.
+    pub fn spare_slots(&self) -> usize {
+        self.state.capacity - self.state.slots.len()
+    }
+
+    /// Total frame size in bytes.
+    pub fn size_bytes(&self) -> usize {
+        self.words.frame_words().len() * 8
+    }
+
+    /// The raw frame words.
+    pub fn as_words(&self) -> &[u64] {
+        self.words.frame_words()
+    }
+
+    /// Full verification, whatever policy the view was opened under:
+    /// re-checks the outer header + directory checksum and validates
+    /// every live inner frame, caching any verdicts the lazy policy had
+    /// deferred.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ForestError`] encountered, in directory order.
+    pub fn verify(&self) -> Result<(), ForestError> {
+        let words = self.words.frame_words();
+        if crc::crc64_words(&words[..self.state.dir_end()]) != words[words.len() - 1] {
+            return Err(ForestError::Frame(StoreError::ChecksumMismatch));
+        }
+        for slot in &self.state.slots {
+            if slot.entry.tag != 0 {
+                validate_slot(words, slot)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Incremental [`Self::verify`]: performs about `budget_words` words
+    /// of checksum streaming and/or inner-frame validation per call
+    /// (always making progress, even with a zero budget), resuming from
+    /// `cursor`.  Returns `Ok(true)` once the whole frame is covered —
+    /// the background-thread alternative to paying an eager open.
+    ///
+    /// The cursor is bound to this frame snapshot; start a fresh one
+    /// after any mutation.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ForestError`] the covered region reveals.
+    pub fn verify_chunked(
+        &self,
+        budget_words: usize,
+        cursor: &mut VerifyCursor,
+    ) -> Result<bool, ForestError> {
+        verify_chunked_impl(self.words.frame_words(), &self.state, budget_words, cursor)
+    }
+
+    /// The routed batch engine: appends one [`QueryStatus`] per `(tree,
+    /// u, v)` query to `out`, in arrival order, and returns the batch
+    /// [`RouteOutcome`] tally.  Every query the forest can answer comes
+    /// back `Ok(distance)`, the rest `UnknownTree` / `NodeOutOfRange` /
+    /// `CorruptTree`; healthy tree groups complete even when other
+    /// queries fail, and nothing on query input or corrupt tree data
+    /// panics.
+    ///
+    /// `scratch` carries the group state across batches and decides the
+    /// path: serial for [`RouteScratch::new`], sharded over scoped
+    /// workers for [`RouteScratch::with_parallelism`], with bit-identical
+    /// statuses either way.  Allocation-free once the scratch and `out`
+    /// have grown to the batch working size (and every touched tree is
+    /// validated), apart from the sharded path's thread spawns.
+    pub fn try_route_distances_into(
+        &self,
+        queries: &[(u64, usize, usize)],
+        scratch: &mut RouteScratch,
+        out: &mut Vec<QueryStatus>,
+    ) -> RouteOutcome {
+        route_batch(self.words.frame_words(), &self.state, queries, scratch, out)
+    }
+
+    /// [`Self::try_route_distances_into`] on a fresh
+    /// [`RouteScratch::with_parallelism`]`(par)`, collecting the
+    /// statuses.  A serving loop should keep its scratch instead.
+    pub fn try_route_distances_sharded(
+        &self,
+        queries: &[(u64, usize, usize)],
+        par: Parallelism,
+    ) -> Vec<QueryStatus> {
+        let mut out = Vec::with_capacity(queries.len());
+        let mut scratch = RouteScratch::with_parallelism(par);
+        self.try_route_distances_into(queries, &mut scratch, &mut out);
+        out
+    }
+
+    /// A point-in-time health snapshot of every directory slot —
+    /// unvalidated / valid / quarantined (with the condemning error) /
+    /// tombstoned.  The quarantined ids are the repair worklist for
+    /// [`ForestStore::repair_frame`].
+    pub fn health(&self) -> HealthReport {
+        HealthReport {
+            slots: self
+                .state
+                .slots
+                .iter()
+                .map(|s| (s.entry.id, slot_health_of(s)))
+                .collect(),
+        }
+    }
+
+    /// The [`SlotHealth`] of tree `id`, or `None` when the directory has
+    /// no slot for it.
+    pub fn slot_health(&self, id: u64) -> Option<SlotHealth> {
+        lookup_slot(&self.state, id)
+            .ok()
+            .map(|s| slot_health_of(&self.state.slots[s]))
+    }
+
+    /// The word range of `id`'s inner frame within [`Self::as_words`]
+    /// (tombstoned slots included — their bytes still tile the frame
+    /// region), or `None` for an unknown id.  This is the targeting
+    /// hook for fault injection via [`ForestStore::corrupt_word`].
+    pub fn frame_extent(&self, id: u64) -> Option<Range<usize>> {
+        lookup_slot(&self.state, id).ok().map(|s| {
+            let e = self.state.slots[s].entry;
+            e.off..e.off + e.len
+        })
+    }
+
+    /// One budgeted scrub step (about `budget_words` words of checksum
+    /// streaming and fresh inner-frame re-validation; always makes
+    /// progress).  See [`Scrubber`] for the contract: repeated passes,
+    /// every live frame re-read from its bytes each pass, deferred lazy
+    /// slots settled, and faults quarantined so no query serves them.
+    ///
+    /// # Errors
+    ///
+    /// [`ForestError::Frame`] when the outer (header + directory)
+    /// checksum fails — corruption no per-slot quarantine can contain.
+    pub fn scrub(
+        &self,
+        budget_words: usize,
+        scrubber: &mut Scrubber,
+    ) -> Result<ScrubOutcome, ForestError> {
+        scrub_impl(
+            self.words.frame_words(),
+            &self.state,
+            budget_words,
+            scrubber,
+        )
+    }
 }
 
 impl<'a> ForestRef<'a> {
@@ -1910,35 +1976,8 @@ impl<'a> ForestRef<'a> {
         policy: ValidationPolicy,
     ) -> Result<Self, ForestError> {
         let state = parse_forest(words, policy)?;
-        Ok(ForestRef { words, state })
+        Ok(Forest { words, state })
     }
-
-    /// [`ForestRef::from_words`] over an aligned byte buffer — the borrow
-    /// path for mapped files.  Misaligned input is refused with
-    /// [`StoreError::Misaligned`] (wrapped in [`ForestError::Frame`]); take
-    /// the copying [`ForestStore::from_bytes`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ForestError`] describing the failed cast or validation.
-    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, ForestError> {
-        Self::from_words(frame::try_cast_words(bytes)?)
-    }
-
-    /// [`ForestRef::from_bytes`] with an explicit [`ValidationPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ForestError`] describing the failed cast or validation.
-    pub fn from_bytes_with(bytes: &'a [u8], policy: ValidationPolicy) -> Result<Self, ForestError> {
-        Self::from_words_with(frame::try_cast_words(bytes)?, policy)
-    }
-
-    fn frame_words(&self) -> &[u64] {
-        self.words
-    }
-
-    forest_read_api!();
 }
 
 /// Bytes per read of [`read_words`].
@@ -1989,21 +2028,6 @@ fn read_words(path: &std::path::Path) -> Result<Vec<u64>, ForestFileError> {
     Ok(words)
 }
 
-/// A whole forest as one owned, checksummed word buffer — the owning,
-/// **mutable-while-serving** counterpart of [`ForestRef`], built with
-/// [`ForestBuilder`].
-///
-/// The buffer is held behind an [`Arc`]: [`ForestStore::pin`] snapshots it
-/// in O(1), and a mutation that lands while pins are out transparently
-/// copies (copy-on-write) so every pin keeps its generation's exact bytes.
-///
-/// See the [module documentation](self) for the frame layout and an example.
-#[derive(Debug, Clone)]
-pub struct ForestStore {
-    words: Arc<Vec<u64>>,
-    state: ForestState,
-}
-
 impl ForestStore {
     /// An empty [`ForestBuilder`] (push trees, then
     /// [`ForestBuilder::finish`]).
@@ -2027,7 +2051,7 @@ impl ForestStore {
     /// Returns a [`ForestError`] describing the first failed validation.
     pub fn from_words_with(words: Vec<u64>, policy: ValidationPolicy) -> Result<Self, ForestError> {
         let state = parse_forest(&words, policy)?;
-        Ok(ForestStore {
+        Ok(Forest {
             words: Arc::new(words),
             state,
         })
@@ -2035,8 +2059,9 @@ impl ForestStore {
 
     /// Validates (eagerly) and adopts a forest frame from bytes — the
     /// **copy path** (one widening copy for alignment, valid at any
-    /// alignment).  For the zero-copy alternative over an aligned buffer,
-    /// use [`ForestRef::from_bytes`].
+    /// alignment).  For the zero-copy alternatives, borrow aligned words with
+    /// [`ForestRef::from_words`] or map a published file with
+    /// [`ForestStore::open_mmap`].
     ///
     /// # Errors
     ///
@@ -2116,7 +2141,7 @@ impl ForestStore {
             let words = map.words().map_err(ForestError::from)?;
             parse_forest(words, policy)?
         };
-        Ok(MappedForest { map, state })
+        Ok(Forest { words: map, state })
     }
 
     /// Writes the frame bytes to `path` (the file [`ForestStore::open`]
@@ -2165,12 +2190,13 @@ impl ForestStore {
         Ok(())
     }
 
-    /// An O(1) snapshot of the current generation: the pin shares the buffer
-    /// (no copy now) and keeps answering from it even as this store mutates
-    /// on — the first mutation with pins out pays one buffer copy.
+    /// A snapshot of the current generation: the pin shares the frame
+    /// buffer (no frame copy now) and copies the O(T) slot table, then keeps
+    /// answering from its generation even as this store mutates on — the
+    /// first mutation with pins out pays one buffer copy.
     pub fn pin(&self) -> ForestPin {
-        ForestPin {
-            words: Arc::clone(&self.words),
+        Forest {
+            words: Pinned(Arc::clone(&self.words)),
             state: self.state.clone(),
         }
     }
@@ -2227,15 +2253,7 @@ impl ForestStore {
     /// As [`ForestStore::append_scheme`], plus [`ForestError::Tree`] when
     /// the frame fails store validation.
     pub fn append_frame(&mut self, id: u64, frame_words: Vec<u64>) -> Result<(), ForestError> {
-        let view = AnyStoreRef::from_words(&frame_words)
-            .map_err(|error| ForestError::Tree { id, error })?;
-        if view.node_count() as u64 > u64::from(u32::MAX) {
-            return Err(ForestError::Directory {
-                what: "a directory record stores the label count in 32 bits",
-            });
-        }
-        let (tag, n) = (view.tag(), view.node_count() as u32);
-        let parts = view.parts();
+        let (tag, n, parts) = frame_record(id, &frame_words)?;
         let Err(p) = lookup_slot(&self.state, id) else {
             return Err(ForestError::DuplicateTree { id });
         };
@@ -2252,8 +2270,9 @@ impl ForestStore {
         words.truncate(off);
         words.extend_from_slice(&frame_words);
         words.push(0); // checksum, recomputed below
-                       // Open directory slot p: shift used records [p, t) up one record
-                       // into the spare slot, then write the new record.
+
+        // Open directory slot p: shift used records [p, t) up one record
+        // into the spare slot, then write the new record.
         let start = HEADER_WORDS + DIR_ENTRY_WORDS * p;
         let end = HEADER_WORDS + DIR_ENTRY_WORDS * t;
         words.copy_within(start..end, start + DIR_ENTRY_WORDS);
@@ -2368,15 +2387,7 @@ impl ForestStore {
     /// validation, and [`ForestError::Directory`] when its label count
     /// cannot be indexed (n ≥ 2³²).
     pub fn repair_frame(&mut self, id: u64, frame_words: Vec<u64>) -> Result<(), ForestError> {
-        let view = AnyStoreRef::from_words(&frame_words)
-            .map_err(|error| ForestError::Tree { id, error })?;
-        if view.node_count() as u64 > u64::from(u32::MAX) {
-            return Err(ForestError::Directory {
-                what: "a directory record stores the label count in 32 bits",
-            });
-        }
-        let (tag, n) = (view.tag(), view.node_count() as u32);
-        let parts = view.parts();
+        let (tag, n, parts) = frame_record(id, &frame_words)?;
         let slot_pos = lookup_slot(&self.state, id)
             .ok()
             .filter(|&s| self.state.slots[s].entry.tag != 0)
@@ -2452,59 +2463,6 @@ impl ForestStore {
     pub fn corrupt_word(&mut self, index: usize, mask: u64) {
         Arc::make_mut(&mut self.words)[index] ^= mask;
     }
-
-    fn frame_words(&self) -> &[u64] {
-        &self.words
-    }
-
-    forest_read_api!();
-}
-
-/// A pinned generation of a [`ForestStore`]: an O(1) snapshot taken with
-/// [`ForestStore::pin`] that shares the frame buffer and keeps serving its
-/// generation's exact bytes no matter what the owning store does next
-/// (mutations copy-on-write around live pins).
-///
-/// Exposes the full read API — per-tree views, routing, verification — but
-/// no mutation.
-#[derive(Debug, Clone)]
-pub struct ForestPin {
-    words: Arc<Vec<u64>>,
-    state: ForestState,
-}
-
-impl ForestPin {
-    fn frame_words(&self) -> &[u64] {
-        &self.words
-    }
-
-    forest_read_api!();
-}
-
-/// A forest served **in place from a read-only memory map** — the product of
-/// [`ForestStore::open_mmap`], on 64-bit Unix (see [`frame::Mmap`]).
-///
-/// The mapping (a raw-syscall [`frame::Mmap`], no crate dependency) lives
-/// exactly as long as this value; combined with [`ValidationPolicy::Lazy`],
-/// opening touches only the header and directory pages, and each tree's
-/// pages fault in on its first query.  Exposes the full read API; to mutate,
-/// load an owned [`ForestStore`] instead.
-#[cfg(all(unix, target_pointer_width = "64"))]
-#[derive(Debug)]
-pub struct MappedForest {
-    map: frame::Mmap,
-    state: ForestState,
-}
-
-#[cfg(all(unix, target_pointer_width = "64"))]
-impl MappedForest {
-    fn frame_words(&self) -> &[u64] {
-        self.map
-            .words()
-            .expect("alignment and length were validated when the map was opened")
-    }
-
-    forest_read_api!();
 }
 
 #[cfg(test)]
@@ -2880,10 +2838,6 @@ mod tests {
         // The duplicate is refused *at push*, whatever the push flavor.
         assert!(matches!(
             b.push_scheme(1, &NaiveScheme::build(&tree)),
-            Err(ForestError::DuplicateTree { id: 1 })
-        ));
-        assert!(matches!(
-            b.push_store(1, NaiveScheme::build(&tree).as_store().clone()),
             Err(ForestError::DuplicateTree { id: 1 })
         ));
         assert!(matches!(

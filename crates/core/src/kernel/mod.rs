@@ -50,7 +50,7 @@
 //! # Execution model of the batch path
 //!
 //! A batch of pairs does not run as a loop of independent per-pair queries.
-//! The batch driver (`StoreRef::distances_write` in [`crate::store`])
+//! The batch driver (`Store::distances_write` in [`crate::store`])
 //! executes **structure-of-arrays, software-pipelined**:
 //!
 //! 1. **Plan.** Pairs are consumed in fixed blocks of 64.  A planning stage
@@ -82,7 +82,7 @@
 //!
 //! | Mode | Entry points | Role |
 //! |------|--------------|------|
-//! | **One-pair** | `distance_refs` | the per-pair entry (`StoreRef::distance`) and the batch engine's compute step; `tests/kernel_equivalence.rs` holds it to ground-truth distances |
+//! | **One-pair** | `distance_refs` | the per-pair entry (`Store::distance`) and the batch engine's compute step; `tests/kernel_equivalence.rs` holds it to ground-truth distances |
 
 pub mod approximate;
 pub mod kdistance;

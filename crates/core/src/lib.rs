@@ -34,6 +34,12 @@
 //! `distance` entry point — scheme method, borrowed [`StoreRef`], runtime
 //! [`AnyStoreRef`], forest routing — runs through one shared query kernel
 //! per scheme family ([`kernel`]), with zero per-query allocation.
+//!
+//! The serving stack has one type per layer, generic over where the frame
+//! words live: [`Store<W, S>`](Store) (aliased as the borrowed [`StoreRef`]
+//! and the owned [`SchemeStore`]) and [`Forest<W>`](Forest) (aliased as
+//! [`ForestRef`], [`ForestStore`], [`ForestPin`] and, on 64-bit Unix,
+//! `MappedForest`).  Each layer's read API is written once.
 //! [`DistanceScheme::label_bits`] reports the size of each scheme's
 //! self-delimiting *wire* encoding — the quantity the paper's bounds are
 //! about — in closed form at build time; test-only encoders over the build
@@ -82,11 +88,11 @@ pub mod universal;
 #[cfg(all(unix, target_pointer_width = "64"))]
 pub use forest::MappedForest;
 pub use forest::{
-    ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore, RouteScratch,
-    ValidationPolicy, VerifyCursor,
+    Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
+    FrameWords, RouteScratch, ValidationPolicy, VerifyCursor,
 };
 pub use layout::LabelLayout;
-pub use store::{AnyStoreRef, IndexWidth, SchemeStore, StoreError, StoreRef, StoredScheme};
+pub use store::{AnyStoreRef, IndexWidth, SchemeStore, Store, StoreError, StoreRef, StoredScheme};
 pub use substrate::{Parallelism, Substrate};
 
 use treelab_tree::{NodeId, Tree};

@@ -18,6 +18,15 @@
 //! shared buffer through the [`crate::kernel`] query kernels, with zero
 //! per-query allocation.
 //!
+//! # One store type
+//!
+//! [`Store<W, S>`](Store) is the one store type: a validated frame of scheme
+//! `S` whose words are held by `W`.  Its query API — label access,
+//! [`Store::distance`], the batch forms — is one generic impl for every
+//! `W: AsRef<[u64]>`; the two word owners in use are aliases with their own
+//! constructors, [`StoreRef`] (`&[u64]`, borrowed and `Copy`) and
+//! [`SchemeStore`] (`Vec<u64>`, owned).
+//!
 //! # The three load paths
 //!
 //! * [`StoreRef::from_words`] — the **borrow path**: validate a caller-held
@@ -29,8 +38,8 @@
 //! * [`SchemeStore::from_bytes`] / [`SchemeStore::from_words`] — the
 //!   **owning path**: a [`SchemeStore`] owns its frame words (`from_bytes`
 //!   performs one explicit widening copy for alignment; `from_words` adopts
-//!   the vector without copying) and is a thin wrapper around the same
-//!   [`StoreRef`] machinery ([`SchemeStore::as_store_ref`]).
+//!   the vector without copying) and answers through the same query methods;
+//!   [`SchemeStore::as_store_ref`] lends a `Copy` view of it.
 //! * [`AnyStoreRef::from_words`] — the **runtime-dispatch path**: reads the
 //!   scheme tag from the frame header and returns the right `StoreRef`
 //!   variant, so heterogeneous frames (a forest of mixed schemes, see
@@ -116,7 +125,7 @@ use crate::naive::NaiveScheme;
 use crate::optimal::OptimalScheme;
 use crate::substrate::{build_vec, PackConfig, PackSource};
 
-/// Sentinel returned by [`SchemeStore::distance`] for scheme/pair combinations
+/// Sentinel returned by [`Store::distance`] for scheme/pair combinations
 /// with no reportable distance (the `k`-distance scheme's "more than `k`").
 pub const NO_DISTANCE: u64 = u64::MAX;
 
@@ -337,7 +346,7 @@ impl OffsetIndex {
 }
 
 /// The POD description of a validated frame: where the index, meta and label
-/// regions sit.  Everything a [`StoreRef`] needs besides the words themselves
+/// regions sit.  Everything a [`Store`] needs besides the words themselves
 /// and the parsed scheme meta — kept `Copy` so owning containers (stores,
 /// forest directories) can cache it without borrowing the words.
 #[derive(Debug, Clone, Copy)]
@@ -1070,7 +1079,7 @@ impl Default for PlanBlock {
 /// already resident or in flight.
 ///
 /// The buffers are fixed-size and heap-free (2 KiB of plain arrays), so the
-/// batch path is allocation-free by construction: [`StoreRef`] plants one on
+/// batch path is allocation-free by construction: [`Store`] plants one on
 /// the stack per call, and the forest router keeps one per shard in its
 /// `RouteScratch` and shares it across every group that shard runs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1078,32 +1087,49 @@ pub(crate) struct BatchPlan {
     blocks: [PlanBlock; 2],
 }
 
-/// A borrowed, validated view of a scheme-store frame: the query engine of
-/// the store stack, generic over where the words live.
+/// A validated scheme-store frame whose words are held by `W` — the one
+/// store type and the query engine of the store stack.
 ///
-/// "Validate once, borrow forever": [`StoreRef::from_words`] runs the full
-/// frame validation (magic/version/tag/CRC/structure/per-label extents) and
-/// the returned view serves every query by reading the caller's words in
-/// place — it owns nothing but the parsed layout description, is `Copy`, and
-/// can be freely handed to worker threads (the words are behind a shared
-/// borrow).  [`SchemeStore`] is the owning wrapper around the same machinery.
-pub struct StoreRef<'a, S: StoredScheme> {
-    words: &'a [u64],
+/// "Validate once, serve forever": every constructor runs the full frame
+/// validation (magic/version/tag/CRC/structure/per-label extents), and the
+/// store then answers every query by reading its words in place.  The query
+/// methods are one impl for every `W: AsRef<[u64]>`; the word owners in use
+/// are the aliases [`StoreRef`] and [`SchemeStore`], each with its own
+/// constructors.
+///
+/// See the [module documentation](self) for the frame layout and an example.
+pub struct Store<W, S: StoredScheme> {
+    /// The full frame (header, meta, offset index, label region, CRC).
+    words: W,
     raw: RawParts,
     meta: S::Meta,
 }
 
-// Manual impls: `derive` would demand `S: Copy`, but only the meta is copied.
-impl<'a, S: StoredScheme> Clone for StoreRef<'a, S> {
+/// A borrowed, validated view of a scheme-store frame (see [`Store`]):
+/// `Copy`, zero-copy, and freely handed to worker threads.
+pub type StoreRef<'a, S> = Store<&'a [u64], S>;
+
+/// A whole labeling scheme as one owned, contiguous, checksummed word buffer
+/// (see [`Store`]) — the native representation of every scheme type.
+pub type SchemeStore<S> = Store<Vec<u64>, S>;
+
+// Manual impls: `derive` would demand `S: Clone` / `S: Copy`, but only the
+// words and the meta are copied (for an owned store, one buffer memcpy and
+// no re-packing).
+impl<W: Clone, S: StoredScheme> Clone for Store<W, S> {
     fn clone(&self) -> Self {
-        *self
+        Store {
+            words: self.words.clone(),
+            raw: self.raw,
+            meta: self.meta,
+        }
     }
 }
-impl<'a, S: StoredScheme> Copy for StoreRef<'a, S> {}
+impl<W: Copy, S: StoredScheme> Copy for Store<W, S> {}
 
-impl<'a, S: StoredScheme> fmt::Debug for StoreRef<'a, S> {
+impl<W: AsRef<[u64]>, S: StoredScheme> fmt::Debug for Store<W, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StoreRef")
+        f.debug_struct("Store")
             .field("scheme", &S::STORE_NAME)
             .field("n", &self.raw.n)
             .field("bytes", &self.size_bytes())
@@ -1130,7 +1156,7 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     /// Returns a [`StoreError`] describing the first failed validation.
     pub fn from_words(words: &'a [u64]) -> Result<Self, StoreError> {
         let (raw, meta) = parse_frame::<S>(words)?;
-        Ok(StoreRef { words, raw, meta })
+        Ok(Store { words, raw, meta })
     }
 
     /// [`StoreRef::from_words`] over a byte buffer — the borrow path for
@@ -1146,6 +1172,27 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
         Self::from_words(frame::try_cast_words(bytes)?)
     }
 
+    /// The raw frame words, for the borrowed lifetime.
+    pub fn as_words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Lazy iterator form of [`Store::distances`].
+    ///
+    /// # Panics
+    ///
+    /// The returned iterator panics (on `next`) for out-of-range indices.
+    pub fn distances_iter<I>(self, pairs: I) -> impl Iterator<Item = u64> + 'a
+    where
+        S: 'a,
+        I: IntoIterator<Item = (usize, usize)>,
+        I::IntoIter: 'a,
+    {
+        pairs.into_iter().map(move |(u, v)| self.distance(u, v))
+    }
+}
+
+impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
     /// Number of labelled nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -1159,7 +1206,7 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
 
     /// Total frame size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.words.len() * 8
+        self.words.as_ref().len() * 8
     }
 
     /// Bit length of the packed label region.
@@ -1173,16 +1220,11 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
         self.raw.index.width()
     }
 
-    /// The raw frame words.
-    pub fn as_words(&self) -> &'a [u64] {
-        self.words
-    }
-
     #[inline]
-    fn label_slice(&self) -> BitSlice<'a> {
+    fn label_slice(&self) -> BitSlice<'_> {
         // Includes the guard word(s), so raw straddle reads stay in range.
         BitSlice::new(
-            &self.words[self.raw.label_base
+            &self.words.as_ref()[self.raw.label_base
                 ..self.raw.label_base + self.raw.label_bits.div_ceil(64) + PAD_WORDS],
             self.raw.label_bits,
         )
@@ -1202,7 +1244,7 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
         );
         S::label_ref(
             self.label_slice(),
-            self.raw.offset(self.words, u),
+            self.raw.offset(self.words.as_ref(), u),
             &self.meta,
         )
     }
@@ -1218,7 +1260,7 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
             "node index {u} out of range (n = {})",
             self.raw.n
         );
-        let (start, end) = self.raw.extent(self.words, u);
+        let (start, end) = self.raw.extent(self.words.as_ref(), u);
         end - start
     }
 
@@ -1235,17 +1277,18 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
             "pair ({u}, {v}) out of range (n = {})",
             self.raw.n
         );
+        let words = self.words.as_ref();
         let slice = self.label_slice();
         S::distance_refs(
-            S::label_ref(slice, self.raw.offset(self.words, u), &self.meta),
-            S::label_ref(slice, self.raw.offset(self.words, v), &self.meta),
+            S::label_ref(slice, self.raw.offset(words, u), &self.meta),
+            S::label_ref(slice, self.raw.offset(words, v), &self.meta),
         )
     }
 
     /// Batch query: the distance of every pair, in order.
     ///
     /// One output allocation for the whole batch; see
-    /// [`StoreRef::distances_into`] to amortize even that across batches.
+    /// [`Store::distances_into`] to amortize even that across batches.
     ///
     /// # Panics
     ///
@@ -1285,13 +1328,13 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     /// each label's first line — while *computing* block `k` from offsets
     /// planned (and lines prefetched) one stage earlier.  The plan lives on
     /// the stack, so the call is allocation-free; the forest router passes
-    /// its own reusable plan through [`StoreRef::distances_write_with`].
+    /// its own reusable plan through [`Store::distances_write_with`].
     pub(crate) fn distances_write(&self, pairs: &[(usize, usize)], out: &mut [u64]) {
         let mut plan = BatchPlan::default();
         self.distances_write_with(pairs, &mut plan, out);
     }
 
-    /// [`StoreRef::distances_write`] with a caller-owned [`BatchPlan`] (the
+    /// [`Store::distances_write`] with a caller-owned [`BatchPlan`] (the
     /// forest router shares one across all groups of a batch).  Every
     /// planned pair computes through the one-pair kernel
     /// ([`StoredScheme::distance_refs`]), so batch and per-pair answers come
@@ -1330,12 +1373,13 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     /// compute of block `k - 1`.
     #[inline]
     fn plan_block(&self, pairs: &[(usize, usize)], k: usize, blk: &mut PlanBlock) {
+        let words = self.words.as_ref();
         let label_words = self.label_slice().words();
         let base = k * PLAN_BLOCK;
         let len = (pairs.len() - base).min(PLAN_BLOCK);
         for (j, &(u, v)) in pairs[base..base + len].iter().enumerate() {
-            let sa = self.raw.offset(self.words, u);
-            let sb = self.raw.offset(self.words, v);
+            let sa = self.raw.offset(words, u);
+            let sb = self.raw.offset(words, v);
             blk.sa[j] = sa;
             blk.sb[j] = sb;
             treelab_bits::wordram::prefetch_word(label_words, sa / 64);
@@ -1360,54 +1404,6 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
             let a = S::label_ref(slice, blk.sa[j], &self.meta);
             let b = S::label_ref(slice, blk.sb[j], &self.meta);
             out[j] = S::distance_refs(a, b);
-        }
-    }
-
-    /// Lazy iterator form of [`StoreRef::distances`].
-    ///
-    /// # Panics
-    ///
-    /// The returned iterator panics (on `next`) for out-of-range indices.
-    pub fn distances_iter<I>(self, pairs: I) -> impl Iterator<Item = u64> + 'a
-    where
-        S: 'a,
-        I: IntoIterator<Item = (usize, usize)>,
-        I::IntoIter: 'a,
-    {
-        pairs.into_iter().map(move |(u, v)| self.distance(u, v))
-    }
-}
-
-/// A whole labeling scheme as one contiguous, checksummed word buffer —
-/// the owning wrapper around [`StoreRef`].
-///
-/// See the [module documentation](self) for the frame layout and an example.
-pub struct SchemeStore<S: StoredScheme> {
-    /// The full frame (header, meta, offset index, label region, CRC).
-    words: Vec<u64>,
-    raw: RawParts,
-    meta: S::Meta,
-}
-
-impl<S: StoredScheme> fmt::Debug for SchemeStore<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchemeStore")
-            .field("scheme", &S::STORE_NAME)
-            .field("n", &self.raw.n)
-            .field("bytes", &self.size_bytes())
-            .field("meta", &self.meta)
-            .finish()
-    }
-}
-
-// Manual impl: `derive` would demand `S: Clone`, but only words + meta are
-// cloned (one buffer memcpy, no re-packing).
-impl<S: StoredScheme> Clone for SchemeStore<S> {
-    fn clone(&self) -> Self {
-        SchemeStore {
-            words: self.words.clone(),
-            raw: self.raw,
-            meta: self.meta,
         }
     }
 }
@@ -1547,8 +1543,7 @@ impl<S: StoredScheme> SchemeStore<S> {
         Ok(SchemeStore { words, raw, meta })
     }
 
-    /// The borrowed view over this store's words — the `Copy`-able handle
-    /// every query method of this type delegates to.
+    /// The borrowed, `Copy`-able view over this store's words.
     #[inline]
     pub fn as_store_ref(&self) -> StoreRef<'_, S> {
         StoreRef {
@@ -1564,31 +1559,6 @@ impl<S: StoredScheme> SchemeStore<S> {
         self.words
     }
 
-    /// Number of labelled nodes.
-    pub fn node_count(&self) -> usize {
-        self.raw.n
-    }
-
-    /// The scheme parameter recorded in the header.
-    pub fn param(&self) -> u64 {
-        self.raw.param
-    }
-
-    /// Total frame size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Bit length of the packed label region.
-    pub fn label_region_bits(&self) -> usize {
-        self.raw.label_bits
-    }
-
-    /// Width of the frame's offset-index entries.
-    pub fn index_width(&self) -> IndexWidth {
-        self.raw.index.width()
-    }
-
     /// The raw frame words (for hand-off to another thread via
     /// [`SchemeStore::from_words`], borrowing via [`StoreRef::from_words`],
     /// or word-level inspection).
@@ -1596,66 +1566,7 @@ impl<S: StoredScheme> SchemeStore<S> {
         &self.words
     }
 
-    /// Borrowed view of node `u`'s packed label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn label_ref(&self, u: usize) -> S::Ref<'_> {
-        assert!(
-            u < self.raw.n,
-            "node index {u} out of range (n = {})",
-            self.raw.n
-        );
-        S::label_ref(
-            self.as_store_ref().label_slice(),
-            self.raw.offset(&self.words, u),
-            &self.meta,
-        )
-    }
-
-    /// Bit length of node `u`'s packed label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn label_bits(&self, u: usize) -> usize {
-        self.as_store_ref().label_bits(u)
-    }
-
-    /// Distance between nodes `u` and `v`, answered from the packed labels
-    /// with zero allocation ([`NO_DISTANCE`] when the scheme declines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[inline]
-    pub fn distance(&self, u: usize, v: usize) -> u64 {
-        self.as_store_ref().distance(u, v)
-    }
-
-    /// Batch query: the distance of every pair, in order
-    /// (see [`StoreRef::distances`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn distances(&self, pairs: &[(usize, usize)]) -> Vec<u64> {
-        self.as_store_ref().distances(pairs)
-    }
-
-    /// Appends the distance of every pair to `out` (allocation-free when
-    /// `out` has capacity; see [`StoreRef::distances_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn distances_into(&self, pairs: &[(usize, usize)], out: &mut Vec<u64>) {
-        self.as_store_ref().distances_into(pairs, out);
-    }
-
-    /// Lazy iterator form of [`SchemeStore::distances`].
+    /// Lazy iterator form of [`Store::distances`].
     ///
     /// # Panics
     ///
@@ -1916,7 +1827,7 @@ impl<'a> AnyStoreRef<'a> {
     /// The validated-input batch hot loop with a caller-owned [`BatchPlan`]:
     /// the forest router threads one plan through every per-tree group of a
     /// routed batch so the planning buffers are shared across groups (see
-    /// [`StoreRef::distances_write_with`]).
+    /// [`Store::distances_write_with`]).
     pub(crate) fn distances_write_with(
         &self,
         pairs: &[(usize, usize)],

@@ -43,9 +43,9 @@ pub use treelab_core::distance_array::DistanceArrayScheme;
 #[cfg(all(unix, target_pointer_width = "64"))]
 pub use treelab_core::forest::MappedForest;
 pub use treelab_core::forest::{
-    ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore, HealthCounts,
-    HealthReport, QueryStatus, RouteOutcome, RouteScratch, ScrubOutcome, ScrubStats, Scrubber,
-    SlotHealth, ValidationPolicy, VerifyCursor,
+    Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
+    FrameWords, HealthCounts, HealthReport, QueryStatus, RouteOutcome, RouteScratch, ScrubOutcome,
+    ScrubStats, Scrubber, SlotHealth, ValidationPolicy, VerifyCursor,
 };
 pub use treelab_core::kdistance::KDistanceScheme;
 pub use treelab_core::level_ancestor::LevelAncestorScheme;
@@ -53,7 +53,7 @@ pub use treelab_core::naive::NaiveScheme;
 pub use treelab_core::optimal::OptimalConfig;
 pub use treelab_core::optimal::OptimalScheme;
 pub use treelab_core::store::{
-    AnyStoreRef, IndexWidth, SchemeStore, StoreError, StoreRef, StoredScheme, NO_DISTANCE,
+    AnyStoreRef, IndexWidth, SchemeStore, Store, StoreError, StoreRef, StoredScheme, NO_DISTANCE,
 };
 pub use treelab_core::{bounds, stats, DistanceScheme, LabelLayout, Parallelism, Substrate};
 pub use treelab_tree::lca::DistanceOracle;

@@ -15,8 +15,9 @@ use std::collections::BTreeMap;
 use treelab::bits::crc;
 use treelab::tree::rng::SplitMix64;
 use treelab::{
-    gen, DistanceScheme, ForestError, ForestPin, ForestRef, ForestStore, NaiveScheme, QueryStatus,
-    RouteScratch, StoreError, StoredScheme, Tree, ValidationPolicy,
+    gen, DistanceScheme, Forest, ForestError, ForestPin, ForestRef, ForestStore, FrameWords,
+    NaiveScheme, QueryStatus, RouteScratch, SlotHealth, StoreError, StoredScheme, Tree,
+    ValidationPolicy,
 };
 use treelab_bench::ScratchDir;
 
@@ -30,6 +31,47 @@ fn check_tree(forest_distance: u64, tree: &Tree) {
         forest_distance,
         scheme.distance(tree.node(0), tree.node(tree.len() - 1))
     );
+}
+
+/// What the one read API reports about a forest, whatever owns its words:
+/// the live ids, the generation, the `try_tree` answer for each of `ids`
+/// (label count and the distance between its first and last node), the routed
+/// statuses of `queries`, the slot health table and the `verify` verdict.
+/// Every id is touched before the health table is read, so a lazily opened
+/// forest reports the same settled slots as an eager one.
+#[allow(clippy::type_complexity)]
+fn read_back<W: FrameWords>(
+    forest: &Forest<W>,
+    ids: &[u64],
+    queries: &[(u64, usize, usize)],
+    scratch: &mut RouteScratch,
+) -> (
+    Vec<u64>,
+    u64,
+    Vec<Result<(usize, u64), ForestError>>,
+    Vec<QueryStatus>,
+    Vec<(u64, SlotHealth)>,
+    Result<(), ForestError>,
+) {
+    let trees = ids
+        .iter()
+        .map(|&id| {
+            forest.try_tree(id).map(|t| {
+                let n = t.node_count();
+                (n, t.distance(0, n - 1))
+            })
+        })
+        .collect();
+    let mut statuses = Vec::new();
+    forest.try_route_distances_into(queries, scratch, &mut statuses);
+    (
+        forest.tree_ids().collect(),
+        forest.generation(),
+        trees,
+        statuses,
+        forest.health().slots().to_vec(),
+        forest.verify(),
+    )
 }
 
 /// A CRC-valid version-1 directory (3 header words, records tiled in slot
@@ -95,7 +137,9 @@ fn v1_frames_are_rejected_with_unsupported_version() {
 /// Routing across mid-lifetime mutations: a tombstoned id vanishes from the
 /// router (`UnknownTree`), an appended id becomes routable in the same batch
 /// as old ids, and a pin taken before the mutations keeps routing the *pre-mutation* forest —
-/// including the since-tombstoned tree.
+/// including the since-tombstoned tree.  Afterwards every owner of the
+/// mutated frame — the store, a pin, a borrowed view and a memory map of its
+/// published file — reads it back identically through the one read API.
 #[test]
 fn routing_tracks_tombstones_appends_and_pinned_generations() {
     let trees: Vec<Tree> = (0..3)
@@ -161,6 +205,26 @@ fn routing_tracks_tombstones_appends_and_pinned_generations() {
             ),
             statuses
         );
+    }
+
+    // One frame, four owners, one read API: all report the same forest.
+    let ids = [0u64, 1, 2, 3, 4];
+    let routed = [queries.as_slice(), mixed.as_slice(), &[(2, 0, 10_000)]].concat();
+    let expected = read_back(&forest, &ids, &routed, &mut scratch);
+    assert_eq!(expected.0, [0, 2, 3]);
+    assert_eq!(expected.1, 2);
+    assert_eq!(expected.5, Ok(()));
+    let pinned = forest.pin();
+    assert_eq!(read_back(&pinned, &ids, &routed, &mut scratch), expected);
+    let borrowed = ForestRef::from_words(forest.as_words()).expect("borrowed view loads");
+    assert_eq!(read_back(&borrowed, &ids, &routed, &mut scratch), expected);
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    {
+        let dir = ScratchDir::new("generation-owners");
+        let path = dir.join("forest.bin");
+        forest.publish(&path).expect("publish");
+        let mapped = ForestStore::open_mmap(&path, ValidationPolicy::Lazy).expect("map");
+        assert_eq!(read_back(&mapped, &ids, &routed, &mut scratch), expected);
     }
 }
 
