@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p treelab-bench --bin experiments -- [--quick] [--exact] [--approx]
 //!     [--kdist-small] [--kdist-large] [--lower-bounds] [--universal] [--ablation]
-//!     [--restart] [--giant] [--layout] [--giant-smoke] [--chaos [--smoke]]
+//!     [--giant] [--layout] [--giant-smoke] [--chaos [--smoke]]
 //! ```
 //!
 //! Every flag is declared in [`FLAGS`]; any other argument prints the usage
@@ -30,7 +30,7 @@ use treelab_bench::chaos::chaos_smoke;
 use treelab_bench::experiments::{
     ablation_experiment, approximate_experiment, chaos_experiment, exact_experiment,
     giant_experiment, giant_smoke, k_large_experiment, k_small_experiment, layout_experiment,
-    lower_bound_experiment, restart_experiment, universal_experiment,
+    lower_bound_experiment, universal_experiment,
 };
 use treelab_bench::workloads::Family;
 
@@ -45,7 +45,6 @@ const FLAGS: &[&str] = &[
     "--lower-bounds",
     "--universal",
     "--ablation",
-    "--restart",
     "--giant",
     "--layout",
     "--giant-smoke",
@@ -161,13 +160,6 @@ fn main() {
     if run("--ablation") {
         let n = if quick { 1 << 11 } else { 1 << 15 };
         println!("{}", ablation_experiment(n, seed).to_markdown());
-    }
-    if run("--restart") {
-        let (trees, n_per_tree) = if quick { (8, 1 << 9) } else { (64, 1 << 14) };
-        println!(
-            "{}",
-            restart_experiment(trees, n_per_tree, seed).to_markdown()
-        );
     }
     if run("--giant") {
         let (n, chunk) = if quick {

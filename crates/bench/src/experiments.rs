@@ -11,7 +11,6 @@ use std::time::Instant;
 use treelab_core::approximate::ApproximateScheme;
 use treelab_core::bounds;
 use treelab_core::distance_array::DistanceArrayScheme;
-use treelab_core::forest::{ForestStore, ValidationPolicy};
 use treelab_core::kdistance::KDistanceScheme;
 use treelab_core::level_ancestor::LevelAncestorScheme;
 use treelab_core::naive::NaiveScheme;
@@ -383,99 +382,12 @@ fn batch_throughput<S: StoredScheme>(
     best
 }
 
-/// E14: restart latency — the time from "a serving process starts" to "its
-/// first query is answered", for the three open strategies of the same
-/// published forest file:
-///
-/// * **eager** — [`ForestStore::open`]: read the whole file and validate
-///   every inner frame (checksums included) before serving anything;
-/// * **lazy** — [`ForestStore::open_with`] under [`ValidationPolicy::Lazy`]:
-///   read the whole file but validate only the header + directory; the
-///   queried tree validates on first touch;
-/// * **mmap lazy** — `ForestStore::open_mmap` (64-bit Unix only): map the
-///   file in place, touch only the header + directory pages at open, and
-///   fault in one tree's pages on the first query — no read, no copy, no
-///   whole-file validation.
-///
-/// This is the ISSUE-6 acceptance number: on the largest recorded forest the
-/// mapped lazy open must reach its first answer ≥ 100× sooner than the eager
-/// open.  Every figure is best-of-`REPS`, and every strategy must produce
-/// the same answer.
-pub fn restart_experiment(trees: usize, nodes_per_tree: usize, seed: u64) -> Table {
-    let mut table = Table::new(
-        "E14 — restart latency: open-to-first-query, eager vs lazy vs mapped \
-         (mixed-scheme forest, published to disk)",
-        &[
-            "trees",
-            "n/tree",
-            "frame (MiB)",
-            "eager (ms)",
-            "lazy (ms)",
-            "lazy gain",
-            "mmap lazy (ms)",
-            "mmap gain",
-        ],
-    );
-    let corpus = forest_corpus(trees, nodes_per_tree, seed);
-    let forest = build_mixed_forest(&corpus);
-    let dir = crate::ScratchDir::new("e14");
-    let path = dir.join("forest.bin");
-    forest.publish(&path).expect("forest publishes");
-    let mib = forest.size_bytes() as f64 / (1024.0 * 1024.0);
-    let want = forest.tree(0).expect("tree 0").distance(0, 1);
-
-    // Best-of-REPS milliseconds from a cold open to the first answer; the
-    // file stays in the page cache across reps, so every strategy pays the
-    // same I/O and the spread is pure validation work.
-    let time_to_first = |open_and_query: &mut dyn FnMut() -> u64| -> f64 {
-        let mut best = f64::MAX;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let d = std::hint::black_box(open_and_query());
-            let dt = t0.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(d, want, "every open strategy answers identically");
-            best = best.min(dt);
-        }
-        best
-    };
-
-    let eager = time_to_first(&mut || {
-        let f = ForestStore::open(&path).expect("valid forest");
-        f.tree(0).expect("tree 0").distance(0, 1)
-    });
-    let lazy = time_to_first(&mut || {
-        let f = ForestStore::open_with(&path, ValidationPolicy::Lazy).expect("valid directory");
-        f.tree(0).expect("tree 0").distance(0, 1)
-    });
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    let (mmap_ms, mmap_gain) = {
-        let ms = time_to_first(&mut || {
-            let f = ForestStore::open_mmap(&path, ValidationPolicy::Lazy).expect("valid map");
-            f.tree(0).expect("tree 0").distance(0, 1)
-        });
-        (format!("{ms:.3}"), format!("{:.0}x", eager / ms))
-    };
-    #[cfg(not(all(unix, target_pointer_width = "64")))]
-    let (mmap_ms, mmap_gain) = ("n/a (64-bit Unix only)".to_string(), "—".to_string());
-
-    table.push_row(vec![
-        trees.to_string(),
-        nodes_per_tree.to_string(),
-        format!("{mib:.1}"),
-        format!("{eager:.2}"),
-        format!("{lazy:.2}"),
-        format!("{:.1}x", eager / lazy),
-        mmap_ms,
-        mmap_gain,
-    ]);
-    table
-}
-
 /// The substrate configuration every giant-tree run shares: chunk-streaming
 /// label packing plus exactly the components the schemes consume — *not* the
-/// validation-side [`DistanceOracle`], whose `O(n log n)` tables would both
-/// dominate the wall clock and pollute the RSS baseline at `n = 16M`
-/// (spot-checks walk parent pointers instead; recursive trees are shallow).
+/// validation-side [`DistanceOracle`], whose O(n) tables (about 40 bytes per
+/// node) would still add to the wall clock and pollute the RSS baseline at
+/// `n = 16M` (spot-checks walk parent pointers instead; recursive trees are
+/// shallow).
 fn giant_substrate(tree: &Tree, chunk: usize) -> Substrate<'_> {
     let mut sub = Substrate::new(tree);
     sub.set_chunk_rows(chunk);
@@ -938,23 +850,6 @@ mod tests {
                 .unwrap()
         };
         assert!(payload_of("paper defaults") <= payload_of("no bit pushing"));
-    }
-
-    #[test]
-    fn restart_experiment_reports_positive_latencies_and_gains() {
-        let t = restart_experiment(6, 96, 5);
-        assert_eq!(t.rows.len(), 1);
-        for col in [3, 4] {
-            let ms: f64 = t.rows[0][col].parse().unwrap();
-            assert!(ms > 0.0, "column {col}: {ms}");
-        }
-        assert!(t.rows[0][5].ends_with('x'));
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        {
-            let ms: f64 = t.rows[0][6].parse().unwrap();
-            assert!(ms > 0.0);
-            assert!(t.rows[0][7].ends_with('x'));
-        }
     }
 
     #[test]

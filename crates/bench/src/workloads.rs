@@ -107,7 +107,7 @@ const FOREST_FAMILIES: &[Family] = &[
 /// ids `0..trees`, shapes cycling through the unweighted families.
 ///
 /// Deterministic given `(trees, nodes_per_tree, seed)` — the substrate of
-/// the chaos harness, the E14 restart experiment and treebench's forest.
+/// the chaos harness and treebench's forest.
 pub fn forest_corpus(trees: usize, nodes_per_tree: usize, seed: u64) -> Vec<(u64, Tree)> {
     (0..trees as u64)
         .map(|id| {
@@ -123,7 +123,8 @@ pub fn forest_corpus(trees: usize, nodes_per_tree: usize, seed: u64) -> Vec<(u64
 /// Builds the mixed-scheme forest over a corpus: tree `i` gets the
 /// `i mod 6`-th scheme (paper-default parameters: `k = 8`, `ε = 0.25`), so
 /// the routed engine exercises every scheme's `Ref` path.  Shared by the
-/// chaos harness and E14; treebench's tests prove its forest is this one.
+/// chaos harness and treebench; treebench's tests prove its forest is this
+/// one.
 pub fn build_mixed_forest(corpus: &[(u64, Tree)]) -> ForestStore {
     let mut b = ForestStore::builder();
     for (i, (id, tree)) in corpus.iter().enumerate() {

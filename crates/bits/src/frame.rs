@@ -154,14 +154,16 @@ pub fn cast_bytes(words: &[u64]) -> &[u8] {
 ///
 /// The kernel hands back a page-aligned mapping, so [`Mmap::words`] (the
 /// borrow-path cast) can never fail on alignment — only on a length that is
-/// not a whole number of words.  The mapping is private (`MAP_PRIVATE`):
-/// concurrent writers to the underlying file cannot be observed as torn
-/// words by readers of an already-established map on the same pages, and the
-/// crash-safe way to update a served file is write-temp + rename anyway (the
-/// old map keeps serving the old inode).
+/// not a whole number of words.  The mapping is private (`MAP_PRIVATE`) and
+/// read-only, which does **not** isolate it from the file: private pages are
+/// copied only on a write through the map, which `PROT_READ` forbids, so on
+/// Linux a page shows later writes to the file, and touching a page that a
+/// truncation moved past the end of the file raises `SIGBUS`.  Replace a
+/// mapped file only by writing a temp file and renaming it over the path:
+/// the map keeps the old inode, which nobody writes.
 ///
 /// Dropping the map unmaps it (`munmap(2)`).  The struct is `Send + Sync`:
-/// the mapping is immutable for its whole lifetime.
+/// nothing writes through the mapping for its whole lifetime.
 ///
 /// Only 64-bit Unix builds have it: the binding below passes a 64-bit file
 /// offset to the plain `mmap` symbol, whose `off_t` is 64 bits on every

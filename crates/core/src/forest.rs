@@ -35,7 +35,7 @@
 //! whole-frame CRC) is rejected with `UnsupportedVersion`.  `FORMAT.md` at
 //! the repository root specifies the format bit for bit.
 //!
-//! # One read API, four backings
+//! # One read API, three backings
 //!
 //! [`Forest<W>`](Forest) is the one forest type: the decoded directory plus
 //! the frame words, held by `W` ([`FrameWords`]).  Its read API — per-tree
@@ -43,12 +43,11 @@
 //! and each backing is an alias with its own constructors:
 //!
 //! * [`ForestRef`] `= Forest<&[u64]>` borrows caller-held words;
-//! * [`ForestStore`] `= Forest<Arc<Vec<u64>>>` owns the buffer and is the
-//!   only backing that mutates;
+//! * [`ForestStore`] `= Forest<Arc<ForestWords>>` owns its words — a heap
+//!   buffer, or the read-only map of the file it was opened from (64-bit
+//!   Unix) — and is the only backing that mutates;
 //! * [`ForestPin`] `= Forest<Pinned>` is a read-only snapshot of one
-//!   [`ForestStore`] generation;
-//! * `MappedForest` `= Forest<frame::Mmap>` serves a published file from a
-//!   read-only memory map (64-bit Unix).
+//!   [`ForestStore`] generation.
 //!
 //! # Validation policy: eager or lazy
 //!
@@ -66,8 +65,8 @@
 //! a background thread, a budgeted chunk at a time) without reopening.
 //!
 //! Lazy opens are what make restart latency O(directory) instead of O(file):
-//! experiment E14 (`cargo run --release -p treelab-bench --bin experiments
-//! -- --restart`) measures the gap.
+//! treebench's `first_query_p50_ms` (a lazy open of the published file to
+//! its first answer) measures it.
 //!
 //! # Hot mutation and generations
 //!
@@ -86,10 +85,15 @@
 //! frame and a crash leaves at worst a stale temp file that the next publish
 //! removes.
 //!
-//! On 64-bit Unix, `ForestStore::open_mmap` serves a published file in place
-//! through a raw-syscall `frame::Mmap` — combined with
+//! On 64-bit Unix, [`ForestStore::open_with`] serves the file in place
+//! through a raw-syscall read-only map — combined with
 //! [`ValidationPolicy::Lazy`], a restart touches only the directory pages
-//! before the first query.
+//! before the first query.  The first mutation of such a store copies the
+//! frame to the heap, as a mutation with pins out does, so the file is
+//! never written through the map.  The rule that keeps a map sound:
+//! **replace a served file only by [`ForestStore::publish`]** (write a
+//! temp, rename over).  A map shows later writes to its file, and a
+//! truncation under it raises `SIGBUS` on the next touch of a removed page.
 //!
 //! # The routed batch engine
 //!
@@ -1680,30 +1684,79 @@ impl FrameWords for &[u64] {
     }
 }
 
-impl FrameWords for Arc<Vec<u64>> {
+impl FrameWords for Arc<ForestWords> {
     fn frame_words(&self) -> &[u64] {
-        self
+        match &self.0 {
+            Backing::Heap(words) => words,
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Backing::Map(map) => map
+                .words()
+                .expect("alignment and length were validated when the map was opened"),
+        }
     }
 }
 
 impl FrameWords for Pinned {
     fn frame_words(&self) -> &[u64] {
-        &self.0
+        self.0.frame_words()
     }
 }
 
-#[cfg(all(unix, target_pointer_width = "64"))]
-impl FrameWords for frame::Mmap {
-    fn frame_words(&self) -> &[u64] {
-        self.words()
-            .expect("alignment and length were validated when the map was opened")
+/// The frame words of a [`ForestStore`]: a heap buffer, or on 64-bit Unix a
+/// read-only map of the file [`ForestStore::open_with`] opened.  The first
+/// mutation of a mapped store copies the words to the heap, so the file is
+/// never written through the map.
+#[derive(Debug)]
+pub struct ForestWords(Backing);
+
+#[derive(Debug)]
+enum Backing {
+    Heap(Vec<u64>),
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    Map(frame::Mmap),
+}
+
+impl ForestWords {
+    fn heap(words: Vec<u64>) -> Arc<Self> {
+        Arc::new(ForestWords(Backing::Heap(words)))
+    }
+
+    /// The words, unshared and on the heap, for a mutation — the
+    /// [`Arc::make_mut`] of a store: a buffer that pins still share, or the
+    /// map of a file, is copied first, so pins and the file keep their bytes.
+    fn make_mut(words: &mut Arc<Self>) -> &mut Vec<u64> {
+        if !matches!(Arc::get_mut(words), Some(ForestWords(Backing::Heap(_)))) {
+            *words = Self::heap(words.frame_words().to_vec());
+        }
+        match Arc::get_mut(words) {
+            Some(ForestWords(Backing::Heap(words))) => words,
+            _ => unreachable!("the words were just made unique and heap-backed"),
+        }
+    }
+
+    /// Maps the file at `path` read-only: the words are served in place, and
+    /// only the pages a reader touches are read.
+    ///
+    /// The binding is 64-bit Unix only (see [`frame::Mmap`]); every other
+    /// target reads the file with [`read_words`].
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    fn load(path: &std::path::Path) -> Result<Self, ForestFileError> {
+        let map = frame::Mmap::map_file(&std::fs::File::open(path)?)?;
+        map.words().map_err(ForestError::from)?;
+        Ok(ForestWords(Backing::Map(map)))
+    }
+
+    /// Reads the file at `path` into a heap buffer.
+    #[cfg(not(all(unix, target_pointer_width = "64")))]
+    fn load(path: &std::path::Path) -> Result<Self, ForestFileError> {
+        Ok(ForestWords(Backing::Heap(read_words(path)?)))
     }
 }
 
 /// A validated forest frame whose words are held by `W` — the one forest
 /// type.  Its read API is one generic impl; each backing is an alias with
-/// its own constructors ([`ForestRef`], [`ForestStore`], [`ForestPin`],
-/// `MappedForest`), and only [`ForestStore`] mutates.
+/// its own constructors ([`ForestRef`], [`ForestStore`], [`ForestPin`]),
+/// and only [`ForestStore`] mutates.
 ///
 /// See the [module documentation](self) for the frame layout and the routed
 /// engine.
@@ -1718,13 +1771,15 @@ pub struct Forest<W> {
 pub type ForestRef<'a> = Forest<&'a [u64]>;
 
 /// A whole forest as one owned, checksummed word buffer — the
-/// **mutable-while-serving** backing, built with [`ForestBuilder`].
+/// **mutable-while-serving** backing, built with [`ForestBuilder`] or opened
+/// from a file with [`ForestStore::open_with`].
 ///
 /// The buffer is held behind an [`Arc`]: [`ForestStore::pin`] shares it
 /// with a [`ForestPin`], and a mutation that lands while pins are out
 /// transparently copies (copy-on-write) so every pin keeps its generation's
-/// exact bytes.
-pub type ForestStore = Forest<Arc<Vec<u64>>>;
+/// exact bytes.  A store opened from a file serves the file's map the same
+/// way: its first mutation copies the words to the heap.
+pub type ForestStore = Forest<Arc<ForestWords>>;
 
 /// A pinned generation of a [`ForestStore`], taken with
 /// [`ForestStore::pin`]: it shares the frame buffer, holds its own copy of
@@ -1733,21 +1788,10 @@ pub type ForestStore = Forest<Arc<Vec<u64>>>;
 /// live pins).  Exposes the full read API but no mutation.
 pub type ForestPin = Forest<Pinned>;
 
-/// A forest served **in place from a read-only memory map** — the product of
-/// [`ForestStore::open_mmap`], on 64-bit Unix (see [`frame::Mmap`]).
-///
-/// The mapping (a raw-syscall [`frame::Mmap`], no crate dependency) lives
-/// exactly as long as this value; combined with [`ValidationPolicy::Lazy`],
-/// opening touches only the header and directory pages, and each tree's
-/// pages fault in on its first query.  Exposes the full read API; to mutate,
-/// load an owned [`ForestStore`] instead.
-#[cfg(all(unix, target_pointer_width = "64"))]
-pub type MappedForest = Forest<frame::Mmap>;
-
 /// The frame buffer of a [`ForestPin`]: the [`ForestStore`]'s shared buffer
 /// behind a read-only handle, so a pin cannot reach the store's mutations.
 #[derive(Debug, Clone)]
-pub struct Pinned(Arc<Vec<u64>>);
+pub struct Pinned(Arc<ForestWords>);
 
 impl<W: FrameWords> Forest<W> {
     /// Number of live (non-tombstoned) trees in the forest.
@@ -1981,6 +2025,7 @@ impl<'a> ForestRef<'a> {
 }
 
 /// Bytes per read of [`read_words`].
+#[cfg_attr(all(unix, target_pointer_width = "64"), allow(dead_code))]
 const READ_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Reads the file at `path` straight into little-endian words through one
@@ -1993,6 +2038,10 @@ const READ_CHUNK_BYTES: usize = 64 * 1024;
 /// [`ForestFileError::Io`] when reading fails, and the same
 /// [`StoreError::Malformed`] as [`frame::words_from_bytes`] when the length
 /// is not a multiple of 8.
+///
+/// The open path of targets without the map; compiled on every target so
+/// its unit test runs everywhere.
+#[cfg_attr(all(unix, target_pointer_width = "64"), allow(dead_code))]
 fn read_words(path: &std::path::Path) -> Result<Vec<u64>, ForestFileError> {
     use std::io::Read;
     let mut file = std::fs::File::open(path)?;
@@ -2052,7 +2101,7 @@ impl ForestStore {
     pub fn from_words_with(words: Vec<u64>, policy: ValidationPolicy) -> Result<Self, ForestError> {
         let state = parse_forest(&words, policy)?;
         Ok(Forest {
-            words: Arc::new(words),
+            words: ForestWords::heap(words),
             state,
         })
     }
@@ -2060,8 +2109,8 @@ impl ForestStore {
     /// Validates (eagerly) and adopts a forest frame from bytes — the
     /// **copy path** (one widening copy for alignment, valid at any
     /// alignment).  For the zero-copy alternatives, borrow aligned words with
-    /// [`ForestRef::from_words`] or map a published file with
-    /// [`ForestStore::open_mmap`].
+    /// [`ForestRef::from_words`] or open a published file with
+    /// [`ForestStore::open_with`].
     ///
     /// # Errors
     ///
@@ -2085,74 +2134,47 @@ impl ForestStore {
     /// The frame as bytes (words serialized little-endian) — the persistable
     /// form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        frame::words_to_bytes(&self.words)
+        frame::words_to_bytes(self.words.frame_words())
     }
 
-    /// Reads a forest frame from `path` into **aligned words** and validates
-    /// it eagerly — the std-only file loader (the counterpart of
-    /// [`ForestStore::publish`]).
+    /// Opens the forest file at `path` and validates it eagerly (the
+    /// counterpart of [`ForestStore::publish`]); see
+    /// [`ForestStore::open_with`].
     ///
     /// # Errors
     ///
-    /// Returns [`ForestFileError::Io`] when reading fails and
-    /// [`ForestFileError::Forest`] when the bytes are not a valid frame
-    /// (including odd lengths, reported as [`StoreError::Malformed`]).
+    /// As [`ForestStore::open_with`].
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, ForestFileError> {
         Self::open_with(path, ValidationPolicy::Eager)
     }
 
-    /// [`ForestStore::open`] with an explicit [`ValidationPolicy`] — under
-    /// [`ValidationPolicy::Lazy`] the file is still read whole (it is owned
-    /// memory), but only the header and directory are *validated*; time to
-    /// first query drops from O(validate everything) to O(directory).
+    /// Opens the forest file at `path` under `policy`.
+    ///
+    /// On 64-bit Unix the file is mapped read-only and served **in place**:
+    /// nothing is read or copied up front, and under
+    /// [`ValidationPolicy::Lazy`] only the header and directory pages are
+    /// touched before the first query, so restart costs O(directory).  The
+    /// first mutation copies the words to the heap, like a mutation with
+    /// pins out; the file is never written.  Replace a served file only with
+    /// [`ForestStore::publish`] (a rename), never by writing it in place: a
+    /// map shows later writes to its file, and touching a page that a
+    /// truncation removed raises `SIGBUS`.  Other targets read the file
+    /// into a heap buffer.
     ///
     /// # Errors
     ///
-    /// Returns [`ForestFileError::Io`] when reading fails and
-    /// [`ForestFileError::Forest`] when validation fails.
+    /// Returns [`ForestFileError::Io`] when opening, mapping or reading
+    /// fails (on 64-bit Unix an empty file is refused with
+    /// [`std::io::ErrorKind::InvalidInput`]) and [`ForestFileError::Forest`]
+    /// when the bytes are not a valid frame (a length that is not a whole
+    /// number of words reports [`StoreError::Malformed`]).
     pub fn open_with(
         path: impl AsRef<std::path::Path>,
         policy: ValidationPolicy,
     ) -> Result<Self, ForestFileError> {
-        let words = read_words(path.as_ref())?;
-        Ok(Self::from_words_with(words, policy)?)
-    }
-
-    /// Maps the file at `path` read-only via the raw `mmap(2)` wrapper and
-    /// serves it **in place** — no read, no copy; with
-    /// [`ValidationPolicy::Lazy`] only the header and directory pages are
-    /// touched before the first query.  The returned [`MappedForest`] owns
-    /// the mapping and exposes the same read API as every other view.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ForestFileError::Io`] when opening or mapping fails and
-    /// [`ForestFileError::Forest`] when validation fails (a misaligned or
-    /// odd-length mapping reports [`StoreError::Misaligned`] /
-    /// [`StoreError::Malformed`] wrapped in [`ForestError::Frame`]).
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    pub fn open_mmap(
-        path: impl AsRef<std::path::Path>,
-        policy: ValidationPolicy,
-    ) -> Result<MappedForest, ForestFileError> {
-        let file = std::fs::File::open(path)?;
-        let map = frame::Mmap::map_file(&file)?;
-        let state = {
-            let words = map.words().map_err(ForestError::from)?;
-            parse_forest(words, policy)?
-        };
-        Ok(Forest { words: map, state })
-    }
-
-    /// Writes the frame bytes to `path` (the file [`ForestStore::open`]
-    /// reads) — a plain, non-atomic write; prefer [`ForestStore::publish`]
-    /// when a reader or a crash may observe the file mid-write.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the write.
-    pub fn write_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+        let words = Arc::new(ForestWords::load(path.as_ref())?);
+        let state = parse_forest(words.frame_words(), policy)?;
+        Ok(Forest { words, state })
     }
 
     /// Crash-safe persist: writes the frame to a `.tmp` sibling of `path`,
@@ -2160,7 +2182,9 @@ impl ForestStore {
     /// fsyncs the parent directory).  A reader concurrently opening `path`
     /// sees either the old frame or the new one, never a torn write; a crash
     /// mid-publish leaves at worst a stale `.tmp` that the next publish
-    /// removes and every open path ignores.
+    /// removes and every open path ignores.  It is the one way to replace a
+    /// file that stores may be serving from a map: they keep the old file's
+    /// pages and never see the new bytes.
     ///
     /// # Errors
     ///
@@ -2202,9 +2226,9 @@ impl ForestStore {
     }
 
     /// Consumes the store and returns its frame words (copying only if pins
-    /// are still sharing the buffer).
-    pub fn into_words(self) -> Vec<u64> {
-        Arc::try_unwrap(self.words).unwrap_or_else(|arc| (*arc).clone())
+    /// are still sharing the buffer or the words are a file's map).
+    pub fn into_words(mut self) -> Vec<u64> {
+        std::mem::take(ForestWords::make_mut(&mut self.words))
     }
 
     /// Splices `extra` zeroed directory slots in (shifting every frame
@@ -2213,7 +2237,7 @@ impl ForestStore {
     fn grow_capacity(&mut self, extra: usize) {
         let dir_end = self.state.dir_end();
         let shift = DIR_ENTRY_WORDS * extra;
-        let words = Arc::make_mut(&mut self.words);
+        let words = ForestWords::make_mut(&mut self.words);
         words.splice(dir_end..dir_end, std::iter::repeat_n(0u64, shift));
         for rec in 0..self.state.slots.len() {
             words[HEADER_WORDS + DIR_ENTRY_WORDS * rec + 1] += shift as u64;
@@ -2263,7 +2287,7 @@ impl ForestStore {
         let t = self.state.slots.len();
         let generation = self.state.generation + 1;
         let flen = frame_words.len();
-        let words = Arc::make_mut(&mut self.words);
+        let words = ForestWords::make_mut(&mut self.words);
         // The frame tiles in at the end of the frame region, displacing only
         // the trailing checksum word.
         let off = words.len() - 1;
@@ -2322,7 +2346,7 @@ impl ForestStore {
             .ok_or(ForestError::UnknownTree { id })?;
         let generation = self.state.generation + 1;
         let dir_end = self.state.dir_end();
-        let words = Arc::make_mut(&mut self.words);
+        let words = ForestWords::make_mut(&mut self.words);
         words[HEADER_WORDS + DIR_ENTRY_WORDS * slot + 3] &= 0xFFFF_FFFF;
         words[4] = generation;
         let last = words.len() - 1;
@@ -2355,13 +2379,16 @@ impl ForestStore {
             .filter(|s| s.entry.tag != 0)
             .map(|s| {
                 let e = s.entry;
-                (e.id, self.words[e.off..e.off + e.len].to_vec())
+                (
+                    e.id,
+                    self.words.frame_words()[e.off..e.off + e.len].to_vec(),
+                )
             })
             .collect();
         let generation = self.state.generation + 1;
         let words = assemble(&trees, 0, generation);
         let state = parse_forest(&words, self.state.policy)?;
-        self.words = Arc::new(words);
+        self.words = ForestWords::heap(words);
         self.state = state;
         Ok(())
     }
@@ -2395,7 +2422,7 @@ impl ForestStore {
         let old = self.state.slots[slot_pos].entry;
         let flen = frame_words.len();
         let generation = self.state.generation + 1;
-        let words = Arc::make_mut(&mut self.words);
+        let words = ForestWords::make_mut(&mut self.words);
         words.splice(old.off..old.off + old.len, frame_words);
         // Extents after the replaced one shift by the length delta; the
         // relative file order is unchanged, so the tiling invariant holds.
@@ -2461,7 +2488,7 @@ impl ForestStore {
     /// Panics when `index` is outside the frame — the hook is test
     /// infrastructure and an out-of-bounds target is a harness bug.
     pub fn corrupt_word(&mut self, index: usize, mask: u64) {
-        Arc::make_mut(&mut self.words)[index] ^= mask;
+        ForestWords::make_mut(&mut self.words)[index] ^= mask;
     }
 }
 
@@ -2811,11 +2838,15 @@ mod tests {
         let dir = TestDir::new("forest-read");
         let path = dir.0.join("forest.bin");
         std::fs::write(&path, &bytes).expect("write");
-        let opened = ForestStore::open(&path).expect("open");
-        assert_eq!(opened.as_words(), forest.as_words());
+        assert_eq!(read_words(&path).expect("read"), forest.as_words());
+        assert_eq!(
+            ForestStore::open(&path).expect("open").as_words(),
+            forest.as_words()
+        );
 
         // A length that is not a multiple of 8 — straddling a chunk border,
-        // or not — keeps the error the copying byte path reports.
+        // or not — keeps the error the copying byte path reports, read or
+        // opened.
         for len in [bytes.len() - 3, READ_CHUNK_BYTES + 5, 13] {
             std::fs::write(&path, &bytes[..len]).expect("rewrite");
             let want = ForestStore::from_bytes(&bytes[..len]).unwrap_err();
@@ -2823,9 +2854,14 @@ mod tests {
                 want,
                 ForestError::Frame(StoreError::Malformed { .. })
             ));
-            match ForestStore::open(&path) {
-                Err(ForestFileError::Forest(got)) => assert_eq!(got, want, "len {len}"),
-                other => panic!("len {len}: {other:?}"),
+            for got in [
+                read_words(&path).map(|_| ()),
+                ForestStore::open(&path).map(|_| ()),
+            ] {
+                match got {
+                    Err(ForestFileError::Forest(got)) => assert_eq!(got, want, "len {len}"),
+                    other => panic!("len {len}: {other:?}"),
+                }
             }
         }
     }

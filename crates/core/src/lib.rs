@@ -38,8 +38,9 @@
 //! The serving stack has one type per layer, generic over where the frame
 //! words live: [`Store<W, S>`](Store) (aliased as the borrowed [`StoreRef`]
 //! and the owned [`SchemeStore`]) and [`Forest<W>`](Forest) (aliased as
-//! [`ForestRef`], [`ForestStore`], [`ForestPin`] and, on 64-bit Unix,
-//! `MappedForest`).  Each layer's read API is written once.
+//! [`ForestRef`], [`ForestStore`] and [`ForestPin`]; a store opened from a
+//! file serves its map in place on 64-bit Unix).  Each layer's read API is
+//! written once.
 //! [`DistanceScheme::label_bits`] reports the size of each scheme's
 //! self-delimiting *wire* encoding — the quantity the paper's bounds are
 //! about — in closed form at build time; test-only encoders over the build
@@ -85,8 +86,6 @@ pub mod store;
 pub mod substrate;
 pub mod universal;
 
-#[cfg(all(unix, target_pointer_width = "64"))]
-pub use forest::MappedForest;
 pub use forest::{
     Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
     FrameWords, RouteScratch, ValidationPolicy, VerifyCursor,

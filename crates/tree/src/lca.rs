@@ -2,64 +2,117 @@
 //!
 //! Every labeling scheme in `treelab-core` is validated against
 //! [`DistanceOracle`], which answers exact weighted distances in O(1) after an
-//! O(n log n) preprocessing pass (Euler tour + sparse-table range-minimum).
+//! O(n) preprocessing pass: an Euler tour, then range-minimum over its depths
+//! by the block decomposition of Bender and Farach-Colton ("The LCA Problem
+//! Revisited", LATIN 2000) — a sparse table over the minima of 32-entry
+//! blocks, and per entry one 32-bit mask that answers inside a block.
 //! The oracle itself is validated in its unit tests against the naive
 //! walk-to-the-root computation of [`Tree::distance_naive`].
 
 use crate::{NodeId, Tree};
 
-/// Sparse-table range-minimum structure over `(value, payload)` pairs.
+/// Entries per block of [`SparseTable`]: one bit each in a `u32` mask.
+const BLOCK: usize = 32;
+
+/// Range-minimum over `u32` values in O(n) words and O(1) per query: a
+/// sparse table over the minima of [`BLOCK`]-entry blocks, plus one mask per
+/// entry for the parts of a range inside one block.
 #[derive(Debug, Clone)]
 struct SparseTable {
-    /// `table[k][i]` = index of the minimum in `values[i .. i + 2^k)`.
-    table: Vec<Vec<u32>>,
     values: Vec<u32>,
+    /// Bit `j` of `stack[i]` is set when the entry at offset `j` of `i`'s
+    /// block is no larger than any entry after it up to `i` — the stack of
+    /// suffix minima ending at `i`.  The lowest set bit at or above `l`'s
+    /// offset is then the leftmost minimum of `l..=i`.
+    stack: Vec<u32>,
+    /// `table[k * blocks + b]` = index of the minimum of blocks
+    /// `b .. b + 2^k`.
+    table: Vec<u32>,
+    blocks: usize,
 }
 
 impl SparseTable {
     fn new(values: Vec<u32>) -> Self {
-        let n = values.len();
-        let levels = if n <= 1 {
-            1
-        } else {
-            (usize::BITS - (n - 1).leading_zeros()) as usize + 1
-        };
-        let mut table: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        table.push((0..n as u32).collect());
-        let mut k = 1;
-        while (1usize << k) <= n {
-            let half = 1usize << (k - 1);
-            let prev = &table[k - 1];
-            let mut row = Vec::with_capacity(n - (1 << k) + 1);
-            for i in 0..=(n - (1 << k)) {
-                let a = prev[i];
-                let b = prev[i + half];
-                row.push(if values[a as usize] <= values[b as usize] {
-                    a
-                } else {
-                    b
-                });
+        assert!(
+            values.len() <= u32::MAX as usize,
+            "range-minimum indexes fit in u32"
+        );
+        let mut stack = vec![0u32; values.len()];
+        for (b, block) in values.chunks(BLOCK).enumerate() {
+            let base = b * BLOCK;
+            let mut cur = 0u32;
+            for (j, &v) in block.iter().enumerate() {
+                while cur != 0 {
+                    let top = 31 - cur.leading_zeros();
+                    if block[top as usize] <= v {
+                        break;
+                    }
+                    cur ^= 1 << top;
+                }
+                cur |= 1 << j;
+                stack[base + j] = cur;
             }
-            table.push(row);
-            k += 1;
         }
-        SparseTable { table, values }
+        let blocks = values.len().div_ceil(BLOCK);
+        let mut rmq = SparseTable {
+            values,
+            stack,
+            table: Vec::new(),
+            blocks,
+        };
+        let levels = (usize::BITS - blocks.leading_zeros()) as usize;
+        let mut table = Vec::with_capacity(levels * blocks);
+        let last = rmq.values.len().saturating_sub(1);
+        table.extend(
+            (0..blocks).map(|b| rmq.in_block(b * BLOCK, last.min(b * BLOCK + BLOCK - 1)) as u32),
+        );
+        for k in 1..levels {
+            let half = 1 << (k - 1);
+            for b in 0..blocks {
+                let lo = table[(k - 1) * blocks + b] as usize;
+                let m = if b + half < blocks {
+                    rmq.min_of(lo, table[(k - 1) * blocks + b + half] as usize)
+                } else {
+                    lo
+                };
+                table.push(m as u32);
+            }
+        }
+        rmq.table = table;
+        rmq
+    }
+
+    /// The earlier of `a < b` unless `b` holds a smaller value.
+    fn min_of(&self, a: usize, b: usize) -> usize {
+        if self.values[b] < self.values[a] {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// Index of the minimum in `[l, r]`, both in one block.
+    fn in_block(&self, l: usize, r: usize) -> usize {
+        let mask = self.stack[r] & (u32::MAX << (l % BLOCK));
+        l - l % BLOCK + mask.trailing_zeros() as usize
     }
 
     /// Index of the minimum value in `[l, r]` (inclusive).
     fn argmin(&self, l: usize, r: usize) -> usize {
         debug_assert!(l <= r && r < self.values.len());
-        if l == r {
-            return l;
+        let (bl, br) = (l / BLOCK, r / BLOCK);
+        if bl == br {
+            return self.in_block(l, r);
         }
-        let k = (usize::BITS - 1 - (r - l + 1).leading_zeros()) as usize;
-        let a = self.table[k][l];
-        let b = self.table[k][r + 1 - (1 << k)];
-        if self.values[a as usize] <= self.values[b as usize] {
-            a as usize
-        } else {
-            b as usize
+        let mut best = self.in_block(l, bl * BLOCK + BLOCK - 1);
+        if bl + 1 < br {
+            let (a, b) = (bl + 1, br - 1);
+            let k = (usize::BITS - 1 - (b - a + 1).leading_zeros()) as usize;
+            let row = &self.table[k * self.blocks..];
+            best = self.min_of(best, row[a] as usize);
+            best = self.min_of(best, row[b + 1 - (1 << k)] as usize);
         }
+        self.min_of(best, self.in_block(br * BLOCK, r))
     }
 }
 
@@ -77,68 +130,71 @@ impl SparseTable {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DistanceOracle {
-    /// Euler tour of node ids.
-    euler: Vec<NodeId>,
-    /// Depth (in edges) of each Euler-tour entry.
-    first_occurrence: Vec<usize>,
+    /// Euler tour of node indices (2n − 1 entries).
+    euler: Vec<u32>,
+    /// Index of each node's first Euler-tour entry.
+    first_occurrence: Vec<u32>,
     /// Weighted distance from the root per node.
     root_distance: Vec<u64>,
-    /// Unweighted depth per node.
-    depth: Vec<usize>,
+    /// Range-minimum over the unweighted depth of each Euler-tour entry.
     rmq: SparseTable,
 }
 
 impl DistanceOracle {
-    /// Builds the oracle in O(n log n) time and space.
+    /// Builds the oracle in O(n) time and space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the Euler tour (2n − 1 entries) cannot be indexed by `u32`.
     pub fn new(tree: &Tree) -> Self {
         let n = tree.len();
-        let depth = tree.depths();
-        let root_distance = tree.root_distances();
-        let mut euler: Vec<NodeId> = Vec::with_capacity(2 * n);
-        let mut first_occurrence = vec![usize::MAX; n];
+        assert!(
+            2 * n - 1 <= u32::MAX as usize,
+            "the Euler tour of {n} nodes is indexed by u32"
+        );
+        let mut euler: Vec<u32> = Vec::with_capacity(2 * n - 1);
+        let mut depths: Vec<u32> = Vec::with_capacity(2 * n - 1);
+        let mut first_occurrence = vec![0u32; n];
+        let mut root_distance = vec![0u64; n];
 
-        // Iterative Euler tour: push (node, next-child-index).
-        let mut stack: Vec<(NodeId, usize)> = vec![(tree.root(), 0)];
+        // Iterative Euler tour: (node, next-child index); the stack height is
+        // the depth.
+        let root = tree.root();
+        euler.push(root.index() as u32);
+        depths.push(0);
+        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
         while let Some(&mut (u, ref mut ci)) = stack.last_mut() {
-            if *ci == 0 {
-                if first_occurrence[u.index()] == usize::MAX {
-                    first_occurrence[u.index()] = euler.len();
-                }
-                euler.push(u);
-            }
-            if *ci < tree.degree(u) {
-                let child = tree.children(u)[*ci];
+            if let Some(&child) = tree.children(u).get(*ci) {
                 *ci += 1;
+                first_occurrence[child.index()] = euler.len() as u32;
+                root_distance[child.index()] = root_distance[u.index()] + tree.parent_weight(child);
+                euler.push(child.index() as u32);
+                depths.push(stack.len() as u32);
                 stack.push((child, 0));
             } else {
                 stack.pop();
                 if let Some(&(p, _)) = stack.last() {
-                    euler.push(p);
+                    euler.push(p.index() as u32);
+                    depths.push(stack.len() as u32 - 1);
                 }
             }
         }
 
-        let euler_depths: Vec<u32> = euler.iter().map(|&u| depth[u.index()] as u32).collect();
-        let rmq = SparseTable::new(euler_depths);
         DistanceOracle {
             euler,
             first_occurrence,
             root_distance,
-            depth,
-            rmq,
+            rmq: SparseTable::new(depths),
         }
     }
 
     /// Lowest common ancestor of `u` and `v`.
     pub fn lca(&self, u: NodeId, v: NodeId) -> NodeId {
-        let (mut a, mut b) = (
-            self.first_occurrence[u.index()],
-            self.first_occurrence[v.index()],
+        let (a, b) = (
+            self.first_occurrence[u.index()] as usize,
+            self.first_occurrence[v.index()] as usize,
         );
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        self.euler[self.rmq.argmin(a, b)]
+        NodeId(self.euler[self.rmq.argmin(a.min(b), a.max(b))] as usize)
     }
 
     /// Exact weighted distance between `u` and `v`.
@@ -151,7 +207,7 @@ impl DistanceOracle {
     /// Exact unweighted (hop) distance between `u` and `v`.
     pub fn hop_distance(&self, u: NodeId, v: NodeId) -> usize {
         let w = self.lca(u, v);
-        self.depth[u.index()] + self.depth[v.index()] - 2 * self.depth[w.index()]
+        self.depth(u) + self.depth(v) - 2 * self.depth(w)
     }
 
     /// Weighted distance from the root to `u`.
@@ -161,7 +217,7 @@ impl DistanceOracle {
 
     /// Unweighted depth of `u`.
     pub fn depth(&self, u: NodeId) -> usize {
-        self.depth[u.index()]
+        self.rmq.values[self.first_occurrence[u.index()] as usize] as usize
     }
 
     /// Returns `true` if `a` is an ancestor of (or equal to) `d`.
@@ -265,13 +321,35 @@ mod tests {
 
     #[test]
     fn sparse_table_argmin_matches_naive() {
-        let values: Vec<u32> = vec![5, 3, 8, 3, 1, 9, 2, 2, 7, 0, 4];
-        let st = SparseTable::new(values.clone());
-        for l in 0..values.len() {
-            for r in l..values.len() {
-                let naive = (l..=r).min_by_key(|&i| (values[i], i)).unwrap();
-                let got = st.argmin(l, r);
-                assert_eq!(values[got], values[naive], "[{l},{r}]");
+        let mut inputs: Vec<Vec<u32>> = vec![vec![5, 3, 8, 3, 1, 9, 2, 2, 7, 0, 4]];
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(7);
+        for len in 1..=200usize {
+            // Random values with ties, and a ±1 walk like Euler-tour depths.
+            inputs.push((0..len).map(|_| (rng.next_u64() % 16) as u32).collect());
+            let mut depth = 100u32;
+            inputs.push(
+                (0..len)
+                    .map(|_| {
+                        depth = if rng.next_u64() & 1 == 0 {
+                            depth + 1
+                        } else {
+                            depth - 1
+                        };
+                        depth
+                    })
+                    .collect(),
+            );
+        }
+        for values in inputs {
+            let st = SparseTable::new(values.clone());
+            for l in 0..values.len() {
+                let mut naive = l;
+                for r in l..values.len() {
+                    if values[r] < values[naive] {
+                        naive = r;
+                    }
+                    assert_eq!(st.argmin(l, r), naive, "[{l},{r}] of {}", values.len());
+                }
             }
         }
     }

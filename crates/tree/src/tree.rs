@@ -34,6 +34,12 @@ impl From<usize> for NodeId {
 /// introduces weight-0 edges; the `(h,M)`-tree lower-bound family uses weights
 /// up to `M`.
 ///
+/// The topology is stored as flat arrays in compressed sparse row form: a
+/// `u32` parent per node, and every node's children in one array indexed by
+/// per-node offsets (children in increasing index order unless
+/// [`Tree::sort_children_by`] reorders them).  That is 24 bytes per node with
+/// no per-node allocation, so node counts are limited to below 2³².
+///
 /// # Example
 ///
 /// ```
@@ -52,22 +58,24 @@ impl From<usize> for NodeId {
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Tree {
-    parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// Parent index per node; [`NO_PARENT`] marks the root.
+    parent: Vec<u32>,
+    /// `kids[start[u]..start[u + 1]]` are the children of `u` (n + 1 entries).
+    start: Vec<u32>,
+    /// Every node's children, grouped by parent in index order.
+    kids: Vec<NodeId>,
     /// Weight of the edge from a node to its parent (0 and unused for the root).
     parent_weight: Vec<u64>,
     root: NodeId,
 }
 
+/// The root's entry in a parent array.
+const NO_PARENT: u32 = u32::MAX;
+
 impl Tree {
     /// Creates a tree with a single root node.
     pub fn singleton() -> Self {
-        Tree {
-            parent: vec![None],
-            children: vec![Vec::new()],
-            parent_weight: vec![0],
-            root: NodeId(0),
-        }
+        TreeBuilder::new().build()
     }
 
     /// Builds a tree from a parent array.
@@ -93,12 +101,12 @@ impl Tree {
     pub fn from_parents_weighted(parents: &[Option<usize>], weights: Option<&[u64]>) -> Self {
         let n = parents.len();
         assert!(n > 0, "a tree has at least one node");
+        assert!(n <= NO_PARENT as usize, "a tree has fewer than 2^32 nodes");
         if let Some(w) = weights {
             assert_eq!(w.len(), n, "weights length must match parents length");
         }
         let mut root = None;
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut parent = vec![NO_PARENT; n];
         let mut parent_weight = vec![0u64; n];
         for (i, &p) in parents.iter().enumerate() {
             match p {
@@ -109,24 +117,45 @@ impl Tree {
                 Some(p) => {
                     assert!(p < n, "parent index {p} out of range");
                     assert!(p != i, "node {i} cannot be its own parent");
-                    parent[i] = Some(NodeId(p));
+                    parent[i] = p as u32;
                     parent_weight[i] = weights.map_or(1, |w| w[i]);
-                    children[p].push(NodeId(i));
                 }
             }
         }
         let root = root.expect("no root found");
-        let tree = Tree {
-            parent,
-            children,
-            parent_weight,
-            root,
-        };
+        let tree = Self::from_parent_array(parent, parent_weight, root);
         assert!(
             tree.is_connected_acyclic(),
             "parent array contains a cycle or disconnected node"
         );
         tree
+    }
+
+    /// Groups the children by parent with one counting sort over `parent`
+    /// (one root, every other entry in range), keeping index order within
+    /// each group.
+    fn from_parent_array(parent: Vec<u32>, parent_weight: Vec<u64>, root: NodeId) -> Self {
+        let n = parent.len();
+        let mut start = vec![0u32; n + 1];
+        for &p in parent.iter().filter(|&&p| p != NO_PARENT) {
+            start[p as usize + 1] += 1;
+        }
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut next = start[..n].to_vec();
+        let mut kids = vec![NodeId(0); n - 1];
+        for (i, &p) in parent.iter().enumerate().filter(|&(_, &p)| p != NO_PARENT) {
+            kids[next[p as usize] as usize] = NodeId(i);
+            next[p as usize] += 1;
+        }
+        Tree {
+            parent,
+            start,
+            kids,
+            parent_weight,
+            root,
+        }
     }
 
     fn is_connected_acyclic(&self) -> bool {
@@ -171,12 +200,13 @@ impl Tree {
 
     /// Parent of `u`, or `None` for the root.
     pub fn parent(&self, u: NodeId) -> Option<NodeId> {
-        self.parent[u.0]
+        let p = self.parent[u.0];
+        (p != NO_PARENT).then_some(NodeId(p as usize))
     }
 
     /// Ordered children of `u`.
     pub fn children(&self, u: NodeId) -> &[NodeId] {
-        &self.children[u.0]
+        &self.kids[self.start[u.0] as usize..self.start[u.0 + 1] as usize]
     }
 
     /// Weight of the edge from `u` to its parent (0 for the root).
@@ -186,12 +216,12 @@ impl Tree {
 
     /// Number of children of `u`.
     pub fn degree(&self, u: NodeId) -> usize {
-        self.children[u.0].len()
+        (self.start[u.0 + 1] - self.start[u.0]) as usize
     }
 
     /// Returns `true` if `u` has no children.
     pub fn is_leaf(&self, u: NodeId) -> bool {
-        self.children[u.0].is_empty()
+        self.degree(u) == 0
     }
 
     /// Returns `true` if `u` is the root.
@@ -343,14 +373,21 @@ impl Tree {
     }
 
     /// Reorders the children of every node using the supplied comparator.
+    ///
+    /// The comparator sees the whole tree, every node's children included,
+    /// while each node's children are sorted: a copy is sorted and written
+    /// back.
     pub fn sort_children_by<F>(&mut self, mut cmp: F)
     where
         F: FnMut(&Self, NodeId, NodeId) -> std::cmp::Ordering,
     {
+        let mut sorted = Vec::new();
         for u in 0..self.len() {
-            let mut kids = std::mem::take(&mut self.children[u]);
-            kids.sort_by(|&a, &b| cmp(self, a, b));
-            self.children[u] = kids;
+            sorted.clear();
+            sorted.extend_from_slice(self.children(NodeId(u)));
+            sorted.sort_by(|&a, &b| cmp(self, a, b));
+            let span = self.start[u] as usize..self.start[u + 1] as usize;
+            self.kids[span].copy_from_slice(&sorted);
         }
     }
 
@@ -399,11 +436,12 @@ impl fmt::Debug for Tree {
 
 /// Incremental builder for [`Tree`], convenient for generators.
 ///
-/// The builder starts with a root node (id 0) already present.
+/// The builder starts with a root node (id 0) already present.  It holds
+/// only the parent and weight arrays; [`TreeBuilder::build`] groups the
+/// children.
 #[derive(Debug, Clone)]
 pub struct TreeBuilder {
-    parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    parent: Vec<u32>,
     parent_weight: Vec<u64>,
 }
 
@@ -417,8 +455,7 @@ impl TreeBuilder {
     /// Creates a builder containing only the root node.
     pub fn new() -> Self {
         TreeBuilder {
-            parent: vec![None],
-            children: vec![Vec::new()],
+            parent: vec![NO_PARENT],
             parent_weight: vec![0],
         }
     }
@@ -435,11 +472,9 @@ impl TreeBuilder {
         let nodes = nodes.max(1);
         let mut b = TreeBuilder {
             parent: Vec::with_capacity(nodes),
-            children: Vec::with_capacity(nodes),
             parent_weight: Vec::with_capacity(nodes),
         };
-        b.parent.push(None);
-        b.children.push(Vec::new());
+        b.parent.push(NO_PARENT);
         b.parent_weight.push(0);
         b
     }
@@ -467,11 +502,13 @@ impl TreeBuilder {
     /// Panics if `parent` is not a node created by this builder.
     pub fn add_child(&mut self, parent: NodeId, weight: u64) -> NodeId {
         assert!(parent.0 < self.parent.len(), "unknown parent {parent}");
+        assert!(
+            self.parent.len() < NO_PARENT as usize,
+            "a tree has fewer than 2^32 nodes"
+        );
         let id = NodeId(self.parent.len());
-        self.parent.push(Some(parent));
-        self.children.push(Vec::new());
+        self.parent.push(parent.0 as u32);
         self.parent_weight.push(weight);
-        self.children[parent.0].push(id);
         id
     }
 
@@ -485,10 +522,7 @@ impl TreeBuilder {
     /// Panics if `child` is unknown or is the root.
     pub fn set_parent_weight(&mut self, child: NodeId, weight: u64) {
         assert!(child.0 < self.parent.len(), "unknown node {child}");
-        assert!(
-            self.parent[child.0].is_some(),
-            "the root has no parent edge"
-        );
+        assert!(child.0 != 0, "the root has no parent edge");
         self.parent_weight[child.0] = weight;
     }
 
@@ -505,12 +539,7 @@ impl TreeBuilder {
 
     /// Finishes building.
     pub fn build(self) -> Tree {
-        Tree {
-            parent: self.parent,
-            children: self.children,
-            parent_weight: self.parent_weight,
-            root: NodeId(0),
-        }
+        Tree::from_parent_array(self.parent, self.parent_weight, NodeId(0))
     }
 }
 
@@ -661,11 +690,27 @@ mod tests {
 
     #[test]
     fn sort_children_by_subtree_size() {
-        let mut t = Tree::from_parents(&[None, Some(0), Some(0), Some(1), Some(1), Some(1)]);
+        let parents = [None, Some(0), Some(0), Some(1), Some(2), Some(2), Some(4)];
+        let mut t = Tree::from_parents(&parents);
+        let mut b = TreeBuilder::new();
+        for &p in parents.iter().flatten() {
+            b.add_child(NodeId(p), 1);
+        }
+        let mut built = b.build();
+        assert_eq!(built, t, "equal shapes compare equal however built");
         let sizes = t.subtree_sizes();
-        t.sort_children_by(|_, a, b| sizes[b.0].cmp(&sizes[a.0]));
-        // Child 1 (size 4) should now come before child 2 (size 1).
-        assert_eq!(t.children(NodeId(0))[0], NodeId(1));
+        // The comparator sees every node's children, the sorted node's too.
+        let by_size = |tree: &Tree, a: NodeId, b: NodeId| {
+            assert_eq!(tree.subtree_sizes(), sizes);
+            sizes[b.0].cmp(&sizes[a.0])
+        };
+        t.sort_children_by(by_size);
+        built.sort_children_by(by_size);
+        // Child 2 (size 4) now comes before child 1 (size 2).
+        assert_eq!(t.children(NodeId(0)), &[NodeId(2), NodeId(1)]);
+        assert_eq!(t.children(NodeId(2)), &[NodeId(4), NodeId(5)]);
+        assert_eq!(built, t);
+        assert_ne!(t, Tree::from_parents(&parents));
     }
 
     #[test]

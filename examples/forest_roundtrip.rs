@@ -67,9 +67,10 @@ fn main() {
             .join(", "),
     );
 
-    // Reload from the file into aligned words, as a serving process would —
-    // once proving every inner frame up front, once deferring them to first
-    // touch (the restart-latency path experiment E14 measures at scale).
+    // Reopen the file as a serving process would (served from its map on
+    // 64-bit Unix) — once proving every inner frame up front, once deferring
+    // them to first touch (the restart path treebench's `first_query_*`
+    // metrics measure at scale).
     let t1 = Instant::now();
     let owned = ForestStore::open(&path).expect("valid forest file");
     assert_eq!(owned.as_words(), forest.as_words());

@@ -40,8 +40,6 @@ pub use treelab_tree as tree;
 
 pub use treelab_core::approximate::ApproximateScheme;
 pub use treelab_core::distance_array::DistanceArrayScheme;
-#[cfg(all(unix, target_pointer_width = "64"))]
-pub use treelab_core::forest::MappedForest;
 pub use treelab_core::forest::{
     Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
     FrameWords, HealthCounts, HealthReport, QueryStatus, RouteOutcome, RouteScratch, ScrubOutcome,

@@ -1,8 +1,10 @@
 //! Proof that the forest's routed batch engine allocates nothing per query
 //! once its one-time group scratch has grown to the batch working size —
 //! the forest-side mirror of `tests/store_alloc.rs` — that on the sharded
-//! path only the thread spawns allocate, and that the lazy `tree(id)` path
-//! is allocation-free after a tree's first-touch validation.
+//! path only the thread spawns allocate, that the lazy `tree(id)` path
+//! is allocation-free after a tree's first-touch validation, and that a
+//! store opened from a file (served from its map on 64-bit Unix) routes
+//! without allocating once warm.
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! batch has sized the [`RouteScratch`] and the status buffer, repeating the
@@ -221,4 +223,29 @@ fn routed_batches_do_not_allocate_after_the_scratch_warms_up() {
         after - before
     );
     assert_eq!(sum, warm_sum * 64);
+
+    // A store opened lazily from the published file routes warmed-up
+    // batches without allocating: the read path never copies the words.
+    let dir = treelab_bench::ScratchDir::new("forest-alloc");
+    let path = dir.join("forest.bin");
+    forest.publish(&path).expect("publish");
+    let opened = ForestStore::open_with(&path, ValidationPolicy::Lazy).expect("lazy open");
+    let mut scratch = RouteScratch::new();
+    statuses.clear();
+    assert!(opened
+        .try_route_distances_into(&warmup, &mut scratch, &mut statuses)
+        .all_ok());
+    statuses.clear();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    opened.try_route_distances_into(&storm1, &mut scratch, &mut statuses);
+    statuses.clear();
+    opened.try_route_distances_into(&storm2, &mut scratch, &mut statuses);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "routing on an opened file allocated {} times after warm-up",
+        after - before
+    );
+    assert_eq!(statuses, route(&storm2));
 }

@@ -6,9 +6,10 @@
 //! the lazy policy must report *exactly* the error an eager open would have,
 //! just deferred to the first touch of the damaged tree.
 //!
-//! The sweeps run under both [`ValidationPolicy`] values; the mmap-backed
-//! module at the bottom repeats the key cases through
-//! [`ForestStore::open_mmap`] on 64-bit Unix.
+//! The sweeps run under both [`ValidationPolicy`] values; the `mapped`
+//! module at the bottom repeats the key cases on files opened with
+//! [`ForestStore::open_with`], which serves the file from a read-only map on
+//! 64-bit Unix.
 
 use treelab::{gen, DistanceArrayScheme, DistanceScheme, NaiveScheme, OptimalScheme};
 use treelab::{
@@ -45,7 +46,6 @@ fn record_of(words: &[u64], id: u64) -> (usize, usize, usize) {
 
 /// Re-serializes a word frame the way `to_bytes` would (only the mapped
 /// module needs to put corrupted words back on disk).
-#[cfg_attr(not(all(unix, target_pointer_width = "64")), allow(dead_code))]
 fn words_to_bytes(words: &[u64]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
@@ -289,9 +289,8 @@ fn a_full_budgeted_scrub_reaches_the_eager_verdict_for_every_slot() {
     }
 }
 
-/// The same faults through the zero-copy mapped path: `open_mmap` must agree
-/// with the copying opens on both the happy path and every rejection.
-#[cfg(all(unix, target_pointer_width = "64"))]
+/// The same faults through a file served in place: `open_with` must agree
+/// with the in-memory opens on both the happy path and every rejection.
 mod mapped {
     use super::*;
     use treelab::{QueryStatus, RouteScratch};
@@ -305,7 +304,7 @@ mod mapped {
 
         // Pristine file: both policies map, serve and verify identically.
         for policy in POLICIES {
-            let mapped = ForestStore::open_mmap(&path, policy).expect("pristine map");
+            let mapped = ForestStore::open_with(&path, policy).expect("pristine map");
             assert_eq!(mapped.as_words(), forest.as_words());
             assert_eq!(mapped.generation(), forest.generation());
             assert_eq!(
@@ -325,11 +324,11 @@ mod mapped {
         // Inner corruption on disk: the eager map rejects at open, the lazy
         // map serves healthy trees and defers the same error to first touch.
         std::fs::write(&path, words_to_bytes(&flip_inner(forest.as_words(), 5))).unwrap();
-        match ForestStore::open_mmap(&path, ValidationPolicy::Eager) {
+        match ForestStore::open_with(&path, ValidationPolicy::Eager) {
             Err(ForestFileError::Forest(ForestError::Tree { id: 5, .. })) => {}
             other => panic!("eager map must blame tree 5, got {other:?}"),
         }
-        let lazy = ForestStore::open_mmap(&path, ValidationPolicy::Lazy).expect("lazy map");
+        let lazy = ForestStore::open_with(&path, ValidationPolicy::Lazy).expect("lazy map");
         assert_eq!(
             lazy.tree(9).expect("healthy tree").distance(0, 9),
             forest.tree(9).unwrap().distance(0, 9)
@@ -343,11 +342,11 @@ mod mapped {
         // Torn file: a structured error from the map path, never a panic —
         // including an odd length the word view must refuse.
         let bytes = forest.to_bytes();
-        for cut in [bytes.len() / 2, bytes.len() - 8, bytes.len() - 3] {
+        for cut in [0, bytes.len() / 2, bytes.len() - 8, bytes.len() - 3] {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             for policy in POLICIES {
                 assert!(
-                    ForestStore::open_mmap(&path, policy).is_err(),
+                    ForestStore::open_with(&path, policy).is_err(),
                     "mapping a {cut}-byte torn file must fail under {policy:?}"
                 );
             }
@@ -368,11 +367,11 @@ mod mapped {
                 words_to_bytes(&flip_inner(forest.as_words(), victim)),
             )
             .unwrap();
-            let eager_err = match ForestStore::open_mmap(&path, ValidationPolicy::Eager) {
+            let eager_err = match ForestStore::open_with(&path, ValidationPolicy::Eager) {
                 Err(ForestFileError::Forest(e @ ForestError::Tree { .. })) => e,
                 other => panic!("eager map must blame tree {victim}, got {other:?}"),
             };
-            let lazy = ForestStore::open_mmap(&path, ValidationPolicy::Lazy).expect("lazy map");
+            let lazy = ForestStore::open_with(&path, ValidationPolicy::Lazy).expect("lazy map");
 
             let mut scrubber = Scrubber::new();
             let mut faults = Vec::new();

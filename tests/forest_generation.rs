@@ -118,18 +118,13 @@ fn v1_frames_are_rejected_with_unsupported_version() {
     }
     assert_eq!(ForestRef::from_words(&words).unwrap_err(), unsupported);
 
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    {
-        let dir = ScratchDir::new("generation-v1");
-        let path = dir.join("v1.bin");
-        std::fs::write(&path, &bytes).unwrap();
-        for policy in POLICIES {
-            match ForestStore::open_mmap(&path, policy) {
-                Err(treelab::ForestFileError::Forest(e)) => {
-                    assert_eq!(e, unsupported, "{policy:?}")
-                }
-                other => panic!("mapped v1 frame must be rejected, got {other:?}"),
-            }
+    let dir = ScratchDir::new("generation-v1");
+    let path = dir.join("v1.bin");
+    std::fs::write(&path, &bytes).unwrap();
+    for policy in POLICIES {
+        match ForestStore::open_with(&path, policy) {
+            Err(treelab::ForestFileError::Forest(e)) => assert_eq!(e, unsupported, "{policy:?}"),
+            other => panic!("a v1 file must be rejected, got {other:?}"),
         }
     }
 }
@@ -138,8 +133,11 @@ fn v1_frames_are_rejected_with_unsupported_version() {
 /// router (`UnknownTree`), an appended id becomes routable in the same batch
 /// as old ids, and a pin taken before the mutations keeps routing the *pre-mutation* forest —
 /// including the since-tombstoned tree.  Afterwards every owner of the
-/// mutated frame — the store, a pin, a borrowed view and a memory map of its
-/// published file — reads it back identically through the one read API.
+/// mutated frame — the store, a pin, a borrowed view and a store opened from
+/// its published file — reads it back identically through the one read API.
+/// The opened store keeps serving its generation after a newer frame is
+/// published over the path, and its first mutation copies the words: the
+/// new file stays as published, and a pin taken before keeps answering.
 #[test]
 fn routing_tracks_tombstones_appends_and_pinned_generations() {
     let trees: Vec<Tree> = (0..3)
@@ -218,14 +216,23 @@ fn routing_tracks_tombstones_appends_and_pinned_generations() {
     assert_eq!(read_back(&pinned, &ids, &routed, &mut scratch), expected);
     let borrowed = ForestRef::from_words(forest.as_words()).expect("borrowed view loads");
     assert_eq!(read_back(&borrowed, &ids, &routed, &mut scratch), expected);
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    {
-        let dir = ScratchDir::new("generation-owners");
-        let path = dir.join("forest.bin");
-        forest.publish(&path).expect("publish");
-        let mapped = ForestStore::open_mmap(&path, ValidationPolicy::Lazy).expect("map");
-        assert_eq!(read_back(&mapped, &ids, &routed, &mut scratch), expected);
-    }
+    let dir = ScratchDir::new("generation-owners");
+    let path = dir.join("forest.bin");
+    forest.publish(&path).expect("publish");
+    let mut opened = ForestStore::open_with(&path, ValidationPolicy::Lazy).expect("open");
+    assert_eq!(read_back(&opened, &ids, &routed, &mut scratch), expected);
+
+    forest.tombstone(0).expect("live tree retires");
+    forest.publish(&path).expect("publish over the served file");
+    let published = std::fs::read(&path).expect("read the new file");
+    assert_eq!(read_back(&opened, &ids, &routed, &mut scratch), expected);
+
+    let pin = opened.pin();
+    opened.tombstone(2).expect("live tree retires");
+    assert_eq!(opened.generation(), expected.1 + 1);
+    assert!(opened.tree(2).is_none() && opened.tree(0).is_some());
+    assert_eq!(std::fs::read(&path).expect("reread"), published);
+    assert_eq!(read_back(&pin, &ids, &routed, &mut scratch), expected);
 }
 
 #[test]
