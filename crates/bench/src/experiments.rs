@@ -20,6 +20,7 @@ use treelab_core::store::{SchemeStore, StoredScheme, NO_DISTANCE};
 use treelab_core::substrate::Substrate;
 use treelab_core::universal::{universal_from_parent_labels, universal_tree_size};
 use treelab_core::{DistanceScheme, LabelLayout};
+use treelab_tree::lca::DistanceOracle;
 use treelab_tree::{gen, Tree};
 
 fn stats_of<S: DistanceScheme>(scheme: &S, tree: &Tree) -> LabelStats {
@@ -94,9 +95,9 @@ pub fn approximate_experiment(n: usize, epsilons: &[f64], seed: u64) -> Table {
         ],
     );
     let tree = gen::random_binary(n, seed);
-    // One substrate for the whole ε sweep (decomposition, aux labels, oracle).
+    // One substrate for the whole ε sweep (decomposition, aux labels).
     let sub = Substrate::new(&tree);
-    let oracle = sub.oracle();
+    let oracle = DistanceOracle::new(&tree);
     for &eps in epsilons {
         let scheme = ApproximateScheme::build_with_substrate(&sub, eps);
         let stats = LabelStats::from_sizes(tree.nodes().map(|u| scheme.label_bits(u)));

@@ -435,10 +435,22 @@ impl BitWriter {
     /// Appends all bits of a borrowed [`BitSlice`](crate::BitSlice), 64 at a
     /// time.
     pub fn write_bitslice(&mut self, s: crate::BitSlice<'_>) {
+        self.write_bit_range(s, 0, s.len());
+    }
+
+    /// Appends bits `start .. start + len` of a borrowed
+    /// [`BitSlice`](crate::BitSlice), 64 at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches past the end of `s`.
+    pub fn write_bit_range(&mut self, s: crate::BitSlice<'_>, start: usize, len: usize) {
         let mut i = 0;
-        while i < s.len() {
-            let w = (s.len() - i).min(64);
-            let chunk = s.get_bits_lsb(i, w).expect("chunk lies inside the slice");
+        while i < len {
+            let w = (len - i).min(64);
+            let chunk = s
+                .get_bits_lsb(start + i, w)
+                .expect("chunk lies inside the slice");
             self.bits.push_bits_lsb(chunk, w);
             i += w;
         }

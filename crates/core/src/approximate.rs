@@ -20,19 +20,19 @@
 
 use crate::hpath::{AuxWidths, HpathLabel, HpathLabeling};
 use crate::kernel::approximate::{
-    self as kernel, round_up_exponent, ApproximateLabelRef, ApproximateMeta,
+    self as kernel, ApproximateLabelRef, ApproximateMeta, RoundingTable,
 };
 use crate::store::{SchemeStore, StoreError, StoredScheme};
-use crate::substrate::{PackSource, Substrate};
+use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitWriter};
 use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::{NodeId, Tree};
 
-/// One node's build-time row.
+/// One node's build-time row (the exponents as a span of the row arena).
 struct ApproxRow<'a> {
     rd: u64,
     aux: HpathLabel<'a>,
-    exponents: Vec<u64>,
+    exponents: Span,
     wire_bits: u32,
 }
 
@@ -108,7 +108,8 @@ struct ApproxSource<'s> {
     aux: &'s HpathLabeling,
     rd: &'s [u64],
     epsilon: f64,
-    half: f64,
+    /// Rounding to powers of `1 + ε/2`, up to the largest root distance.
+    rounding: RoundingTable,
 }
 
 impl<'s> ApproxSource<'s> {
@@ -117,15 +118,17 @@ impl<'s> ApproxSource<'s> {
             epsilon > 0.0 && epsilon <= 1.0,
             "epsilon must lie in (0, 1], got {epsilon}"
         );
+        let rd = sub.root_distances();
         ApproxSource {
             tree: sub.tree(),
             hp: sub.heavy_paths(),
             aux: sub.aux_labels(),
-            rd: sub.root_distances(),
+            rd,
             epsilon,
             // Internal rounding uses ε/2 so the final estimate is
-            // (1+ε)-accurate.
-            half: epsilon / 2.0,
+            // (1+ε)-accurate.  A stored distance is a root-distance
+            // difference, so the largest root distance bounds the table.
+            rounding: RoundingTable::new(epsilon / 2.0, rd.iter().copied().max().unwrap_or(0)),
         }
     }
 
@@ -159,47 +162,45 @@ impl<'s> PackSource<ApproximateScheme> for ApproxSource<'s> {
         self.epsilon.to_bits()
     }
 
-    fn make_row(&self, i: usize) -> ApproxRow<'s> {
+    fn make_row(&self, i: usize, arena: &mut RowArena) -> ApproxRow<'s> {
         let v = self.tree.node(i);
-        let sig = self.hp.significant_ancestors(v);
-        // Skip sig[0] = v itself; store exponents for v₁, …, v_k.
-        let exponents: Vec<u64> = sig[1..]
-            .iter()
-            .map(|&a| {
-                let d = self.rd[v.index()] - self.rd[a.index()];
-                if d == 0 {
-                    0
-                } else {
-                    // Reserve exponent 0 for "distance 0" (possible with
-                    // 0-weight edges) by shifting real exponents up by 1.
-                    round_up_exponent(d, self.half) + 1
-                }
-            })
-            .collect();
+        let rd = self.rd[v.index()];
+        // Skip v itself; store exponents for v₁, …, v_k.
+        let exponents = arena.push_words(self.hp.significant_ancestors(v).skip(1).map(|a| {
+            let d = rd - self.rd[a.index()];
+            if d == 0 {
+                0
+            } else {
+                // Reserve exponent 0 for "distance 0" (possible with
+                // 0-weight edges) by shifting real exponents up by 1.
+                self.rounding.exponent(d) + 1
+            }
+        }));
         // The sequence must be non-decreasing for Lemma 2.2; distances
         // to higher significant ancestors only grow, and the 0-shift
         // preserves order.
-        let mut row = ApproxRow {
-            rd: self.rd[v.index()],
-            aux: self.aux.label(v),
-            exponents,
-            wire_bits: 0,
-        };
+        let aux = self.aux.label(v);
         // Closed-form wire size (no encoding pass; the test-only encoder
         // pins it to the real encoding bit for bit).
-        row.wire_bits = (codes::gamma_nz_len(self.inv_epsilon())
-            + codes::delta_nz_len(row.rd)
-            + row.aux.bit_len()
-            + MonotoneSeq::encoded_len(&row.exponents)) as u32;
-        row
+        let wire_bits = (codes::gamma_nz_len(self.inv_epsilon())
+            + codes::delta_nz_len(rd)
+            + aux.bit_len()
+            + MonotoneSeq::encoded_len(arena.words(exponents))) as u32;
+        ApproxRow {
+            rd,
+            aux,
+            exponents,
+            wire_bits,
+        }
     }
 
-    fn plan_row(&self, plan: &mut ApproxPlan, _u: usize, r: &ApproxRow<'s>) {
+    fn plan_row(&self, plan: &mut ApproxPlan, _u: usize, r: &ApproxRow<'s>, arena: &RowArena) {
         let w = |x: u64| codes::bit_len(x) as u8;
+        let exponents = arena.words(r.exponents);
         plan.w_rd = plan.w_rd.max(w(r.rd));
-        plan.w_ec = plan.w_ec.max(w(r.exponents.len() as u64));
+        plan.w_ec = plan.w_ec.max(w(exponents.len() as u64));
         // Exponents are non-decreasing, so the last bounds them all.
-        plan.w_e = plan.w_e.max(w(r.exponents.last().copied().unwrap_or(0)));
+        plan.w_e = plan.w_e.max(w(exponents.last().copied().unwrap_or(0)));
         plan.aux_w.observe(r.aux);
         plan.wire_bits.push(r.wire_bits);
     }
@@ -213,15 +214,21 @@ impl<'s> PackSource<ApproximateScheme> for ApproxSource<'s> {
         ApproximateMeta::with_widths(plan.w_rd, plan.w_ec, plan.w_e, aux_w, self.epsilon).words()
     }
 
-    fn packed_label_bits(&self, meta: &ApproximateMeta, r: &ApproxRow<'s>) -> usize {
+    fn packed_label_bits(&self, meta: &ApproximateMeta, r: &ApproxRow<'s>, _: &RowArena) -> usize {
         meta.hdr_total + r.exponents.len() * meta.e_w + meta.aux_w.packed_bits(r.aux)
     }
 
-    fn pack_label(&self, meta: &ApproximateMeta, r: &ApproxRow<'s>, w: &mut BitWriter) {
+    fn pack_label(
+        &self,
+        meta: &ApproximateMeta,
+        r: &ApproxRow<'s>,
+        arena: &RowArena,
+        w: &mut BitWriter,
+    ) {
         w.write_bits_lsb(r.rd, usize::from(meta.w_rd));
         w.write_bits_lsb(r.exponents.len() as u64, usize::from(meta.w_ec));
         w.write_bits_lsb(r.aux.codewords_len() as u64, usize::from(meta.aux_w.end));
-        for &e in &r.exponents {
+        for &e in arena.words(r.exponents) {
             w.write_bits_lsb(e, usize::from(meta.w_e));
         }
         meta.aux_w.pack(r.aux, w);
@@ -356,11 +363,16 @@ mod tests {
 
     /// The self-delimiting wire encoding of one label: `⌈1/ε⌉`, the root
     /// distance, the auxiliary label and the rounding exponents.
-    fn wire_encode(w: &mut BitWriter, src: &ApproxSource<'_>, row: &ApproxRow<'_>) {
+    fn wire_encode(
+        w: &mut BitWriter,
+        src: &ApproxSource<'_>,
+        row: &ApproxRow<'_>,
+        arena: &RowArena,
+    ) {
         codes::write_gamma_nz(w, src.inv_epsilon());
         codes::write_delta_nz(w, row.rd);
         row.aux.encode(w);
-        MonotoneSeq::new(&row.exponents).encode(w);
+        MonotoneSeq::new(arena.words(row.exponents)).encode(w);
     }
 
     #[test]
@@ -371,10 +383,11 @@ mod tests {
             for eps in [1.0, 0.25, 0.03] {
                 let scheme = ApproximateScheme::build_with_substrate(&sub, eps);
                 let src = ApproxSource::new(&sub, eps);
+                let mut arena = RowArena::default();
                 for u in tree.nodes() {
-                    let row = src.make_row(u.index());
+                    let row = src.make_row(u.index(), &mut arena);
                     let mut w = BitWriter::new();
-                    wire_encode(&mut w, &src, &row);
+                    wire_encode(&mut w, &src, &row, &arena);
                     assert_eq!(w.len(), scheme.label_bits(u), "eps={eps}: node {u}");
                 }
             }
@@ -385,6 +398,12 @@ mod tests {
     #[should_panic(expected = "epsilon must lie in (0, 1]")]
     fn rejects_bad_epsilon() {
         ApproximateScheme::build(&gen::path(5), 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon too small")]
+    fn rejects_an_epsilon_the_rounding_cannot_resolve() {
+        ApproximateScheme::build(&gen::path(5), 1e-17);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::kernel::psum::{self, PsumMeta, PsumRef};
 use crate::naive::{PsumRow, PsumSource};
 use crate::store::{SchemeStore, StoreError, StoredScheme};
-use crate::substrate::Substrate;
+use crate::substrate::{RowArena, Substrate};
 use crate::DistanceScheme;
 use treelab_bits::{codes, BitSlice};
 use treelab_tree::{NodeId, Tree};
@@ -62,12 +62,12 @@ impl DistanceScheme for DistanceArrayScheme {
         // pins it to the real encoding bit for bit).
         let src = PsumSource::new(
             sub,
-            |row: &PsumRow<'_>| {
+            |row: &PsumRow<'_>, arena: &RowArena| {
                 codes::delta_nz_len(row.rd)
                     + row.aux.bit_len()
-                    + codes::gamma_nz_len(row.edges.len() as u64)
+                    + codes::gamma_nz_len(row.edge_count() as u64)
                     + row
-                        .entries()
+                        .entries(arena)
                         .map(|(d, _)| codes::delta_nz_len(d) + 1)
                         .sum::<usize>()
             },
@@ -209,11 +209,11 @@ mod tests {
 
     /// The δ-coded wire encoding of one label: root distance, the auxiliary
     /// label, then `count` self-delimiting `(dᵢ, tᵢ)` entries.
-    fn wire_encode(w: &mut BitWriter, row: &PsumRow<'_>) {
+    fn wire_encode(w: &mut BitWriter, row: &PsumRow<'_>, arena: &RowArena) {
         codes::write_delta_nz(w, row.rd);
         row.aux.encode(w);
-        codes::write_gamma_nz(w, row.edges.len() as u64);
-        for (d, t) in row.entries() {
+        codes::write_gamma_nz(w, row.edge_count() as u64);
+        for (d, t) in row.entries(arena) {
             codes::write_delta_nz(w, d);
             w.write_bit(t == 1);
         }
@@ -224,11 +224,12 @@ mod tests {
         for tree in [Tree::singleton(), gen::random_tree(130, 4), gen::comb(300)] {
             let sub = Substrate::new(&tree);
             let scheme = DistanceArrayScheme::build_with_substrate(&sub);
-            let src = PsumSource::new(&sub, |_: &PsumRow<'_>| 0, false);
+            let src = PsumSource::new(&sub, |_: &PsumRow<'_>, _: &RowArena| 0, false);
+            let mut arena = RowArena::default();
             for u in tree.nodes() {
-                let row = PackSource::<DistanceArrayScheme>::make_row(&src, u.index());
+                let row = PackSource::<DistanceArrayScheme>::make_row(&src, u.index(), &mut arena);
                 let mut w = BitWriter::new();
-                wire_encode(&mut w, &row);
+                wire_encode(&mut w, &row, &arena);
                 assert_eq!(w.len(), scheme.label_bits(u), "node {u}");
             }
         }

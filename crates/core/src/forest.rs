@@ -118,7 +118,7 @@
 //! [`RouteScratch::new`] routes on the calling thread, while
 //! [`RouteScratch::with_parallelism`] fans independent tree groups out over
 //! [`std::thread::scope`] workers (never more workers than groups) behind
-//! the same [`Parallelism`] knob the builders use, with bit-identical output
+//! the router's [`Parallelism`] knob, with bit-identical output
 //! for every thread count.  [`Forest::try_route_distances_sharded`] is
 //! the one-shot form over a fresh scratch.
 //!
@@ -208,7 +208,7 @@ use treelab_bits::crc::{self, Crc64};
 use treelab_bits::frame;
 
 use crate::store::{AnyParts, AnyStoreRef, BatchPlan, StoreError, StoredScheme};
-use crate::substrate::Parallelism;
+use std::num::NonZeroUsize;
 
 /// `b"TLFRST01"` as a little-endian word.
 const FOREST_MAGIC: u64 = u64::from_le_bytes(*b"TLFRST01");
@@ -1172,6 +1172,45 @@ impl ForestBuilder {
         }
         trees.sort_by_key(|&(id, _)| id);
         ForestStore::from_words(assemble(&trees, self.spare, 0))
+    }
+}
+
+/// How many worker threads [`RouteScratch::with_parallelism`] may fan a
+/// routed batch's tree groups out over.
+///
+/// It is the router's knob only: builds are serial.  The default
+/// ([`Parallelism::Auto`]) uses all available cores, but a scratch made with
+/// [`RouteScratch::new`] or `Default` routes serially.  Every setting gives
+/// bit-for-bit identical answers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Parallelism {
+    /// Route on the calling thread only.
+    Serial,
+    /// Use [`std::thread::available_parallelism`] worker threads.
+    #[default]
+    Auto,
+    /// Use exactly this many worker threads.
+    Threads(NonZeroUsize),
+}
+
+impl Parallelism {
+    /// The number of worker threads this setting resolves to on this machine.
+    pub fn thread_count(self) -> usize {
+        match self {
+            Parallelism::Serial => 1,
+            Parallelism::Auto => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            Parallelism::Threads(t) => t.get(),
+        }
+    }
+
+    /// Convenience constructor: `0` means [`Parallelism::Auto`], `1` means
+    /// [`Parallelism::Serial`], anything else is an explicit thread count.
+    pub fn from_thread_count(threads: usize) -> Self {
+        match threads {
+            0 => Parallelism::Auto,
+            1 => Parallelism::Serial,
+            t => Parallelism::Threads(NonZeroUsize::new(t).expect("t >= 2")),
+        }
     }
 }
 
@@ -2718,6 +2757,15 @@ mod tests {
             reload.tree(99).unwrap().distance(0, 29),
             frame.distance(treelab_tree::NodeId(0), treelab_tree::NodeId(29))
         );
+    }
+
+    #[test]
+    fn parallelism_thread_counts() {
+        assert_eq!(Parallelism::Serial.thread_count(), 1);
+        assert_eq!(Parallelism::from_thread_count(1), Parallelism::Serial);
+        assert_eq!(Parallelism::from_thread_count(0), Parallelism::Auto);
+        assert_eq!(Parallelism::from_thread_count(5).thread_count(), 5);
+        assert!(Parallelism::Auto.thread_count() >= 1);
     }
 
     #[test]

@@ -43,23 +43,23 @@
 use crate::hpath::{AuxWidths, HpathLabel, HpathLabeling};
 use crate::kernel::kdistance::{self as kernel, KDistanceLabelRef, KDistanceMeta};
 use crate::store::{SchemeStore, StoreError, StoredScheme, NO_DISTANCE};
-use crate::substrate::{PackSource, Substrate};
+use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use treelab_bits::wordram::{range_height, range_id_from_member, two_approx_exp};
 use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitWriter};
 use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::{NodeId, Tree};
 
-/// One node's build-time row: the per-node sequences of Theorem 1.3,
-/// borrowing the substrate's auxiliary label.
+/// One node's build-time row: the per-node sequences of Theorem 1.3 (as
+/// spans of the row arena), borrowing the substrate's auxiliary label.
 struct KdRow<'a> {
     aux: HpathLabel<'a>,
-    heights: Vec<u64>,
-    dists: Vec<u64>,
+    heights: Span,
+    dists: Span,
     alpha: u64,
     alpha_exact: bool,
     top_pos_mod: u64,
-    up_exps: Vec<u64>,
-    down_exps: Vec<u64>,
+    up_exps: Span,
+    down_exps: Span,
     wire_bits: u32,
 }
 
@@ -206,7 +206,7 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
         self.k
     }
 
-    fn make_row(&self, ui: usize) -> KdRow<'s> {
+    fn make_row(&self, ui: usize, arena: &mut RowArena) -> KdRow<'s> {
         let (hp, k, width) = (self.hp, self.k, self.width);
         // id(L_q) / height(L_q) per node (cheap, and used for the tables).
         let id_of = |q: NodeId| -> u64 {
@@ -220,18 +220,13 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
         };
 
         let u = self.tree.node(ui);
-        let sig = hp.significant_ancestors(u);
-        let all_dists: Vec<u64> = sig
-            .iter()
-            .map(|&a| (self.depths[u.index()] - self.depths[a.index()]) as u64)
-            .collect();
-        let r = all_dists
-            .iter()
-            .rposition(|&d| d <= k)
-            .expect("d(u,u)=0 <= k");
-        let dists = all_dists[..=r].to_vec();
-        let heights: Vec<u64> = sig[..=r].iter().map(|&a| height_of(a)).collect();
-        let top = sig[r];
+        let dist_to = |a: NodeId| (self.depths[u.index()] - self.depths[a.index()]) as u64;
+        // Distances grow strictly up the significant ancestors, so the ones
+        // within k (u itself at least) are a prefix; its last is the top.
+        let stored = || hp.significant_ancestors(u).take_while(|&a| dist_to(a) <= k);
+        let dists = arena.push_words(stored().map(dist_to));
+        let heights = arena.push_words(stored().map(height_of));
+        let top = stored().last().expect("d(u,u)=0 <= k");
         let q_path = hp.path_of(top);
         let pos = hp.pos_in_path(top) as u64;
         let alpha_true = hp.head_offset(top); // == pos in an unweighted tree
@@ -244,20 +239,22 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
             let nodes = hp.path_nodes(q_path);
             let i = hp.pos_in_path(top);
             let base = id_of(top);
-            let up: Vec<u64> = (1..=k as usize)
-                .take_while(|t| i + t < nodes.len())
-                .map(|t| u64::from(two_approx_exp(id_of(nodes[i + t]) - base)))
-                .collect();
-            let down: Vec<u64> = (1..=k as usize)
-                .take_while(|t| *t <= i)
-                .map(|t| u64::from(two_approx_exp(base - id_of(nodes[i - t]))))
-                .collect();
+            let up = arena.push_words(
+                (1..=k as usize)
+                    .take_while(|t| i + t < nodes.len())
+                    .map(|t| u64::from(two_approx_exp(id_of(nodes[i + t]) - base))),
+            );
+            let down = arena.push_words(
+                (1..=k as usize)
+                    .take_while(|t| *t <= i)
+                    .map(|t| u64::from(two_approx_exp(base - id_of(nodes[i - t])))),
+            );
             (up, down)
         } else {
-            (Vec::new(), Vec::new())
+            (Span::default(), Span::default())
         };
 
-        let mut row = KdRow {
+        let row = KdRow {
             aux: self.aux.label(u),
             heights,
             dists,
@@ -270,32 +267,34 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
         };
         // Closed-form wire size (no encoding pass; the test-only encoder
         // pins it to the real encoding bit for bit).
-        row.wire_bits = (codes::gamma_nz_len(k)
+        let seq = |span: Span| MonotoneSeq::encoded_len(arena.words(span));
+        let wire_bits = (codes::gamma_nz_len(k)
             + codes::gamma_nz_len(u64::from(width))
             + codes::delta_nz_len(hp.pre(u) as u64)
             + row.aux.bit_len()
-            + MonotoneSeq::encoded_len(&row.heights)
-            + MonotoneSeq::encoded_len(&row.dists)
+            + seq(row.heights)
+            + seq(row.dists)
             + codes::delta_nz_len(row.alpha)
             + 1
             + codes::gamma_nz_len(row.top_pos_mod)
-            + MonotoneSeq::encoded_len(&row.up_exps)
-            + MonotoneSeq::encoded_len(&row.down_exps)) as u32;
-        row
+            + seq(row.up_exps)
+            + seq(row.down_exps)) as u32;
+        KdRow { wire_bits, ..row }
     }
 
-    fn plan_row(&self, plan: &mut KdPlan, _u: usize, r: &KdRow<'s>) {
+    fn plan_row(&self, plan: &mut KdPlan, _u: usize, r: &KdRow<'s>, arena: &RowArena) {
         let w = |x: u64| codes::bit_len(x) as u8;
+        // Every sequence is non-decreasing; its last entry bounds it.
+        let last = |span: Span| arena.words(span).last().copied().unwrap_or(0);
         plan.w_sc = plan.w_sc.max(w(r.dists.len() as u64));
-        // Both sequences are non-decreasing; their last entries bound them.
-        plan.w_d = plan.w_d.max(w(r.dists.last().copied().unwrap_or(0)));
-        plan.w_h = plan.w_h.max(w(r.heights.last().copied().unwrap_or(0)));
+        plan.w_d = plan.w_d.max(w(last(r.dists)));
+        plan.w_h = plan.w_h.max(w(last(r.heights)));
         plan.w_al = plan.w_al.max(w(r.alpha));
         plan.w_tpm = plan.w_tpm.max(w(r.top_pos_mod));
         plan.w_uc = plan.w_uc.max(w(r.up_exps.len() as u64));
         plan.w_dc = plan.w_dc.max(w(r.down_exps.len() as u64));
-        plan.w_ue = plan.w_ue.max(w(r.up_exps.last().copied().unwrap_or(0)));
-        plan.w_de = plan.w_de.max(w(r.down_exps.last().copied().unwrap_or(0)));
+        plan.w_ue = plan.w_ue.max(w(last(r.up_exps)));
+        plan.w_de = plan.w_de.max(w(last(r.down_exps)));
         plan.aux_w.observe(r.aux);
         plan.wire_bits.push(r.wire_bits);
     }
@@ -314,7 +313,7 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
         .words()
     }
 
-    fn packed_label_bits(&self, meta: &KDistanceMeta, r: &KdRow<'s>) -> usize {
+    fn packed_label_bits(&self, meta: &KDistanceMeta, r: &KdRow<'s>, _: &RowArena) -> usize {
         meta.hdr_total
             + r.dists.len() * (meta.d_w + meta.h_w)
             + r.up_exps.len() * meta.ue_w
@@ -322,7 +321,7 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
             + meta.aux_w.packed_bits(r.aux)
     }
 
-    fn pack_label(&self, meta: &KDistanceMeta, r: &KdRow<'s>, w: &mut BitWriter) {
+    fn pack_label(&self, meta: &KDistanceMeta, r: &KdRow<'s>, arena: &RowArena, w: &mut BitWriter) {
         w.write_bits_lsb(r.dists.len() as u64, usize::from(meta.w_sc));
         w.write_bits_lsb(r.up_exps.len() as u64, usize::from(meta.w_uc));
         w.write_bits_lsb(r.down_exps.len() as u64, usize::from(meta.w_dc));
@@ -330,17 +329,15 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
         w.write_bit(r.alpha_exact);
         w.write_bits_lsb(r.top_pos_mod, usize::from(meta.w_tpm));
         w.write_bits_lsb(r.aux.codewords_len() as u64, usize::from(meta.aux_w.end));
-        for &d in &r.dists {
-            w.write_bits_lsb(d, usize::from(meta.w_d));
-        }
-        for &h in &r.heights {
-            w.write_bits_lsb(h, usize::from(meta.w_h));
-        }
-        for &e in &r.up_exps {
-            w.write_bits_lsb(e, usize::from(meta.w_ue));
-        }
-        for &e in &r.down_exps {
-            w.write_bits_lsb(e, usize::from(meta.w_de));
+        for (span, width) in [
+            (r.dists, meta.w_d),
+            (r.heights, meta.w_h),
+            (r.up_exps, meta.w_ue),
+            (r.down_exps, meta.w_de),
+        ] {
+            for &x in arena.words(span) {
+                w.write_bits_lsb(x, usize::from(width));
+            }
         }
         meta.aux_w.pack(r.aux, w);
     }
@@ -503,10 +500,8 @@ mod tests {
             let u = tree.node((i * 31) % n);
             let v = tree.node((i * 73 + 7) % n);
             // Ground truth: deepest common significant ancestor.
-            let su = hp.significant_ancestors(u);
-            let sv = hp.significant_ancestors(v);
-            let set: std::collections::HashSet<_> = sv.into_iter().collect();
-            let truth = su.iter().find(|a| set.contains(a)).copied();
+            let set: std::collections::HashSet<_> = hp.significant_ancestors(v).collect();
+            let truth = hp.significant_ancestors(u).find(|a| set.contains(a));
             let got = scheme.ncsa_light_depth(u, v);
             assert_eq!(got, truth.map(|w| hp.light_depth(w)), "u={u} v={v}");
         }
@@ -516,18 +511,24 @@ mod tests {
     /// width, `pre(u)`, the auxiliary label, the height and distance
     /// sequences, `α` with its exactness flag, the position mod `k+1` and the
     /// two Lemma 4.5 exponent tables.
-    fn wire_encode(w: &mut BitWriter, src: &KdSource<'_>, pre: u64, row: &KdRow<'_>) {
+    fn wire_encode(
+        w: &mut BitWriter,
+        src: &KdSource<'_>,
+        pre: u64,
+        row: &KdRow<'_>,
+        arena: &RowArena,
+    ) {
         codes::write_gamma_nz(w, src.k);
         codes::write_gamma_nz(w, u64::from(src.width));
         codes::write_delta_nz(w, pre);
         row.aux.encode(w);
-        MonotoneSeq::new(&row.heights).encode(w);
-        MonotoneSeq::new(&row.dists).encode(w);
+        MonotoneSeq::new(arena.words(row.heights)).encode(w);
+        MonotoneSeq::new(arena.words(row.dists)).encode(w);
         codes::write_delta_nz(w, row.alpha);
         w.write_bit(row.alpha_exact);
         codes::write_gamma_nz(w, row.top_pos_mod);
-        MonotoneSeq::new(&row.up_exps).encode(w);
-        MonotoneSeq::new(&row.down_exps).encode(w);
+        MonotoneSeq::new(arena.words(row.up_exps)).encode(w);
+        MonotoneSeq::new(arena.words(row.down_exps)).encode(w);
     }
 
     #[test]
@@ -543,10 +544,12 @@ mod tests {
             for k in [1u64, 5, 64] {
                 let scheme = KDistanceScheme::build_with_substrate(&sub, k);
                 let src = KdSource::new(&sub, k);
+                let mut arena = RowArena::default();
                 for u in tree.nodes() {
-                    let row = src.make_row(u.index());
+                    let row = src.make_row(u.index(), &mut arena);
                     let mut w = BitWriter::new();
-                    wire_encode(&mut w, &src, sub.heavy_paths().pre(u) as u64, &row);
+                    let pre = sub.heavy_paths().pre(u) as u64;
+                    wire_encode(&mut w, &src, pre, &row, &arena);
                     assert_eq!(w.len(), scheme.label_bits(u), "k={k}: node {u}");
                 }
             }

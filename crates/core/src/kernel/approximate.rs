@@ -10,7 +10,9 @@ use crate::store::StoreError;
 use treelab_bits::BitSlice;
 
 /// Rounds `d ≥ 1` up to the smallest value of the form `⌈(1+eps)^e⌉` and
-/// returns the exponent `e`.  Deterministic, shared by packer and query.
+/// returns the exponent `e`, by a linear scan — the reference
+/// [`RoundingTable::exponent`] is tested against.
+#[cfg(test)]
 pub(crate) fn round_up_exponent(d: u64, eps: f64) -> u64 {
     debug_assert!(d >= 1);
     let mut e = 0u64;
@@ -23,6 +25,50 @@ pub(crate) fn round_up_exponent(d: u64, eps: f64) -> u64 {
 /// The value represented by exponent `e`: `⌈(1+eps)^e⌉`.
 pub(crate) fn exponent_value(e: u64, eps: f64) -> u64 {
     (1.0 + eps).powi(e as i32).ceil() as u64
+}
+
+/// `exponent_value(e, eps)` for `e = 0, 1, 2, …` — the one source of both
+/// rounding tables, the packer's [`RoundingTable`] and the query meta's
+/// 128-entry table.
+fn exponent_values(eps: f64) -> impl Iterator<Item = u64> {
+    (0u64..).map(move |e| exponent_value(e, eps))
+}
+
+/// The packer's rounding table: `exponent_value(e, eps)` for `e = 0, 1, …`
+/// up to the first value that reaches the largest distance the tree can
+/// ask for, so rounding a distance is one binary search instead of a
+/// `powi` scan per exponent.
+#[derive(Debug)]
+pub(crate) struct RoundingTable(Vec<u64>);
+
+impl RoundingTable {
+    /// The table for distances up to `max_d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `1 + eps` rounds to 1 in `f64`: the values would never
+    /// grow, and the table would never reach `max_d`.
+    pub(crate) fn new(eps: f64, max_d: u64) -> Self {
+        assert!(
+            1.0 + eps > 1.0,
+            "epsilon too small: 1 + {eps} rounds to 1, so distances cannot be rounded"
+        );
+        let mut values = Vec::new();
+        for x in exponent_values(eps) {
+            values.push(x);
+            if x >= max_d {
+                break;
+            }
+        }
+        RoundingTable(values)
+    }
+
+    /// The smallest `e` with `exponent_value(e, eps) ≥ d`, for `d` up to the
+    /// table's `max_d` (the values never decrease in `e`).
+    pub(crate) fn exponent(&self, d: u64) -> u64 {
+        debug_assert!(self.0.last().is_some_and(|&top| d <= top));
+        self.0.partition_point(|&x| x < d) as u64
+    }
 }
 
 /// Entries in the precomputed exponent-value table.
@@ -56,8 +102,8 @@ impl ApproximateMeta {
     pub(crate) fn with_widths(w_rd: u8, w_ec: u8, w_e: u8, aux_w: AuxWidths, epsilon: f64) -> Self {
         let hdr_total = usize::from(w_rd) + usize::from(w_ec) + usize::from(aux_w.end);
         let mut exp_table = [0u64; EXP_TABLE];
-        for (t, slot) in exp_table.iter_mut().enumerate() {
-            *slot = exponent_value(t as u64, epsilon / 2.0);
+        for (slot, x) in exp_table.iter_mut().zip(exponent_values(epsilon / 2.0)) {
+            *slot = x;
         }
         ApproximateMeta {
             w_rd,
@@ -263,5 +309,45 @@ pub(crate) fn check_label(
     match r.aux(ec).extent_bits(len - fixed) {
         Some((total, cw)) => fixed + total == len && cw == cwl,
         None => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use treelab_tree::gen;
+
+    #[test]
+    fn table_rounding_matches_the_linear_scan() {
+        // The packer's largest distance on a weighted tree: its largest root
+        // distance.
+        let weighted = gen::hm_tree_random(5, 1 << 20, 3);
+        let max_rd = weighted.root_distances().into_iter().max().unwrap();
+        assert!(
+            max_rd > 1 << 16,
+            "the weighted tree reaches past the dense range"
+        );
+        for eps in [1.0f64, 0.25, 0.03] {
+            let half = eps / 2.0;
+            let table = RoundingTable::new(half, max_rd);
+            let check = |d: u64| {
+                assert_eq!(
+                    table.exponent(d),
+                    round_up_exponent(d, half),
+                    "eps={eps}: d={d}"
+                );
+            };
+            (1..=1u64 << 16).for_each(check);
+            // Every table value and its neighbours: exactly where an
+            // off-by-one table or search would round to the wrong exponent.
+            for &x in &table.0 {
+                for d in [x.saturating_sub(1), x, x + 1] {
+                    if (1..=max_rd).contains(&d) {
+                        check(d);
+                    }
+                }
+            }
+            check(max_rd);
+        }
     }
 }

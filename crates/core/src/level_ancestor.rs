@@ -29,7 +29,7 @@
 use crate::hpath::HpathLabeling;
 use crate::kernel::level_ancestor::{self as kernel, LevelAncestorLabelRef, LevelAncestorMeta};
 use crate::store::{SchemeStore, StoreError, StoredScheme};
-use crate::substrate::{PackSource, Substrate};
+use crate::substrate::{PackSource, RowArena, Substrate};
 use crate::DistanceScheme;
 use treelab_bits::{
     codes, monotone::MonotoneSeq, BitReader, BitSlice, BitVec, BitWriter, DecodeError,
@@ -340,7 +340,7 @@ impl PackSource<LevelAncestorScheme> for LaSource<'_> {
         self.tree.len()
     }
 
-    fn make_row(&self, i: usize) -> (LaRow, u32) {
+    fn make_row(&self, i: usize, _: &mut RowArena) -> (LaRow, u32) {
         let u = self.tree.node(i);
         let p = self.hp.path_of(u);
         let row = (self.depths[u.index()] as u64, self.hp.head_offset(u), p);
@@ -363,7 +363,13 @@ impl PackSource<LevelAncestorScheme> for LaSource<'_> {
         (row, wire as u32)
     }
 
-    fn plan_row(&self, plan: &mut LaPlan, _u: usize, &((depth, ho, p), wire): &(LaRow, u32)) {
+    fn plan_row(
+        &self,
+        plan: &mut LaPlan,
+        _u: usize,
+        &((depth, ho, p), wire): &(LaRow, u32),
+        _: &RowArena,
+    ) {
         let w = |x: u64| codes::bit_len(x) as u8;
         plan.w_d = plan.w_d.max(w(depth));
         plan.w_ho = plan.w_ho.max(w(ho));
@@ -380,12 +386,23 @@ impl PackSource<LevelAncestorScheme> for LaSource<'_> {
             .words()
     }
 
-    fn packed_label_bits(&self, meta: &LevelAncestorMeta, &((_, _, p), _): &(LaRow, u32)) -> usize {
+    fn packed_label_bits(
+        &self,
+        meta: &LevelAncestorMeta,
+        &((_, _, p), _): &(LaRow, u32),
+        _: &RowArena,
+    ) -> usize {
         let (bits, _, branches) = self.path(p);
         meta.hdr_total + bits.len() + branches.len() * meta.rec_w
     }
 
-    fn pack_label(&self, meta: &LevelAncestorMeta, row: &(LaRow, u32), w: &mut BitWriter) {
+    fn pack_label(
+        &self,
+        meta: &LevelAncestorMeta,
+        row: &(LaRow, u32),
+        _: &RowArena,
+        w: &mut BitWriter,
+    ) {
         let ((depth, ho, p), _) = *row;
         let (bits, ends, branches) = self.path(p);
         debug_assert_eq!(ends.len(), branches.len());

@@ -48,9 +48,8 @@
 //!
 //! All schemes offer a `build_with_substrate` constructor next to `build`:
 //! create one [`Substrate`] per tree and every scheme built from it shares a
-//! single heavy-path decomposition, auxiliary labeling and binarization, with
-//! per-node row construction optionally fanned out over threads (see
-//! [`Parallelism`]).  Frames are bit-for-bit identical either way.
+//! single heavy-path decomposition, auxiliary labeling and binarization.
+//! Builds are serial; frames are bit-for-bit identical at every chunk size.
 //!
 //! # Quick start
 //!
@@ -88,11 +87,11 @@ pub mod universal;
 
 pub use forest::{
     Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
-    FrameWords, RouteScratch, ValidationPolicy, VerifyCursor,
+    FrameWords, Parallelism, RouteScratch, ValidationPolicy, VerifyCursor,
 };
 pub use layout::LabelLayout;
 pub use store::{AnyStoreRef, IndexWidth, SchemeStore, Store, StoreError, StoreRef, StoredScheme};
-pub use substrate::{Parallelism, Substrate};
+pub use substrate::Substrate;
 
 use treelab_tree::{NodeId, Tree};
 
@@ -115,9 +114,7 @@ pub trait DistanceScheme: StoredScheme {
     fn build(tree: &Tree) -> Self;
 
     /// Builds the scheme from a shared [`Substrate`], so that several schemes
-    /// over the same tree compute the decomposition/binarization once and fan
-    /// the per-node row work out according to the substrate's
-    /// [`Parallelism`].
+    /// over the same tree compute the decomposition/binarization once.
     ///
     /// Produces a frame bit-for-bit identical to [`DistanceScheme::build`].
     /// Required (no default) so an implementation cannot silently fall back to

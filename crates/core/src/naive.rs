@@ -22,37 +22,36 @@
 use crate::hpath::{HpathLabel, HpathLabeling};
 use crate::kernel::psum::{self, PsumMeasure, PsumMeta, PsumRef};
 use crate::store::{SchemeStore, StoreError, StoredScheme};
-use crate::substrate::{PackSource, Substrate};
+use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use crate::DistanceScheme;
 use treelab_bits::{codes, BitSlice, BitWriter};
 use treelab_tree::binarize::Binarized;
-use treelab_tree::heavy::{HeavyPaths, LightEdge};
+use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::{NodeId, Tree};
 
 /// One node's build-time row: everything the packer needs, borrowing the
 /// substrate's auxiliary label instead of cloning it.
 pub(crate) struct PsumRow<'a> {
     pub(crate) rd: u64,
-    pub(crate) edges: Vec<LightEdge>,
+    /// The `(dᵢ, tᵢ)` entries, top-down, as word pairs in the row arena.
+    entries: Span,
     pub(crate) aux: HpathLabel<'a>,
     /// Size in bits of the node's self-delimiting wire encoding.
     pub(crate) wire_bits: u32,
 }
 
 impl PsumRow<'_> {
-    /// The `(dᵢ, tᵢ)` sequence of the prefix-sum protocol.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.edges
-            .iter()
-            .map(|e| (e.branch_offset + e.edge_weight, e.edge_weight))
+    /// Number of light edges on the root path (entries of the protocol).
+    pub(crate) fn edge_count(&self) -> usize {
+        self.entries.len() / 2
     }
 
-    /// `Σᵢ dᵢ` (bounds the packed prefix-sum field width).
-    pub(crate) fn entry_total(&self) -> u64 {
-        self.edges
-            .iter()
-            .map(|e| e.branch_offset + e.edge_weight)
-            .sum()
+    /// The `(dᵢ, tᵢ)` sequence of the prefix-sum protocol.
+    pub(crate) fn entries<'r>(&self, arena: &'r RowArena) -> impl Iterator<Item = (u64, u64)> + 'r {
+        arena
+            .words(self.entries)
+            .chunks_exact(2)
+            .map(|e| (e[0], e[1]))
     }
 }
 
@@ -98,7 +97,7 @@ pub(crate) struct PsumPlan {
 impl<'s, S, F> PackSource<S> for PsumSource<'s, F>
 where
     S: StoredScheme<Meta = PsumMeta>,
-    F: Fn(&PsumRow<'s>) -> usize + Sync,
+    F: Fn(&PsumRow<'s>, &RowArena) -> usize,
 {
     type Row = PsumRow<'s>;
     type Plan = PsumPlan;
@@ -107,24 +106,37 @@ where
         self.tree.len()
     }
 
-    fn make_row(&self, u: usize) -> PsumRow<'s> {
+    fn make_row(&self, u: usize, arena: &mut RowArena) -> PsumRow<'s> {
         let leaf = self.bin.proxy(self.tree.node(u));
+        let aux = self.aux.label(leaf);
+        // The light edges come bottom-up; fill the pairs from the back so
+        // they land top-down.
+        let entries = arena.alloc_words(2 * self.hp.light_depth(leaf));
+        let pairs = arena.words_mut(entries).chunks_exact_mut(2).rev();
+        for (pair, e) in pairs.zip(self.hp.light_edges_up(leaf)) {
+            pair[0] = e.branch_offset + e.edge_weight;
+            pair[1] = e.edge_weight;
+        }
         let mut row = PsumRow {
             rd: self.hp.root_distance(leaf),
-            edges: self.hp.light_edges_to(leaf),
-            aux: self.aux.label(leaf),
+            entries,
+            aux,
             wire_bits: 0,
         };
-        row.wire_bits = (self.wire_len)(&row) as u32;
+        row.wire_bits = (self.wire_len)(&row, arena) as u32;
         row
     }
 
-    fn plan_row(&self, plan: &mut PsumPlan, _u: usize, row: &PsumRow<'s>) {
-        plan.measure.observe(row.rd, row.entry_total(), row.aux);
+    fn plan_row(&self, plan: &mut PsumPlan, _u: usize, row: &PsumRow<'s>, arena: &RowArena) {
+        let total = row.entries(arena).map(|(d, _)| d).sum();
+        plan.measure.observe(row.rd, total, row.aux);
         plan.wire_bits.push(row.wire_bits);
         if self.collect_payload {
-            plan.payload_bits
-                .push(row.entries().map(|(d, _)| codes::bit_len(d) as u32).sum());
+            plan.payload_bits.push(
+                row.entries(arena)
+                    .map(|(d, _)| codes::bit_len(d) as u32)
+                    .sum(),
+            );
         }
     }
 
@@ -132,12 +144,12 @@ where
         plan.measure.finish().words()
     }
 
-    fn packed_label_bits(&self, meta: &PsumMeta, row: &PsumRow<'s>) -> usize {
-        meta.label_bits(row.edges.len(), row.aux)
+    fn packed_label_bits(&self, meta: &PsumMeta, row: &PsumRow<'s>, _: &RowArena) -> usize {
+        meta.label_bits(row.edge_count(), row.aux)
     }
 
-    fn pack_label(&self, meta: &PsumMeta, row: &PsumRow<'s>, w: &mut BitWriter) {
-        meta.pack(row.rd, row.aux, row.entries(), w);
+    fn pack_label(&self, meta: &PsumMeta, row: &PsumRow<'s>, arena: &RowArena, w: &mut BitWriter) {
+        meta.pack(row.rd, row.aux, row.entries(arena), w);
     }
 }
 
@@ -166,12 +178,12 @@ impl DistanceScheme for NaiveScheme {
         // pins it to the real encoding bit for bit).
         let src = PsumSource::new(
             sub,
-            move |row: &PsumRow<'_>| {
+            move |row: &PsumRow<'_>, _: &RowArena| {
                 codes::delta_nz_len(row.rd)
                     + 8
                     + row.aux.bit_len()
-                    + codes::gamma_nz_len(row.edges.len() as u64)
-                    + row.edges.len() * (usize::from(width) + 1)
+                    + codes::gamma_nz_len(row.edge_count() as u64)
+                    + row.edge_count() * (usize::from(width) + 1)
             },
             false,
         );
@@ -294,12 +306,12 @@ mod tests {
     /// The fixed-width wire encoding of one label: root distance, the entry
     /// field width, the auxiliary label, then `count` fixed-width `(dᵢ, tᵢ)`
     /// entries.
-    fn wire_encode(w: &mut BitWriter, row: &PsumRow<'_>, width: u8) {
+    fn wire_encode(w: &mut BitWriter, row: &PsumRow<'_>, arena: &RowArena, width: u8) {
         codes::write_delta_nz(w, row.rd);
         w.write_bits(u64::from(width), 8);
         row.aux.encode(w);
-        codes::write_gamma_nz(w, row.edges.len() as u64);
-        for (d, t) in row.entries() {
+        codes::write_gamma_nz(w, row.edge_count() as u64);
+        for (d, t) in row.entries(arena) {
             w.write_bits(d, usize::from(width));
             w.write_bit(t == 1);
         }
@@ -310,11 +322,12 @@ mod tests {
         for tree in [Tree::singleton(), gen::random_tree(120, 8), gen::comb(300)] {
             let sub = Substrate::new(&tree);
             let scheme = NaiveScheme::build_with_substrate(&sub);
-            let src = PsumSource::new(&sub, |_: &PsumRow<'_>| 0, false);
+            let src = PsumSource::new(&sub, |_: &PsumRow<'_>, _: &RowArena| 0, false);
+            let mut arena = RowArena::default();
             for u in tree.nodes() {
-                let row = PackSource::<NaiveScheme>::make_row(&src, u.index());
+                let row = PackSource::<NaiveScheme>::make_row(&src, u.index(), &mut arena);
                 let mut w = BitWriter::new();
-                wire_encode(&mut w, &row, wire_width(&sub));
+                wire_encode(&mut w, &row, &arena, wire_width(&sub));
                 assert_eq!(w.len(), scheme.label_bits(u), "node {u}");
             }
         }

@@ -42,7 +42,7 @@
 use crate::hpath::{AuxWidths, HpathLabel, HpathLabeling};
 use crate::kernel::optimal::{self as kernel, OptimalLabelRef, OptimalMeta, W_PUSHED};
 use crate::store::{SchemeStore, StoreError, StoredScheme};
-use crate::substrate::{PackSource, Substrate};
+use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use crate::DistanceScheme;
 use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitVec, BitWriter};
 use treelab_tree::binarize::Binarized;
@@ -57,11 +57,14 @@ struct PathInfo {
     /// Entry describing the light edge leading into this path (`None` for the
     /// root path).
     entry: Option<OptimalEntry>,
-    /// The pushed (low-order) bits of this path's value, if it is fat.
-    pushed_bits: BitVec,
-    /// Accumulator inherited by every node of this subtree for this level:
-    /// pushed bits of fat siblings to the left.
-    accumulator: BitVec,
+    /// The pushed (low-order) bits of this path's value, if it is fat (as
+    /// many as the entry's `pushed` says).
+    pushed_bits: u64,
+    /// Accumulator inherited by every node of this subtree for this level —
+    /// the pushed bits of fat siblings to the left — as `acc_len` bits at
+    /// bit `acc_start` of the source's accumulator arena.
+    acc_start: usize,
+    acc_len: usize,
     /// Is this path a fragment head?
     is_fragment_head: bool,
     /// Number of fragment heads at or above this path.
@@ -99,14 +102,15 @@ impl Default for OptimalConfig {
 
 /// One node's build-time row: the root distance, the borrowed aux label, the
 /// fragment distance array and the node's chain of non-root collapsed paths
-/// (whose entries and accumulators live in the shared per-path table).
+/// (whose entries and accumulators live in the shared per-path table); the
+/// two sequences are spans of the row arena.
 struct OptimalRow<'a> {
     rd: u64,
     aux: HpathLabel<'a>,
-    fragments: Vec<u64>,
+    fragments: Span,
     /// Non-root paths on the root-to-node chain, top-down (one per light
     /// edge, so `chain.len() == aux.light_depth()`).
-    chain: Vec<usize>,
+    chain: Span,
     wire_bits: u32,
     payload_bits: u32,
     acc_bits: u32,
@@ -145,7 +149,12 @@ impl OptimalScheme {
         }
     }
 
-    fn build_path_info(bin_tree: &Tree, hp: &HeavyPaths, config: OptimalConfig) -> Vec<PathInfo> {
+    /// The per-path table and its accumulator arena.
+    fn build_path_info(
+        bin_tree: &Tree,
+        hp: &HeavyPaths,
+        config: OptimalConfig,
+    ) -> (Vec<PathInfo>, BitVec) {
         let n_total = bin_tree.len() as f64;
         let log_n = n_total.log2().max(1.0);
         let block = config
@@ -185,8 +194,8 @@ impl OptimalScheme {
             anchors[p] = anchor;
 
             let (entry, pushed_bits) = match hp.collapsed_parent(p) {
-                None => (None, BitVec::new()),
-                Some(_) if hp.is_exceptional(p) => (Some(OptimalEntry::Exceptional), BitVec::new()),
+                None => (None, 0),
+                Some(_) if hp.is_exceptional(p) => (Some(OptimalEntry::Exceptional), 0),
                 Some(_) => {
                     let branch = hp.branch_node(p).expect("non-root path");
                     let weight = hp.incoming_weight(p) as u8;
@@ -223,10 +232,8 @@ impl OptimalScheme {
                         0
                     };
                     let kept = value >> pushed;
-                    let mut pushed_bits = BitVec::new();
-                    if pushed > 0 {
-                        pushed_bits.push_bits(value & ((1u64 << pushed) - 1), pushed as usize);
-                    }
+                    // `keep ≥ 1`, so at most 63 bits are pushed.
+                    let pushed_bits = value & ((1u64 << pushed) - 1);
                     (
                         Some(OptimalEntry::Regular {
                             weight,
@@ -242,7 +249,8 @@ impl OptimalScheme {
             info.push(PathInfo {
                 entry,
                 pushed_bits,
-                accumulator: BitVec::new(),
+                acc_start: 0,
+                acc_len: 0,
                 is_fragment_head,
                 fragment_count,
                 head_root_distance: head_rd,
@@ -250,17 +258,20 @@ impl OptimalScheme {
         }
 
         // Accumulators: for each path, concatenate the pushed bits of the fat
-        // siblings to its left (in collapsed child order).
+        // siblings to its left (in collapsed child order).  Siblings'
+        // accumulators are prefixes of one concatenation, stored once.
+        let mut acc = BitVec::new();
         for p in 0..path_count {
-            let children: Vec<usize> = hp.collapsed_children(p).to_vec();
-            let mut acc = BitVec::new();
-            for &c in &children {
-                info[c].accumulator = acc.clone();
-                let pushed = info[c].pushed_bits.clone();
-                acc.extend_from(&pushed);
+            let start = acc.len();
+            for &c in hp.collapsed_children(p) {
+                info[c].acc_start = start;
+                info[c].acc_len = acc.len() - start;
+                if let Some(OptimalEntry::Regular { pushed, .. }) = info[c].entry {
+                    acc.push_bits(info[c].pushed_bits, pushed as usize);
+                }
             }
         }
-        info
+        (info, acc)
     }
 
     /// Number of *payload* bits of node `u`'s modified distance array: the
@@ -288,6 +299,8 @@ struct OptimalSource<'s> {
     hp: &'s HeavyPaths,
     aux: &'s HpathLabeling,
     info: Vec<PathInfo>,
+    /// The accumulators' bits, addressed by `PathInfo::acc_start`.
+    acc: BitVec,
 }
 
 impl<'s> OptimalSource<'s> {
@@ -295,14 +308,22 @@ impl<'s> OptimalSource<'s> {
         let bs = sub.binarized_expect();
         // The per-path table is O(paths) ≤ O(n) small words plus the pushed
         // bits — it stays resident for the whole build even when rows stream.
-        let info = OptimalScheme::build_path_info(bs.binarized().tree(), bs.heavy_paths(), config);
+        let (info, acc) =
+            OptimalScheme::build_path_info(bs.binarized().tree(), bs.heavy_paths(), config);
         OptimalSource {
             tree: sub.tree(),
             bin: bs.binarized(),
             hp: bs.heavy_paths(),
             aux: bs.aux_labels(),
             info,
+            acc,
         }
+    }
+
+    /// Appends path `p`'s accumulator.
+    fn write_accumulator(&self, p: usize, w: &mut BitWriter) {
+        let pi = &self.info[p];
+        w.write_bit_range(self.acc.as_bitslice(), pi.acc_start, pi.acc_len);
     }
 }
 
@@ -329,27 +350,18 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
         self.tree.len()
     }
 
-    fn make_row(&self, i: usize) -> OptimalRow<'s> {
+    fn make_row(&self, i: usize, arena: &mut RowArena) -> OptimalRow<'s> {
         let (hp, info) = (self.hp, &self.info);
         let leaf = self.bin.proxy(self.tree.node(i));
         let rd = hp.root_distance(leaf);
-        // Paths from the root path down to the leaf's own path.
-        let mut up = Vec::new();
-        let mut p = hp.path_of(leaf);
-        loop {
-            up.push(p);
-            match hp.collapsed_parent(p) {
-                Some(parent) => p = parent,
-                None => break,
-            }
-        }
-        up.reverse();
-        let fragments: Vec<u64> = up
-            .iter()
-            .filter(|&&p| info[p].is_fragment_head)
-            .map(|&p| info[p].head_root_distance)
-            .collect();
-        let chain: Vec<usize> = up[1..].to_vec();
+        // Paths from the leaf's own path up to the root path; both sequences
+        // are stored top-down.
+        let up = || std::iter::successors(Some(hp.path_of(leaf)), |&p| hp.collapsed_parent(p));
+        let fragments = arena.push_words_rev(
+            up().filter(|&p| info[p].is_fragment_head)
+                .map(|p| info[p].head_root_distance),
+        );
+        let chain = arena.push_ids_rev(up().take(hp.light_depth(leaf)).map(|p| p as u32));
         let row_aux = self.aux.label(leaf);
         // One pass over the chain computes the accumulator total, the
         // payload bits and the closed-form wire size (no encoding pass;
@@ -358,9 +370,9 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
         let mut acc_bits = 0usize;
         let mut payload = 0usize;
         let mut entry_wire = 0usize;
-        for &p in &chain {
-            let pi = &info[p];
-            let l = pi.accumulator.len();
+        for &p in arena.ids(chain) {
+            let pi = &info[p as usize];
+            let l = pi.acc_len;
             acc_bits += l;
             entry_wire += codes::gamma_nz_len(l as u64) + l;
             match pi.entry.as_ref().expect("non-root paths carry an entry") {
@@ -382,7 +394,7 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
         payload += acc_bits;
         let wire = codes::delta_nz_len(rd)
             + row_aux.bit_len()
-            + MonotoneSeq::encoded_len(&fragments)
+            + MonotoneSeq::encoded_len(arena.words(fragments))
             + codes::gamma_nz_len(chain.len() as u64)
             + entry_wire;
         OptimalRow {
@@ -396,12 +408,13 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
         }
     }
 
-    fn plan_row(&self, plan: &mut OptimalPlan, _u: usize, r: &OptimalRow<'s>) {
+    fn plan_row(&self, plan: &mut OptimalPlan, _u: usize, r: &OptimalRow<'s>, arena: &RowArena) {
         let w = |x: u64| codes::bit_len(x) as u8;
+        let fragments = arena.words(r.fragments);
         plan.w_rd = plan.w_rd.max(w(r.rd));
-        plan.w_fc = plan.w_fc.max(w(r.fragments.len() as u64));
+        plan.w_fc = plan.w_fc.max(w(fragments.len() as u64));
         // Fragments are non-decreasing, so the last bounds them all.
-        plan.w_frag = plan.w_frag.max(w(r.fragments.last().copied().unwrap_or(0)));
+        plan.w_frag = plan.w_frag.max(w(fragments.last().copied().unwrap_or(0)));
         plan.w_ae = plan.w_ae.max(w(r.acc_bits as u64));
         plan.aux_w.observe(r.aux);
         plan.wire_bits.push(r.wire_bits);
@@ -432,7 +445,7 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
         .words()
     }
 
-    fn packed_label_bits(&self, meta: &OptimalMeta, r: &OptimalRow<'s>) -> usize {
+    fn packed_label_bits(&self, meta: &OptimalMeta, r: &OptimalRow<'s>, _: &RowArena) -> usize {
         meta.hdr_total
             + meta.aux_w.packed_bits_core(r.aux)
             + r.fragments.len() * meta.frag_w
@@ -440,21 +453,28 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
             + r.acc_bits as usize
     }
 
-    fn pack_label(&self, meta: &OptimalMeta, r: &OptimalRow<'s>, w: &mut BitWriter) {
+    fn pack_label(
+        &self,
+        meta: &OptimalMeta,
+        r: &OptimalRow<'s>,
+        arena: &RowArena,
+        w: &mut BitWriter,
+    ) {
         debug_assert_eq!(r.chain.len(), r.aux.light_depth());
+        let chain = arena.ids(r.chain);
         w.write_bits_lsb(r.rd, usize::from(meta.w_rd));
         w.write_bits_lsb(r.chain.len() as u64, usize::from(meta.aux_w.ld));
         w.write_bits_lsb(r.fragments.len() as u64, usize::from(meta.w_fc));
         w.write_bits_lsb(r.aux.codewords_len() as u64, usize::from(meta.aux_w.end));
         meta.aux_w.pack_core(r.aux, w);
-        for &f in &r.fragments {
+        for &f in arena.words(r.fragments) {
             w.write_bits_lsb(f, usize::from(meta.w_frag));
         }
         let ends = r.aux.end_positions();
         let mut acc_end = 0u64;
-        for (i, &p) in r.chain.iter().enumerate() {
-            let pi = &self.info[p];
-            acc_end += pi.accumulator.len() as u64;
+        for (i, &p) in chain.iter().enumerate() {
+            let pi = &self.info[p as usize];
+            acc_end += pi.acc_len as u64;
             w.write_bits_lsb(u64::from(ends[i]), usize::from(meta.aux_w.end));
             match pi.entry.as_ref().expect("non-root path entry") {
                 OptimalEntry::Exceptional => {
@@ -479,8 +499,8 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
             }
             w.write_bits_lsb(acc_end, usize::from(meta.w_ae));
         }
-        for &p in &r.chain {
-            w.write_bitvec(&self.info[p].accumulator);
+        for &p in chain {
+            self.write_accumulator(p as usize, w);
         }
     }
 }
@@ -719,13 +739,23 @@ mod tests {
     /// The self-delimiting wire encoding of one label: root distance, the
     /// auxiliary label, the fragment array `F(u)`, one flagged entry per light
     /// edge, then the length-prefixed accumulators.
-    fn wire_encode(w: &mut BitWriter, src: &OptimalSource<'_>, row: &OptimalRow<'_>) {
+    fn wire_encode(
+        w: &mut BitWriter,
+        src: &OptimalSource<'_>,
+        row: &OptimalRow<'_>,
+        arena: &RowArena,
+    ) {
+        let chain = arena.ids(row.chain);
         codes::write_delta_nz(w, row.rd);
         row.aux.encode(w);
-        MonotoneSeq::new(&row.fragments).encode(w);
-        codes::write_gamma_nz(w, row.chain.len() as u64);
-        for &p in &row.chain {
-            match src.info[p].entry.as_ref().expect("non-root path entry") {
+        MonotoneSeq::new(arena.words(row.fragments)).encode(w);
+        codes::write_gamma_nz(w, chain.len() as u64);
+        for &p in chain {
+            match src.info[p as usize]
+                .entry
+                .as_ref()
+                .expect("non-root path entry")
+            {
                 OptimalEntry::Exceptional => w.write_bit(true),
                 OptimalEntry::Regular {
                     weight,
@@ -741,10 +771,9 @@ mod tests {
                 }
             }
         }
-        for &p in &row.chain {
-            let acc = &src.info[p].accumulator;
-            codes::write_gamma_nz(w, acc.len() as u64);
-            w.write_bitvec(acc);
+        for &p in chain {
+            codes::write_gamma_nz(w, src.info[p as usize].acc_len as u64);
+            src.write_accumulator(p as usize, w);
         }
     }
 
@@ -759,10 +788,11 @@ mod tests {
             for config in [OptimalConfig::default(), no_pushing] {
                 let scheme = OptimalScheme::build_with_substrate_config(&sub, config);
                 let src = OptimalSource::new(&sub, config);
+                let mut arena = RowArena::default();
                 for u in tree.nodes() {
-                    let row = src.make_row(u.index());
+                    let row = src.make_row(u.index(), &mut arena);
                     let mut w = BitWriter::new();
-                    wire_encode(&mut w, &src, &row);
+                    wire_encode(&mut w, &src, &row, &arena);
                     assert_eq!(w.len(), scheme.label_bits(u), "{config:?}: node {u}");
                 }
             }

@@ -123,7 +123,7 @@ use crate::kernel::psum::PsumMeta;
 use crate::level_ancestor::LevelAncestorScheme;
 use crate::naive::NaiveScheme;
 use crate::optimal::OptimalScheme;
-use crate::substrate::{build_vec, PackConfig, PackSource};
+use crate::substrate::{PackConfig, PackSource, RowArena};
 
 /// Sentinel returned by [`Store::distance`] for scheme/pair combinations
 /// with no reportable distance (the `k`-distance scheme's "more than `k`").
@@ -904,21 +904,23 @@ fn emit_index(
 /// plan the source accumulated over the id-order planning pass.  This is the
 /// one frame assembler behind every scheme's `build`.
 ///
-/// The build runs in two passes over fixed-size node-range chunks:
+/// The build runs serially, in two passes over fixed-size node-range chunks:
 ///
 /// 1. **Plan** — rows are materialized chunk by chunk *in node-id order*
-///    (each chunk fanned out per `cfg.par`) and folded serially into the
-///    source's [`PackSource::Plan`], which yields the store-global meta
-///    (field-width maxima are associative, so chunking cannot change them).
+///    and folded into the source's [`PackSource::Plan`], which yields the
+///    store-global meta (field-width maxima are associative, so chunking
+///    cannot change them).
 /// 2. **Pack** — rows are re-materialized chunk by chunk *in layout order*
 ///    and appended to the label region.  The packed bits of a label depend
 ///    only on its row and the meta, so the frame is bit-identical at every
-///    chunk size and thread count.
+///    chunk size.
 ///
-/// When one chunk covers the whole tree, the plan pass's rows are kept and
-/// the pack pass reuses them (no re-materialization — the historical
-/// in-memory path); otherwise peak row memory is O(chunk), at the price of
-/// computing each row twice.
+/// Rows keep their variable-length parts in this thread's [`RowArena`],
+/// cleared per chunk, and one row buffer serves every chunk.  When one chunk
+/// covers the whole tree, the plan pass's rows are kept and the pack pass
+/// reuses them (no re-materialization — the historical in-memory path);
+/// otherwise peak row memory is O(chunk), at the price of computing each row
+/// twice.
 fn build_frame<S: StoredScheme, P: PackSource<S>>(
     src: &P,
     cfg: &PackConfig<'_>,
@@ -938,67 +940,70 @@ fn build_frame<S: StoredScheme, P: PackSource<S>>(
     let param = src.store_param();
     let chunk = cfg.chunk.max(1).min(n);
 
-    // Plan pass: id order, chunk by chunk, folded serially.
-    let mut plan = P::Plan::default();
-    let mut cached: Option<Vec<P::Row>> = None;
-    if chunk == n {
-        let rows = build_vec(cfg.par, n, |u| src.make_row(u));
-        for (u, row) in rows.iter().enumerate() {
-            src.plan_row(&mut plan, u, row);
-        }
-        cached = Some(rows);
-    } else {
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let rows = build_vec(cfg.par, hi - lo, |i| src.make_row(lo + i));
-            for (i, row) in rows.iter().enumerate() {
-                src.plan_row(&mut plan, lo + i, row);
-            }
-            lo = hi;
-        }
-    }
-    let meta_words = src.meta_words(&plan);
-    let meta = S::parse_meta(param, &meta_words).expect("self-produced meta must parse");
-
-    // Pack pass: layout order, chunk by chunk.
     let node_at = |p: usize| layout.map_or(p, |l| l.node_at(p));
     let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    let label_words = if let Some(rows) = cached {
-        // Exact size hint: the label region is written into a single
-        // pre-reserved buffer, so multi-megabyte stores pay one allocation
-        // instead of repeated growth reallocations.
-        let total_bits: usize = rows.iter().map(|r| src.packed_label_bits(&meta, r)).sum();
-        let mut w = BitWriter::with_capacity(total_bits);
-        for p in 0..n {
-            let row = &rows[node_at(p)];
-            offsets.push(w.len() as u64);
-            src.pack_label(&meta, row, &mut w);
-            debug_assert_eq!(
-                w.len() - offsets[p] as usize,
-                src.packed_label_bits(&meta, row),
-                "{}: packed_label_bits disagrees with pack_label for node {}",
-                S::STORE_NAME,
-                node_at(p)
-            );
-        }
-        offsets.push(w.len() as u64);
-        w.into_bitvec().into_words()
-    } else {
-        let mut w = BitWriter::new();
+    let (plan, meta_words, meta, label_words) = RowArena::with(|arena| {
+        // Plan pass: id order, chunk by chunk.
+        let mut plan = P::Plan::default();
+        let mut rows: Vec<P::Row> = Vec::with_capacity(chunk);
         let mut lo = 0;
         while lo < n {
             let hi = (lo + chunk).min(n);
-            let rows = build_vec(cfg.par, hi - lo, |i| src.make_row(node_at(lo + i)));
-            for row in &rows {
-                offsets.push(w.len() as u64);
-                src.pack_label(&meta, row, &mut w);
+            arena.clear();
+            rows.clear();
+            rows.extend((lo..hi).map(|u| src.make_row(u, arena)));
+            for (u, row) in (lo..hi).zip(&rows) {
+                src.plan_row(&mut plan, u, row, arena);
             }
             lo = hi;
         }
-        offsets.push(w.len() as u64);
-        w.into_bitvec().into_words()
-    };
+        let meta_words = src.meta_words(&plan);
+        let meta = S::parse_meta(param, &meta_words).expect("self-produced meta must parse");
+
+        // Pack pass: layout order, chunk by chunk.
+        let label_words = if chunk == n {
+            // The plan pass's rows cover the whole tree: reuse them.  Exact
+            // size hint: the label region is written into a single
+            // pre-reserved buffer, so multi-megabyte stores pay one
+            // allocation instead of repeated growth reallocations.
+            let total_bits: usize = rows
+                .iter()
+                .map(|r| src.packed_label_bits(&meta, r, arena))
+                .sum();
+            let mut w = BitWriter::with_capacity(total_bits);
+            for p in 0..n {
+                let row = &rows[node_at(p)];
+                offsets.push(w.len() as u64);
+                src.pack_label(&meta, row, arena, &mut w);
+                debug_assert_eq!(
+                    w.len() - offsets[p] as usize,
+                    src.packed_label_bits(&meta, row, arena),
+                    "{}: packed_label_bits disagrees with pack_label for node {}",
+                    S::STORE_NAME,
+                    node_at(p)
+                );
+            }
+            offsets.push(w.len() as u64);
+            w.into_bitvec().into_words()
+        } else {
+            let mut w = BitWriter::new();
+            let mut lo = 0;
+            while lo < n {
+                let hi = (lo + chunk).min(n);
+                arena.clear();
+                rows.clear();
+                rows.extend((lo..hi).map(|p| src.make_row(node_at(p), arena)));
+                for row in &rows {
+                    offsets.push(w.len() as u64);
+                    src.pack_label(&meta, row, arena, &mut w);
+                }
+                lo = hi;
+            }
+            offsets.push(w.len() as u64);
+            w.into_bitvec().into_words()
+        };
+        (plan, meta_words, meta, label_words)
+    });
     let label_bits = *offsets.last().unwrap() as usize;
 
     // A clustered layout needs the permutation (only version 3 carries one);
@@ -1410,14 +1415,14 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
 
 impl<S: StoredScheme> SchemeStore<S> {
     /// Packs a [`PackSource`] directly into a fresh frame under a
-    /// [`PackConfig`] — parallelism fan-out, chunk-streaming row
-    /// materialization, and the optional clustered label layout.  Returns
+    /// [`PackConfig`] — chunk-streaming row materialization and the
+    /// optional clustered label layout.  Returns
     /// the plan the source accumulated over the id-order planning pass
     /// (wire-size side tables the schemes harvest), so streaming builds need
     /// not keep rows around.
     ///
-    /// The frame is bit-identical at every chunk size, thread count and
-    /// (for the same layout) build path.
+    /// The frame is bit-identical at every chunk size and (for the same
+    /// layout) build path.
     pub(crate) fn from_source_with<P: PackSource<S>>(
         src: &P,
         cfg: &PackConfig<'_>,

@@ -15,11 +15,12 @@
 //! create a private substrate, so single-scheme callers are unaffected.
 //!
 //! The components are built serially, each into a few flat arrays (no
-//! per-node allocation; per-path data lives in arenas).  Only the pack's
-//! per-node rows fan out over worker threads ([`build_vec`], behind the
-//! [`Parallelism`] knob), and only for trees of at least 1,024 nodes.  Rows
-//! are split into contiguous ranges, so the frames are **bit-for-bit
-//! identical** for every thread count, including [`Parallelism::Serial`].
+//! per-node allocation; per-path data lives in arenas).  The pack is one
+//! serial pass too: each node's row keeps its variable-length parts in a
+//! row arena of flat word arrays that the frame assembler clears per chunk
+//! and reuses across trees, so a build allocates per arena, not per node, and
+//! the streaming build stays O(chunk).  Frames are **bit-for-bit identical**
+//! at every chunk size.
 //!
 //! # Example
 //!
@@ -42,12 +43,11 @@
 use crate::hpath::HpathLabeling;
 use crate::layout::{LabelLayout, Layout};
 use crate::store::StoredScheme;
-use std::num::NonZeroUsize;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 use treelab_bits::BitWriter;
 use treelab_tree::binarize::Binarized;
 use treelab_tree::heavy::HeavyPaths;
-use treelab_tree::lca::DistanceOracle;
 use treelab_tree::Tree;
 
 /// The pack side of the store contract: a source of per-node label data that
@@ -64,19 +64,22 @@ use treelab_tree::Tree;
 ///
 /// The trait is row-oriented so the frame assembler — not the scheme — owns
 /// the materialization schedule: [`PackSource::make_row`] produces one node's
-/// intermediate data *purely* (it may be called more than once per node, in
-/// any order, from worker threads), planning folds rows serially in node-id
-/// order, and packing consumes rows in label-layout order.  A source must
-/// therefore keep `make_row` deterministic and free of shared mutable state;
-/// everything order-sensitive belongs in [`PackSource::Plan`].
+/// intermediate data *purely* (it may be called more than once per node),
+/// planning folds rows in node-id order, and packing consumes rows in
+/// label-layout order, all on the calling thread.  A row is a small fixed-size
+/// value; its variable-length parts live in the assembler's [`RowArena`] as
+/// [`Span`]s, so building a row allocates nothing once the arena has grown.
+/// A source must keep `make_row` deterministic; everything order-sensitive
+/// belongs in [`PackSource::Plan`].
 ///
 /// No intermediate per-node label structs exist on this path: rows are
 /// packed straight into the frame, and golden frames (the CRC-64 trailer
 /// words recorded in `treelab_bench::golden`) pin the result.
-pub(crate) trait PackSource<S: StoredScheme>: Sync {
+pub(crate) trait PackSource<S: StoredScheme> {
     /// Per-node intermediate data: everything needed to size and pack one
-    /// node's label once the meta words exist.
-    type Row: Send;
+    /// node's label once the meta words exist (variable-length parts as
+    /// spans of the arena `make_row` filled).
+    type Row;
 
     /// Accumulator for the id-order planning pass (field-width maxima and
     /// other store-global reductions).
@@ -91,14 +94,14 @@ pub(crate) trait PackSource<S: StoredScheme>: Sync {
         0
     }
 
-    /// Builds node `u`'s row.  Must be a pure function of `u` — the chunked
-    /// build calls it up to twice per node (once to plan, once to pack) and
-    /// fans calls out over worker threads.
-    fn make_row(&self, u: usize) -> Self::Row;
+    /// Builds node `u`'s row, appending its variable-length parts to
+    /// `arena`.  Must be a pure function of `u` — the chunked build calls it
+    /// up to twice per node (once to plan, once to pack).
+    fn make_row(&self, u: usize, arena: &mut RowArena) -> Self::Row;
 
     /// Folds node `u`'s row into the plan.  Called exactly once per node, in
-    /// node-id order, on the calling thread.
-    fn plan_row(&self, plan: &mut Self::Plan, u: usize, row: &Self::Row);
+    /// node-id order.
+    fn plan_row(&self, plan: &mut Self::Plan, u: usize, row: &Self::Row, arena: &RowArena);
 
     /// Pack-time width planning: computes the store meta words from the
     /// completed plan.
@@ -106,23 +109,137 @@ pub(crate) trait PackSource<S: StoredScheme>: Sync {
 
     /// Exact packed size of a row's label in bits (used to pre-reserve the
     /// label region in one allocation on the whole-tree path).
-    fn packed_label_bits(&self, meta: &S::Meta, row: &Self::Row) -> usize;
+    fn packed_label_bits(&self, meta: &S::Meta, row: &Self::Row, arena: &RowArena) -> usize;
 
     /// Appends the packed form of a row's label.
-    fn pack_label(&self, meta: &S::Meta, row: &Self::Row, w: &mut BitWriter);
+    fn pack_label(&self, meta: &S::Meta, row: &Self::Row, arena: &RowArena, w: &mut BitWriter);
 }
 
-/// How the frame assembler schedules a [`PackSource`]: thread fan-out, row
-/// chunking, and the label-region layout.
+/// A run of entries in one of a [`RowArena`]'s arrays.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn new(start: usize, end: usize) -> Span {
+        let narrow =
+            |x: usize| u32::try_from(x).expect("a row arena holds fewer than 2^32 entries");
+        Span {
+            start: narrow(start),
+            end: narrow(end),
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+}
+
+/// The pack's row storage: the variable-length parts of every row of a chunk
+/// in two flat arrays (`u64` words and `u32` ids), each row holding
+/// [`Span`]s into them instead of owning `Vec`s.
 ///
-/// The default is the historical in-memory build — serial, one chunk
-/// covering the whole tree, id-order labels — and every combination of knobs
-/// produces a frame whose **label bytes are bit-identical** for a fixed
-/// layout (chunking and threading change memory behaviour, never output).
+/// The frame assembler keeps one arena per thread ([`RowArena::with`]),
+/// clears it per chunk and reuses its capacity across trees.
+#[derive(Debug, Default)]
+pub(crate) struct RowArena {
+    words: Vec<u64>,
+    ids: Vec<u32>,
+}
+
+thread_local! {
+    static ROW_ARENA: RefCell<RowArena> = RefCell::default();
+}
+
+/// Entries above which a finished build hands its arena back to the
+/// allocator instead of keeping it for the next tree, so a whole-tree build
+/// of a giant tree does not leave its rows resident.
+const ARENA_KEEP_ENTRIES: usize = 1 << 20;
+
+impl RowArena {
+    /// Runs `f` on this thread's arena, then clears it (or frees it, past
+    /// [`ARENA_KEEP_ENTRIES`]).
+    pub(crate) fn with<T>(f: impl FnOnce(&mut RowArena) -> T) -> T {
+        ROW_ARENA.with_borrow_mut(|arena| {
+            let out = f(arena);
+            if arena.words.capacity() + arena.ids.capacity() > ARENA_KEEP_ENTRIES {
+                *arena = RowArena::default();
+            } else {
+                arena.clear();
+            }
+            out
+        })
+    }
+
+    /// Drops every row's parts, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.ids.clear();
+    }
+
+    /// Appends `items` to the word array.
+    pub(crate) fn push_words(&mut self, items: impl IntoIterator<Item = u64>) -> Span {
+        let start = self.words.len();
+        self.words.extend(items);
+        Span::new(start, self.words.len())
+    }
+
+    /// Appends `items` to the word array in reverse order (for sequences a
+    /// builder walks bottom-up but packs top-down).
+    pub(crate) fn push_words_rev(&mut self, items: impl IntoIterator<Item = u64>) -> Span {
+        let span = self.push_words(items);
+        self.words[span.range()].reverse();
+        span
+    }
+
+    /// Appends `len` zero words for the caller to fill through
+    /// [`RowArena::words_mut`].
+    pub(crate) fn alloc_words(&mut self, len: usize) -> Span {
+        let start = self.words.len();
+        self.words.resize(start + len, 0);
+        Span::new(start, start + len)
+    }
+
+    /// Appends `items` to the id array in reverse order.
+    pub(crate) fn push_ids_rev(&mut self, items: impl IntoIterator<Item = u32>) -> Span {
+        let start = self.ids.len();
+        self.ids.extend(items);
+        self.ids[start..].reverse();
+        Span::new(start, self.ids.len())
+    }
+
+    /// The words of `span`.
+    pub(crate) fn words(&self, span: Span) -> &[u64] {
+        &self.words[span.range()]
+    }
+
+    /// The words of `span`, writable.
+    pub(crate) fn words_mut(&mut self, span: Span) -> &mut [u64] {
+        &mut self.words[span.range()]
+    }
+
+    /// The ids of `span`.
+    pub(crate) fn ids(&self, span: Span) -> &[u32] {
+        &self.ids[span.range()]
+    }
+}
+
+/// How the frame assembler schedules a [`PackSource`]: row chunking and the
+/// label-region layout.
+///
+/// The default is the historical in-memory build — one chunk covering the
+/// whole tree, id-order labels — and every chunk size produces a frame whose
+/// **label bytes are bit-identical** for a fixed layout (chunking changes
+/// memory behaviour, never output).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PackConfig<'a> {
-    /// Worker-thread fan-out for row materialization.
-    pub(crate) par: Parallelism,
     /// Rows materialized at a time; `usize::MAX` keeps the whole tree in
     /// memory (and skips the second row computation).
     pub(crate) chunk: usize,
@@ -133,108 +250,10 @@ pub(crate) struct PackConfig<'a> {
 impl Default for PackConfig<'_> {
     fn default() -> Self {
         PackConfig {
-            par: Parallelism::Serial,
             chunk: usize::MAX,
             layout: None,
         }
     }
-}
-
-/// How many worker threads the pack's row materialization may use.
-///
-/// It is the only fan-out in a build: the substrate components are serial,
-/// and rows fan out only for trees of at least 1,024 nodes (smaller ones
-/// stay on the calling thread whatever the setting, without resolving the
-/// thread count).  The default ([`Parallelism::Auto`]) uses all available
-/// cores.  Every setting produces bit-for-bit identical frames;
-/// [`Parallelism::Serial`] exists so determinism tests and benchmarks can
-/// pin the single-threaded path explicitly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Build labels on the calling thread only.
-    Serial,
-    /// Use [`std::thread::available_parallelism`] worker threads.
-    #[default]
-    Auto,
-    /// Use exactly this many worker threads.
-    Threads(NonZeroUsize),
-}
-
-impl Parallelism {
-    /// The number of worker threads this setting resolves to on this machine.
-    pub fn thread_count(self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Auto => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-            Parallelism::Threads(t) => t.get(),
-        }
-    }
-
-    /// Convenience constructor: `0` means [`Parallelism::Auto`], `1` means
-    /// [`Parallelism::Serial`], anything else is an explicit thread count.
-    pub fn from_thread_count(threads: usize) -> Self {
-        match threads {
-            0 => Parallelism::Auto,
-            1 => Parallelism::Serial,
-            t => Parallelism::Threads(NonZeroUsize::new(t).expect("t >= 2")),
-        }
-    }
-}
-
-/// Below this many items the fan-out overhead outweighs the work; stay serial.
-const MIN_PARALLEL_ITEMS: usize = 1024;
-
-/// Builds `vec![f(0), f(1), …, f(n − 1)]`, fanning the index range out over
-/// scoped worker threads according to `par`.
-///
-/// The output is identical to the serial `(0..n).map(f).collect()` for every
-/// `par` — each index is computed exactly once and results are concatenated in
-/// index order — which is what makes parallel scheme construction bit-for-bit
-/// reproducible.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the panic of the first failing worker).
-pub fn build_vec<T, F>(par: Parallelism, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    // `n` first: resolving `Auto` asks the OS, which costs more than a small
-    // tree's rows.
-    let threads = if n < MIN_PARALLEL_ITEMS {
-        1
-    } else {
-        par.thread_count().min(n)
-    };
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                // Re-raise with the original payload so callers see the same
-                // panic message the serial path would produce.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part);
-    }
-    out
 }
 
 /// The binarization-side substrate shared by the exact schemes
@@ -268,41 +287,31 @@ impl BinarizedSubstrate {
 /// Shared, lazily-computed build substrate for one tree.
 ///
 /// See the [module documentation](self) for the motivation; components are
-/// computed at most once per substrate, on first access, and are safe to use
-/// from the pack's worker threads.
+/// computed at most once per substrate, on first access.
 #[derive(Debug)]
 pub struct Substrate<'t> {
     tree: &'t Tree,
-    par: Parallelism,
     chunk: usize,
     layout_kind: LabelLayout,
     layout: OnceLock<Option<Layout>>,
     heavy: OnceLock<HeavyPaths>,
     aux: OnceLock<HpathLabeling>,
-    oracle: OnceLock<DistanceOracle>,
     depths: OnceLock<Vec<usize>>,
     root_distances: OnceLock<Vec<u64>>,
     bin: OnceLock<Option<BinarizedSubstrate>>,
 }
 
 impl<'t> Substrate<'t> {
-    /// Creates an empty substrate for `tree` with default parallelism
-    /// ([`Parallelism::Auto`]).  Nothing is computed until first use.
+    /// Creates an empty substrate for `tree`.  Nothing is computed until
+    /// first use.
     pub fn new(tree: &'t Tree) -> Self {
-        Self::with_parallelism(tree, Parallelism::default())
-    }
-
-    /// Creates an empty substrate with an explicit [`Parallelism`] setting.
-    pub fn with_parallelism(tree: &'t Tree, par: Parallelism) -> Self {
         Substrate {
             tree,
-            par,
             chunk: usize::MAX,
             layout_kind: LabelLayout::default(),
             layout: OnceLock::new(),
             heavy: OnceLock::new(),
             aux: OnceLock::new(),
-            oracle: OnceLock::new(),
             depths: OnceLock::new(),
             root_distances: OnceLock::new(),
             bin: OnceLock::new(),
@@ -312,12 +321,6 @@ impl<'t> Substrate<'t> {
     /// The underlying tree.
     pub fn tree(&self) -> &'t Tree {
         self.tree
-    }
-
-    /// The parallelism setting every `build_with_substrate` constructor's pack
-    /// uses.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
     }
 
     /// Caps how many per-node rows the frame assembler materializes at a
@@ -354,7 +357,6 @@ impl<'t> Substrate<'t> {
     /// the frame assembler (computes the layout permutation on first use).
     pub(crate) fn pack_config(&self) -> PackConfig<'_> {
         PackConfig {
-            par: self.par,
             chunk: self.chunk,
             layout: self
                 .layout
@@ -379,15 +381,6 @@ impl<'t> Substrate<'t> {
     pub fn aux_labels(&self) -> &HpathLabeling {
         self.aux
             .get_or_init(|| HpathLabeling::with_heavy_paths(self.tree, self.heavy_paths()))
-    }
-
-    /// Ground-truth LCA/distance oracle of the original tree (computed once).
-    ///
-    /// The schemes themselves never consult it; it is part of the substrate
-    /// because every experiment and validation pass needs it alongside the
-    /// schemes, and it is as expensive to rebuild as the decomposition.
-    pub fn oracle(&self) -> &DistanceOracle {
-        self.oracle.get_or_init(|| DistanceOracle::new(self.tree))
     }
 
     /// Unweighted depth of every node (computed once).
@@ -433,11 +426,12 @@ impl<'t> Substrate<'t> {
     ///
     /// Useful for timing the substrate separately from the schemes (the
     /// experiments do), or for paying the whole preprocessing cost up front
-    /// before serving queries.
+    /// before serving queries.  The substrate holds only what labels are
+    /// built from; a ground-truth [`DistanceOracle`](treelab_tree::lca::DistanceOracle)
+    /// for checking answers is the caller's to build.
     pub fn precompute(&self) {
         self.heavy_paths();
         self.aux_labels();
-        self.oracle();
         self.depths();
         self.root_distances();
         self.binarized();
@@ -450,42 +444,12 @@ mod tests {
     use treelab_tree::gen;
 
     #[test]
-    fn build_vec_matches_serial_for_every_parallelism() {
-        let f = |i: usize| (i * 37) ^ (i >> 3);
-        let serial: Vec<usize> = (0..5000).map(f).collect();
-        for par in [
-            Parallelism::Serial,
-            Parallelism::Auto,
-            Parallelism::from_thread_count(2),
-            Parallelism::from_thread_count(7),
-        ] {
-            assert_eq!(build_vec(par, 5000, f), serial, "{par:?}");
-        }
-        // Small inputs take the serial fast path but stay correct.
-        assert_eq!(
-            build_vec(Parallelism::from_thread_count(4), 3, f),
-            vec![f(0), f(1), f(2)]
-        );
-        assert!(build_vec(Parallelism::Auto, 0, f).is_empty());
-    }
-
-    #[test]
-    fn parallelism_thread_counts() {
-        assert_eq!(Parallelism::Serial.thread_count(), 1);
-        assert_eq!(Parallelism::from_thread_count(1), Parallelism::Serial);
-        assert_eq!(Parallelism::from_thread_count(0), Parallelism::Auto);
-        assert_eq!(Parallelism::from_thread_count(5).thread_count(), 5);
-        assert!(Parallelism::Auto.thread_count() >= 1);
-    }
-
-    #[test]
     fn substrate_components_are_computed_once_and_agree_with_direct_builds() {
         let tree = gen::random_tree(300, 11);
-        let sub = Substrate::with_parallelism(&tree, Parallelism::Serial);
+        let sub = Substrate::new(&tree);
         // Same component twice: same allocation (OnceLock caching).
         assert!(std::ptr::eq(sub.heavy_paths(), sub.heavy_paths()));
         assert!(std::ptr::eq(sub.aux_labels(), sub.aux_labels()));
-        assert!(std::ptr::eq(sub.oracle(), sub.oracle()));
         // Components agree with the direct constructions.
         let direct = HeavyPaths::new(&tree);
         for u in tree.nodes() {

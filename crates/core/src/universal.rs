@@ -21,7 +21,7 @@
 //! used by the experiments (`n ≤ 16` for explicit constructions).
 
 use crate::level_ancestor::LevelAncestorScheme;
-use crate::substrate::{Parallelism, Substrate};
+use crate::substrate::Substrate;
 use std::collections::HashMap;
 use treelab_bits::BitVec;
 use treelab_tree::embed::{all_rooted_trees, embeds_at_root};
@@ -144,9 +144,7 @@ pub fn universal_from_parent_labels(n: usize) -> ParentLabelUniversal {
 
     for m in 1..=n {
         for tree in all_rooted_trees(m) {
-            // The enumerated trees are tiny, so the shared-substrate path is
-            // pinned to the serial build (thread fan-out would only add cost).
-            let sub = Substrate::with_parallelism(&tree, Parallelism::Serial);
+            let sub = Substrate::new(&tree);
             let scheme = LevelAncestorScheme::build_with_substrate(&sub);
             for u in tree.nodes() {
                 let label = scheme.label(u);

@@ -333,27 +333,25 @@ impl HeavyPaths {
 
     /// The significant ancestors of `u` (nodes `w` with `pre(u) ∈ L_w`):
     /// `u` itself followed by the branch nodes of the light edges on the
-    /// root-to-`u` path, ordered from `u` upwards.
-    pub fn significant_ancestors(&self, u: NodeId) -> Vec<NodeId> {
-        let mut out = vec![u];
-        let mut path = self.path_of(u);
-        while path != 0 {
-            out.push(NodeId(self.paths[path].branch as usize));
-            path = self.paths[path].parent as usize;
-        }
-        out
+    /// root-to-`u` path, ordered from `u` upwards.  An iterator, so a label
+    /// builder walks them without a per-node allocation.
+    pub fn significant_ancestors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::once(u).chain(self.light_edges_up(u).map(|e| e.branch_node))
     }
 
-    /// The light edges on the root-to-`u` path, from the topmost (light depth
-    /// 1) down to `u`'s own heavy path (light depth `light_depth(u)`).
-    pub fn light_edges_to(&self, u: NodeId) -> Vec<LightEdge> {
-        let mut rev = Vec::with_capacity(self.light_depth(u));
+    /// The light edges on the root-to-`u` path, from `u`'s own heavy path
+    /// (light depth `light_depth(u)`) up to the topmost (light depth 1) —
+    /// the allocation-free, bottom-up form of [`HeavyPaths::light_edges_to`].
+    pub fn light_edges_up(&self, u: NodeId) -> impl Iterator<Item = LightEdge> + '_ {
         let mut path = self.path_of(u);
         let mut depth = self.light_depth(u);
-        while path != 0 {
+        std::iter::from_fn(move || {
+            if path == 0 {
+                return None;
+            }
             let rec = self.paths[path];
             let branch = NodeId(rec.branch as usize);
-            rev.push(LightEdge {
+            let edge = LightEdge {
                 depth,
                 parent_path: rec.parent as usize,
                 child_path: path,
@@ -362,12 +360,19 @@ impl HeavyPaths {
                 edge_weight: rec.incoming_weight,
                 child_head: self.head(path),
                 exceptional: rec.exceptional,
-            });
+            };
             path = rec.parent as usize;
             depth -= 1;
-        }
-        rev.reverse();
-        rev
+            Some(edge)
+        })
+    }
+
+    /// The light edges on the root-to-`u` path, from the topmost (light depth
+    /// 1) down to `u`'s own heavy path (light depth `light_depth(u)`).
+    pub fn light_edges_to(&self, u: NodeId) -> Vec<LightEdge> {
+        let mut edges: Vec<LightEdge> = self.light_edges_up(u).collect();
+        edges.reverse();
+        edges
     }
 
     /// Returns `true` if `u` dominates `v`: `u`'s heavy path precedes `v`'s in
@@ -630,7 +635,7 @@ mod tests {
         for tree in workloads() {
             let hp = HeavyPaths::new(&tree);
             for u in tree.nodes() {
-                let sig = hp.significant_ancestors(u);
+                let sig: Vec<NodeId> = hp.significant_ancestors(u).collect();
                 assert_eq!(sig[0], u);
                 assert_eq!(sig.len(), hp.light_depth(u) + 1);
                 // Reference: ancestors w of u with pre(u) in L_w.

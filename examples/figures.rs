@@ -161,10 +161,9 @@ fn figure_6() {
     let leaves = t.leaves();
     let (u, v) = (leaves[0], leaves[leaves.len() - 1]);
     let show = |x: NodeId| {
-        let sig = hp.significant_ancestors(x);
-        let parts: Vec<String> = sig
-            .iter()
-            .map(|a| format!("{a}(d={})", oracle.distance(x, *a)))
+        let parts: Vec<String> = hp
+            .significant_ancestors(x)
+            .map(|a| format!("{a}(d={})", oracle.distance(x, a)))
             .collect();
         println!("  significant ancestors of {x}: {}", parts.join(" -> "));
     };

@@ -8,8 +8,8 @@
 
 use treelab::core::stats::LabelStats;
 use treelab::{
-    bounds, gen, ApproximateScheme, DistanceArrayScheme, DistanceScheme, KDistanceScheme,
-    NaiveScheme, OptimalScheme, Substrate,
+    bounds, gen, ApproximateScheme, DistanceArrayScheme, DistanceOracle, DistanceScheme,
+    KDistanceScheme, NaiveScheme, OptimalScheme, Substrate,
 };
 
 fn main() {
@@ -21,9 +21,9 @@ fn main() {
     println!("tree: uniformly random labeled tree, n = {n}, seed = {seed}\n");
     let tree = gen::random_tree(n, seed);
     // One shared substrate: every scheme below reuses the same heavy-path
-    // decomposition, auxiliary labeling and binarization (and the oracle).
+    // decomposition, auxiliary labeling and binarization.
     let sub = Substrate::new(&tree);
-    let oracle = sub.oracle();
+    let oracle = DistanceOracle::new(&tree);
 
     // --- exact schemes -----------------------------------------------------
     let naive = NaiveScheme::build_with_substrate(&sub);

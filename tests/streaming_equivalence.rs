@@ -12,26 +12,13 @@ use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
     gen, DistanceArrayScheme, DistanceScheme, IndexWidth, LabelLayout, NaiveScheme, OptimalScheme,
-    Parallelism, SchemeStore, StoreError, StoredScheme, Substrate, Tree,
+    SchemeStore, StoreError, StoredScheme, Substrate, Tree,
 };
 
-fn thread_matrix() -> Vec<Parallelism> {
-    vec![
-        Parallelism::from_thread_count(1),
-        Parallelism::Auto,
-        Parallelism::from_thread_count(4),
-    ]
-}
-
-/// Builds `scheme` from a substrate configured with (`par`, `chunk`,
-/// `layout`).  `chunk == 0` means whole-tree (the in-memory default).
-fn configured_substrate(
-    tree: &Tree,
-    par: Parallelism,
-    chunk: usize,
-    layout: LabelLayout,
-) -> Substrate<'_> {
-    let mut sub = Substrate::with_parallelism(tree, par);
+/// A substrate configured with (`chunk`, `layout`).  `chunk == 0` means
+/// whole-tree (the in-memory default).
+fn configured_substrate(tree: &Tree, chunk: usize, layout: LabelLayout) -> Substrate<'_> {
+    let mut sub = Substrate::new(tree);
     sub.set_chunk_rows(chunk);
     sub.set_label_layout(layout);
     sub
@@ -39,9 +26,8 @@ fn configured_substrate(
 
 #[test]
 fn chunked_builds_are_bit_identical_to_in_memory_builds() {
-    // The n≈9000 tree crosses the parallel fan-out threshold, so chunking
-    // composes with real worker threads; the small trees exercise chunk
-    // sizes larger than n and the chunk == 1 degenerate case.
+    // The small trees exercise chunk sizes larger than n and the chunk == 1
+    // degenerate case.
     for tree in [
         gen::random_tree(9001, 21),
         gen::comb(1200),
@@ -50,16 +36,14 @@ fn chunked_builds_are_bit_identical_to_in_memory_builds() {
     ] {
         let n = tree.len();
         let reference = OptimalScheme::build(&tree);
-        for par in thread_matrix() {
-            for chunk in [1usize, 7, 4096, n] {
-                let sub = configured_substrate(&tree, par, chunk, LabelLayout::IdOrder);
-                let scheme = OptimalScheme::build_with_substrate(&sub);
-                assert_eq!(
-                    scheme.as_store().as_words(),
-                    reference.as_store().as_words(),
-                    "optimal: frame differs at chunk={chunk}, {par:?}, n={n}"
-                );
-            }
+        for chunk in [1usize, 7, 4096, n] {
+            let sub = configured_substrate(&tree, chunk, LabelLayout::IdOrder);
+            let scheme = OptimalScheme::build_with_substrate(&sub);
+            assert_eq!(
+                scheme.as_store().as_words(),
+                reference.as_store().as_words(),
+                "optimal: frame differs at chunk={chunk}, n={n}"
+            );
         }
     }
 }
@@ -67,9 +51,8 @@ fn chunked_builds_are_bit_identical_to_in_memory_builds() {
 #[test]
 fn all_six_schemes_stream_bit_identically() {
     let tree = gen::random_tree(1777, 13);
-    let par = Parallelism::from_thread_count(4);
-    let plain = Substrate::with_parallelism(&tree, par);
-    let chunked = configured_substrate(&tree, par, 97, LabelLayout::IdOrder);
+    let plain = Substrate::new(&tree);
+    let chunked = configured_substrate(&tree, 97, LabelLayout::IdOrder);
     macro_rules! check {
         ($name:literal, $build:expr) => {{
             let build = $build;
@@ -105,7 +88,7 @@ fn clustered_layout_answers_identically_and_streams_bit_identically() {
         let n = tree.len();
         let id_sub = Substrate::new(&tree);
         let id_scheme = OptimalScheme::build_with_substrate(&id_sub);
-        let cl_sub = configured_substrate(&tree, Parallelism::Auto, 0, LabelLayout::HeavyPath);
+        let cl_sub = configured_substrate(&tree, 0, LabelLayout::HeavyPath);
         let cl_scheme = OptimalScheme::build_with_substrate(&cl_sub);
         // The clustered frame carries its permutation in a v3 index.
         assert_eq!(
@@ -123,15 +106,13 @@ fn clustered_layout_answers_identically_and_streams_bit_identically() {
             );
         }
         // Chunked clustered build = in-memory clustered build, byte for byte.
-        for par in thread_matrix() {
-            let sub = configured_substrate(&tree, par, 61, LabelLayout::HeavyPath);
-            let scheme = OptimalScheme::build_with_substrate(&sub);
-            assert_eq!(
-                scheme.as_store().as_words(),
-                cl_scheme.as_store().as_words(),
-                "clustered frame differs when chunked under {par:?} (n={n})"
-            );
-        }
+        let sub = configured_substrate(&tree, 61, LabelLayout::HeavyPath);
+        let scheme = OptimalScheme::build_with_substrate(&sub);
+        assert_eq!(
+            scheme.as_store().as_words(),
+            cl_scheme.as_store().as_words(),
+            "clustered frame differs when chunked (n={n})"
+        );
         // The label region is a permutation of the id-order region: same
         // total bits, same node count, same meta.
         assert_eq!(
@@ -145,7 +126,7 @@ fn clustered_layout_answers_identically_and_streams_bit_identically() {
 #[test]
 fn clustered_frames_round_trip_and_refuse_narrow_indexes() {
     let tree = gen::random_tree(1234, 17);
-    let sub = configured_substrate(&tree, Parallelism::Auto, 0, LabelLayout::HeavyPath);
+    let sub = configured_substrate(&tree, 0, LabelLayout::HeavyPath);
     let scheme = OptimalScheme::build_with_substrate(&sub);
     let store = scheme.as_store();
     // Byte round-trip preserves the frame exactly.
@@ -209,7 +190,7 @@ fn corrupt_succinct_frames_are_rejected_not_misread() {
     // truncations and bit flips must surface typed errors, never a panic and
     // never a silently wrong answer.
     let tree = gen::random_tree(800, 41);
-    let sub = configured_substrate(&tree, Parallelism::Auto, 0, LabelLayout::HeavyPath);
+    let sub = configured_substrate(&tree, 0, LabelLayout::HeavyPath);
     let scheme = OptimalScheme::build_with_substrate(&sub);
     let bytes = scheme.as_store().to_bytes();
 

@@ -1,8 +1,8 @@
-//! Equivalence of the build paths: for every scheme, `build`,
-//! `build_with_substrate` and every [`Parallelism`] setting must produce the
-//! **bit-for-bit identical** packed store frame (the scheme's native
-//! representation), and distances answered from shared-substrate builds must
-//! match the isolated builds.
+//! Equivalence of the build paths: for every scheme, `build` and
+//! `build_with_substrate` (over a fresh substrate, or one whose components
+//! were all computed up front) must produce the **bit-for-bit identical**
+//! packed store frame (the scheme's native representation), and distances
+//! answered from shared-substrate builds must match the isolated builds.
 //!
 //! Since the packed-native refactor this is a single `as_words()` comparison
 //! per path — the frame *is* the label set, so frame equality subsumes the
@@ -12,21 +12,11 @@ use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
-    gen, DistanceArrayScheme, DistanceScheme, NaiveScheme, OptimalScheme, Parallelism,
+    gen, DistanceArrayScheme, DistanceOracle, DistanceScheme, NaiveScheme, OptimalScheme,
     StoredScheme, Substrate, Tree,
 };
 
-fn parallelisms() -> Vec<Parallelism> {
-    vec![
-        Parallelism::Serial,
-        Parallelism::Auto,
-        Parallelism::from_thread_count(2),
-        Parallelism::from_thread_count(5),
-    ]
-}
-
-/// The seeded corpus every equivalence check sweeps over.  Sizes straddle the
-/// serial/parallel cut-over so both code paths are exercised.
+/// The seeded corpus every equivalence check sweeps over.
 fn corpus() -> Vec<Tree> {
     vec![
         Tree::singleton(),
@@ -37,27 +27,30 @@ fn corpus() -> Vec<Tree> {
     ]
 }
 
-/// Asserts that `build` over a fresh substrate with each parallelism setting
+/// Asserts that `build` over a fresh substrate and over a precomputed one
 /// reproduces the reference frame bit for bit.
 fn check_frames<S, F>(name: &str, tree: &Tree, reference: &S, build: F)
 where
     S: StoredScheme,
     F: Fn(&Substrate<'_>) -> S,
 {
-    for par in parallelisms() {
-        let sub = Substrate::with_parallelism(tree, par);
+    for precompute in [false, true] {
+        let sub = Substrate::new(tree);
+        if precompute {
+            sub.precompute();
+        }
         let scheme = build(&sub);
         assert_eq!(
             scheme.as_store().as_words(),
             reference.as_store().as_words(),
-            "{name}: frame differs under {par:?} (n = {})",
+            "{name}: frame differs (precomputed substrate: {precompute}, n = {})",
             tree.len()
         );
     }
 }
 
 #[test]
-fn every_scheme_frame_is_identical_across_build_paths_and_thread_counts() {
+fn every_scheme_frame_is_identical_across_build_paths() {
     for tree in corpus() {
         let naive = NaiveScheme::build(&tree);
         check_frames("naive", &tree, &naive, NaiveScheme::build_with_substrate);
@@ -98,7 +91,7 @@ fn wire_sizes_are_identical_across_build_paths() {
     // The per-node wire-encoding sizes (the paper's label-size quantity) are
     // recorded at build time; they must not depend on the build path either.
     let tree = gen::random_tree(900, 11);
-    let sub = Substrate::with_parallelism(&tree, Parallelism::from_thread_count(3));
+    let sub = Substrate::new(&tree);
     let a = OptimalScheme::build(&tree);
     let b = OptimalScheme::build_with_substrate(&sub);
     for u in tree.nodes() {
@@ -119,7 +112,7 @@ fn shared_substrate_schemes_answer_identically() {
     let kd = KDistanceScheme::build_with_substrate(&sub, 9);
     let approx = ApproximateScheme::build_with_substrate(&sub, 0.5);
     let la = LevelAncestorScheme::build_with_substrate(&sub);
-    let oracle = sub.oracle();
+    let oracle = DistanceOracle::new(&tree);
     let n = tree.len();
     for i in 0..600 {
         let (u, v) = (tree.node((i * 19) % n), tree.node((i * 67 + 13) % n));
