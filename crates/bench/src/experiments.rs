@@ -19,7 +19,7 @@ use treelab_core::stats::LabelStats;
 use treelab_core::store::{SchemeStore, StoredScheme, NO_DISTANCE};
 use treelab_core::substrate::Substrate;
 use treelab_core::universal::{universal_from_parent_labels, universal_tree_size};
-use treelab_core::{DistanceScheme, LabelLayout};
+use treelab_core::DistanceScheme;
 use treelab_tree::lca::DistanceOracle;
 use treelab_tree::{gen, Tree};
 
@@ -392,16 +392,11 @@ fn batch_throughput<S: StoredScheme>(
 fn giant_substrate(tree: &Tree, chunk: usize) -> Substrate<'_> {
     let mut sub = Substrate::new(tree);
     sub.set_chunk_rows(chunk);
-    sub.heavy_paths();
-    sub.aux_labels();
-    sub.depths();
-    sub.root_distances();
-    sub.binarized();
+    sub.precompute();
     sub
 }
 
-/// Deterministic query pairs over `0..n` (one congruential sampling, so the
-/// E15 and E15b throughputs stay comparable).
+/// Deterministic query pairs over `0..n` (one congruential sampling).
 fn sample_pairs(n: usize, count: usize) -> Vec<(usize, usize)> {
     (0..count)
         .map(|i| ((i * 7919 + 3) % n, (i * 104_729 + 11) % n))
@@ -568,81 +563,6 @@ pub fn giant_experiment(n: usize, chunk: usize, seed: u64) -> Table {
         dash.clone(),
         dash,
     ]);
-    table
-}
-
-/// E15b: the heavy-path-clustered label layout A/B on the optimal scheme.
-///
-/// For each size the same streamed tree is packed twice from one substrate —
-/// id-order and heavy-path-clustered — and served two workloads: uniform
-/// random pairs and an "ancestor walk" batch (every node paired with a
-/// 1–8-step ancestor, the path-local access pattern clustering targets).
-/// Answers are spot-checked against naive distances on both layouts.
-pub fn layout_experiment(sizes: &[usize], chunk: usize, seed: u64) -> Table {
-    let mut table = Table::new(
-        "E15b — label layout A/B: id-order vs heavy-path-clustered \
-         (optimal scheme, streamed random-recursive trees)",
-        &[
-            "n",
-            "layout",
-            "build (s)",
-            "store (MiB)",
-            "random pairs (Mq/s)",
-            "ancestor walk (Mq/s)",
-            "answers",
-        ],
-    );
-    let queries = 1 << 17;
-    for &n in sizes {
-        let tree = gen::random_recursive_streaming(n, seed);
-        let pairs = sample_pairs(n, 65_536);
-        let anc_pairs: Vec<(usize, usize)> = (0..65_536)
-            .map(|i| {
-                let u = (i * 7919 + 3) % n;
-                let mut v = tree.node(u);
-                for _ in 0..=(i % 8) {
-                    if let Some(p) = tree.parent(v) {
-                        v = p;
-                    }
-                }
-                (u, v.index())
-            })
-            .collect();
-        let mut sub = giant_substrate(&tree, chunk);
-        for (name, layout) in [
-            ("id-order", LabelLayout::IdOrder),
-            ("heavy-path", LabelLayout::HeavyPath),
-        ] {
-            sub.set_label_layout(layout);
-            let t = Instant::now();
-            let scheme = OptimalScheme::build_with_substrate(&sub);
-            let build_s = t.elapsed().as_secs_f64();
-            let store = scheme.as_store();
-            let rnd = batch_throughput(store, &pairs, queries);
-            let anc = batch_throughput(store, &anc_pairs, queries);
-            let mut answers = "ok";
-            for i in 0..64usize {
-                let (u, v) = ((i * 48_271 + 17) % n, (i * 16_807 + 5) % n);
-                let want = tree.distance_naive(tree.node(u), tree.node(v));
-                if store.distance(u, v) != want {
-                    answers = "FAIL";
-                    break;
-                }
-            }
-            table.push_row(vec![
-                n.to_string(),
-                name.to_string(),
-                format!("{build_s:.1}"),
-                format!(
-                    "{:.1}",
-                    (store.as_words().len() * 8) as f64 / (1024.0 * 1024.0)
-                ),
-                format!("{:.2}", rnd / 1e6),
-                format!("{:.2}", anc / 1e6),
-                answers.to_string(),
-            ]);
-        }
-    }
     table
 }
 
@@ -861,15 +781,6 @@ mod tests {
         for row in &t.rows[2..8] {
             assert_eq!(row[5], "ok", "{}: round-trip", row[0]);
             assert_eq!(row[7], "ok", "{}: spot-check", row[0]);
-        }
-    }
-
-    #[test]
-    fn layout_experiment_small_instance_answers_ok() {
-        let t = layout_experiment(&[2048], 128, 7);
-        assert_eq!(t.rows.len(), 2);
-        for row in &t.rows {
-            assert_eq!(row[6], "ok", "layout {} answers", row[1]);
         }
     }
 

@@ -14,8 +14,8 @@ fn experiments(args: &[&str]) -> std::process::Output {
 #[test]
 fn unknown_flags_exit_nonzero_with_the_usage() {
     // `--lanes`, `--packed-native`, `--timing`, `--substrate`, `--store`,
-    // `--check`, `--forest` and `--threads` name retired experiments and
-    // modifiers.
+    // `--check`, `--forest`, `--threads` and `--layout` name retired
+    // experiments and modifiers.
     for bad in [
         &["--lanes"][..],
         &["--packed-native"],
@@ -26,6 +26,7 @@ fn unknown_flags_exit_nonzero_with_the_usage() {
         &["--quick", "--store", "--check"],
         &["--quick", "--forest"],
         &["--threads", "1"],
+        &["--quick", "--layout"],
     ] {
         let out = experiments(bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2");

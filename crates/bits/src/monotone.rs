@@ -23,7 +23,7 @@ use crate::codes;
 use crate::rank_select::RankSelect;
 use crate::{BitReader, BitVec, BitWriter, DecodeError};
 
-/// Succinct representation of a non-decreasing sequence of `u64` values.
+/// Elias–Fano representation of a non-decreasing sequence of `u64` values.
 ///
 /// # Example
 ///

@@ -164,39 +164,6 @@ impl RankSelect {
     }
 }
 
-/// Position of the `k`-th (1-indexed) set bit **strictly after** bit `after`
-/// in a raw word buffer, or `None` if fewer than `k` set bits follow.
-///
-/// This is the sampled-select primitive behind the scheme store's succinct
-/// (Elias–Fano) offset index: the store keeps one absolute select sample per
-/// 64 entries and finishes each lookup with a short forward scan from the
-/// sample, so no per-query structure has to be built over the frame words.
-/// The scan visits at most `⌈gap/64⌉ + 1` words, where `gap` is the distance
-/// to the answer — O(1) amortized when samples are dense.
-pub fn select1_after(words: &[u64], after: usize, k: usize) -> Option<usize> {
-    debug_assert!(k >= 1);
-    let mut wi = after / 64;
-    if wi >= words.len() {
-        return None;
-    }
-    // Clear bits 0..=after%64 of the first word: strictly-after semantics.
-    let off = (after % 64) as u32;
-    let mut w = words[wi] & (!0u64).checked_shl(off + 1).unwrap_or(0);
-    let mut k = k;
-    loop {
-        let ones = w.count_ones() as usize;
-        if k <= ones {
-            return Some(wi * 64 + select_in_word(w, k));
-        }
-        k -= ones;
-        wi += 1;
-        if wi >= words.len() {
-            return None;
-        }
-        w = words[wi];
-    }
-}
-
 /// Position (0-based) of the `k`-th (1-indexed) set bit inside a word.
 fn select_in_word(mut w: u64, mut k: usize) -> usize {
     debug_assert!(k >= 1 && k <= w.count_ones() as usize);

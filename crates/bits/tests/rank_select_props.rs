@@ -2,12 +2,8 @@
 //! checked against a naive bit-scan oracle, with the bit patterns chosen to
 //! stress word boundaries (runs that start/end at multiples of 64, all-zero
 //! and all-one words, isolated bits next to the sample grid).
-//!
-//! `select1_after` gets its own battery — it is the primitive behind the
-//! scheme store's succinct offset index, where a wrong answer silently
-//! misaddresses every label in a bucket.
 
-use treelab_bits::rank_select::{select1_after, RankSelect};
+use treelab_bits::rank_select::RankSelect;
 use treelab_bits::BitVec;
 
 /// SplitMix64 — a tiny deterministic generator so failures reproduce.
@@ -102,70 +98,4 @@ fn select_matches_naive_oracle_for_every_k() {
         assert_eq!(rs.select0(zero_positions.len() + 1), None, "{name}");
         assert_eq!(rs.select1(one_positions.len() + 1000), None, "{name}");
     }
-}
-
-/// The naive oracle for `select1_after`: scan forward bit by bit.
-fn naive_select1_after(bits: &[bool], after: usize, k: usize) -> Option<usize> {
-    let mut remaining = k;
-    for (i, &b) in bits.iter().enumerate().skip(after + 1) {
-        if b {
-            remaining -= 1;
-            if remaining == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
-}
-
-#[test]
-fn select1_after_matches_naive_oracle() {
-    for (name, bits) in corpus() {
-        if bits.is_empty() {
-            continue;
-        }
-        let words = BitVec::from_bools(bits.iter().copied()).words().to_vec();
-        let total_ones = bits.iter().filter(|&&b| b).count();
-        // Every `after` position (clamped to a manageable stride for the
-        // larger inputs, always including word-boundary neighborhoods).
-        let afters: Vec<usize> = (0..bits.len())
-            .filter(|&a| {
-                bits.len() <= 600 || a % 17 == 0 || (a % 64).abs_diff(0) <= 1 || a % 64 == 63
-            })
-            .collect();
-        for &after in &afters {
-            for k in [1usize, 2, 3, 64, 65, total_ones.max(1), total_ones + 1] {
-                assert_eq!(
-                    select1_after(&words, after, k),
-                    naive_select1_after(&bits, after, k),
-                    "{name}: select1_after(after={after}, k={k})"
-                );
-            }
-        }
-        // `after` beyond the buffer is always None.
-        assert_eq!(select1_after(&words, words.len() * 64, 1), None, "{name}");
-        assert_eq!(
-            select1_after(&words, words.len() * 64 + 7, 1),
-            None,
-            "{name}"
-        );
-    }
-}
-
-#[test]
-fn select1_after_strictly_after_semantics_at_word_boundaries() {
-    // Bit 64 set, bit 63 set: after=63 must skip bit 63 itself and land on
-    // 64; after=64 must skip to the next set bit or None.
-    let mut bits = vec![false; 256];
-    bits[63] = true;
-    bits[64] = true;
-    bits[200] = true;
-    let words = BitVec::from_bools(bits.iter().copied()).words().to_vec();
-    assert_eq!(select1_after(&words, 62, 1), Some(63));
-    assert_eq!(select1_after(&words, 63, 1), Some(64));
-    assert_eq!(select1_after(&words, 64, 1), Some(200));
-    assert_eq!(select1_after(&words, 64, 2), None);
-    assert_eq!(select1_after(&words, 200, 1), None);
-    // after = 63 with k spanning the boundary run.
-    assert_eq!(select1_after(&words, 63, 2), Some(200));
 }

@@ -65,7 +65,7 @@ impl ApproximateScheme {
     /// Panics unless `0 < ε ≤ 1` (the regime of Theorem 1.4).
     pub fn build_with_substrate(sub: &Substrate<'_>, epsilon: f64) -> Self {
         let src = ApproxSource::new(sub, epsilon);
-        let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
+        let (store, plan) = SchemeStore::from_source_with(&src, sub.chunk_rows());
         ApproximateScheme {
             epsilon,
             store,

@@ -73,7 +73,7 @@ impl DistanceScheme for DistanceArrayScheme {
             },
             true,
         );
-        let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
+        let (store, plan) = SchemeStore::from_source_with(&src, sub.chunk_rows());
         DistanceArrayScheme {
             store,
             wire_bits: plan.wire_bits,

@@ -91,7 +91,7 @@ impl KDistanceScheme {
     /// Panics if `k == 0` or the tree is weighted.
     pub fn build_with_substrate(sub: &Substrate<'_>, k: u64) -> Self {
         let src = KdSource::new(sub, k);
-        let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
+        let (store, plan) = SchemeStore::from_source_with(&src, sub.chunk_rows());
         KDistanceScheme {
             k,
             store,

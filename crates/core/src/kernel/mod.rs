@@ -54,9 +54,9 @@
 //! executes **structure-of-arrays, software-pipelined**:
 //!
 //! 1. **Plan.** Pairs are consumed in fixed blocks of 64.  A planning stage
-//!    resolves both labels' bit offsets through the offset index (and layout
-//!    permutation, when present) into flat `sa[]`/`sb[]` arrays and issues a
-//!    prefetch for each label's first cache line.  The plan buffers are
+//!    resolves both labels' bit offsets through the offset index into flat
+//!    `sa[]`/`sb[]` arrays and issues a prefetch for each label's first
+//!    cache line.  The plan buffers are
 //!    fixed-size stack arrays (`BatchPlan`), so planning allocates nothing;
 //!    the forest router keeps one plan per shard in its `RouteScratch` and
 //!    shares it across every per-tree group that shard runs.

@@ -172,7 +172,7 @@ impl LevelAncestorScheme {
     /// ancestors).
     pub fn build_with_substrate(sub: &Substrate<'_>) -> Self {
         let src = LaSource::new(sub);
-        let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
+        let (store, plan) = SchemeStore::from_source_with(&src, sub.chunk_rows());
         LevelAncestorScheme {
             store,
             wire_bits: plan.wire_bits,

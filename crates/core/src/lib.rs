@@ -76,7 +76,6 @@ pub mod forest;
 pub mod hpath;
 pub mod kdistance;
 pub mod kernel;
-pub mod layout;
 pub mod level_ancestor;
 pub mod naive;
 pub mod optimal;
@@ -89,8 +88,7 @@ pub use forest::{
     Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
     FrameWords, Parallelism, RouteScratch, ValidationPolicy, VerifyCursor,
 };
-pub use layout::LabelLayout;
-pub use store::{AnyStoreRef, IndexWidth, SchemeStore, Store, StoreError, StoreRef, StoredScheme};
+pub use store::{AnyStoreRef, SchemeStore, Store, StoreError, StoreRef, StoredScheme};
 pub use substrate::Substrate;
 
 use treelab_tree::{NodeId, Tree};

@@ -187,7 +187,7 @@ impl DistanceScheme for NaiveScheme {
             },
             false,
         );
-        let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
+        let (store, plan) = SchemeStore::from_source_with(&src, sub.chunk_rows());
         NaiveScheme {
             store,
             wire_bits: plan.wire_bits,

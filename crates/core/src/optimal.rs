@@ -140,7 +140,7 @@ impl OptimalScheme {
     /// [`OptimalScheme::build_with_config`] on a shared [`Substrate`].
     pub fn build_with_substrate_config(sub: &Substrate<'_>, config: OptimalConfig) -> Self {
         let src = OptimalSource::new(sub, config);
-        let (store, plan) = SchemeStore::from_source_with(&src, &sub.pack_config());
+        let (store, plan) = SchemeStore::from_source_with(&src, sub.chunk_rows());
         OptimalScheme {
             store,
             wire_bits: plan.wire_bits,

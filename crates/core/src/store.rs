@@ -58,18 +58,11 @@
 //! word 4      m — number of scheme meta words
 //! 5 .. 5+m    scheme meta (field widths chosen at serialize time)
 //! ..          offset index: bit offset of each label in the label region
-//!             (entry n is the total bit length).  Version 2 packs two u32
-//!             entries per word (emitted whenever the label region is under
-//!             2³² bits); the retired version 1 (one u64 per entry) is
-//!             rejected with `UnsupportedVersion`.  Version 3 is the
-//!             *succinct* index: an Elias–Fano split of the monotone offset
-//!             sequence (dense low bits + a unary bucket bitvector with
-//!             select samples, ~log(L/n)+3 bits per entry) plus an optional
-//!             node→position permutation for frames whose label region is
-//!             laid out in heavy-path order instead of node id order.  It
-//!             is emitted automatically whenever the label region outgrows
-//!             the u32 index or a clustered layout is requested, so giant
-//!             trees never hit a width ceiling.
+//!             (entry n is the total bit length), two u32 entries per word,
+//!             each relative to its 65,536-entry block; then one u64 base per
+//!             block after the first (the offset of the block's first
+//!             label).  Versions 1–3 are retired and rejected with
+//!             `UnsupportedVersion`.
 //! ..          label region: the packed labels, fixed-width fields,
 //!             plus four zero guard words (for branchless straddle reads)
 //! last word   CRC-64/XZ of every preceding word
@@ -123,7 +116,7 @@ use crate::kernel::psum::PsumMeta;
 use crate::level_ancestor::LevelAncestorScheme;
 use crate::naive::NaiveScheme;
 use crate::optimal::OptimalScheme;
-use crate::substrate::{PackConfig, PackSource, RowArena};
+use crate::substrate::{PackSource, RowArena};
 
 /// Sentinel returned by [`Store::distance`] for scheme/pair combinations
 /// with no reportable distance (the `k`-distance scheme's "more than `k`").
@@ -132,15 +125,16 @@ pub const NO_DISTANCE: u64 = u64::MAX;
 /// `b"TLSTOR01"` as a little-endian word.
 const MAGIC: u64 = u64::from_le_bytes(*b"TLSTOR01");
 
-/// Frame format version with two u32 offset entries packed per word — half
-/// the index footprint, emitted whenever the label region fits.
-const VERSION_NARROW: u32 = 2;
+/// The frame format version: two u32 offset entries per word, each
+/// relative to its block's u64 base (see [`BLOCK_BITS`]).
+const VERSION: u32 = 4;
 
-/// Frame format version with the succinct (Elias–Fano) offset index and an
-/// optional label-layout permutation — emitted whenever the label region is
-/// 2³² bits or larger, or the labels are packed in heavy-path-clustered
-/// order.
-const VERSION_SUCCINCT: u32 = 3;
+/// log₂ of the entries per offset-index block.  Entry `p` stores
+/// `o_p − B[p >> BLOCK_BITS]`, and one u64 base per block after the first
+/// follows the entries.  A label is O(log² n) bits, so 65,536 consecutive
+/// labels span far less than the 2³² bits a u32 entry can address, while
+/// the whole label region has no cap.
+const BLOCK_BITS: u32 = 16;
 
 /// Words before the scheme meta region.
 const HEADER_WORDS: usize = 5;
@@ -219,14 +213,6 @@ pub enum StoreError {
         /// Human-readable description of the violated expectation.
         what: &'static str,
     },
-    /// The label region is too large for the requested offset-index width
-    /// (the packed u32 index cannot address 2³² or more label bits).  Build
-    /// with the automatic width — which switches to the succinct index —
-    /// instead of pinning [`IndexWidth::U32`].
-    IndexOverflow {
-        /// Bit length of the label region that failed to fit.
-        label_bits: usize,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -254,11 +240,6 @@ impl fmt::Display for StoreError {
                  the borrow path cannot cast it (use the copying from_bytes)"
             ),
             StoreError::Malformed { what } => write!(f, "malformed store: {what}"),
-            StoreError::IndexOverflow { label_bits } => write!(
-                f,
-                "label region of {label_bits} bits does not fit the packed u32 \
-                 offset index (use the automatic or succinct index width)"
-            ),
         }
     }
 }
@@ -282,69 +263,6 @@ impl From<frame::CastError> for StoreError {
     }
 }
 
-/// Width of the offset-index entries in a store frame.
-///
-/// The automatic build picks [`IndexWidth::U32`] whenever the label region is
-/// under 2³² bits (two entries per word — half the index footprint and memory
-/// traffic) and switches to [`IndexWidth::Succinct`] when it isn't, or when
-/// the frame carries a clustered label layout;
-/// [`SchemeStore::with_index_width`] re-frames a store with either width.
-/// Frame version 1 (one u64 per entry) is rejected as unsupported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexWidth {
-    /// Two u32 entries packed per word (frame version 2).
-    U32,
-    /// Elias–Fano split of the monotone offset sequence (frame version 3):
-    /// `⌊log(L/(n+1))⌋` dense low bits per entry plus a unary bucket
-    /// bitvector with one select sample per 64 entries — about
-    /// `log(L/n) + 3` bits per entry with O(1) amortized access, and no
-    /// width ceiling on the label region.
-    Succinct,
-}
-
-/// Frame format version word for an index width.
-fn version_of(width: IndexWidth) -> u32 {
-    match width {
-        IndexWidth::U32 => VERSION_NARROW,
-        IndexWidth::Succinct => VERSION_SUCCINCT,
-    }
-}
-
-/// Where (and how) a validated frame's offset index lives — the one
-/// abstraction every offset read goes through, so all six schemes stay on a
-/// single query path regardless of frame version.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum OffsetIndex {
-    /// Two packed u32 entries per word starting at `base` (version 2).
-    U32 {
-        /// First word of the entry array.
-        base: usize,
-    },
-    /// Elias–Fano regions of the version-3 succinct index.
-    Ef {
-        /// First word of the packed low-bits array (unused when `low_w` is 0).
-        low_base: usize,
-        /// Dense low bits per entry (≤ 63).
-        low_w: u8,
-        /// First word of the unary bucket bitvector.
-        high_base: usize,
-        /// Word length of the bucket bitvector.
-        high_words: usize,
-        /// First word of the select samples (one per 64 entries).
-        sample_base: usize,
-    },
-}
-
-impl OffsetIndex {
-    /// The public width tag of this index.
-    pub(crate) fn width(&self) -> IndexWidth {
-        match self {
-            OffsetIndex::U32 { .. } => IndexWidth::U32,
-            OffsetIndex::Ef { .. } => IndexWidth::Succinct,
-        }
-    }
-}
-
 /// The POD description of a validated frame: where the index, meta and label
 /// regions sit.  Everything a [`Store`] needs besides the words themselves
 /// and the parsed scheme meta — kept `Copy` so owning containers (stores,
@@ -355,67 +273,29 @@ pub(crate) struct RawParts {
     pub(crate) param: u64,
     pub(crate) label_base: usize,
     pub(crate) label_bits: usize,
-    pub(crate) index: OffsetIndex,
-    /// First word of the node→position permutation (0 when `perm_w == 0`).
-    pub(crate) perm_base: usize,
-    /// Bits per permutation entry; 0 means the identity (id-order) layout.
-    pub(crate) perm_w: u8,
+    /// First word of the packed u32 entries.
+    pub(crate) index: usize,
+    /// First word of the block bases (`B[1]` onward).
+    pub(crate) bases: usize,
 }
 
 impl RawParts {
-    /// Layout position of node `u`'s label (identity unless the frame
-    /// carries a clustered-layout permutation).
+    /// The u32 index entry of label `p`: its offset relative to its block.
     #[inline(always)]
-    fn pos(&self, words: &[u64], u: usize) -> usize {
-        if self.perm_w == 0 {
-            u
-        } else {
-            // A non-empty region always follows the permutation words, so the
-            // branchless straddle read stays in bounds.
-            treelab_bits::bitslice::read_lsb(
-                words,
-                self.perm_base * 64 + u * self.perm_w as usize,
-                self.perm_w as usize,
-            ) as usize
-        }
+    fn entry(&self, words: &[u64], p: usize) -> u32 {
+        (words[self.index + p / 2] >> ((p & 1) * 32)) as u32
     }
 
-    /// Bit offset of the label at layout *position* `p` (entry `n` is the
-    /// total label-region bit length).
+    /// Bit offset of label `p` (entry `n` is the total label-region bit
+    /// length): its u32 entry plus its block's base.  Frames under 65,536
+    /// labels never read a base.
     #[inline(always)]
     fn offset_at(&self, words: &[u64], p: usize) -> usize {
-        match self.index {
-            OffsetIndex::U32 { base } => ((words[base + p / 2] >> ((p & 1) * 32)) as u32) as usize,
-            OffsetIndex::Ef {
-                low_base,
-                low_w,
-                high_base,
-                high_words,
-                sample_base,
-            } => {
-                let (j, rem) = (p / 64, p % 64);
-                let s = words[sample_base + j] as usize;
-                let hp = if rem == 0 {
-                    s
-                } else {
-                    treelab_bits::rank_select::select1_after(
-                        &words[high_base..high_base + high_words],
-                        s,
-                        rem,
-                    )
-                    .expect("validated EF high region holds n + 1 ones")
-                };
-                let lw = low_w as usize;
-                let low = treelab_bits::bitslice::read_lsb(words, low_base * 64 + p * lw, lw);
-                ((hp - p) << lw) | low as usize
-            }
+        let entry = self.entry(words, p) as usize;
+        match p >> BLOCK_BITS {
+            0 => entry,
+            b => entry + words[self.bases + b - 1] as usize,
         }
-    }
-
-    /// Bit offset of *node* `u`'s label in the label region.
-    #[inline(always)]
-    fn offset(&self, words: &[u64], u: usize) -> usize {
-        self.offset_at(words, self.pos(words, u))
     }
 
     /// Prefetches the first cache line of node `u`'s label — the forest
@@ -423,61 +303,41 @@ impl RawParts {
     /// the label is planned.
     #[inline]
     pub(crate) fn prefetch_label(&self, words: &[u64], u: usize) {
-        treelab_bits::wordram::prefetch_word(words, self.label_base + self.offset(words, u) / 64);
-    }
-
-    /// Start and end bit offsets of node `u`'s label.
-    #[inline]
-    fn extent(&self, words: &[u64], u: usize) -> (usize, usize) {
-        let p = self.pos(words, u);
-        (self.offset_at(words, p), self.offset_at(words, p + 1))
+        treelab_bits::wordram::prefetch_word(
+            words,
+            self.label_base + self.offset_at(words, u) / 64,
+        );
     }
 }
 
-/// Dense low bits per entry of the succinct index: `⌊log₂(L/(n+1))⌋`, the
-/// standard Elias–Fano split (0 when the region is smaller than the entry
-/// count).
-fn ef_low_width(n: usize, label_bits: usize) -> u32 {
-    ((label_bits as u64) / (n as u64 + 1))
-        .checked_ilog2()
-        .unwrap_or(0)
+/// The index region's layout for `n` labels when it starts at word `index`:
+/// the first base word and the first label-region word.
+fn index_layout(n: usize, index: usize) -> (usize, usize) {
+    let bases = index + (n + 2) / 2;
+    (bases, bases + (n >> BLOCK_BITS))
 }
 
-/// Computes the index layout for a frame being *written*: the parsed
-/// [`OffsetIndex`], the permutation base word, and the first label-region
-/// word, given the index region's first word `base`.  `pw` is the
-/// permutation entry width (0 for id-order frames; only meaningful for
-/// [`IndexWidth::Succinct`]).
-fn index_layout(
-    n: usize,
-    label_bits: usize,
-    width: IndexWidth,
-    pw: usize,
-    base: usize,
-) -> (OffsetIndex, usize, usize) {
-    match width {
-        IndexWidth::U32 => (OffsetIndex::U32 { base }, 0, base + (n + 2) / 2),
-        IndexWidth::Succinct => {
-            let l = ef_low_width(n, label_bits) as usize;
-            let perm_base = base + 2;
-            let low_base = perm_base + (n * pw).div_ceil(64);
-            let high_base = low_base + ((n + 1) * l).div_ceil(64);
-            let high_words = ((label_bits >> l) + n + 1).div_ceil(64);
-            let sample_base = high_base + high_words;
-            let label_base = sample_base + (n + 1).div_ceil(64);
-            (
-                OffsetIndex::Ef {
-                    low_base,
-                    low_w: l as u8,
-                    high_base,
-                    high_words,
-                    sample_base,
-                },
-                perm_base,
-                label_base,
-            )
-        }
+/// Appends the offset index of the monotone `offsets` (`n + 1` entries, the
+/// last the label region's bit length) to `out`: the packed u32 entries,
+/// each relative to its block's first offset, then those block bases.
+///
+/// # Panics
+///
+/// Panics if a block spans 2³² or more bits.
+fn emit_index(out: &mut Vec<u64>, offsets: &[u64]) {
+    let entry = |p: usize| {
+        let rel = offsets[p] - offsets[p >> BLOCK_BITS << BLOCK_BITS];
+        assert!(
+            rel <= u64::from(u32::MAX),
+            "an offset-index block spans 2^32 or more label bits"
+        );
+        rel
+    };
+    let mut entries = (0..offsets.len()).map(entry);
+    while let Some(lo) = entries.next() {
+        out.push(lo | entries.next().unwrap_or(0) << 32);
     }
+    out.extend(offsets.iter().step_by(1 << BLOCK_BITS).skip(1));
 }
 
 /// A scheme type whose native representation is a packed [`SchemeStore`]
@@ -551,7 +411,7 @@ pub trait StoredScheme: Sized {
 /// magic, version, scheme tag, CRC-64, structural bounds, offset-index
 /// monotonicity, and the per-label extent check.
 fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), StoreError> {
-    // Minimal frame: header, empty meta, a narrow 1-label index, an empty
+    // Minimal frame: header, empty meta, a one-word 1-label index, an empty
     // label region with its guard pad, and the CRC.
     let min_words = HEADER_WORDS + 1 + PAD_WORDS + 1;
     if words.len() < min_words {
@@ -565,7 +425,7 @@ fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), St
     }
     let version = (words[1] >> 32) as u32;
     let tag = words[1] as u32;
-    if !matches!(version, VERSION_NARROW | VERSION_SUCCINCT) {
+    if version != VERSION {
         return Err(StoreError::UnsupportedVersion { found: version });
     }
     if tag != S::TAG {
@@ -599,47 +459,72 @@ fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), St
         .checked_add(m64)
         .filter(|&x| x < wlen)
         .ok_or(malformed)?;
-    let raw = if version == VERSION_SUCCINCT {
-        parse_succinct_index(words, n64, meta_end)?
-    } else {
-        let label_base = n64
-            .checked_add(2)
-            .map(|x| x / 2)
-            .and_then(|x| meta_end.checked_add(x))
-            .filter(|&x| x < wlen)
-            .ok_or(malformed)?;
-        let n = n64 as usize;
-        let raw = RawParts {
-            n,
-            param: words[3],
-            label_base: label_base as usize,
-            label_bits: 0, // patched below once the index is readable
-            index: OffsetIndex::U32 {
-                base: meta_end as usize,
-            },
-            perm_base: 0,
-            perm_w: 0,
+    // The index region (entries, then bases) must end inside the buffer.
+    n64.checked_add(2)
+        .map(|x| x / 2 + (n64 >> BLOCK_BITS))
+        .and_then(|x| meta_end.checked_add(x))
+        .filter(|&x| x < wlen)
+        .ok_or(malformed)?;
+    let n = n64 as usize;
+    let (bases, label_base) = index_layout(n, meta_end as usize);
+    let raw = RawParts {
+        n,
+        param: words[3],
+        label_base,
+        label_bits: 0, // patched below once the index is validated
+        index: meta_end as usize,
+        bases,
+    };
+    // Every block starts at its base, so the entry there is zero, and an
+    // odd entry count leaves the last word's high half zero (this keeps
+    // the frame canonical); the monotone, last-offset and length checks
+    // below then cover the bases too.  Offsets are summed checked here, so
+    // a hostile base cannot wrap.
+    if (0..=n)
+        .step_by(1 << BLOCK_BITS)
+        .any(|p| raw.entry(words, p) != 0)
+    {
+        return Err(StoreError::Malformed {
+            what: "offset index block does not start at its base",
+        });
+    }
+    if n.is_multiple_of(2) && raw.entry(words, n + 1) != 0 {
+        return Err(StoreError::Malformed {
+            what: "offset index padding is not zero",
+        });
+    }
+    let overflow = StoreError::Malformed {
+        what: "offset index overflows 64 bits",
+    };
+    let mut label_bits = 0u64;
+    for p in 0..=n {
+        let base = match p >> BLOCK_BITS {
+            0 => 0,
+            b => words[bases + b - 1],
         };
-        if (0..n).any(|p| raw.offset_at(words, p) > raw.offset_at(words, p + 1)) {
+        let offset = base
+            .checked_add(raw.entry(words, p).into())
+            .ok_or(overflow)?;
+        if offset < label_bits {
             return Err(StoreError::Malformed {
                 what: "offset index is not monotone",
             });
         }
-        let label_bits = raw.offset_at(words, n);
-        let label_words = (label_bits as u64).div_ceil(64) + PAD_WORDS as u64;
-        if label_base + label_words + 1 != wlen {
-            return Err(StoreError::Malformed {
-                what: "label region length disagrees with the buffer size",
-            });
-        }
-        RawParts { label_bits, ..raw }
+        label_bits = offset;
+    }
+    if label_base as u64 + label_bits.div_ceil(64) + PAD_WORDS as u64 + 1 != wlen {
+        return Err(StoreError::Malformed {
+            what: "label region length disagrees with the buffer size",
+        });
+    }
+    let raw = RawParts {
+        label_bits: label_bits as usize,
+        ..raw
     };
     let meta = S::parse_meta(raw.param, &words[HEADER_WORDS..meta_end as usize])?;
     // Per-label extent check: every label's internal counts must describe
     // exactly its offset-index extent, so no query scan can leave the
-    // label region because of an inflated count.  Positions enumerate the
-    // label region in layout order, which visits every label exactly once
-    // whether or not the frame carries a permutation.
+    // label region because of an inflated count.
     let label_bits = raw.label_bits;
     let slice = BitSlice::new(
         &words[raw.label_base..raw.label_base + label_bits.div_ceil(64) + PAD_WORDS],
@@ -660,260 +545,20 @@ fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), St
     Ok((raw, meta))
 }
 
-/// `x.div_ceil(64)` without the `+ 63` overflow hazard of hostile inputs.
-fn div_ceil64(x: u64) -> u64 {
-    x / 64 + u64::from(!x.is_multiple_of(64))
-}
-
-/// Validates the version-3 succinct index region (descriptor, optional
-/// layout permutation, Elias–Fano low/high/sample arrays) and returns the
-/// fully-described [`RawParts`].
-///
-/// One streaming pass over the bucket bitvector validates everything the
-/// query path later relies on: exactly `n + 1` ones, none beyond the
-/// declared bit length, exact select samples, monotone offsets, and a last
-/// offset equal to the declared label bit length.  The permutation, when
-/// present, is checked to be a bijection on `0..n`.
-fn parse_succinct_index(words: &[u64], n64: u64, meta_end: u64) -> Result<RawParts, StoreError> {
-    let wlen = words.len() as u64;
-    let malformed = StoreError::Malformed {
-        what: "header claims more meta/index words than the buffer holds",
-    };
-    if meta_end + 2 > wlen - 1 {
-        return Err(malformed);
-    }
-    let desc = words[meta_end as usize];
-    let label_bits64 = words[meta_end as usize + 1];
-    let l = desc & 0xFF;
-    let pw = (desc >> 8) & 0xFF;
-    if desc >> 16 != 0 {
-        return Err(StoreError::Malformed {
-            what: "reserved succinct-descriptor bits are set",
-        });
-    }
-    if l > 63 {
-        return Err(StoreError::Malformed {
-            what: "succinct index low width exceeds 63 bits",
-        });
-    }
-    if pw > 0
-        && (n64 < 2 || n64 > u64::from(u32::MAX) || pw != u64::from(64 - (n64 - 1).leading_zeros()))
-    {
-        return Err(StoreError::Malformed {
-            what: "layout permutation width disagrees with the node count",
-        });
-    }
-    let entries = n64.checked_add(1).ok_or(malformed)?;
-    let perm_words = n64.checked_mul(pw).map(div_ceil64).ok_or(malformed)?;
-    let low_words = entries.checked_mul(l).map(div_ceil64).ok_or(malformed)?;
-    let high_bits = (label_bits64 >> l).checked_add(entries).ok_or(malformed)?;
-    let high_words = div_ceil64(high_bits);
-    let sample_words = div_ceil64(entries);
-    let label_base64 = (meta_end + 2)
-        .checked_add(perm_words)
-        .and_then(|x| x.checked_add(low_words))
-        .and_then(|x| x.checked_add(high_words))
-        .and_then(|x| x.checked_add(sample_words))
-        .filter(|&x| x < wlen)
-        .ok_or(malformed)?;
-    if label_base64 + div_ceil64(label_bits64) + PAD_WORDS as u64 + 1 != wlen {
-        return Err(StoreError::Malformed {
-            what: "label region length disagrees with the buffer size",
-        });
-    }
-
-    // Every count now fits comfortably in usize (each region lies inside
-    // the buffer).
-    let n = n64 as usize;
-    let perm_base = meta_end as usize + 2;
-    let low_base = perm_base + perm_words as usize;
-    let high_base = low_base + low_words as usize;
-    let sample_base = high_base + high_words as usize;
-
-    // Trailing bits of the permutation and low regions must be zero — the
-    // frame is canonical, so re-encoding a parsed frame reproduces it bit
-    // for bit.
-    let tail_zero = |base: usize, nwords: u64, used_bits: u64| {
-        nwords == 0 || {
-            let rem = (used_bits % 64) as u32;
-            rem == 0 || words[base + nwords as usize - 1] >> rem == 0
-        }
-    };
-    if !tail_zero(perm_base, perm_words, n64 * pw) {
-        return Err(StoreError::Malformed {
-            what: "layout permutation region has trailing garbage bits",
-        });
-    }
-    if !tail_zero(low_base, low_words, entries * l) {
-        return Err(StoreError::Malformed {
-            what: "succinct index low region has trailing garbage bits",
-        });
-    }
-
-    let lw = l as usize;
-    let mut k = 0u64;
-    let mut prev = 0u64;
-    for (wi, &word) in words[high_base..sample_base].iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            let hp = wi as u64 * 64 + u64::from(word.trailing_zeros());
-            if hp >= high_bits || k >= entries {
-                return Err(StoreError::Malformed {
-                    what: "succinct index bucket bitvector holds stray ones",
-                });
-            }
-            let low = treelab_bits::bitslice::read_lsb(words, low_base * 64 + k as usize * lw, lw);
-            let off = ((hp - k) << l) | low;
-            if off < prev {
-                return Err(StoreError::Malformed {
-                    what: "offset index is not monotone",
-                });
-            }
-            if k.is_multiple_of(64) && words[sample_base + (k / 64) as usize] != hp {
-                return Err(StoreError::Malformed {
-                    what: "succinct index select sample is wrong",
-                });
-            }
-            prev = off;
-            k += 1;
-            word &= word - 1;
-        }
-    }
-    if k != entries {
-        return Err(StoreError::Malformed {
-            what: "succinct index bucket bitvector does not hold n + 1 ones",
-        });
-    }
-    if prev != label_bits64 {
-        return Err(StoreError::Malformed {
-            what: "declared label bit length disagrees with the offset index",
-        });
-    }
-
-    if pw > 0 {
-        let pwu = pw as usize;
-        let mut seen = vec![0u64; n.div_ceil(64)];
-        for u in 0..n {
-            let p = treelab_bits::bitslice::read_lsb(words, perm_base * 64 + u * pwu, pwu) as usize;
-            if p >= n || seen[p / 64] >> (p % 64) & 1 == 1 {
-                return Err(StoreError::Malformed {
-                    what: "layout permutation is not a bijection",
-                });
-            }
-            seen[p / 64] |= 1u64 << (p % 64);
-        }
-    }
-
-    Ok(RawParts {
-        n,
-        param: words[3],
-        label_base: label_base64 as usize,
-        label_bits: label_bits64 as usize,
-        index: OffsetIndex::Ef {
-            low_base,
-            low_w: l as u8,
-            high_base,
-            high_words: high_words as usize,
-            sample_base,
-        },
-        perm_base,
-        perm_w: pw as u8,
-    })
-}
-
-/// Packs an iterator of `width`-bit values LSB-first into whole words
-/// appended to `out` (trailing bits of the last word zero).  `width` must be
-/// 1–63.
-fn push_lsb_region(out: &mut Vec<u64>, values: impl Iterator<Item = u64>, width: usize) {
-    debug_assert!((1..64).contains(&width));
-    let mut acc = 0u64;
-    let mut fill = 0usize;
-    for v in values {
-        debug_assert!(v < 1u64 << width);
-        acc |= v << fill;
-        fill += width;
-        if fill >= 64 {
-            out.push(acc);
-            fill -= 64;
-            acc = if fill == 0 { 0 } else { v >> (width - fill) };
-        }
-    }
-    if fill > 0 {
-        out.push(acc);
-    }
-}
-
-/// Appends the offset index (and, for succinct frames, the layout
-/// permutation) to `out` — the one index emitter shared by [`build_frame`]
-/// and the re-framing path, so the two assemblers cannot drift.
-///
-/// `offset_at(p)` is the bit offset of the label at layout position `p`
-/// (entry `n` is the label region's total bit length); `pos_of(u)`, when
-/// given, is node `u`'s layout position.
-fn emit_index(
-    out: &mut Vec<u64>,
-    n: usize,
-    label_bits: usize,
-    offset_at: &dyn Fn(usize) -> u64,
-    width: IndexWidth,
-    pos_of: Option<&dyn Fn(usize) -> u64>,
-) {
-    match width {
-        IndexWidth::U32 => {
-            let mut p = 0;
-            while p <= n {
-                let lo = offset_at(p);
-                let hi = if p < n { offset_at(p + 1) } else { 0 };
-                out.push(lo | hi << 32);
-                p += 2;
-            }
-        }
-        IndexWidth::Succinct => {
-            let l = ef_low_width(n, label_bits);
-            let pw = pos_of.as_ref().map_or(0, |_| {
-                debug_assert!(n > 1 && n <= u32::MAX as usize);
-                64 - ((n - 1) as u64).leading_zeros()
-            });
-            out.push(u64::from(l) | u64::from(pw) << 8);
-            out.push(label_bits as u64);
-            if let Some(pos) = pos_of {
-                push_lsb_region(out, (0..n).map(pos), pw as usize);
-            }
-            if l > 0 {
-                let mask = (1u64 << l) - 1;
-                push_lsb_region(out, (0..=n).map(|p| offset_at(p) & mask), l as usize);
-            }
-            let high_bits = (label_bits >> l) + n + 1;
-            let mut high = vec![0u64; high_bits.div_ceil(64)];
-            let mut samples = Vec::with_capacity((n + 1).div_ceil(64));
-            for p in 0..=n {
-                let hp = (offset_at(p) >> l) as usize + p;
-                if p % 64 == 0 {
-                    samples.push(hp as u64);
-                }
-                high[hp / 64] |= 1u64 << (hp % 64);
-            }
-            out.extend_from_slice(&high);
-            out.extend_from_slice(&samples);
-        }
-    }
-}
-
 /// Packs a [`PackSource`] into a fresh frame, returning the words, their
 /// parsed description (writer and reader agree by construction), and the
-/// plan the source accumulated over the id-order planning pass.  This is the
-/// one frame assembler behind every scheme's `build`.
+/// plan the source accumulated over the planning pass.  This is the one
+/// frame assembler behind every scheme's `build`.
 ///
-/// The build runs serially, in two passes over fixed-size node-range chunks:
+/// The build runs serially, in two passes over node-range chunks of
+/// `chunk` rows:
 ///
-/// 1. **Plan** — rows are materialized chunk by chunk *in node-id order*
-///    and folded into the source's [`PackSource::Plan`], which yields the
-///    store-global meta (field-width maxima are associative, so chunking
-///    cannot change them).
-/// 2. **Pack** — rows are re-materialized chunk by chunk *in layout order*
-///    and appended to the label region.  The packed bits of a label depend
-///    only on its row and the meta, so the frame is bit-identical at every
-///    chunk size.
+/// 1. **Plan** — rows are materialized chunk by chunk and folded into the
+///    source's [`PackSource::Plan`], which yields the store-global meta
+///    (field-width maxima are associative, so chunking cannot change them).
+/// 2. **Pack** — rows are re-materialized chunk by chunk and appended to the
+///    label region.  The packed bits of a label depend only on its row and
+///    the meta, so the frame is bit-identical at every chunk size.
 ///
 /// Rows keep their variable-length parts in this thread's [`RowArena`],
 /// cleared per chunk, and one row buffer serves every chunk.  When one chunk
@@ -923,27 +568,16 @@ fn emit_index(
 /// twice.
 fn build_frame<S: StoredScheme, P: PackSource<S>>(
     src: &P,
-    cfg: &PackConfig<'_>,
+    chunk: usize,
 ) -> (Vec<u64>, RawParts, S::Meta, P::Plan) {
     let n = src.node_count();
     assert!(n > 0, "cannot store an empty scheme");
-    if let Some(layout) = cfg.layout {
-        assert_eq!(
-            layout.len(),
-            n,
-            "layout permutation length disagrees with the pack source"
-        );
-    }
-    // A one-node tree has only the identity layout (and a permutation entry
-    // would need 0 bits, colliding with the identity sentinel).
-    let layout = cfg.layout.filter(|_| n > 1);
     let param = src.store_param();
-    let chunk = cfg.chunk.max(1).min(n);
+    let chunk = chunk.clamp(1, n);
 
-    let node_at = |p: usize| layout.map_or(p, |l| l.node_at(p));
     let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
     let (plan, meta_words, meta, label_words) = RowArena::with(|arena| {
-        // Plan pass: id order, chunk by chunk.
+        // Plan pass, chunk by chunk.
         let mut plan = P::Plan::default();
         let mut rows: Vec<P::Row> = Vec::with_capacity(chunk);
         let mut lo = 0;
@@ -960,7 +594,7 @@ fn build_frame<S: StoredScheme, P: PackSource<S>>(
         let meta_words = src.meta_words(&plan);
         let meta = S::parse_meta(param, &meta_words).expect("self-produced meta must parse");
 
-        // Pack pass: layout order, chunk by chunk.
+        // Pack pass, chunk by chunk.
         let label_words = if chunk == n {
             // The plan pass's rows cover the whole tree: reuse them.  Exact
             // size hint: the label region is written into a single
@@ -971,16 +605,14 @@ fn build_frame<S: StoredScheme, P: PackSource<S>>(
                 .map(|r| src.packed_label_bits(&meta, r, arena))
                 .sum();
             let mut w = BitWriter::with_capacity(total_bits);
-            for p in 0..n {
-                let row = &rows[node_at(p)];
+            for (u, row) in rows.iter().enumerate() {
                 offsets.push(w.len() as u64);
                 src.pack_label(&meta, row, arena, &mut w);
                 debug_assert_eq!(
-                    w.len() - offsets[p] as usize,
+                    w.len() - offsets[u] as usize,
                     src.packed_label_bits(&meta, row, arena),
-                    "{}: packed_label_bits disagrees with pack_label for node {}",
+                    "{}: packed_label_bits disagrees with pack_label for node {u}",
                     S::STORE_NAME,
-                    node_at(p)
                 );
             }
             offsets.push(w.len() as u64);
@@ -992,7 +624,7 @@ fn build_frame<S: StoredScheme, P: PackSource<S>>(
                 let hi = (lo + chunk).min(n);
                 arena.clear();
                 rows.clear();
-                rows.extend((lo..hi).map(|p| src.make_row(node_at(p), arena)));
+                rows.extend((lo..hi).map(|u| src.make_row(u, arena)));
                 for row in &rows {
                     offsets.push(w.len() as u64);
                     src.pack_label(&meta, row, arena, &mut w);
@@ -1004,39 +636,19 @@ fn build_frame<S: StoredScheme, P: PackSource<S>>(
         };
         (plan, meta_words, meta, label_words)
     });
-    let label_bits = *offsets.last().unwrap() as usize;
-
-    // A clustered layout needs the permutation (only version 3 carries one);
-    // an oversized label region needs the width lift.  Everything else keeps
-    // the packed u32 index — existing small frames stay byte-identical.
-    let index = if layout.is_some() || label_bits > u32::MAX as usize {
-        IndexWidth::Succinct
-    } else {
-        IndexWidth::U32
-    };
-    let pw = layout.map_or(0, |_| {
-        usize::try_from(64 - ((n - 1) as u64).leading_zeros()).unwrap()
-    });
+    let label_bits = offsets[n] as usize;
 
     let m = meta_words.len();
-    let index_base = HEADER_WORDS + m;
-    let (index_parts, perm_base, label_base) = index_layout(n, label_bits, index, pw, index_base);
+    let index = HEADER_WORDS + m;
+    let (bases, label_base) = index_layout(n, index);
     let mut words = Vec::with_capacity(label_base + label_words.len() + PAD_WORDS + 1);
     words.push(MAGIC);
-    words.push(u64::from(version_of(index)) << 32 | u64::from(S::TAG));
+    words.push(u64::from(VERSION) << 32 | u64::from(S::TAG));
     words.push(n as u64);
     words.push(param);
     words.push(m as u64);
     words.extend_from_slice(&meta_words);
-    let pos_closure = layout.map(|l| move |u: usize| l.pos_of(u) as u64);
-    emit_index(
-        &mut words,
-        n,
-        label_bits,
-        &|p| offsets[p],
-        index,
-        pos_closure.as_ref().map(|f| f as &dyn Fn(usize) -> u64),
-    );
+    emit_index(&mut words, &offsets);
     debug_assert_eq!(words.len(), label_base);
     words.extend_from_slice(&label_words);
     words.extend(std::iter::repeat_n(0u64, PAD_WORDS));
@@ -1048,9 +660,8 @@ fn build_frame<S: StoredScheme, P: PackSource<S>>(
         param,
         label_base,
         label_bits,
-        index: index_parts,
-        perm_base: if pw > 0 { perm_base } else { 0 },
-        perm_w: pw as u8,
+        index,
+        bases,
     };
     (words, raw, meta, plan)
 }
@@ -1078,10 +689,9 @@ impl Default for PlanBlock {
 
 /// The reusable SoA planning buffers of the batch engine: two
 /// [`PlanBlock`]s, double-buffered — the planning stage resolves block
-/// `k + 1`'s label offsets (offset-index reads, permutation lookups, EF
-/// selects) and issues one prefetch per label while the compute stage drains
-/// block `k`, so the compute loop's label reads land on lines that are
-/// already resident or in flight.
+/// `k + 1`'s label offsets (offset-index reads) and issues one prefetch per
+/// label while the compute stage drains block `k`, so the compute loop's
+/// label reads land on lines that are already resident or in flight.
 ///
 /// The buffers are fixed-size and heap-free (2 KiB of plain arrays), so the
 /// batch path is allocation-free by construction: [`Store`] plants one on
@@ -1219,12 +829,6 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
         self.raw.label_bits
     }
 
-    /// Width of the frame's offset-index entries (version 2 packs two u32
-    /// entries per word; version 3 is the succinct Elias–Fano index).
-    pub fn index_width(&self) -> IndexWidth {
-        self.raw.index.width()
-    }
-
     #[inline]
     fn label_slice(&self) -> BitSlice<'_> {
         // Includes the guard word(s), so raw straddle reads stay in range.
@@ -1249,7 +853,7 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
         );
         S::label_ref(
             self.label_slice(),
-            self.raw.offset(self.words.as_ref(), u),
+            self.raw.offset_at(self.words.as_ref(), u),
             &self.meta,
         )
     }
@@ -1265,8 +869,8 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
             "node index {u} out of range (n = {})",
             self.raw.n
         );
-        let (start, end) = self.raw.extent(self.words.as_ref(), u);
-        end - start
+        let words = self.words.as_ref();
+        self.raw.offset_at(words, u + 1) - self.raw.offset_at(words, u)
     }
 
     /// Distance between nodes `u` and `v`, answered from the packed labels
@@ -1285,8 +889,8 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
         let words = self.words.as_ref();
         let slice = self.label_slice();
         S::distance_refs(
-            S::label_ref(slice, self.raw.offset(words, u), &self.meta),
-            S::label_ref(slice, self.raw.offset(words, v), &self.meta),
+            S::label_ref(slice, self.raw.offset_at(words, u), &self.meta),
+            S::label_ref(slice, self.raw.offset_at(words, v), &self.meta),
         )
     }
 
@@ -1383,8 +987,8 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
         let base = k * PLAN_BLOCK;
         let len = (pairs.len() - base).min(PLAN_BLOCK);
         for (j, &(u, v)) in pairs[base..base + len].iter().enumerate() {
-            let sa = self.raw.offset(words, u);
-            let sb = self.raw.offset(words, v);
+            let sa = self.raw.offset_at(words, u);
+            let sb = self.raw.offset_at(words, v);
             blk.sa[j] = sa;
             blk.sb[j] = sb;
             treelab_bits::wordram::prefetch_word(label_words, sa / 64);
@@ -1414,20 +1018,15 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
 }
 
 impl<S: StoredScheme> SchemeStore<S> {
-    /// Packs a [`PackSource`] directly into a fresh frame under a
-    /// [`PackConfig`] — chunk-streaming row materialization and the
-    /// optional clustered label layout.  Returns
-    /// the plan the source accumulated over the id-order planning pass
+    /// Packs a [`PackSource`] directly into a fresh frame, materializing
+    /// `chunk` rows at a time (`usize::MAX` keeps the whole tree in memory).
+    /// Returns the plan the source accumulated over the planning pass
     /// (wire-size side tables the schemes harvest), so streaming builds need
     /// not keep rows around.
     ///
-    /// The frame is bit-identical at every chunk size and (for the same
-    /// layout) build path.
-    pub(crate) fn from_source_with<P: PackSource<S>>(
-        src: &P,
-        cfg: &PackConfig<'_>,
-    ) -> (Self, P::Plan) {
-        let (words, raw, meta, plan) = build_frame(src, cfg);
+    /// The frame is bit-identical at every chunk size.
+    pub(crate) fn from_source_with<P: PackSource<S>>(src: &P, chunk: usize) -> (Self, P::Plan) {
+        let (words, raw, meta, plan) = build_frame(src, chunk);
         (SchemeStore { words, raw, meta }, plan)
     }
 
@@ -1438,76 +1037,6 @@ impl<S: StoredScheme> SchemeStore<S> {
     /// with [`SchemeStore::into_words`].
     pub fn build(scheme: &S) -> Self {
         scheme.as_store().clone()
-    }
-
-    /// Re-frames this store with the given offset-index width (a clone when
-    /// the width already matches).  The meta words, packed label region and
-    /// guard pad are copied verbatim; only the version word and the offset
-    /// index change, and the CRC is recomputed.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::IndexOverflow`] if [`IndexWidth::U32`] is requested but
-    /// the label region does not fit in 2³² bits, and
-    /// [`StoreError::Malformed`] if this frame carries a clustered-layout
-    /// permutation and `width` is not [`IndexWidth::Succinct`] (the label
-    /// region is packed in layout order, so dropping the permutation would
-    /// break the node→label mapping).
-    pub fn with_index_width(&self, width: IndexWidth) -> Result<Self, StoreError> {
-        if width == self.raw.index.width() {
-            return Ok(self.clone());
-        }
-        let raw = self.raw;
-        let n = raw.n;
-        if raw.perm_w > 0 && width != IndexWidth::Succinct {
-            return Err(StoreError::Malformed {
-                what: "a clustered-layout frame requires the succinct offset index",
-            });
-        }
-        if width == IndexWidth::U32 && raw.label_bits > u32::MAX as usize {
-            return Err(StoreError::IndexOverflow {
-                label_bits: raw.label_bits,
-            });
-        }
-        let m = self.words[4] as usize;
-        let meta_words = &self.words[HEADER_WORDS..HEADER_WORDS + m];
-        // Label region including the guard pad (everything up to the CRC).
-        let label_words = &self.words[raw.label_base..self.words.len() - 1];
-        let index_base = HEADER_WORDS + m;
-        let pw = usize::from(raw.perm_w);
-        let (index_parts, perm_base, label_base) =
-            index_layout(n, raw.label_bits, width, pw, index_base);
-        let mut words = Vec::with_capacity(label_base + label_words.len() + 1);
-        words.push(MAGIC);
-        words.push(u64::from(version_of(width)) << 32 | u64::from(S::TAG));
-        words.push(n as u64);
-        words.push(raw.param);
-        words.push(m as u64);
-        words.extend_from_slice(meta_words);
-        let src_words: &[u64] = &self.words;
-        let pos_closure = (pw > 0).then_some(|u: usize| raw.pos(src_words, u) as u64);
-        emit_index(
-            &mut words,
-            n,
-            raw.label_bits,
-            &|p| raw.offset_at(src_words, p) as u64,
-            width,
-            pos_closure.as_ref().map(|f| f as &dyn Fn(usize) -> u64),
-        );
-        debug_assert_eq!(words.len(), label_base);
-        words.extend_from_slice(label_words);
-        let checksum = crc::crc64_words(&words);
-        words.push(checksum);
-        Ok(SchemeStore {
-            words,
-            raw: RawParts {
-                label_base,
-                index: index_parts,
-                perm_base: if pw > 0 { perm_base } else { 0 },
-                ..raw
-            },
-            meta: self.meta,
-        })
     }
 
     /// The persistable byte frame of `scheme` — a copy-free frame handoff:
@@ -1788,11 +1317,6 @@ impl<'a> AnyStoreRef<'a> {
         any_dispatch!(self, r => r.label_region_bits())
     }
 
-    /// Width of the frame's offset-index entries.
-    pub fn index_width(&self) -> IndexWidth {
-        any_dispatch!(self, r => r.index_width())
-    }
-
     /// The raw frame words.
     pub fn as_words(&self) -> &'a [u64] {
         any_dispatch!(self, r => r.as_words())
@@ -1877,56 +1401,41 @@ mod tests {
     }
 
     #[test]
-    fn succinct_index_frames_agree_with_narrow() {
-        let (tree, _scheme, narrow) = sample_store();
-        // Small stores choose the packed u32 index automatically (version 2),
-        // and pinning the width a frame already has is a plain clone.
-        assert_eq!(narrow.index_width(), IndexWidth::U32);
-        assert_eq!(
-            narrow.with_index_width(IndexWidth::U32).unwrap().as_words(),
-            narrow.as_words()
-        );
-        let succ = narrow.with_index_width(IndexWidth::Succinct).unwrap();
-        assert_eq!(succ.index_width(), IndexWidth::Succinct);
-        // Version-3 frames round-trip through bytes bit-exactly...
-        let back = SchemeStore::<NaiveScheme>::from_bytes(&succ.to_bytes()).unwrap();
-        assert_eq!(back.as_words(), succ.as_words());
-        // ...answer identically to the packed-u32 frame...
-        let n = tree.len();
-        for i in 0..300usize {
-            let (u, v) = ((i * 31) % n, (i * 87 + 5) % n);
-            assert_eq!(back.distance(u, v), narrow.distance(u, v), "({u},{v})");
-            assert_eq!(back.label_bits(u), narrow.label_bits(u), "bits {u}");
+    fn the_index_addresses_label_regions_past_2_32_bits() {
+        // Synthetic offsets over three full blocks and a partial fourth,
+        // 5.9·10⁹ bits in all: no label region is needed to drive the
+        // emitter and `offset_at` past the u32 range.
+        let n = 3 * (1 << BLOCK_BITS) + 5;
+        let offsets: Vec<u64> = (0..=n as u64).map(|p| p * 30_011 + p % 3).collect();
+        assert!(offsets[n] > u64::from(u32::MAX));
+        let mut words = Vec::new();
+        emit_index(&mut words, &offsets);
+        let (bases, label_base) = index_layout(n, 0);
+        assert_eq!((bases, label_base), ((n + 2) / 2, (n + 2) / 2 + 3));
+        assert_eq!(words.len(), label_base);
+        let raw = RawParts {
+            n,
+            param: 0,
+            label_base,
+            label_bits: offsets[n] as usize,
+            index: 0,
+            bases,
+        };
+        for (p, &o) in offsets.iter().enumerate() {
+            assert_eq!(raw.offset_at(&words, p) as u64, o, "offset {p}");
         }
-        // ...and re-narrowing reproduces the original frame word for word,
-        // tying the succinct emitter to the packed emitter in both
-        // directions.
-        assert_eq!(
-            back.with_index_width(IndexWidth::U32).unwrap().as_words(),
-            narrow.as_words()
-        );
-        // The succinct index undercuts the packed u32 index on real frames.
-        assert!(succ.size_bytes() < narrow.size_bytes());
-        // Runtime dispatch serves version-3 frames too.
-        let any = AnyStoreRef::from_words(succ.as_words()).unwrap();
-        assert_eq!(any.distance(3, 119), narrow.distance(3, 119));
+        // Each base is its block's first offset, stored as a zero entry.
+        for b in 1..=3 {
+            let p = b << BLOCK_BITS;
+            assert_eq!(words[bases + b - 1], offsets[p]);
+            assert_eq!(words[p / 2], (offsets[p + 1] - offsets[p]) << 32);
+        }
     }
 
     #[test]
-    fn oversized_label_region_is_a_typed_error() {
-        // The u32 index caps the label region at 2³² bits; the width lift
-        // turned the historical assert into a typed, recoverable error.
-        let (_, _, store) = sample_store();
-        let mut succ = store.with_index_width(IndexWidth::Succinct).unwrap();
-        succ.raw.label_bits = u32::MAX as usize + 1;
-        let err = succ.with_index_width(IndexWidth::U32).unwrap_err();
-        assert_eq!(
-            err,
-            StoreError::IndexOverflow {
-                label_bits: u32::MAX as usize + 1
-            }
-        );
-        assert!(err.to_string().contains("does not fit"));
+    #[should_panic(expected = "spans 2^32 or more label bits")]
+    fn the_writer_refuses_a_block_spanning_2_32_bits() {
+        emit_index(&mut Vec::new(), &[0, 1 << 32]);
     }
 
     #[test]
@@ -2028,7 +1537,7 @@ mod tests {
         // A tag no scheme owns: the typed path reports a mismatch, the
         // runtime-dispatch path reports the unknown tag.
         let mut unknown: Vec<u64> = store.as_words().to_vec();
-        unknown[1] = (u64::from(VERSION_NARROW) << 32) | 0xBEEF;
+        unknown[1] = (u64::from(VERSION) << 32) | 0xBEEF;
         let last = unknown.len() - 1;
         unknown[last] = crc::crc64_words(&unknown[..last]);
         assert!(matches!(
@@ -2063,7 +1572,7 @@ mod tests {
         // Find a node whose label carries at least one record.
         let (u, _ld, cwl) = (0..raw.n)
             .map(|u| {
-                let start = raw.offset(words, u);
+                let start = raw.offset_at(words, u);
                 let ld = lsb(start + usize::from(meta.w_rd), usize::from(meta.aux_w.ld)) as usize;
                 let cwl = lsb(
                     start
@@ -2076,7 +1585,7 @@ mod tests {
             })
             .find(|&(_, ld, _)| ld > 0)
             .expect("comb labels have light edges");
-        let start = raw.offset(words, u);
+        let start = raw.offset_at(words, u);
         let fc = lsb(
             start + usize::from(meta.w_rd) + usize::from(meta.aux_w.ld),
             usize::from(meta.w_fc),

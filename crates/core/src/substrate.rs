@@ -41,7 +41,6 @@
 //! ```
 
 use crate::hpath::HpathLabeling;
-use crate::layout::{LabelLayout, Layout};
 use crate::store::StoredScheme;
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -65,10 +64,10 @@ use treelab_tree::Tree;
 /// The trait is row-oriented so the frame assembler — not the scheme — owns
 /// the materialization schedule: [`PackSource::make_row`] produces one node's
 /// intermediate data *purely* (it may be called more than once per node),
-/// planning folds rows in node-id order, and packing consumes rows in
-/// label-layout order, all on the calling thread.  A row is a small fixed-size
-/// value; its variable-length parts live in the assembler's [`RowArena`] as
-/// [`Span`]s, so building a row allocates nothing once the arena has grown.
+/// and planning and packing both consume rows in node-id order, on the
+/// calling thread.  A row is a small fixed-size value; its variable-length
+/// parts live in the assembler's [`RowArena`] as [`Span`]s, so building a
+/// row allocates nothing once the arena has grown.
 /// A source must keep `make_row` deterministic; everything order-sensitive
 /// belongs in [`PackSource::Plan`].
 ///
@@ -81,7 +80,7 @@ pub(crate) trait PackSource<S: StoredScheme> {
     /// spans of the arena `make_row` filled).
     type Row;
 
-    /// Accumulator for the id-order planning pass (field-width maxima and
+    /// Accumulator for the planning pass (field-width maxima and
     /// other store-global reductions).
     type Plan: Default;
 
@@ -231,31 +230,6 @@ impl RowArena {
     }
 }
 
-/// How the frame assembler schedules a [`PackSource`]: row chunking and the
-/// label-region layout.
-///
-/// The default is the historical in-memory build — one chunk covering the
-/// whole tree, id-order labels — and every chunk size produces a frame whose
-/// **label bytes are bit-identical** for a fixed layout (chunking changes
-/// memory behaviour, never output).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PackConfig<'a> {
-    /// Rows materialized at a time; `usize::MAX` keeps the whole tree in
-    /// memory (and skips the second row computation).
-    pub(crate) chunk: usize,
-    /// Label-region order; `None` is node-id order.
-    pub(crate) layout: Option<&'a Layout>,
-}
-
-impl Default for PackConfig<'_> {
-    fn default() -> Self {
-        PackConfig {
-            chunk: usize::MAX,
-            layout: None,
-        }
-    }
-}
-
 /// The binarization-side substrate shared by the exact schemes
 /// ([`crate::naive`], [`crate::distance_array`], [`crate::optimal`]): the §2
 /// reduction plus the decomposition and auxiliary labels of the *binarized*
@@ -292,8 +266,6 @@ impl BinarizedSubstrate {
 pub struct Substrate<'t> {
     tree: &'t Tree,
     chunk: usize,
-    layout_kind: LabelLayout,
-    layout: OnceLock<Option<Layout>>,
     heavy: OnceLock<HeavyPaths>,
     aux: OnceLock<HpathLabeling>,
     depths: OnceLock<Vec<usize>>,
@@ -308,8 +280,6 @@ impl<'t> Substrate<'t> {
         Substrate {
             tree,
             chunk: usize::MAX,
-            layout_kind: LabelLayout::default(),
-            layout: OnceLock::new(),
             heavy: OnceLock::new(),
             aux: OnceLock::new(),
             depths: OnceLock::new(),
@@ -335,41 +305,6 @@ impl<'t> Substrate<'t> {
     /// The current chunk cap (`usize::MAX` means whole-tree).
     pub fn chunk_rows(&self) -> usize {
         self.chunk
-    }
-
-    /// Selects the label-region layout every subsequent
-    /// `build_with_substrate` uses (see [`LabelLayout`]).  Defaults to
-    /// [`LabelLayout::IdOrder`], which reproduces the historical frames
-    /// byte-for-byte; [`LabelLayout::HeavyPath`] clusters each heavy path's
-    /// labels contiguously and switches the frame to the succinct (v3)
-    /// offset index, which carries the permutation.
-    pub fn set_label_layout(&mut self, kind: LabelLayout) {
-        self.layout_kind = kind;
-        self.layout = OnceLock::new();
-    }
-
-    /// The currently selected label-region layout.
-    pub fn label_layout(&self) -> LabelLayout {
-        self.layout_kind
-    }
-
-    /// The pack schedule every `build_with_substrate` constructor hands to
-    /// the frame assembler (computes the layout permutation on first use).
-    pub(crate) fn pack_config(&self) -> PackConfig<'_> {
-        PackConfig {
-            chunk: self.chunk,
-            layout: self
-                .layout
-                .get_or_init(|| match self.layout_kind {
-                    LabelLayout::IdOrder => None,
-                    // A one-node tree only has the identity layout (and its
-                    // permutation entries would need zero bits, colliding
-                    // with the frame's identity sentinel).
-                    LabelLayout::HeavyPath => (self.tree.len() > 1)
-                        .then(|| Layout::heavy_path(self.tree, self.heavy_paths())),
-                })
-                .as_ref(),
-        }
     }
 
     /// Heavy-path decomposition of the original tree (computed once).

@@ -51,9 +51,9 @@ pub use treelab_core::naive::NaiveScheme;
 pub use treelab_core::optimal::OptimalConfig;
 pub use treelab_core::optimal::OptimalScheme;
 pub use treelab_core::store::{
-    AnyStoreRef, IndexWidth, SchemeStore, Store, StoreError, StoreRef, StoredScheme, NO_DISTANCE,
+    AnyStoreRef, SchemeStore, Store, StoreError, StoreRef, StoredScheme, NO_DISTANCE,
 };
-pub use treelab_core::{bounds, stats, DistanceScheme, LabelLayout, Parallelism, Substrate};
+pub use treelab_core::{bounds, stats, DistanceScheme, Parallelism, Substrate};
 pub use treelab_tree::lca::DistanceOracle;
 pub use treelab_tree::metrics::TreeMetrics;
 pub use treelab_tree::newick::{from_newick, to_newick};

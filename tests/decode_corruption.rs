@@ -71,30 +71,32 @@ fn corrupt_scheme_stores_are_rejected() {
     }
 
     // A flipped bit in the version/tag word is reported as the specific
-    // mismatch (those fields are checked before the CRC).  Versions 2 and 3
-    // are valid, so flip a high bit to land on an unsupported one.
+    // mismatch (those fields are checked before the CRC).  Version 4 is the
+    // only valid one.
     let mut vflip = bytes.clone();
-    vflip[12] ^= 0x04; // a high bit of the version half (2 -> 6)
+    vflip[12] ^= 0x02; // a bit of the version half (4 -> 6)
     assert!(matches!(
         SchemeStore::<OptimalScheme>::from_bytes(&vflip),
-        Err(StoreError::UnsupportedVersion { .. })
+        Err(StoreError::UnsupportedVersion { found: 6 })
     ));
-    // The retired version 1 is refused even in a CRC-valid frame, through
-    // the owning, the borrowed and the runtime-dispatched paths.
-    let mut v1 = frame::words_from_bytes(&bytes).unwrap();
-    v1[1] = 1 << 32 | (v1[1] & 0xFFFF_FFFF);
-    let last = v1.len() - 1;
-    v1[last] = crc::crc64_words(&v1[..last]);
-    let retired = StoreError::UnsupportedVersion { found: 1 };
-    assert_eq!(
-        StoreRef::<OptimalScheme>::from_words(&v1).unwrap_err(),
-        retired
-    );
-    assert_eq!(AnyStoreRef::from_words(&v1).unwrap_err(), retired);
-    assert_eq!(
-        SchemeStore::<OptimalScheme>::from_words(v1).unwrap_err(),
-        retired
-    );
+    // The retired versions 1–3 are refused even in a CRC-valid frame,
+    // through the owning, the borrowed and the runtime-dispatched paths.
+    for found in 1..=3u32 {
+        let mut old = frame::words_from_bytes(&bytes).unwrap();
+        old[1] = u64::from(found) << 32 | (old[1] & 0xFFFF_FFFF);
+        let last = old.len() - 1;
+        old[last] = crc::crc64_words(&old[..last]);
+        let retired = StoreError::UnsupportedVersion { found };
+        assert_eq!(
+            StoreRef::<OptimalScheme>::from_words(&old).unwrap_err(),
+            retired
+        );
+        assert_eq!(AnyStoreRef::from_words(&old).unwrap_err(), retired);
+        assert_eq!(
+            SchemeStore::<OptimalScheme>::from_words(old).unwrap_err(),
+            retired
+        );
+    }
     let mut tflip = bytes.clone();
     tflip[8] ^= 0x02; // a tag bit
     assert!(matches!(
