@@ -16,7 +16,8 @@
 //!   host, at the cost of one buffer-sized copy.
 //!
 //! [`words_to_bytes`] is the inverse of the copy path (explicit little-endian
-//! encode), used by the stores' `to_bytes`.
+//! encode), used by the stores' `to_bytes`; [`write_words`] streams the same
+//! bytes to a writer through a bounded buffer, for publishing a file.
 //!
 //! On 64-bit Unix this module also provides the third way in: `Mmap` maps a
 //! file read-only through the raw `mmap(2)` syscall (no external crate — the
@@ -132,6 +133,28 @@ pub fn words_to_bytes(words: &[u64]) -> Vec<u8> {
         out.extend_from_slice(&w.to_le_bytes());
     }
     out
+}
+
+/// Words a [`write_words`] buffer holds: 64 KiB of bytes.
+const WRITE_CHUNK_WORDS: usize = 8192;
+
+/// Writes `words` to `out` little-endian — the bytes of [`words_to_bytes`] —
+/// through one reused buffer of at most 64 KiB, so persisting a frame makes
+/// no frame-sized byte copy.
+///
+/// # Errors
+///
+/// Returns the first error `out.write_all` reports.
+pub fn write_words(out: &mut impl std::io::Write, words: &[u64]) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(8 * words.len().min(WRITE_CHUNK_WORDS));
+    for chunk in words.chunks(WRITE_CHUNK_WORDS) {
+        buf.clear();
+        for &w in chunk {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        out.write_all(&buf)?;
+    }
+    Ok(())
 }
 
 /// The native byte view of a word buffer (no copy).
@@ -306,6 +329,18 @@ mod tests {
         // The safe copy path agrees with the borrow path.
         assert_eq!(words_from_bytes(bytes).unwrap(), words);
         assert_eq!(words_to_bytes(&words), bytes);
+    }
+
+    #[test]
+    fn written_words_equal_the_serialized_bytes_across_buffer_edges() {
+        let words: Vec<u64> = (0..2 * WRITE_CHUNK_WORDS as u64 + 3)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        for n in [0, 1, WRITE_CHUNK_WORDS - 1, WRITE_CHUNK_WORDS, words.len()] {
+            let mut out = Vec::new();
+            write_words(&mut out, &words[..n]).unwrap();
+            assert_eq!(out, words_to_bytes(&words[..n]), "{n} words");
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   heavy-path/NCA auxiliary labels (Lemma 2.1).
 //! * [`bitslice`] — borrowed, `Copy`-able word-level views over packed bit
 //!   buffers, the substrate of the zero-copy scheme store.
-//! * [`crc`] — word-level (slice-by-8) CRC-64/XZ framing for persisted
-//!   structures.
+//! * [`crc`] — word-level CRC-64/XZ framing (slice-by-8, four interleaved
+//!   lanes) for persisted structures.
 //! * [`frame`] — alignment-checked casts and explicit copies between byte
 //!   buffers and little-endian word frames (the borrow path behind
 //!   mmap-style store loading), plus — on 64-bit Unix — a raw-syscall

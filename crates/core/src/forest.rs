@@ -650,6 +650,33 @@ impl VerifyCursor {
     pub fn is_done(&self) -> bool {
         self.done
     }
+
+    /// Absorbs up to `*budget` further words of the outer checksum's input
+    /// (`words[..crc_end]`), deducting them from `budget`, and checks the
+    /// digest once the input is absorbed.  Returns `Ok(true)` when the
+    /// checksum has been verified and `Ok(false)` when the budget ran out
+    /// first.
+    fn stream_checksum(
+        &mut self,
+        words: &[u64],
+        crc_end: usize,
+        budget: &mut usize,
+    ) -> Result<bool, ForestError> {
+        let take = (*budget).min(crc_end - self.pos);
+        self.crc.update_words(&words[self.pos..self.pos + take]);
+        self.pos += take;
+        *budget -= take;
+        if self.pos < crc_end {
+            return Ok(false);
+        }
+        if !self.crc_checked {
+            if self.crc.finish() != words[words.len() - 1] {
+                return Err(ForestError::Frame(StoreError::ChecksumMismatch));
+            }
+            self.crc_checked = true;
+        }
+        Ok(true)
+    }
 }
 
 impl Default for VerifyCursor {
@@ -671,23 +698,8 @@ fn verify_chunked_impl(
         return Ok(true);
     }
     let mut budget = budget_words.max(1);
-    let crc_end = state.dir_end();
-    while cursor.pos < crc_end && budget > 0 {
-        let take = budget.min(crc_end - cursor.pos);
-        cursor
-            .crc
-            .update_words(&words[cursor.pos..cursor.pos + take]);
-        cursor.pos += take;
-        budget -= take;
-    }
-    if cursor.pos < crc_end {
+    if !cursor.stream_checksum(words, state.dir_end(), &mut budget)? {
         return Ok(false);
-    }
-    if !cursor.crc_checked {
-        if cursor.crc.finish() != words[words.len() - 1] {
-            return Err(ForestError::Frame(StoreError::ChecksumMismatch));
-        }
-        cursor.crc_checked = true;
     }
     while cursor.slot < state.slots.len() {
         if budget == 0 {
@@ -953,26 +965,13 @@ fn scrub_impl(
     }
     let cursor = &mut scrubber.cursor;
     let mut budget = budget_words.max(1);
-    let crc_end = state.dir_end();
-    while cursor.pos < crc_end && budget > 0 {
-        let take = budget.min(crc_end - cursor.pos);
-        cursor
-            .crc
-            .update_words(&words[cursor.pos..cursor.pos + take]);
-        cursor.pos += take;
-        budget -= take;
-        scrubber.stats.words_scrubbed += take as u64;
-    }
-    if cursor.pos < crc_end {
+    let full = budget;
+    // A checksum mismatch (header/directory corruption) condemns the whole
+    // view — there is no per-slot quarantine that can contain it.
+    let checked = cursor.stream_checksum(words, state.dir_end(), &mut budget);
+    scrubber.stats.words_scrubbed += (full - budget) as u64;
+    if !checked? {
         return Ok(ScrubOutcome::InProgress);
-    }
-    if !cursor.crc_checked {
-        if cursor.crc.finish() != words[words.len() - 1] {
-            // Header/directory corruption condemns the whole view — there is
-            // no per-slot quarantine that can contain it.
-            return Err(ForestError::Frame(StoreError::ChecksumMismatch));
-        }
-        cursor.crc_checked = true;
     }
     while cursor.slot < state.slots.len() {
         if budget == 0 {
@@ -2229,7 +2228,6 @@ impl ForestStore {
     ///
     /// Returns [`ForestFileError::Io`] for any failed step.
     pub fn publish(&self, path: impl AsRef<std::path::Path>) -> Result<(), ForestFileError> {
-        use std::io::Write;
         let path = path.as_ref();
         let mut tmp_name = path.as_os_str().to_os_string();
         tmp_name.push(".tmp");
@@ -2240,7 +2238,7 @@ impl ForestStore {
             Err(e) => return Err(e.into()),
         }
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&self.to_bytes())?;
+        frame::write_words(&mut f, self.words.frame_words())?;
         f.sync_all()?;
         drop(f);
         std::fs::rename(&tmp, path)?;

@@ -298,6 +298,27 @@ impl RawParts {
         }
     }
 
+    /// [`offset_at`](Self::offset_at) for an unvalidated index: a block's
+    /// first entry must be zero (every block starts at its base, which keeps
+    /// the frame canonical), and the base is added checked, so a hostile
+    /// base cannot wrap.
+    fn checked_offset(&self, words: &[u64], p: usize) -> Result<u64, StoreError> {
+        let entry = u64::from(self.entry(words, p));
+        if p.is_multiple_of(1 << BLOCK_BITS) && entry != 0 {
+            return Err(StoreError::Malformed {
+                what: "offset index block does not start at its base",
+            });
+        }
+        match p >> BLOCK_BITS {
+            0 => Ok(entry),
+            b => words[self.bases + b - 1]
+                .checked_add(entry)
+                .ok_or(StoreError::Malformed {
+                    what: "offset index overflows 64 bits",
+                }),
+        }
+    }
+
     /// Prefetches the first cache line of node `u`'s label — the forest
     /// router's cross-group look-ahead, issued before the group that reads
     /// the label is planned.
@@ -471,47 +492,20 @@ fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), St
         n,
         param: words[3],
         label_base,
-        label_bits: 0, // patched below once the index is validated
+        label_bits: 0, // patched below from the last offset
         index: meta_end as usize,
         bases,
     };
-    // Every block starts at its base, so the entry there is zero, and an
-    // odd entry count leaves the last word's high half zero (this keeps
-    // the frame canonical); the monotone, last-offset and length checks
-    // below then cover the bases too.  Offsets are summed checked here, so
-    // a hostile base cannot wrap.
-    if (0..=n)
-        .step_by(1 << BLOCK_BITS)
-        .any(|p| raw.entry(words, p) != 0)
-    {
-        return Err(StoreError::Malformed {
-            what: "offset index block does not start at its base",
-        });
-    }
+    // An odd entry count leaves the last word's high half zero (this keeps
+    // the frame canonical).
     if n.is_multiple_of(2) && raw.entry(words, n + 1) != 0 {
         return Err(StoreError::Malformed {
             what: "offset index padding is not zero",
         });
     }
-    let overflow = StoreError::Malformed {
-        what: "offset index overflows 64 bits",
-    };
-    let mut label_bits = 0u64;
-    for p in 0..=n {
-        let base = match p >> BLOCK_BITS {
-            0 => 0,
-            b => words[bases + b - 1],
-        };
-        let offset = base
-            .checked_add(raw.entry(words, p).into())
-            .ok_or(overflow)?;
-        if offset < label_bits {
-            return Err(StoreError::Malformed {
-                what: "offset index is not monotone",
-            });
-        }
-        label_bits = offset;
-    }
+    // The last offset is the label region's length, so the region is sized
+    // against the buffer before any label is read.
+    let label_bits = raw.checked_offset(words, n)?;
     if label_base as u64 + label_bits.div_ceil(64) + PAD_WORDS as u64 + 1 != wlen {
         return Err(StoreError::Malformed {
             what: "label region length disagrees with the buffer size",
@@ -522,25 +516,29 @@ fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), St
         ..raw
     };
     let meta = S::parse_meta(raw.param, &words[HEADER_WORDS..meta_end as usize])?;
-    // Per-label extent check: every label's internal counts must describe
-    // exactly its offset-index extent, so no query scan can leave the
-    // label region because of an inflated count.
-    let label_bits = raw.label_bits;
+    // One pass over the index, from the last offset down: each offset may
+    // not exceed its successor (monotone, so the bases are covered too, and
+    // every extent stays inside the label region), and each label's
+    // internal counts must describe exactly its extent, so no query scan
+    // can leave the label region because of an inflated count.
     let slice = BitSlice::new(
-        &words[raw.label_base..raw.label_base + label_bits.div_ceil(64) + PAD_WORDS],
-        label_bits,
+        &words[raw.label_base..raw.label_base + raw.label_bits.div_ceil(64) + PAD_WORDS],
+        raw.label_bits,
     );
-    for p in 0..raw.n {
-        if !S::check_label(
-            slice,
-            raw.offset_at(words, p),
-            raw.offset_at(words, p + 1),
-            &meta,
-        ) {
+    let mut end = label_bits;
+    for p in (0..n).rev() {
+        let start = raw.checked_offset(words, p)?;
+        if start > end {
+            return Err(StoreError::Malformed {
+                what: "offset index is not monotone",
+            });
+        }
+        if !S::check_label(slice, start as usize, end as usize, &meta) {
             return Err(StoreError::Malformed {
                 what: "a packed label's counts disagree with its extent",
             });
         }
+        end = start;
     }
     Ok((raw, meta))
 }
@@ -1543,6 +1541,20 @@ mod tests {
         assert!(matches!(
             AnyStoreRef::from_words(&unknown),
             Err(StoreError::UnknownScheme { found: 0xBEEF })
+        ));
+        // An offset far past the label region (CRC refreshed, so the index
+        // walk is what fires) is refused before any label is read there.
+        let mut wild: Vec<u64> = store.as_words().to_vec();
+        let p = store.raw.n / 2;
+        let (word, shift) = (store.raw.index + p / 2, (p & 1) * 32);
+        wild[word] = (wild[word] & !(0xFFFF_FFFF << shift)) | (0xFFFF_FFF0 << shift);
+        let last = wild.len() - 1;
+        wild[last] = crc::crc64_words(&wild[..last]);
+        assert!(matches!(
+            SchemeStore::<NaiveScheme>::from_words(wild),
+            Err(StoreError::Malformed {
+                what: "offset index is not monotone"
+            })
         ));
         // Errors display something useful.
         assert!(StoreError::ChecksumMismatch
