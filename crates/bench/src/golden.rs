@@ -14,9 +14,16 @@
 //!
 //! A change that moves a frame bit or a wire size on purpose must re-record
 //! the table (print [`measure_corpus`]) and say why in the change log.
+//!
+//! The table pins wire *lengths* only; [`GOLDEN_WIRE`] pins the wire *bits*
+//! of the two self-delimiting encodings (the level-ancestor label and the
+//! heavy-path label, both carrying a Lemma 2.2 sequence), as digested by
+//! [`wire_digest`].
 
+use treelab_bits::{crc, BitVec, BitWriter};
 use treelab_core::approximate::ApproximateScheme;
 use treelab_core::distance_array::DistanceArrayScheme;
+use treelab_core::hpath::HpathLabeling;
 use treelab_core::kdistance::KDistanceScheme;
 use treelab_core::level_ancestor::LevelAncestorScheme;
 use treelab_core::naive::NaiveScheme;
@@ -130,6 +137,40 @@ pub fn measure_corpus() -> Vec<GoldenRow> {
         .into_iter()
         .flat_map(|(name, tree)| measure(name, &tree))
         .collect()
+}
+
+/// The recorded [`wire_digest`]: its CRC-64 and the number of words it
+/// hashes.
+pub const GOLDEN_WIRE: (u64, usize) = (0x783e092ed32171dd, 5519);
+
+/// Digest of the encoded wire bits of every level-ancestor and heavy-path
+/// label of three seeded trees.
+///
+/// For `random_tree(500, 3)`, `comb(300)` and `caterpillar(100, 2)`, node by
+/// node, it appends the bit length and then the words of the node's
+/// level-ancestor label (`to_bits`), then the same for its heavy-path label
+/// (`encode`).  Returns the CRC-64 of the appended words and their count.
+pub fn wire_digest() -> (u64, usize) {
+    fn append(words: &mut Vec<u64>, bits: &BitVec) {
+        words.push(bits.len() as u64);
+        words.extend_from_slice(bits.words());
+    }
+    let mut words = Vec::new();
+    for tree in [
+        gen::random_tree(500, 3),
+        gen::comb(300),
+        gen::caterpillar(100, 2),
+    ] {
+        let la = LevelAncestorScheme::build(&tree);
+        let hp = HpathLabeling::build(&tree);
+        for u in tree.nodes() {
+            append(&mut words, &la.label(u).to_bits());
+            let mut w = BitWriter::new();
+            hp.label(u).encode(&mut w);
+            append(&mut words, &w.into_bitvec());
+        }
+    }
+    (crc::crc64_words(&words), words.len())
 }
 
 /// Holds `measured` to `golden`: every golden row must be measured with

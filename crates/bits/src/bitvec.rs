@@ -186,23 +186,6 @@ impl BitVec {
         self.words.truncate(self.len.div_ceil(64));
     }
 
-    /// Appends `count` copies of `bit` (word-at-a-time).
-    pub fn push_repeat(&mut self, bit: bool, count: usize) {
-        if !bit {
-            // The tail-zero invariant means appending zeros only needs fresh
-            // zero words and a longer length.
-            self.len += count;
-            self.words.resize(self.len.div_ceil(64), 0);
-            return;
-        }
-        let mut remaining = count;
-        while remaining > 0 {
-            let w = remaining.min(64);
-            self.push_bits(u64::MAX >> (64 - w), w);
-            remaining -= w;
-        }
-    }
-
     /// Reads the bit at `index`, or `None` if out of range.
     pub fn get(&self, index: usize) -> Option<bool> {
         if index >= self.len {
@@ -280,7 +263,7 @@ impl BitVec {
 
     /// The underlying words (little-endian bit order inside each word).
     ///
-    /// Exposed for the rank/select structures; the last word's bits beyond
+    /// Exposed for word-level consumers (packing, digests); the last word's bits beyond
     /// [`BitVec::len`] are zero.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -821,24 +804,6 @@ mod tests {
         fast.push(true);
         slow.push(true);
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn push_repeat_matches_per_bit_pushes() {
-        for offset in [0usize, 1, 63, 64, 70] {
-            for count in [0usize, 1, 5, 64, 65, 200] {
-                for bit in [false, true] {
-                    let mut fast = BitVec::from_bools((0..offset).map(|i| i % 2 == 0));
-                    let mut slow = fast.clone();
-                    fast.push_repeat(bit, count);
-                    for _ in 0..count {
-                        slow.push(bit);
-                    }
-                    assert_eq!(fast, slow, "offset={offset} count={count} bit={bit}");
-                    assert_eq!(fast.words().len(), fast.len().div_ceil(64));
-                }
-            }
-        }
     }
 
     #[test]

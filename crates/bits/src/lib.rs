@@ -12,11 +12,10 @@
 //!   word-at-a-time access (the labels themselves are `BitVec`s).
 //! * [`codes`] — unary, Elias γ, Elias δ and fixed-width integer codes
 //!   (the paper's self-delimiting encodings, §2 "Encoding integers").
-//! * [`rank_select`] — Jacobson-style rank and Clark-style select over bit
-//!   vectors, used by the monotone-sequence structure (Lemma 2.2).
-//! * [`monotone`] — the Lemma 2.2 structure: a monotone sequence of `s`
-//!   integers from `[0, M]` in `O(s·max(1, log(M/s)))` bits supporting access,
-//!   successor and longest-common-suffix-of-prefixes queries.
+//! * [`monotone`] — the Lemma 2.2 encoding: a monotone sequence of `s`
+//!   integers from `[0, M]` written in `O(s·max(1, log(M/s)))` bits, with its
+//!   closed-form length.  It is write-only: queries are served by the packed
+//!   fixed-width kernels of `treelab-core`, which never read it.
 //! * [`wordram`] — word-RAM helpers: most-significant-bit, 2-approximations
 //!   `⌊x⌋₂` (Lemma 4.4/4.5), longest common prefixes, dyadic range identifiers.
 //! * [`alphabetic`] — order-preserving (Gilbert–Moore) prefix codes with
@@ -67,12 +66,9 @@ pub mod codes;
 pub mod crc;
 pub mod frame;
 pub mod monotone;
-pub mod rank_select;
 pub mod simd;
 pub mod wordram;
 
 pub use bitslice::BitSlice;
 pub use bitvec::{BitReader, BitVec, BitWriter};
 pub use error::DecodeError;
-pub use monotone::MonotoneSeq;
-pub use rank_select::RankSelect;

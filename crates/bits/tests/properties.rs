@@ -9,7 +9,7 @@
 
 use treelab_bits::alphabetic::AlphabeticCode;
 use treelab_bits::wordram::{range_id, range_id_from_member, two_approx};
-use treelab_bits::{codes, BitReader, BitVec, BitWriter, MonotoneSeq, RankSelect};
+use treelab_bits::{codes, monotone, BitReader, BitVec, BitWriter};
 use treelab_tree::rng::SplitMix64;
 
 /// Seeded generator with a short local alias for the sampling call.
@@ -82,53 +82,50 @@ fn bitvec_get_bits_matches_push_bits() {
     }
 }
 
-#[test]
-fn rank_select_match_reference() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed.wrapping_mul(0xABCD).wrapping_add(7));
-        let len = rng.below(0, 2000) as usize;
-        let bits: Vec<bool> = (0..len).map(|_| rng.next_u64() & 1 == 1).collect();
-        let bv = BitVec::from_bools(bits.iter().copied());
-        let rs = RankSelect::new(bv);
-        let mut ones_seen = 0usize;
-        for (i, &b) in bits.iter().enumerate() {
-            assert_eq!(rs.rank1(i), ones_seen, "seed {seed} rank at {i}");
-            if b {
-                ones_seen += 1;
-                assert_eq!(
-                    rs.select1(ones_seen),
-                    Some(i),
-                    "seed {seed} select {ones_seen}"
-                );
-            }
-        }
-        assert_eq!(rs.count_ones(), ones_seen, "seed {seed}");
+/// Test-local reader of the Lemma 2.2 encoding (the crate is write-only):
+/// the three γ header codes, one unary gap per value, then the low bits.
+fn read_monotone(r: &mut BitReader<'_>) -> Vec<u64> {
+    let len = codes::read_gamma_nz(r).unwrap() as usize;
+    if len == 0 {
+        return Vec::new();
     }
+    let low_width = codes::read_gamma_nz(r).unwrap() as usize;
+    let high_len = codes::read_gamma_nz(r).unwrap() as usize;
+    let high_start = r.position();
+    let mut high = 0;
+    let highs: Vec<u64> = (0..len)
+        .map(|_| {
+            high += codes::read_unary(r).unwrap();
+            high
+        })
+        .collect();
+    assert_eq!(r.position() - high_start, high_len, "high part length");
+    highs
+        .into_iter()
+        .map(|h| match low_width {
+            0 => h,
+            w => (h << w) | r.read_bits(w).unwrap(),
+        })
+        .collect()
 }
 
 #[test]
-fn monotone_structure_matches_vector() {
+fn monotone_writer_round_trips_through_a_reference_reader() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed.wrapping_mul(0x9137).wrapping_add(3));
         let len = rng.below(0, 300) as usize;
         let mut values: Vec<u64> = (0..len).map(|_| rng.below(0, 1_000_000)).collect();
         values.sort_unstable();
-        let seq = MonotoneSeq::new(&values);
-        assert_eq!(seq.to_vec(), values, "seed {seed}");
-        // Successor queries against a linear scan.
-        for probe in [0u64, 1, 500, 999_999, 1_000_001] {
-            assert_eq!(
-                seq.successor(probe),
-                values.iter().position(|&v| v >= probe),
-                "seed {seed} probe {probe}"
-            );
-        }
-        // Serialization roundtrip.
         let mut w = BitWriter::new();
-        seq.encode(&mut w);
+        monotone::write(&mut w, &values);
+        assert_eq!(w.len(), monotone::encoded_len(&values), "seed {seed}");
+        // Sentinel bits: the reader must stop exactly before them.
+        w.write_bits(0b101, 3);
         let bits = w.into_bitvec();
-        let back = MonotoneSeq::decode(&mut BitReader::new(&bits)).unwrap();
-        assert_eq!(back.to_vec(), values, "seed {seed}");
+        let mut r = BitReader::new(&bits);
+        assert_eq!(read_monotone(&mut r), values, "seed {seed}");
+        assert_eq!(r.remaining(), 3, "seed {seed}");
+        assert_eq!(r.read_bits(3).unwrap(), 0b101, "seed {seed}");
     }
 }
 

@@ -24,7 +24,7 @@ use crate::kernel::approximate::{
 };
 use crate::store::{SchemeStore, StoreError, StoredScheme};
 use crate::substrate::{PackSource, RowArena, Span, Substrate};
-use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitWriter};
+use treelab_bits::{codes, monotone, BitSlice, BitWriter};
 use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::{NodeId, Tree};
 
@@ -185,7 +185,7 @@ impl<'s> PackSource<ApproximateScheme> for ApproxSource<'s> {
         let wire_bits = (codes::gamma_nz_len(self.inv_epsilon())
             + codes::delta_nz_len(rd)
             + aux.bit_len()
-            + MonotoneSeq::encoded_len(arena.words(exponents))) as u32;
+            + monotone::encoded_len(arena.words(exponents))) as u32;
         ApproxRow {
             rd,
             aux,
@@ -372,7 +372,7 @@ mod tests {
         codes::write_gamma_nz(w, src.inv_epsilon());
         codes::write_delta_nz(w, row.rd);
         row.aux.encode(w);
-        MonotoneSeq::new(arena.words(row.exponents)).encode(w);
+        monotone::write(w, arena.words(row.exponents));
     }
 
     #[test]

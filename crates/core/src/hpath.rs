@@ -36,7 +36,7 @@ use crate::Tree;
 use std::cmp::Ordering;
 use treelab_bits::alphabetic::gilbert_moore_codeword;
 use treelab_bits::bitslice::{common_prefix_len_raw, read_lsb};
-use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitWriter, DecodeError};
+use treelab_bits::{codes, monotone, BitSlice, BitWriter};
 use treelab_tree::heavy::{HeavyPaths, PathId};
 use treelab_tree::NodeId;
 
@@ -163,8 +163,7 @@ impl<'a> HpathLabel<'a> {
         codes::write_delta_nz(w, self.dom_order);
         codes::write_delta_nz(w, self.pre);
         codes::write_delta_nz(w, self.subtree_size);
-        let ends: Vec<u64> = self.ends.iter().map(|&e| e as u64).collect();
-        MonotoneSeq::new(&ends).encode(w);
+        monotone::write(w, self.ends);
         codes::write_gamma_nz(w, self.codewords.len() as u64);
         w.write_bitslice(self.codewords);
     }
@@ -176,27 +175,10 @@ impl<'a> HpathLabel<'a> {
             + codes::delta_nz_len(self.dom_order)
             + codes::delta_nz_len(self.pre)
             + codes::delta_nz_len(self.subtree_size)
-            + MonotoneSeq::encoded_len_parts(
-                self.ends.len(),
-                self.ends.last().copied().unwrap_or(0) as u64,
-            )
+            + monotone::encoded_len(self.ends)
             + codes::gamma_nz_len(self.codewords.len() as u64)
             + self.codewords.len()
     }
-}
-
-/// Converts a decoded codeword-end sequence to `u32` positions, rejecting
-/// values a real label can never contain (they would silently wrap and leave
-/// the label internally inconsistent).
-pub(crate) fn decode_codeword_ends(ends: &MonotoneSeq) -> Result<Vec<u32>, DecodeError> {
-    ends.to_vec()
-        .iter()
-        .map(|&e| {
-            u32::try_from(e).map_err(|_| DecodeError::Malformed {
-                what: "codeword end position exceeds 32 bits",
-            })
-        })
-        .collect()
 }
 
 /// Fixed field widths of the packed (store) form of [`HpathLabel`], shared by

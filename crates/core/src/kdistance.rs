@@ -45,7 +45,7 @@ use crate::kernel::kdistance::{self as kernel, KDistanceLabelRef, KDistanceMeta}
 use crate::store::{SchemeStore, StoreError, StoredScheme, NO_DISTANCE};
 use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use treelab_bits::wordram::{range_height, range_id_from_member, two_approx_exp};
-use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitWriter};
+use treelab_bits::{codes, monotone, BitSlice, BitWriter};
 use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::{NodeId, Tree};
 
@@ -267,7 +267,7 @@ impl<'s> PackSource<KDistanceScheme> for KdSource<'s> {
         };
         // Closed-form wire size (no encoding pass; the test-only encoder
         // pins it to the real encoding bit for bit).
-        let seq = |span: Span| MonotoneSeq::encoded_len(arena.words(span));
+        let seq = |span: Span| monotone::encoded_len(arena.words(span));
         let wire_bits = (codes::gamma_nz_len(k)
             + codes::gamma_nz_len(u64::from(width))
             + codes::delta_nz_len(hp.pre(u) as u64)
@@ -522,13 +522,13 @@ mod tests {
         codes::write_gamma_nz(w, u64::from(src.width));
         codes::write_delta_nz(w, pre);
         row.aux.encode(w);
-        MonotoneSeq::new(arena.words(row.heights)).encode(w);
-        MonotoneSeq::new(arena.words(row.dists)).encode(w);
+        monotone::write(w, arena.words(row.heights));
+        monotone::write(w, arena.words(row.dists));
         codes::write_delta_nz(w, row.alpha);
         w.write_bit(row.alpha_exact);
         codes::write_gamma_nz(w, row.top_pos_mod);
-        MonotoneSeq::new(arena.words(row.up_exps)).encode(w);
-        MonotoneSeq::new(arena.words(row.down_exps)).encode(w);
+        monotone::write(w, arena.words(row.up_exps));
+        monotone::write(w, arena.words(row.down_exps));
     }
 
     #[test]

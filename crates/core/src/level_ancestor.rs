@@ -31,9 +31,7 @@ use crate::kernel::level_ancestor::{self as kernel, LevelAncestorLabelRef, Level
 use crate::store::{SchemeStore, StoreError, StoredScheme};
 use crate::substrate::{PackSource, RowArena, Substrate};
 use crate::DistanceScheme;
-use treelab_bits::{
-    codes, monotone::MonotoneSeq, BitReader, BitSlice, BitVec, BitWriter, DecodeError,
-};
+use treelab_bits::{codes, monotone, BitSlice, BitVec, BitWriter};
 use treelab_tree::heavy::{HeavyPaths, PathId};
 use treelab_tree::{NodeId, Tree};
 
@@ -77,8 +75,7 @@ impl LevelAncestorLabel {
     pub fn encode(&self, w: &mut BitWriter) {
         codes::write_delta_nz(w, self.depth);
         codes::write_delta_nz(w, self.head_offset);
-        let ends: Vec<u64> = self.ends.iter().map(|&e| e as u64).collect();
-        MonotoneSeq::new(&ends).encode(w);
+        monotone::write(w, &self.ends);
         codes::write_gamma_nz(w, self.codewords.len() as u64);
         w.write_bitvec(&self.codewords);
         for &b in &self.branch_offsets {
@@ -86,48 +83,16 @@ impl LevelAncestorLabel {
         }
     }
 
-    /// Deserializes a label written by [`LevelAncestorLabel::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncated or malformed input.
-    pub fn decode(r: &mut BitReader<'_>) -> Result<Self, DecodeError> {
-        let depth = codes::read_delta_nz(r)?;
-        let head_offset = codes::read_delta_nz(r)?;
-        let ends = crate::hpath::decode_codeword_ends(&MonotoneSeq::decode(r)?)?;
-        let cw_len = codes::read_gamma_nz(r)? as usize;
-        if ends.last().map(|&e| e as usize).unwrap_or(0) != cw_len {
-            return Err(DecodeError::Malformed {
-                what: "codeword length mismatch in level-ancestor label",
-            });
-        }
-        if cw_len > r.remaining() {
-            return Err(DecodeError::Malformed {
-                what: "codeword payload exceeds remaining input",
-            });
-        }
-        let mut codewords = BitVec::with_capacity(cw_len);
-        for _ in 0..cw_len {
-            codewords.push(r.read_bit()?);
-        }
-        let mut branch_offsets = Vec::with_capacity(ends.len());
-        for _ in 0..ends.len() {
-            branch_offsets.push(codes::read_delta_nz(r)?);
-        }
-        Ok(LevelAncestorLabel {
-            depth,
-            head_offset,
-            codewords,
-            ends,
-            branch_offsets,
-        })
-    }
-
-    /// Size of the serialized label in bits.
+    /// Size of the serialized label in bits — closed form, no encoding pass
+    /// (a unit test pins it to [`LevelAncestorLabel::encode`]'s output).
     pub fn bit_len(&self) -> usize {
-        let mut w = BitWriter::new();
-        self.encode(&mut w);
-        w.len()
+        wire_bits(
+            self.depth,
+            self.head_offset,
+            &self.ends,
+            self.codewords.len(),
+            &self.branch_offsets,
+        )
     }
 
     /// A canonical bit-string form of the label (used by the Lemma 3.6
@@ -137,6 +102,21 @@ impl LevelAncestorLabel {
         self.encode(&mut w);
         w.into_bitvec()
     }
+}
+
+/// Closed-form length of [`LevelAncestorLabel::encode`]'s output for a label
+/// with these fields: `cw_len` codeword bits ending at `ends`, and one branch
+/// offset per light edge.
+fn wire_bits(depth: u64, head_offset: u64, ends: &[u32], cw_len: usize, branches: &[u64]) -> usize {
+    codes::delta_nz_len(depth)
+        + codes::delta_nz_len(head_offset)
+        + monotone::encoded_len(ends)
+        + codes::gamma_nz_len(cw_len as u64)
+        + cw_len
+        + branches
+            .iter()
+            .map(|&b| codes::delta_nz_len(b))
+            .sum::<usize>()
 }
 
 /// One node's build-time row: `(depth, head_offset, path)` — the codeword
@@ -344,22 +324,10 @@ impl PackSource<LevelAncestorScheme> for LaSource<'_> {
         let u = self.tree.node(i);
         let p = self.hp.path_of(u);
         let row = (self.depths[u.index()] as u64, self.hp.head_offset(u), p);
-        // Closed-form wire size (no encoding pass; the encode/decode
-        // round-trip test pins it to the real encoder bit for bit).
+        // Closed-form wire size, shared with `LevelAncestorLabel::bit_len`
+        // (no encoding pass; a unit test pins both to the encoder).
         let (bits, ends, branches) = self.path(p);
-        let cwl = bits.len();
-        let wire = codes::delta_nz_len(row.0)
-            + codes::delta_nz_len(row.1)
-            + MonotoneSeq::encoded_len_parts(
-                ends.len(),
-                u64::from(ends.last().copied().unwrap_or(0)),
-            )
-            + codes::gamma_nz_len(cwl as u64)
-            + cwl
-            + branches
-                .iter()
-                .map(|&b| codes::delta_nz_len(b))
-                .sum::<usize>();
+        let wire = wire_bits(row.0, row.1, ends, bits.len(), branches);
         (row, wire as u32)
     }
 
@@ -585,17 +553,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
+    fn wire_size_is_the_encoded_length() {
         let tree = gen::comb(150);
         let scheme = LevelAncestorScheme::build(&tree);
         for u in tree.nodes() {
             let label = scheme.label(u);
-            let bits = label.to_bits();
-            assert_eq!(bits.len(), label.bit_len());
-            // The build-time wire accounting matches the encoder.
-            assert_eq!(bits.len(), DistanceScheme::label_bits(&scheme, u));
-            let back = LevelAncestorLabel::decode(&mut BitReader::new(&bits)).unwrap();
-            assert_eq!(back, label);
+            // The closed form and the build-time wire accounting both match
+            // the encoder.
+            assert_eq!(label.to_bits().len(), label.bit_len());
+            assert_eq!(label.bit_len(), DistanceScheme::label_bits(&scheme, u));
         }
     }
 

@@ -44,7 +44,7 @@ use crate::kernel::optimal::{self as kernel, OptimalLabelRef, OptimalMeta, W_PUS
 use crate::store::{SchemeStore, StoreError, StoredScheme};
 use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use crate::DistanceScheme;
-use treelab_bits::{codes, monotone::MonotoneSeq, BitSlice, BitVec, BitWriter};
+use treelab_bits::{codes, monotone, BitSlice, BitVec, BitWriter};
 use treelab_tree::binarize::Binarized;
 use treelab_tree::heavy::HeavyPaths;
 use treelab_tree::{NodeId, Tree};
@@ -394,7 +394,7 @@ impl<'s> PackSource<OptimalScheme> for OptimalSource<'s> {
         payload += acc_bits;
         let wire = codes::delta_nz_len(rd)
             + row_aux.bit_len()
-            + MonotoneSeq::encoded_len(arena.words(fragments))
+            + monotone::encoded_len(arena.words(fragments))
             + codes::gamma_nz_len(chain.len() as u64)
             + entry_wire;
         OptimalRow {
@@ -748,7 +748,7 @@ mod tests {
         let chain = arena.ids(row.chain);
         codes::write_delta_nz(w, row.rd);
         row.aux.encode(w);
-        MonotoneSeq::new(arena.words(row.fragments)).encode(w);
+        monotone::write(w, arena.words(row.fragments));
         codes::write_gamma_nz(w, chain.len() as u64);
         for &p in chain {
             match src.info[p as usize]

@@ -2,16 +2,11 @@
 //! and never attempt an absurd allocation — on truncated, bit-flipped or
 //! otherwise corrupt input.
 //!
-//! Two layers are attacked:
-//!
-//! * the **store/forest frames** (the native representation);
-//! * the level-ancestor wire decoder, [`LevelAncestorLabel::decode`]
-//!   (level-ancestor labels are materialized from the frame and walked as
-//!   opaque bit strings by the Lemma 3.6 conversion).
+//! One layer is attacked: the **store/forest frames**, the only
+//! representation anything reads back (queries are served by the packed
+//! kernels; the self-delimiting label encodings are write-only).
 
-use treelab::bits::{codes, crc, frame, BitReader, BitVec, BitWriter, MonotoneSeq};
-use treelab::core::level_ancestor::{LevelAncestorLabel, LevelAncestorScheme};
-use treelab::tree::rng::SplitMix64;
+use treelab::bits::{crc, frame};
 use treelab::{gen, DistanceScheme, NaiveScheme, OptimalScheme};
 use treelab::{
     AnyStoreRef, ForestError, ForestStore, QueryStatus, RouteScratch, SchemeStore, StoreError,
@@ -292,62 +287,4 @@ fn corrupt_forest_frames_are_rejected() {
         ForestStore::from_words(recrc(tag_lie)),
         Err(ForestError::Tree { id: 4, .. })
     ));
-}
-
-/// Truncation, bit-flip and noise adversaries against
-/// [`LevelAncestorLabel::decode`], fed the encodings of labels materialized
-/// by [`LevelAncestorScheme::label`].
-#[test]
-fn level_ancestor_labels_reject_corrupt_input_without_panicking() {
-    for (tree, idx) in [(gen::random_tree(180, 42), 171usize), (gen::comb(300), 233)] {
-        let scheme = LevelAncestorScheme::build(&tree);
-        let label = scheme.label(tree.node(idx));
-        let bits = label.to_bits();
-
-        // A full decode of the untouched encoding must succeed.
-        let mut r = BitReader::new(&bits);
-        assert_eq!(LevelAncestorLabel::decode(&mut r).as_ref(), Ok(&label));
-        assert_eq!(r.remaining(), 0, "the decoder must consume the label");
-
-        // 1. Truncations: every cut near the ends, strided cuts in the middle.
-        let n = bits.len();
-        let cuts: Vec<usize> = (0..n.min(16))
-            .chain((16..n.saturating_sub(16)).step_by(7))
-            .chain(n.saturating_sub(16)..n)
-            .collect();
-        for cut in cuts {
-            let t = bits.slice(0, cut).expect("prefix in range");
-            assert!(
-                LevelAncestorLabel::decode(&mut BitReader::new(&t)).is_err(),
-                "node {idx}: truncation at {cut} bits"
-            );
-        }
-
-        // 2. Bit flips: decoding may succeed or fail, but must never panic and
-        //    must never read past the input.
-        for pos in (0..n).step_by(3) {
-            let mut flipped = bits.clone();
-            flipped.set(pos, !flipped.get(pos).unwrap());
-            let mut r = BitReader::new(&flipped);
-            let _ = LevelAncestorLabel::decode(&mut r);
-            assert!(r.position() <= flipped.len(), "node {idx}: flip at {pos}");
-        }
-
-        // 3. Random noise of assorted lengths (seeded, reproducible).
-        let mut rng = SplitMix64::seed_from_u64(0x5eed ^ n as u64);
-        for len in [0usize, 1, 7, 64, 257, 1024] {
-            let noise = BitVec::from_bools((0..len).map(|_| rng.next_u64() % 2 == 1));
-            let _ = LevelAncestorLabel::decode(&mut BitReader::new(&noise));
-        }
-    }
-
-    // A crafted label announcing a 2^40-bit codeword payload is rejected
-    // before anything is allocated.
-    let mut w = BitWriter::new();
-    codes::write_delta_nz(&mut w, 3); // depth
-    codes::write_delta_nz(&mut w, 1); // head offset
-    MonotoneSeq::new(&[1 << 40]).encode(&mut w); // one absurd end position
-    codes::write_gamma_nz(&mut w, 1 << 40); // codeword length
-    let huge = w.into_bitvec();
-    assert!(LevelAncestorLabel::decode(&mut BitReader::new(&huge)).is_err());
 }
