@@ -1,6 +1,6 @@
 //! Forest store: many trees' scheme frames packed behind one directory, with
-//! lazy per-tree validation, generation-worded hot mutation, and a routed,
-//! shardable batch query engine — the serving layer of the store stack.
+//! lazy per-tree validation, generation-worded hot mutation, and a routed
+//! batch query engine — the serving layer of the store stack.
 //!
 //! # Why
 //!
@@ -114,13 +114,14 @@
 //! each their label misses overlap instead of running one after another.
 //!
 //! The caller's [`RouteScratch`] holds all of that state across batches, so
-//! a serving loop allocates nothing per batch, and it picks the path:
-//! [`RouteScratch::new`] routes on the calling thread, while
-//! [`RouteScratch::with_parallelism`] fans independent tree groups out over
-//! [`std::thread::scope`] workers (never more workers than groups) behind
-//! the router's [`Parallelism`] knob, with bit-identical output
-//! for every thread count.  [`Forest::try_route_distances_sharded`] is
-//! the one-shot form over a fresh scratch.
+//! a serving loop allocates nothing per batch.  The engine runs on the
+//! calling thread and spawns none.  Each answer comes from two labels alone,
+//! so every query is independent of every other, and threading belongs to
+//! the caller: share one `&Forest` (it is `Sync`) and give each thread its
+//! own scratch.  [`Forest::try_route_distances_sharded`] is that pattern as
+//! a one-shot helper: it splits a batch into contiguous chunks, routes each
+//! on a scoped thread with a fresh scratch, and concatenates the statuses in
+//! arrival order.
 //!
 //! # Self-healing: fallible routing, quarantine, repair, scrubbing
 //!
@@ -128,10 +129,9 @@
 //! treat a bad query as a caller bug.  Each query's [`QueryStatus`] is
 //! `Ok(distance)`, `UnknownTree`, `NodeOutOfRange`, or `CorruptTree`, and
 //! nothing on query input or corrupt tree data panics.  Healthy tree groups
-//! complete even when others fail: each group (serial) or shard (sharded)
-//! runs its query kernel under [`std::panic::catch_unwind`], so a kernel
-//! that trips over rotted label data degrades only its own group or shard
-//! to `CorruptTree`.
+//! complete even when others fail: each group runs its query kernel under
+//! [`std::panic::catch_unwind`], so a kernel that trips over rotted label
+//! data degrades only its own group to `CorruptTree`.
 //!
 //! Damage found at runtime is **quarantined**, not just reported: a failed
 //! first-touch validation or a scrubber-detected fault condemns the slot, so
@@ -307,7 +307,7 @@ impl From<frame::CastError> for ForestError {
 }
 
 /// Error returned by the forest file helpers ([`ForestStore::open`],
-/// [`ForestStore::publish`], [`ForestBuilder::write_to`]): either the I/O
+/// [`ForestStore::publish`]): either the I/O
 /// failed or the bytes read are not a valid forest frame.
 #[derive(Debug)]
 pub enum ForestFileError {
@@ -729,7 +729,7 @@ pub enum QueryStatus {
     NodeOutOfRange,
     /// The queried tree's frame failed validation — at first touch, under
     /// quarantine after a scrub found rot, or because the query kernel of
-    /// its group (serial) or shard (sharded) panicked on corrupt label data.
+    /// its group panicked on corrupt label data.
     CorruptTree,
 }
 
@@ -1135,25 +1135,6 @@ impl ForestBuilder {
         self.trees.is_empty()
     }
 
-    /// [`ForestBuilder::finish`] followed by a crash-safe
-    /// [`ForestStore::publish`] of the frame bytes to `path`.
-    ///
-    /// Returns the assembled store, so the builder process can keep serving
-    /// from it without re-reading the file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ForestFileError::Forest`] when assembly fails (empty
-    /// builder) and [`ForestFileError::Io`] when the write fails.
-    pub fn write_to(
-        self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<ForestStore, ForestFileError> {
-        let store = self.finish()?;
-        store.publish(path)?;
-        Ok(store)
-    }
-
     /// Assembles the frame: header, id-sorted directory (plus any reserved
     /// spare slots), the inner frames tiled back to back, and the outer CRC
     /// — then revalidates the result through the loader, so writer and
@@ -1174,26 +1155,21 @@ impl ForestBuilder {
     }
 }
 
-/// How many worker threads [`RouteScratch::with_parallelism`] may fan a
-/// routed batch's tree groups out over.
-///
-/// It is the router's knob only: builds are serial.  The default
-/// ([`Parallelism::Auto`]) uses all available cores, but a scratch made with
-/// [`RouteScratch::new`] or `Default` routes serially.  Every setting gives
-/// bit-for-bit identical answers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// How many threads [`Forest::try_route_distances_sharded`] splits a batch
+/// over.  The routed engine itself runs on the calling thread; builds are
+/// serial too.  Every setting gives bit-for-bit identical answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
     /// Route on the calling thread only.
     Serial,
-    /// Use [`std::thread::available_parallelism`] worker threads.
-    #[default]
+    /// Use [`std::thread::available_parallelism`] threads.
     Auto,
-    /// Use exactly this many worker threads.
+    /// Use exactly this many threads.
     Threads(NonZeroUsize),
 }
 
 impl Parallelism {
-    /// The number of worker threads this setting resolves to on this machine.
+    /// The number of threads this setting resolves to on this machine.
     pub fn thread_count(self) -> usize {
         match self {
             Parallelism::Serial => 1,
@@ -1214,33 +1190,19 @@ impl Parallelism {
 }
 
 /// Reusable state of the routed batch engine
-/// ([`Forest::try_route_distances_into`]): the per-batch group buffers,
-/// the per-shard kernel state, and the thread count that picks the serial or
-/// the sharded path.
-///
-/// [`RouteScratch::new`] routes serially on the calling thread;
-/// [`RouteScratch::with_parallelism`] fans each batch's tree groups out over
-/// scoped worker threads, as many as the [`Parallelism`] resolves to but
-/// never more than the batch has groups.  The answers are bit-identical
-/// either way.
+/// ([`Forest::try_route_distances_into`]): the per-batch group buffers and
+/// the kernel state every group shares.
 ///
 /// The engine allocates only into these buffers, so a serving loop that
 /// reuses one scratch allocates nothing per batch once they have grown to the
-/// working size — except, on the sharded path, the thread spawns themselves.
-/// Every group buffer is sized by the batch except `counts`, which grows once
-/// to the directory size and is touched only at the slots a batch names, so
-/// a batch costs the same against four trees or four thousand.  The serial
-/// path's `pairs` buffer and batch plan live inline in the scratch, so a
-/// serial scratch holds its plan wherever the caller keeps the scratch and
-/// never touches the shard state.  The sharded path keeps the shard table
-/// and one `pairs` buffer and batch plan per shard: a batch with fewer
-/// groups than threads simply leaves the extra shard state idle until a
-/// later batch needs it.
-#[derive(Debug)]
+/// working size.  Every group buffer is sized by the batch except `counts`,
+/// which grows once to the directory size and is touched only at the slots a
+/// batch names, so a batch costs the same against four trees or four
+/// thousand.  The batch plan lives inline, so the scratch holds it wherever
+/// the caller keeps the scratch.  A caller that routes on several threads
+/// gives each thread its own scratch.
+#[derive(Debug, Default)]
 pub struct RouteScratch {
-    /// Worker threads a batch may fan out over, resolved once from the
-    /// [`Parallelism`] at construction; 1 routes on the calling thread.
-    threads: usize,
     /// Per-query tree slot (directory position), or [`DEAD_SLOT`] for a
     /// query that already failed resolution.
     slots: Vec<u32>,
@@ -1256,61 +1218,22 @@ pub struct RouteScratch {
     bounds: Vec<u32>,
     /// Healthy-query indices, stably grouped by slot.
     order: Vec<u32>,
-    /// Answers in grouped order, before the scatter back to arrival order;
-    /// each shard writes its own contiguous slice.
+    /// Answers in grouped order, before the scatter back to arrival order.
     sorted: Vec<u64>,
-    /// The serial path's kernel state.
-    serial: ShardState,
-    /// The sharded path's partition of the batch: per shard, its group range
-    /// and its grouped-position range.
-    shards: Vec<(Range<usize>, Range<usize>)>,
-    /// Kernel state per shard, grown to the largest shard count routed.
-    workers: Vec<ShardState>,
-}
-
-/// The kernel state the serial path, or one shard, owns.
-#[derive(Debug, Default)]
-struct ShardState {
     /// Per-group `(u, v)` staging for the batch engine.
     pairs: Vec<(usize, usize)>,
     /// Structure-of-arrays planning buffers for the batch kernels, shared
-    /// across every group the shard runs (fixed-size arrays, so sharing them
-    /// is about cache reuse, not allocation).  Planned pairs compute one at a
+    /// across every group of a batch (fixed-size arrays, so sharing them is
+    /// about cache reuse, not allocation).  Planned pairs compute one at a
     /// time through the one-pair kernels, so the plan is the only per-batch
     /// state the store layer needs.
     plan: BatchPlan,
-    /// Set when the shard's query kernel panicked on the last batch.
-    poisoned: bool,
 }
 
 impl RouteScratch {
-    /// An empty scratch that routes serially (buffers grow on first use).
+    /// An empty scratch (buffers grow on first use); the same as `Default`.
     pub fn new() -> Self {
-        Self::with_parallelism(Parallelism::Serial)
-    }
-
-    /// An empty scratch that shards each batch over `par` worker threads.
-    /// [`Parallelism::Auto`] asks the OS for its thread count here, once.
-    pub fn with_parallelism(par: Parallelism) -> Self {
-        RouteScratch {
-            threads: par.thread_count(),
-            slots: Vec::new(),
-            counts: Vec::new(),
-            groups: Vec::new(),
-            bounds: Vec::new(),
-            order: Vec::new(),
-            sorted: Vec::new(),
-            serial: ShardState::default(),
-            shards: Vec::new(),
-            workers: Vec::new(),
-        }
-    }
-}
-
-/// Serial, like [`RouteScratch::new`] — not [`Parallelism::default`].
-impl Default for RouteScratch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -1468,17 +1391,16 @@ fn routed_parts(slot: &TreeSlot) -> &AnyParts {
 }
 
 /// Cross-group look-ahead: prefetches the first line of both labels of the
-/// first query of every group in `groups`.  The store pipeline overlaps
-/// label misses only *within* a group; with about one query per group, this
-/// pass is what keeps consecutive groups' misses in flight together.
+/// first query of every group.  The store pipeline overlaps label misses
+/// only *within* a group; with about one query per group, this pass is what
+/// keeps consecutive groups' misses in flight together.
 fn prefetch_group_heads(
     words: &[u64],
     slots: &[TreeSlot],
     queries: &[(u64, usize, usize)],
     grouping: Grouping<'_>,
-    groups: Range<usize>,
 ) {
-    for g in groups {
+    for g in 0..grouping.len() {
         let (_, u, v) = queries[grouping.order[grouping.span(g).start] as usize];
         let slot = &slots[grouping.slots[g] as usize];
         let e = slot.entry;
@@ -1486,43 +1408,6 @@ fn prefetch_group_heads(
         let raw = &routed_parts(slot).raw;
         raw.prefetch_label(frame, u);
         raw.prefetch_label(frame, v);
-    }
-}
-
-/// Runs the queries of groups `groups` through each tree's batch engine,
-/// writing answers (in grouped order) into `sorted`, whose first element
-/// corresponds to global grouped position `pos_base`.  Each group drains
-/// through the store's planned, prefetching pipeline
-/// (`AnyStoreRef::distances_write_with`): the router contributes grouping
-/// and the shared plan buffers, the pipeline itself lives in the store
-/// layer.
-#[allow(clippy::too_many_arguments)] // the flat argument list is what lets shards borrow disjoint slices
-fn run_group_range(
-    words: &[u64],
-    slots: &[TreeSlot],
-    queries: &[(u64, usize, usize)],
-    grouping: Grouping<'_>,
-    groups: Range<usize>,
-    pos_base: usize,
-    pairs: &mut Vec<(usize, usize)>,
-    plan: &mut BatchPlan,
-    sorted: &mut [u64],
-) {
-    for g in groups {
-        let span = grouping.span(g);
-        pairs.clear();
-        pairs.extend(grouping.order[span.clone()].iter().map(|&qi| {
-            let (_, u, v) = queries[qi as usize];
-            (u, v)
-        }));
-        let slot = &slots[grouping.slots[g] as usize];
-        let e = slot.entry;
-        let view = AnyStoreRef::from_parts(&words[e.off..e.off + e.len], *routed_parts(slot));
-        view.distances_write_with(
-            pairs,
-            plan,
-            &mut sorted[span.start - pos_base..span.end - pos_base],
-        );
     }
 }
 
@@ -1540,9 +1425,7 @@ fn scatter(order: &[u32], sorted: &[u64], statuses: &mut [QueryStatus]) {
 /// The routed engine body shared by every forest view: appends one
 /// [`QueryStatus`] per query to `statuses` in arrival order and returns the
 /// batch tally.  Healthy groups run even when other queries name unknown,
-/// out-of-range, or corrupt targets, on the calling thread or — when the
-/// scratch allows more than one thread and the batch has more than one
-/// group — sharded over scoped workers.
+/// out-of-range, or corrupt targets.
 fn route_batch(
     words: &[u64],
     state: &ForestState,
@@ -1553,12 +1436,7 @@ fn route_batch(
     let base = statuses.len();
     prepare_route(words, state, queries, scratch, statuses);
     let statuses = &mut statuses[base..];
-    let threads = scratch.threads.min(scratch.groups.len()).max(1);
-    if threads == 1 {
-        run_prepared_serial(words, &state.slots, queries, scratch, statuses);
-    } else {
-        run_prepared_sharded(words, &state.slots, queries, scratch, threads, statuses);
-    }
+    run_prepared(words, &state.slots, queries, scratch, statuses);
     let mut outcome = RouteOutcome::default();
     for &s in statuses.iter() {
         outcome.count(s);
@@ -1566,12 +1444,16 @@ fn route_batch(
     outcome
 }
 
-/// Runs every group of a prepared batch on the calling thread — the
-/// look-ahead pass first, then each group's kernel under its own
+/// Runs every group of a prepared batch — the look-ahead pass first, then
+/// each group through its tree's batch engine under its own
 /// [`std::panic::catch_unwind`], so label rot that slips past a cached
 /// validation verdict degrades that one group to `CorruptTree` — and
-/// scatters the answers into `statuses` (query 0 first).
-fn run_prepared_serial(
+/// scatters the answers into `statuses` (query 0 first).  Each group drains
+/// through the store's planned, prefetching pipeline
+/// (`AnyStoreRef::distances_write_with`): the router contributes grouping
+/// and the shared plan buffers, the pipeline itself lives in the store
+/// layer.
+fn run_prepared(
     words: &[u64],
     slots: &[TreeSlot],
     queries: &[(u64, usize, usize)],
@@ -1583,10 +1465,10 @@ fn run_prepared_serial(
         ref bounds,
         ref order,
         ref mut sorted,
-        ref mut serial,
+        ref mut pairs,
+        ref mut plan,
         ..
     } = *scratch;
-    let ShardState { pairs, plan, .. } = serial;
     let grouping = Grouping {
         slots: groups,
         bounds,
@@ -1597,115 +1479,28 @@ fn run_prepared_serial(
     // Rotted index words can panic the offset walk; the group's own guarded
     // run below reports that group, so a failed look-ahead is just skipped.
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        prefetch_group_heads(words, slots, queries, grouping, 0..grouping.len());
+        prefetch_group_heads(words, slots, queries, grouping);
     }));
     for g in 0..grouping.len() {
+        let span = grouping.span(g);
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_group_range(
-                words,
-                slots,
-                queries,
-                grouping,
-                g..g + 1,
-                0,
-                pairs,
-                plan,
-                sorted,
-            );
+            pairs.clear();
+            pairs.extend(order[span.clone()].iter().map(|&qi| {
+                let (_, u, v) = queries[qi as usize];
+                (u, v)
+            }));
+            let slot = &slots[groups[g] as usize];
+            let e = slot.entry;
+            let view = AnyStoreRef::from_parts(&words[e.off..e.off + e.len], *routed_parts(slot));
+            view.distances_write_with(pairs, plan, &mut sorted[span.clone()]);
         }));
         if run.is_err() {
-            for &qi in &order[grouping.span(g)] {
+            for &qi in &order[span] {
                 statuses[qi as usize] = QueryStatus::CorruptTree;
             }
         }
     }
     scatter(order, sorted, statuses);
-}
-
-/// Runs a prepared batch sharded over `threads` (≥ 2, at most the group
-/// count) scoped workers: the groups are partitioned into contiguous shards
-/// of roughly equal healthy-query count, each shard runs its look-ahead pass
-/// and answers into its disjoint slice of the grouped output under a
-/// per-shard [`std::panic::catch_unwind`], and one serial scatter restores
-/// arrival order — so the result is bit-identical to the serial path, except
-/// that a kernel panic (corrupt label data slipping past a cached verdict)
-/// degrades at shard granularity rather than group granularity.
-fn run_prepared_sharded(
-    words: &[u64],
-    slots: &[TreeSlot],
-    queries: &[(u64, usize, usize)],
-    scratch: &mut RouteScratch,
-    threads: usize,
-    statuses: &mut [QueryStatus],
-) {
-    let RouteScratch {
-        ref groups,
-        ref bounds,
-        ref order,
-        ref mut sorted,
-        ref mut shards,
-        ref mut workers,
-        ..
-    } = *scratch;
-    let grouping = Grouping {
-        slots: groups,
-        bounds,
-        order,
-    };
-    let healthy = order.len();
-    sorted.clear();
-    sorted.resize(healthy, 0);
-    if workers.len() < threads {
-        workers.resize_with(threads, ShardState::default);
-    }
-
-    // Greedy contiguous partition of the groups into at most `threads`
-    // shards of roughly healthy / threads queries each.
-    let target = healthy.div_ceil(threads).max(1);
-    shards.clear();
-    let (mut group_lo, mut pos_lo) = (0usize, 0usize);
-    for g in 0..grouping.len() {
-        let end = grouping.span(g).end;
-        if end - pos_lo >= target || g + 1 == grouping.len() {
-            shards.push((group_lo..g + 1, pos_lo..end));
-            group_lo = g + 1;
-            pos_lo = end;
-        }
-    }
-
-    std::thread::scope(|s| {
-        let mut rest: &mut [u64] = sorted;
-        for ((groups, pos), worker) in shards.iter().zip(workers.iter_mut()) {
-            let (chunk, tail) = rest.split_at_mut(pos.len());
-            rest = tail;
-            let (groups, pos_base) = (groups.clone(), pos.start);
-            // The closure catches its own unwinds, so the scope's implicit
-            // join never sees a panicked worker.
-            s.spawn(move || {
-                let ShardState {
-                    pairs,
-                    plan,
-                    poisoned,
-                } = worker;
-                *poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    prefetch_group_heads(words, slots, queries, grouping, groups.clone());
-                    run_group_range(
-                        words, slots, queries, grouping, groups, pos_base, pairs, plan, chunk,
-                    );
-                }))
-                .is_err();
-            });
-        }
-    });
-
-    scatter(order, sorted, statuses);
-    for ((_, pos), worker) in shards.iter().zip(workers.iter()) {
-        if worker.poisoned {
-            for &qi in &order[pos.clone()] {
-                statuses[qi as usize] = QueryStatus::CorruptTree;
-            }
-        }
-    }
 }
 
 /// Where a [`Forest`]'s frame words live — the one thing its read API
@@ -1947,12 +1742,10 @@ impl<W: FrameWords> Forest<W> {
     /// queries fail, and nothing on query input or corrupt tree data
     /// panics.
     ///
-    /// `scratch` carries the group state across batches and decides the
-    /// path: serial for [`RouteScratch::new`], sharded over scoped
-    /// workers for [`RouteScratch::with_parallelism`], with bit-identical
-    /// statuses either way.  Allocation-free once the scratch and `out`
-    /// have grown to the batch working size (and every touched tree is
-    /// validated), apart from the sharded path's thread spawns.
+    /// `scratch` carries the group state across batches; the batch runs on
+    /// the calling thread.  Allocation-free once the scratch and `out` have
+    /// grown to the batch working size (and every touched tree is
+    /// validated).
     pub fn try_route_distances_into(
         &self,
         queries: &[(u64, usize, usize)],
@@ -1962,18 +1755,43 @@ impl<W: FrameWords> Forest<W> {
         route_batch(self.words.frame_words(), &self.state, queries, scratch, out)
     }
 
-    /// [`Self::try_route_distances_into`] on a fresh
-    /// [`RouteScratch::with_parallelism`]`(par)`, collecting the
-    /// statuses.  A serving loop should keep its scratch instead.
+    /// Routes `queries` on up to `par` scoped threads, each with a fresh
+    /// [`RouteScratch`] over one contiguous chunk of the batch, and returns
+    /// the statuses in arrival order — the same statuses
+    /// [`Self::try_route_distances_into`] gives, for every thread count,
+    /// except that a kernel panic on rotted label data degrades its tree's
+    /// group only in the chunks where it fires.  One thread (or a batch of
+    /// at most one query) routes on the calling thread.  A serving loop
+    /// should keep its own scratch per thread instead.
     pub fn try_route_distances_sharded(
         &self,
         queries: &[(u64, usize, usize)],
         par: Parallelism,
     ) -> Vec<QueryStatus> {
-        let mut out = Vec::with_capacity(queries.len());
-        let mut scratch = RouteScratch::with_parallelism(par);
-        self.try_route_distances_into(queries, &mut scratch, &mut out);
-        out
+        let (words, state) = (self.words.frame_words(), &self.state);
+        let route = move |chunk: &[(u64, usize, usize)]| {
+            let mut out = Vec::with_capacity(chunk.len());
+            route_batch(words, state, chunk, &mut RouteScratch::new(), &mut out);
+            out
+        };
+        let threads = par.thread_count().min(queries.len()).max(1);
+        if threads == 1 {
+            return route(queries);
+        }
+        std::thread::scope(|s| {
+            let parts: Vec<_> = queries
+                .chunks(queries.len().div_ceil(threads))
+                .map(|chunk| s.spawn(move || route(chunk)))
+                .collect();
+            let mut out = Vec::with_capacity(queries.len());
+            for part in parts {
+                out.extend(
+                    part.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            out
+        })
     }
 
     /// A point-in-time health snapshot of every directory slot —
@@ -2785,32 +2603,20 @@ mod tests {
                 "{par:?}"
             );
         }
+        // More threads than queries: one chunk per query, at most.
+        for short in [&queries[..1], &queries[..2]] {
+            assert_eq!(
+                forest.try_route_distances_sharded(short, Parallelism::from_thread_count(9)),
+                route(&forest, short),
+                "{} queries at 9 threads",
+                short.len()
+            );
+        }
         // Empty batches are fine everywhere.
         assert!(route(&forest, &[]).is_empty());
         assert!(forest
             .try_route_distances_sharded(&[], Parallelism::Auto)
             .is_empty());
-    }
-
-    #[test]
-    fn new_and_default_scratches_route_serially() {
-        // `Parallelism::default()` is `Auto`; the scratch must not inherit it.
-        let (trees, forest) = sample_forest();
-        let queries = sample_queries(&trees, 300);
-        for mut scratch in [RouteScratch::new(), RouteScratch::default()] {
-            assert_eq!(scratch.threads, 1);
-            forest.try_route_distances_into(&queries, &mut scratch, &mut Vec::new());
-            assert_eq!(scratch.groups.len(), 3);
-            assert!(scratch.shards.is_empty() && scratch.workers.is_empty());
-        }
-        // Three groups over three threads do shard, and `Auto` resolves once.
-        let mut sharded = RouteScratch::with_parallelism(Parallelism::from_thread_count(3));
-        forest.try_route_distances_into(&queries, &mut sharded, &mut Vec::new());
-        assert!(sharded.shards.len() > 1 && sharded.workers.len() == 3);
-        assert_eq!(
-            RouteScratch::with_parallelism(Parallelism::Auto).threads,
-            Parallelism::Auto.thread_count()
-        );
     }
 
     #[test]
@@ -2828,7 +2634,7 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_through_open_publish_and_write_to() {
+    fn file_round_trip_through_open_and_publish() {
         let (trees, forest) = sample_forest();
         let dir = TestDir::new("forest-test");
         let path = dir.0.join("forest.bin");
@@ -2844,10 +2650,11 @@ mod tests {
         assert_eq!(distances(&opened, &queries), distances(&forest, &queries));
         assert_eq!(distances(&lazy, &queries), distances(&forest, &queries));
 
-        // Builder-side write_to returns the store it persisted.
+        // A freshly finished builder publishes like any store.
         let mut b = ForestStore::builder();
         b.push_scheme(3, &NaiveScheme::build(&trees[0].1)).unwrap();
-        let written = b.write_to(&path).expect("builder write_to");
+        let written = b.finish().expect("builder finishes");
+        written.publish(&path).expect("publish builder frame");
         let opened = ForestStore::open(&path).expect("open builder file");
         assert_eq!(opened.as_words(), written.as_words());
 
@@ -2926,7 +2733,7 @@ mod tests {
             b.push_frame(1, NaiveScheme::build(&tree).as_store().as_words().to_vec()),
             Err(ForestError::DuplicateTree { id: 1 })
         ));
-        // The builder stays usable: the poisoned pushes left no residue.
+        // The builder stays usable: the refused pushes left no residue.
         assert_eq!(b.len(), 1);
         b.push_scheme(2, &NaiveScheme::build(&tree)).unwrap();
         assert_eq!(b.finish().unwrap().tree_count(), 2);

@@ -58,8 +58,8 @@
 //!    `sa[]`/`sb[]` arrays and issues a prefetch for each label's first
 //!    cache line.  The plan buffers are
 //!    fixed-size stack arrays (`BatchPlan`), so planning allocates nothing;
-//!    the forest router keeps one plan per shard in its `RouteScratch` and
-//!    shares it across every per-tree group that shard runs.
+//!    the forest router keeps one plan in its `RouteScratch` and shares it
+//!    across every per-tree group of a batch.
 //! 2. **Pipeline.** Blocks are double-buffered: while block `k` computes,
 //!    block `k + 1` is planned, so index-resolution misses overlap kernel
 //!    work.  Inside the compute loop the driver also prefetches the labels

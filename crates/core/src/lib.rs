@@ -20,10 +20,10 @@
 //! | [`universal`] | universal rooted trees and the Lemma 3.6 conversion (§3.5) | — |
 //! | [`bounds`] | closed-form upper/lower bound formulas (the §1 table) | — |
 //! | [`stats`] | label-size accounting used by the experiment harness | — |
-//! | [`substrate`] | shared build substrate + parallel pack rows + pack-time width planning | — |
+//! | [`substrate`] | shared build substrate + pack-time width planning | — |
 //! | [`kernel`] | the shared packed-label query kernels (one per scheme family) | — |
 //! | [`store`] | zero-copy scheme store: the native `TLSTOR01` frame, borrowed views, batch queries | — |
-//! | [`forest`] | forest store: many trees behind one frame, with routed, shardable batch queries | — |
+//! | [`forest`] | forest store: many trees behind one frame, with routed batch queries | — |
 //!
 //! # Packed-native representation
 //!

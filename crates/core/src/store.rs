@@ -693,8 +693,8 @@ impl Default for PlanBlock {
 ///
 /// The buffers are fixed-size and heap-free (2 KiB of plain arrays), so the
 /// batch path is allocation-free by construction: [`Store`] plants one on
-/// the stack per call, and the forest router keeps one per shard in its
-/// `RouteScratch` and shares it across every group that shard runs.
+/// the stack per call, and the forest router keeps one in its
+/// `RouteScratch` and shares it across every group of a batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BatchPlan {
     blocks: [PlanBlock; 2],

@@ -1,7 +1,7 @@
 //! "Many trees, one frame": build a mixed-scheme forest, serialize it to one
 //! file, reload it in a fresh (simulated) process — once through the copy
 //! path and once *borrowed* from aligned words — and serve a routed,
-//! Zipf-skewed query batch through the grouped engine and the sharded driver.
+//! Zipf-skewed query batch through the grouped engine and its threaded helper.
 //!
 //! ```text
 //! cargo run --release --example forest_roundtrip
@@ -9,9 +9,9 @@
 //!
 //! CI runs this as the forest round-trip smoke: it exercises every layer of
 //! the serving stack (builder → TLFRST01 frame → crash-safe
-//! `ForestBuilder::write_to` publish → `ForestStore::open` eager + lazy +
-//! borrowed reloads → hot mutation (tombstone + append + republish) →
-//! per-tree views → routed batch → sharded batch) and fails loudly on any
+//! `ForestStore::publish` → `ForestStore::open` eager + lazy + borrowed
+//! reloads → hot mutation (tombstone + append + republish) → per-tree
+//! views → routed batch → threaded batch) and fails loudly on any
 //! disagreement between the serving strategies.
 
 use std::time::Instant;
@@ -50,11 +50,12 @@ fn main() {
         }
         .expect("corpus ids are distinct");
     }
-    // Assemble and persist in one step: the builder's write_to returns the
-    // store it wrote, so the building process can keep serving from it.
+    // Assemble, then persist crash-safely; the building process keeps
+    // serving from the assembled store without re-reading the file.
     let dir = ScratchDir::new("forest-example");
     let path = dir.join("forest.bin");
-    let forest = b.write_to(&path).expect("forest builds and writes");
+    let forest = b.finish().expect("forest builds");
+    forest.publish(&path).expect("forest writes");
     println!(
         "built   {:>9} bytes in {:.1} ms ({} trees: {})",
         forest.size_bytes(),
@@ -155,12 +156,10 @@ fn main() {
     borrowed.try_route_distances_into(&queries, &mut scratch, &mut routed);
     let routed_ns = t4.elapsed().as_nanos() as f64 / queries.len() as f64;
 
-    let mut scratch = RouteScratch::with_parallelism(Parallelism::Auto);
-    let mut sharded = Vec::with_capacity(queries.len());
-    owned.try_route_distances_into(&queries, &mut scratch, &mut sharded); // warm
-    sharded.clear();
+    // Threads are the caller's: the helper splits the batch over scoped
+    // threads, each routing its chunk with a fresh scratch.
     let t5 = Instant::now();
-    owned.try_route_distances_into(&queries, &mut scratch, &mut sharded);
+    let sharded = owned.try_route_distances_sharded(&queries, Parallelism::Auto);
     let sharded_ns = t5.elapsed().as_nanos() as f64 / queries.len() as f64;
 
     assert_eq!(naive_loop, routed, "routed engine disagrees with the loop");

@@ -1,8 +1,8 @@
 //! Proof that the forest's routed batch engine allocates nothing per query
 //! once its one-time group scratch has grown to the batch working size —
-//! the forest-side mirror of `tests/store_alloc.rs` — that on the sharded
-//! path only the thread spawns allocate, that the lazy `tree(id)` path
-//! is allocation-free after a tree's first-touch validation, and that a
+//! the forest-side mirror of `tests/store_alloc.rs` — that the lazy
+//! `tree(id)` path is allocation-free after a tree's first-touch
+//! validation, and that a
 //! store opened from a file (served from its map on 64-bit Unix) routes
 //! without allocating once warm.
 //!
@@ -25,8 +25,8 @@ use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
-    gen, DistanceArrayScheme, DistanceScheme, ForestStore, NaiveScheme, OptimalScheme, Parallelism,
-    QueryStatus, RouteScratch, Tree, ValidationPolicy,
+    gen, DistanceArrayScheme, DistanceScheme, ForestStore, NaiveScheme, OptimalScheme, QueryStatus,
+    RouteScratch, Tree, ValidationPolicy,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -127,48 +127,6 @@ fn routed_batches_do_not_allocate_after_the_scratch_warms_up() {
         forest.try_route_distances_into(&storm1, &mut scratch, &mut again);
         again
     });
-
-    // The sharded path keeps its shard table, per-shard pairs and plans and
-    // the grouped answers in the scratch too: once warm, only spawning the
-    // workers allocates — exactly what two bare scoped spawns cost, for a
-    // 1,024- and a 4,096-query batch alike — and a one-thread scratch
-    // allocates nothing at all.  Two equal tree groups make two shards.
-    let halves = |count: usize| -> Vec<(u64, usize, usize)> {
-        (0..count)
-            .map(|i| {
-                let (id, tree) = &trees[i % 2];
-                (*id, (i * 31) % tree.len(), (i * 87 + 5) % tree.len())
-            })
-            .collect()
-    };
-    let (small, large) = (halves(1024), halves(4096));
-    let expect = route(&large);
-    let spawn_two = || std::thread::scope(|s| [(); 2].map(|()| s.spawn(|| ())).map(|h| h.join()));
-    let _ = spawn_two();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let _ = spawn_two();
-    let spawns = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert!(spawns > 0, "spawns must show in the count");
-    for threads in [1usize, 2] {
-        let mut sharded = RouteScratch::with_parallelism(Parallelism::from_thread_count(threads));
-        for queries in [&small, &large] {
-            out.clear();
-            forest.try_route_distances_into(queries, &mut sharded, &mut out);
-        }
-        let per_call = [&small, &large].map(|queries| {
-            out.clear();
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            forest.try_route_distances_into(queries, &mut sharded, &mut out);
-            ALLOCATIONS.load(Ordering::SeqCst) - before
-        });
-        assert_eq!(out, expect, "{threads} threads");
-        let want = if threads == 1 { 0 } else { spawns };
-        assert_eq!(
-            per_call,
-            [want, want],
-            "allocations per call at {threads} threads (1,024 and 4,096 queries)"
-        );
-    }
 
     // Failure statuses cost nothing either: once the status buffer has grown
     // to the batch size, routing a mixed batch (healthy queries, unknown

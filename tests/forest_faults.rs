@@ -13,8 +13,8 @@
 
 use treelab::{gen, DistanceArrayScheme, DistanceScheme, NaiveScheme, OptimalScheme};
 use treelab::{
-    ForestError, ForestFileError, ForestStore, ScrubOutcome, Scrubber, SlotHealth,
-    ValidationPolicy, VerifyCursor,
+    ForestError, ForestFileError, ForestStore, Parallelism, QueryStatus, RouteScratch,
+    ScrubOutcome, Scrubber, SlotHealth, ValidationPolicy, VerifyCursor,
 };
 use treelab_bench::ScratchDir;
 
@@ -289,11 +289,79 @@ fn a_full_budgeted_scrub_reaches_the_eager_verdict_for_every_slot() {
     }
 }
 
+/// Rot that lands *after* a slot validated is answered by the routed
+/// engine's per-group unwind guard.  The sweep flips single bits across a
+/// small optimal tree's frame, on clones of an eagerly validated forest, and
+/// keeps the first flip whose routed all-pairs batch reports `CorruptTree`
+/// for that tree.  The slot stays `Valid`, so the status is the guard's, not
+/// a validation verdict.  The guard degrades only the rotted tree's group,
+/// on the calling thread and inside each thread of the threaded helper
+/// alike, and no panic escapes either.
+#[test]
+fn post_validation_rot_trips_the_group_guard_and_spares_the_healthy_tree() {
+    let rotted = gen::random_tree(48, 5);
+    let healthy = gen::random_tree(40, 6);
+    let mut b = ForestStore::builder();
+    b.push_scheme(1, &OptimalScheme::build(&rotted)).unwrap();
+    b.push_scheme(2, &NaiveScheme::build(&healthy)).unwrap();
+    let forest = b.finish().expect("forest builds");
+    assert_eq!(forest.slot_health(1), Some(SlotHealth::Valid));
+
+    // Every pair of the rotted tree, each followed by a healthy-tree query,
+    // so every chunk of the threaded helper holds both trees.
+    let (n, m) = (rotted.len(), healthy.len());
+    let queries: Vec<(u64, usize, usize)> = (0..n * n)
+        .flat_map(|i| [(1, i / n, i % n), (2, i / n % m, i % m)])
+        .collect();
+    let route = |f: &ForestStore| {
+        let mut out = Vec::new();
+        f.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut out);
+        out
+    };
+    let clean = route(&forest);
+    assert!(clean.iter().all(|s| s.is_ok()));
+
+    let extent = forest.frame_extent(1).expect("live tree");
+    let ((word, bit), rot, statuses) = extent
+        .clone()
+        .flat_map(|w| (0..64).map(move |bit| (w, bit)))
+        .find_map(|(w, bit)| {
+            let mut rot = forest.clone();
+            rot.corrupt_word(w, 1 << bit);
+            let statuses = route(&rot);
+            statuses.contains(&QueryStatus::CorruptTree).then_some((
+                (w - extent.start, bit),
+                rot,
+                statuses,
+            ))
+        })
+        .expect("some single-bit flip trips the group guard");
+    let flip = format!("flip at word {word}, bit {bit}");
+
+    assert_eq!(rot.slot_health(1), Some(SlotHealth::Valid), "{flip}");
+    for (i, (&(id, _, _), &status)) in queries.iter().zip(&statuses).enumerate() {
+        let want = if id == 1 {
+            QueryStatus::CorruptTree
+        } else {
+            clean[i]
+        };
+        assert_eq!(status, want, "{flip}: query {i}");
+    }
+
+    let threaded = rot.try_route_distances_sharded(&queries, Parallelism::from_thread_count(2));
+    assert_eq!(threaded.len(), queries.len());
+    for (i, (&(id, _, _), &status)) in queries.iter().zip(&threaded).enumerate() {
+        if id == 2 {
+            assert_eq!(status, clean[i], "{flip}: threaded query {i}");
+        }
+    }
+    assert!(threaded.contains(&QueryStatus::CorruptTree), "{flip}");
+}
+
 /// The same faults through a file served in place: `open_with` must agree
 /// with the in-memory opens on both the happy path and every rejection.
 mod mapped {
     use super::*;
-    use treelab::{QueryStatus, RouteScratch};
 
     #[test]
     fn mapped_forest_serves_and_rejects_the_same_faults() {

@@ -389,16 +389,16 @@ fn expected_status(forest: &ForestStore, (id, u, v): (u64, usize, usize)) -> Que
     }
 }
 
-/// Routes `queries` through the reused serial `scratch` and holds every
-/// status to `try_tree` + `distance`, every answer to the oracle, and each
-/// reused sharded scratch to the serial one.
+/// Routes `queries` through the reused `scratch` and holds every status to
+/// `try_tree` + `distance`, every answer to the oracle, and the threaded
+/// helper at each of `threads` to the calling-thread answers.
 fn check_routed(
     what: &str,
     forest: &ForestStore,
     truth: &HashMap<u64, TruthTree>,
     queries: &[(u64, usize, usize)],
     scratch: &mut RouteScratch,
-    sharded: &mut [(Parallelism, RouteScratch)],
+    threads: &[usize],
 ) {
     let mut statuses = Vec::new();
     let outcome = forest.try_route_distances_into(queries, scratch, &mut statuses);
@@ -422,10 +422,9 @@ fn check_routed(
             );
         }
     }
-    for (par, scratch) in sharded {
-        let mut got = Vec::new();
-        forest.try_route_distances_into(queries, scratch, &mut got);
-        assert_eq!(got, statuses, "{what}: sharded at {par:?}");
+    for &t in threads {
+        let got = forest.try_route_distances_sharded(queries, Parallelism::from_thread_count(t));
+        assert_eq!(got, statuses, "{what}: sharded at {t} threads");
     }
 }
 
@@ -471,7 +470,8 @@ fn sparse_batch(
 /// batch: non-dense ids across all six schemes, a tombstone, an append that
 /// grows the directory mid-stream, a lazily opened forest with one rotted
 /// tree, and a switch to a small forest and back — every status equal to the
-/// per-tree read path and the oracle, sharded equal to serial.
+/// per-tree read path and the oracle, the threaded helper equal to the
+/// calling thread.
 #[test]
 fn sparse_routing_over_touched_slots_matches_the_per_tree_path() {
     const TREES: usize = 300;
@@ -486,19 +486,15 @@ fn sparse_routing_over_touched_slots_matches_the_per_tree_path() {
     let mut forest = b.finish().expect("forest builds");
     let mut ids: Vec<u64> = (0..TREES).map(id_of).collect();
     let mut scratch = RouteScratch::new();
-    // One sharded scratch per thread count, reused across every batch and
-    // forest below, so shard state grows and shrinks with the group count.
-    let mut sharded = [1, 2, 4, 0].map(|threads| {
-        let par = Parallelism::from_thread_count(threads);
-        (par, RouteScratch::with_parallelism(par))
-    });
+    // Thread counts for the threaded helper; 0 is `Parallelism::Auto`.
+    let threads = [1, 2, 4, 0];
     let mut salt = 0u64;
     let mut batches =
         |what: &str, forest: &ForestStore, focus, ids: &[u64], truth: &HashMap<_, _>| {
             for _ in 0..24 {
                 salt += 1;
                 let queries = sparse_batch(ids, focus, truth, salt);
-                check_routed(what, forest, truth, &queries, &mut scratch, &mut sharded);
+                check_routed(what, forest, truth, &queries, &mut scratch, &threads);
             }
         };
     batches("fresh", &forest, None, &ids, &truth);

@@ -219,11 +219,10 @@ fn forest_of_all_six_schemes_round_trips() {
             (*id, (i * 31) % n, (i * 87 + 5) % n)
         })
         .collect();
-    let (mut routed, mut via_ref, mut sharded) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut routed, mut via_ref) = (Vec::new(), Vec::new());
     owned.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut routed);
     borrowed.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut via_ref);
-    let mut sharded_scratch = RouteScratch::with_parallelism(Parallelism::from_thread_count(3));
-    owned.try_route_distances_into(&queries, &mut sharded_scratch, &mut sharded);
+    let sharded = owned.try_route_distances_sharded(&queries, Parallelism::from_thread_count(3));
     for (i, &(id, u, v)) in queries.iter().enumerate() {
         let want = QueryStatus::Ok(expected(id, u, v));
         assert_eq!(routed[i], want, "routed: tree {id} ({u},{v})");
