@@ -75,13 +75,6 @@ fn parse_args(args: &[String]) -> Vec<&'static str> {
         .collect()
 }
 
-/// Corrupt label data can legitimately panic a query kernel during the
-/// chaos runs; the fallible router contains each unwind, but the default
-/// hook would print every one.  Installed once, only for `--chaos`.
-fn silence_panic_hook() {
-    std::panic::set_hook(Box::new(|_| {}));
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = parse_args(&args);
@@ -115,7 +108,6 @@ fn main() {
 
     if selected.contains(&"--chaos") && smoke {
         // The CI robustness gate: verdict + exit code, no tables.
-        silence_panic_hook();
         match chaos_smoke(quick) {
             Ok(report) => println!("{report}"),
             Err(e) => {
@@ -171,7 +163,6 @@ fn main() {
         println!("{}", giant_experiment(n, chunk, seed).to_markdown());
     }
     if run("--chaos") {
-        silence_panic_hook();
         let (trees, n_per_tree, rounds, batch) = if quick {
             (8, 1 << 9, 32, 256)
         } else {

@@ -392,7 +392,8 @@ fn file_fault_probes(subject: &ForestStore, report: &mut ChaosReport) {
 /// of the inner frames of a `trees × nodes_per_tree` mixed-scheme forest,
 /// open it lazily, and prove that (1) every query to a healthy tree answers
 /// bit-identically to an uncorrupted control, (2) every query to a corrupted
-/// tree reports `CorruptTree` without panicking, (3) a budgeted scrub
+/// tree reports `CorruptTree` — nothing catches an unwind, so a kernel panic
+/// aborts the run and fails the gate — (3) a budgeted scrub
 /// quarantines exactly the corrupted set, and (4) after repairing every
 /// quarantined slot from the control's replicas, a re-run is 100% `Ok` and
 /// the repaired frame publishes and reopens cleanly.
@@ -527,7 +528,7 @@ pub fn acceptance(
     Ok(format!(
         "acceptance ok: {trees} trees × {nodes_per_tree} nodes, {} corrupted; \
          {healthy_ok} healthy queries bit-identical to control, {corrupt_seen} degraded to \
-         CorruptTree, 0 panics; scrub quarantined exactly the corrupted set; \
+         CorruptTree with no unwind guard; scrub quarantined exactly the corrupted set; \
          post-repair re-run 100% Ok and published frame round-trips",
         corrupted.len()
     ))

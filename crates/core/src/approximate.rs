@@ -22,7 +22,7 @@ use crate::hpath::{AuxWidths, HpathLabel, HpathLabeling};
 use crate::kernel::approximate::{
     self as kernel, ApproximateLabelRef, ApproximateMeta, RoundingTable,
 };
-use crate::store::{SchemeStore, StoreError, StoredScheme};
+use crate::store::{SchemeStore, StoreError, StoredScheme, CORRUPT_LABEL};
 use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use treelab_bits::{codes, monotone, BitSlice, BitWriter};
 use treelab_tree::heavy::HeavyPaths;
@@ -260,7 +260,7 @@ impl StoredScheme for ApproximateScheme {
     /// The Theorem 1.4 protocol over packed views, estimate for estimate
     /// (same ε, same rounding).
     fn distance_refs(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'_>) -> u64 {
-        kernel::distance_refs(a, b)
+        kernel::distance_refs(a, b).unwrap_or(CORRUPT_LABEL)
     }
 
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &ApproximateMeta) -> bool {

@@ -22,7 +22,7 @@
 
 use crate::kernel::psum::{self, PsumMeta, PsumRef};
 use crate::naive::{PsumRow, PsumSource};
-use crate::store::{SchemeStore, StoreError, StoredScheme};
+use crate::store::{SchemeStore, StoreError, StoredScheme, CORRUPT_LABEL};
 use crate::substrate::{RowArena, Substrate};
 use crate::DistanceScheme;
 use treelab_bits::{codes, BitSlice};
@@ -122,7 +122,7 @@ impl StoredScheme for DistanceArrayScheme {
     }
 
     fn distance_refs(a: DistanceArrayLabelRef<'_>, b: DistanceArrayLabelRef<'_>) -> u64 {
-        psum::distance_refs(&a.0, &b.0)
+        psum::distance_refs(&a.0, &b.0).unwrap_or(CORRUPT_LABEL)
     }
 
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &PsumMeta) -> bool {

@@ -60,9 +60,9 @@
 //! and serves every other tree, and the corrupt one fails on first touch
 //! with the *same* [`ForestError::Tree`] the eager open would have reported.
 //! The per-tree validation verdict is cached, so every touch after the first
-//! is O(1) and allocation-free, and [`Forest::verify`] /
-//! [`Forest::verify_chunked`] can retrofit full eager coverage (e.g. from
-//! a background thread, a budgeted chunk at a time) without reopening.
+//! is O(1) and allocation-free, and [`Forest::verify`] (in one call) or a
+//! [`Scrubber`] pass (a budgeted chunk at a time) retrofits full eager
+//! coverage without reopening.
 //!
 //! Lazy opens are what make restart latency O(directory) instead of O(file):
 //! treebench's `first_query_p50_ms` (a lazy open of the published file to
@@ -129,9 +129,14 @@
 //! treat a bad query as a caller bug.  Each query's [`QueryStatus`] is
 //! `Ok(distance)`, `UnknownTree`, `NodeOutOfRange`, or `CorruptTree`, and
 //! nothing on query input or corrupt tree data panics.  Healthy tree groups
-//! complete even when others fail: each group runs its query kernel under
-//! [`std::panic::catch_unwind`], so a kernel that trips over rotted label
-//! data degrades only its own group to `CorruptTree`.
+//! complete even when others fail.  Rot that lands after a tree validated
+//! reaches the query kernels, which are total over arbitrary bits (see
+//! [`crate::kernel`]): they return the [`CORRUPT_LABEL`] verdict instead of
+//! panicking or reading outside the label region, and a group whose answers
+//! hold it degrades to `CorruptTree` as a whole.  That is the one fault
+//! path: validation verdicts and kernel verdicts are values, and nothing
+//! unwinds.  Rot that still decodes (a flipped distance field) answers a
+//! wrong distance until a scrub pass finds it.
 //!
 //! Damage found at runtime is **quarantined**, not just reported: a failed
 //! first-touch validation or a scrubber-detected fault condemns the slot, so
@@ -150,11 +155,15 @@
 //! # Panic policy
 //!
 //! Everything reachable from **untrusted input** — file bytes, query
-//! arguments — reports typed errors or statuses: every open/parse path
-//! returns [`ForestError`], per-tree reads go through
-//! [`Forest::try_tree`], and routed serving reports a [`QueryStatus`] per
-//! query.  The panics that remain are, by policy:
+//! arguments, label bits that rot after validation — reports typed errors
+//! or statuses: every open/parse path returns [`ForestError`], per-tree
+//! reads go through [`Forest::try_tree`], and routed serving reports a
+//! [`QueryStatus`] per query.  The panics that remain are, by policy:
 //!
+//! * the trusted per-tree entry points ([`AnyStoreRef::distance`] and
+//!   [`AnyStoreRef::distances_into`] on a view from [`Forest::tree`]),
+//!   which panic on an index out of range or on the kernels'
+//!   [`CORRUPT_LABEL`] verdict — route the query to get a status instead;
 //! * internal invariants that cannot be reached through validated state
 //!   (e.g. a routed group whose verdict vanished, a mapped frame whose
 //!   alignment was proven at open);
@@ -207,7 +216,7 @@ use std::sync::{Arc, OnceLock};
 use treelab_bits::crc::{self, Crc64};
 use treelab_bits::frame;
 
-use crate::store::{AnyParts, AnyStoreRef, BatchPlan, StoreError, StoredScheme};
+use crate::store::{AnyParts, AnyStoreRef, BatchPlan, StoreError, StoredScheme, CORRUPT_LABEL};
 use std::num::NonZeroUsize;
 
 /// `b"TLFRST01"` as a little-endian word.
@@ -237,8 +246,8 @@ pub enum ValidationPolicy {
     /// Defer each inner frame to its first `tree(id)` touch; the verdict is
     /// cached per tree, and a corrupt tree reports the same
     /// [`ForestError::Tree`] the eager open would have.  Open cost is
-    /// O(directory), not O(file) — see `verify_chunked` for retrofitting
-    /// full coverage in the background.
+    /// O(directory), not O(file) — a [`Scrubber`] pass retrofits full
+    /// coverage in the background.
     Lazy,
 }
 
@@ -620,12 +629,10 @@ fn parse_forest(words: &[u64], policy: ValidationPolicy) -> Result<ForestState, 
     Ok(state)
 }
 
-/// Resumable progress through a [`verify_chunked`](Forest::verify_chunked)
-/// pass: the streaming outer-checksum state, then a cursor over the live
-/// directory slots.  One cursor belongs to one frame snapshot — start a
-/// fresh cursor after any mutation (a pinned view is the natural target).
+/// A [`Scrubber`]'s progress through one pass: the streaming
+/// outer-checksum state, then a cursor over the directory slots.
 #[derive(Debug)]
-pub struct VerifyCursor {
+struct PassCursor {
     crc: Crc64,
     pos: usize,
     crc_checked: bool,
@@ -633,10 +640,9 @@ pub struct VerifyCursor {
     done: bool,
 }
 
-impl VerifyCursor {
-    /// A cursor at the start of the frame.
-    pub fn new() -> Self {
-        VerifyCursor {
+impl Default for PassCursor {
+    fn default() -> Self {
+        PassCursor {
             crc: Crc64::new(),
             pos: 0,
             crc_checked: false,
@@ -644,13 +650,9 @@ impl VerifyCursor {
             done: false,
         }
     }
+}
 
-    /// `true` once a `verify_chunked` pass driven by this cursor has covered
-    /// the whole frame.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
+impl PassCursor {
     /// Absorbs up to `*budget` further words of the outer checksum's input
     /// (`words[..crc_end]`), deducting them from `budget`, and checks the
     /// digest once the input is absorbed.  Returns `Ok(true)` when the
@@ -679,43 +681,6 @@ impl VerifyCursor {
     }
 }
 
-impl Default for VerifyCursor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One budgeted step of a full verification: absorbs up to `budget_words`
-/// of outer-checksum input and/or inner-frame validation, making progress on
-/// every call.  Returns `Ok(true)` when the frame is fully verified.
-fn verify_chunked_impl(
-    words: &[u64],
-    state: &ForestState,
-    budget_words: usize,
-    cursor: &mut VerifyCursor,
-) -> Result<bool, ForestError> {
-    if cursor.done {
-        return Ok(true);
-    }
-    let mut budget = budget_words.max(1);
-    if !cursor.stream_checksum(words, state.dir_end(), &mut budget)? {
-        return Ok(false);
-    }
-    while cursor.slot < state.slots.len() {
-        if budget == 0 {
-            return Ok(false);
-        }
-        let slot = &state.slots[cursor.slot];
-        cursor.slot += 1;
-        if slot.entry.tag != 0 {
-            validate_slot(words, slot)?;
-            budget = budget.saturating_sub(slot.entry.len);
-        }
-    }
-    cursor.done = true;
-    Ok(true)
-}
-
 /// The per-query verdict of the routed engine
 /// ([`Forest::try_route_distances_into`]), in arrival order: the answer,
 /// or why there is none.
@@ -727,9 +692,10 @@ pub enum QueryStatus {
     UnknownTree,
     /// A node index is `>= n` for the queried tree.
     NodeOutOfRange,
-    /// The queried tree's frame failed validation — at first touch, under
-    /// quarantine after a scrub found rot, or because the query kernel of
-    /// its group panicked on corrupt label data.
+    /// The queried tree's frame failed validation — at first touch, or
+    /// under quarantine after a scrub found rot — or a query kernel of its
+    /// group returned the [`CORRUPT_LABEL`] verdict on label bits that
+    /// rotted after validation (the whole group then answers this).
     CorruptTree,
 }
 
@@ -919,16 +885,18 @@ pub enum ScrubOutcome {
 /// A budgeted background scrubber: resumable progress through repeated full
 /// passes over one forest view, re-reading every frame word fresh each pass.
 ///
-/// Where [`verify_chunked`](Forest::verify_chunked) *settles* each slot
-/// once (replaying cached verdicts thereafter), the scrubber **re-validates
-/// every live inner frame from its bytes on every pass** — so label rot that
-/// lands *after* a slot validated is still found, quarantined, and kept away
-/// from queries.  Drive it from the serving loop with a words-per-call
+/// Where [`verify`](Forest::verify) *settles* each slot once (replaying
+/// cached verdicts thereafter), the scrubber **re-validates every live
+/// inner frame from its bytes on every pass** — so label rot that lands
+/// *after* a slot validated is still found, quarantined, and kept away from
+/// queries.  Its first pass over a lazily opened forest is also the
+/// budgeted way to reach the eager verdict of every slot without
+/// reopening.  Drive it from the serving loop with a words-per-call
 /// budget; one scrubber belongs to one view, and a generation change (append
 /// / tombstone / repair on the owning store) restarts the pass automatically.
 #[derive(Debug, Default)]
 pub struct Scrubber {
-    cursor: VerifyCursor,
+    cursor: PassCursor,
     generation: Option<u64>,
     stats: ScrubStats,
 }
@@ -956,12 +924,12 @@ fn scrub_impl(
         if scrubber.generation.is_some() && !scrubber.cursor.done {
             scrubber.stats.restarts += 1;
         }
-        scrubber.cursor = VerifyCursor::new();
+        scrubber.cursor = PassCursor::default();
         scrubber.generation = Some(state.generation);
     }
     if scrubber.cursor.done {
         // Previous pass finished: start the next one.
-        scrubber.cursor = VerifyCursor::new();
+        scrubber.cursor = PassCursor::default();
     }
     let cursor = &mut scrubber.cursor;
     let mut budget = budget_words.max(1);
@@ -1445,11 +1413,13 @@ fn route_batch(
 }
 
 /// Runs every group of a prepared batch — the look-ahead pass first, then
-/// each group through its tree's batch engine under its own
-/// [`std::panic::catch_unwind`], so label rot that slips past a cached
-/// validation verdict degrades that one group to `CorruptTree` — and
-/// scatters the answers into `statuses` (query 0 first).  Each group drains
-/// through the store's planned, prefetching pipeline
+/// each group through its tree's batch engine — and scatters the answers
+/// into `statuses` (query 0 first).  Label rot that slips past a cached
+/// validation verdict reaches the kernels, which are total: a group whose
+/// outputs hold the [`CORRUPT_LABEL`] verdict answers `CorruptTree` as a
+/// whole (its other answers come from the same rotted frame, so none is
+/// trusted), and the slot's health is left to the scrubber.  Each group
+/// drains through the store's planned, prefetching pipeline
 /// (`AnyStoreRef::distances_write_with`): the router contributes grouping
 /// and the shared plan buffers, the pipeline itself lives in the store
 /// layer.
@@ -1476,25 +1446,19 @@ fn run_prepared(
     };
     sorted.clear();
     sorted.resize(order.len(), 0);
-    // Rotted index words can panic the offset walk; the group's own guarded
-    // run below reports that group, so a failed look-ahead is just skipped.
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        prefetch_group_heads(words, slots, queries, grouping);
-    }));
+    prefetch_group_heads(words, slots, queries, grouping);
     for g in 0..grouping.len() {
         let span = grouping.span(g);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pairs.clear();
-            pairs.extend(order[span.clone()].iter().map(|&qi| {
-                let (_, u, v) = queries[qi as usize];
-                (u, v)
-            }));
-            let slot = &slots[groups[g] as usize];
-            let e = slot.entry;
-            let view = AnyStoreRef::from_parts(&words[e.off..e.off + e.len], *routed_parts(slot));
-            view.distances_write_with(pairs, plan, &mut sorted[span.clone()]);
+        pairs.clear();
+        pairs.extend(order[span.clone()].iter().map(|&qi| {
+            let (_, u, v) = queries[qi as usize];
+            (u, v)
         }));
-        if run.is_err() {
+        let slot = &slots[groups[g] as usize];
+        let e = slot.entry;
+        let view = AnyStoreRef::from_parts(&words[e.off..e.off + e.len], *routed_parts(slot));
+        view.distances_write_with(pairs, plan, &mut sorted[span.clone()]);
+        if sorted[span.clone()].contains(&CORRUPT_LABEL) {
             for &qi in &order[span] {
                 statuses[qi as usize] = QueryStatus::CorruptTree;
             }
@@ -1714,26 +1678,6 @@ impl<W: FrameWords> Forest<W> {
         Ok(())
     }
 
-    /// Incremental [`Self::verify`]: performs about `budget_words` words
-    /// of checksum streaming and/or inner-frame validation per call
-    /// (always making progress, even with a zero budget), resuming from
-    /// `cursor`.  Returns `Ok(true)` once the whole frame is covered —
-    /// the background-thread alternative to paying an eager open.
-    ///
-    /// The cursor is bound to this frame snapshot; start a fresh one
-    /// after any mutation.
-    ///
-    /// # Errors
-    ///
-    /// The first [`ForestError`] the covered region reveals.
-    pub fn verify_chunked(
-        &self,
-        budget_words: usize,
-        cursor: &mut VerifyCursor,
-    ) -> Result<bool, ForestError> {
-        verify_chunked_impl(self.words.frame_words(), &self.state, budget_words, cursor)
-    }
-
     /// The routed batch engine: appends one [`QueryStatus`] per `(tree,
     /// u, v)` query to `out`, in arrival order, and returns the batch
     /// [`RouteOutcome`] tally.  Every query the forest can answer comes
@@ -1759,8 +1703,8 @@ impl<W: FrameWords> Forest<W> {
     /// [`RouteScratch`] over one contiguous chunk of the batch, and returns
     /// the statuses in arrival order — the same statuses
     /// [`Self::try_route_distances_into`] gives, for every thread count,
-    /// except that a kernel panic on rotted label data degrades its tree's
-    /// group only in the chunks where it fires.  One thread (or a batch of
+    /// except that a kernel's corrupt verdict on rotted label data degrades
+    /// its tree's group only in the chunks whose queries return it.  One thread (or a batch of
     /// at most one query) routes on the calling thread.  A serving loop
     /// should keep its own scratch per thread instead.
     pub fn try_route_distances_sharded(
@@ -2466,18 +2410,19 @@ mod tests {
         assert_eq!(distances(&lazy, &queries), distances(&forest, &queries));
         // Full verification retrofits eager coverage on the lazy view.
         lazy.verify().unwrap();
-        // Chunked verification converges to the same answer.
-        let mut cursor = VerifyCursor::new();
+        // A budgeted scrub pass converges to the same verdict.
+        let mut scrubber = Scrubber::new();
         let mut steps = 0usize;
-        while !lazy.verify_chunked(64, &mut cursor).unwrap() {
+        while lazy.scrub(64, &mut scrubber).unwrap() != ScrubOutcome::PassComplete {
             steps += 1;
-            assert!(steps < 1_000_000, "verify_chunked must terminate");
+            assert!(steps < 1_000_000, "a scrub pass must terminate");
         }
-        assert!(cursor.is_done() && steps > 0);
-        // A fresh cursor on an already-verified view also completes.
-        assert!(lazy
-            .verify_chunked(usize::MAX, &mut VerifyCursor::new())
-            .unwrap());
+        assert!(steps > 0 && scrubber.stats().passes_completed == 1);
+        // A fresh scrubber with an unbounded budget completes in one call.
+        assert_eq!(
+            lazy.scrub(usize::MAX, &mut Scrubber::new()).unwrap(),
+            ScrubOutcome::PassComplete
+        );
     }
 
     #[test]

@@ -358,6 +358,15 @@ impl AuxDims {
             end_w: usize::from(widths.end),
         }
     }
+
+    /// Bits a full aux block spans with `ld` end positions and a
+    /// `cw_len`-bit codeword string (`None` when that overflows).
+    #[inline]
+    pub(crate) fn extent(&self, ld: usize, cw_len: usize) -> Option<usize> {
+        self.scalar_total
+            .checked_add(ld.checked_mul(self.end_w)?)?
+            .checked_add(cw_len)
+    }
 }
 
 /// The four scalar fields of one packed aux label, loaded in (at most) one
@@ -387,10 +396,11 @@ impl AuxScalars {
         a.dom < b.dom
     }
 
-    /// Mirrors [`HpathLabel::is_ancestor`].
+    /// Mirrors [`HpathLabel::is_ancestor`] (in a form that cannot
+    /// overflow on rotted fields).
     #[inline]
     pub(crate) fn is_ancestor(a: &Self, b: &Self) -> bool {
-        a.pre <= b.pre && b.pre < a.pre + a.sub
+        a.pre <= b.pre && b.pre - a.pre < a.sub
     }
 }
 
@@ -506,18 +516,24 @@ impl<'a> HpathRef<'a> {
     /// aux block when its scalar region, end positions and codeword bits all
     /// fit within `avail` bits, `None` otherwise.
     pub(crate) fn extent_bits(&self, avail: usize) -> Option<(usize, usize)> {
-        let d = self.d;
-        if avail < d.scalar_total {
+        if avail < self.d.scalar_total {
             return None;
         }
         let ld = self.scalars().ld;
-        let with_ends = d.scalar_total.checked_add(ld.checked_mul(d.end_w)?)?;
-        if avail < with_ends {
+        if self.d.extent(ld, 0)? > avail {
             return None;
         }
         let cw = if ld == 0 { 0 } else { self.end(ld - 1) };
-        let total = with_ends.checked_add(cw)?;
+        let total = self.d.extent(ld, cw)?;
         (total <= avail).then_some((total, cw))
+    }
+
+    /// [`crate::kernel::in_region`] of the whole block: its `ld` end
+    /// positions and its `cw_len`-bit codeword string (`ld = cw_len = 0`
+    /// bounds the scalars, before the query reads them).
+    #[inline]
+    pub(crate) fn in_region(&self, ld: usize, cw_len: usize) -> Option<()> {
+        crate::kernel::in_region(self.s, self.base, self.d.extent(ld, cw_len))
     }
 
     /// Mirrors [`HpathLabel::common_light_depth`], with the scalars of both

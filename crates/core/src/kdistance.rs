@@ -42,7 +42,7 @@
 
 use crate::hpath::{AuxWidths, HpathLabel, HpathLabeling};
 use crate::kernel::kdistance::{self as kernel, KDistanceLabelRef, KDistanceMeta};
-use crate::store::{SchemeStore, StoreError, StoredScheme, NO_DISTANCE};
+use crate::store::{SchemeStore, StoreError, StoredScheme, CORRUPT_LABEL, NO_DISTANCE};
 use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use treelab_bits::wordram::{range_height, range_id_from_member, two_approx_exp};
 use treelab_bits::{codes, monotone, BitSlice, BitWriter};
@@ -365,10 +365,10 @@ impl StoredScheme for KDistanceScheme {
         KDistanceLabelRef::new(slice, start, meta)
     }
 
-    /// The Theorem 1.3 protocol over packed views; "more than `k`" maps to
+    /// The Theorem 1.3 protocol over packed views; "more than `k`" is
     /// [`NO_DISTANCE`].
     fn distance_refs(a: KDistanceLabelRef<'_>, b: KDistanceLabelRef<'_>) -> u64 {
-        kernel::distance_refs(&a, &b).unwrap_or(NO_DISTANCE)
+        kernel::distance_refs(&a, &b).unwrap_or(CORRUPT_LABEL)
     }
 
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &KDistanceMeta) -> bool {
@@ -382,9 +382,10 @@ impl SchemeStore<KDistanceScheme> {
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range.
+    /// Panics as [`Store::distance`](crate::store::Store::distance) does:
+    /// on an index out of range or a corrupt label pair.
     pub fn distance_within_k(&self, u: usize, v: usize) -> Option<u64> {
-        kernel::distance_refs(&self.label_ref(u), &self.label_ref(v))
+        Some(self.distance(u, v)).filter(|&d| d != NO_DISTANCE)
     }
 }
 

@@ -240,23 +240,34 @@ impl<'a> ApproximateLabelRef<'a> {
         self.get(base + i * self.m.e_w, self.m.e_w)
     }
 
+    /// The aux label after `count` exponents (an offset that overflows
+    /// saturates, so no region holds it).
     #[inline]
     fn aux(&self, count: usize) -> HpathRef<'a> {
-        let base = self.start + self.m.hdr_total + count * self.m.e_w;
+        let base = count
+            .saturating_mul(self.m.e_w)
+            .saturating_add(self.start + self.m.hdr_total);
         HpathRef::new(self.s, base, &self.m.aux)
     }
 }
 
 /// The Theorem 1.4 estimate protocol over packed views: an estimate `d̃` with
 /// `d(u,v) ≤ d̃ ≤ (1+ε)·d(u,v) + 2`, same ε and same rounding as the build.
-pub(crate) fn distance_refs(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'_>) -> u64 {
+/// `None` is the corrupt verdict (see [`crate::kernel`]).
+pub(crate) fn distance_refs(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'_>) -> Option<u64> {
+    super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
+    super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
     // Both headers and both aux scalar blocks decode as planned load pairs.
     let ((rd_a, ca, cwl_a), (rd_b, cb, cwl_b)) = ApproximateLabelRef::header_pair(&a, &b);
     let (aa, ab) = (a.aux(ca), b.aux(cb));
+    aa.in_region(0, 0)?;
+    ab.in_region(0, 0)?;
     let (sa, sb) = HpathRef::scalars_pair(&aa, &ab);
+    aa.in_region(sa.ld, cwl_a)?;
+    ab.in_region(sb.ld, cwl_b)?;
     // Equal nodes fall under the ancestor case (|rd_a − rd_b| = 0).
     if AuxScalars::is_ancestor(&sa, &sb) || AuxScalars::is_ancestor(&sb, &sa) {
-        return rd_a.abs_diff(rd_b);
+        return Some(rd_a.abs_diff(rd_b));
     }
     let (j, lcp) = HpathRef::common_light_depth_lcp(&aa, &sa, cwl_a, &ab, &sb, cwl_b);
     let a_branches = sa.ld > j;
@@ -268,25 +279,31 @@ pub(crate) fn distance_refs(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'
         // strictly inside codeword j, and the lexicographically smaller
         // side (a 0 bit there) branches closer to the head — one bit read
         // replaces the chunked lexicographic comparison.
-        (true, true) => aa.cw_bit(sa.ld, lcp) == 0,
-        (false, false) => {
-            unreachable!("non-ancestor nodes cannot both lie on the NCA's heavy path")
-        }
+        (true, true) if lcp < cwl_a => aa.cw_bit(sa.ld, lcp) == 0,
+        // Non-ancestor nodes cannot both lie on the NCA's heavy path, and
+        // two branching strings diverge inside both.
+        _ => return None,
     };
-    let (x, x_ld, x_rd) = if use_a {
-        (&a, sa.ld, rd_a)
+    let (x, x_ld, x_count, x_rd) = if use_a {
+        (&a, sa.ld, ca, rd_a)
     } else {
-        (&b, sb.ld, rd_b)
+        (&b, sb.ld, cb, rd_b)
     };
     let y_rd = if use_a { rd_b } else { rd_a };
     let idx = x_ld - j; // ≥ 1
+    if idx > x_count {
+        return None;
+    }
     let e = x.exponent(idx - 1);
     let rounded = if e == 0 {
         0
     } else {
         x.m.exponent_value_cached(e - 1)
     };
-    (y_rd + 2 * rounded).saturating_sub(x_rd)
+    Some(
+        y_rd.checked_add(rounded.checked_mul(2)?)?
+            .saturating_sub(x_rd),
+    )
 }
 
 /// Load-time extent check of the approximate scheme's packed labels.

@@ -14,7 +14,7 @@
 //! Lemma 4.5 two-approximation tables when both offsets were capped.
 
 use crate::hpath::{AuxDims, AuxScalars, AuxWidths, HpathRef};
-use crate::store::StoreError;
+use crate::store::{StoreError, NO_DISTANCE};
 use treelab_bits::wordram::{range_id_from_member, two_approx_exp};
 use treelab_bits::BitSlice;
 
@@ -126,6 +126,17 @@ impl KDistanceMeta {
                 + u32::from(w_tpm),
             aux: AuxDims::new(aux_w),
         }
+    }
+
+    /// Offset of the aux label in a label with `sc` significant ancestors,
+    /// `uc` up- and `dc` down-exponents (`None` when that overflows); the
+    /// aux block's own extent ([`AuxDims::extent`]) follows it.
+    #[inline]
+    fn aux_offset(&self, sc: usize, uc: usize, dc: usize) -> Option<usize> {
+        self.hdr_total
+            .checked_add(sc.checked_mul(self.d_w + self.h_w)?)?
+            .checked_add(uc.checked_mul(self.ue_w)?)?
+            .checked_add(dc.checked_mul(self.de_w)?)
     }
 
     /// Splits a fused header word into the six scalar header fields plus the
@@ -245,8 +256,11 @@ impl<'a> KDistanceLabelRef<'a> {
         treelab_bits::bitslice::read_lsb(self.s.words(), pos, width)
     }
 
-    fn layout(&self) -> KdLayout {
+    /// The label's layout, or `None` when its header or aux scalars leave
+    /// the label region.
+    fn layout(&self) -> Option<KdLayout> {
         let m = self.m;
+        super::in_region(self.s, self.start, Some(m.hdr_total))?;
         // One fused read covers all six scalar header fields when they fit.
         let fields = if m.hdr_fused {
             let raw = self.get(self.start, m.hdr_total);
@@ -270,7 +284,9 @@ impl<'a> KDistanceLabelRef<'a> {
         self.layout_from_fields(fields)
     }
 
-    /// Derives the array base offsets from the decoded header fields.
+    /// Derives the array base offsets from the decoded header fields, or
+    /// `None` when the arrays and the aux scalars do not fit the label
+    /// region.
     #[inline]
     fn layout_from_fields(
         &self,
@@ -283,14 +299,20 @@ impl<'a> KDistanceLabelRef<'a> {
             u64,
             usize,
         ),
-    ) -> KdLayout {
+    ) -> Option<KdLayout> {
         let m = self.m;
+        let aux_offset = m.aux_offset(sc, uc, dc)?;
+        super::in_region(
+            self.s,
+            self.start,
+            aux_offset.checked_add(m.aux.extent(0, 0)?),
+        )?;
         let dists_base = self.start + m.hdr_total;
         let heights_base = dists_base + sc * m.d_w;
         let ups_base = heights_base + sc * m.h_w;
         let downs_base = ups_base + uc * m.ue_w;
         let aux_base = downs_base + dc * m.de_w;
-        KdLayout {
+        Some(KdLayout {
             sc,
             uc,
             dc,
@@ -303,24 +325,26 @@ impl<'a> KDistanceLabelRef<'a> {
             ups_base,
             downs_base,
             aux_base,
-        }
+        })
     }
 
     /// [`KDistanceLabelRef::layout`] of both query sides, with the two fused
     /// header reads issued as one planned load pair (bit-identical; falls
     /// back across distinct buffers or unfused headers).
     #[inline]
-    fn layout_pair(a: &Self, b: &Self) -> (KdLayout, KdLayout) {
+    fn layout_pair(a: &Self, b: &Self) -> Option<(KdLayout, KdLayout)> {
         let m = a.m;
+        super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
+        super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
         if m.hdr_fused && std::ptr::eq(a.s.words(), b.s.words()) {
             let (ra, rb) =
                 treelab_bits::bitslice::read_lsb_pair(a.s.words(), a.start, b.start, m.hdr_total);
-            (
-                a.layout_from_fields(m.unpack_header(ra)),
-                b.layout_from_fields(m.unpack_header(rb)),
-            )
+            Some((
+                a.layout_from_fields(m.unpack_header(ra))?,
+                b.layout_from_fields(m.unpack_header(rb))?,
+            ))
         } else {
-            (a.layout(), b.layout())
+            Some((a.layout()?, b.layout()?))
         }
     }
 
@@ -358,22 +382,28 @@ impl<'a> KDistanceLabelRef<'a> {
     }
 
     /// Offset of this side's ancestor on the common heavy path, where `idx`
-    /// is that ancestor's index in the stored sequences.
+    /// is that ancestor's index in the stored sequences (`None` when the
+    /// stored distances do not increase).
     #[inline]
-    fn path_offset(&self, l: &KdLayout, idx: usize) -> PathOffset {
-        if idx + 1 < l.sc {
-            PathOffset::Exact(self.dist(l, idx + 1) - self.dist(l, idx) - 1)
+    fn path_offset(&self, l: &KdLayout, idx: usize) -> Option<PathOffset> {
+        Some(if idx + 1 < l.sc {
+            PathOffset::Exact(
+                self.dist(l, idx + 1)
+                    .checked_sub(self.dist(l, idx))?
+                    .checked_sub(1)?,
+            )
         } else if l.alpha_exact {
             PathOffset::Exact(l.alpha)
         } else {
             PathOffset::CappedLarge
-        }
+        })
     }
 }
 
 /// Distance along the common heavy path between the two ancestors, via
 /// Lemma 4.5 (both offsets capped; both ancestors are top significant
-/// ancestors on the same heavy path).  `None` means "more than `k`".
+/// ancestors on the same heavy path).  [`NO_DISTANCE`] means "more than
+/// `k`"; `None` is the corrupt verdict.
 #[allow(clippy::too_many_arguments)]
 fn lemma_4_5(
     a: &KDistanceLabelRef<'_>,
@@ -391,42 +421,52 @@ fn lemma_4_5(
     if id_a == id_b {
         return Some(0);
     }
+    let modulus = k.checked_add(1)?;
+    if la.top_pos_mod >= modulus || lb.top_pos_mod >= modulus {
+        return None;
+    }
     // x = the side whose ancestor is closer to the head (smaller id).
     let (x, lx, y, ly, id_x, id_y) = if id_a < id_b {
         (a, la, b, lb, id_a, id_b)
     } else {
         (b, lb, a, la, id_b, id_a)
     };
-    let modulus = k + 1;
-    let t = (ly.top_pos_mod + modulus - lx.top_pos_mod) % modulus;
+    let t = if ly.top_pos_mod >= lx.top_pos_mod {
+        ly.top_pos_mod - lx.top_pos_mod
+    } else {
+        modulus - (lx.top_pos_mod - ly.top_pos_mod)
+    };
     if t == 0 {
         // Positions congruent but identifiers differ: the gap is at least
         // k + 1.
-        return None;
+        return Some(NO_DISTANCE);
     }
     let t_idx = (t - 1) as usize;
     if t_idx >= lx.uc || t_idx >= ly.dc {
         // The table does not extend to t: the true gap cannot equal t, so
         // it is at least t + k + 1 > k.
-        return None;
+        return Some(NO_DISTANCE);
     }
     let up = x.up_exp(lx, t_idx);
     let down = y.down_exp(ly, t_idx);
     let whole = u64::from(two_approx_exp(id_y - id_x));
-    if up == whole && down == whole {
-        Some(t)
+    Some(if up == whole && down == whole {
+        t
     } else {
-        None
-    }
+        NO_DISTANCE
+    })
 }
 
 /// The Theorem 1.3 bounded-distance protocol over packed views:
-/// `Some(d(u,v))` when the distance is at most `k`, `None` otherwise.
+/// `Some(d(u,v))` when the distance is at most `k`, `Some(NO_DISTANCE)`
+/// otherwise, and `None` as the corrupt verdict (see [`crate::kernel`]).
 pub(crate) fn distance_refs(a: &KDistanceLabelRef<'_>, b: &KDistanceLabelRef<'_>) -> Option<u64> {
     // Both headers and both aux scalar blocks decode as planned load pairs.
-    let (la, lb) = KDistanceLabelRef::layout_pair(a, b);
+    let (la, lb) = KDistanceLabelRef::layout_pair(a, b)?;
     let (aa, ab) = (a.aux(&la), b.aux(&lb));
     let (sa, sb) = HpathRef::scalars_pair(&aa, &ab);
+    aa.in_region(sa.ld, la.cwl)?;
+    ab.in_region(sb.ld, lb.cwl)?;
     if AuxScalars::same_node(&sa, &sb) {
         return Some(0);
     }
@@ -437,32 +477,26 @@ pub(crate) fn distance_refs(a: &KDistanceLabelRef<'_>, b: &KDistanceLabelRef<'_>
     let ib = sb.ld - j;
     if ia >= la.sc || ib >= lb.sc {
         // The walk to the common heavy path alone exceeds k.
-        return None;
+        return Some(NO_DISTANCE);
     }
     let du = a.dist(&la, ia);
     let dv = b.dist(&lb, ib);
-    let along = match (a.path_offset(&la, ia), b.path_offset(&lb, ib)) {
+    let along = match (a.path_offset(&la, ia)?, b.path_offset(&lb, ib)?) {
         (PathOffset::Exact(x), PathOffset::Exact(y)) => x.abs_diff(y),
+        // The capped side is at offset ≥ 2k+1.  If the exact side's offset
+        // is ≤ k the gap exceeds k; otherwise both sides are top
+        // significant ancestors and Lemma 4.5 applies.
         (PathOffset::CappedLarge, PathOffset::Exact(e))
-        | (PathOffset::Exact(e), PathOffset::CappedLarge) => {
-            // The capped side is at offset ≥ 2k+1.  If the exact side's
-            // offset is ≤ k the gap exceeds k; otherwise both sides are top
-            // significant ancestors and Lemma 4.5 applies.
-            if e <= k {
-                return None;
-            }
-            lemma_4_5(a, &la, sa.pre, ia, b, &lb, sb.pre, ib)?
+        | (PathOffset::Exact(e), PathOffset::CappedLarge)
+            if e <= k =>
+        {
+            NO_DISTANCE
         }
-        (PathOffset::CappedLarge, PathOffset::CappedLarge) => {
-            lemma_4_5(a, &la, sa.pre, ia, b, &lb, sb.pre, ib)?
-        }
+        _ => lemma_4_5(a, &la, sa.pre, ia, b, &lb, sb.pre, ib)?,
     };
-    let total = du + dv + along;
-    if total <= k {
-        Some(total)
-    } else {
-        None
-    }
+    // Saturating: every sum past k answers "more than k" alike.
+    let total = du.saturating_add(dv).saturating_add(along);
+    Some(if total <= k { total } else { NO_DISTANCE })
 }
 
 /// The paper's nearest-common-significant-ancestor computation (§4.3) over
@@ -473,7 +507,7 @@ pub(crate) fn ncsa_light_depth_refs(
     a: &KDistanceLabelRef<'_>,
     b: &KDistanceLabelRef<'_>,
 ) -> Option<usize> {
-    let (la, lb) = (a.layout(), b.layout());
+    let (la, lb) = (a.layout()?, b.layout()?);
     let (sa, sb) = (a.aux(&la).scalars(), b.aux(&lb).scalars());
     let mut best: Option<usize> = None;
     for i in 0..la.sc {
@@ -506,8 +540,6 @@ pub(crate) fn check_label(
     if len < meta.hdr_total {
         return false;
     }
-    // Checked re-derivation of the array extents (layout() itself uses
-    // unchecked address arithmetic, safe only for validated labels).
     let r = KDistanceLabelRef::new(slice, start, meta);
     let sc = r.get(start, usize::from(meta.w_sc)) as usize;
     let uc = r.get(start + usize::from(meta.w_sc), usize::from(meta.w_uc)) as usize;
@@ -519,12 +551,7 @@ pub(crate) fn check_label(
         start + meta.hdr_total - usize::from(meta.aux_w.end),
         usize::from(meta.aux_w.end),
     ) as usize;
-    let fixed = meta
-        .hdr_total
-        .checked_add(sc.saturating_mul(meta.d_w + meta.h_w))
-        .and_then(|x| x.checked_add(uc.checked_mul(meta.ue_w)?))
-        .and_then(|x| x.checked_add(dc.checked_mul(meta.de_w)?));
-    let Some(fixed) = fixed.filter(|&f| f <= len) else {
+    let Some(fixed) = meta.aux_offset(sc, uc, dc).filter(|&f| f <= len) else {
         return false;
     };
     let aux = HpathRef::new(slice, start + fixed, &meta.aux);

@@ -101,6 +101,15 @@ impl LevelAncestorMeta {
         Ok(Self::with_widths(w_d, w_ho, w_ld, w_end, w_bs))
     }
 
+    /// Bits a label spans whose header reads `ld` records and a `cwl`-bit
+    /// codeword string (`None` when that overflows).
+    #[inline]
+    fn extent(&self, ld: usize, cwl: usize) -> Option<usize> {
+        self.hdr_total
+            .checked_add(cwl)?
+            .checked_add(ld.checked_mul(self.rec_w)?)
+    }
+
     /// Splits one fused header word into
     /// `(depth, head_offset, light_depth, cwl)`.
     #[inline]
@@ -290,12 +299,20 @@ impl<'a> LevelAncestorLabelRef<'a> {
 
 /// The §3.6 distance protocol over packed views: one codeword LCP, one
 /// record scan on side `a`, one indexed read on side `b` (the shared
-/// `depth_sum[j − 1]` makes the exits symmetric).
-pub(crate) fn distance_refs(a: LevelAncestorLabelRef<'_>, b: LevelAncestorLabelRef<'_>) -> u64 {
+/// `depth_sum[j − 1]` makes the exits symmetric).  `None` is the corrupt
+/// verdict (see [`crate::kernel`]).
+pub(crate) fn distance_refs(
+    a: LevelAncestorLabelRef<'_>,
+    b: LevelAncestorLabelRef<'_>,
+) -> Option<u64> {
+    super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
+    super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
     // Both headers decode as one planned load pair — the two sides' field
     // chains are independent, so their loads overlap.
     let ((depth_a, ho_a, lda, cwl_a), (depth_b, ho_b, ldb, cwl_b)) =
         LevelAncestorLabelRef::header_pair(&a, &b);
+    super::in_region(a.s, a.start, a.m.extent(lda, cwl_a))?;
+    super::in_region(b.s, b.start, b.m.extent(ldb, cwl_b))?;
     let lcp = treelab_bits::bitslice::common_prefix_len_raw(
         a.s.words(),
         a.cw_base(),
@@ -309,17 +326,15 @@ pub(crate) fn distance_refs(a: LevelAncestorLabelRef<'_>, b: LevelAncestorLabelR
     // Both sides share the first j light edges, so depth_sum[j − 1] is
     // common; each side's exit is its level-j branch offset, or its own
     // head offset when it ends on the common path.
-    let exit_a = match bsum_a_j {
-        Some(bs) => bs - head_depth - 1,
-        None => ho_a,
+    let exit = |bsum: Option<u64>, ho: u64| match bsum {
+        Some(bs) => bs.checked_sub(head_depth)?.checked_sub(1),
+        None => Some(ho),
     };
-    let exit_b = if j < ldb {
-        b.depth_sum_at(b.cw_base() + cwl_b, j) - head_depth - 1
-    } else {
-        ho_b
-    };
-    let nca_depth = head_depth + exit_a.min(exit_b);
-    depth_a + depth_b - 2 * nca_depth
+    let bsum_b_j = (j < ldb).then(|| b.depth_sum_at(b.cw_base() + cwl_b, j));
+    let nca_depth = head_depth.checked_add(exit(bsum_a_j, ho_a)?.min(exit(bsum_b_j, ho_b)?))?;
+    depth_a
+        .checked_add(depth_b)?
+        .checked_sub(nca_depth.checked_mul(2)?)
 }
 
 /// Load-time extent check of the level-ancestor scheme's packed labels.
@@ -333,11 +348,6 @@ pub(crate) fn check_label(
     if len < meta.hdr_total {
         return false;
     }
-    let r = LevelAncestorLabelRef::new(slice, start, meta);
-    let (_, _, ld, cwl) = r.header();
-    matches!(
-        ld.checked_mul(meta.rec_w)
-            .and_then(|recs| recs.checked_add(meta.hdr_total + cwl)),
-        Some(total) if total == len
-    )
+    let (_, _, ld, cwl) = LevelAncestorLabelRef::new(slice, start, meta).header();
+    meta.extent(ld, cwl) == Some(len)
 }

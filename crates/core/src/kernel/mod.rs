@@ -36,8 +36,19 @@
 //!   shared frame buffer (a [`BitSlice`](treelab_bits::BitSlice) plus a bit
 //!   offset plus the meta);
 //! * `distance_refs` — the allocation-free query over two refs;
-//! * `check_label` — the load-time extent check that rejects frames whose
-//!   per-label counts disagree with the offset index.
+//! * `check_label` — the load-time check that a label's `extent` (the bits
+//!   its header's counts describe, one helper per meta) equals its
+//!   offset-index extent.
+//!
+//! # Corrupt labels
+//!
+//! A query is a function of two bit strings alone, and every kernel is
+//! *total* over them: `distance_refs` returns `None` — the corrupt verdict,
+//! [`CORRUPT_LABEL`](crate::store::CORRUPT_LABEL) at the store boundary —
+//! when a side's header or `extent` leaves the label region, a record scan
+//! finds no level, an index leaves its array or arithmetic would wrap.
+//! Every loop is bounded by a count inside a checked extent.  Rot that still
+//! decodes (a flipped distance field) is left to the scrubber's checksums.
 //!
 //! The heavy-path auxiliary machinery the exact kernels share (fused scalar
 //! reads, the word-level codeword LCP) lives in [`crate::hpath`]
@@ -89,3 +100,16 @@ pub mod kdistance;
 pub mod level_ancestor;
 pub mod optimal;
 pub mod psum;
+
+/// `Some` when the `bits` bits at `start` (`None`: an overflowed extent)
+/// lie inside the label region `s`, else the corrupt verdict.  The guard
+/// pad past the region covers the kernels' fixed-width look-ahead reads.
+#[inline]
+pub(crate) fn in_region(
+    s: treelab_bits::BitSlice<'_>,
+    start: usize,
+    bits: Option<usize>,
+) -> Option<()> {
+    bits.filter(|&bits| start <= s.len() && bits <= s.len() - start)
+        .map(drop)
+}

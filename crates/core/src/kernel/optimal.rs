@@ -175,6 +175,18 @@ impl OptimalMeta {
         ))
     }
 
+    /// Bits a label spans up to its accumulator region — header, aux core,
+    /// `fc` fragments and `ld` records, given a `cwl`-bit codeword string
+    /// (`None` when that overflows).  The accumulator bits follow; their
+    /// total is the last record's `acc_end`.
+    #[inline]
+    fn extent(&self, ld: usize, fc: usize, cwl: usize) -> Option<usize> {
+        (self.hdr_total + self.aux.widths.scalar_bits())
+            .checked_add(cwl)?
+            .checked_add(fc.checked_mul(self.frag_w)?)?
+            .checked_add(ld.checked_mul(self.rec_w)?)
+    }
+
     /// Splits one fused header word into `(root_distance, count, fc, cwl)`.
     #[inline]
     fn unpack_header(&self, raw: u64) -> (u64, usize, usize, usize) {
@@ -292,19 +304,16 @@ impl<'a> OptimalLabelRef<'a> {
     }
 
     /// Scans the records for the first end position past `lcp`, returning
-    /// `(level, record, acc_end[level − 1])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when every end position is within the prefix — for labels of
-    /// one build the dominating side always leaves the common heavy path.
+    /// `(level, record, acc_end[level − 1])`, or `None` when every end
+    /// position is within the prefix — for labels of one build the
+    /// dominating side always leaves the common heavy path.
     #[inline]
     fn scan_records(
         &self,
         ld: usize,
         rec_base: usize,
         lcp: usize,
-    ) -> (usize, OptimalRecord, usize) {
+    ) -> Option<(usize, OptimalRecord, usize)> {
         let m = self.m;
         let mut prev_acc = 0usize;
         let mut i = 0;
@@ -318,12 +327,12 @@ impl<'a> OptimalLabelRef<'a> {
             };
             let rec = self.record_fields(pos, raw);
             if end > lcp {
-                return (i, rec, prev_acc);
+                return Some((i, rec, prev_acc));
             }
             prev_acc = rec.acc_end;
             i += 1;
         }
-        panic!("dominating label leaves the common heavy path");
+        None
     }
 
     /// `acc_end[level]` by direct index (`0` for level `-1`).
@@ -344,18 +353,22 @@ impl<'a> OptimalLabelRef<'a> {
     }
 }
 
-/// The Theorem 1.1 distance protocol over packed views (including its panics
-/// on labels of different builds): one codeword LCP, one record scan on the
-/// dominating side, and — only when bits were pushed — two reads into the
-/// dominated side's records and accumulator region.
-pub(crate) fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u64 {
+/// The Theorem 1.1 distance protocol over packed views: one codeword LCP,
+/// one record scan on the dominating side, and — only when bits were
+/// pushed — two reads into the dominated side's records and accumulator
+/// region.  `None` is the corrupt verdict (see [`crate::kernel`]).
+pub(crate) fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> Option<u64> {
+    super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
+    super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
     // Both headers and both aux scalar blocks decode as planned load pairs.
     let ((rd_a, lda, fca, cwl_a), (rd_b, ldb, fcb, cwl_b)) = OptimalLabelRef::header_pair(&a, &b);
+    super::in_region(a.s, a.start, a.m.extent(lda, fca, cwl_a))?;
+    super::in_region(b.s, b.start, b.m.extent(ldb, fcb, cwl_b))?;
     let (aa, ab) = (a.aux(), b.aux());
     let (sa, sb) = AuxCoreRef::scalars_pair(&aa, &ab);
     // Equal nodes fall under the ancestor case (|rd_a − rd_b| = 0).
     if AuxScalars::is_ancestor(&sa, &sb) || AuxScalars::is_ancestor(&sb, &sa) {
-        return rd_a.abs_diff(rd_b);
+        return Some(rd_a.abs_diff(rd_b));
     }
     let lcp = AuxCoreRef::codeword_lcp(&aa, cwl_a, &ab, cwl_b);
     // Bit pushing is asymmetric: the dominating side holds the kept bits,
@@ -373,34 +386,43 @@ pub(crate) fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u
     let (other, other_ld, other_fc, other_frag_base) =
         (refs[1 - di], lds[1 - di], fcs[1 - di], frag_bases[1 - di]);
     let dom_rec_base = dom_frag_base + dom_fc * dom.m.frag_w;
-    let (j, rec, dom_prev_acc) = dom.scan_records(dom_ld, dom_rec_base, lcp);
-    assert!(
-        !rec.exceptional,
-        "dominating side's entry is never exceptional for labels of one tree"
-    );
+    let (j, rec, dom_prev_acc) = dom.scan_records(dom_ld, dom_rec_base, lcp)?;
+    // The dominating side's entry is never exceptional for labels of one
+    // tree, and its fragment index names one of its own fragments.
+    if rec.exceptional || rec.frag_idx >= dom_fc {
+        return None;
+    }
     let pushed_value = if rec.pushed > 0 {
         // offset = |dom's accumulator at level j|; the dominated label's
         // level-j accumulator carries the pushed bits right after it.
         let other_rec_base = other_frag_base + other_fc * other.m.frag_w;
-        let other_prev = if j == 0 {
-            0
-        } else {
-            other.acc_end_at(other_rec_base, j - 1)
+        let other_prev = match j {
+            0 => 0,
+            _ if j <= other_ld => other.acc_end_at(other_rec_base, j - 1),
+            _ => return None,
         };
         let other_acc_base = other_rec_base + other_ld * other.m.rec_w;
-        let offset = rec.acc_end - dom_prev_acc;
+        let offset = rec.acc_end.checked_sub(dom_prev_acc)?;
+        let pos = other_acc_base
+            .checked_add(other_prev)?
+            .checked_add(offset)?;
+        let pushed = rec.pushed as usize;
+        super::in_region(other.s, pos, Some(pushed).filter(|&w| w <= 64))?;
         // Accumulator bits are a verbatim copy of the label's BitVec, so
         // the pushed value is MSB-first within the stream: reverse the
         // raw LSB-first chunk back into a value.
-        let raw = other.get(other_acc_base + other_prev + offset, rec.pushed as usize);
+        let raw = other.get(pos, pushed);
         raw.reverse_bits() >> (64 - rec.pushed)
     } else {
         0
     };
-    let value = (rec.kept << rec.pushed) | pushed_value;
-    let head_rd = dom.frag(dom_frag_base, rec.frag_idx) + value;
-    let rd_nca = head_rd - rec.weight;
-    rd_a + rd_b - 2 * rd_nca
+    // A 64-bit push leaves no room for kept bits; u128 keeps the shift in
+    // range and the conversion refuses a value past 64 bits.
+    let value =
+        u64::try_from(u128::from(rec.kept) << rec.pushed | u128::from(pushed_value)).ok()?;
+    let head_rd = dom.frag(dom_frag_base, rec.frag_idx).checked_add(value)?;
+    let rd_nca = head_rd.checked_sub(rec.weight)?;
+    rd_a.checked_add(rd_b)?.checked_sub(rd_nca.checked_mul(2)?)
 }
 
 /// Load-time extent check of the optimal scheme's packed labels.
@@ -419,19 +441,14 @@ pub(crate) fn check_label(
     // Fixed parts first (header, aux core, fragments, records), then the
     // accumulator total read from the last record — only once the records
     // are known to lie inside the label.
-    let upto_records = meta
-        .hdr_total
-        .checked_add(meta.aux.widths.scalar_bits() + cwl)
-        .and_then(|x| x.checked_add(fc.checked_mul(meta.frag_w)?))
-        .and_then(|x| x.checked_add(ld.checked_mul(meta.rec_w)?));
-    let Some(upto_records) = upto_records.filter(|&x| x <= len) else {
+    let Some(upto_records) = meta.extent(ld, fc, cwl).filter(|&x| x <= len) else {
         return false;
     };
     let rec_base = start + upto_records - ld * meta.rec_w;
     // Range-check every record's `pushed` field (7 packed bits can claim up
-    // to 127): the query shifts by `64 − pushed` and reads `pushed` bits, so
-    // an inflated count in a CRC-consistent crafted frame must be rejected
-    // at load time.
+    // to 127): the query reads `pushed` bits, so an inflated count in a
+    // CRC-consistent crafted frame is rejected at load time (the query
+    // bounds it again, against rot after load).
     for i in 0..ld {
         let pos = rec_base + i * meta.rec_w;
         let raw = if meta.rec_fused {

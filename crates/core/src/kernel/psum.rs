@@ -92,6 +92,15 @@ impl PsumMeta {
         Ok(Self::with_widths(w_rd, w_ps, AuxWidths::from_word(w1)?))
     }
 
+    /// Bits a label spans whose header reads `ld` records and a `cwl`-bit
+    /// codeword string (`None` when that overflows).
+    #[inline]
+    fn extent(&self, ld: usize, cwl: usize) -> Option<usize> {
+        (self.hdr_total + self.aux.widths.scalar_bits())
+            .checked_add(cwl)?
+            .checked_add(ld.checked_mul(self.rec_w)?)
+    }
+
     /// Exact packed size in bits of a label with `entries_len` light edges.
     pub(crate) fn label_bits(&self, entries_len: usize, aux: HpathLabel<'_>) -> usize {
         self.hdr_total + self.aux_w.packed_bits_core(aux) + entries_len * self.rec_w
@@ -223,9 +232,11 @@ impl<'a> PsumRef<'a> {
 
     /// Scans this side's records for the first end position past `lcp`,
     /// returning `(level, branch_rd)` of that record — `level` is
-    /// `lightdepth(NCA)` and `branch_rd` is this side's branch-node distance.
+    /// `lightdepth(NCA)` and `branch_rd` is this side's branch-node distance
+    /// — or `None` when every end lies within the prefix, which no
+    /// non-ancestor label of one build does.
     #[inline]
-    fn scan_records(&self, ld: usize, aux_bits: usize, lcp: usize) -> (usize, u64) {
+    fn scan_records(&self, ld: usize, aux_bits: usize, lcp: usize) -> Option<(usize, u64)> {
         let m = self.m;
         let base = m.hdr_total + aux_bits;
         if m.rec_fused {
@@ -240,9 +251,11 @@ impl<'a> PsumRef<'a> {
                     let r = self.get(base + i * m.rec_w, m.rec_w);
                     j += usize::from((r & m.end_mask) as usize <= lcp);
                 }
-                assert!(j < ld, "a non-ancestor label leaves the common heavy path");
+                if j >= ld {
+                    return None;
+                }
                 let r = self.get(base + j * m.rec_w, m.rec_w);
-                return (j, r >> m.ps_sh);
+                return Some((j, r >> m.ps_sh));
             }
             // Branchless fast path: read the first three records
             // unconditionally (memory-safe thanks to the store's guard pad;
@@ -258,14 +271,13 @@ impl<'a> PsumRef<'a> {
             let c2 = c1 & usize::from(ld > 2 && e(r2) <= lcp);
             let j = c0 + c1 + c2;
             if j < 3 {
-                assert!(j < ld, "a non-ancestor label leaves the common heavy path");
-                let r = [r0, r1, r2][j];
-                return (j, r >> m.ps_sh);
+                // ld > SCAN_SHORT, so record j exists.
+                return Some((j, [r0, r1, r2][j] >> m.ps_sh));
             }
             // Deep common paths: the tail scan over records 3.. is the
             // record-scan primitive (the store's guard pad covers the last
             // straddle word).
-            let found = treelab_bits::bitslice::scan_records_gt(
+            treelab_bits::bitslice::scan_records_gt(
                 self.s.words(),
                 self.start + base,
                 m.rec_w,
@@ -273,22 +285,20 @@ impl<'a> PsumRef<'a> {
                 lcp as u64,
                 3,
                 ld,
-            );
-            if let Some((i, raw)) = found {
-                return (i, raw >> m.ps_sh);
-            }
+            )
+            .map(|(i, raw)| (i, raw >> m.ps_sh))
         } else {
             // Oversized records: read the end field and payload separately.
             let mut i = 0;
             while i < ld {
                 let pos = base + i * m.rec_w;
                 if self.get(pos, usize::from(m.aux_w.end)) as usize > lcp {
-                    return (i, self.get(pos + usize::from(m.aux_w.end), m.ps_w));
+                    return Some((i, self.get(pos + usize::from(m.aux_w.end), m.ps_w)));
                 }
                 i += 1;
             }
+            None
         }
-        panic!("a non-ancestor label leaves the common heavy path");
     }
 
     /// `branch_rd` of the record at `level` (the other side's single indexed
@@ -302,27 +312,36 @@ impl<'a> PsumRef<'a> {
 }
 
 /// The prefix-sum distance protocol over packed label views: the shared
-/// `distance_refs` of the two prefix-sum schemes (Lemma 3.1, made symmetric).
-pub(crate) fn distance_refs(a: &PsumRef<'_>, b: &PsumRef<'_>) -> u64 {
+/// `distance_refs` of the two prefix-sum schemes (Lemma 3.1, made
+/// symmetric).  `None` is the corrupt verdict (see [`crate::kernel`]).
+pub(crate) fn distance_refs(a: &PsumRef<'_>, b: &PsumRef<'_>) -> Option<u64> {
+    super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
+    super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
     // Both headers and both aux scalar blocks decode as planned load pairs:
     // the two sides' field chains are independent, so issuing their loads
     // together overlaps what used to be two serial decodes.
-    let ((rd_a, lda, cwl_a), (rd_b, _ldb, cwl_b)) = PsumRef::header_pair(a, b);
+    let ((rd_a, lda, cwl_a), (rd_b, ldb, cwl_b)) = PsumRef::header_pair(a, b);
+    super::in_region(a.s, a.start, a.m.extent(lda, cwl_a))?;
+    super::in_region(b.s, b.start, b.m.extent(ldb, cwl_b))?;
     let (aa, ab) = (a.aux(), b.aux());
     let (sa, sb) = AuxCoreRef::scalars_pair(&aa, &ab);
     // Equal nodes fall under the ancestor case (|rd_a − rd_b| = 0), so no
     // separate same-node branch is needed.
     if AuxScalars::is_ancestor(&sa, &sb) || AuxScalars::is_ancestor(&sb, &sa) {
-        return rd_a.abs_diff(rd_b);
+        return Some(rd_a.abs_diff(rd_b));
     }
     // One LCP over the concatenated codeword strings replaces the per-level
     // two-sided comparison; one record scan turns it into lightdepth(NCA)
     // plus this side's branch distance, and a single indexed read fetches the
     // other side's.  min() of the two is rd(NCA) — no domination branch.
     let lcp = AuxCoreRef::codeword_lcp(&aa, cwl_a, &ab, cwl_b);
-    let (j, branch_a) = a.scan_records(lda, aa.core_bits(cwl_a), lcp);
+    let (j, branch_a) = a.scan_records(lda, aa.core_bits(cwl_a), lcp)?;
+    if j >= ldb {
+        return None;
+    }
     let branch_b = b.branch_rd_at(ab.core_bits(cwl_b), j);
-    rd_a + rd_b - 2 * branch_a.min(branch_b)
+    rd_a.checked_add(rd_b)?
+        .checked_sub(branch_a.min(branch_b).checked_mul(2)?)
 }
 
 /// Shared load-time extent check of the two prefix-sum schemes: the header's
@@ -332,11 +351,6 @@ pub(crate) fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &
     if len < meta.hdr_total {
         return false;
     }
-    let r = PsumRef::new(slice, start, meta);
-    let (_, ld, cwl) = r.header();
-    meta.hdr_total
-        .checked_add(meta.aux.widths.scalar_bits())
-        .and_then(|x| x.checked_add(cwl))
-        .and_then(|x| x.checked_add(ld.checked_mul(meta.rec_w)?))
-        == Some(len)
+    let (_, ld, cwl) = PsumRef::new(slice, start, meta).header();
+    meta.extent(ld, cwl) == Some(len)
 }

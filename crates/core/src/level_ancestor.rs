@@ -28,7 +28,7 @@
 
 use crate::hpath::HpathLabeling;
 use crate::kernel::level_ancestor::{self as kernel, LevelAncestorLabelRef, LevelAncestorMeta};
-use crate::store::{SchemeStore, StoreError, StoredScheme};
+use crate::store::{SchemeStore, StoreError, StoredScheme, CORRUPT_LABEL};
 use crate::substrate::{PackSource, RowArena, Substrate};
 use crate::DistanceScheme;
 use treelab_bits::{codes, monotone, BitSlice, BitVec, BitWriter};
@@ -443,7 +443,7 @@ impl StoredScheme for LevelAncestorScheme {
     /// The §3.6 distance protocol over packed views — one
     /// [`crate::kernel::level_ancestor`] call.
     fn distance_refs(a: LevelAncestorLabelRef<'_>, b: LevelAncestorLabelRef<'_>) -> u64 {
-        kernel::distance_refs(a, b)
+        kernel::distance_refs(a, b).unwrap_or(CORRUPT_LABEL)
     }
 
     fn check_label(

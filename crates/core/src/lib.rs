@@ -86,7 +86,7 @@ pub mod universal;
 
 pub use forest::{
     Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
-    FrameWords, Parallelism, RouteScratch, ValidationPolicy, VerifyCursor,
+    FrameWords, Parallelism, RouteScratch, ValidationPolicy,
 };
 pub use store::{AnyStoreRef, SchemeStore, Store, StoreError, StoreRef, StoredScheme};
 pub use substrate::Substrate;

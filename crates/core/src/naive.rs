@@ -21,7 +21,7 @@
 
 use crate::hpath::{HpathLabel, HpathLabeling};
 use crate::kernel::psum::{self, PsumMeasure, PsumMeta, PsumRef};
-use crate::store::{SchemeStore, StoreError, StoredScheme};
+use crate::store::{SchemeStore, StoreError, StoredScheme, CORRUPT_LABEL};
 use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use crate::DistanceScheme;
 use treelab_bits::{codes, BitSlice, BitWriter};
@@ -235,7 +235,7 @@ impl StoredScheme for NaiveScheme {
     }
 
     fn distance_refs(a: NaiveLabelRef<'_>, b: NaiveLabelRef<'_>) -> u64 {
-        psum::distance_refs(&a.0, &b.0)
+        psum::distance_refs(&a.0, &b.0).unwrap_or(CORRUPT_LABEL)
     }
 }
 

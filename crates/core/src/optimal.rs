@@ -41,7 +41,7 @@
 
 use crate::hpath::{AuxWidths, HpathLabel, HpathLabeling};
 use crate::kernel::optimal::{self as kernel, OptimalLabelRef, OptimalMeta, W_PUSHED};
-use crate::store::{SchemeStore, StoreError, StoredScheme};
+use crate::store::{SchemeStore, StoreError, StoredScheme, CORRUPT_LABEL};
 use crate::substrate::{PackSource, RowArena, Span, Substrate};
 use crate::DistanceScheme;
 use treelab_bits::{codes, monotone, BitSlice, BitVec, BitWriter};
@@ -549,10 +549,11 @@ impl StoredScheme for OptimalScheme {
         OptimalLabelRef::new(slice, start, meta)
     }
 
-    /// The Theorem 1.1 protocol over packed views (including its panics on
-    /// labels of different builds) — one [`crate::kernel::optimal`] call.
+    /// The Theorem 1.1 protocol over packed views — one
+    /// [`crate::kernel::optimal`] call ([`CORRUPT_LABEL`] on labels that no
+    /// one build wrote, rotted or from two different builds).
     fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u64 {
-        kernel::distance_refs(a, b)
+        kernel::distance_refs(a, b).unwrap_or(CORRUPT_LABEL)
     }
 
     fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &OptimalMeta) -> bool {

@@ -122,6 +122,12 @@ use crate::substrate::{PackSource, RowArena};
 /// with no reportable distance (the `k`-distance scheme's "more than `k`").
 pub const NO_DISTANCE: u64 = u64::MAX;
 
+/// The kernels' corrupt verdict: what [`StoredScheme::distance_refs`]
+/// returns, instead of panicking, for labels no one build wrote (see
+/// [`crate::kernel`]).  The forest router answers `CorruptTree` for it; the
+/// trusted [`Store::distance`] and [`Store::distances_into`] panic on it.
+pub const CORRUPT_LABEL: u64 = u64::MAX - 1;
+
 /// `b"TLSTOR01"` as a little-endian word.
 const MAGIC: u64 = u64::from_le_bytes(*b"TLSTOR01");
 
@@ -288,13 +294,14 @@ impl RawParts {
 
     /// Bit offset of label `p` (entry `n` is the total label-region bit
     /// length): its u32 entry plus its block's base.  Frames under 65,536
-    /// labels never read a base.
+    /// labels never read a base; a rotted one wraps (in every profile) to
+    /// an offset the kernels refuse.
     #[inline(always)]
     fn offset_at(&self, words: &[u64], p: usize) -> usize {
         let entry = self.entry(words, p) as usize;
         match p >> BLOCK_BITS {
             0 => entry,
-            b => entry + words[self.bases + b - 1] as usize,
+            b => entry.wrapping_add(words[self.bases + b - 1] as usize),
         }
     }
 
@@ -379,7 +386,8 @@ fn emit_index(out: &mut Vec<u64>, offsets: &[u64]) {
 /// * `parse_meta` accepts the meta words its builder emitted and describes
 ///   the packed layout;
 /// * `distance_refs` computes the scheme's answer from two packed views alone
-///   (with [`NO_DISTANCE`] standing in for "no answer"), allocating nothing.
+///   (with [`NO_DISTANCE`] standing in for "no answer"), allocating nothing
+///   and panicking on no bits.
 pub trait StoredScheme: Sized {
     /// Scheme tag recorded in the frame header.
     const TAG: u32;
@@ -422,7 +430,9 @@ pub trait StoredScheme: Sized {
 
     /// Distance from two borrowed label views alone — the zero-allocation hot
     /// path, one [`crate::kernel`] call.  Schemes whose query can decline to
-    /// answer (the `k`-distance scheme) return [`NO_DISTANCE`].
+    /// answer (the `k`-distance scheme) return [`NO_DISTANCE`].  Labels no
+    /// one build wrote (rotted, or of two builds) answer [`CORRUPT_LABEL`]
+    /// — or, when the rot still decodes, a wrong distance — never a panic.
     fn distance_refs(a: Self::Ref<'_>, b: Self::Ref<'_>) -> u64;
 }
 
@@ -761,8 +771,9 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     ///
     /// The CRC authenticates *integrity*, not provenance: every accidentally
     /// corrupted frame is rejected, but a frame deliberately crafted to pass
-    /// all checks may still make queries return wrong distances or panic —
-    /// load stores from writers you trust, as you would any index file.
+    /// all checks may still make queries return wrong distances or panic
+    /// ([`Store::distance`]) — load stores from writers you trust, as you
+    /// would any index file.
     ///
     /// # Errors
     ///
@@ -794,7 +805,7 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     ///
     /// # Panics
     ///
-    /// The returned iterator panics (on `next`) for out-of-range indices.
+    /// The returned iterator panics (on `next`) as [`Store::distance`] does.
     pub fn distances_iter<I>(self, pairs: I) -> impl Iterator<Item = u64> + 'a
     where
         S: 'a,
@@ -876,7 +887,8 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range.
+    /// Panics if either index is out of range, or on the [`CORRUPT_LABEL`]
+    /// verdict (route frames that can rot through a forest instead).
     #[inline]
     pub fn distance(&self, u: usize, v: usize) -> u64 {
         assert!(
@@ -886,10 +898,12 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
         );
         let words = self.words.as_ref();
         let slice = self.label_slice();
-        S::distance_refs(
+        let d = S::distance_refs(
             S::label_ref(slice, self.raw.offset_at(words, u), &self.meta),
             S::label_ref(slice, self.raw.offset_at(words, v), &self.meta),
-        )
+        );
+        assert!(d != CORRUPT_LABEL, "pair ({u}, {v}) has corrupt labels");
+        d
     }
 
     /// Batch query: the distance of every pair, in order.
@@ -899,7 +913,7 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// As [`Store::distances_into`].
     pub fn distances(&self, pairs: &[(usize, usize)]) -> Vec<u64> {
         let mut out = Vec::with_capacity(pairs.len());
         self.distances_into(pairs, &mut out);
@@ -915,7 +929,7 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// As [`Store::distance`], for any pair.
     pub fn distances_into(&self, pairs: &[(usize, usize)], out: &mut Vec<u64>) {
         let n = self.raw.n;
         if let Some(&(u, v)) = pairs.iter().find(|&&(u, v)| u >= n || v >= n) {
@@ -924,10 +938,15 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
         let base = out.len();
         out.resize(base + pairs.len(), 0);
         self.distances_write(pairs, &mut out[base..]);
+        assert!(
+            !out[base..].contains(&CORRUPT_LABEL),
+            "a pair of the batch has corrupt labels"
+        );
     }
 
-    /// The batch hot loop: writes `pairs[i]`'s distance to `out[i]`.
-    /// Indices must already be validated (callers panic on bad input first).
+    /// The batch hot loop: writes `pairs[i]`'s distance (or verdict) to
+    /// `out[i]`.  Indices must already be validated (callers panic on bad
+    /// input first).
     ///
     /// Structure-of-arrays execution in two pipelined stages over
     /// [`PLAN_BLOCK`]-sized blocks (see [`BatchPlan`]): *plan* block `k + 1`
@@ -1102,7 +1121,7 @@ impl<S: StoredScheme> SchemeStore<S> {
     ///
     /// # Panics
     ///
-    /// The returned iterator panics (on `next`) for out-of-range indices.
+    /// The returned iterator panics (on `next`) as [`Store::distance`] does.
     pub fn distances_iter<'s, I>(&'s self, pairs: I) -> impl Iterator<Item = u64> + 's
     where
         I: IntoIterator<Item = (usize, usize)>,
@@ -1325,7 +1344,7 @@ impl<'a> AnyStoreRef<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range.
+    /// As [`Store::distance`].
     #[inline]
     pub fn distance(&self, u: usize, v: usize) -> u64 {
         any_dispatch!(self, r => r.distance(u, v))
@@ -1336,7 +1355,7 @@ impl<'a> AnyStoreRef<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// As [`Store::distances_into`].
     pub fn distances(&self, pairs: &[(usize, usize)]) -> Vec<u64> {
         any_dispatch!(self, r => r.distances(pairs))
     }
@@ -1346,7 +1365,7 @@ impl<'a> AnyStoreRef<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// As [`Store::distances_into`].
     pub fn distances_into(&self, pairs: &[(usize, usize)], out: &mut Vec<u64>) {
         any_dispatch!(self, r => r.distances_into(pairs, out))
     }

@@ -43,7 +43,7 @@ pub use treelab_core::distance_array::DistanceArrayScheme;
 pub use treelab_core::forest::{
     Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
     FrameWords, HealthCounts, HealthReport, QueryStatus, RouteOutcome, RouteScratch, ScrubOutcome,
-    ScrubStats, Scrubber, SlotHealth, ValidationPolicy, VerifyCursor,
+    ScrubStats, Scrubber, SlotHealth, ValidationPolicy,
 };
 pub use treelab_core::kdistance::KDistanceScheme;
 pub use treelab_core::level_ancestor::LevelAncestorScheme;
@@ -51,7 +51,7 @@ pub use treelab_core::naive::NaiveScheme;
 pub use treelab_core::optimal::OptimalConfig;
 pub use treelab_core::optimal::OptimalScheme;
 pub use treelab_core::store::{
-    AnyStoreRef, SchemeStore, Store, StoreError, StoreRef, StoredScheme, NO_DISTANCE,
+    AnyStoreRef, SchemeStore, Store, StoreError, StoreRef, StoredScheme, CORRUPT_LABEL, NO_DISTANCE,
 };
 pub use treelab_core::{bounds, stats, DistanceScheme, Parallelism, Substrate};
 pub use treelab_tree::lca::DistanceOracle;

@@ -14,7 +14,7 @@
 use treelab::{gen, DistanceArrayScheme, DistanceScheme, NaiveScheme, OptimalScheme};
 use treelab::{
     ForestError, ForestFileError, ForestStore, Parallelism, QueryStatus, RouteScratch,
-    ScrubOutcome, Scrubber, SlotHealth, ValidationPolicy, VerifyCursor,
+    ScrubOutcome, Scrubber, SlotHealth, ValidationPolicy,
 };
 use treelab_bench::ScratchDir;
 
@@ -188,17 +188,20 @@ fn lazy_open_defers_inner_corruption_to_first_touch_with_the_eager_error() {
     assert!(lazy.tree(5).is_none());
     assert_eq!(lazy.tree_count(), 3, "corruption is not a tombstone");
 
-    // Full and chunked verification surface the same error.
+    // Full verification and a budgeted scrub pass surface the same error.
     assert_eq!(lazy.verify().unwrap_err(), eager_err);
-    let mut cursor = VerifyCursor::new();
-    let chunked = loop {
-        match lazy.verify_chunked(64, &mut cursor) {
-            Ok(true) => break Ok(()),
-            Ok(false) => {}
-            Err(e) => break Err(e),
+    let mut scrubber = Scrubber::new();
+    let scrubbed = loop {
+        match lazy
+            .scrub(64, &mut scrubber)
+            .expect("outer frame is intact")
+        {
+            ScrubOutcome::Fault { id, error } => break ForestError::Tree { id, error },
+            ScrubOutcome::InProgress => {}
+            ScrubOutcome::PassComplete => panic!("the scrub pass missed tree 5"),
         }
     };
-    assert_eq!(chunked.unwrap_err(), eager_err);
+    assert_eq!(scrubbed, eager_err);
 }
 
 /// A directory record that *lies about its scheme tag* (re-checksummed, so
@@ -289,16 +292,16 @@ fn a_full_budgeted_scrub_reaches_the_eager_verdict_for_every_slot() {
     }
 }
 
-/// Rot that lands *after* a slot validated is answered by the routed
-/// engine's per-group unwind guard.  The sweep flips single bits across a
-/// small optimal tree's frame, on clones of an eagerly validated forest, and
-/// keeps the first flip whose routed all-pairs batch reports `CorruptTree`
-/// for that tree.  The slot stays `Valid`, so the status is the guard's, not
-/// a validation verdict.  The guard degrades only the rotted tree's group,
-/// on the calling thread and inside each thread of the threaded helper
-/// alike, and no panic escapes either.
+/// Rot that lands *after* a slot validated reaches the query kernels, which
+/// answer it with their corrupt verdict instead of a panic.  The sweep flips
+/// single bits across a small optimal tree's frame, on clones of an eagerly
+/// validated forest, and keeps the first flip whose routed all-pairs batch
+/// reports `CorruptTree` for that tree.  The slot stays `Valid`, so the
+/// status is the kernels' verdict, not a validation verdict.  The verdict
+/// degrades only the rotted tree's group, on the calling thread and inside
+/// each thread of the threaded helper alike.
 #[test]
-fn post_validation_rot_trips_the_group_guard_and_spares_the_healthy_tree() {
+fn post_validation_rot_answers_the_kernel_verdict_and_spares_the_healthy_tree() {
     let rotted = gen::random_tree(48, 5);
     let healthy = gen::random_tree(40, 6);
     let mut b = ForestStore::builder();
@@ -335,7 +338,7 @@ fn post_validation_rot_trips_the_group_guard_and_spares_the_healthy_tree() {
                 statuses,
             ))
         })
-        .expect("some single-bit flip trips the group guard");
+        .expect("some single-bit flip draws the kernel's corrupt verdict");
     let flip = format!("flip at word {word}, bit {bit}");
 
     assert_eq!(rot.slot_health(1), Some(SlotHealth::Valid), "{flip}");

@@ -188,6 +188,59 @@ fn all_six_schemes_match_the_distance_oracle_across_the_corpus() {
     }
 }
 
+/// Labels of two different builds are bit strings no one build wrote: fed
+/// to `StoredScheme::distance_refs` side by side, every kernel answers (a
+/// distance or its corrupt verdict) and none panics, over all pairs of
+/// small trees of different shapes.
+#[test]
+fn labels_of_different_builds_answer_without_a_panic() {
+    fn cross<S: StoredScheme>(a: &SchemeStore<S>, b: &SchemeStore<S>) {
+        for u in 0..a.node_count() {
+            for v in 0..b.node_count() {
+                // Any answer will do; a panic fails the test.
+                let _ = S::distance_refs(a.label_ref(u), b.label_ref(v));
+            }
+        }
+    }
+    let trees = [
+        gen::path(12),
+        gen::star(12),
+        gen::comb(16),
+        gen::random_tree(24, 3),
+        gen::random_binary(20, 4),
+    ];
+    for (i, ta) in trees.iter().enumerate() {
+        for tb in trees.iter().skip(i + 1) {
+            for (ta, tb) in [(ta, tb), (tb, ta)] {
+                cross(
+                    NaiveScheme::build(ta).as_store(),
+                    NaiveScheme::build(tb).as_store(),
+                );
+                cross(
+                    DistanceArrayScheme::build(ta).as_store(),
+                    DistanceArrayScheme::build(tb).as_store(),
+                );
+                cross(
+                    OptimalScheme::build(ta).as_store(),
+                    OptimalScheme::build(tb).as_store(),
+                );
+                cross(
+                    KDistanceScheme::build(ta, 3).as_store(),
+                    KDistanceScheme::build(tb, 3).as_store(),
+                );
+                cross(
+                    ApproximateScheme::build(ta, 0.5).as_store(),
+                    ApproximateScheme::build(tb, 0.5).as_store(),
+                );
+                cross(
+                    LevelAncestorScheme::build(ta).as_store(),
+                    LevelAncestorScheme::build(tb).as_store(),
+                );
+            }
+        }
+    }
+}
+
 /// Routed and sharded forest serving must agree with the per-tree stores
 /// and with the distance oracle of each tree.
 #[test]
