@@ -510,9 +510,10 @@ pub fn acceptance(
             ));
         }
     }
-    subject
-        .verify()
-        .map_err(|e| format!("post-repair verify failed: {e}"))?;
+    match subject.scrub(usize::MAX, &mut Scrubber::new()) {
+        Ok(ScrubOutcome::PassComplete) => {}
+        other => return Err(format!("post-repair scrub pass: {other:?}")),
+    }
 
     // The repaired forest publishes crash-safely and reopens eagerly.
     let dir = ScratchDir::new("chaos");

@@ -35,14 +35,13 @@
 //! whole-frame CRC) is rejected with `UnsupportedVersion`.  `FORMAT.md` at
 //! the repository root specifies the format bit for bit.
 //!
-//! # One read API, three backings
+//! # One read API, two backings
 //!
 //! [`Forest<W>`](Forest) is the one forest type: the decoded directory plus
 //! the frame words, held by `W` ([`FrameWords`]).  Its read API — per-tree
-//! views, routing, health, verification, scrubbing — is one generic impl,
-//! and each backing is an alias with its own constructors:
+//! views, routing, health, scrubbing — is one generic impl, and each
+//! backing is an alias with its own constructors:
 //!
-//! * [`ForestRef`] `= Forest<&[u64]>` borrows caller-held words;
 //! * [`ForestStore`] `= Forest<Arc<ForestWords>>` owns its words — a heap
 //!   buffer, or the read-only map of the file it was opened from (64-bit
 //!   Unix) — and is the only backing that mutates;
@@ -60,8 +59,8 @@
 //! and serves every other tree, and the corrupt one fails on first touch
 //! with the *same* [`ForestError::Tree`] the eager open would have reported.
 //! The per-tree validation verdict is cached, so every touch after the first
-//! is O(1) and allocation-free, and [`Forest::verify`] (in one call) or a
-//! [`Scrubber`] pass (a budgeted chunk at a time) retrofits full eager
+//! is O(1) and allocation-free, and a [`Scrubber`] pass (in one call with
+//! an unbounded budget, or a budgeted chunk at a time) retrofits full eager
 //! coverage without reopening.
 //!
 //! Lazy opens are what make restart latency O(directory) instead of O(file):
@@ -71,16 +70,20 @@
 //! # Hot mutation and generations
 //!
 //! [`ForestStore`] is mutable while serving: [`ForestStore::append_scheme`]
-//! adds a tree (frames land at the end of the frame region; the directory
-//! record splices into id order, using a spare slot when one is reserved),
-//! [`ForestStore::tombstone`] retires one by zeroing its record's scheme tag
-//! — both in place, without rewriting any other frame, and both bump the
-//! directory **generation word**.  Readers that need a stable view across
-//! mutations take a [`ForestPin`]: a snapshot that shares the frame buffer
-//! via [`Arc`] and copies the O(T) slot table (copy-on-write of the buffer
-//! only if a mutation lands while pins are out), and keeps answering from
-//! its generation forever.  [`ForestStore::publish`]
-//! persists crash-safely: write to a `.tmp` sibling, fsync, then atomically
+//! adds a tree (its frame lands at the end of the frame region; its record
+//! splices into id order, and the directory doubles when no spare slot is
+//! left), [`ForestStore::tombstone`] retires one by zeroing its record's
+//! scheme tag — both in place, without rewriting any other frame, and both
+//! bump the directory **generation word**.  Every mutation edits only the
+//! slot table and the frame region; one writer then re-emits the directory
+//! from the slot table (header words, every record, the zeroed spare
+//! records and the directory checksum), so the frame the store writes is
+//! the one `parse_forest` reads back.  Readers that need a stable view
+//! across mutations take a [`ForestPin`]: a snapshot that shares the frame
+//! buffer via [`Arc`] and copies the O(T) slot table (copy-on-write of the
+//! buffer only if a mutation lands while pins are out), and keeps answering
+//! from its generation forever.  [`ForestStore::publish`] persists
+//! crash-safely: write to a `.tmp` sibling, fsync, then atomically
 //! rename over the destination, so a reader never observes a half-written
 //! frame and a crash leaves at worst a stale temp file that the next publish
 //! removes.
@@ -141,16 +144,15 @@
 //! Damage found at runtime is **quarantined**, not just reported: a failed
 //! first-touch validation or a scrubber-detected fault condemns the slot, so
 //! every later read answers an error ([`ForestError::Tree`]) or a
-//! `CorruptTree` status until [`ForestStore::repair_frame`] /
-//! [`ForestStore::repair_scheme`] splices a caller-supplied replacement
-//! frame (a rebuild or a replica) over the damaged extent under a fresh
-//! generation.  [`Forest::health`] reports every slot's state machine
-//! position (`Unvalidated → Valid | Quarantined → Valid`, any `→
-//! Tombstoned`; also specified in `FORMAT.md`), and a [`Scrubber`] driven
-//! from the serving loop ([`Forest::scrub`], a words-per-call budget)
+//! `CorruptTree` status until [`ForestStore::repair_frame`] splices a
+//! caller-supplied replacement frame (a rebuild or a replica) over the
+//! damaged extent under a fresh generation.  [`Forest::health`] reports
+//! every slot's state machine position (`Unvalidated → Valid | Quarantined
+//! → Valid`, any `→ Tombstoned`; also specified in `FORMAT.md`), and a
+//! [`Scrubber`] driven from the serving loop ([`Forest::scrub`], a words-per-call budget)
 //! re-validates every live frame from its bytes pass after pass — settling
 //! lazily-deferred slots before queries touch them and catching rot that
-//! lands *after* a slot validated, which `verify`'s cached verdicts cannot.
+//! lands *after* a slot validated, which cached first-touch verdicts cannot.
 //!
 //! # Panic policy
 //!
@@ -367,6 +369,19 @@ struct DirEntry {
     n: u32,
 }
 
+impl DirEntry {
+    /// The record's directory words — the one encoder of the format
+    /// `parse_forest` decodes.
+    fn words(self) -> [u64; DIR_ENTRY_WORDS] {
+        [
+            self.id,
+            self.off as u64,
+            self.len as u64,
+            u64::from(self.tag) << 32 | u64::from(self.n),
+        ]
+    }
+}
+
 /// A directory record plus its lazily-computed validation verdict: the inner
 /// frame's parse (cached [`AnyParts`], so views materialize in O(1)) or the
 /// error its first touch produced.  Both are `Copy`, so replaying a cached
@@ -390,6 +405,16 @@ impl TreeSlot {
         TreeSlot {
             entry,
             state: OnceLock::new(),
+            quarantine: OnceLock::new(),
+        }
+    }
+
+    /// A slot whose frame a mutation has just validated: it enters service
+    /// settled and unquarantined.
+    fn validated(entry: DirEntry, parts: AnyParts) -> Self {
+        TreeSlot {
+            entry,
+            state: OnceLock::from(Ok(parts)),
             quarantine: OnceLock::new(),
         }
     }
@@ -457,8 +482,8 @@ fn frame_record(id: u64, words: &[u64]) -> Result<(u32, u32, AnyParts), ForestEr
 /// Validates the inner frame of `slot` on first call and caches the verdict;
 /// every later call borrows the cached result without allocating or
 /// copying.  A quarantined slot (rot found by the scrubber after validation)
-/// fails here too, so no read path — `tree`, `try_tree`, routing, `verify` —
-/// can serve a tree the scrubber has condemned.
+/// fails here too, so no read path — `tree`, `try_tree`, routing — can
+/// serve a tree the scrubber has condemned.
 fn validate_slot<'s>(words: &[u64], slot: &'s TreeSlot) -> Result<&'s AnyParts, ForestError> {
     let e = slot.entry;
     if let Some(&error) = slot.quarantine.get() {
@@ -477,6 +502,15 @@ fn lookup_slot(state: &ForestState, id: u64) -> Result<usize, usize> {
     state.ids.binary_search(&id)
 }
 
+/// Directory position of live tree `id`; a tombstoned or absent id is
+/// [`ForestError::UnknownTree`].
+fn live_slot(state: &ForestState, id: u64) -> Result<usize, ForestError> {
+    lookup_slot(state, id)
+        .ok()
+        .filter(|&s| state.slots[s].entry.tag != 0)
+        .ok_or(ForestError::UnknownTree { id })
+}
+
 /// The borrowed store view of live tree `id`, validating its frame on first
 /// touch under the lazy policy.
 fn try_view<'a>(
@@ -484,11 +518,7 @@ fn try_view<'a>(
     state: &ForestState,
     id: u64,
 ) -> Result<AnyStoreRef<'a>, ForestError> {
-    let slot = lookup_slot(state, id)
-        .ok()
-        .filter(|&s| state.slots[s].entry.tag != 0)
-        .ok_or(ForestError::UnknownTree { id })?;
-    let slot = &state.slots[slot];
+    let slot = &state.slots[live_slot(state, id)?];
     let parts = *validate_slot(words, slot)?;
     let e = slot.entry;
     Ok(AnyStoreRef::from_parts(&words[e.off..e.off + e.len], parts))
@@ -885,8 +915,8 @@ pub enum ScrubOutcome {
 /// A budgeted background scrubber: resumable progress through repeated full
 /// passes over one forest view, re-reading every frame word fresh each pass.
 ///
-/// Where [`verify`](Forest::verify) *settles* each slot once (replaying
-/// cached verdicts thereafter), the scrubber **re-validates every live
+/// Where a first touch *settles* each slot once (replaying its cached
+/// verdict thereafter), the scrubber **re-validates every live
 /// inner frame from its bytes on every pass** — so label rot that lands
 /// *after* a slot validated is still found, quarantined, and kept away from
 /// queries.  Its first pass over a lazily opened forest is also the
@@ -982,42 +1012,57 @@ fn scrub_impl(
     Ok(ScrubOutcome::PassComplete)
 }
 
-/// Assembles a forest frame from id-sorted, pre-validated `(id, frame)`
-/// pairs: header, directory (with `spare` zeroed slots), the inner frames
-/// tiled back to back, and the outer checksum.
-fn assemble(trees: &[(u64, Vec<u64>)], spare: usize, generation: u64) -> Vec<u64> {
-    let t = trees.len();
-    let capacity = t + spare;
+/// The one directory writer: encodes `entries` (in id order) as the used
+/// records of a `capacity`-slot directory, zeroes the spare records, writes
+/// header words 2–4 (used slots, capacity, `generation`) and the directory
+/// checksum.  The frame region is the caller's; every mutation edits it and
+/// the slot table, then seals.
+fn seal(
+    words: &mut [u64],
+    entries: impl IntoIterator<Item = DirEntry>,
+    capacity: usize,
+    generation: u64,
+) {
     let dir_end = HEADER_WORDS + DIR_ENTRY_WORDS * capacity;
+    let dir = &mut words[HEADER_WORDS..dir_end];
+    let mut used = 0;
+    for (record, e) in dir.chunks_exact_mut(DIR_ENTRY_WORDS).zip(entries) {
+        record.copy_from_slice(&e.words());
+        used += 1;
+    }
+    dir[DIR_ENTRY_WORDS * used..].fill(0);
+    words[2] = used as u64;
+    words[3] = (capacity as u64) << 32;
+    words[4] = generation;
+    let last = words.len() - 1;
+    words[last] = crc::crc64_words(&words[..dir_end]);
+}
+
+/// Assembles a forest frame from id-sorted, pre-validated `(id, frame)`
+/// pairs: the magic and version words, a directory of exactly their
+/// records, the inner frames tiled back to back, and the sealed directory.
+fn assemble(trees: &[(u64, Vec<u64>)], generation: u64) -> Vec<u64> {
+    let dir_end = HEADER_WORDS + DIR_ENTRY_WORDS * trees.len();
     let frames_len: usize = trees.iter().map(|(_, f)| f.len()).sum();
     let mut words = Vec::with_capacity(dir_end + frames_len + 1);
-    words.push(FOREST_MAGIC);
-    words.push(u64::from(FOREST_VERSION) << 32);
-    words.push(t as u64);
-    words.push((capacity as u64) << 32);
-    words.push(generation);
-    let mut off = dir_end;
+    words.extend([FOREST_MAGIC, u64::from(FOREST_VERSION) << 32]);
+    words.resize(dir_end, 0);
+    let mut entries = Vec::with_capacity(trees.len());
     for (id, frame_words) in trees {
-        // Tag and label count mirror the (validated) inner frame header.
-        let tag = frame_words[1] as u32;
-        let n = frame_words[2];
-        // Every push path rejects n ≥ 2³² before it reaches assembly; a
-        // larger count would bleed into the record's tag half.
-        debug_assert!(
-            n <= u64::from(u32::MAX),
-            "directory record cannot index {n} labels"
-        );
-        words.push(*id);
-        words.push(off as u64);
-        words.push(frame_words.len() as u64);
-        words.push(u64::from(tag) << 32 | n);
-        off += frame_words.len();
-    }
-    words.extend(std::iter::repeat_n(0u64, DIR_ENTRY_WORDS * (capacity - t)));
-    for (_, frame_words) in trees {
+        // Tag and label count mirror the (validated) inner frame header;
+        // every push path rejects n ≥ 2³² before it reaches assembly.
+        debug_assert!(frame_words[2] <= u64::from(u32::MAX));
+        entries.push(DirEntry {
+            id: *id,
+            off: words.len(),
+            len: frame_words.len(),
+            tag: frame_words[1] as u32,
+            n: frame_words[2] as u32,
+        });
         words.extend_from_slice(frame_words);
     }
-    words.push(crc::crc64_words(&words[..dir_end]));
+    words.push(0);
+    seal(&mut words, entries, trees.len(), generation);
     words
 }
 
@@ -1031,7 +1076,6 @@ fn assemble(trees: &[(u64, Vec<u64>)], spare: usize, generation: u64) -> Vec<u64
 pub struct ForestBuilder {
     trees: Vec<(u64, Vec<u64>)>,
     ids: std::collections::BTreeSet<u64>,
-    spare: usize,
 }
 
 impl ForestBuilder {
@@ -1085,14 +1129,6 @@ impl ForestBuilder {
         Ok(self)
     }
 
-    /// Reserves `extra` spare (zeroed) directory slots in the assembled
-    /// frame, so that many later [`ForestStore::append_scheme`] calls mutate
-    /// the directory in place instead of growing it.
-    pub fn reserve_slots(&mut self, extra: usize) -> &mut Self {
-        self.spare += extra;
-        self
-    }
-
     /// Number of trees pushed so far.
     pub fn len(&self) -> usize {
         self.trees.len()
@@ -1103,10 +1139,9 @@ impl ForestBuilder {
         self.trees.is_empty()
     }
 
-    /// Assembles the frame: header, id-sorted directory (plus any reserved
-    /// spare slots), the inner frames tiled back to back, and the outer CRC
-    /// — then revalidates the result through the loader, so writer and
-    /// reader agree by construction.
+    /// Assembles the frame: header, id-sorted directory, the inner frames
+    /// tiled back to back, and the outer CRC — then revalidates the result
+    /// through the loader, so writer and reader agree by construction.
     ///
     /// # Errors
     ///
@@ -1119,7 +1154,7 @@ impl ForestBuilder {
             });
         }
         trees.sort_by_key(|&(id, _)| id);
-        ForestStore::from_words(assemble(&trees, self.spare, 0))
+        ForestStore::from_words(assemble(&trees, 0))
     }
 }
 
@@ -1475,12 +1510,6 @@ pub trait FrameWords {
     fn frame_words(&self) -> &[u64];
 }
 
-impl FrameWords for &[u64] {
-    fn frame_words(&self) -> &[u64] {
-        self
-    }
-}
-
 impl FrameWords for Arc<ForestWords> {
     fn frame_words(&self) -> &[u64] {
         match &self.0 {
@@ -1552,7 +1581,7 @@ impl ForestWords {
 
 /// A validated forest frame whose words are held by `W` — the one forest
 /// type.  Its read API is one generic impl; each backing is an alias with
-/// its own constructors ([`ForestRef`], [`ForestStore`], [`ForestPin`]),
+/// its own constructors ([`ForestStore`], [`ForestPin`]),
 /// and only [`ForestStore`] mutates.
 ///
 /// See the [module documentation](self) for the frame layout and the routed
@@ -1562,10 +1591,6 @@ pub struct Forest<W> {
     words: W,
     state: ForestState,
 }
-
-/// A borrowed, validated view of a forest frame — "validate once, borrow
-/// forever" over caller-held words.  Built with [`ForestRef::from_words`].
-pub type ForestRef<'a> = Forest<&'a [u64]>;
 
 /// A whole forest as one owned, checksummed word buffer — the
 /// **mutable-while-serving** backing, built with [`ForestBuilder`] or opened
@@ -1641,12 +1666,6 @@ impl<W: FrameWords> Forest<W> {
         self.state.policy
     }
 
-    /// Reserved directory slots not yet holding a record — appends use
-    /// these before the directory has to grow.
-    pub fn spare_slots(&self) -> usize {
-        self.state.capacity - self.state.slots.len()
-    }
-
     /// Total frame size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.words.frame_words().len() * 8
@@ -1655,27 +1674,6 @@ impl<W: FrameWords> Forest<W> {
     /// The raw frame words.
     pub fn as_words(&self) -> &[u64] {
         self.words.frame_words()
-    }
-
-    /// Full verification, whatever policy the view was opened under:
-    /// re-checks the outer header + directory checksum and validates
-    /// every live inner frame, caching any verdicts the lazy policy had
-    /// deferred.
-    ///
-    /// # Errors
-    ///
-    /// The first [`ForestError`] encountered, in directory order.
-    pub fn verify(&self) -> Result<(), ForestError> {
-        let words = self.words.frame_words();
-        if crc::crc64_words(&words[..self.state.dir_end()]) != words[words.len() - 1] {
-            return Err(ForestError::Frame(StoreError::ChecksumMismatch));
-        }
-        for slot in &self.state.slots {
-            if slot.entry.tag != 0 {
-                validate_slot(words, slot)?;
-            }
-        }
-        Ok(())
     }
 
     /// The routed batch engine: appends one [`QueryStatus`] per `(tree,
@@ -1796,34 +1794,6 @@ impl<W: FrameWords> Forest<W> {
     }
 }
 
-impl<'a> ForestRef<'a> {
-    /// Validates a forest frame held in caller-owned words (eagerly, the
-    /// historical behavior) and borrows it.  No label word is copied; only
-    /// the parsed directory is materialized.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ForestError`] describing the first failed validation.
-    pub fn from_words(words: &'a [u64]) -> Result<Self, ForestError> {
-        Self::from_words_with(words, ValidationPolicy::Eager)
-    }
-
-    /// [`ForestRef::from_words`] with an explicit [`ValidationPolicy`] —
-    /// under [`ValidationPolicy::Lazy`], only the header and directory are
-    /// proven here and each inner frame waits for its first touch.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ForestError`] describing the first failed validation.
-    pub fn from_words_with(
-        words: &'a [u64],
-        policy: ValidationPolicy,
-    ) -> Result<Self, ForestError> {
-        let state = parse_forest(words, policy)?;
-        Ok(Forest { words, state })
-    }
-}
-
 /// Bytes per read of [`read_words`].
 #[cfg_attr(all(unix, target_pointer_width = "64"), allow(dead_code))]
 const READ_CHUNK_BYTES: usize = 64 * 1024;
@@ -1908,8 +1878,8 @@ impl ForestStore {
 
     /// Validates (eagerly) and adopts a forest frame from bytes — the
     /// **copy path** (one widening copy for alignment, valid at any
-    /// alignment).  For the zero-copy alternatives, borrow aligned words with
-    /// [`ForestRef::from_words`] or open a published file with
+    /// alignment).  For the zero-copy alternatives, adopt aligned words with
+    /// [`ForestStore::from_words`] or map a published file with
     /// [`ForestStore::open_with`].
     ///
     /// # Errors
@@ -2030,29 +2000,53 @@ impl ForestStore {
         std::mem::take(ForestWords::make_mut(&mut self.words))
     }
 
-    /// Splices `extra` zeroed directory slots in (shifting every frame
-    /// extent up) so the next appends are in-place again.  The caller
-    /// refreshes generation + checksum.
+    /// Publishes the slot table as the next generation: bumps the
+    /// generation and [`seal`]s the directory over the edited frame region.
+    fn commit(&mut self) {
+        self.state.generation += 1;
+        let words = ForestWords::make_mut(&mut self.words);
+        let state = &self.state;
+        seal(
+            words,
+            state.slots.iter().map(|s| s.entry),
+            state.capacity,
+            state.generation,
+        );
+    }
+
+    /// Splices `extra` zeroed directory records in and shifts every extent
+    /// in the slot table past them, so the next appends are in-place again.
     fn grow_capacity(&mut self, extra: usize) {
         let dir_end = self.state.dir_end();
         let shift = DIR_ENTRY_WORDS * extra;
         let words = ForestWords::make_mut(&mut self.words);
         words.splice(dir_end..dir_end, std::iter::repeat_n(0u64, shift));
-        for rec in 0..self.state.slots.len() {
-            words[HEADER_WORDS + DIR_ENTRY_WORDS * rec + 1] += shift as u64;
-        }
         self.state.capacity += extra;
-        words[3] = (self.state.capacity as u64) << 32;
         for slot in &mut self.state.slots {
             slot.entry.off += shift;
         }
     }
 
+    /// Replaces the frame-region words `at` with `frame` — the empty range
+    /// at the region's end for an append, the old extent for a repair — and
+    /// shifts every later extent in the slot table by the length change.
+    /// Returns the new frame's extent.
+    fn splice_frame(&mut self, at: Range<usize>, frame: Vec<u64>) -> Range<usize> {
+        let len = frame.len();
+        ForestWords::make_mut(&mut self.words).splice(at.clone(), frame);
+        for slot in &mut self.state.slots {
+            if slot.entry.off >= at.end {
+                slot.entry.off = slot.entry.off + len - at.len();
+            }
+        }
+        at.start..at.start + len
+    }
+
     /// Appends `scheme`'s native frame as live tree `id` **without rewriting
     /// any existing frame**: the new frame lands at the end of the frame
-    /// region, its directory record splices into id order (consuming a
-    /// [spare slot](ForestBuilder::reserve_slots) when one is free, growing
-    /// the directory otherwise), and the generation word increments.
+    /// region, its directory record splices into id order (doubling the
+    /// directory when no spare slot is left), and the generation word
+    /// increments.
     ///
     /// # Errors
     ///
@@ -2083,48 +2077,21 @@ impl ForestStore {
         if self.state.slots.len() == self.state.capacity {
             self.grow_capacity(self.state.capacity.max(1));
         }
-        let t = self.state.slots.len();
-        let generation = self.state.generation + 1;
-        let flen = frame_words.len();
-        let words = ForestWords::make_mut(&mut self.words);
-        // The frame tiles in at the end of the frame region, displacing only
-        // the trailing checksum word.
-        let off = words.len() - 1;
-        words.truncate(off);
-        words.extend_from_slice(&frame_words);
-        words.push(0); // checksum, recomputed below
-
-        // Open directory slot p: shift used records [p, t) up one record
-        // into the spare slot, then write the new record.
-        let start = HEADER_WORDS + DIR_ENTRY_WORDS * p;
-        let end = HEADER_WORDS + DIR_ENTRY_WORDS * t;
-        words.copy_within(start..end, start + DIR_ENTRY_WORDS);
-        words[start] = id;
-        words[start + 1] = off as u64;
-        words[start + 2] = flen as u64;
-        words[start + 3] = u64::from(tag) << 32 | u64::from(n);
-        words[2] = (t + 1) as u64;
-        words[4] = generation;
-        let dir_end = self.state.dir_end();
-        let last = words.len() - 1;
-        words[last] = crc::crc64_words(&words[..dir_end]);
-        self.state.generation = generation;
-        self.state.live += 1;
-        self.state.slots.insert(
-            p,
-            TreeSlot {
-                entry: DirEntry {
-                    id,
-                    off,
-                    len: flen,
-                    tag,
-                    n,
-                },
-                state: OnceLock::from(Ok(parts)),
-                quarantine: OnceLock::new(),
-            },
-        );
+        let end = self.as_words().len() - 1;
+        let extent = self.splice_frame(end..end, frame_words);
+        let entry = DirEntry {
+            id,
+            off: extent.start,
+            len: extent.len(),
+            tag,
+            n,
+        };
+        self.state
+            .slots
+            .insert(p, TreeSlot::validated(entry, parts));
         self.state.ids.insert(p, id);
+        self.state.live += 1;
+        self.commit();
         Ok(())
     }
 
@@ -2139,20 +2106,10 @@ impl ForestStore {
     /// Returns [`ForestError::UnknownTree`] when `id` is absent or already
     /// tombstoned.
     pub fn tombstone(&mut self, id: u64) -> Result<(), ForestError> {
-        let slot = lookup_slot(&self.state, id)
-            .ok()
-            .filter(|&s| self.state.slots[s].entry.tag != 0)
-            .ok_or(ForestError::UnknownTree { id })?;
-        let generation = self.state.generation + 1;
-        let dir_end = self.state.dir_end();
-        let words = ForestWords::make_mut(&mut self.words);
-        words[HEADER_WORDS + DIR_ENTRY_WORDS * slot + 3] &= 0xFFFF_FFFF;
-        words[4] = generation;
-        let last = words.len() - 1;
-        words[last] = crc::crc64_words(&words[..dir_end]);
-        self.state.generation = generation;
+        let slot = live_slot(&self.state, id)?;
         self.state.slots[slot].entry.tag = 0;
         self.state.live -= 1;
+        self.commit();
         Ok(())
     }
 
@@ -2185,7 +2142,7 @@ impl ForestStore {
             })
             .collect();
         let generation = self.state.generation + 1;
-        let words = assemble(&trees, 0, generation);
+        let words = assemble(&trees, generation);
         let state = parse_forest(&words, self.state.policy)?;
         self.words = ForestWords::heap(words);
         self.state = state;
@@ -2214,63 +2171,18 @@ impl ForestStore {
     /// cannot be indexed (n ≥ 2³²).
     pub fn repair_frame(&mut self, id: u64, frame_words: Vec<u64>) -> Result<(), ForestError> {
         let (tag, n, parts) = frame_record(id, &frame_words)?;
-        let slot_pos = lookup_slot(&self.state, id)
-            .ok()
-            .filter(|&s| self.state.slots[s].entry.tag != 0)
-            .ok_or(ForestError::UnknownTree { id })?;
-        let old = self.state.slots[slot_pos].entry;
-        let flen = frame_words.len();
-        let generation = self.state.generation + 1;
-        let words = ForestWords::make_mut(&mut self.words);
-        words.splice(old.off..old.off + old.len, frame_words);
-        // Extents after the replaced one shift by the length delta; the
-        // relative file order is unchanged, so the tiling invariant holds.
-        for slot in self.state.slots.iter_mut() {
-            if slot.entry.off > old.off {
-                slot.entry.off = slot.entry.off - old.len + flen;
-            }
-        }
-        {
-            let e = &mut self.state.slots[slot_pos].entry;
-            e.len = flen;
-            e.tag = tag;
-            e.n = n;
-        }
-        // The repaired slot re-enters service pre-validated and
-        // unquarantined.
-        self.state.slots[slot_pos].state = OnceLock::from(Ok(parts));
-        self.state.slots[slot_pos].quarantine = OnceLock::new();
-        // Rewrite the whole directory from the slot table (offsets may have
-        // shifted for any record) and refresh generation + checksum.
-        for (rec, slot) in self.state.slots.iter().enumerate() {
-            let base = HEADER_WORDS + DIR_ENTRY_WORDS * rec;
-            let e = slot.entry;
-            words[base] = e.id;
-            words[base + 1] = e.off as u64;
-            words[base + 2] = e.len as u64;
-            words[base + 3] = u64::from(e.tag) << 32 | u64::from(e.n);
-        }
-        words[4] = generation;
-        let dir_end = self.state.dir_end();
-        let last = words.len() - 1;
-        words[last] = crc::crc64_words(&words[..dir_end]);
-        self.state.generation = generation;
+        let slot = live_slot(&self.state, id)?;
+        let old = self.state.slots[slot].entry;
+        let extent = self.splice_frame(old.off..old.off + old.len, frame_words);
+        let entry = DirEntry {
+            len: extent.len(),
+            tag,
+            n,
+            ..old
+        };
+        self.state.slots[slot] = TreeSlot::validated(entry, parts);
+        self.commit();
         Ok(())
-    }
-
-    /// [`ForestStore::repair_frame`] from a freshly built scheme — the
-    /// rebuild-closure flavor of repair (`repair_scheme(id,
-    /// &OptimalScheme::build(&tree))`).
-    ///
-    /// # Errors
-    ///
-    /// As [`ForestStore::repair_frame`].
-    pub fn repair_scheme<S: StoredScheme>(
-        &mut self,
-        id: u64,
-        scheme: &S,
-    ) -> Result<(), ForestError> {
-        self.repair_frame(id, scheme.as_store().as_words().to_vec())
     }
 
     /// Fault-injection hook for tests and the chaos harness: XORs `mask`
@@ -2372,22 +2284,17 @@ mod tests {
             Err(ForestError::UnknownTree { id: 5 })
         ));
         assert_eq!(forest.generation(), 0);
-        assert_eq!(forest.spare_slots(), 0);
 
         let bytes = forest.to_bytes();
         let back = ForestStore::from_bytes(&bytes).unwrap();
         assert_eq!(back.as_words(), forest.as_words());
         assert_eq!(back.to_bytes(), bytes);
 
-        // Borrow path over the owner's words: identical answers, same buffer.
-        let view = ForestRef::from_words(forest.as_words()).unwrap();
-        assert!(std::ptr::eq(view.as_words(), forest.as_words()));
-
+        // An owned copy of the words routes identically.
+        let copy = ForestStore::from_words(forest.as_words().to_vec()).unwrap();
         let queries = sample_queries(&trees, 400);
         let routed = route(&forest, &queries);
-        let mut via_ref = Vec::new();
-        view.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut via_ref);
-        assert_eq!(routed, via_ref);
+        assert_eq!(route(&copy, &queries), routed);
         for (i, &(id, u, v)) in queries.iter().enumerate() {
             let expect = forest.tree(id).unwrap().distance(u, v);
             assert_eq!(
@@ -2408,9 +2315,7 @@ mod tests {
         assert_eq!(lazy.tree_ids().collect::<Vec<_>>(), vec![3, 11, 42]);
         let queries = sample_queries(&trees, 300);
         assert_eq!(distances(&lazy, &queries), distances(&forest, &queries));
-        // Full verification retrofits eager coverage on the lazy view.
-        lazy.verify().unwrap();
-        // A budgeted scrub pass converges to the same verdict.
+        // A budgeted scrub pass retrofits eager coverage on the lazy view.
         let mut scrubber = Scrubber::new();
         let mut steps = 0usize;
         while lazy.scrub(64, &mut scrubber).unwrap() != ScrubOutcome::PassComplete {
@@ -2486,31 +2391,29 @@ mod tests {
     }
 
     #[test]
-    fn reserved_slots_host_in_place_appends() {
+    fn appends_after_a_growth_land_in_place() {
         let t0 = gen::random_tree(60, 5);
         let mut b = ForestStore::builder();
         b.push_scheme(10, &NaiveScheme::build(&t0)).unwrap();
-        b.reserve_slots(2);
         let mut forest = b.finish().unwrap();
-        assert_eq!(forest.spare_slots(), 2);
-        let before = forest.size_bytes();
-
         let t1 = gen::random_tree(30, 6);
         let frame = NaiveScheme::build(&t1);
-        forest.append_scheme(5, &frame).unwrap();
-        // Directory didn't grow: size grew by exactly the appended frame.
-        assert_eq!(forest.spare_slots(), 1);
-        assert_eq!(
-            forest.size_bytes(),
-            before + frame.as_store().as_words().len() * 8
-        );
-        assert_eq!(forest.tree_ids().collect::<Vec<_>>(), vec![5, 10]);
+        let frame_bytes = frame.as_store().as_words().len() * 8;
 
-        // Exhaust the spare slots, then force a directory growth.
-        forest.append_scheme(7, &frame).unwrap();
-        assert_eq!(forest.spare_slots(), 0);
+        // A full directory doubles: 1 → 2 → 4 slots, one record = 32 bytes.
+        for (id, grown_records) in [(5u64, 1usize), (7, 2)] {
+            let before = forest.size_bytes();
+            forest.append_scheme(id, &frame).unwrap();
+            assert_eq!(
+                forest.size_bytes(),
+                before + frame_bytes + grown_records * DIR_ENTRY_WORDS * 8
+            );
+        }
+        // The growth left a spare slot: the next append lands in place, and
+        // the size grows by exactly the frame.
+        let before = forest.size_bytes();
         forest.append_scheme(99, &frame).unwrap();
-        assert!(forest.spare_slots() > 0);
+        assert_eq!(forest.size_bytes(), before + frame_bytes);
         assert_eq!(forest.tree_ids().collect::<Vec<_>>(), vec![5, 7, 10, 99]);
         let reload = ForestStore::from_bytes(&forest.to_bytes()).unwrap();
         assert_eq!(reload.as_words(), forest.as_words());
@@ -2802,11 +2705,11 @@ mod tests {
         assert!(stats.words_scrubbed as usize >= lazy.as_words().len() - 1);
         assert_eq!(lazy.health().counts().valid, 3);
 
-        // Rot lands *after* validation: `verify` replays cached verdicts and
-        // stays blind, but the next scrub pass re-reads the bytes.
+        // Rot lands *after* validation: the cached verdict replays and stays
+        // blind, but the next scrub pass re-reads the bytes.
         let extent = lazy.frame_extent(11).unwrap();
         lazy.corrupt_word(extent.start + extent.len() / 2, 1 << 42);
-        lazy.verify().unwrap();
+        assert!(lazy.try_tree(11).is_ok());
         let fault = loop {
             match lazy.scrub(1 << 16, &mut scrubber).unwrap() {
                 ScrubOutcome::InProgress | ScrubOutcome::PassComplete => {}
@@ -2826,7 +2729,6 @@ mod tests {
             lazy.try_tree(11),
             Err(ForestError::Tree { id: 11, .. })
         ));
-        assert!(lazy.verify().is_err());
         assert_eq!(route(&lazy, &[(11, 0, 1)]), vec![QueryStatus::CorruptTree]);
         // Healthy trees keep serving through it all.
         assert_eq!(
@@ -2882,8 +2784,9 @@ mod tests {
         // Replace the middle tree's frame with a different scheme for the
         // same tree — a rebuild-flavored repair; the extent length changes,
         // so every later extent shifts.
+        let rebuilt = NaiveScheme::build(&trees[1].1);
         subject
-            .repair_scheme(11, &NaiveScheme::build(&trees[1].1))
+            .repair_frame(11, rebuilt.as_store().as_words().to_vec())
             .unwrap();
         let reload = ForestStore::from_bytes(&subject.to_bytes()).unwrap();
         for &(id, ref tree) in &trees {

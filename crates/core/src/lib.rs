@@ -38,9 +38,9 @@
 //! The serving stack has one type per layer, generic over where the frame
 //! words live: [`Store<W, S>`](Store) (aliased as the borrowed [`StoreRef`]
 //! and the owned [`SchemeStore`]) and [`Forest<W>`](Forest) (aliased as
-//! [`ForestRef`], [`ForestStore`] and [`ForestPin`]; a store opened from a
-//! file serves its map in place on 64-bit Unix).  Each layer's read API is
-//! written once.
+//! the owned, mutable [`ForestStore`] and its read-only snapshot
+//! [`ForestPin`]; a store opened from a file serves its map in place on
+//! 64-bit Unix).  Each layer's read API is written once.
 //! [`DistanceScheme::label_bits`] reports the size of each scheme's
 //! self-delimiting *wire* encoding — the quantity the paper's bounds are
 //! about — in closed form at build time; test-only encoders over the build
@@ -85,8 +85,8 @@ pub mod substrate;
 pub mod universal;
 
 pub use forest::{
-    Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
-    FrameWords, Parallelism, RouteScratch, ValidationPolicy,
+    Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestStore, FrameWords,
+    Parallelism, RouteScratch, ValidationPolicy,
 };
 pub use store::{AnyStoreRef, SchemeStore, Store, StoreError, StoreRef, StoredScheme};
 pub use substrate::Substrate;

@@ -288,13 +288,16 @@ mod tests {
 
     #[test]
     fn build_is_the_packed_frame() {
-        // The scheme's native representation is its frame: serialize is a
-        // handoff of the very words the build produced.
+        // The scheme's native representation is its frame: its bytes reload
+        // into the very words the build produced.
         let tree = gen::random_tree(120, 8);
         let scheme = NaiveScheme::build(&tree);
+        let bytes = scheme.as_store().to_bytes();
         assert_eq!(
-            SchemeStore::serialize(&scheme),
-            scheme.as_store().to_bytes()
+            SchemeStore::<NaiveScheme>::from_bytes(&bytes)
+                .unwrap()
+                .as_words(),
+            scheme.as_store().as_words()
         );
         assert_eq!(scheme.as_store().node_count(), tree.len());
         // Wire sizes are recorded per node and bound the packed region only

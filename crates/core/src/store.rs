@@ -8,9 +8,9 @@
 //! alone.  Since the packed-native refactor the `TLSTOR01` frame is the
 //! **native representation** of every scheme: `build` packs straight into a
 //! frame (no intermediate per-node label structs), the public scheme types
-//! are thin owners of a [`SchemeStore`], and
-//! [`SchemeStore::serialize`] is a copy-free frame handoff ("build once,
-//! serve many") — the byte buffer can be persisted, mapped, or handed to
+//! are thin owners of a [`SchemeStore`], and persisting one is a copy-free
+//! frame handoff ([`SchemeStore::to_bytes`] of [`StoredScheme::as_store`]:
+//! "build once, serve many") — the byte buffer can be persisted, mapped, or handed to
 //! another thread or process, and the load path brings it back **without
 //! re-decoding a single label**: it validates the frame (magic word, version,
 //! scheme tag, CRC-64) once and keeps the labels packed.  Queries run through
@@ -38,8 +38,8 @@
 //! * [`SchemeStore::from_bytes`] / [`SchemeStore::from_words`] — the
 //!   **owning path**: a [`SchemeStore`] owns its frame words (`from_bytes`
 //!   performs one explicit widening copy for alignment; `from_words` adopts
-//!   the vector without copying) and answers through the same query methods;
-//!   [`SchemeStore::as_store_ref`] lends a `Copy` view of it.
+//!   the vector without copying) and answers through the same query
+//!   methods.
 //! * [`AnyStoreRef::from_words`] — the **runtime-dispatch path**: reads the
 //!   scheme tag from the frame header and returns the right `StoreRef`
 //!   variant, so heterogeneous frames (a forest of mixed schemes, see
@@ -78,14 +78,14 @@
 //! # Example
 //!
 //! ```
-//! use treelab_core::store::{AnyStoreRef, SchemeStore, StoreRef};
+//! use treelab_core::store::{AnyStoreRef, SchemeStore, StoreRef, StoredScheme};
 //! use treelab_core::naive::NaiveScheme;
 //! use treelab_core::DistanceScheme;
 //! use treelab_tree::gen;
 //!
 //! let tree = gen::random_tree(300, 7);
 //! let scheme = NaiveScheme::build(&tree);               // packs a frame directly
-//! let store = SchemeStore::build(&scheme);              // owned copy of that frame
+//! let store: &SchemeStore<_> = scheme.as_store();       // the scheme *is* that frame
 //! let expect = scheme.distance(tree.node(12), tree.node(250));
 //! assert_eq!(store.distance(12, 250), expect);
 //!
@@ -800,20 +800,6 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     pub fn as_words(&self) -> &'a [u64] {
         self.words
     }
-
-    /// Lazy iterator form of [`Store::distances`].
-    ///
-    /// # Panics
-    ///
-    /// The returned iterator panics (on `next`) as [`Store::distance`] does.
-    pub fn distances_iter<I>(self, pairs: I) -> impl Iterator<Item = u64> + 'a
-    where
-        S: 'a,
-        I: IntoIterator<Item = (usize, usize)>,
-        I::IntoIter: 'a,
-    {
-        pairs.into_iter().map(move |(u, v)| self.distance(u, v))
-    }
 }
 
 impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
@@ -1047,29 +1033,15 @@ impl<S: StoredScheme> SchemeStore<S> {
         (SchemeStore { words, raw, meta }, plan)
     }
 
-    /// An owned copy of `scheme`'s native frame (one buffer memcpy — the
-    /// scheme already *is* a packed frame, so nothing is re-encoded).  Kept
-    /// for callers that want a store with its own lifetime; to avoid even
-    /// the memcpy, borrow via [`StoredScheme::as_store`] or take the words
-    /// with [`SchemeStore::into_words`].
-    pub fn build(scheme: &S) -> Self {
-        scheme.as_store().clone()
-    }
-
-    /// The persistable byte frame of `scheme` — a copy-free frame handoff:
-    /// the scheme's native representation already *is* the frame, so this
-    /// only widens the words to little-endian bytes (no label is re-encoded,
-    /// no meta is re-measured).
-    pub fn serialize(scheme: &S) -> Vec<u8> {
-        scheme.as_store().to_bytes()
-    }
-
-    /// The frame as bytes (words serialized little-endian).
+    /// The frame as bytes (words serialized little-endian) — the
+    /// persistable form.  A scheme's native representation already *is* its
+    /// frame, so `scheme.as_store().to_bytes()` only widens the words (no
+    /// label is re-encoded, no meta is re-measured).
     pub fn to_bytes(&self) -> Vec<u8> {
         frame::words_to_bytes(&self.words)
     }
 
-    /// Validates and adopts a frame produced by [`SchemeStore::serialize`] —
+    /// Validates and adopts a frame produced by [`SchemeStore::to_bytes`] —
     /// the **copy path**: the bytes are widened into an owned word buffer
     /// once (a bulk copy for alignment, not a per-label decode), so it works
     /// at any byte alignment.  For the zero-copy alternative over an aligned
@@ -1094,16 +1066,6 @@ impl<S: StoredScheme> SchemeStore<S> {
         Ok(SchemeStore { words, raw, meta })
     }
 
-    /// The borrowed, `Copy`-able view over this store's words.
-    #[inline]
-    pub fn as_store_ref(&self) -> StoreRef<'_, S> {
-        StoreRef {
-            words: &self.words,
-            raw: self.raw,
-            meta: self.meta,
-        }
-    }
-
     /// Consumes the store and returns its frame words (for hand-off into a
     /// forest builder or across threads without a copy).
     pub fn into_words(self) -> Vec<u64> {
@@ -1115,19 +1077,6 @@ impl<S: StoredScheme> SchemeStore<S> {
     /// or word-level inspection).
     pub fn as_words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Lazy iterator form of [`Store::distances`].
-    ///
-    /// # Panics
-    ///
-    /// The returned iterator panics (on `next`) as [`Store::distance`] does.
-    pub fn distances_iter<'s, I>(&'s self, pairs: I) -> impl Iterator<Item = u64> + 's
-    where
-        I: IntoIterator<Item = (usize, usize)>,
-        I::IntoIter: 's,
-    {
-        self.as_store_ref().distances_iter(pairs)
     }
 }
 
@@ -1394,7 +1343,7 @@ mod tests {
     fn sample_store() -> (treelab_tree::Tree, NaiveScheme, SchemeStore<NaiveScheme>) {
         let tree = gen::random_tree(240, 5);
         let scheme = NaiveScheme::build(&tree);
-        let store = SchemeStore::build(&scheme);
+        let store = scheme.as_store().clone();
         (tree, scheme, store)
     }
 
@@ -1487,12 +1436,10 @@ mod tests {
         let pairs: Vec<(usize, usize)> =
             (0..500).map(|i| ((i * 31) % n, (i * 87 + 5) % n)).collect();
         let batch = store.distances(&pairs);
-        let lazy: Vec<u64> = store.distances_iter(pairs.iter().copied()).collect();
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let expect = scheme.distance(tree.node(u), tree.node(v));
             assert_eq!(store.distance(u, v), expect, "({u},{v})");
             assert_eq!(batch[i], expect, "batch ({u},{v})");
-            assert_eq!(lazy[i], expect, "iter ({u},{v})");
         }
     }
 

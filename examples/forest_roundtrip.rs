@@ -1,7 +1,8 @@
 //! "Many trees, one frame": build a mixed-scheme forest, serialize it to one
-//! file, reload it in a fresh (simulated) process — once through the copy
-//! path and once *borrowed* from aligned words — and serve a routed,
-//! Zipf-skewed query batch through the grouped engine and its threaded helper.
+//! file, reload it in a fresh (simulated) process — opened from the file
+//! (eagerly and lazily) and adopted from a copy of its words — and serve a
+//! routed, Zipf-skewed query batch through the grouped engine and its
+//! threaded helper.
 //!
 //! ```text
 //! cargo run --release --example forest_roundtrip
@@ -9,8 +10,8 @@
 //!
 //! CI runs this as the forest round-trip smoke: it exercises every layer of
 //! the serving stack (builder → TLFRST01 frame → crash-safe
-//! `ForestStore::publish` → `ForestStore::open` eager + lazy + borrowed
-//! reloads → hot mutation (tombstone + append + republish) → per-tree
+//! `ForestStore::publish` → `ForestStore::open` eager + lazy reloads and a
+//! `ForestStore::from_words` reload → hot mutation (tombstone + append + republish) → per-tree
 //! views → routed batch → threaded batch) and fails loudly on any
 //! disagreement between the serving strategies.
 
@@ -20,8 +21,8 @@ use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::tree::rng::SplitMix64;
 use treelab::{
-    gen, DistanceArrayScheme, DistanceScheme, ForestRef, ForestStore, NaiveScheme, OptimalScheme,
-    Parallelism, QueryStatus, RouteScratch, Substrate, Tree, ValidationPolicy,
+    gen, DistanceArrayScheme, DistanceScheme, ForestStore, NaiveScheme, OptimalScheme, Parallelism,
+    QueryStatus, RouteScratch, Substrate, Tree, ValidationPolicy,
 };
 use treelab_bench::ScratchDir;
 
@@ -112,11 +113,12 @@ fn main() {
     );
     drop(dir);
 
-    // Borrow path: validate once over the owner's aligned words, copy nothing.
+    // Word path: adopt a copy of the words (as read from any source) and
+    // validate it eagerly.
     let t2 = Instant::now();
-    let borrowed = ForestRef::from_words(owned.as_words()).expect("borrowed reload");
+    let adopted = ForestStore::from_words(owned.as_words().to_vec()).expect("word reload");
     println!(
-        "loaded  (borrow path) in {:.1} ms",
+        "loaded  (ForestStore::from_words, eager) in {:.1} ms",
         t2.elapsed().as_secs_f64() * 1e3
     );
 
@@ -150,10 +152,10 @@ fn main() {
 
     let mut scratch = RouteScratch::new();
     let mut routed = Vec::with_capacity(queries.len());
-    borrowed.try_route_distances_into(&queries, &mut scratch, &mut routed); // warm
+    adopted.try_route_distances_into(&queries, &mut scratch, &mut routed); // warm
     routed.clear();
     let t4 = Instant::now();
-    borrowed.try_route_distances_into(&queries, &mut scratch, &mut routed);
+    adopted.try_route_distances_into(&queries, &mut scratch, &mut routed);
     let routed_ns = t4.elapsed().as_nanos() as f64 / queries.len() as f64;
 
     // Threads are the caller's: the helper splits the batch over scoped

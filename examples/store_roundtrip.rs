@@ -30,7 +30,7 @@ fn pairs(n: usize, count: usize) -> Vec<(usize, usize)> {
 /// the in-memory scheme and prints one summary line.
 fn roundtrip<S: StoredScheme>(tree: &Tree, scheme: &S, expected: impl Fn(usize, usize) -> u64) {
     let t0 = Instant::now();
-    let bytes = SchemeStore::serialize(scheme);
+    let bytes = scheme.as_store().to_bytes();
     let serialize_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let dir = ScratchDir::new("store-example");

@@ -41,9 +41,9 @@ pub use treelab_tree as tree;
 pub use treelab_core::approximate::ApproximateScheme;
 pub use treelab_core::distance_array::DistanceArrayScheme;
 pub use treelab_core::forest::{
-    Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestRef, ForestStore,
-    FrameWords, HealthCounts, HealthReport, QueryStatus, RouteOutcome, RouteScratch, ScrubOutcome,
-    ScrubStats, Scrubber, SlotHealth, ValidationPolicy,
+    Forest, ForestBuilder, ForestError, ForestFileError, ForestPin, ForestStore, FrameWords,
+    HealthCounts, HealthReport, QueryStatus, RouteOutcome, RouteScratch, ScrubOutcome, ScrubStats,
+    Scrubber, SlotHealth, ValidationPolicy,
 };
 pub use treelab_core::kdistance::KDistanceScheme;
 pub use treelab_core::level_ancestor::LevelAncestorScheme;

@@ -10,7 +10,7 @@ use treelab::bits::{crc, frame};
 use treelab::{gen, DistanceScheme, NaiveScheme, OptimalScheme};
 use treelab::{
     AnyStoreRef, ForestError, ForestStore, QueryStatus, RouteScratch, SchemeStore, StoreError,
-    StoreRef,
+    StoreRef, StoredScheme,
 };
 
 /// The whole-scheme store frame must reject bad magic, truncation (including
@@ -20,7 +20,7 @@ use treelab::{
 fn corrupt_scheme_stores_are_rejected() {
     let tree = gen::random_tree(160, 17);
     let scheme = OptimalScheme::build(&tree);
-    let bytes = SchemeStore::serialize(&scheme);
+    let bytes = scheme.as_store().to_bytes();
 
     // Pristine frame loads and answers.
     let store = SchemeStore::<OptimalScheme>::from_bytes(&bytes).expect("valid frame");

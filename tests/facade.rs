@@ -164,13 +164,12 @@ fn module_reexports_are_reachable() {
 #[test]
 fn store_reexports_round_trip() {
     // SchemeStore / StoredScheme / StoreError / NO_DISTANCE are facade-level
-    // re-exports; serialize, reload and query through them.
+    // re-exports; persist, reload and query through them.
     use treelab::{NaiveScheme, SchemeStore, StoreError, StoredScheme, NO_DISTANCE};
     let tree = small_tree();
     let scheme = NaiveScheme::build(&tree);
-    let bytes = SchemeStore::serialize(&scheme);
-    // Serialization is a frame handoff: the scheme's native frame verbatim.
-    assert_eq!(bytes, scheme.as_store().to_bytes());
+    // Persisting is a frame handoff: the scheme's native frame verbatim.
+    let bytes = scheme.as_store().to_bytes();
     let store = SchemeStore::<NaiveScheme>::from_bytes(&bytes).expect("valid store");
     assert_eq!(store.node_count(), tree.len());
     assert_eq!(

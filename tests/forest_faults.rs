@@ -188,8 +188,7 @@ fn lazy_open_defers_inner_corruption_to_first_touch_with_the_eager_error() {
     assert!(lazy.tree(5).is_none());
     assert_eq!(lazy.tree_count(), 3, "corruption is not a tombstone");
 
-    // Full verification and a budgeted scrub pass surface the same error.
-    assert_eq!(lazy.verify().unwrap_err(), eager_err);
+    // A budgeted scrub pass surfaces the same error.
     let mut scrubber = Scrubber::new();
     let scrubbed = loop {
         match lazy
@@ -389,7 +388,11 @@ mod mapped {
                 routed,
                 queries.map(|(id, u, v)| QueryStatus::Ok(forest.tree(id).unwrap().distance(u, v)))
             );
-            mapped.verify().expect("pristine frame verifies");
+            assert_eq!(
+                mapped.scrub(usize::MAX, &mut Scrubber::new()),
+                Ok(ScrubOutcome::PassComplete),
+                "a full scrub pass over the pristine frame"
+            );
         }
 
         // Inner corruption on disk: the eager map rejects at open, the lazy

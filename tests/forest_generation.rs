@@ -1,7 +1,10 @@
 //! Property tests for the v2 directory generation word, tombstones and
 //! pinned readers: seeded random interleavings of append / tombstone /
-//! publish / pin against a model map, checking after every step that
+//! repair / publish / pin against a model map, checking after every step
+//! that
 //!
+//! * the written frame re-parses eagerly into the same ids, generation,
+//!   tombstones and answers,
 //! * the generation word counts mutations exactly (illegal ops don't bump),
 //! * every pin stays **bit-identical** to the generation it pinned,
 //! * tombstoned ids answer [`ForestError::UnknownTree`] forever (and are
@@ -9,15 +12,16 @@
 //! * a crash-safe publish + reopen reproduces the live frame under both
 //!   validation policies,
 //!
-//! plus the retired directory version 1, which every open path rejects.
+//! plus the retired directory version 1, which every open path rejects, and
+//! a fixed mutation script whose frame digests are pinned step by step.
 
 use std::collections::BTreeMap;
 use treelab::bits::crc;
 use treelab::tree::rng::SplitMix64;
 use treelab::{
-    gen, DistanceScheme, Forest, ForestError, ForestPin, ForestRef, ForestStore, FrameWords,
-    NaiveScheme, QueryStatus, RouteScratch, SlotHealth, StoreError, StoredScheme, Tree,
-    ValidationPolicy,
+    gen, DistanceArrayScheme, DistanceScheme, Forest, ForestError, ForestPin, ForestStore,
+    FrameWords, NaiveScheme, QueryStatus, RouteScratch, ScrubOutcome, Scrubber, SlotHealth,
+    StoreError, StoredScheme, Tree, ValidationPolicy,
 };
 use treelab_bench::ScratchDir;
 
@@ -36,9 +40,9 @@ fn check_tree(forest_distance: u64, tree: &Tree) {
 /// What the one read API reports about a forest, whatever owns its words:
 /// the live ids, the generation, the `try_tree` answer for each of `ids`
 /// (label count and the distance between its first and last node), the routed
-/// statuses of `queries`, the slot health table and the `verify` verdict.
-/// Every id is touched before the health table is read, so a lazily opened
-/// forest reports the same settled slots as an eager one.
+/// statuses of `queries`, the slot health table and the verdict of one full
+/// scrub pass.  Every id is touched before the health table is read, so a
+/// lazily opened forest reports the same settled slots as an eager one.
 #[allow(clippy::type_complexity)]
 fn read_back<W: FrameWords>(
     forest: &Forest<W>,
@@ -51,7 +55,7 @@ fn read_back<W: FrameWords>(
     Vec<Result<(usize, u64), ForestError>>,
     Vec<QueryStatus>,
     Vec<(u64, SlotHealth)>,
-    Result<(), ForestError>,
+    Result<ScrubOutcome, ForestError>,
 ) {
     let trees = ids
         .iter()
@@ -70,13 +74,13 @@ fn read_back<W: FrameWords>(
         trees,
         statuses,
         forest.health().slots().to_vec(),
-        forest.verify(),
+        forest.scrub(usize::MAX, &mut Scrubber::new()),
     )
 }
 
 /// A CRC-valid version-1 directory (3 header words, records tiled in slot
 /// order, whole-frame CRC) is refused with `UnsupportedVersion { found: 1 }`
-/// by every open path: owned and borrowed, eager and lazy, and mapped.
+/// by every open path: bytes and words, eager and lazy, and mapped.
 #[test]
 fn v1_frames_are_rejected_with_unsupported_version() {
     let frames = [
@@ -116,7 +120,10 @@ fn v1_frames_are_rejected_with_unsupported_version() {
             "{policy:?}"
         );
     }
-    assert_eq!(ForestRef::from_words(&words).unwrap_err(), unsupported);
+    assert_eq!(
+        ForestStore::from_words(words.clone()).unwrap_err(),
+        unsupported
+    );
 
     let dir = ScratchDir::new("generation-v1");
     let path = dir.join("v1.bin");
@@ -133,8 +140,9 @@ fn v1_frames_are_rejected_with_unsupported_version() {
 /// router (`UnknownTree`), an appended id becomes routable in the same batch
 /// as old ids, and a pin taken before the mutations keeps routing the *pre-mutation* forest —
 /// including the since-tombstoned tree.  Afterwards every owner of the
-/// mutated frame — the store, a pin, a borrowed view and a store opened from
-/// its published file — reads it back identically through the one read API.
+/// mutated frame — the store, a pin, a store adopting a copy of its words
+/// and a store opened from its published file — reads it back identically
+/// through the one read API.
 /// The opened store keeps serving its generation after a newer frame is
 /// published over the path, and its first mutation copies the words: the
 /// new file stays as published, and a pin taken before keeps answering.
@@ -211,11 +219,11 @@ fn routing_tracks_tombstones_appends_and_pinned_generations() {
     let expected = read_back(&forest, &ids, &routed, &mut scratch);
     assert_eq!(expected.0, [0, 2, 3]);
     assert_eq!(expected.1, 2);
-    assert_eq!(expected.5, Ok(()));
+    assert_eq!(expected.5, Ok(ScrubOutcome::PassComplete));
     let pinned = forest.pin();
     assert_eq!(read_back(&pinned, &ids, &routed, &mut scratch), expected);
-    let borrowed = ForestRef::from_words(forest.as_words()).expect("borrowed view loads");
-    assert_eq!(read_back(&borrowed, &ids, &routed, &mut scratch), expected);
+    let adopted = ForestStore::from_words(forest.as_words().to_vec()).expect("words load");
+    assert_eq!(read_back(&adopted, &ids, &routed, &mut scratch), expected);
     let dir = ScratchDir::new("generation-owners");
     let path = dir.join("forest.bin");
     forest.publish(&path).expect("publish");
@@ -257,7 +265,7 @@ fn random_mutation_interleavings_respect_generations_pins_and_tombstones() {
         let mut pins: Vec<(ForestPin, u64, Vec<u64>)> = Vec::new();
 
         for _step in 0..60 {
-            match rng.next_u64() % 5 {
+            match rng.next_u64() % 6 {
                 // Append a fresh tree under a never-used id.
                 0 => {
                     let t = gen::random_tree(16 + (rng.next_u64() % 48) as usize, rng.next_u64());
@@ -305,6 +313,17 @@ fn random_mutation_interleavings_respect_generations_pins_and_tombstones() {
                         Err(ForestError::DuplicateTree { .. })
                     ));
                 }
+                // Repair a random live tree with a different scheme's frame
+                // (another length, so every later extent shifts).
+                5 => {
+                    let keys: Vec<u64> = model.keys().copied().collect();
+                    let id = keys[(rng.next_u64() as usize) % keys.len()];
+                    let frame = DistanceArrayScheme::build(&model[&id]);
+                    forest
+                        .repair_frame(id, frame.as_store().as_words().to_vec())
+                        .expect("live trees repair");
+                    expected_gen += 1;
+                }
                 // Pin the current generation.
                 3 => {
                     pins.push((
@@ -324,7 +343,24 @@ fn random_mutation_interleavings_respect_generations_pins_and_tombstones() {
                 }
             }
 
-            // Invariants, after every step.
+            // Invariants, after every step.  The written frame re-parses
+            // eagerly into the same forest.
+            let re = ForestStore::from_words(forest.as_words().to_vec()).expect("frame re-parses");
+            assert_eq!(
+                re.tree_ids().collect::<Vec<_>>(),
+                forest.tree_ids().collect::<Vec<_>>()
+            );
+            assert_eq!(re.generation(), forest.generation());
+            for &id in &dead {
+                assert!(re.is_tombstoned(id));
+            }
+            for (&id, tree) in &model {
+                let n = tree.len();
+                assert_eq!(
+                    re.tree(id).expect("live tree").distance(0, n - 1),
+                    forest.tree(id).expect("live tree").distance(0, n - 1)
+                );
+            }
             assert_eq!(forest.generation(), expected_gen);
             assert_eq!(forest.tree_count(), model.len());
             for (&id, tree) in &model {
@@ -379,4 +415,88 @@ fn random_mutation_interleavings_respect_generations_pins_and_tombstones() {
             }
         }
     }
+}
+
+/// The CRC-64 of `as_words()` after each step of [`mutation_script`].  They
+/// pin the bits every directory-writing path emits (assembly, append,
+/// growth, tombstone, repair, compaction); a change that moves them on
+/// purpose re-records them.
+const SCRIPT_DIGESTS: [(&str, u64); 9] = [
+    ("finish", 0x5418_2f6d_f93d_b2b1),
+    ("append 40 (grows to 6)", 0x79d7_3a41_c49e_927b),
+    ("append 50", 0x8e63_46b7_e9f1_f848),
+    ("append 60", 0xc8c1_621d_a288_c89e),
+    ("append 70 (grows to 12)", 0x0c8a_3d23_e19b_5876),
+    ("tombstone 20", 0x1b4a_9426_d103_4204),
+    ("repair 30", 0xa718_65e6_9368_0177),
+    ("append 80", 0xb10f_7608_910a_3dbb),
+    ("compact", 0xb165_87aa_ffd7_1106),
+];
+
+/// A fixed mutation script over three mixed-scheme trees: appends that force
+/// two directory growths, a tombstone, a repair with a different scheme and
+/// length (so every later extent shifts), one more append and a compaction.
+/// Returns the frame's CRC-64 after every step.
+fn mutation_script() -> Vec<(&'static str, u64)> {
+    use treelab::{DistanceArrayScheme, LevelAncestorScheme, OptimalScheme};
+    let digest = |forest: &ForestStore| crc::crc64_words(forest.as_words());
+    let comb = gen::comb(50);
+    let mut b = ForestStore::builder();
+    b.push_scheme(10, &NaiveScheme::build(&gen::random_tree(60, 1)))
+        .unwrap();
+    b.push_scheme(20, &OptimalScheme::build(&gen::random_tree(80, 2)))
+        .unwrap();
+    b.push_scheme(30, &LevelAncestorScheme::build(&comb))
+        .unwrap();
+    let mut forest = b.finish().unwrap();
+    let mut out = vec![("finish", digest(&forest))];
+    for (id, name) in [
+        (40u64, "append 40 (grows to 6)"),
+        (50, "append 50"),
+        (60, "append 60"),
+        (70, "append 70 (grows to 12)"),
+    ] {
+        let tree = gen::random_tree(20 + id as usize, id);
+        if id % 20 == 0 {
+            forest
+                .append_scheme(id, &DistanceArrayScheme::build(&tree))
+                .unwrap();
+        } else {
+            forest
+                .append_scheme(id, &NaiveScheme::build(&tree))
+                .unwrap();
+        }
+        out.push((name, digest(&forest)));
+    }
+    forest.tombstone(20).unwrap();
+    out.push(("tombstone 20", digest(&forest)));
+    let replacement = NaiveScheme::build(&comb).as_store().as_words().to_vec();
+    assert_ne!(replacement.len(), forest.frame_extent(30).unwrap().len());
+    forest.repair_frame(30, replacement).unwrap();
+    out.push(("repair 30", digest(&forest)));
+    forest
+        .append_scheme(80, &OptimalScheme::build(&gen::random_tree(33, 80)))
+        .unwrap();
+    out.push(("append 80", digest(&forest)));
+    forest.compact().unwrap();
+    out.push(("compact", digest(&forest)));
+    assert_eq!(forest.generation(), 8);
+    assert_eq!(
+        forest.tree_ids().collect::<Vec<_>>(),
+        [10, 30, 40, 50, 60, 70, 80]
+    );
+    assert_eq!(
+        forest.tree(30).unwrap().distance(0, 49),
+        NaiveScheme::build(&comb).distance(comb.node(0), comb.node(49))
+    );
+    out
+}
+
+#[test]
+fn the_directory_writer_emits_pinned_frames_after_every_mutation() {
+    let got = mutation_script();
+    for (step, (&(name, want), &(_, digest))) in SCRIPT_DIGESTS.iter().zip(&got).enumerate() {
+        assert_eq!(digest, want, "step {step} ({name}): {digest:#018x}");
+    }
+    assert_eq!(got.len(), SCRIPT_DIGESTS.len());
 }

@@ -9,9 +9,9 @@ use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
 use treelab::{
-    gen, AnyStoreRef, DistanceArrayScheme, DistanceScheme, ForestRef, ForestStore, NaiveScheme,
-    OptimalScheme, Parallelism, QueryStatus, RouteScratch, SchemeStore, StoreError, StoreRef,
-    StoredScheme, Substrate, Tree, NO_DISTANCE,
+    gen, AnyStoreRef, DistanceArrayScheme, DistanceScheme, ForestStore, NaiveScheme, OptimalScheme,
+    Parallelism, QueryStatus, RouteScratch, SchemeStore, StoreError, StoreRef, StoredScheme,
+    Substrate, Tree, NO_DISTANCE,
 };
 
 /// The seeded tree corpus every scheme round-trips over: the adversarial
@@ -48,8 +48,7 @@ fn check_store<S: StoredScheme>(
     scheme: &S,
     expected: impl Fn(usize, usize) -> u64,
 ) {
-    let store = SchemeStore::build(scheme);
-    let bytes = store.to_bytes();
+    let bytes = scheme.as_store().to_bytes();
     let loaded = SchemeStore::<S>::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("{name}: from_bytes failed: {e}"));
     assert_eq!(
@@ -119,7 +118,7 @@ fn bounded_and_approximate_stores_round_trip() {
                 },
             );
             // The typed bounded query agrees with the Option-returning one.
-            let store = SchemeStore::build(&kd);
+            let store = kd.as_store();
             for (u, v) in pairs(tree.len()) {
                 assert_eq!(
                     store.distance_within_k(u, v),
@@ -191,11 +190,11 @@ fn forest_of_all_six_schemes_round_trips() {
     let forest = b.finish().expect("forest builds");
     assert_eq!(forest.tree_count(), 6);
 
-    // Byte round-trip through both load paths.
+    // Round-trip through both load paths: bytes (copy) and words (adopted).
     let bytes = forest.to_bytes();
     let owned = ForestStore::from_bytes(&bytes).expect("copy path loads");
     assert_eq!(owned.as_words(), forest.as_words());
-    let borrowed = ForestRef::from_words(owned.as_words()).expect("borrow path loads");
+    let adopted = ForestStore::from_words(owned.as_words().to_vec()).expect("word path loads");
 
     // Expected answer per tree, from the in-memory labels.
     let expected = |id: u64, u: usize, v: usize| -> u64 {
@@ -219,14 +218,14 @@ fn forest_of_all_six_schemes_round_trips() {
             (*id, (i * 31) % n, (i * 87 + 5) % n)
         })
         .collect();
-    let (mut routed, mut via_ref) = (Vec::new(), Vec::new());
+    let (mut routed, mut via_words) = (Vec::new(), Vec::new());
     owned.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut routed);
-    borrowed.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut via_ref);
+    adopted.try_route_distances_into(&queries, &mut RouteScratch::new(), &mut via_words);
     let sharded = owned.try_route_distances_sharded(&queries, Parallelism::from_thread_count(3));
     for (i, &(id, u, v)) in queries.iter().enumerate() {
         let want = QueryStatus::Ok(expected(id, u, v));
         assert_eq!(routed[i], want, "routed: tree {id} ({u},{v})");
-        assert_eq!(via_ref[i], want, "borrowed: tree {id} ({u},{v})");
+        assert_eq!(via_words[i], want, "adopted: tree {id} ({u},{v})");
         assert_eq!(sharded[i], want, "sharded: tree {id} ({u},{v})");
         assert_eq!(
             QueryStatus::Ok(owned.tree(id).unwrap().distance(u, v)),
@@ -243,7 +242,7 @@ fn forest_of_all_six_schemes_round_trips() {
 fn borrow_path_refuses_misaligned_bytes_copy_path_accepts_them() {
     let tree = gen::random_tree(300, 31);
     let scheme = OptimalScheme::build(&tree);
-    let store = SchemeStore::build(&scheme);
+    let store = scheme.as_store();
 
     // `cast_bytes` of a word buffer is guaranteed 8-byte aligned, so the
     // borrow path must succeed — and serve the owner's buffer in place.
@@ -283,7 +282,7 @@ fn stores_can_cross_threads() {
     // the word-level hand-off (no re-serialization, no re-decode).
     let tree = gen::random_tree(500, 9);
     let scheme = OptimalScheme::build(&tree);
-    let store = SchemeStore::build(&scheme);
+    let store = scheme.as_store();
     let words = store.as_words().to_vec();
     let expected: Vec<u64> = pairs(tree.len())
         .iter()
