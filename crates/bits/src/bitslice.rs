@@ -169,10 +169,12 @@ impl BitVec {
 /// significant (the inverse of [`BitVec::push_bits_lsb`]).
 ///
 /// Unlike [`BitSlice::get_bits_lsb`] there is no per-read range validation —
-/// the caller vouches that the field lies inside the buffer (the scheme store
-/// validates all offsets once, at load time, and then issues millions of
-/// these).  Memory safety is preserved regardless: an out-of-range `start`
-/// panics on the slice index.
+/// the caller vouches that the field lies inside the buffer (the scheme
+/// store's query kernels check each label's extent once per query, then
+/// issue a few dozen of these).  Memory safety is preserved regardless: an
+/// out-of-range `start` panics on the slice index.  Always inlined, like
+/// [`read_lsb_pair`] and [`common_prefix_len_raw`]: left to the inliner,
+/// some query kernels called these out of line on their hot path.
 ///
 /// The word *after* the field's first word must exist (`start / 64 + 1 <
 /// words.len()`): the straddle is handled with an unconditional second load
@@ -183,7 +185,7 @@ impl BitVec {
 /// # Panics
 ///
 /// Panics if `start / 64 + 1` is not a valid index into `words`.
-#[inline]
+#[inline(always)]
 pub fn read_lsb(words: &[u64], start: usize, width: usize) -> u64 {
     debug_assert!(width <= 64);
     if width == 0 {
@@ -218,7 +220,7 @@ pub fn read_lsb(words: &[u64], start: usize, width: usize) -> u64 {
 ///
 /// Panics if `start_a / 64 + 1` or `start_b / 64 + 1` is not a valid index
 /// into `words`.
-#[inline]
+#[inline(always)]
 pub fn read_lsb_pair(words: &[u64], start_a: usize, start_b: usize, width: usize) -> (u64, u64) {
     debug_assert!(width <= 64);
     if width == 0 {
@@ -248,7 +250,7 @@ pub fn read_lsb_pair(words: &[u64], start_a: usize, start_b: usize, width: usize
 /// # Panics
 ///
 /// Panics if either range's words lie outside its buffer.
-#[inline]
+#[inline(always)]
 pub fn common_prefix_len_raw(
     a: &[u64],
     sa: usize,

@@ -252,19 +252,16 @@ impl StoredScheme for ApproximateScheme {
     fn label_ref<'a>(
         slice: BitSlice<'a>,
         start: usize,
+        end: usize,
         meta: &'a ApproximateMeta,
     ) -> ApproximateLabelRef<'a> {
-        ApproximateLabelRef::new(slice, start, meta)
+        ApproximateLabelRef::new(slice, start, end, meta)
     }
 
     /// The Theorem 1.4 protocol over packed views, estimate for estimate
     /// (same ε, same rounding).
     fn distance_refs(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'_>) -> u64 {
         kernel::distance_refs(a, b).unwrap_or(CORRUPT_LABEL)
-    }
-
-    fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &ApproximateMeta) -> bool {
-        kernel::check_label(slice, start, end, meta)
     }
 }
 

@@ -116,17 +116,14 @@ impl StoredScheme for DistanceArrayScheme {
     fn label_ref<'a>(
         slice: BitSlice<'a>,
         start: usize,
+        end: usize,
         meta: &'a PsumMeta,
     ) -> DistanceArrayLabelRef<'a> {
-        DistanceArrayLabelRef(PsumRef::new(slice, start, meta))
+        DistanceArrayLabelRef(PsumRef::new(slice, start, end, meta))
     }
 
     fn distance_refs(a: DistanceArrayLabelRef<'_>, b: DistanceArrayLabelRef<'_>) -> u64 {
         psum::distance_refs(&a.0, &b.0).unwrap_or(CORRUPT_LABEL)
-    }
-
-    fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &PsumMeta) -> bool {
-        psum::check_label(slice, start, end, meta)
     }
 }
 

@@ -448,7 +448,7 @@ pub(crate) fn read_aux_scalars(s: &BitSlice<'_>, base: usize, d: &AuxDims) -> Au
 /// ([`treelab_bits::bitslice::read_lsb_pair`] on the fused fast path), so the
 /// two sides' decode chains overlap in the out-of-order window instead of
 /// serializing.  Bit-identical to two [`read_aux_scalars`] calls.
-#[inline]
+#[inline(always)]
 pub(crate) fn read_aux_scalars_pair(
     s: &BitSlice<'_>,
     base_a: usize,
@@ -487,7 +487,7 @@ impl<'a> HpathRef<'a> {
 
     /// [`HpathRef::scalars`] of two views over the same buffer as one planned
     /// load pair (falls back to two reads across distinct buffers).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn scalars_pair(a: &Self, b: &Self) -> (AuxScalars, AuxScalars) {
         if std::ptr::eq(a.s.words(), b.s.words()) {
             read_aux_scalars_pair(&a.s, a.base, b.base, a.d)
@@ -512,28 +512,20 @@ impl<'a> HpathRef<'a> {
         self.base + self.d.scalar_total + light_depth * self.d.end_w
     }
 
-    /// Load-time extent check: returns `(total_bits, cw_len)` of this full
-    /// aux block when its scalar region, end positions and codeword bits all
-    /// fit within `avail` bits, `None` otherwise.
-    pub(crate) fn extent_bits(&self, avail: usize) -> Option<(usize, usize)> {
-        if avail < self.d.scalar_total {
-            return None;
-        }
-        let ld = self.scalars().ld;
-        if self.d.extent(ld, 0)? > avail {
-            return None;
-        }
-        let cw = if ld == 0 { 0 } else { self.end(ld - 1) };
-        let total = self.d.extent(ld, cw)?;
-        (total <= avail).then_some((total, cw))
+    /// `Some` when the four scalar fields end by bit `end` (the label's
+    /// index extent end), so [`HpathRef::scalars`] may read them; else the
+    /// corrupt verdict.
+    #[inline]
+    pub(crate) fn scalars_before(&self, end: usize) -> Option<()> {
+        (self.base.checked_add(self.d.scalar_total)? <= end).then_some(())
     }
 
-    /// [`crate::kernel::in_region`] of the whole block: its `ld` end
-    /// positions and its `cw_len`-bit codeword string (`ld = cw_len = 0`
-    /// bounds the scalars, before the query reads them).
+    /// `Some` when the whole block — `ld` end positions and a `cw_len`-bit
+    /// codeword string after the scalars — ends exactly at bit `end`, the
+    /// label's index extent end; else the corrupt verdict.
     #[inline]
-    pub(crate) fn in_region(&self, ld: usize, cw_len: usize) -> Option<()> {
-        crate::kernel::in_region(self.s, self.base, self.d.extent(ld, cw_len))
+    pub(crate) fn ends_at(&self, ld: usize, cw_len: usize, end: usize) -> Option<()> {
+        crate::kernel::exact(self.d.extent(ld, cw_len), end.checked_sub(self.base)?)
     }
 
     /// Mirrors [`HpathLabel::common_light_depth`], with the scalars of both
@@ -632,7 +624,7 @@ impl<'a> AuxCoreRef<'a> {
     /// [`AuxCoreRef::scalars`] on each side.  Falls back to two independent
     /// reads when the views borrow different buffers (never on the store hot
     /// path, where both labels live in one frame).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn scalars_pair(a: &Self, b: &Self) -> (AuxScalars, AuxScalars) {
         if std::ptr::eq(a.s.words(), b.s.words()) {
             read_aux_scalars_pair(&a.s, a.base, b.base, a.d)

@@ -360,19 +360,16 @@ impl StoredScheme for KDistanceScheme {
     fn label_ref<'a>(
         slice: BitSlice<'a>,
         start: usize,
+        end: usize,
         meta: &'a KDistanceMeta,
     ) -> KDistanceLabelRef<'a> {
-        KDistanceLabelRef::new(slice, start, meta)
+        KDistanceLabelRef::new(slice, start, end, meta)
     }
 
     /// The Theorem 1.3 protocol over packed views; "more than `k`" is
     /// [`NO_DISTANCE`].
     fn distance_refs(a: KDistanceLabelRef<'_>, b: KDistanceLabelRef<'_>) -> u64 {
         kernel::distance_refs(&a, &b).unwrap_or(CORRUPT_LABEL)
-    }
-
-    fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &KDistanceMeta) -> bool {
-        kernel::check_label(slice, start, end, meta)
     }
 }
 

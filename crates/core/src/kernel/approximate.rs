@@ -184,17 +184,19 @@ impl ApproximateMeta {
     }
 }
 
-/// Borrowed view of a packed approximate-scheme label inside a store buffer.
+/// Borrowed view of a packed approximate-scheme label inside a store
+/// buffer: its offset-index extent `[start, end)`.
 #[derive(Debug, Clone, Copy)]
 pub struct ApproximateLabelRef<'a> {
     s: BitSlice<'a>,
     start: usize,
+    end: usize,
     m: &'a ApproximateMeta,
 }
 
 impl<'a> ApproximateLabelRef<'a> {
-    pub(crate) fn new(s: BitSlice<'a>, start: usize, m: &'a ApproximateMeta) -> Self {
-        ApproximateLabelRef { s, start, m }
+    pub(crate) fn new(s: BitSlice<'a>, start: usize, end: usize, m: &'a ApproximateMeta) -> Self {
+        ApproximateLabelRef { s, start, end, m }
     }
 
     #[inline]
@@ -241,7 +243,7 @@ impl<'a> ApproximateLabelRef<'a> {
     }
 
     /// The aux label after `count` exponents (an offset that overflows
-    /// saturates, so no region holds it).
+    /// saturates, so no label holds it).
     #[inline]
     fn aux(&self, count: usize) -> HpathRef<'a> {
         let base = count
@@ -255,16 +257,16 @@ impl<'a> ApproximateLabelRef<'a> {
 /// `d(u,v) ≤ d̃ ≤ (1+ε)·d(u,v) + 2`, same ε and same rounding as the build.
 /// `None` is the corrupt verdict (see [`crate::kernel`]).
 pub(crate) fn distance_refs(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'_>) -> Option<u64> {
-    super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
-    super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
+    super::extent_len(a.s, a.start, a.end, a.m.hdr_total)?;
+    super::extent_len(b.s, b.start, b.end, b.m.hdr_total)?;
     // Both headers and both aux scalar blocks decode as planned load pairs.
     let ((rd_a, ca, cwl_a), (rd_b, cb, cwl_b)) = ApproximateLabelRef::header_pair(&a, &b);
     let (aa, ab) = (a.aux(ca), b.aux(cb));
-    aa.in_region(0, 0)?;
-    ab.in_region(0, 0)?;
+    aa.scalars_before(a.end)?;
+    ab.scalars_before(b.end)?;
     let (sa, sb) = HpathRef::scalars_pair(&aa, &ab);
-    aa.in_region(sa.ld, cwl_a)?;
-    ab.in_region(sb.ld, cwl_b)?;
+    aa.ends_at(sa.ld, cwl_a, a.end)?;
+    ab.ends_at(sb.ld, cwl_b, b.end)?;
     // Equal nodes fall under the ancestor case (|rd_a − rd_b| = 0).
     if AuxScalars::is_ancestor(&sa, &sb) || AuxScalars::is_ancestor(&sb, &sa) {
         return Some(rd_a.abs_diff(rd_b));
@@ -304,29 +306,6 @@ pub(crate) fn distance_refs(a: ApproximateLabelRef<'_>, b: ApproximateLabelRef<'
         y_rd.checked_add(rounded.checked_mul(2)?)?
             .saturating_sub(x_rd),
     )
-}
-
-/// Load-time extent check of the approximate scheme's packed labels.
-pub(crate) fn check_label(
-    slice: BitSlice<'_>,
-    start: usize,
-    end: usize,
-    meta: &ApproximateMeta,
-) -> bool {
-    let len = end - start;
-    if len < meta.hdr_total {
-        return false;
-    }
-    let r = ApproximateLabelRef::new(slice, start, meta);
-    let (_, ec, cwl) = r.header();
-    let fixed = match ec.checked_mul(meta.e_w).map(|x| x + meta.hdr_total) {
-        Some(f) if f <= len => f,
-        _ => return false,
-    };
-    match r.aux(ec).extent_bits(len - fixed) {
-        Some((total, cw)) => fixed + total == len && cw == cwl,
-        None => false,
-    }
 }
 
 #[cfg(test)]

@@ -141,7 +141,7 @@ impl KDistanceMeta {
 
     /// Splits a fused header word into the six scalar header fields plus the
     /// codeword length.
-    #[inline]
+    #[inline(always)]
     fn unpack_header(&self, raw: u64) -> (usize, usize, usize, u64, bool, u64, usize) {
         (
             (raw & self.sc_mask) as usize,
@@ -220,11 +220,13 @@ impl KDistanceMeta {
     }
 }
 
-/// Borrowed view of a packed `k`-distance label inside a store buffer.
+/// Borrowed view of a packed `k`-distance label inside a store buffer: its
+/// offset-index extent `[start, end)`.
 #[derive(Debug, Clone, Copy)]
 pub struct KDistanceLabelRef<'a> {
     s: BitSlice<'a>,
     start: usize,
+    end: usize,
     m: &'a KDistanceMeta,
 }
 
@@ -247,8 +249,8 @@ struct KdLayout {
 }
 
 impl<'a> KDistanceLabelRef<'a> {
-    pub(crate) fn new(s: BitSlice<'a>, start: usize, m: &'a KDistanceMeta) -> Self {
-        KDistanceLabelRef { s, start, m }
+    pub(crate) fn new(s: BitSlice<'a>, start: usize, end: usize, m: &'a KDistanceMeta) -> Self {
+        KDistanceLabelRef { s, start, end, m }
     }
 
     #[inline]
@@ -257,10 +259,10 @@ impl<'a> KDistanceLabelRef<'a> {
     }
 
     /// The label's layout, or `None` when its header or aux scalars leave
-    /// the label region.
+    /// the label's index extent.
     fn layout(&self) -> Option<KdLayout> {
         let m = self.m;
-        super::in_region(self.s, self.start, Some(m.hdr_total))?;
+        super::extent_len(self.s, self.start, self.end, m.hdr_total)?;
         // One fused read covers all six scalar header fields when they fit.
         let fields = if m.hdr_fused {
             let raw = self.get(self.start, m.hdr_total);
@@ -285,9 +287,9 @@ impl<'a> KDistanceLabelRef<'a> {
     }
 
     /// Derives the array base offsets from the decoded header fields, or
-    /// `None` when the arrays and the aux scalars do not fit the label
-    /// region.
-    #[inline]
+    /// `None` when the arrays and the aux scalars do not fit the label's
+    /// index extent.
+    #[inline(always)]
     fn layout_from_fields(
         &self,
         (sc, uc, dc, alpha, alpha_exact, top_pos_mod, cwl): (
@@ -301,17 +303,12 @@ impl<'a> KDistanceLabelRef<'a> {
         ),
     ) -> Option<KdLayout> {
         let m = self.m;
-        let aux_offset = m.aux_offset(sc, uc, dc)?;
-        super::in_region(
-            self.s,
-            self.start,
-            aux_offset.checked_add(m.aux.extent(0, 0)?),
-        )?;
+        let aux_base = self.start.checked_add(m.aux_offset(sc, uc, dc)?)?;
+        HpathRef::new(self.s, aux_base, &m.aux).scalars_before(self.end)?;
         let dists_base = self.start + m.hdr_total;
         let heights_base = dists_base + sc * m.d_w;
         let ups_base = heights_base + sc * m.h_w;
         let downs_base = ups_base + uc * m.ue_w;
-        let aux_base = downs_base + dc * m.de_w;
         Some(KdLayout {
             sc,
             uc,
@@ -334,8 +331,8 @@ impl<'a> KDistanceLabelRef<'a> {
     #[inline]
     fn layout_pair(a: &Self, b: &Self) -> Option<(KdLayout, KdLayout)> {
         let m = a.m;
-        super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
-        super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
+        super::extent_len(a.s, a.start, a.end, a.m.hdr_total)?;
+        super::extent_len(b.s, b.start, b.end, b.m.hdr_total)?;
         if m.hdr_fused && std::ptr::eq(a.s.words(), b.s.words()) {
             let (ra, rb) =
                 treelab_bits::bitslice::read_lsb_pair(a.s.words(), a.start, b.start, m.hdr_total);
@@ -465,8 +462,8 @@ pub(crate) fn distance_refs(a: &KDistanceLabelRef<'_>, b: &KDistanceLabelRef<'_>
     let (la, lb) = KDistanceLabelRef::layout_pair(a, b)?;
     let (aa, ab) = (a.aux(&la), b.aux(&lb));
     let (sa, sb) = HpathRef::scalars_pair(&aa, &ab);
-    aa.in_region(sa.ld, la.cwl)?;
-    ab.in_region(sb.ld, lb.cwl)?;
+    aa.ends_at(sa.ld, la.cwl, a.end)?;
+    ab.ends_at(sb.ld, lb.cwl, b.end)?;
     if AuxScalars::same_node(&sa, &sb) {
         return Some(0);
     }
@@ -527,36 +524,4 @@ pub(crate) fn ncsa_light_depth_refs(
         }
     }
     best
-}
-
-/// Load-time extent check of the `k`-distance scheme's packed labels.
-pub(crate) fn check_label(
-    slice: BitSlice<'_>,
-    start: usize,
-    end: usize,
-    meta: &KDistanceMeta,
-) -> bool {
-    let len = end - start;
-    if len < meta.hdr_total {
-        return false;
-    }
-    let r = KDistanceLabelRef::new(slice, start, meta);
-    let sc = r.get(start, usize::from(meta.w_sc)) as usize;
-    let uc = r.get(start + usize::from(meta.w_sc), usize::from(meta.w_uc)) as usize;
-    let dc = r.get(
-        start + usize::from(meta.w_sc) + usize::from(meta.w_uc),
-        usize::from(meta.w_dc),
-    ) as usize;
-    let cwl = r.get(
-        start + meta.hdr_total - usize::from(meta.aux_w.end),
-        usize::from(meta.aux_w.end),
-    ) as usize;
-    let Some(fixed) = meta.aux_offset(sc, uc, dc).filter(|&f| f <= len) else {
-        return false;
-    };
-    let aux = HpathRef::new(slice, start + fixed, &meta.aux);
-    match aux.extent_bits(len - fixed) {
-        Some((total, cw)) => fixed + total == len && cw == cwl,
-        None => false,
-    }
 }

@@ -128,11 +128,13 @@ impl LevelAncestorMeta {
 /// 3-record cascade + serial tail.
 const SCAN_SHORT: usize = 8;
 
-/// Borrowed view of a packed level-ancestor label inside a store buffer.
+/// Borrowed view of a packed level-ancestor label inside a store buffer:
+/// its offset-index extent `[start, end)`.
 #[derive(Debug, Clone, Copy)]
 pub struct LevelAncestorLabelRef<'a> {
     s: BitSlice<'a>,
     start: usize,
+    end: usize,
     m: &'a LevelAncestorMeta,
 }
 
@@ -141,8 +143,8 @@ pub struct LevelAncestorLabelRef<'a> {
 type LaHeader = (u64, u64, usize, usize);
 
 impl<'a> LevelAncestorLabelRef<'a> {
-    pub(crate) fn new(s: BitSlice<'a>, start: usize, m: &'a LevelAncestorMeta) -> Self {
-        LevelAncestorLabelRef { s, start, m }
+    pub(crate) fn new(s: BitSlice<'a>, start: usize, end: usize, m: &'a LevelAncestorMeta) -> Self {
+        LevelAncestorLabelRef { s, start, end, m }
     }
 
     #[inline]
@@ -215,7 +217,7 @@ impl<'a> LevelAncestorLabelRef<'a> {
     /// Scans the records for the first end position past `lcp`, returning
     /// `(level, depth_sum[level − 1], depth_sum[level])`; the third value is
     /// `None` when every end position is within the prefix (`level == ld`).
-    #[inline]
+    #[inline(always)]
     fn scan_records(&self, ld: usize, rec_base: usize, lcp: usize) -> (usize, u64, Option<u64>) {
         let m = self.m;
         if m.rec_fused {
@@ -305,14 +307,14 @@ pub(crate) fn distance_refs(
     a: LevelAncestorLabelRef<'_>,
     b: LevelAncestorLabelRef<'_>,
 ) -> Option<u64> {
-    super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
-    super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
+    let len_a = super::extent_len(a.s, a.start, a.end, a.m.hdr_total)?;
+    let len_b = super::extent_len(b.s, b.start, b.end, b.m.hdr_total)?;
     // Both headers decode as one planned load pair — the two sides' field
     // chains are independent, so their loads overlap.
     let ((depth_a, ho_a, lda, cwl_a), (depth_b, ho_b, ldb, cwl_b)) =
         LevelAncestorLabelRef::header_pair(&a, &b);
-    super::in_region(a.s, a.start, a.m.extent(lda, cwl_a))?;
-    super::in_region(b.s, b.start, b.m.extent(ldb, cwl_b))?;
+    super::exact(a.m.extent(lda, cwl_a), len_a)?;
+    super::exact(b.m.extent(ldb, cwl_b), len_b)?;
     let lcp = treelab_bits::bitslice::common_prefix_len_raw(
         a.s.words(),
         a.cw_base(),
@@ -335,19 +337,4 @@ pub(crate) fn distance_refs(
     depth_a
         .checked_add(depth_b)?
         .checked_sub(nca_depth.checked_mul(2)?)
-}
-
-/// Load-time extent check of the level-ancestor scheme's packed labels.
-pub(crate) fn check_label(
-    slice: BitSlice<'_>,
-    start: usize,
-    end: usize,
-    meta: &LevelAncestorMeta,
-) -> bool {
-    let len = end - start;
-    if len < meta.hdr_total {
-        return false;
-    }
-    let (_, _, ld, cwl) = LevelAncestorLabelRef::new(slice, start, meta).header();
-    meta.extent(ld, cwl) == Some(len)
 }

@@ -33,22 +33,32 @@
 //!   frame's meta words once at load time together with every derived
 //!   shift/mask the hot path needs;
 //! * a **ref** type: a `Copy` borrowed view of one packed label inside the
-//!   shared frame buffer (a [`BitSlice`](treelab_bits::BitSlice) plus a bit
-//!   offset plus the meta);
-//! * `distance_refs` — the allocation-free query over two refs;
-//! * `check_label` — the load-time check that a label's `extent` (the bits
-//!   its header's counts describe, one helper per meta) equals its
-//!   offset-index extent.
+//!   shared frame buffer (a [`BitSlice`](treelab_bits::BitSlice), the
+//!   label's offset-index extent `[start, end)`, and the meta);
+//! * an `extent` helper per meta: the bits a label's header counts
+//!   describe;
+//! * `distance_refs` — the allocation-free query over two refs, which
+//!   checks each side's extent before it reads the side's fields.
 //!
 //! # Corrupt labels
 //!
 //! A query is a function of two bit strings alone, and every kernel is
-//! *total* over them: `distance_refs` returns `None` — the corrupt verdict,
-//! [`CORRUPT_LABEL`](crate::store::CORRUPT_LABEL) at the store boundary —
-//! when a side's header or `extent` leaves the label region, a record scan
-//! finds no level, an index leaves its array or arithmetic would wrap.
-//! Every loop is bounded by a count inside a checked extent.  Rot that still
-//! decodes (a flipped distance field) is left to the scrubber's checksums.
+//! *total* over them.  The load does not visit labels, so the query checks
+//! the two it reads, per side, before reading either's fields:
+//! `start ≤ end ≤ label_bits` with room for the header (`extent_len`),
+//! then the header's `extent` equal to `end − start` (`exact`; the
+//! optimal scheme adds its accumulator total, which its last record
+//! names, and the aux-carrying schemes check their aux scalars lie inside
+//! the label before reading the light depth that sizes the rest).  Every
+//! fixed-layout read is then inside the label by construction; only the
+//! data-driven reads — an index into the other side's records, or the
+//! optimal scheme's pushed bits in the other label's accumulators — keep
+//! bounds of their own.  `distance_refs` returns `None` — the corrupt
+//! verdict, [`CORRUPT_LABEL`](crate::store::CORRUPT_LABEL) at the store
+//! boundary — when a side fails its check, a record scan finds no level,
+//! an index leaves its array or arithmetic would wrap.  Every loop is
+//! bounded by a count inside a checked extent.  Rot that still decodes (a
+//! flipped distance field) is left to the scrubber's checksums.
 //!
 //! The heavy-path auxiliary machinery the exact kernels share (fused scalar
 //! reads, the word-level codeword LCP) lives in [`crate::hpath`]
@@ -65,9 +75,10 @@
 //! executes **structure-of-arrays, software-pipelined**:
 //!
 //! 1. **Plan.** Pairs are consumed in fixed blocks of 64.  A planning stage
-//!    resolves both labels' bit offsets through the offset index into flat
-//!    `sa[]`/`sb[]` arrays and issues a prefetch for each label's first
-//!    cache line.  The plan buffers are
+//!    resolves both labels' start offsets through the offset index into
+//!    flat `sa[]`/`sb[]` arrays and issues a prefetch for each label's
+//!    first cache line (the compute stage reads each end offset, the
+//!    adjacent index entry, from the line the plan just touched).  The plan buffers are
 //!    fixed-size stack arrays (`BatchPlan`), so planning allocates nothing;
 //!    the forest router keeps one plan in its `RouteScratch` and shares it
 //!    across every per-tree group of a batch.
@@ -101,15 +112,24 @@ pub mod level_ancestor;
 pub mod optimal;
 pub mod psum;
 
-/// `Some` when the `bits` bits at `start` (`None`: an overflowed extent)
-/// lie inside the label region `s`, else the corrupt verdict.  The guard
-/// pad past the region covers the kernels' fixed-width look-ahead reads.
+/// The bit length of a label view's index extent `[start, end)` when it
+/// lies inside the label region `s` and holds the `hdr`-bit header, else
+/// the corrupt verdict.  Every kernel runs this per side before it reads
+/// the label, so the header read stays inside the region.
 #[inline]
-pub(crate) fn in_region(
+pub(crate) fn extent_len(
     s: treelab_bits::BitSlice<'_>,
     start: usize,
-    bits: Option<usize>,
-) -> Option<()> {
-    bits.filter(|&bits| start <= s.len() && bits <= s.len() - start)
-        .map(drop)
+    end: usize,
+    hdr: usize,
+) -> Option<usize> {
+    let len = end.checked_sub(start)?;
+    (end <= s.len() && len >= hdr).then_some(len)
+}
+
+/// `Some` when the bits a header describes (`None`: an overflowed count)
+/// are exactly `len`, the view's index extent, else the corrupt verdict.
+#[inline]
+pub(crate) fn exact(described: Option<usize>, len: usize) -> Option<()> {
+    (described == Some(len)).then_some(())
 }

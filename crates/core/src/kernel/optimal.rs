@@ -199,11 +199,13 @@ impl OptimalMeta {
     }
 }
 
-/// Borrowed view of a packed optimal-scheme label inside a store buffer.
+/// Borrowed view of a packed optimal-scheme label inside a store buffer:
+/// its offset-index extent `[start, end)`.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimalLabelRef<'a> {
     s: BitSlice<'a>,
     start: usize,
+    end: usize,
     m: &'a OptimalMeta,
 }
 
@@ -224,8 +226,8 @@ struct OptimalRecord {
 type OptHeader = (u64, usize, usize, usize);
 
 impl<'a> OptimalLabelRef<'a> {
-    pub(crate) fn new(s: BitSlice<'a>, start: usize, m: &'a OptimalMeta) -> Self {
-        OptimalLabelRef { s, start, m }
+    pub(crate) fn new(s: BitSlice<'a>, start: usize, end: usize, m: &'a OptimalMeta) -> Self {
+        OptimalLabelRef { s, start, end, m }
     }
 
     #[inline]
@@ -336,7 +338,7 @@ impl<'a> OptimalLabelRef<'a> {
     }
 
     /// `acc_end[level]` by direct index (`0` for level `-1`).
-    #[inline]
+    #[inline(always)]
     fn acc_end_at(&self, rec_base: usize, level: usize) -> usize {
         let m = self.m;
         if m.rec_fused {
@@ -345,6 +347,22 @@ impl<'a> OptimalLabelRef<'a> {
         } else {
             self.record_fields(rec_base + level * m.rec_w, 0).acc_end
         }
+    }
+
+    /// `Some` when a header of `ld` records, `fc` fragments and a
+    /// `cwl`-bit codeword string describes exactly this view's `len`-bit
+    /// extent: the fixed parts first, then — once the records are known
+    /// to lie inside the label — the accumulator total the last record
+    /// names.  Else the corrupt verdict.
+    #[inline(always)]
+    fn check_extent(&self, len: usize, ld: usize, fc: usize, cwl: usize) -> Option<()> {
+        let m = self.m;
+        let upto_records = m.extent(ld, fc, cwl).filter(|&x| x <= len)?;
+        let acc_total = match ld {
+            0 => 0,
+            _ => self.acc_end_at(self.start + upto_records - m.rec_w, 0),
+        };
+        super::exact(upto_records.checked_add(acc_total), len)
     }
 
     #[inline]
@@ -358,12 +376,12 @@ impl<'a> OptimalLabelRef<'a> {
 /// pushed — two reads into the dominated side's records and accumulator
 /// region.  `None` is the corrupt verdict (see [`crate::kernel`]).
 pub(crate) fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> Option<u64> {
-    super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
-    super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
+    let len_a = super::extent_len(a.s, a.start, a.end, a.m.hdr_total)?;
+    let len_b = super::extent_len(b.s, b.start, b.end, b.m.hdr_total)?;
     // Both headers and both aux scalar blocks decode as planned load pairs.
     let ((rd_a, lda, fca, cwl_a), (rd_b, ldb, fcb, cwl_b)) = OptimalLabelRef::header_pair(&a, &b);
-    super::in_region(a.s, a.start, a.m.extent(lda, fca, cwl_a))?;
-    super::in_region(b.s, b.start, b.m.extent(ldb, fcb, cwl_b))?;
+    a.check_extent(len_a, lda, fca, cwl_a)?;
+    b.check_extent(len_b, ldb, fcb, cwl_b)?;
     let (aa, ab) = (a.aux(), b.aux());
     let (sa, sb) = AuxCoreRef::scalars_pair(&aa, &ab);
     // Equal nodes fall under the ancestor case (|rd_a − rd_b| = 0).
@@ -406,8 +424,11 @@ pub(crate) fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> O
         let pos = other_acc_base
             .checked_add(other_prev)?
             .checked_add(offset)?;
+        // A data-driven read: its bits must lie inside the other label.
         let pushed = rec.pushed as usize;
-        super::in_region(other.s, pos, Some(pushed).filter(|&w| w <= 64))?;
+        if pushed > 64 || pos.checked_add(pushed)? > other.end {
+            return None;
+        }
         // Accumulator bits are a verbatim copy of the label's BitVec, so
         // the pushed value is MSB-first within the stream: reverse the
         // raw LSB-first chunk back into a value.
@@ -423,47 +444,4 @@ pub(crate) fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> O
     let head_rd = dom.frag(dom_frag_base, rec.frag_idx).checked_add(value)?;
     let rd_nca = head_rd.checked_sub(rec.weight)?;
     rd_a.checked_add(rd_b)?.checked_sub(rd_nca.checked_mul(2)?)
-}
-
-/// Load-time extent check of the optimal scheme's packed labels.
-pub(crate) fn check_label(
-    slice: BitSlice<'_>,
-    start: usize,
-    end: usize,
-    meta: &OptimalMeta,
-) -> bool {
-    let len = end - start;
-    if len < meta.hdr_total {
-        return false;
-    }
-    let r = OptimalLabelRef::new(slice, start, meta);
-    let (_, ld, fc, cwl) = r.header();
-    // Fixed parts first (header, aux core, fragments, records), then the
-    // accumulator total read from the last record — only once the records
-    // are known to lie inside the label.
-    let Some(upto_records) = meta.extent(ld, fc, cwl).filter(|&x| x <= len) else {
-        return false;
-    };
-    let rec_base = start + upto_records - ld * meta.rec_w;
-    // Range-check every record's `pushed` field (7 packed bits can claim up
-    // to 127): the query reads `pushed` bits, so an inflated count in a
-    // CRC-consistent crafted frame is rejected at load time (the query
-    // bounds it again, against rot after load).
-    for i in 0..ld {
-        let pos = rec_base + i * meta.rec_w;
-        let raw = if meta.rec_fused {
-            r.get(pos, meta.rec_w)
-        } else {
-            0
-        };
-        if r.record_fields(pos, raw).pushed > 64 {
-            return false;
-        }
-    }
-    let acc_total = if ld == 0 {
-        0
-    } else {
-        r.acc_end_at(rec_base, ld - 1)
-    };
-    upto_records.checked_add(acc_total) == Some(len)
 }

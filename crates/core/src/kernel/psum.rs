@@ -173,17 +173,19 @@ impl PsumMeasure {
 /// 3-record cascade + tail record scan.
 const SCAN_SHORT: usize = 8;
 
-/// Borrowed view of one packed prefix-sum label inside a store buffer.
+/// Borrowed view of one packed prefix-sum label inside a store buffer: its
+/// offset-index extent `[start, end)`.
 #[derive(Debug, Clone, Copy)]
 pub struct PsumRef<'a> {
     s: BitSlice<'a>,
     start: usize,
+    end: usize,
     m: &'a PsumMeta,
 }
 
 impl<'a> PsumRef<'a> {
-    pub(crate) fn new(s: BitSlice<'a>, start: usize, m: &'a PsumMeta) -> Self {
-        PsumRef { s, start, m }
+    pub(crate) fn new(s: BitSlice<'a>, start: usize, end: usize, m: &'a PsumMeta) -> Self {
+        PsumRef { s, start, end, m }
     }
 
     #[inline]
@@ -315,14 +317,14 @@ impl<'a> PsumRef<'a> {
 /// `distance_refs` of the two prefix-sum schemes (Lemma 3.1, made
 /// symmetric).  `None` is the corrupt verdict (see [`crate::kernel`]).
 pub(crate) fn distance_refs(a: &PsumRef<'_>, b: &PsumRef<'_>) -> Option<u64> {
-    super::in_region(a.s, a.start, Some(a.m.hdr_total))?;
-    super::in_region(b.s, b.start, Some(b.m.hdr_total))?;
+    let len_a = super::extent_len(a.s, a.start, a.end, a.m.hdr_total)?;
+    let len_b = super::extent_len(b.s, b.start, b.end, b.m.hdr_total)?;
     // Both headers and both aux scalar blocks decode as planned load pairs:
     // the two sides' field chains are independent, so issuing their loads
     // together overlaps what used to be two serial decodes.
     let ((rd_a, lda, cwl_a), (rd_b, ldb, cwl_b)) = PsumRef::header_pair(a, b);
-    super::in_region(a.s, a.start, a.m.extent(lda, cwl_a))?;
-    super::in_region(b.s, b.start, b.m.extent(ldb, cwl_b))?;
+    super::exact(a.m.extent(lda, cwl_a), len_a)?;
+    super::exact(b.m.extent(ldb, cwl_b), len_b)?;
     let (aa, ab) = (a.aux(), b.aux());
     let (sa, sb) = AuxCoreRef::scalars_pair(&aa, &ab);
     // Equal nodes fall under the ancestor case (|rd_a − rd_b| = 0), so no
@@ -342,15 +344,4 @@ pub(crate) fn distance_refs(a: &PsumRef<'_>, b: &PsumRef<'_>) -> Option<u64> {
     let branch_b = b.branch_rd_at(ab.core_bits(cwl_b), j);
     rd_a.checked_add(rd_b)?
         .checked_sub(branch_a.min(branch_b).checked_mul(2)?)
-}
-
-/// Shared load-time extent check of the two prefix-sum schemes: the header's
-/// counts must describe exactly the label's offset-index extent.
-pub(crate) fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &PsumMeta) -> bool {
-    let len = end - start;
-    if len < meta.hdr_total {
-        return false;
-    }
-    let (_, ld, cwl) = PsumRef::new(slice, start, meta).header();
-    meta.extent(ld, cwl) == Some(len)
 }

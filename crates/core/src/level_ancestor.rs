@@ -435,24 +435,16 @@ impl StoredScheme for LevelAncestorScheme {
     fn label_ref<'a>(
         slice: BitSlice<'a>,
         start: usize,
+        end: usize,
         meta: &'a LevelAncestorMeta,
     ) -> LevelAncestorLabelRef<'a> {
-        LevelAncestorLabelRef::new(slice, start, meta)
+        LevelAncestorLabelRef::new(slice, start, end, meta)
     }
 
     /// The §3.6 distance protocol over packed views — one
     /// [`crate::kernel::level_ancestor`] call.
     fn distance_refs(a: LevelAncestorLabelRef<'_>, b: LevelAncestorLabelRef<'_>) -> u64 {
         kernel::distance_refs(a, b).unwrap_or(CORRUPT_LABEL)
-    }
-
-    fn check_label(
-        slice: BitSlice<'_>,
-        start: usize,
-        end: usize,
-        meta: &LevelAncestorMeta,
-    ) -> bool {
-        kernel::check_label(slice, start, end, meta)
     }
 }
 

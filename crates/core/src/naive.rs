@@ -226,12 +226,13 @@ impl StoredScheme for NaiveScheme {
         PsumMeta::parse(words)
     }
 
-    fn label_ref<'a>(slice: BitSlice<'a>, start: usize, meta: &'a PsumMeta) -> NaiveLabelRef<'a> {
-        NaiveLabelRef(PsumRef::new(slice, start, meta))
-    }
-
-    fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &PsumMeta) -> bool {
-        psum::check_label(slice, start, end, meta)
+    fn label_ref<'a>(
+        slice: BitSlice<'a>,
+        start: usize,
+        end: usize,
+        meta: &'a PsumMeta,
+    ) -> NaiveLabelRef<'a> {
+        NaiveLabelRef(PsumRef::new(slice, start, end, meta))
     }
 
     fn distance_refs(a: NaiveLabelRef<'_>, b: NaiveLabelRef<'_>) -> u64 {

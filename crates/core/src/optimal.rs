@@ -544,9 +544,10 @@ impl StoredScheme for OptimalScheme {
     fn label_ref<'a>(
         slice: BitSlice<'a>,
         start: usize,
+        end: usize,
         meta: &'a OptimalMeta,
     ) -> OptimalLabelRef<'a> {
-        OptimalLabelRef::new(slice, start, meta)
+        OptimalLabelRef::new(slice, start, end, meta)
     }
 
     /// The Theorem 1.1 protocol over packed views — one
@@ -554,10 +555,6 @@ impl StoredScheme for OptimalScheme {
     /// one build wrote, rotted or from two different builds).
     fn distance_refs(a: OptimalLabelRef<'_>, b: OptimalLabelRef<'_>) -> u64 {
         kernel::distance_refs(a, b).unwrap_or(CORRUPT_LABEL)
-    }
-
-    fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &OptimalMeta) -> bool {
-        kernel::check_label(slice, start, end, meta)
     }
 }
 

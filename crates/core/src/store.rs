@@ -305,6 +305,14 @@ impl RawParts {
         }
     }
 
+    /// The index extent `[offset(p), offset(p + 1))` of label `p`: two
+    /// adjacent entries.  Unchecked — the kernels hold it to the label's
+    /// header and to the label region before they read the label.
+    #[inline(always)]
+    fn extent_at(&self, words: &[u64], p: usize) -> (usize, usize) {
+        (self.offset_at(words, p), self.offset_at(words, p + 1))
+    }
+
     /// [`offset_at`](Self::offset_at) for an unvalidated index: a block's
     /// first entry must be zero (every block starts at its base, which keeps
     /// the frame canonical), and the base is added checked, so a hostile
@@ -387,7 +395,9 @@ fn emit_index(out: &mut Vec<u64>, offsets: &[u64]) {
 ///   the packed layout;
 /// * `distance_refs` computes the scheme's answer from two packed views alone
 ///   (with [`NO_DISTANCE`] standing in for "no answer"), allocating nothing
-///   and panicking on no bits.
+///   and panicking on no bits: it holds each view's header to the view's
+///   index extent before reading the label, and answers [`CORRUPT_LABEL`]
+///   when they disagree.
 pub trait StoredScheme: Sized {
     /// Scheme tag recorded in the frame header.
     const TAG: u32;
@@ -416,31 +426,38 @@ pub trait StoredScheme: Sized {
     /// Returns a [`StoreError`] when the meta words are malformed.
     fn parse_meta(param: u64, words: &[u64]) -> Result<Self::Meta, StoreError>;
 
-    /// Creates a borrowed view of the label starting at bit `start` of the
-    /// label region (packed labels are self-describing, so no end offset is
-    /// needed — one offset load per side on the hot path).
-    fn label_ref<'a>(slice: BitSlice<'a>, start: usize, meta: &'a Self::Meta) -> Self::Ref<'a>;
-
-    /// Returns `true` when the packed label spanning bits `[start, end)`
-    /// is self-consistent: the counts in its header must describe exactly
-    /// `end − start` bits.  The load paths run this for every label, so a
-    /// frame whose counts were inflated (which would make later queries scan
-    /// past the label) is rejected at load time.
-    fn check_label(slice: BitSlice<'_>, start: usize, end: usize, meta: &Self::Meta) -> bool;
+    /// Creates a borrowed view of the label whose offset-index extent is
+    /// bits `[start, end)` of the label region.  The extent is unchecked
+    /// here: [`StoredScheme::distance_refs`] holds it to the label region
+    /// and to the label's own header counts before reading the label, so
+    /// the load paths need not visit every label.
+    fn label_ref<'a>(
+        slice: BitSlice<'a>,
+        start: usize,
+        end: usize,
+        meta: &'a Self::Meta,
+    ) -> Self::Ref<'a>;
 
     /// Distance from two borrowed label views alone — the zero-allocation hot
     /// path, one [`crate::kernel`] call.  Schemes whose query can decline to
     /// answer (the `k`-distance scheme) return [`NO_DISTANCE`].  Labels no
-    /// one build wrote (rotted, or of two builds) answer [`CORRUPT_LABEL`]
-    /// — or, when the rot still decodes, a wrong distance — never a panic.
+    /// one build wrote (rotted, of two builds, or with header counts that
+    /// disagree with their index extent) answer [`CORRUPT_LABEL`] — or,
+    /// when the rot still decodes, a wrong distance — never a panic.
     fn distance_refs(a: Self::Ref<'_>, b: Self::Ref<'_>) -> u64;
 }
 
 /// Validates a frame held in `words` and returns its parsed description.
 ///
 /// This is the single validation pass every load path funnels through:
-/// magic, version, scheme tag, CRC-64, structural bounds, offset-index
-/// monotonicity, and the per-label extent check.
+/// magic, version, scheme tag, CRC-64, the header, meta and index sizes,
+/// the last offset against the buffer, and one step per 65,536-label
+/// block: its zero start entry, its base, and the labels on both sides of
+/// the block boundary (plus the last label), held to their extents.  No
+/// other label is visited: each query holds the two labels it reads to
+/// their index extents (see [`StoredScheme::label_ref`]), so a frame whose
+/// index entries or label counts were rewritten and re-checksummed loads,
+/// and the queries that read such a label answer [`CORRUPT_LABEL`].
 fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), StoreError> {
     // Minimal frame: header, empty meta, a one-word 1-label index, an empty
     // label region with its guard pad, and the CRC.
@@ -526,29 +543,47 @@ fn parse_frame<S: StoredScheme>(words: &[u64]) -> Result<(RawParts, S::Meta), St
         ..raw
     };
     let meta = S::parse_meta(raw.param, &words[HEADER_WORDS..meta_end as usize])?;
-    // One pass over the index, from the last offset down: each offset may
-    // not exceed its successor (monotone, so the bases are covered too, and
-    // every extent stays inside the label region), and each label's
-    // internal counts must describe exactly its extent, so no query scan
-    // can leave the label region because of an inflated count.
+    // One step per block boundary, from the last down: every block starts
+    // at a zero entry (one encoding per frame), and its base may neither
+    // fall below the offset before it nor pass the next boundary's (the
+    // last offset, for the last block), so no base wraps an offset.  A
+    // base addresses a whole block, so the labels on both sides of every
+    // boundary, and the last label, are held to their extents here by the
+    // kernels' own per-side check (a self-query answers the corrupt
+    // verdict when it fails).  The labels inside a block are left to the
+    // queries that read them.
     let slice = BitSlice::new(
         &words[raw.label_base..raw.label_base + raw.label_bits.div_ceil(64) + PAD_WORDS],
         raw.label_bits,
     );
-    let mut end = label_bits;
-    for p in (0..n).rev() {
-        let start = raw.checked_offset(words, p)?;
-        if start > end {
+    let misplaced = |p: usize| {
+        let (start, end) = raw.extent_at(words, p);
+        let r = S::label_ref(slice, start, end, &meta);
+        S::distance_refs(r, r) == CORRUPT_LABEL
+    };
+    let mut next = label_bits;
+    for p in (0..n).step_by(1 << BLOCK_BITS).rev() {
+        let base = raw.checked_offset(words, p)?;
+        let before = match p {
+            0 => 0,
+            _ => raw.checked_offset(words, p - 1)?,
+        };
+        if before > base || base > next {
             return Err(StoreError::Malformed {
                 what: "offset index is not monotone",
             });
         }
-        if !S::check_label(slice, start as usize, end as usize, &meta) {
+        if misplaced(p) || p > 0 && misplaced(p - 1) {
             return Err(StoreError::Malformed {
-                what: "a packed label's counts disagree with its extent",
+                what: "a block-boundary label's counts disagree with its extent",
             });
         }
-        end = start;
+        next = before;
+    }
+    if misplaced(n - 1) {
+        return Err(StoreError::Malformed {
+            what: "the last label's counts disagree with its extent",
+        });
     }
     Ok((raw, meta))
 }
@@ -680,9 +715,9 @@ fn build_frame<S: StoredScheme, P: PackSource<S>>(
 /// arrays instead of chasing the offset index pair by pair.
 #[derive(Debug, Clone, Copy)]
 struct PlanBlock {
-    /// Left-label bit offsets, one per planned pair.
+    /// Left-label start bit offsets, one per planned pair.
     sa: [usize; PLAN_BLOCK],
-    /// Right-label bit offsets, one per planned pair.
+    /// Right-label start bit offsets, one per planned pair.
     sb: [usize; PLAN_BLOCK],
 }
 
@@ -713,12 +748,13 @@ pub(crate) struct BatchPlan {
 /// A validated scheme-store frame whose words are held by `W` — the one
 /// store type and the query engine of the store stack.
 ///
-/// "Validate once, serve forever": every constructor runs the full frame
-/// validation (magic/version/tag/CRC/structure/per-label extents), and the
-/// store then answers every query by reading its words in place.  The query
-/// methods are one impl for every `W: AsRef<[u64]>`; the word owners in use
-/// are the aliases [`StoreRef`] and [`SchemeStore`], each with its own
-/// constructors.
+/// "Validate once, serve forever": every constructor runs the frame
+/// validation (magic/version/tag/CRC/structure, visiting O(n / 65,536)
+/// labels), and the store then answers every query by reading its words in
+/// place; each query holds the two labels it reads to their index extents.
+/// The query methods are one impl for every `W: AsRef<[u64]>`; the word
+/// owners in use are the aliases [`StoreRef`] and [`SchemeStore`], each
+/// with its own constructors.
 ///
 /// See the [module documentation](self) for the frame layout and an example.
 pub struct Store<W, S: StoredScheme> {
@@ -766,8 +802,9 @@ impl<'a, S: StoredScheme> StoreRef<'a, S> {
     /// zero-copy load path.  `words` must be exactly one frame.
     ///
     /// No label is decoded and **no word is copied**: after the
-    /// magic/version/tag/CRC checks and an O(n) pass over the offset index
-    /// and per-label extents, queries read the caller's buffer in place.
+    /// magic/version/tag/CRC checks and the structural checks of the
+    /// header, meta and index (which visit only the labels at block
+    /// boundaries), queries read the caller's buffer in place.
     ///
     /// The CRC authenticates *integrity*, not provenance: every accidentally
     /// corrupted frame is rejected, but a frame deliberately crafted to pass
@@ -846,26 +883,26 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
             "node index {u} out of range (n = {})",
             self.raw.n
         );
-        S::label_ref(
-            self.label_slice(),
-            self.raw.offset_at(self.words.as_ref(), u),
-            &self.meta,
-        )
+        let (start, end) = self.raw.extent_at(self.words.as_ref(), u);
+        S::label_ref(self.label_slice(), start, end, &self.meta)
     }
 
-    /// Bit length of node `u`'s packed label.
+    /// Bit length of node `u`'s packed label: its offset-index extent.
     ///
     /// # Panics
     ///
-    /// Panics if `u` is out of range.
+    /// Panics if `u` is out of range, or if the index gives the label a
+    /// negative extent (a frame whose index was rewritten and
+    /// re-checksummed — its queries on `u` answer [`CORRUPT_LABEL`]).
     pub fn label_bits(&self, u: usize) -> usize {
         assert!(
             u < self.raw.n,
             "node index {u} out of range (n = {})",
             self.raw.n
         );
-        let words = self.words.as_ref();
-        self.raw.offset_at(words, u + 1) - self.raw.offset_at(words, u)
+        let (start, end) = self.raw.extent_at(self.words.as_ref(), u);
+        end.checked_sub(start)
+            .unwrap_or_else(|| panic!("label {u} has a negative index extent (corrupt index)"))
     }
 
     /// Distance between nodes `u` and `v`, answered from the packed labels
@@ -874,7 +911,12 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
     /// # Panics
     ///
     /// Panics if either index is out of range, or on the [`CORRUPT_LABEL`]
-    /// verdict (route frames that can rot through a forest instead).
+    /// verdict.  A frame that loads can still hold labels whose counts
+    /// disagree with their index extent (the load does not visit labels),
+    /// so this is the trusted entry point: route frames that can rot or
+    /// come from untrusted writers through a forest, whose router answers
+    /// `CorruptTree` instead, or call [`StoredScheme::distance_refs`]
+    /// on [`Store::label_ref`]s.
     #[inline]
     pub fn distance(&self, u: usize, v: usize) -> u64 {
         assert!(
@@ -884,9 +926,11 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
         );
         let words = self.words.as_ref();
         let slice = self.label_slice();
+        let (sa, ea) = self.raw.extent_at(words, u);
+        let (sb, eb) = self.raw.extent_at(words, v);
         let d = S::distance_refs(
-            S::label_ref(slice, self.raw.offset_at(words, u), &self.meta),
-            S::label_ref(slice, self.raw.offset_at(words, v), &self.meta),
+            S::label_ref(slice, sa, ea, &self.meta),
+            S::label_ref(slice, sb, eb, &self.meta),
         );
         assert!(d != CORRUPT_LABEL, "pair ({u}, {v}) has corrupt labels");
         d
@@ -975,7 +1019,7 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
             }
             let base = k * PLAN_BLOCK;
             let len = (pairs.len() - base).min(PLAN_BLOCK);
-            self.compute_block(cur, &mut out[base..base + len]);
+            self.compute_block(&pairs[base..base + len], cur, &mut out[base..base + len]);
         }
     }
 
@@ -1003,18 +1047,24 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
     /// at a time through [`StoredScheme::distance_refs`], keeping [`PIPE`]
     /// queries in flight — before pair `j` runs, pair `j + PIPE` gets its
     /// labels' straddle lines touched (the planner fetched first lines only;
-    /// multi-line labels would otherwise stall on their second line).
+    /// multi-line labels would otherwise stall on their second line).  Each
+    /// label's end offset is the index entry after its start, which the
+    /// planner's read left in cache; reading it here rather than planning it
+    /// keeps the plan buffers at two columns.
     #[inline]
-    fn compute_block(&self, blk: &PlanBlock, out: &mut [u64]) {
+    fn compute_block(&self, pairs: &[(usize, usize)], blk: &PlanBlock, out: &mut [u64]) {
+        let words = self.words.as_ref();
         let slice = self.label_slice();
         let label_words = slice.words();
-        for j in 0..out.len() {
+        for (j, &(u, v)) in pairs.iter().enumerate() {
             if j + PIPE < out.len() {
                 treelab_bits::wordram::prefetch_word(label_words, blk.sa[j + PIPE] / 64 + 1);
                 treelab_bits::wordram::prefetch_word(label_words, blk.sb[j + PIPE] / 64 + 1);
             }
-            let a = S::label_ref(slice, blk.sa[j], &self.meta);
-            let b = S::label_ref(slice, blk.sb[j], &self.meta);
+            let ea = self.raw.offset_at(words, u + 1);
+            let eb = self.raw.offset_at(words, v + 1);
+            let a = S::label_ref(slice, blk.sa[j], ea, &self.meta);
+            let b = S::label_ref(slice, blk.sb[j], eb, &self.meta);
             out[j] = S::distance_refs(a, b);
         }
     }
@@ -1508,19 +1558,12 @@ mod tests {
             AnyStoreRef::from_words(&unknown),
             Err(StoreError::UnknownScheme { found: 0xBEEF })
         ));
-        // An offset far past the label region (CRC refreshed, so the index
-        // walk is what fires) is refused before any label is read there.
-        let mut wild: Vec<u64> = store.as_words().to_vec();
-        let p = store.raw.n / 2;
-        let (word, shift) = (store.raw.index + p / 2, (p & 1) * 32);
-        wild[word] = (wild[word] & !(0xFFFF_FFFF << shift)) | (0xFFFF_FFF0 << shift);
-        let last = wild.len() - 1;
-        wild[last] = crc::crc64_words(&wild[..last]);
+        // A moved last-label offset (CRC refreshed, so the structural
+        // checks are what fire) is refused at load: the last label is held
+        // to its extent like every block-boundary label.
         assert!(matches!(
-            SchemeStore::<NaiveScheme>::from_words(wild),
-            Err(StoreError::Malformed {
-                what: "offset index is not monotone"
-            })
+            SchemeStore::<NaiveScheme>::from_words(wild_entry(&store, store.raw.n - 1, 1)),
+            Err(StoreError::Malformed { .. })
         ));
         // Errors display something useful.
         assert!(StoreError::ChecksumMismatch
@@ -1531,12 +1574,59 @@ mod tests {
             .contains("3"));
     }
 
+    /// `store`'s words with index entry `p` replaced by `entry` and the
+    /// CRC resealed.
+    fn wild_entry(store: &SchemeStore<NaiveScheme>, p: usize, entry: u64) -> Vec<u64> {
+        let mut w = store.as_words().to_vec();
+        let (word, shift) = (store.raw.index + p / 2, (p & 1) * 32);
+        w[word] = (w[word] & !(0xFFFF_FFFF << shift)) | (entry << shift);
+        let last = w.len() - 1;
+        w[last] = crc::crc64_words(&w[..last]);
+        w
+    }
+
     #[test]
-    fn inflated_pushed_field_is_rejected_at_load() {
+    fn a_non_monotone_index_answers_the_corrupt_verdict() {
+        // An offset far past the label region, CRC resealed: the frame
+        // loads (of a one-block frame the load visits only the first and
+        // last label), and exactly the two labels whose extents the entry
+        // bounds answer the corrupt verdict.
+        let (_, _, store) = sample_store();
+        let p = store.raw.n / 2;
+        let wild = SchemeStore::<NaiveScheme>::from_words(wild_entry(&store, p, 0xFFFF_FFF0))
+            .expect("the load does not walk the index");
+        assert_eq!(
+            wild.label_bits(p - 1),
+            0xFFFF_FFF0 - store.raw.offset_at(store.as_words(), p - 1)
+        );
+        let n = store.raw.n;
+        for u in 0..n {
+            for v in [0, p - 1, p, p + 1, n - 1] {
+                let d = NaiveScheme::distance_refs(wild.label_ref(u), wild.label_ref(v));
+                if [u, v].iter().any(|&x| x == p - 1 || x == p) {
+                    assert_eq!(d, CORRUPT_LABEL, "({u}, {v})");
+                } else {
+                    assert_eq!(d, store.distance(u, v), "({u}, {v})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "label 120 has a negative index extent")]
+    fn label_bits_refuses_a_negative_extent() {
+        let (_, _, store) = sample_store();
+        let wild = SchemeStore::<NaiveScheme>::from_words(wild_entry(&store, 120, 0xFFFF_FFF0))
+            .expect("the load does not walk the index");
+        wild.label_bits(120);
+    }
+
+    #[test]
+    fn an_inflated_pushed_field_answers_the_corrupt_verdict() {
         // The optimal scheme's packed `pushed` field occupies 7 bits (values
         // up to 127), but the query protocol shifts by `64 − pushed`: a
-        // CRC-consistent crafted frame claiming pushed > 64 must be rejected
-        // by the load-time per-label checks.
+        // CRC-consistent crafted frame claiming pushed > 64 loads, and the
+        // queries that read that record answer the corrupt verdict.
         use crate::optimal::OptimalScheme;
         use crate::DistanceScheme;
         let tree = gen::comb(300);
@@ -1586,10 +1676,19 @@ mod tests {
         }
         let last = crafted.len() - 1;
         crafted[last] = crc::crc64_words(&crafted[..last]);
-        assert!(matches!(
-            SchemeStore::<OptimalScheme>::from_words(crafted),
-            Err(StoreError::Malformed { .. })
-        ));
+        let crafted = SchemeStore::<OptimalScheme>::from_words(crafted).expect("loads");
+        let mut corrupt = 0;
+        for v in 0..raw.n {
+            for (x, y) in [(u, v), (v, u)] {
+                let d = OptimalScheme::distance_refs(crafted.label_ref(x), crafted.label_ref(y));
+                if d == CORRUPT_LABEL {
+                    corrupt += 1;
+                } else {
+                    assert_eq!(d, store.distance(x, y), "({x}, {y})");
+                }
+            }
+        }
+        assert!(corrupt > 0, "some query reads the inflated record");
     }
 
     #[test]

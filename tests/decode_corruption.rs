@@ -1,16 +1,19 @@
 //! Shared negative tests: every load path must return `Err` — never panic,
 //! and never attempt an absurd allocation — on truncated, bit-flipped or
-//! otherwise corrupt input.
+//! otherwise corrupt input, and a frame whose labels or index entries were
+//! rewritten (and re-checksummed) must load and answer the corrupt verdict
+//! for exactly the queries that read a rewritten label.
 //!
 //! One layer is attacked: the **store/forest frames**, the only
 //! representation anything reads back (queries are served by the packed
 //! kernels; the self-delimiting label encodings are write-only).
 
-use treelab::bits::{crc, frame};
+use treelab::bits::{bitslice, crc, frame};
 use treelab::{gen, DistanceScheme, NaiveScheme, OptimalScheme};
 use treelab::{
-    AnyStoreRef, ForestError, ForestStore, QueryStatus, RouteScratch, SchemeStore, StoreError,
-    StoreRef, StoredScheme,
+    AnyStoreRef, ApproximateScheme, DistanceArrayScheme, ForestError, ForestStore, KDistanceScheme,
+    LevelAncestorScheme, QueryStatus, RouteScratch, SchemeStore, StoreError, StoreRef,
+    StoredScheme, CORRUPT_LABEL,
 };
 
 /// The whole-scheme store frame must reject bad magic, truncation (including
@@ -127,10 +130,9 @@ fn corrupt_scheme_stores_are_rejected() {
         Err(StoreError::SchemeMismatch { .. })
     ));
 
-    // Crafted frames — corrupted *and* re-checksummed, so the CRC passes —
-    // must still be rejected by the structural checks: the per-label extent
-    // validation catches label words whose counts no longer describe the
-    // label's extent, and header fields are range-checked before use.
+    // Crafted frames — corrupted *and* re-checksummed, so the CRC passes.
+    // Header fields are range-checked before use, at load; a label's
+    // counts are held to its index extent by every query that reads it.
     let words: Vec<u64> = bytes
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
@@ -140,24 +142,172 @@ fn corrupt_scheme_stores_are_rejected() {
         w[last] = treelab::bits::crc::crc64_words(&w[..last]);
         w
     };
-    // Clobber a span of words in the middle of the label region, long enough
-    // to cover at least one packed label's header (inflating its counts past
-    // its extent).  A single flipped *payload* word inside one label cannot
-    // be caught without per-label checksums — that is the documented threat
-    // model: the CRC authenticates integrity, not provenance.
+    // Clobber a span of words in the middle of the label region.  The frame
+    // loads (the load visits no label), and every label wholly inside the
+    // span — its counts now all ones, past its extent — answers the corrupt
+    // verdict with every partner.  A clobbered tail behind an intact header
+    // still decodes: catching that needs per-label checksums, which is the
+    // documented threat model (the CRC authenticates integrity, not
+    // provenance).  No pair may panic.
     let mut crafted = words.clone();
     let mid = words.len() * 2 / 3;
     for w in crafted[mid..mid + 16].iter_mut() {
         *w = u64::MAX;
     }
-    assert!(
-        SchemeStore::<OptimalScheme>::from_words(recrc(crafted)).is_err(),
-        "re-checksummed frame with clobbered label words must be rejected"
-    );
+    let crafted = SchemeStore::<OptimalScheme>::from_words(recrc(crafted))
+        .expect("a frame with clobbered label words loads");
+    let n = crafted.node_count();
+    let label_base = label_base(&words);
+    assert!(mid > label_base, "the span lies in the label region");
+    let span = (mid - label_base) * 64..(mid + 16 - label_base) * 64;
+    let mut end = 0;
+    let clobbered: Vec<usize> = (0..n)
+        .filter(|&u| {
+            let start = end;
+            end += store.label_bits(u);
+            span.start <= start && end <= span.end
+        })
+        .collect();
+    assert!(!clobbered.is_empty(), "the span covers whole labels");
+    for u in 0..n {
+        for v in 0..n {
+            let d = OptimalScheme::distance_refs(crafted.label_ref(u), crafted.label_ref(v));
+            if clobbered.contains(&u) || clobbered.contains(&v) {
+                assert_eq!(d, CORRUPT_LABEL, "({u}, {v})");
+            }
+        }
+    }
     // n = u64::MAX must come back as an error, not an overflow panic.
     let mut huge_n = words.clone();
     huge_n[2] = u64::MAX;
     assert!(SchemeStore::<OptimalScheme>::from_words(recrc(huge_n)).is_err());
+}
+
+/// First word of a `TLSTOR01` frame's label region (frames under 65,536
+/// labels have no block bases): header, meta, then `⌈(n + 1) / 2⌉` index
+/// words.
+fn label_base(words: &[u64]) -> usize {
+    5 + words[4] as usize + (words[2] as usize + 2) / 2
+}
+
+/// The u32 offset-index entry `p` of a frame under 65,536 labels.
+fn entry(words: &[u64], p: usize) -> u32 {
+    (words[5 + words[4] as usize + p / 2] >> (p % 2 * 32)) as u32
+}
+
+fn set_entry(words: &mut [u64], p: usize, e: u32) {
+    let (w, sh) = (5 + words[4] as usize + p / 2, p % 2 * 32);
+    words[w] = words[w] & !(0xFFFF_FFFF << sh) | u64::from(e) << sh;
+}
+
+/// Bit offset and width, within every label's header, of the first count
+/// the header holds (the packed layouts of `treelab::core::kernel`, with
+/// the widths read from the frame's meta words): the record count after
+/// the root distance (prefix-sum pair, optimal), the significant-ancestor
+/// count that opens a `k`-distance header, the exponent count after the
+/// root distance (approximate), and the light depth after the depth and
+/// head offset (level ancestor).
+fn header_count(words: &[u64]) -> (usize, usize) {
+    let meta = &words[5..5 + words[4] as usize];
+    let byte = |w: u64, i: u32| (w >> (8 * i) & 0xFF) as usize;
+    match words[1] as u32 {
+        1..=3 => (byte(meta[0], 0), byte(meta[1], 0)),
+        4 => (0, byte(meta[0], 1)),
+        5 => (byte(meta[0], 0), byte(meta[0], 1)),
+        6 => (byte(meta[0], 0) + byte(meta[0], 1), byte(meta[0], 2)),
+        tag => panic!("unknown scheme tag {tag}"),
+    }
+}
+
+/// Two rewritten, re-checksummed copies of `clean`'s frame — one label's
+/// first header count raised by one, and two adjacent offset entries
+/// swapped — must each load, as a store and inside a forest.  Every query
+/// that reads a rewritten label (whose header no longer describes its
+/// index extent) answers `CORRUPT_LABEL` through `distance_refs` and
+/// `CorruptTree` through the router; every other query answers exactly
+/// as on the clean frame.
+fn rewritten_frames_answer_the_verdict<S: StoredScheme>(name: &str, clean: &SchemeStore<S>) {
+    let words = clean.as_words();
+    let n = clean.node_count();
+    let label_bit = |p: usize| label_base(words) * 64 + entry(words, p) as usize;
+    let (off, width) = header_count(words);
+    let count = |p: usize| bitslice::read_lsb(words, label_bit(p) + off, width);
+    let p = (n / 2..n)
+        .find(|&p| count(p) + 1 < 1 << width)
+        .expect("a label whose count can grow");
+    let mut inflated = words.to_vec();
+    let pos = label_bit(p) + off;
+    for b in 0..width {
+        let (w, bit) = ((pos + b) / 64, (pos + b) % 64);
+        let x = (count(p) + 1) >> b & 1;
+        inflated[w] = inflated[w] & !(1 << bit) | x << bit;
+    }
+    let q = n / 2;
+    let mut swapped = words.to_vec();
+    set_entry(&mut swapped, q, entry(words, q + 1));
+    set_entry(&mut swapped, q + 1, entry(words, q));
+
+    let mut scratch = RouteScratch::new();
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    let clean_forest = {
+        let mut b = ForestStore::builder();
+        b.push_frame(7, words.to_vec()).unwrap();
+        b.finish().unwrap()
+    };
+    for (what, mut w, bad) in [
+        ("an inflated count", inflated, vec![p]),
+        ("swapped entries", swapped, vec![q - 1, q, q + 1]),
+    ] {
+        let last = w.len() - 1;
+        w[last] = crc::crc64_words(&w[..last]);
+        let store = SchemeStore::<S>::from_words(w.clone())
+            .unwrap_or_else(|e| panic!("{name}, {what}: the frame must load, got {e}"));
+        let mut b = ForestStore::builder();
+        b.push_frame(7, w).unwrap();
+        let forest = b
+            .finish()
+            .unwrap_or_else(|e| panic!("{name}, {what}: the forest must load, got {e}"));
+        for u in 0..n {
+            for v in 0..n {
+                let reads_bad = bad.contains(&u) || bad.contains(&v);
+                let d = S::distance_refs(store.label_ref(u), store.label_ref(v));
+                let expect = if reads_bad {
+                    CORRUPT_LABEL
+                } else {
+                    clean.distance(u, v)
+                };
+                assert_eq!(d, expect, "{name}, {what}: ({u}, {v})");
+                want.clear();
+                got.clear();
+                clean_forest.try_route_distances_into(&[(7, u, v)], &mut scratch, &mut want);
+                forest.try_route_distances_into(&[(7, u, v)], &mut scratch, &mut got);
+                if reads_bad {
+                    want = vec![QueryStatus::CorruptTree];
+                }
+                assert_eq!(got, want, "{name}, {what}: routed ({u}, {v})");
+            }
+        }
+    }
+}
+
+#[test]
+fn rewritten_labels_load_and_answer_the_corrupt_verdict() {
+    let tree = gen::random_tree(60, 23);
+    rewritten_frames_answer_the_verdict("naive", NaiveScheme::build(&tree).as_store());
+    rewritten_frames_answer_the_verdict(
+        "distance-array",
+        DistanceArrayScheme::build(&tree).as_store(),
+    );
+    rewritten_frames_answer_the_verdict("optimal", OptimalScheme::build(&tree).as_store());
+    rewritten_frames_answer_the_verdict("k-distance", KDistanceScheme::build(&tree, 6).as_store());
+    rewritten_frames_answer_the_verdict(
+        "approximate",
+        ApproximateScheme::build(&tree, 0.25).as_store(),
+    );
+    rewritten_frames_answer_the_verdict(
+        "level-ancestor",
+        LevelAncestorScheme::build(&tree).as_store(),
+    );
 }
 
 /// The forest frame must reject its own adversaries — truncated directory,

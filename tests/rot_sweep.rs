@@ -9,8 +9,10 @@
 //! `CorruptTree` (a kernel returned its corrupt verdict) and flips that
 //! answered at least one wrong `Ok` (rot the kernels cannot see: a flipped
 //! distance field still decodes as a distance).  The kernels use checked
-//! arithmetic and bound every read by the label region, so both counts are
-//! the same in debug and release builds; CI runs this test in both.
+//! arithmetic and hold each label's header counts to its index extent
+//! before reading it, so a flipped count or index entry answers the
+//! verdict, and both counts are the same in debug and release builds; CI
+//! runs this test in both.
 
 use treelab::tree::rng::SplitMix64;
 use treelab::{
@@ -29,12 +31,12 @@ const BITS_PER_TRIAL: usize = 3;
 type Counts = (&'static str, [usize; 2], [usize; 2]);
 
 const PINNED: [Counts; 6] = [
-    ("naive", [860, 297], [302, 44]),
-    ("distance-array", [860, 297], [302, 44]),
-    ("optimal", [1269, 216], [319, 30]),
-    ("k-distance", [586, 553], [216, 112]),
-    ("approximate", [713, 358], [268, 71]),
-    ("level-ancestor", [819, 241], [331, 41]),
+    ("naive", [972, 223], [316, 36]),
+    ("distance-array", [972, 223], [316, 36]),
+    ("optimal", [1386, 198], [339, 20]),
+    ("k-distance", [922, 296], [296, 44]),
+    ("approximate", [882, 275], [307, 43]),
+    ("level-ancestor", [965, 140], [364, 13]),
 ];
 
 /// A one-tree forest (tree id 1), eagerly validated.
