@@ -73,15 +73,6 @@ impl<'a> BitSlice<'a> {
         self.words
     }
 
-    /// Reads the bit at `index`, or `None` if out of range.
-    #[inline]
-    pub fn get(&self, index: usize) -> Option<bool> {
-        if index >= self.len {
-            return None;
-        }
-        Some((self.words[index / 64] >> (index % 64)) & 1 == 1)
-    }
-
     /// Reads `width ≤ 64` bits starting at `start`, MSB-first (matching
     /// [`BitVec::push_bits`](crate::BitVec::push_bits)), or `None` if the
     /// range is out of bounds.
@@ -330,14 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn get_and_get_bits_match_bitvec() {
+    fn get_bits_matches_bitvec() {
         let bv = sample(300);
         let s = bv.as_bitslice();
         assert_eq!(s.len(), 300);
-        for i in 0..300 {
-            assert_eq!(s.get(i), bv.get(i), "bit {i}");
-        }
-        assert_eq!(s.get(300), None);
         for &(start, width) in &[
             (0usize, 0usize),
             (0, 64),
@@ -518,8 +505,8 @@ mod tests {
         }
         // Planted first-difference positions across several 64-bit chunks.
         for plant in [64usize, 65, 127, 128, 191, 255, 256, 300, 511, 512, 1000] {
-            let mut c = padded.clone();
-            c.set(7 + plant, !c.get(7 + plant).unwrap());
+            let flip = |i: usize| padded.get(i).unwrap() != (i == 7 + plant);
+            let c = BitVec::from_bools((0..padded.len()).map(flip));
             let got = common_prefix_len_raw(c.words(), 7, 2048, a, 7, 2048);
             assert_eq!(got, plant, "planted diff at {plant}");
         }

@@ -1,4 +1,4 @@
-//! Append-only bit vectors and streaming readers/writers.
+//! Append-only bit vectors and their streaming writer.
 //!
 //! A label produced by any scheme in this workspace is ultimately a [`BitVec`].
 //! The conventions used throughout the workspace:
@@ -11,7 +11,6 @@
 //! * all sizes are reported in bits, never bytes — the paper's bounds are in
 //!   bits and the experiments compare against them directly.
 
-use crate::DecodeError;
 use std::fmt;
 
 /// A growable sequence of bits backed by `u64` words.
@@ -50,14 +49,6 @@ impl BitVec {
         }
     }
 
-    /// Creates a bit vector of `len` zero bits.
-    pub fn zeros(len: usize) -> Self {
-        BitVec {
-            words: vec![0u64; len.div_ceil(64)],
-            len,
-        }
-    }
-
     /// Builds a bit vector from an iterator of booleans.
     pub fn from_bools<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         let mut bv = BitVec::new();
@@ -88,12 +79,6 @@ impl BitVec {
             self.words[word] |= 1u64 << off;
         }
         self.len += 1;
-    }
-
-    /// Reserves capacity for at least `additional` more bits.
-    pub fn reserve(&mut self, additional: usize) {
-        let need = (self.len + additional).div_ceil(64);
-        self.words.reserve(need.saturating_sub(self.words.len()));
     }
 
     /// Appends the `width` low bits of `value`, most significant of those bits
@@ -217,26 +202,6 @@ impl BitVec {
         Some(raw.reverse_bits() >> (64 - width))
     }
 
-    /// Sets the bit at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn set(&mut self, index: usize, bit: bool) {
-        assert!(
-            index < self.len,
-            "index {index} out of range (len {})",
-            self.len
-        );
-        let word = index / 64;
-        let off = index % 64;
-        if bit {
-            self.words[word] |= 1u64 << off;
-        } else {
-            self.words[word] &= !(1u64 << off);
-        }
-    }
-
     /// Extracts the sub-vector `[start, start + width)`.
     ///
     /// Returns `None` when the range is out of bounds.
@@ -249,11 +214,6 @@ impl BitVec {
             out.push(self.get(start + i).expect("checked range"));
         }
         Some(out)
-    }
-
-    /// Number of set bits in the whole vector.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Iterates over the bits in order.
@@ -273,37 +233,6 @@ impl BitVec {
     /// [`BitVec::len`] are zero).
     pub fn into_words(self) -> Vec<u64> {
         self.words
-    }
-
-    /// Returns `true` if `prefix` is a prefix of `self`.
-    pub fn starts_with(&self, prefix: &BitVec) -> bool {
-        if prefix.len > self.len {
-            return false;
-        }
-        (0..prefix.len).all(|i| self.get(i) == prefix.get(i))
-    }
-
-    /// Length (in bits) of the longest common prefix of `self` and `other`.
-    pub fn common_prefix_len(&self, other: &BitVec) -> usize {
-        let max = self.len.min(other.len);
-        for i in 0..max {
-            if self.get(i) != other.get(i) {
-                return i;
-            }
-        }
-        max
-    }
-
-    /// Compares two bit vectors lexicographically (shorter prefix compares
-    /// less than any extension).
-    pub fn lex_cmp(&self, other: &BitVec) -> std::cmp::Ordering {
-        let p = self.common_prefix_len(other);
-        match (self.get(p), other.get(p)) {
-            (Some(a), Some(b)) => a.cmp(&b),
-            (None, Some(_)) => std::cmp::Ordering::Less,
-            (Some(_), None) => std::cmp::Ordering::Greater,
-            (None, None) => std::cmp::Ordering::Equal,
-        }
     }
 }
 
@@ -391,11 +320,6 @@ impl BitWriter {
         }
     }
 
-    /// Reserves capacity for at least `additional` more bits.
-    pub fn reserve(&mut self, additional: usize) {
-        self.bits.reserve(additional);
-    }
-
     /// Appends a single bit.
     pub fn write_bit(&mut self, bit: bool) {
         self.bits.push(bit);
@@ -463,104 +387,6 @@ impl BitWriter {
     pub fn into_bitvec(self) -> BitVec {
         self.bits
     }
-
-    /// Borrow the bits written so far.
-    pub fn as_bitvec(&self) -> &BitVec {
-        &self.bits
-    }
-}
-
-/// Streaming reader over a [`BitVec`].
-///
-/// Reads never panic on exhausted input; they return
-/// [`DecodeError::UnexpectedEnd`] so that corrupted labels are reported as
-/// errors rather than crashes.
-#[derive(Debug, Clone)]
-pub struct BitReader<'a> {
-    bits: &'a BitVec,
-    pos: usize,
-}
-
-impl<'a> BitReader<'a> {
-    /// Creates a reader positioned at bit 0.
-    pub fn new(bits: &'a BitVec) -> Self {
-        BitReader { bits, pos: 0 }
-    }
-
-    /// Creates a reader positioned at `pos`.
-    pub fn at(bits: &'a BitVec, pos: usize) -> Self {
-        BitReader { bits, pos }
-    }
-
-    /// Current position in bits.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Number of bits remaining.
-    pub fn remaining(&self) -> usize {
-        self.bits.len().saturating_sub(self.pos)
-    }
-
-    /// Moves the cursor to an absolute bit position.
-    pub fn seek(&mut self, pos: usize) {
-        self.pos = pos;
-    }
-
-    /// Reads a single bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::UnexpectedEnd`] if the stream is exhausted.
-    pub fn read_bit(&mut self) -> Result<bool, DecodeError> {
-        match self.bits.get(self.pos) {
-            Some(b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => Err(DecodeError::UnexpectedEnd {
-                position: self.pos,
-                requested: 1,
-                available: self.bits.len(),
-            }),
-        }
-    }
-
-    /// Reads `width ≤ 64` bits MSB-first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::UnexpectedEnd`] if fewer than `width` bits remain.
-    pub fn read_bits(&mut self, width: usize) -> Result<u64, DecodeError> {
-        match self.bits.get_bits(self.pos, width) {
-            Some(v) => {
-                self.pos += width;
-                Ok(v)
-            }
-            None => Err(DecodeError::UnexpectedEnd {
-                position: self.pos,
-                requested: width,
-                available: self.bits.len(),
-            }),
-        }
-    }
-
-    /// Reads and discards `width` bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::UnexpectedEnd`] if fewer than `width` bits remain.
-    pub fn skip(&mut self, width: usize) -> Result<(), DecodeError> {
-        if self.pos + width > self.bits.len() {
-            return Err(DecodeError::UnexpectedEnd {
-                position: self.pos,
-                requested: width,
-                available: self.bits.len(),
-            });
-        }
-        self.pos += width;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -611,19 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_set() {
-        let mut bv = BitVec::zeros(70);
-        assert_eq!(bv.len(), 70);
-        assert_eq!(bv.count_ones(), 0);
-        bv.set(69, true);
-        bv.set(0, true);
-        assert_eq!(bv.count_ones(), 2);
-        bv.set(0, false);
-        assert_eq!(bv.count_ones(), 1);
-        assert_eq!(bv.get(69), Some(true));
-    }
-
-    #[test]
     fn slice_and_extend() {
         let bv = BitVec::from_bools((0..50).map(|i| i % 2 == 0));
         let s = bv.slice(10, 20).unwrap();
@@ -637,23 +450,9 @@ mod tests {
         ext.extend_from(&s);
         ext.extend_from(&s);
         assert_eq!(ext.len(), 40);
-        assert!(ext.starts_with(&s));
-    }
-
-    #[test]
-    fn common_prefix_and_lex_cmp() {
-        use std::cmp::Ordering;
-        let a = BitVec::from_bools([true, false, true, true]);
-        let b = BitVec::from_bools([true, false, true, false]);
-        let c = BitVec::from_bools([true, false, true]);
-        assert_eq!(a.common_prefix_len(&b), 3);
-        assert_eq!(a.common_prefix_len(&c), 3);
-        assert_eq!(a.lex_cmp(&b), Ordering::Greater);
-        assert_eq!(b.lex_cmp(&a), Ordering::Less);
-        assert_eq!(c.lex_cmp(&a), Ordering::Less);
-        assert_eq!(a.lex_cmp(&a.clone()), Ordering::Equal);
-        assert!(a.starts_with(&c));
-        assert!(!c.starts_with(&a));
+        for i in 0..40 {
+            assert_eq!(ext.get(i), s.get(i % 20));
+        }
     }
 
     #[test]
@@ -668,40 +467,19 @@ mod tests {
     }
 
     #[test]
-    fn writer_reader_roundtrip() {
+    fn writer_appends_msb_first() {
         let mut w = BitWriter::new();
         w.write_bit(true);
         w.write_bits(0xDEAD, 16);
         w.write_bits(0x1, 1);
         w.write_bits(0b101010, 6);
+        assert_eq!(w.len(), 24);
         let bv = w.into_bitvec();
-        assert_eq!(bv.len(), 24);
-
-        let mut r = BitReader::new(&bv);
-        assert!(r.read_bit().unwrap());
-        assert_eq!(r.read_bits(16).unwrap(), 0xDEAD);
-        assert_eq!(r.read_bits(1).unwrap(), 1);
-        assert_eq!(r.read_bits(6).unwrap(), 0b101010);
-        assert_eq!(r.remaining(), 0);
-        assert!(matches!(
-            r.read_bit(),
-            Err(DecodeError::UnexpectedEnd { .. })
-        ));
-    }
-
-    #[test]
-    fn reader_seek_and_skip() {
-        let bv = BitVec::from_bools((0..40).map(|i| i % 4 == 0));
-        let mut r = BitReader::new(&bv);
-        r.skip(8).unwrap();
-        assert_eq!(r.position(), 8);
-        assert!(r.read_bit().unwrap()); // bit 8: 8 % 4 == 0
-        r.seek(0);
-        assert!(r.read_bit().unwrap());
-        assert!(r.skip(100).is_err());
-        let mut r2 = BitReader::at(&bv, 39);
-        assert!(r2.read_bit().is_ok());
-        assert!(r2.read_bit().is_err());
+        assert_eq!(bv.get(0), Some(true));
+        assert_eq!(bv.get_bits(1, 16), Some(0xDEAD));
+        assert_eq!(bv.get_bits(17, 1), Some(1));
+        assert_eq!(bv.get_bits(18, 6), Some(0b101010));
+        assert_eq!(bv.get(24), None);
     }
 
     #[test]
@@ -807,26 +585,22 @@ mod tests {
     }
 
     #[test]
-    fn reserve_and_with_capacity_do_not_change_contents() {
+    fn with_capacity_does_not_change_contents() {
         let mut w = BitWriter::with_capacity(1 << 16);
         w.write_bits(0xAB, 8);
-        w.reserve(1 << 20);
         w.write_bits(0xCD, 8);
         let bv = w.into_bitvec();
         assert_eq!(bv.get_bits(0, 16), Some(0xABCD));
-        let mut v = BitVec::with_capacity(10);
-        v.reserve(1 << 12);
-        assert!(v.is_empty());
+        assert!(BitVec::with_capacity(10).is_empty());
         let words = bv.into_words();
         assert_eq!(words.len(), 1);
         assert_eq!(words[0] & 0xFFFF, 0xABCDu64.reverse_bits() >> 48);
     }
 
     #[test]
-    fn count_ones_excludes_unused_word_bits() {
+    fn bits_past_the_length_are_zero() {
         let mut bv = BitVec::new();
         bv.push_bits(0b111, 3);
-        assert_eq!(bv.count_ones(), 3);
-        assert_eq!(bv.words().len(), 1);
+        assert_eq!(bv.words(), [0b111]);
     }
 }

@@ -1,4 +1,4 @@
-//! Self-delimiting integer codes: unary, Elias γ, Elias δ, and fixed width.
+//! Self-delimiting integer codes: unary, Elias γ and Elias δ (write side).
 //!
 //! The paper (§2, "Encoding integers") stores single integers with Elias δ
 //! codes (`log x + O(log log x)` bits) and sequences of differences with Elias
@@ -8,9 +8,10 @@
 //!
 //! Conventions: γ and δ encode integers `x ≥ 1`; the `*_nz` helpers shift by
 //! one so that 0 can be stored too (`x + 1` is encoded).  All encoders write
-//! MSB-first through [`BitWriter`].
+//! MSB-first through [`BitWriter`], and each has a closed-form length
+//! (the crate's property tests decode them with a test-local reader).
 
-use crate::{BitReader, BitWriter, DecodeError};
+use crate::BitWriter;
 
 /// Number of bits in the minimal binary representation of `x` (and 1 for `x = 0`).
 ///
@@ -23,37 +24,12 @@ pub fn bit_len(x: u64) -> usize {
     }
 }
 
-/// Length in bits of the unary code of `x` (x zeros followed by a one).
-pub fn unary_len(x: u64) -> usize {
-    x as usize + 1
-}
-
 /// Writes `x` in unary: `x` zero bits followed by a single one bit.
 pub fn write_unary(w: &mut BitWriter, x: u64) {
     for _ in 0..x {
         w.write_bit(false);
     }
     w.write_bit(true);
-}
-
-/// Reads a unary-coded integer.
-///
-/// # Errors
-///
-/// Returns an error if the stream ends before the terminating one bit.
-pub fn read_unary(r: &mut BitReader<'_>) -> Result<u64, DecodeError> {
-    let mut count = 0u64;
-    loop {
-        if r.read_bit()? {
-            return Ok(count);
-        }
-        count += 1;
-        if count > u32::MAX as u64 {
-            return Err(DecodeError::Malformed {
-                what: "unary run longer than 2^32 bits",
-            });
-        }
-    }
 }
 
 /// Length in bits of the Elias γ code of `x ≥ 1`: `2⌊log x⌋ + 1`.
@@ -74,22 +50,6 @@ pub fn write_gamma(w: &mut BitWriter, x: u64) {
     if n > 0 {
         w.write_bits(x & ((1u64 << n) - 1), n);
     }
-}
-
-/// Reads an Elias γ code.
-///
-/// # Errors
-///
-/// Propagates stream-exhaustion errors and rejects values longer than 64 bits.
-pub fn read_gamma(r: &mut BitReader<'_>) -> Result<u64, DecodeError> {
-    let n = read_unary(r)? as usize;
-    if n >= 64 {
-        return Err(DecodeError::Overflow {
-            what: "gamma code longer than 64 bits",
-        });
-    }
-    let low = if n > 0 { r.read_bits(n)? } else { 0 };
-    Ok((1u64 << n) | low)
 }
 
 /// Length in bits of the Elias δ code of `x ≥ 1`.
@@ -113,49 +73,14 @@ pub fn write_delta(w: &mut BitWriter, x: u64) {
     }
 }
 
-/// Reads an Elias δ code.
-///
-/// # Errors
-///
-/// Propagates stream-exhaustion errors and rejects values longer than 64 bits.
-pub fn read_delta(r: &mut BitReader<'_>) -> Result<u64, DecodeError> {
-    let n = read_gamma(r)? - 1;
-    if n >= 64 {
-        return Err(DecodeError::Overflow {
-            what: "delta code longer than 64 bits",
-        });
-    }
-    let n = n as usize;
-    let low = if n > 0 { r.read_bits(n)? } else { 0 };
-    Ok((1u64 << n) | low)
-}
-
 /// Writes `x + 1` as an Elias γ code so that `x = 0` is representable.
 pub fn write_gamma_nz(w: &mut BitWriter, x: u64) {
     write_gamma(w, x.checked_add(1).expect("gamma_nz overflow"));
 }
 
-/// Reads a value written with [`write_gamma_nz`].
-///
-/// # Errors
-///
-/// Propagates decoding errors from the underlying γ code.
-pub fn read_gamma_nz(r: &mut BitReader<'_>) -> Result<u64, DecodeError> {
-    Ok(read_gamma(r)? - 1)
-}
-
 /// Writes `x + 1` as an Elias δ code so that `x = 0` is representable.
 pub fn write_delta_nz(w: &mut BitWriter, x: u64) {
     write_delta(w, x.checked_add(1).expect("delta_nz overflow"));
-}
-
-/// Reads a value written with [`write_delta_nz`].
-///
-/// # Errors
-///
-/// Propagates decoding errors from the underlying δ code.
-pub fn read_delta_nz(r: &mut BitReader<'_>) -> Result<u64, DecodeError> {
-    Ok(read_delta(r)? - 1)
 }
 
 /// Length of [`write_gamma_nz`] output.
@@ -168,111 +93,9 @@ pub fn delta_nz_len(x: u64) -> usize {
     delta_len(x + 1)
 }
 
-/// Writes `x` using exactly `width` bits (MSB-first).
-///
-/// # Panics
-///
-/// Panics if `x` does not fit in `width` bits.
-pub fn write_fixed(w: &mut BitWriter, x: u64, width: usize) {
-    w.write_bits(x, width);
-}
-
-/// Reads a fixed-width integer.
-///
-/// # Errors
-///
-/// Returns an error if fewer than `width` bits remain.
-pub fn read_fixed(r: &mut BitReader<'_>, width: usize) -> Result<u64, DecodeError> {
-    r.read_bits(width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitVec;
-
-    fn roundtrip_one<FW, FR>(values: &[u64], write: FW, read: FR, len: fn(u64) -> usize)
-    where
-        FW: Fn(&mut BitWriter, u64),
-        FR: Fn(&mut BitReader<'_>) -> Result<u64, DecodeError>,
-    {
-        let mut w = BitWriter::new();
-        for &v in values {
-            write(&mut w, v);
-        }
-        let expected_len: usize = values.iter().map(|&v| len(v)).sum();
-        let bv = w.into_bitvec();
-        assert_eq!(bv.len(), expected_len, "predicted length must match");
-        let mut r = BitReader::new(&bv);
-        for &v in values {
-            assert_eq!(read(&mut r).unwrap(), v);
-        }
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn unary_roundtrip() {
-        roundtrip_one(
-            &[0, 1, 2, 3, 10, 63, 100],
-            write_unary,
-            read_unary,
-            unary_len,
-        );
-    }
-
-    #[test]
-    fn gamma_roundtrip() {
-        let vals: Vec<u64> = (1..=64)
-            .chain([100, 1000, 65_535, 1 << 20, (1 << 40) + 17, u64::MAX / 3])
-            .collect();
-        roundtrip_one(&vals, write_gamma, read_gamma, gamma_len);
-    }
-
-    #[test]
-    fn delta_roundtrip() {
-        let vals: Vec<u64> = (1..=64)
-            .chain([
-                100,
-                1000,
-                65_535,
-                1 << 20,
-                (1 << 40) + 17,
-                u64::MAX / 3,
-                u64::MAX,
-            ])
-            .collect();
-        roundtrip_one(&vals, write_delta, read_delta, delta_len);
-    }
-
-    #[test]
-    fn nz_variants_accept_zero() {
-        roundtrip_one(
-            &[0, 1, 5, 1 << 30],
-            write_gamma_nz,
-            read_gamma_nz,
-            gamma_nz_len,
-        );
-        roundtrip_one(
-            &[0, 1, 5, 1 << 30],
-            write_delta_nz,
-            read_delta_nz,
-            delta_nz_len,
-        );
-    }
-
-    #[test]
-    fn fixed_roundtrip() {
-        let mut w = BitWriter::new();
-        write_fixed(&mut w, 0b1011, 4);
-        write_fixed(&mut w, 12345, 20);
-        write_fixed(&mut w, 0, 1);
-        let bv = w.into_bitvec();
-        assert_eq!(bv.len(), 25);
-        let mut r = BitReader::new(&bv);
-        assert_eq!(read_fixed(&mut r, 4).unwrap(), 0b1011);
-        assert_eq!(read_fixed(&mut r, 20).unwrap(), 12345);
-        assert_eq!(read_fixed(&mut r, 1).unwrap(), 0);
-    }
 
     #[test]
     fn bit_len_values() {
@@ -305,63 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn concatenated_heterogeneous_stream() {
-        // A mix of codes decoded in the same order they were written — this is
-        // exactly how labels are assembled.
-        let mut w = BitWriter::new();
-        write_delta(&mut w, 999);
-        write_unary(&mut w, 4);
-        write_gamma(&mut w, 77);
-        write_fixed(&mut w, 5, 3);
-        write_gamma_nz(&mut w, 0);
-        let bv = w.into_bitvec();
-        let mut r = BitReader::new(&bv);
-        assert_eq!(read_delta(&mut r).unwrap(), 999);
-        assert_eq!(read_unary(&mut r).unwrap(), 4);
-        assert_eq!(read_gamma(&mut r).unwrap(), 77);
-        assert_eq!(read_fixed(&mut r, 3).unwrap(), 5);
-        assert_eq!(read_gamma_nz(&mut r).unwrap(), 0);
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn truncated_stream_errors_cleanly() {
-        let mut w = BitWriter::new();
-        write_delta(&mut w, 1_000_000);
-        let bv = w.into_bitvec();
-        // Chop off the last 5 bits.
-        let truncated = bv.slice(0, bv.len() - 5).unwrap();
-        let mut r = BitReader::new(&truncated);
-        assert!(read_delta(&mut r).is_err());
-    }
-
-    #[test]
-    fn all_zero_stream_is_malformed_unary() {
-        let bv = BitVec::zeros(64);
-        let mut r = BitReader::new(&bv);
-        assert!(matches!(
-            read_unary(&mut r),
-            Err(DecodeError::UnexpectedEnd { .. })
-        ));
-    }
-
-    #[test]
     #[should_panic(expected = "encode integers >= 1")]
     fn gamma_rejects_zero() {
         let mut w = BitWriter::new();
         write_gamma(&mut w, 0);
-    }
-
-    #[test]
-    fn exhaustive_small_gamma_delta() {
-        for x in 1..2000u64 {
-            let mut w = BitWriter::new();
-            write_gamma(&mut w, x);
-            write_delta(&mut w, x);
-            let bv = w.into_bitvec();
-            let mut r = BitReader::new(&bv);
-            assert_eq!(read_gamma(&mut r).unwrap(), x);
-            assert_eq!(read_delta(&mut r).unwrap(), x);
-        }
     }
 }

@@ -8,16 +8,17 @@
 //! as possible while keeping decoding cheap.  This crate provides every encoding
 //! primitive the paper relies on:
 //!
-//! * [`BitVec`], [`BitWriter`] and [`BitReader`] — append-only bit buffers with
+//! * [`BitVec`] and [`BitWriter`] — append-only bit buffers with
 //!   word-at-a-time access (the labels themselves are `BitVec`s).
-//! * [`codes`] — unary, Elias γ, Elias δ and fixed-width integer codes
-//!   (the paper's self-delimiting encodings, §2 "Encoding integers").
+//! * [`codes`] — unary, Elias γ and Elias δ encoders with their closed-form
+//!   lengths (the paper's self-delimiting encodings, §2 "Encoding integers").
 //! * [`monotone`] — the Lemma 2.2 encoding: a monotone sequence of `s`
 //!   integers from `[0, M]` written in `O(s·max(1, log(M/s)))` bits, with its
 //!   closed-form length.  It is write-only: queries are served by the packed
 //!   fixed-width kernels of `treelab-core`, which never read it.
 //! * [`wordram`] — word-RAM helpers: most-significant-bit, 2-approximations
-//!   `⌊x⌋₂` (Lemma 4.4/4.5), longest common prefixes, dyadic range identifiers.
+//!   `⌊x⌋₂` (Lemma 4.4/4.5), longest common prefixes, dyadic range
+//!   identifiers (Observation 4.2).
 //! * [`alphabetic`] — order-preserving (Gilbert–Moore) prefix codes with
 //!   code length `≤ ⌈log(W/w)⌉ + 2`, the substrate behind the `O(log n)`-bit
 //!   heavy-path/NCA auxiliary labels (Lemma 2.1).
@@ -32,20 +33,21 @@
 //!
 //! # Example
 //!
-//! ```
-//! use treelab_bits::{BitWriter, BitReader, codes};
+//! The crate is write-only: labels are assembled here and read back by the
+//! packed fixed-width kernels of `treelab-core`.  Every encoder has a
+//! closed-form length, which is what the label-size tables charge.
 //!
-//! # fn main() -> Result<(), treelab_bits::DecodeError> {
+//! ```
+//! use treelab_bits::{codes, BitWriter};
+//!
 //! let mut w = BitWriter::new();
 //! codes::write_gamma(&mut w, 41);
 //! codes::write_delta(&mut w, 1_000_003);
-//! let bits = w.into_bitvec();
+//! assert_eq!(w.len(), codes::gamma_len(41) + codes::delta_len(1_000_003));
 //!
-//! let mut r = BitReader::new(&bits);
-//! assert_eq!(codes::read_gamma(&mut r)?, 41);
-//! assert_eq!(codes::read_delta(&mut r)?, 1_000_003);
-//! # Ok(())
-//! # }
+//! // γ(41) is ⌊log 41⌋ = 5 zeros, then 41 in binary.
+//! let bits = w.into_bitvec();
+//! assert_eq!(bits.get_bits(0, 11), Some(0b00000_101001));
 //! ```
 
 // `deny` rather than `forbid`: the audited casts in [`frame`] and
@@ -58,7 +60,6 @@
 #![warn(missing_debug_implementations)]
 
 mod bitvec;
-mod error;
 
 pub mod alphabetic;
 pub mod bitslice;
@@ -70,5 +71,4 @@ pub mod simd;
 pub mod wordram;
 
 pub use bitslice::BitSlice;
-pub use bitvec::{BitReader, BitVec, BitWriter};
-pub use error::DecodeError;
+pub use bitvec::{BitVec, BitWriter};

@@ -51,15 +51,6 @@ pub fn msb(x: u64) -> Option<u32> {
     }
 }
 
-/// Index (0-based) of the least significant set bit of `x`, or `None` for 0.
-pub fn lsb(x: u64) -> Option<u32> {
-    if x == 0 {
-        None
-    } else {
-        Some(x.trailing_zeros())
-    }
-}
-
 /// `⌊log₂ x⌋` for `x ≥ 1`.
 ///
 /// # Panics
@@ -69,52 +60,21 @@ pub fn floor_log2(x: u64) -> u32 {
     msb(x).expect("floor_log2 of zero is undefined")
 }
 
-/// `⌈log₂ x⌉` for `x ≥ 1`.
-///
-/// # Panics
-///
-/// Panics if `x == 0`.
-pub fn ceil_log2(x: u64) -> u32 {
-    if x <= 1 {
-        0
-    } else {
-        floor_log2(x - 1) + 1
-    }
-}
-
-/// The 2-approximation `⌊x⌋₂ = 2^{⌊log₂ x⌋}` of §4.3: the largest power of two
-/// not exceeding `x`.
-///
-/// # Panics
-///
-/// Panics if `x == 0` (the paper only applies it to positive interval lengths).
-pub fn two_approx(x: u64) -> u64 {
-    1u64 << floor_log2(x)
-}
-
-/// Exponent of the 2-approximation: `⌊log₂ x⌋`, i.e. `two_approx(x).trailing_zeros()`.
+/// Exponent of the 2-approximation `⌊x⌋₂ = 2^{⌊log₂ x⌋}` of §4.3 (the
+/// largest power of two not exceeding `x`): `⌊log₂ x⌋`.
 ///
 /// Labels store these exponents (numbers in `[0, log n]`) rather than the
 /// powers themselves so they can go into a Lemma 2.2 monotone structure.
 ///
+/// Lemma 4.4 — for open intervals `A, B ⊆ C` with `A ∩ B = ∅`, at least one
+/// of `⌊|A|⌋₂, ⌊|B|⌋₂` differs from `⌊|C|⌋₂` — is checked exhaustively for
+/// small lengths in this module's tests.
+///
 /// # Panics
 ///
-/// Panics if `x == 0`.
+/// Panics if `x == 0` (the paper only applies it to positive interval lengths).
 pub fn two_approx_exp(x: u64) -> u32 {
     floor_log2(x)
-}
-
-/// Lemma 4.4: for open intervals `A, B ⊆ C` with `A ∩ B = ∅`, at least one of
-/// `⌊|A|⌋₂, ⌊|B|⌋₂` differs from `⌊|C|⌋₂`.
-///
-/// This helper checks the *conclusion* for given interval lengths and is used
-/// by property tests of the k-distance decoder; the decoder itself only needs
-/// [`two_approx`].
-pub fn lemma_4_4_holds(len_a: u64, len_b: u64, len_c: u64) -> bool {
-    if len_a == 0 || len_b == 0 || len_c == 0 {
-        return true; // degenerate intervals are excluded by the lemma statement
-    }
-    two_approx(len_a) != two_approx(len_c) || two_approx(len_b) != two_approx(len_c)
 }
 
 /// Length of the longest common prefix of the `width`-bit binary expansions of
@@ -147,29 +107,22 @@ pub fn diverging_suffix_len(a: u64, b: u64, width: u32) -> u32 {
     width - common_prefix_len(a, b, width)
 }
 
-/// Dyadic range identifiers over the universe `[0, 2^width)` — the
-/// `id(A)`/`height(A)` machinery of Observation 4.2.
+/// Height of the trie NCA of the range `[a, b]` in a trie over `width`-bit keys:
+/// the `height(A)` of Observation 4.2.
 ///
 /// Think of a complete binary trie of depth `width` whose leaves are the
 /// integers `0..2^width`.  For a range `A = [a, b]`, `height(A)` is the height
 /// of the trie node `NCA(a, b)` (0 when `a = b`), and `id(A)` is a numeric
 /// representative of that trie node: the common prefix of `a` and `b` followed
-/// by a `1` and then zeros.  Two key properties proved in §4:
+/// by a `1` and then zeros, which [`range_id_from_member`] computes from any
+/// member of `A` and `height(A)` alone.  Two key properties proved in §4:
 ///
-/// * the identifier of `A` lies in `(min A, max A]` (so identifiers of disjoint
-///   increasing ranges are strictly increasing), and
-/// * `id(A)` is computable from *any* `x ∈ A` together with `height(A)` alone
-///   ([`range_id_from_member`]), which is what lets a label reconstruct the
-///   identifiers of all its significant ancestors from its own preorder number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RangeId {
-    /// Numeric representative of the trie node (see module docs).
-    pub id: u64,
-    /// Height of the trie node: `0` for a singleton range.
-    pub height: u32,
-}
-
-/// Height of the trie NCA of the range `[a, b]` in a trie over `width`-bit keys.
+/// * `id(A)` lies in `(min A, max A]` for a non-singleton `A` (so identifiers
+///   of disjoint increasing ranges are strictly increasing), and
+/// * disjoint ranges name distinct trie nodes `(id, height)`,
+///
+/// which is what lets a label reconstruct the identifiers of all its
+/// significant ancestors from its own preorder number.
 ///
 /// # Panics
 ///
@@ -179,22 +132,9 @@ pub fn range_height(a: u64, b: u64, width: u32) -> u32 {
     diverging_suffix_len(a, b, width)
 }
 
-/// Identifier of the range `[a, b]` (see [`RangeId`]).
-///
-/// # Panics
-///
-/// Panics if `a > b`.
-pub fn range_id(a: u64, b: u64, width: u32) -> RangeId {
-    let height = range_height(a, b, width);
-    RangeId {
-        id: range_id_from_member(a, height),
-        height,
-    }
-}
-
-/// Reconstructs the numeric identifier of a range of height `height` from any
-/// member `x` of the range: clear the `height` low bits of `x` and, when
-/// `height > 0`, set bit `height − 1`.
+/// Reconstructs `id(A)` of Observation 4.2 (see [`range_height`]) from any
+/// member `x` of a range `A` of height `height`: clear the `height` low bits
+/// of `x` and, when `height > 0`, set bit `height − 1`.
 pub fn range_id_from_member(x: u64, height: u32) -> u64 {
     if height == 0 {
         x
@@ -205,31 +145,28 @@ pub fn range_id_from_member(x: u64, height: u32) -> u64 {
     }
 }
 
-/// Ceiling of the integer division `a / b`.
-///
-/// # Panics
-///
-/// Panics if `b == 0`.
-pub fn div_ceil(a: u64, b: u64) -> u64 {
-    assert!(b != 0, "division by zero");
-    a.div_ceil(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `⌊x⌋₂` as a power of two.
+    fn two_approx(x: u64) -> u64 {
+        1 << two_approx_exp(x)
+    }
+
+    /// `(id(A), height(A))` of `A = [a, b]`, the identifier taken from `a`.
+    fn trie_node(a: u64, b: u64, width: u32) -> (u64, u32) {
+        let height = range_height(a, b, width);
+        (range_id_from_member(a, height), height)
+    }
+
     #[test]
-    fn msb_lsb_basics() {
+    fn msb_basics() {
         assert_eq!(msb(0), None);
-        assert_eq!(lsb(0), None);
         assert_eq!(msb(1), Some(0));
         assert_eq!(msb(2), Some(1));
         assert_eq!(msb(3), Some(1));
         assert_eq!(msb(u64::MAX), Some(63));
-        assert_eq!(lsb(8), Some(3));
-        assert_eq!(lsb(12), Some(2));
-        assert_eq!(lsb(u64::MAX), Some(0));
     }
 
     #[test]
@@ -238,11 +175,6 @@ mod tests {
         assert_eq!(floor_log2(2), 1);
         assert_eq!(floor_log2(3), 1);
         assert_eq!(floor_log2(1024), 10);
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(3), 2);
-        assert_eq!(ceil_log2(1024), 10);
-        assert_eq!(ceil_log2(1025), 11);
     }
 
     #[test]
@@ -250,8 +182,6 @@ mod tests {
         for x in 1..10_000u64 {
             let t = two_approx(x);
             assert!(t <= x && x < 2 * t, "x = {x}, t = {t}");
-            assert!(t.is_power_of_two());
-            assert_eq!(1u64 << two_approx_exp(x), t);
         }
         // Monotone: x <= y  =>  ⌊x⌋₂ <= ⌊y⌋₂  and ⌊x⌋₂ < ⌊2x⌋₂.
         for x in 1..2_000u64 {
@@ -264,13 +194,14 @@ mod tests {
 
     #[test]
     fn lemma_4_4_exhaustive_small() {
-        // For all disjoint sub-intervals A, B of C with |A|+|B| <= |C|,
-        // the conclusion of Lemma 4.4 holds.
+        // For all disjoint sub-intervals A, B of C with |A|+|B| <= |C|, at
+        // least one of ⌊|A|⌋₂, ⌊|B|⌋₂ differs from ⌊|C|⌋₂.
         for len_c in 2..128u64 {
+            let c = two_approx_exp(len_c);
             for len_a in 1..len_c {
                 for len_b in 1..=(len_c - len_a) {
                     assert!(
-                        lemma_4_4_holds(len_a, len_b, len_c),
+                        two_approx_exp(len_a) != c || two_approx_exp(len_b) != c,
                         "lenA={len_a} lenB={len_b} lenC={len_c}"
                     );
                 }
@@ -320,17 +251,16 @@ mod tests {
         let ranges = [(3u64, 4u64), (5, 6), (7, 20), (21, 21), (22, 63), (64, 100)];
         let mut prev = 0u64;
         for (i, &(a, b)) in ranges.iter().enumerate() {
-            let rid = range_id(a, b, width);
+            let (id, height) = trie_node(a, b, width);
             if a == b {
-                assert_eq!(rid.id, a);
-                assert_eq!(rid.height, 0);
+                assert_eq!((id, height), (a, 0));
             } else {
-                assert!(rid.id > a && rid.id <= b, "range ({a},{b}) id {}", rid.id);
+                assert!(id > a && id <= b, "range ({a},{b}) id {id}");
             }
             if i > 0 {
-                assert!(rid.id > prev, "identifiers must strictly increase");
+                assert!(id > prev, "identifiers must strictly increase");
             }
-            prev = rid.id;
+            prev = id;
         }
     }
 
@@ -339,13 +269,9 @@ mod tests {
         let width = 10;
         for a in 0..200u64 {
             for b in a..(a + 40).min(1 << width) {
-                let rid = range_id(a, b, width);
+                let (id, height) = trie_node(a, b, width);
                 for x in a..=b {
-                    assert_eq!(
-                        range_id_from_member(x, rid.height),
-                        rid.id,
-                        "a={a} b={b} x={x}"
-                    );
+                    assert_eq!(range_id_from_member(x, height), id, "a={a} b={b} x={x}");
                 }
             }
         }
@@ -359,19 +285,8 @@ mod tests {
         let intervals: Vec<(u64, u64)> = (0..40).map(|i| (i * 6, i * 6 + 5)).collect();
         for (i, &(a1, b1)) in intervals.iter().enumerate() {
             for &(a2, b2) in &intervals[i + 1..] {
-                let r1 = range_id(a1, b1, width + 2);
-                let r2 = range_id(a2, b2, width + 2);
-                assert_ne!((r1.id, r1.height), (r2.id, r2.height));
+                assert_ne!(trie_node(a1, b1, width + 2), trie_node(a2, b2, width + 2));
             }
         }
-    }
-
-    #[test]
-    fn div_ceil_basics() {
-        assert_eq!(div_ceil(0, 3), 0);
-        assert_eq!(div_ceil(1, 3), 1);
-        assert_eq!(div_ceil(3, 3), 1);
-        assert_eq!(div_ceil(4, 3), 2);
-        assert_eq!(div_ceil(u64::MAX, 1), u64::MAX);
     }
 }

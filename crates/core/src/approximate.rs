@@ -40,7 +40,6 @@ struct ApproxRow<'a> {
 /// its packed [`SchemeStore`] frame.
 #[derive(Debug, Clone)]
 pub struct ApproximateScheme {
-    epsilon: f64,
     store: SchemeStore<ApproximateScheme>,
     /// Per-node wire-encoding sizes (the paper's label-size quantity).
     wire_bits: Vec<u32>,
@@ -67,15 +66,9 @@ impl ApproximateScheme {
         let src = ApproxSource::new(sub, epsilon);
         let (store, plan) = SchemeStore::from_source_with(&src, sub.chunk_rows());
         ApproximateScheme {
-            epsilon,
             store,
             wire_bits: plan.wire_bits,
         }
-    }
-
-    /// The ε this scheme was built with.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// Returns an estimate `d̃` with `d(u,v) ≤ d̃ ≤ (1+ε)·d(u,v) + 2`,

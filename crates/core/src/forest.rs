@@ -1129,16 +1129,6 @@ impl ForestBuilder {
         Ok(self)
     }
 
-    /// Number of trees pushed so far.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Returns `true` when no tree has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
     /// Assembles the frame: header, id-sorted directory, the inner frames
     /// tiled back to back, and the outer CRC — then revalidates the result
     /// through the loader, so writer and reader agree by construction.
@@ -1661,11 +1651,6 @@ impl<W: FrameWords> Forest<W> {
         self.state.generation
     }
 
-    /// The [`ValidationPolicy`] this view was opened under.
-    pub fn validation_policy(&self) -> ValidationPolicy {
-        self.state.policy
-    }
-
     /// Total frame size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.words.frame_words().len() * 8
@@ -1994,12 +1979,6 @@ impl ForestStore {
         }
     }
 
-    /// Consumes the store and returns its frame words (copying only if pins
-    /// are still sharing the buffer or the words are a file's map).
-    pub fn into_words(mut self) -> Vec<u64> {
-        std::mem::take(ForestWords::make_mut(&mut self.words))
-    }
-
     /// Publishes the slot table as the next generation: bumps the
     /// generation and [`seal`]s the directory over the edited frame region.
     fn commit(&mut self) {
@@ -2310,7 +2289,6 @@ mod tests {
         let (trees, forest) = sample_forest();
         let bytes = forest.to_bytes();
         let lazy = ForestStore::from_bytes_with(&bytes, ValidationPolicy::Lazy).unwrap();
-        assert_eq!(lazy.validation_policy(), ValidationPolicy::Lazy);
         assert_eq!(lazy.as_words(), forest.as_words());
         assert_eq!(lazy.tree_ids().collect::<Vec<_>>(), vec![3, 11, 42]);
         let queries = sample_queries(&trees, 300);
@@ -2582,7 +2560,6 @@ mod tests {
             Err(ForestError::DuplicateTree { id: 1 })
         ));
         // The builder stays usable: the refused pushes left no residue.
-        assert_eq!(b.len(), 1);
         b.push_scheme(2, &NaiveScheme::build(&tree)).unwrap();
         assert_eq!(b.finish().unwrap().tree_count(), 2);
         assert!(matches!(

@@ -65,21 +65,6 @@ impl<'a> HpathLabel<'a> {
         self.ends.len()
     }
 
-    /// Preorder number of the node.
-    pub fn pre(&self) -> u64 {
-        self.pre
-    }
-
-    /// Subtree size of the node.
-    pub fn subtree_size(&self) -> u64 {
-        self.subtree_size
-    }
-
-    /// Domination order of the node's heavy path (smaller dominates).
-    pub fn dom_order(&self) -> u64 {
-        self.dom_order
-    }
-
     /// End positions of the codewords (for the store packers).
     pub(crate) fn end_positions(&self) -> &'a [u32] {
         self.ends

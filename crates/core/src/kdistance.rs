@@ -67,7 +67,6 @@ struct KdRow<'a> {
 /// packed [`SchemeStore`] frame.
 #[derive(Debug, Clone)]
 pub struct KDistanceScheme {
-    k: u64,
     store: SchemeStore<KDistanceScheme>,
     /// Per-node wire-encoding sizes (the paper's label-size quantity).
     wire_bits: Vec<u32>,
@@ -93,7 +92,6 @@ impl KDistanceScheme {
         let src = KdSource::new(sub, k);
         let (store, plan) = SchemeStore::from_source_with(&src, sub.chunk_rows());
         KDistanceScheme {
-            k,
             store,
             wire_bits: plan.wire_bits,
         }
@@ -101,11 +99,6 @@ impl KDistanceScheme {
 
     fn pre_width(sub: &Substrate<'_>) -> u32 {
         codes::bit_len(sub.tree().len().saturating_sub(1) as u64) as u32
-    }
-
-    /// The distance bound `k`.
-    pub fn k(&self) -> u64 {
-        self.k
     }
 
     /// Returns `Some(d(u,v))` if the distance is at most `k`, and `None`

@@ -61,16 +61,6 @@ impl LevelAncestorLabel {
         self.depth
     }
 
-    /// Distance from the head of the labelled node's heavy path.
-    pub fn head_offset(&self) -> u64 {
-        self.head_offset
-    }
-
-    /// Light depth (number of light edges on the root path).
-    pub fn light_depth(&self) -> usize {
-        self.branch_offsets.len()
-    }
-
     /// Serializes the label.
     pub fn encode(&self, w: &mut BitWriter) {
         codes::write_delta_nz(w, self.depth);

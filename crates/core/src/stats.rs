@@ -40,16 +40,6 @@ impl LabelStats {
         }
     }
 
-    /// Ratio of the maximum label size to a reference bound (e.g. one of the
-    /// [`crate::bounds`] formulas).  Returns `f64::INFINITY` for a zero bound.
-    pub fn ratio_to(&self, bound_bits: f64) -> f64 {
-        if bound_bits <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.max_bits as f64 / bound_bits
-        }
-    }
-
     /// Total size of all labels in bytes (rounded up per label set, not per
     /// label).
     pub fn total_bytes(&self) -> usize {
@@ -90,13 +80,6 @@ mod tests {
         assert_eq!(s.count, 0);
         assert_eq!(s.max_bits, 0);
         assert_eq!(s.mean_bits, 0.0);
-    }
-
-    #[test]
-    fn ratio_to_bound() {
-        let s = LabelStats::from_sizes([100usize]);
-        assert!((s.ratio_to(50.0) - 2.0).abs() < 1e-9);
-        assert!(s.ratio_to(0.0).is_infinite());
     }
 
     #[test]

@@ -846,11 +846,6 @@ impl<W: AsRef<[u64]>, S: StoredScheme> Store<W, S> {
         self.raw.n
     }
 
-    /// The scheme parameter recorded in the header.
-    pub fn param(&self) -> u64 {
-        self.raw.param
-    }
-
     /// Total frame size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.words.as_ref().len() * 8
@@ -1116,12 +1111,6 @@ impl<S: StoredScheme> SchemeStore<S> {
         Ok(SchemeStore { words, raw, meta })
     }
 
-    /// Consumes the store and returns its frame words (for hand-off into a
-    /// forest builder or across threads without a copy).
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
-    }
-
     /// The raw frame words (for hand-off to another thread via
     /// [`SchemeStore::from_words`], borrowing via [`StoreRef::from_words`],
     /// or word-level inspection).
@@ -1318,19 +1307,9 @@ impl<'a> AnyStoreRef<'a> {
         any_dispatch!(self, r => r.node_count())
     }
 
-    /// The scheme parameter recorded in the header.
-    pub fn param(&self) -> u64 {
-        any_dispatch!(self, r => r.param())
-    }
-
     /// Total frame size in bytes.
     pub fn size_bytes(&self) -> usize {
         any_dispatch!(self, r => r.size_bytes())
-    }
-
-    /// Bit length of the packed label region.
-    pub fn label_region_bits(&self) -> usize {
-        any_dispatch!(self, r => r.label_region_bits())
     }
 
     /// The raw frame words.

@@ -114,11 +114,6 @@ impl Binarized {
     pub fn proxy(&self, u: NodeId) -> NodeId {
         self.proxy[u.index()]
     }
-
-    /// Number of nodes of the original tree.
-    pub fn original_len(&self) -> usize {
-        self.proxy.len()
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +183,7 @@ mod tests {
         for u in t.nodes() {
             assert!(seen.insert(bin.proxy(u)), "proxy of {u} reused");
         }
-        assert_eq!(bin.original_len(), 200);
+        assert_eq!(seen.len(), 200);
     }
 
     #[test]

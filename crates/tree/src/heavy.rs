@@ -403,11 +403,6 @@ impl HeavyPaths {
         self.path_nodes[self.paths[p].start as usize]
     }
 
-    /// Last (deepest) node of a heavy path.
-    pub fn last_node(&self, p: PathId) -> NodeId {
-        *self.path_nodes(p).last().expect("paths are non-empty")
-    }
-
     /// Parent of a collapsed node, or `None` for the root path.
     pub fn collapsed_parent(&self, p: PathId) -> Option<PathId> {
         (p != 0).then(|| self.paths[p].parent as usize)
@@ -501,7 +496,6 @@ mod tests {
                     assert_eq!(hp.heavy_child(w[0]), Some(w[1]));
                 }
                 assert_eq!(hp.head(p), nodes[0]);
-                assert_eq!(hp.last_node(p), nodes[nodes.len() - 1]);
                 for (i, &u) in nodes.iter().enumerate() {
                     assert_eq!(hp.pos_in_path(u), i);
                 }
@@ -689,7 +683,7 @@ mod tests {
                 for (i, &c) in hp.collapsed_children(p).iter().enumerate() {
                     if hp.is_exceptional(c) {
                         assert_eq!(i + 1, hp.collapsed_children(p).len());
-                        assert_eq!(hp.branch_node(c), Some(hp.last_node(p)));
+                        assert_eq!(hp.branch_node(c), hp.path_nodes(p).last().copied());
                     }
                 }
             }

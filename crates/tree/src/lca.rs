@@ -204,20 +204,9 @@ impl DistanceOracle {
             - 2 * self.root_distance[w.index()]
     }
 
-    /// Exact unweighted (hop) distance between `u` and `v`.
-    pub fn hop_distance(&self, u: NodeId, v: NodeId) -> usize {
-        let w = self.lca(u, v);
-        self.depth(u) + self.depth(v) - 2 * self.depth(w)
-    }
-
     /// Weighted distance from the root to `u`.
     pub fn root_distance(&self, u: NodeId) -> u64 {
         self.root_distance[u.index()]
-    }
-
-    /// Unweighted depth of `u`.
-    pub fn depth(&self, u: NodeId) -> usize {
-        self.rmq.values[self.first_occurrence[u.index()] as usize] as usize
     }
 
     /// Returns `true` if `a` is an ancestor of (or equal to) `d`.
@@ -312,11 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn hop_distance_on_weighted_tree_counts_edges() {
+    fn weighted_distance_sums_edge_weights() {
         let t = Tree::from_parents_weighted(&[None, Some(0), Some(1)], Some(&[0, 5, 0]));
         let oracle = DistanceOracle::new(&t);
         assert_eq!(oracle.distance(t.node(0), t.node(2)), 5);
-        assert_eq!(oracle.hop_distance(t.node(0), t.node(2)), 2);
     }
 
     #[test]

@@ -36,9 +36,9 @@ impl From<usize> for NodeId {
 ///
 /// The topology is stored as flat arrays in compressed sparse row form: a
 /// `u32` parent per node, and every node's children in one array indexed by
-/// per-node offsets (children in increasing index order unless
-/// [`Tree::sort_children_by`] reorders them).  That is 24 bytes per node with
-/// no per-node allocation, so node counts are limited to below 2³².
+/// per-node offsets (children in increasing index order).  That is 24 bytes
+/// per node with no per-node allocation, so node counts are limited to below
+/// 2³².
 ///
 /// # Example
 ///
@@ -371,55 +371,6 @@ impl Tree {
         let rd = self.root_distances();
         rd[u.0] + rd[v.0] - 2 * rd[lca.0]
     }
-
-    /// Reorders the children of every node using the supplied comparator.
-    ///
-    /// The comparator sees the whole tree, every node's children included,
-    /// while each node's children are sorted: a copy is sorted and written
-    /// back.
-    pub fn sort_children_by<F>(&mut self, mut cmp: F)
-    where
-        F: FnMut(&Self, NodeId, NodeId) -> std::cmp::Ordering,
-    {
-        let mut sorted = Vec::new();
-        for u in 0..self.len() {
-            sorted.clear();
-            sorted.extend_from_slice(self.children(NodeId(u)));
-            sorted.sort_by(|&a, &b| cmp(self, a, b));
-            let span = self.start[u] as usize..self.start[u + 1] as usize;
-            self.kids[span].copy_from_slice(&sorted);
-        }
-    }
-
-    /// Re-roots a copy of the tree at `new_root`, preserving edge weights.
-    pub fn rerooted(&self, new_root: NodeId) -> Tree {
-        let n = self.len();
-        let mut parents: Vec<Option<usize>> = vec![None; n];
-        let mut weights: Vec<u64> = vec![0; n];
-        let mut visited = vec![false; n];
-        let mut stack = vec![new_root];
-        visited[new_root.0] = true;
-        while let Some(u) = stack.pop() {
-            // Neighbours = children + parent in the original orientation.
-            let mut neigh: Vec<(NodeId, u64)> = self
-                .children(u)
-                .iter()
-                .map(|&c| (c, self.parent_weight(c)))
-                .collect();
-            if let Some(p) = self.parent(u) {
-                neigh.push((p, self.parent_weight(u)));
-            }
-            for (v, w) in neigh {
-                if !visited[v.0] {
-                    visited[v.0] = true;
-                    parents[v.0] = Some(u.0);
-                    weights[v.0] = w;
-                    stack.push(v);
-                }
-            }
-        }
-        Tree::from_parents_weighted(&parents, Some(&weights))
-    }
 }
 
 impl fmt::Debug for Tree {
@@ -689,50 +640,13 @@ mod tests {
     }
 
     #[test]
-    fn sort_children_by_subtree_size() {
+    fn equal_shapes_compare_equal_however_built() {
         let parents = [None, Some(0), Some(0), Some(1), Some(2), Some(2), Some(4)];
-        let mut t = Tree::from_parents(&parents);
         let mut b = TreeBuilder::new();
         for &p in parents.iter().flatten() {
             b.add_child(NodeId(p), 1);
         }
-        let mut built = b.build();
-        assert_eq!(built, t, "equal shapes compare equal however built");
-        let sizes = t.subtree_sizes();
-        // The comparator sees every node's children, the sorted node's too.
-        let by_size = |tree: &Tree, a: NodeId, b: NodeId| {
-            assert_eq!(tree.subtree_sizes(), sizes);
-            sizes[b.0].cmp(&sizes[a.0])
-        };
-        t.sort_children_by(by_size);
-        built.sort_children_by(by_size);
-        // Child 2 (size 4) now comes before child 1 (size 2).
-        assert_eq!(t.children(NodeId(0)), &[NodeId(2), NodeId(1)]);
-        assert_eq!(t.children(NodeId(2)), &[NodeId(4), NodeId(5)]);
-        assert_eq!(built, t);
-        assert_ne!(t, Tree::from_parents(&parents));
-    }
-
-    #[test]
-    fn rerooted_preserves_distances() {
-        let t = Tree::from_parents_weighted(
-            &[None, Some(0), Some(0), Some(1), Some(1), Some(4)],
-            Some(&[0, 2, 3, 1, 4, 5]),
-        );
-        let r = t.rerooted(NodeId(5));
-        assert_eq!(r.len(), t.len());
-        // Distances are preserved under re-rooting (node ids unchanged).
-        for u in 0..t.len() {
-            for v in 0..t.len() {
-                assert_eq!(
-                    t.distance_naive(NodeId(u), NodeId(v)),
-                    r.distance_naive(NodeId(u), NodeId(v)),
-                    "u={u} v={v}"
-                );
-            }
-        }
-        // Node ids are preserved, so the new root keeps its old id.
-        assert_eq!(r.root(), NodeId(5));
+        assert_eq!(b.build(), Tree::from_parents(&parents));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! The workspace is split into three implementation crates, re-exported here:
 //!
-//! * [`bits`] (`treelab-bits`) — bit vectors, Elias codes, the Lemma 2.2
-//!   monotone-sequence encoder (write-only: queries are served by the packed
-//!   kernels of [`core`]), word-RAM helpers and order-preserving codes;
+//! * [`bits`] (`treelab-bits`) — bit vectors, the Elias-code and Lemma 2.2
+//!   monotone-sequence encoders, word-RAM helpers, order-preserving codes,
+//!   CRC-64 framing, and the LSB-first packed reads behind [`core`]'s query
+//!   kernels (the crate is write-only: it ships no MSB-first decoder);
 //! * [`tree`] (`treelab-tree`) — the tree substrate: generators (including the
 //!   paper's `(h,M)`-trees and `(x⃗,h,d)`-regular trees), LCA/distance oracles,
 //!   the paper's heavy-path decomposition, collapsed trees and binarization;

@@ -6,21 +6,21 @@
 //! store opened from a file (served from its map on 64-bit Unix) routes
 //! without allocating once warm.
 //!
-//! A counting global allocator wraps the system allocator; after a warm-up
-//! batch has sized the [`RouteScratch`] and the status buffer, repeating the
-//! routed batch (same batch size, different query mix) must leave the
-//! allocation counter untouched.  The scratch embeds the batch kernels'
-//! structure-of-arrays planning buffers (`BatchPlan`, shared across every
-//! per-tree group of a batch), and each group computes pair by pair through
-//! the one-pair kernels, so the zero-allocation proof covers the SoA
+//! The shared counting allocator (`tests/common`) counts the allocations of
+//! the thread that routes (the router runs on the calling thread); after a
+//! warm-up batch has sized the [`RouteScratch`] and the status buffer,
+//! repeating the routed batch (same batch size, different query mix) must
+//! leave the allocation counter untouched.  The scratch embeds the batch
+//! kernels' structure-of-arrays planning buffers (`BatchPlan`, shared across
+//! every per-tree group of a batch), and each group computes pair by pair
+//! through the one-pair kernels, so the zero-allocation proof covers the SoA
 //! planning stage *and* the compute loop — as must hammering
 //! `tree(id)`/`try_tree` on a lazily-opened forest whose trees have all been
-//! touched once.  (This file holds a single test on purpose: the counter is
-//! process-global, and a second test running on another thread would
-//! pollute it.)
+//! touched once.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
+use common::counted;
 use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
@@ -28,31 +28,6 @@ use treelab::{
     gen, DistanceArrayScheme, DistanceScheme, ForestStore, NaiveScheme, OptimalScheme, QueryStatus,
     RouteScratch, Tree, ValidationPolicy,
 };
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: defers every operation to the system allocator unchanged; the
-// counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A skewed routed query batch: most queries hit the first trees, every tree
 /// gets some, long same-tree runs exercise the slot-resolution fast path.
@@ -110,16 +85,14 @@ fn routed_batches_do_not_allocate_after_the_scratch_warms_up() {
     let expect1 = route(&storm1);
     out.clear();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    forest.try_route_distances_into(&storm1, &mut scratch, &mut out);
-    out.clear();
-    forest.try_route_distances_into(&storm2, &mut scratch, &mut out);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let ((), allocations) = counted(|| {
+        forest.try_route_distances_into(&storm1, &mut scratch, &mut out);
+        out.clear();
+        forest.try_route_distances_into(&storm2, &mut scratch, &mut out);
+    });
     assert_eq!(
-        after - before,
-        0,
-        "the routed batch engine allocated {} times after warm-up",
-        after - before
+        allocations, 0,
+        "the routed batch engine allocated {allocations} times after warm-up"
     );
     assert_eq!(out, route(&storm2));
     assert_eq!(expect1, {
@@ -137,14 +110,11 @@ fn routed_batches_do_not_allocate_after_the_scratch_warms_up() {
     let mut statuses: Vec<QueryStatus> = Vec::new();
     forest.try_route_distances_into(&warmup, &mut scratch, &mut statuses);
     statuses.clear();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let outcome = forest.try_route_distances_into(&mixed, &mut scratch, &mut statuses);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let (outcome, allocations) =
+        counted(|| forest.try_route_distances_into(&mixed, &mut scratch, &mut statuses));
     assert_eq!(
-        after - before,
-        0,
-        "the fallible routed engine allocated {} times after warm-up",
-        after - before
+        allocations, 0,
+        "the fallible routed engine allocated {allocations} times after warm-up"
     );
     assert_eq!(outcome.ok, mixed.len() - 2);
     assert_eq!(outcome.unknown_tree, 1);
@@ -165,20 +135,19 @@ fn routed_batches_do_not_allocate_after_the_scratch_warms_up() {
         // the counted region.
         warm_sum += lazy.tree(id).expect("valid tree").distance(0, 1);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut sum = 0u64;
-    for _ in 0..64 {
-        for &id in &ids {
-            sum += lazy.tree(id).expect("cached verdict").distance(0, 1);
-            assert!(lazy.try_tree(id).is_ok());
+    let (sum, allocations) = counted(|| {
+        let mut sum = 0u64;
+        for _ in 0..64 {
+            for &id in &ids {
+                sum += lazy.tree(id).expect("cached verdict").distance(0, 1);
+                assert!(lazy.try_tree(id).is_ok());
+            }
         }
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+        sum
+    });
     assert_eq!(
-        after - before,
-        0,
-        "the lazy tree(id) fast path allocated {} times after first touch",
-        after - before
+        allocations, 0,
+        "the lazy tree(id) fast path allocated {allocations} times after first touch"
     );
     assert_eq!(sum, warm_sum * 64);
 
@@ -194,16 +163,14 @@ fn routed_batches_do_not_allocate_after_the_scratch_warms_up() {
         .try_route_distances_into(&warmup, &mut scratch, &mut statuses)
         .all_ok());
     statuses.clear();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    opened.try_route_distances_into(&storm1, &mut scratch, &mut statuses);
-    statuses.clear();
-    opened.try_route_distances_into(&storm2, &mut scratch, &mut statuses);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let ((), allocations) = counted(|| {
+        opened.try_route_distances_into(&storm1, &mut scratch, &mut statuses);
+        statuses.clear();
+        opened.try_route_distances_into(&storm2, &mut scratch, &mut statuses);
+    });
     assert_eq!(
-        after - before,
-        0,
-        "routing on an opened file allocated {} times after warm-up",
-        after - before
+        allocations, 0,
+        "routing on an opened file allocated {allocations} times after warm-up"
     );
     assert_eq!(statuses, route(&storm2));
 }

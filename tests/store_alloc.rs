@@ -1,18 +1,16 @@
 //! Proof that the packed-native query path allocates nothing.
 //!
-//! A counting global allocator wraps the system allocator and counts the
-//! allocations of the thread that runs the queries; after the schemes and
+//! The shared counting allocator (`tests/common`) counts the allocations of
+//! the thread that runs the queries; after the schemes and
 //! the output buffer are set up, a query storm across all six schemes must
 //! leave the allocation counter untouched — both through the scheme types'
 //! own `distance` entry points (the schemes are thin owners of their packed
 //! frames, so a single query is kernel arithmetic over the frame words) and
-//! through the store's per-query, batch and iterator forms.  (This file holds
-//! a single test on purpose: the counter is process-global, and a second test
-//! running on another thread would pollute it.)
+//! through the store's per-query, batch and iterator forms.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
+use common::counted;
 use treelab::core::approximate::ApproximateScheme;
 use treelab::core::kdistance::KDistanceScheme;
 use treelab::core::level_ancestor::LevelAncestorScheme;
@@ -21,54 +19,11 @@ use treelab::{
     StoredScheme, Substrate,
 };
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Set only on the thread under measurement: the code under test runs on
-    /// it alone, and the test harness's own threads allocate at times of
-    /// their choosing (a harness allocation landing inside a counted region
-    /// used to fail this test under CPU contention).
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: defers every operation to the system allocator unchanged; the
-// counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
 fn assert_alloc_free(name: &str, queries: impl FnOnce()) {
-    COUNTING.set(true);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    queries();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    COUNTING.set(false);
+    let ((), allocations) = counted(queries);
     assert_eq!(
-        after - before,
-        0,
-        "{name}: the query path allocated {} times",
-        after - before
+        allocations, 0,
+        "{name}: the query path allocated {allocations} times"
     );
 }
 
